@@ -2,7 +2,10 @@
 // in-memory data series index. It contains the parallel index-construction
 // pipeline of §III-A (Algorithms 1-4) and the parallel exact query
 // answering of §III-B (Algorithms 5-9), plus the DTW mode (Figure 19) and
-// a k-NN extension of the same machinery.
+// a k-NN extension of the same machinery: one SearchRun, parameterised by
+// a distance kernel (Euclidean, or LB_Keogh→DTW) and a pruning bound (the
+// 1-NN BSF or a top-k set), with one candidate loop (refine) behind the
+// exact, k-NN, DTW and approximate paths.
 //
 // # Contracts
 //
@@ -38,6 +41,9 @@
 //     is confined to the query that allocated it; the sync.Pool reuse in
 //     internal/engine relies on queries never retaining scratch past
 //     return.
+//   - Per-worker leaf-scan scratch (lower bounds, surviving entries, the
+//     sink of the gather-ahead loads) is borrowed from a pool for one
+//     drain phase and never shared between workers.
 //   - Operation counters (stats.Counters) are atomic adds; a nil counter
 //     set disables collection at zero cost.
 package core

@@ -2,17 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/dtw"
 	"repro/internal/isax"
 	"repro/internal/paa"
-	"repro/internal/pqueue"
 	"repro/internal/stats"
-	"repro/internal/tree"
 )
 
 // SearchDTW answers an exact 1-NN query under constrained DTW with a
@@ -28,286 +22,73 @@ import (
 // the PAA — and per-series filtering cascades that bound, then LB_Keogh on
 // the raw series, then the early-abandoning DTW itself.
 func (ix *Index) SearchDTW(query []float32, window int, opt SearchOptions) (Match, error) {
-	if err := ix.validateQuery(query); err != nil {
+	if err := ix.validateDTW(query, window); err != nil {
 		return Match{}, err
 	}
+	r := ix.newBSFRun(query, &warped{query: query, window: window}, nil, opt)
+	r.Run()
+	r.releaseTable()
+	return r.Best(), nil
+}
+
+// validateDTW checks the query shape and the warping window.
+func (ix *Index) validateDTW(query []float32, window int) error {
+	if err := ix.validateQuery(query); err != nil {
+		return err
+	}
 	if err := dtw.CheckWindow(ix.Data.Length, window); err != nil {
-		return Match{}, fmt.Errorf("%w: %w", ErrBadWindow, err)
+		return fmt.Errorf("%w: %w", ErrBadWindow, err)
 	}
-	opt = opt.withDefaults(ix.Opts)
-	bd := opt.Breakdown
-
-	var tInit time.Time
-	if bd.Enabled() {
-		tInit = time.Now()
-	}
-	env := ix.newDTWQuery(query, window)
-	defer ix.putTable(env.tab)
-	env.qos, env.escale = opt.QoS, opt.QoS.Scale()
-	bsf := opt.Shared
-	if bsf == nil {
-		bsf = stats.NewBSF()
-	}
-	// Seeds are already global; candidates found in this index are mapped
-	// into the global space on every bound update (see
-	// SearchOptions.GlobalPos).
-	for _, s := range opt.Seeds {
-		bsf.Update(s.Dist, int64(s.Position))
-	}
-	bnd := workerBound(bsf, opt.GlobalPos)
-	ix.approxSearchDTW(env, bnd, opt.Counters)
-	if bd.Enabled() {
-		bd.Add(stats.PhaseInit, time.Since(tInit))
-	}
-
-	queues := pqueue.NewSet[*tree.Node](opt.Queues, 64)
-	var rootCtr atomic.Int64
-	var barrier sync.WaitGroup
-	barrier.Add(opt.Workers)
-	var wg sync.WaitGroup
-	for pid := 0; pid < opt.Workers; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			ix.dtwWorker(env, bnd, queues, &rootCtr, &barrier, pid, opt)
-		}(pid)
-	}
-	wg.Wait()
-
-	d, pos := bsf.Best()
-	return Match{Position: int(pos), Dist: d}, nil
+	return nil
 }
 
-// dtwQuery bundles the per-query DTW state: the query, its LB_Keogh
-// envelope, and the distance table built from the envelope's per-segment
-// summary (max of the upper envelope, min of the lower) used against iSAX
-// words and prefixes.
-type dtwQuery struct {
-	query  []float32
-	window int
-	upper  []float32 // pointwise envelope
-	lower  []float32
-	tab    *isax.DistTable // built from the envelope summary
-	qword  []uint8         // query's own word, for the approximate descent
-	qos    *QoS            // nil for plain exact runs
-	escale float64         // qos.Scale(); see SearchRun.escale
+// warped is the DTW kernel: the query, its warping window and its
+// LB_Keogh envelope. The distance table is built from the envelope's
+// per-segment summary (max of the upper envelope, min of the lower), and a
+// raw candidate is measured by LB_Keogh first, then the early-abandoning
+// DTW itself.
+type warped struct {
+	query        []float32
+	window       int
+	upper, lower []float32 // pointwise envelope, set by prepare
 }
 
-func (ix *Index) newDTWQuery(query []float32, window int) *dtwQuery {
-	u, l := dtw.Envelope(query, window)
-	w := ix.Schema.Segments
-	qpaa := paa.Transform(query, w, nil)
-	tab := ix.getTable() // returned to the pool by SearchDTW
-	tab.BuildEnvelope(paa.SegmentMax(u, w, nil), paa.SegmentMin(l, w, nil))
-	return &dtwQuery{
-		query:  query,
-		window: window,
-		upper:  u,
-		lower:  l,
-		tab:    tab,
-		qword:  ix.Schema.WordFromPAA(qpaa, nil),
-		escale: 1,
-	}
+func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
+	k.upper, k.lower = dtw.Envelope(k.query, k.window)
+	w := tab.Schema().Segments
+	tab.BuildEnvelope(paa.SegmentMax(k.upper, w, nil), paa.SegmentMin(k.lower, w, nil))
 }
 
-func (ix *Index) dtwWorker(env *dtwQuery, bsf bound, queues *pqueue.Set[*tree.Node],
-	rootCtr *atomic.Int64, barrier *sync.WaitGroup, pid int, opt SearchOptions) {
-
-	ctrs := opt.Counters
-	cursor := pid % opt.Queues
-	for {
-		i := int(rootCtr.Add(1) - 1)
-		if i >= len(ix.activeRoots) {
-			break
-		}
-		if env.qos.ShouldStop() {
-			env.qos.MarkTruncated()
-			break
-		}
-		ix.traverseDTW(ix.Tree.Root(int(ix.activeRoots[i])), env, bsf, queues, &cursor, ctrs)
+func (k *warped) dist(candidate []float32, limit float64) (float64, int64, int64) {
+	if lb := dtw.LBKeogh(candidate, k.lower, k.upper, limit); lb >= limit {
+		return lb, 1, 0
 	}
-	barrier.Done()
-	barrier.Wait()
-
-	scratch := scratchPool.Get().(*leafScratch)
-	defer scratchPool.Put(scratch)
-	rnd := uint64(pid)*0x9E3779B97F4A7C15 + 0x9876543
-	q := pid % opt.Queues
-	for {
-		ix.processQueueDTW(queues.Queue(q), env, scratch, bsf, ctrs)
-		rnd = rnd*6364136223846793005 + 1442695040888963407
-		q = queues.NextUnfinished(int(rnd>>33) % opt.Queues)
-		if q < 0 {
-			return
-		}
-	}
-}
-
-func (ix *Index) traverseDTW(node *tree.Node, env *dtwQuery, bsf bound,
-	queues *pqueue.Set[*tree.Node], cursor *int, ctrs *stats.Counters) {
-
-	ctrs.AddNodesVisited(1)
-	dist := env.tab.MinDistPrefix(node.Symbols, node.Bits)
-	ctrs.AddLowerBound(1)
-	if limit := bsf.Load(); dist*env.escale >= limit {
-		if dist < limit {
-			env.qos.PruneEps(dist)
-		}
-		return
-	}
-	if node.IsLeaf() {
-		if node.LeafLen() == 0 {
-			return
-		}
-		queues.PushRoundRobin(cursor, dist, node)
-		ctrs.AddLeavesInserted(1)
-		return
-	}
-	ix.traverseDTW(node.Left, env, bsf, queues, cursor, ctrs)
-	ix.traverseDTW(node.Right, env, bsf, queues, cursor, ctrs)
-}
-
-func (ix *Index) processQueueDTW(q *pqueue.Queue[*tree.Node], env *dtwQuery,
-	scratch *leafScratch, bsf bound, ctrs *stats.Counters) {
-
-	for {
-		if q.Finished() {
-			return
-		}
-		if env.qos.ShouldStop() {
-			if _, ok := q.PopMin(); ok {
-				env.qos.MarkTruncated()
-			}
-			q.MarkFinished()
-			return
-		}
-		item, ok := q.PopMin()
-		if !ok {
-			q.MarkFinished()
-			return
-		}
-		if limit := bsf.Load(); item.Priority*env.escale >= limit {
-			if item.Priority < limit {
-				env.qos.PruneEps(item.Priority)
-			}
-			ctrs.AddLeavesPruned(1)
-			q.MarkFinished()
-			return
-		}
-		ix.scanLeafDTW(item.Value, env, scratch, bsf, ctrs)
-	}
-}
-
-// scanLeafDTW cascades three bounds per entry — envelope-vs-word MINDIST,
-// LB_Keogh on the raw candidate, then the early-abandoning DTW — with the
-// MINDIST stage computed for the whole leaf at once by streaming the
-// segment-major symbol columns against the envelope distance table (same
-// kernel shape as the Euclidean scanLeaf). The pruning bound is cached
-// locally and refreshed per scanBlock and after improvements.
-func (ix *Index) scanLeafDTW(leaf *tree.Node, env *dtwQuery, scratch *leafScratch,
-	bsf bound, ctrs *stats.Counters) {
-
-	n := leaf.LeafLen()
-	if n == 0 {
-		return
-	}
-	lbs := scratch.accumulate(leaf, env.tab, ix.Schema.Segments)
-
-	scale := env.tab.Scale()
-	limit := bsf.Load()
-	lbCount := int64(n)
-	var realCount int64
-	for base := 0; base < n; base += scanBlock {
-		end := base + scanBlock
-		if end > n {
-			end = n
-		}
-		for e := base; e < end; e++ {
-			if lb := lbs[e] * scale; lb*env.escale >= limit {
-				if env.escale > 1 && lb < limit {
-					env.qos.PruneEps(lb)
-				}
-				continue
-			}
-			pos := leaf.Positions[e]
-			candidate := ix.Data.At(int(pos))
-			lbCount++
-			if dtw.LBKeogh(candidate, env.lower, env.upper, limit) >= limit {
-				continue
-			}
-			realCount++
-			d := dtw.Distance(env.query, candidate, env.window, limit)
-			if d < limit {
-				if bsf.Update(d, int64(pos)) {
-					ctrs.AddBSFUpdate()
-				}
-				limit = bsf.Load()
-			}
-		}
-		if end < n {
-			limit = bsf.Load()
-		}
-	}
-	ctrs.AddLowerBound(lbCount)
-	ctrs.AddRealDist(realCount)
+	return dtw.Distance(k.query, candidate, k.window, limit), 1, 1
 }
 
 // ApproxDTW answers an approximate 1-NN DTW query: only the BSF-seeding
-// descent of SearchDTW (plus any seeds). Its distance is an upper bound on
-// the exact constrained-DTW distance. Falls back to the exact search when
-// the descent finds nothing.
+// descent of SearchDTW (plus any seeds) into the leaf matching the query's
+// own word — warping alignment keeps the query's natural leaf a good
+// candidate. Its distance is an upper bound on the exact constrained-DTW
+// distance. Falls back to the exact search when the descent finds nothing.
 func (ix *Index) ApproxDTW(query []float32, window int, opt SearchOptions) (Match, error) {
-	if err := ix.validateQuery(query); err != nil {
+	if err := ix.validateDTW(query, window); err != nil {
 		return Match{}, err
 	}
-	if err := dtw.CheckWindow(ix.Data.Length, window); err != nil {
-		return Match{}, fmt.Errorf("%w: %w", ErrBadWindow, err)
-	}
-	env := ix.newDTWQuery(query, window)
-	defer ix.putTable(env.tab)
+	kern := &warped{query: query, window: window}
+	tab := ix.getTable()
+	defer ix.putTable(tab)
+	kern.prepare(tab, nil)
 	bsf := stats.NewBSF()
 	for _, s := range opt.Seeds {
 		bsf.Update(s.Dist, int64(s.Position))
 	}
-	ix.approxSearchDTW(env, workerBound(bsf, opt.GlobalPos), opt.Counters)
+	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
+	qword := ix.Schema.WordFromPAA(qpaa, nil)
+	ix.approxSearch(qpaa, qword, tab, kern, workerBound(bsf, opt.GlobalPos), opt.Counters)
 	d, pos := bsf.Best()
 	if pos < 0 {
 		return ix.SearchDTW(query, window, opt)
 	}
 	return Match{Position: int(pos), Dist: d}, nil
-}
-
-// approxSearchDTW seeds the DTW BSF from the leaf matching the query's own
-// word (warping alignment keeps the query's natural leaf a good candidate).
-// The bound is loaded once per candidate and refreshed after updates.
-func (ix *Index) approxSearchDTW(env *dtwQuery, bsf bound, ctrs *stats.Counters) {
-	root := ix.Tree.Root(ix.Schema.RootIndex(env.qword))
-	if root == nil {
-		best := math.Inf(1)
-		for _, slot := range ix.activeRoots {
-			r := ix.Tree.Root(int(slot))
-			d := env.tab.MinDistPrefix(r.Symbols, r.Bits)
-			ctrs.AddLowerBound(1)
-			if d < best {
-				best = d
-				root = r
-			}
-		}
-	}
-	if root == nil {
-		return
-	}
-	leaf := ix.Tree.DescendToLeaf(root, env.qword)
-	limit := bsf.Load()
-	for i := 0; i < leaf.LeafLen(); i++ {
-		pos := leaf.Positions[i]
-		d := dtw.Distance(env.query, ix.Data.At(int(pos)), env.window, limit)
-		ctrs.AddRealDist(1)
-		if d < limit {
-			if bsf.Update(d, int64(pos)) {
-				ctrs.AddBSFUpdate()
-			}
-			limit = bsf.Load()
-		}
-	}
 }

@@ -119,18 +119,66 @@ func workerBound(b bound, toGlobal func(int64) int64) bound {
 	return mappedBound{inner: b, toGlobal: toGlobal}
 }
 
-// scanBlock is the number of leaf candidates a worker processes between
-// refreshes of the shared pruning bound. Within a block the worker prunes
-// against a locally cached copy — a stale (larger) threshold only admits
-// extra candidates, never wrongly prunes — so the shared-atomic read
-// leaves the per-candidate loop.
-const scanBlock = 64
+// kernel is the one thing that differs between the search flavours — the
+// Euclidean and DTW searches are one algorithm with swapped bounds ("Fast
+// Data Series Indexing for In-Memory Data", PAPERS.md): which query summary
+// fills the per-query MINDIST table, and how a raw candidate is measured.
+type kernel interface {
+	// prepare fills tab from the summary this flavour prunes with (the
+	// query's PAA, or its LB_Keogh envelope).
+	prepare(tab *isax.DistTable, qpaa []float64)
+	// dist measures one raw candidate against the pruning limit. It
+	// returns the squared distance (any value ≥ limit once the candidate
+	// is ruled out) and how many raw-series lower bounds and real
+	// distances that took.
+	dist(candidate []float32, limit float64) (d float64, lowerBounds, realDists int64)
+}
 
-// leafScratch is the per-worker scratch for segment-major leaf scans: the
-// whole leaf's lower-bound accumulators. Workers borrow one from
-// scratchPool for the duration of a drain phase.
+// euclidean is the paper's default kernel: the early-abandoning squared
+// Euclidean distance to the query it wraps.
+type euclidean []float32
+
+func (q euclidean) prepare(tab *isax.DistTable, qpaa []float64) { tab.BuildPAA(qpaa) }
+
+func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int64) {
+	return vector.SquaredEuclideanEarlyAbandon(candidate, q, limit), 0, 1
+}
+
+// The refine stage walks a leaf's surviving candidates in batches of
+// refineBatch: it first issues one load per cache line (lineFloats
+// float32s) of every candidate in the batch, so the batch's cache and TLB
+// misses overlap instead of being paid one after another inside the
+// distance kernel, and only then measures the candidates. Leaves hold
+// positions into the raw data array, so this stage is a pointer chase over
+// the whole collection, and on queries that prune badly its latency — not
+// the kernel's arithmetic — is the cost of a search.
+//
+// Both constants are measured, on 500 k series × 128 points (256 MB). One
+// core, full-length kernel per series (BenchmarkRefineOrder): position
+// order 124 ms, leaf order through the plain loop 268 ms, touching only the
+// next candidate ahead 193 ms, batches of 2/4/8/16/32/64 305/250/224/215/
+// 207/208 ms. End to end (bench/ serve-hard, p50 of a 1-NN query that
+// prunes 4 %): plain loop 127 ms; batches of 8/16/32 with every line
+// touched 65/63/63 ms; batches of 8 with every second line 72 ms, every
+// fourth 63 ms. From 8 up everything is within 5 %, so the batch is the
+// smallest of those — a bound tightened mid-batch wastes at most 7 gathers
+// — and every line is touched, which leans on no hardware prefetcher. A
+// PREFETCHT0 stub was no faster than plain loads (ISSUE 14's prototype), so
+// there is no assembly.
+const (
+	refineBatch = 8
+	lineFloats  = 16 // float32s per 64-byte cache line
+)
+
+// leafScratch is the per-worker scratch of a leaf scan: the whole leaf's
+// lower-bound accumulators, the entries that survive them, and the sink
+// of the refine stage's gather-ahead loads (per worker, never shared, so
+// concurrent scans do not race on it). Workers borrow one from scratchPool
+// for the duration of a drain phase.
 type leafScratch struct {
-	lb []float64
+	lb   []float64
+	cand []int32
+	sink uint32
 }
 
 // bounds returns the accumulator slice sized for an n-entry leaf.
@@ -160,6 +208,49 @@ func (s *leafScratch) accumulate(leaf *tree.Node, tab *isax.DistTable, w int) []
 		}
 	}
 	return lbs
+}
+
+// candidates returns the scratch's entry-index list, emptied, with room
+// for an n-entry leaf.
+func (s *leafScratch) candidates(n int) []int32 {
+	if cap(s.cand) < n {
+		s.cand = make([]int32, 0, n)
+	}
+	return s.cand[:0]
+}
+
+// all returns the candidate list naming every entry of an n-entry leaf.
+func (s *leafScratch) all(n int) []int32 {
+	cand := s.candidates(n)
+	for e := 0; e < n; e++ {
+		cand = append(cand, int32(e))
+	}
+	return cand
+}
+
+// filter is the first stage of a leaf scan: it scales the accumulate sums
+// in lbs into lower bounds, in place, and compacts the entries whose bound
+// survives limit into the scratch's candidate list, in entry order. refine
+// re-checks every survivor against the bound as it stands by then. An entry
+// dropped here under ε-inflation is recorded as a witness even if a tighter,
+// later bound would have pruned it without inflation; such a witness is no
+// smaller than the final answer, and Finish ignores those.
+func (s *leafScratch) filter(lbs []float64, scale, limit float64, qos *QoS) []int32 {
+	escale := qos.Scale()
+	cand := s.candidates(len(lbs))
+	for e, sum := range lbs {
+		lb := sum * scale
+		lbs[e] = lb
+		if lb*escale >= limit {
+			if escale > 1 && lb < limit {
+				// Entry skipped only because of ε-inflation.
+				qos.PruneEps(lb)
+			}
+			continue
+		}
+		cand = append(cand, int32(e))
+	}
+	return cand
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
@@ -196,6 +287,7 @@ func NewQueryState() *QueryState { return &QueryState{} }
 type SearchRun struct {
 	ix          *Index
 	query       []float32
+	kern        kernel          // the distance flavour: Euclidean or DTW
 	table       *isax.DistTable // per-query MINDIST table, built once in init
 	pooledTable bool            // table borrowed from ix.tables (no QueryState)
 	bnd         bound
@@ -217,14 +309,20 @@ func (ix *Index) NewSearchRun(query []float32, st *QueryState, opt SearchOptions
 	if err := ix.validateQuery(query); err != nil {
 		return nil, err
 	}
+	return ix.newBSFRun(query, euclidean(query), st, opt), nil
+}
+
+// newBSFRun prepares a 1-NN run of either distance flavour over an
+// already validated query.
+func (ix *Index) newBSFRun(query []float32, kern kernel, st *QueryState, opt SearchOptions) *SearchRun {
 	bsf := opt.Shared
 	if bsf == nil {
 		bsf = stats.NewBSF()
 	}
-	r := &SearchRun{ix: ix, query: query, bnd: workerBound(bsf, opt.GlobalPos), bsf: bsf,
+	r := &SearchRun{ix: ix, query: query, kern: kern, bnd: workerBound(bsf, opt.GlobalPos), bsf: bsf,
 		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
 	r.init(st)
-	return r, nil
+	return r
 }
 
 // NewKNNRun prepares an exact k-NN query (see NewSearchRun); k is clamped
@@ -239,7 +337,7 @@ func (ix *Index) NewKNNRun(query []float32, k int, st *QueryState, opt SearchOpt
 		k = ix.Data.Count() + len(opt.Seeds)
 	}
 	best := newTopK(k)
-	r := &SearchRun{ix: ix, query: query, bnd: workerBound(best, opt.GlobalPos), top: best,
+	r := &SearchRun{ix: ix, query: query, kern: euclidean(query), bnd: workerBound(best, opt.GlobalPos), top: best,
 		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
 	r.init(st)
 	return r, nil
@@ -286,11 +384,11 @@ func (r *SearchRun) init(st *QueryState) {
 		r.table, r.pooledTable = r.ix.getTable(), true
 		r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
 	}
-	r.table.BuildPAA(qpaa)
+	r.kern.prepare(r.table, qpaa)
 	for _, s := range r.opt.Seeds {
 		r.globalBnd().Update(s.Dist, int64(s.Position))
 	}
-	r.ix.approxSearch(r.query, qpaa, qword, r.table, r.bnd, r.opt.Counters)
+	r.ix.approxSearch(qpaa, qword, r.table, r.kern, r.bnd, r.opt.Counters)
 	if bd.Enabled() {
 		bd.Add(stats.PhaseInit, time.Since(tInit))
 	}
@@ -493,7 +591,7 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 		if bd.Enabled() {
 			t0 = time.Now()
 		}
-		r.ix.scanLeaf(item.Value, r.query, r.table, scratch, r.bnd, r.qos, r.escale, ctrs)
+		r.scanLeaf(item.Value, scratch)
 		if bd.Enabled() {
 			bd.Add(stats.PhaseDistCalc, time.Since(t0))
 		}
@@ -501,48 +599,70 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 }
 
 // scanLeaf is Algorithm 9 (CalculateRealDistance), restructured around
-// the segment-major leaf layout: first the whole leaf's lower bounds are
-// accumulated into the worker's scratch buffer by streaming each symbol
-// column against its distance-table row (w tight table-load-and-add
-// column loops — no per-entry word gather, no branches), then only the
-// surviving candidates get the early-abandoning real-distance kernel.
-// The pruning bound is cached locally and refreshed per scanBlock (and
-// after every improvement) instead of loading the shared atomic twice
-// per candidate.
-func (ix *Index) scanLeaf(leaf *tree.Node, query []float32, tab *isax.DistTable,
-	scratch *leafScratch, bnd bound, qos *QoS, escale float64, ctrs *stats.Counters) {
-
+// the segment-major leaf layout into filter → gather-ahead → refine: the
+// whole leaf's lower bounds are accumulated into the worker's scratch
+// buffer by streaming each symbol column against its distance-table row (w
+// tight table-load-and-add column loops — no per-entry word gather, no
+// branches), the surviving entries are compacted, and only those reach the
+// refine stage.
+func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 	// Worker-panic tests poison one leaf scan here to prove the engine
 	// confines the blast radius to a single query. Disarmed, this is
 	// one atomic load per leaf — invisible next to the scan itself.
 	if err := fpScanLeaf.Hit(); err != nil {
 		panic(err)
 	}
-	n := leaf.LeafLen()
-	if n == 0 {
+	if leaf.LeafLen() == 0 {
 		return
 	}
-	lbs := scratch.accumulate(leaf, tab, ix.Schema.Segments)
+	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
+	cand := scratch.filter(lbs, r.table.Scale(), r.bnd.Load(), r.qos)
+	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.qos, r.opt.Counters)
+}
 
-	scale := tab.Scale()
-	limit := bnd.Load()
-	var realCount int64
-	for base := 0; base < n; base += scanBlock {
-		end := base + scanBlock
-		if end > n {
-			end = n
+// refine is the single real-distance candidate loop behind every search
+// path: it measures the leaf entries listed in cand, in that order, against
+// bnd (see refineBatch for the batching). lbs holds the entries' lower
+// bounds, each re-checked against the bound as it stands when its candidate
+// comes up; a nil lbs (the approximate search, which has none) skips the
+// re-check. The bound is cached locally and refreshed per batch and after
+// every improvement instead of loading the shared atomic per candidate — a
+// stale (larger) threshold only admits extra candidates, never wrongly
+// prunes.
+func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
+	scratch *leafScratch, bnd bound, qos *QoS, ctrs *stats.Counters) {
+
+	escale := qos.Scale()
+	lbCount, realCount := int64(len(lbs)), int64(0)
+	for len(cand) > 0 {
+		batch := cand
+		if len(batch) > refineBatch {
+			batch = batch[:refineBatch]
 		}
-		for e := base; e < end; e++ {
-			if lb := lbs[e] * scale; lb*escale >= limit {
-				if escale > 1 && lb < limit {
-					// Candidate skipped only because of ε-inflation.
-					qos.PruneEps(lb)
+		cand = cand[len(batch):]
+		var sink uint32
+		for _, e := range batch {
+			row := ix.Data.At(int(leaf.Positions[e]))
+			for i := 0; i < len(row); i += lineFloats {
+				sink += math.Float32bits(row[i])
+			}
+		}
+		scratch.sink += sink
+		limit := bnd.Load()
+		for _, e := range batch {
+			if lbs != nil {
+				if lb := lbs[e]; lb*escale >= limit {
+					if escale > 1 && lb < limit {
+						// Candidate skipped only because of ε-inflation.
+						qos.PruneEps(lb)
+					}
+					continue
 				}
-				continue
 			}
 			pos := leaf.Positions[e]
-			d := vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), query, limit)
-			realCount++
+			d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
+			lbCount += nLB
+			realCount += nReal
 			if d < limit {
 				if bnd.Update(d, int64(pos)) {
 					ctrs.AddBSFUpdate()
@@ -550,11 +670,8 @@ func (ix *Index) scanLeaf(leaf *tree.Node, query []float32, tab *isax.DistTable,
 				limit = bnd.Load()
 			}
 		}
-		if end < n {
-			limit = bnd.Load()
-		}
 	}
-	ctrs.AddLowerBound(int64(n))
+	ctrs.AddLowerBound(lbCount)
 	ctrs.AddRealDist(realCount)
 }
 
@@ -578,7 +695,7 @@ func (ix *Index) ApproxSearch(query []float32, opt SearchOptions) (Match, error)
 	}
 	// No distance table here: the approximate search only needs one in
 	// the rare empty-subtree fallback, and its point is to be cheap.
-	ix.approxSearch(query, qpaa, qword, nil, workerBound(bsf, opt.GlobalPos), opt.Counters)
+	ix.approxSearch(qpaa, qword, nil, euclidean(query), workerBound(bsf, opt.GlobalPos), opt.Counters)
 	d, pos := bsf.Best()
 	if pos < 0 {
 		return ix.Search(query, opt)
@@ -602,7 +719,7 @@ func (ix *Index) ApproxKNN(query []float32, k int, opt SearchOptions) ([]Match, 
 	}
 	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
 	qword := ix.Schema.WordFromPAA(qpaa, nil)
-	ix.approxSearch(query, qpaa, qword, nil, workerBound(top, opt.GlobalPos), opt.Counters)
+	ix.approxSearch(qpaa, qword, nil, euclidean(query), workerBound(top, opt.GlobalPos), opt.Counters)
 	ms := top.results()
 	if len(ms) == 0 {
 		return ix.SearchKNN(query, k, opt)
@@ -610,13 +727,26 @@ func (ix *Index) ApproxKNN(query []float32, k int, opt SearchOptions) ([]Match, 
 	return ms, nil
 }
 
-// approxSearch seeds the BSF (Figure 4(a)): descend to the leaf matching
-// the query's iSAX word and take the best real distance inside it. The
-// bound is loaded once per candidate and refreshed only after an update.
-// tab may be nil (the scalar kernel serves the rare empty-subtree
-// fallback); exact runs pass their already-built table.
-func (ix *Index) approxSearch(query []float32, qpaa []float64, qword []uint8,
-	tab *isax.DistTable, bnd bound, ctrs *stats.Counters) {
+// approxSearch seeds the BSF (Figure 4(a)): take the best real distance
+// inside the leaf matching the query's iSAX word — every entry is a
+// candidate, with no lower bounds to filter on.
+func (ix *Index) approxSearch(qpaa []float64, qword []uint8, tab *isax.DistTable,
+	kern kernel, bnd bound, ctrs *stats.Counters) {
+
+	leaf := ix.approxLeaf(qpaa, qword, tab, ctrs)
+	if leaf == nil {
+		return
+	}
+	scratch := scratchPool.Get().(*leafScratch)
+	defer scratchPool.Put(scratch)
+	ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, scratch, bnd, nil, ctrs)
+}
+
+// approxLeaf descends to the leaf matching the query's iSAX word. A nil
+// tab (Euclidean only) makes the scalar kernel serve the rare
+// empty-subtree fallback; exact runs pass their already-built table.
+func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable,
+	ctrs *stats.Counters) *tree.Node {
 
 	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
 	if root == nil {
@@ -639,19 +769,7 @@ func (ix *Index) approxSearch(query []float32, qpaa []float64, qword []uint8,
 		}
 	}
 	if root == nil {
-		return // empty tree; validateQuery prevents this for public entry points
+		return nil // empty tree; validateQuery prevents this for public entry points
 	}
-	leaf := ix.Tree.DescendToLeaf(root, qword)
-	limit := bnd.Load()
-	for i := 0; i < leaf.LeafLen(); i++ {
-		pos := leaf.Positions[i]
-		d := vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), query, limit)
-		ctrs.AddRealDist(1)
-		if d < limit {
-			if bnd.Update(d, int64(pos)) {
-				ctrs.AddBSFUpdate()
-			}
-			limit = bnd.Load()
-		}
-	}
+	return ix.Tree.DescendToLeaf(root, qword)
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dtw"
 	"repro/internal/paa"
+	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/vector"
 )
@@ -247,4 +251,281 @@ func BenchmarkLeafScan(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// refinePlain is the candidate loop that refine replaced, kept as its
+// reference: no compaction, no gather-ahead — every entry's lower bound is
+// checked, in entry order, against a bound cached per 64-entry block and
+// refreshed after every improvement. A nil lbs is the approximate search's
+// form (every entry measured).
+func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
+	kern kernel, bnd bound, qos *QoS, ctrs *stats.Counters) {
+
+	limit := bnd.Load()
+	lbCount, realCount := int64(len(lbs)), int64(0)
+	for e, pos := range leaf.Positions {
+		if e > 0 && e%64 == 0 {
+			limit = bnd.Load()
+		}
+		if lbs != nil {
+			if lb := lbs[e] * scale; lb*escale >= limit {
+				if escale > 1 && lb < limit {
+					qos.PruneEps(lb)
+				}
+				continue
+			}
+		}
+		d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
+		lbCount += nLB
+		realCount += nReal
+		if d < limit {
+			if bnd.Update(d, int64(pos)) {
+				ctrs.AddBSFUpdate()
+			}
+			limit = bnd.Load()
+		}
+	}
+	ctrs.AddLowerBound(lbCount)
+	ctrs.AddRealDist(realCount)
+}
+
+// syntheticLeaf builds a leaf holding exactly the given series, with their
+// real iSAX words in segment-major columns.
+func syntheticLeaf(ix *Index, positions []int32) *tree.Node {
+	w, n := ix.Schema.Segments, len(positions)
+	leaf := &tree.Node{Words: make([]uint8, w*n), Stride: n, Positions: positions}
+	for e, pos := range positions {
+		word := ix.Schema.WordFromPAA(paa.Transform(ix.Data.At(int(pos)), w, nil), nil)
+		for seg, sym := range word {
+			leaf.Words[seg*n+e] = sym
+		}
+	}
+	return leaf
+}
+
+// TestRefineMatchesPlainLoop drives the same sequence of leaves through
+// scanLeaf (filter → gather-ahead → refine) and through the plain reference
+// loop, with one worker, and demands identical answers, identical operation
+// counters and the same proven ε bound — for every distance flavour and
+// bound type, and for leaf sizes on both sides of every batch edge.
+func TestRefineMatchesPlainLoop(t *testing.T) {
+	const count, length = 2000, 64
+	ix := buildTestIndex(t, dataset.RandomWalk, count, length, smallOpts())
+	queries, err := dataset.Generate(dataset.RandomWalk, 4, length, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flavours := []struct {
+		name   string
+		k      int
+		dtw    bool
+		eps    float64
+		seeded bool
+	}{
+		{name: "ed-1nn", k: 1},
+		{name: "ed-k10", k: 10},
+		{name: "dtw", k: 1, dtw: true},
+		{name: "eps", k: 1, eps: 0.05},
+		{name: "seeded", k: 1, seeded: true},
+	}
+	window := dtw.WindowSize(length, 0.1)
+	w := ix.Schema.Segments
+	sawWitness := false
+	for _, size := range []int{1, 7, 8, 9, 63, 64, 65, ix.Opts.LeafCapacity} {
+		// The same leaves for every flavour: a shuffle of the collection cut
+		// into leaves of exactly size entries (at most 40 of them).
+		perm := rand.New(rand.NewSource(int64(size))).Perm(count)
+		var leaves []*tree.Node
+		for lo := 0; lo+size <= count && len(leaves) < 40; lo += size {
+			positions := make([]int32, size)
+			for i := range positions {
+				positions[i] = int32(perm[lo+i])
+			}
+			leaves = append(leaves, syntheticLeaf(ix, positions))
+		}
+		for _, fl := range flavours {
+			for qi := 0; qi < queries.Count(); qi++ {
+				q := queries.At(qi)
+				var seeds []Match
+				if fl.seeded {
+					// A seed outside the collection, tight enough that the
+					// filter stage prunes from the first leaf on.
+					seeds = []Match{{Position: count + 5, Dist: vector.SquaredEuclidean(ix.Data.At(qi), q)}}
+				}
+				req := Request{Mode: ModeEpsilon, Epsilon: fl.eps}
+
+				// The restructured path, through the run's own entry points.
+				var gotCtrs stats.Counters
+				gotQoS := req.NewQoS()
+				opt := SearchOptions{Workers: 1, Queues: 1, Counters: &gotCtrs, QoS: gotQoS, Seeds: seeds}
+				var run *SearchRun
+				switch {
+				case fl.dtw:
+					run = ix.newBSFRun(q, &warped{query: q, window: window}, nil, opt)
+				case fl.k > 1:
+					run, err = ix.NewKNNRun(q, fl.k, nil, opt)
+				default:
+					run, err = ix.NewSearchRun(q, nil, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scratch leafScratch
+				for _, leaf := range leaves {
+					run.scanLeaf(leaf, &scratch)
+				}
+				got := []Match{}
+				if fl.k > 1 {
+					got = run.Matches()
+				} else {
+					got = append(got, run.Best())
+				}
+
+				// The reference: the same steps with the plain loop.
+				var wantCtrs stats.Counters
+				wantQoS := req.NewQoS()
+				var kern kernel = euclidean(q)
+				if fl.dtw {
+					kern = &warped{query: q, window: window}
+				}
+				qpaa := paa.Transform(q, w, nil)
+				tab := ix.Schema.NewDistTable()
+				kern.prepare(tab, qpaa)
+				bsf, top := stats.NewBSF(), newTopK(fl.k)
+				var bnd bound = bsf
+				if fl.k > 1 {
+					bnd = top
+				}
+				for _, s := range seeds {
+					bnd.Update(s.Dist, int64(s.Position))
+				}
+				first := ix.approxLeaf(qpaa, ix.Schema.WordFromPAA(qpaa, nil), tab, &wantCtrs)
+				refinePlain(ix, first, nil, 0, 1, kern, bnd, nil, &wantCtrs)
+				var refScratch leafScratch
+				for _, leaf := range leaves {
+					lbs := refScratch.accumulate(leaf, tab, w)
+					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.Scale(), kern, bnd, wantQoS, &wantCtrs)
+				}
+				want := top.results()
+				if fl.k == 1 {
+					d, pos := bsf.Best()
+					want = []Match{{Position: int(pos), Dist: d}}
+				}
+
+				name := fmt.Sprintf("leaf size %d, %s, query %d", size, fl.name, qi)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d matches, plain loop %d", name, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: match %d = %+v, plain loop %+v", name, i, got[i], want[i])
+					}
+				}
+				if g, p := gotCtrs.Snapshot(), wantCtrs.Snapshot(); g != p {
+					t.Fatalf("%s: counters %+v, plain loop %+v", name, g, p)
+				}
+				gotRes, wantRes := gotQoS.Finish(got, req.Mode), wantQoS.Finish(want, req.Mode)
+				if gotRes.Exact != wantRes.Exact || gotRes.EpsilonBound != wantRes.EpsilonBound {
+					t.Fatalf("%s: exact=%v bound=%v, plain loop exact=%v bound=%v", name,
+						gotRes.Exact, gotRes.EpsilonBound, wantRes.Exact, wantRes.EpsilonBound)
+				}
+				sawWitness = sawWitness || !gotRes.Exact
+			}
+		}
+	}
+	if !sawWitness {
+		t.Fatal("no ε case produced a witness: the ε flavour checked nothing")
+	}
+}
+
+// TestRefineSinkIsPerWorker runs several 4-worker searches at once: under
+// -race a gather-ahead sink shared between workers is a reported data race.
+func TestRefineSinkIsPerWorker(t *testing.T) {
+	ix := buildTestIndex(t, dataset.RandomWalk, 4000, 64, smallOpts())
+	queries, err := dataset.Generate(dataset.RandomWalk, 8, 64, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for qi := 0; qi < queries.Count(); qi++ {
+		wg.Add(1)
+		go func(q []float32) {
+			defer wg.Done()
+			got, err := ix.Search(q, SearchOptions{Workers: 4, Queues: 2})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if want := naive1NN(ix, q); got != want {
+				t.Errorf("4-worker search %+v, naive kernels say %+v", got, want)
+			}
+		}(queries.At(qi))
+	}
+	wg.Wait()
+}
+
+// unboundedBound never tightens, so every order of BenchmarkRefineOrder
+// does the same arithmetic: one full-length distance per series.
+type unboundedBound struct{}
+
+func (unboundedBound) Load() float64              { return math.Inf(1) }
+func (unboundedBound) Update(float64, int64) bool { return false }
+
+// BenchmarkRefineOrder isolates what the refine stage's memory access
+// pattern costs: the same kernel over the same series — a collection larger
+// than any cache level — in position order (a streaming read, the floor), in
+// leaf order through the plain candidate loop (one dependent cache/TLB miss
+// chain per series), and in leaf order through refine's gather-ahead batches.
+func BenchmarkRefineOrder(b *testing.B) {
+	if testing.Short() {
+		b.Skip("builds a 256 MB collection")
+	}
+	const count, length = 500000, 128
+	data, err := dataset.Generate(dataset.RandomWalk, count, length, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(data, Options{IndexWorkers: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var leaves []*tree.Node
+	ix.Tree.ForEachLeaf(func(n *tree.Node) { leaves = append(leaves, n) })
+	query, err := dataset.Generate(dataset.RandomWalk, 1, length, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kern := euclidean(query.At(0))
+	perSeries := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/count, "ns/series")
+	}
+
+	b.Run("position-order", func(b *testing.B) {
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			for pos := 0; pos < count; pos++ {
+				d, _, _ := kern.dist(data.At(pos), math.Inf(1))
+				sink += d
+			}
+		}
+		perSeries(b)
+		_ = sink
+	})
+	b.Run("leaf-order-plain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, leaf := range leaves {
+				refinePlain(ix, leaf, nil, 0, 1, kern, unboundedBound{}, nil, nil)
+			}
+		}
+		perSeries(b)
+	})
+	b.Run("leaf-order-gather", func(b *testing.B) {
+		var scratch leafScratch
+		for i := 0; i < b.N; i++ {
+			for _, leaf := range leaves {
+				ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, &scratch, unboundedBound{}, nil, nil)
+			}
+		}
+		perSeries(b)
+	})
 }

@@ -92,9 +92,12 @@ func (q *Queue[T]) MarkFinished() { q.finished.Store(true) }
 // Finished reports whether the queue has been marked finished.
 func (q *Queue[T]) Finished() bool { return q.finished.Load() }
 
-// Reset empties the queue and clears the finished flag.
+// Reset empties the queue and clears the finished flag. Like PopMin it
+// zeroes the vacated slots: searches abandon queues with items left, and a
+// reused backing array must not keep the values they point to alive.
 func (q *Queue[T]) Reset() {
 	q.mu.Lock()
+	clear(q.items)
 	q.items = q.items[:0]
 	q.mu.Unlock()
 	q.finished.Store(false)

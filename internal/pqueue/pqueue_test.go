@@ -129,6 +129,24 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// A search marks a queue finished with items still in it; after Reset the
+// reused backing array must hold no stale item (for pointer values: must not
+// pin what they point to).
+func TestResetZeroesAbandonedItems(t *testing.T) {
+	q := New[*int](0)
+	for i := 0; i < 10; i++ {
+		q.Push(float64(i), new(int))
+	}
+	q.PopMin()
+	q.MarkFinished()
+	q.Reset()
+	for i, it := range q.items[:cap(q.items)] {
+		if it != (Item[*int]{}) {
+			t.Fatalf("slot %d still holds %+v after Reset", i, it)
+		}
+	}
+}
+
 // Concurrent pushes followed by concurrent pops conserve items and respect
 // per-pop ordering under the lock.
 func TestConcurrentPushPop(t *testing.T) {

@@ -1,9 +1,11 @@
 package messi
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // mustSeries fetches an indexed series, failing the test on range errors.
@@ -355,5 +357,38 @@ func TestSeriesAccessor(t *testing.T) {
 		if _, err := ix.Series(pos); err == nil {
 			t.Errorf("Series(%d) did not error", pos)
 		}
+	}
+}
+
+// A traced DTW query reports every Figure 13 phase, like a Euclidean one:
+// the DTW search is the same run with a different distance kernel, so its
+// tree pass, queue traffic and distance calculations are all timed. Each
+// worker's phases are disjoint stretches of the query's wall-clock window,
+// so their sum is bounded by workers × Elapsed (10 % slack for the clock
+// reads that bracket Elapsed itself).
+func TestTracedDTWReportsEveryPhase(t *testing.T) {
+	const workers = 2
+	ix, err := BuildFlat(RandomWalk(4000, 64, 1), 64, &Options{LeafCapacity: 32, SearchWorkers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ix.Do(context.Background(), SearchRequest{
+		Query: RandomWalk(1, 64, 2), DTW: true, Window: 0.1, Trace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil || len(res.Trace.Phases) != 5 {
+		t.Fatalf("trace = %+v, want the 5 phases of Figure 13", res.Trace)
+	}
+	var sum time.Duration
+	for _, p := range res.Trace.Phases {
+		if p.Duration <= 0 {
+			t.Errorf("phase %q = %v, want > 0", p.Name, p.Duration)
+		}
+		sum += p.Duration
+	}
+	if limit := time.Duration(float64(workers) * float64(res.Trace.Elapsed) * 1.1); sum > limit {
+		t.Errorf("phases sum to %v, more than %d workers × elapsed %v × 1.1", sum, workers, res.Trace.Elapsed)
 	}
 }
