@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/paris"
 	"repro/internal/scan"
-	"repro/internal/serial"
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -87,9 +86,9 @@ func benchQueriesFor(b *testing.B, kind dataset.Kind) *series.Collection {
 func messiOpts() core.Options  { return core.Options{LeafCapacity: benchLeafCap} }
 func parisOpts() paris.Options { return paris.Options{LeafCapacity: benchLeafCap} }
 
-func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *core.Index {
+func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *shard.Index {
 	b.Helper()
-	ix, err := core.Build(data, opts)
+	ix, err := shard.Build(data, 1, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func BenchmarkFig07LeafSizeQuery(b *testing.B) {
 			b.Run(fmt.Sprintf("leaf=%d/%s", leaf, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					q := queries.At(i % queries.Count())
-					if _, err := ix.Search(q, core.SearchOptions{Queues: mode.queues}); err != nil {
+					if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{Queues: mode.queues}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -216,7 +215,7 @@ func BenchmarkFig10BuildDataSize(b *testing.B) {
 // queryBenchAlgos runs one sub-benchmark per algorithm on a prepared pair
 // of indexes.
 func queryBenchAlgos(b *testing.B, data *series.Collection, queries *series.Collection,
-	messiIx *core.Index, parisIx *paris.Index, workers int, prefix string) {
+	messiIx *shard.Index, parisIx *paris.Index, workers int, prefix string) {
 
 	run := func(name string, fn func(q []float32) error) {
 		b.Run(prefix+name, func(b *testing.B) {
@@ -240,11 +239,11 @@ func queryBenchAlgos(b *testing.B, data *series.Collection, queries *series.Coll
 		return err
 	})
 	run("MESSI-sq", func(q []float32) error {
-		_, err := messiIx.Search(q, core.SearchOptions{Workers: workers, Queues: 1})
+		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{Workers: workers, Queues: 1})
 		return err
 	})
 	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Search(q, core.SearchOptions{Workers: workers})
+		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{Workers: workers})
 		return err
 	})
 }
@@ -297,7 +296,7 @@ func BenchmarkFig13QueueBreakdown(b *testing.B) {
 			bd := &stats.Breakdown{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Search(q, core.SearchOptions{Queues: mode.queues, Breakdown: bd}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, Breakdown: bd}, nil, core.SearchOptions{Queues: mode.queues}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -319,7 +318,7 @@ func BenchmarkFig14QueueCount(b *testing.B) {
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Search(q, core.SearchOptions{Queues: queues}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{Queues: queues}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,7 +379,7 @@ func BenchmarkFig17DistanceCounts(b *testing.B) {
 			ctrs := &stats.Counters{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := messiIx.Search(q, core.SearchOptions{Counters: ctrs}); err != nil {
+				if _, err := messiIx.Do(core.Request{Query: q, Counters: ctrs}, nil, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -420,7 +419,7 @@ func BenchmarkFig18BenefitBreakdown(b *testing.B) {
 		return err
 	})
 	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Search(q, core.SearchOptions{})
+		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{})
 		return err
 	})
 }
@@ -452,7 +451,7 @@ func BenchmarkFig19DTW(b *testing.B) {
 		b.Run(fmt.Sprintf("series=%d/MESSI-DTW", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.SearchDTW(q, window, core.SearchOptions{}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, DTW: true, Window: window}, nil, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -513,7 +512,7 @@ func BenchmarkAblationQueueStrategies(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Search(q, mode.opt); err != nil {
+				if _, err := ix.Do(core.Request{Query: q}, nil, mode.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -530,7 +529,7 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	b.Run("approximate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := ix.ApproxSearch(q, core.SearchOptions{}); err != nil {
+			if _, err := ix.Do(core.Request{Query: q, Mode: core.ModeApprox}, nil, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -538,7 +537,7 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := ix.Search(q, core.SearchOptions{}); err != nil {
+			if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -588,7 +587,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=%d/spawn-per-query", clients), func(b *testing.B) {
 			runClients(b, clients, func(q []float32) error {
-				_, err := ix.Search(q, core.SearchOptions{})
+				_, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{})
 				return err
 			})
 		})
@@ -596,19 +595,19 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			eng := engine.New(ix, engine.Options{})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Search(q)
+				_, err := eng.Do(core.Request{Query: q}, nil)
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("clients=%d/pooled-shared", clients), func(b *testing.B) {
-			perQuery := ix.Opts.SearchWorkers / clients
+			perQuery := ix.Opts().SearchWorkers / clients
 			if perQuery < 1 {
 				perQuery = 1
 			}
 			eng := engine.New(ix, engine.Options{QueryWorkers: perQuery, MaxConcurrent: clients})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Search(q)
+				_, err := eng.Do(core.Request{Query: q}, nil)
 				return err
 			})
 		})
@@ -643,7 +642,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 					if i >= b.N {
 						return
 					}
-					if _, err := eng.Do(core.Request{Query: queries.At(i % queries.Count())}); err != nil {
+					if _, err := eng.Do(core.Request{Query: queries.At(i % queries.Count())}, nil); err != nil {
 						b.Error(err)
 						return
 					}
@@ -697,7 +696,7 @@ func BenchmarkKNN(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.SearchKNN(q, k, core.SearchOptions{}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, K: k}, nil, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -707,16 +706,16 @@ func BenchmarkKNN(b *testing.B) {
 
 // BenchmarkIntroClaims — the paper's introduction frames MESSI against the
 // whole lineage: optimized serial scan (UCR Suite, 1 thread), the
-// sequential index (the ADS+ stand-in, see internal/serial), the parallel
+// sequential index (the ADS+ stand-in: the MESSI tree built and queried by
+// one worker with one queue — the same tree and bounds, no parallelism), the parallel
 // index (ParIS), and MESSI. The §I ordering — each step roughly an order
 // faster at paper scale — compresses on one core but must keep direction.
 func BenchmarkIntroClaims(b *testing.B) {
 	data := benchCollection(b, dataset.RandomWalk, benchSeries)
 	queries := benchQueriesFor(b, dataset.RandomWalk)
-	serialIx, err := serial.Build(data, serial.Options{LeafCapacity: benchLeafCap})
-	if err != nil {
-		b.Fatal(err)
-	}
+	// The same tree and the same bounds on one thread: one construction
+	// worker, one search worker, one queue.
+	serialIx := buildMESSI(b, data, core.Options{LeafCapacity: benchLeafCap, IndexWorkers: 1, SearchWorkers: 1, QueueCount: 1})
 	parisIx := buildParIS(b, data, parisOpts())
 	messiIx := buildMESSI(b, data, messiOpts())
 	b.Run("serial-scan", func(b *testing.B) {
@@ -730,7 +729,7 @@ func BenchmarkIntroClaims(b *testing.B) {
 	b.Run("sequential-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := serialIx.Search(q, nil); err != nil {
+			if _, err := serialIx.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -746,7 +745,7 @@ func BenchmarkIntroClaims(b *testing.B) {
 	b.Run("MESSI", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := messiIx.Search(q, core.SearchOptions{}); err != nil {
+			if _, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -785,7 +784,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", S), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := x.Search(q, core.SearchOptions{}); err != nil {
+				if _, err := x.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

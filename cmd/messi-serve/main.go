@@ -106,12 +106,12 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	messi "repro"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/wal"
 )
@@ -586,7 +586,6 @@ type backend interface {
 	// do answers one quality-spectrum query; the context's cancellation
 	// and deadline thread into the search.
 	do(ctx context.Context, req messi.SearchRequest) (messi.Result, error)
-	queryBatch(qs [][]float32) ([]messi.Match, error)
 	stats() statsResponse
 	// engineOptions reports the effective admission-gate configuration.
 	engineOptions() messi.EngineOptions
@@ -608,9 +607,6 @@ type engineBackend struct {
 
 func (b *engineBackend) do(ctx context.Context, req messi.SearchRequest) (messi.Result, error) {
 	return b.eng.Do(ctx, req)
-}
-func (b *engineBackend) queryBatch(qs [][]float32) ([]messi.Match, error) {
-	return b.eng.QueryBatch(qs)
 }
 func (b *engineBackend) engineOptions() messi.EngineOptions { return b.eng.Options() }
 func (b *engineBackend) snapshot(path string) (int, error) {
@@ -646,43 +642,6 @@ type liveBackend struct {
 
 func (b *liveBackend) do(ctx context.Context, req messi.SearchRequest) (messi.Result, error) {
 	return b.lix.Do(ctx, req)
-}
-func (b *liveBackend) queryBatch(qs [][]float32) ([]messi.Match, error) {
-	// A fixed submitter fleet claiming queries via Fetch&Inc, mirroring
-	// Engine.SearchBatch: the engine's admission control caps useful
-	// parallelism downstream, this just keeps the pipe full.
-	out := make([]messi.Match, len(qs))
-	errs := make([]error, len(qs))
-	submitters := 8
-	if submitters > len(qs) {
-		submitters = len(qs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < submitters; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				res, err := b.lix.Do(context.Background(), messi.SearchRequest{Query: qs[i]})
-				if err == nil {
-					out[i] = res.Best()
-				}
-				errs[i] = err
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("batch query %d: %w", i, err)
-		}
-	}
-	return out, nil
 }
 func (b *liveBackend) appendSeries(rows [][]float32) (int, error) {
 	return b.lix.AppendBatch(rows)
@@ -1031,15 +990,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "queries must be non-empty")
 		return
 	}
-	matches, err := b.queryBatch(req.Queries)
+	// The same submitter loop as messi.Engine.QueryBatch, whichever the
+	// backend: as many queries in flight as the admission gate admits.
+	resp := batchResponse{Results: make([][]jsonMatch, len(req.Queries))}
+	err := engine.ForEach(len(req.Queries), b.engineOptions().MaxConcurrent, func(i int) error {
+		res, err := b.do(context.Background(), messi.SearchRequest{Query: req.Queries[i]})
+		if err == nil {
+			resp.Results[i] = toJSONMatches(res.Matches)
+		}
+		return err
+	})
 	s.queries.Add(int64(len(req.Queries)))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	resp := batchResponse{Results: make([][]jsonMatch, len(matches))}
-	for i, m := range matches {
-		resp.Results[i] = toJSONMatches([]messi.Match{m})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

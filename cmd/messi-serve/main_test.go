@@ -521,11 +521,11 @@ func TestLiveSnapshotEndpoint(t *testing.T) {
 	if !strings.Contains(source, "snapshot") {
 		t.Fatalf("boot source %q does not mention the snapshot", source)
 	}
-	m, err := booted.Search(novel)
+	res, err := booted.Do(context.Background(), messi.SearchRequest{Query: novel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Position != 800 || m.Distance != 0 {
+	if m := res.Best(); m.Position != 800 || m.Distance != 0 {
 		t.Fatalf("appended series missing from live snapshot boot: %+v", m)
 	}
 }
@@ -789,9 +789,11 @@ func TestKNNEndpoint(t *testing.T) {
 }
 
 // TestSearchEndpointBadRequests: typed sentinel errors from the library
-// surface as 400s, whatever layer raises them.
+// surface as 400s on both backends — the table of the root package's
+// TestSentinelErrors, over HTTP.
 func TestSearchEndpointBadRequests(t *testing.T) {
-	h, _ := newTestHandler(t)
+	static, _ := newTestHandler(t)
+	live, _ := newLiveTestHandler(t)
 	good := make([]float32, 64)
 	cases := []struct {
 		name string
@@ -802,11 +804,14 @@ func TestSearchEndpointBadRequests(t *testing.T) {
 		{"negative epsilon", searchRequest{Query: good, Mode: "epsilon", Epsilon: -0.5}},
 		{"wrong length", searchRequest{Query: make([]float32, 5)}},
 		{"bad dtw window", searchRequest{Query: good, DTW: true, Window: 3}},
+		{"negative dtw window", searchRequest{Query: good, DTW: true, Window: -0.5}},
 		{"dtw knn", searchRequest{Query: good, DTW: true, Window: 0.1, K: 4}},
 	}
-	for _, tc := range cases {
-		if rr := postJSON(t, h, "/v1/search", tc.req); rr.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, rr.Code, rr.Body)
+	for name, h := range map[string]http.Handler{"static": static, "live": live} {
+		for _, tc := range cases {
+			if rr := postJSON(t, h, "/v1/search", tc.req); rr.Code != http.StatusBadRequest {
+				t.Errorf("%s/%s: status %d, want 400 (body %s)", name, tc.name, rr.Code, rr.Body)
+			}
 		}
 	}
 }

@@ -131,7 +131,7 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	// A query far from every indexed ramp: its best-so-far stays large,
 	// so no leaf prunes and the search reaches the scan failpoints. It
 	// may fail — query-path points are armed on purpose.
-	_, _ = ix.Search(make([]float32, crashSeriesLen))
+	_, _ = nn1(ix, make([]float32, crashSeriesLen))
 	snapErr := ix.Save(snapPath)
 	if snapErr != nil && !errors.Is(snapErr, fault.ErrInjected) {
 		t.Fatalf("save failed with a non-injected error: %v", snapErr)
@@ -183,7 +183,7 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	if _, err := rec.Append(crashRow(acked)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
-	if _, err := rec.Search(crashRow(0)); err != nil {
+	if _, err := nn1(rec, crashRow(0)); err != nil {
 		t.Fatalf("search after recovery: %v", err)
 	}
 }
@@ -274,10 +274,10 @@ func TestQueryPanickedPublicSentinel(t *testing.T) {
 	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Search(q); !errors.Is(err, ErrQueryPanicked) {
+	if _, err := nn1(ix, q); !errors.Is(err, ErrQueryPanicked) {
 		t.Fatalf("err = %v, want ErrQueryPanicked", err)
 	}
-	if _, err := ix.Search(q); err != nil {
+	if _, err := nn1(ix, q); err != nil {
 		t.Fatalf("query after recovered panic: %v (pool must keep serving)", err)
 	}
 }

@@ -1,9 +1,8 @@
 package messi
 
 import (
-	"math"
+	"context"
 
-	"repro/internal/dtw"
 	"repro/internal/engine"
 )
 
@@ -29,8 +28,7 @@ type EngineOptions struct {
 	// ε-bounded query with this ε instead of stacking queueing latency
 	// on top of exact-search latency. Requests that chose their mode
 	// explicitly are never rewritten, and the Result reports the bound
-	// actually proven. Zero (the default) never degrades; the deprecated
-	// always-exact Query methods are unaffected either way.
+	// actually proven. Zero (the default) never degrades.
 	DegradeEpsilon float64
 	// Metrics, when non-nil, receives the engine's serving telemetry:
 	// admission-gate pressure (queue depth, wait time, admitted/degraded/
@@ -40,30 +38,15 @@ type EngineOptions struct {
 	Metrics *Metrics
 }
 
-// toInternal converts the public options to the engine package's.
-func (o *EngineOptions) toInternal() engine.Options {
-	if o == nil {
-		return engine.Options{}
-	}
-	return engine.Options{
-		PoolWorkers:    o.PoolWorkers,
-		QueryWorkers:   o.QueryWorkers,
-		Queues:         o.Queues,
-		MaxConcurrent:  o.MaxConcurrent,
-		DegradeEpsilon: o.DegradeEpsilon,
-		Metrics:        o.Metrics,
-	}
-}
-
 // Engine is a persistent query engine over one Index: a long-lived worker
 // pool that amortizes goroutine spawns and per-query allocations across
 // queries, and runs many independent queries concurrently through the
-// shared pool. Results are identical to the Index's one-shot Search
-// functions. An Engine is safe for concurrent use; Close it when done.
+// shared pool. Results are identical to Index.Do's. An Engine is safe for
+// concurrent use; Close it when done.
 //
 //	eng := ix.NewEngine(nil)
 //	defer eng.Close()
-//	m, err := eng.Query(q)
+//	res, err := eng.Do(ctx, messi.SearchRequest{Query: q})
 type Engine struct {
 	ix    *Index
 	inner *engine.Engine
@@ -72,88 +55,34 @@ type Engine struct {
 // NewEngine starts a persistent query engine over the index. opts may be
 // nil for the defaults.
 func (ix *Index) NewEngine(opts *EngineOptions) *Engine {
-	return &Engine{ix: ix, inner: engine.NewSharded(ix.inner, opts.toInternal())}
+	var o engine.Options
+	if opts != nil {
+		// The public struct mirrors the internal one field for field; the
+		// conversion stops compiling if they drift apart.
+		o = engine.Options(*opts)
+	}
+	return &Engine{ix: ix, inner: engine.New(ix.inner, o)}
 }
 
 // Options returns the engine's effective (defaulted) options — the
 // admission-gate configuration actually in force.
-func (e *Engine) Options() EngineOptions {
-	o := e.inner.Options()
-	return EngineOptions{
-		PoolWorkers:    o.PoolWorkers,
-		QueryWorkers:   o.QueryWorkers,
-		Queues:         o.Queues,
-		MaxConcurrent:  o.MaxConcurrent,
-		DegradeEpsilon: o.DegradeEpsilon,
-		Metrics:        o.Metrics,
-	}
-}
+func (e *Engine) Options() EngineOptions { return EngineOptions(e.inner.Options()) }
 
-// Query answers an exact 1-NN query under Euclidean distance on the
-// shared pool. It blocks until the query is admitted and answered, and is
-// never subject to DegradeEpsilon.
-//
-// Deprecated: use Do with a SearchRequest (the zero Mode is exact 1-NN).
-func (e *Engine) Query(query []float32) (Match, error) {
-	m, err := e.inner.Search(e.ix.prepareQuery(query))
-	if err != nil {
-		return Match{}, err
-	}
-	return Match{Position: m.Position, Distance: math.Sqrt(m.Dist)}, nil
-}
-
-// QueryKNN answers an exact k-NN query, returning up to k matches in
-// ascending distance order.
-//
-// Deprecated: use Do with K set.
-func (e *Engine) QueryKNN(query []float32, k int) ([]Match, error) {
-	ms, err := e.inner.SearchKNN(e.ix.prepareQuery(query), k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Position: m.Position, Distance: math.Sqrt(m.Dist)}
-	}
-	return out, nil
-}
-
-// QueryDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba warping window given as a fraction of the series length in
-// [0,1]. DTW spawns its own per-query workers, but the call still passes
-// through the engine's admission gate, so concurrent DTW traffic is
-// bounded like every other query.
-//
-// Deprecated: use Do with DTW: true and Window set.
-func (e *Engine) QueryDTW(query []float32, window float64) (Match, error) {
-	if err := checkWindowFraction(window); err != nil {
-		return Match{}, err
-	}
-	r := dtw.WindowSize(e.ix.SeriesLen(), window)
-	m, err := e.inner.SearchDTW(e.ix.prepareQuery(query), r, nil)
-	if err != nil {
-		return Match{}, err
-	}
-	return Match{Position: m.Position, Distance: math.Sqrt(m.Dist)}, nil
-}
-
-// QueryBatch answers many independent 1-NN queries concurrently through
-// the pool; result i answers queries[i]. On error the returned slice is
-// still full-length (failed entries are zero).
+// QueryBatch answers many independent exact 1-NN queries concurrently
+// through the pool — a loop over Do that keeps the admission gate full;
+// result i answers queries[i]. On error the returned slice is still
+// full-length (failed entries are zero) and the first failing query's
+// error is returned.
 func (e *Engine) QueryBatch(queries [][]float32) ([]Match, error) {
-	prepared := queries
-	if e.ix.normalize {
-		prepared = make([][]float32, len(queries))
-		for i, q := range queries {
-			prepared[i] = e.ix.prepareQuery(q)
+	out := make([]Match, len(queries))
+	err := engine.ForEach(len(queries), e.inner.Options().MaxConcurrent, func(i int) error {
+		res, err := e.Do(context.Background(), SearchRequest{Query: queries[i]})
+		if err == nil {
+			out[i] = res.Best()
 		}
-	}
-	ms, batchErr := e.inner.SearchBatch(prepared)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Position: m.Position, Distance: math.Sqrt(m.Dist)}
-	}
-	return out, batchErr
+		return err
+	})
+	return out, err
 }
 
 // Index returns the index this engine serves.

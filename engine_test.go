@@ -19,11 +19,11 @@ func TestEngineMatchesSearch(t *testing.T) {
 		queries := RandomWalk(10, 64, 303)
 		for i := 0; i < 10; i++ {
 			q := queries[i*64 : (i+1)*64]
-			want, err := ix.Search(q)
+			want, err := nn1(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Query(q)
+			got, err := nn1(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,11 +31,11 @@ func TestEngineMatchesSearch(t *testing.T) {
 				t.Fatalf("normalize=%v query %d: engine %+v, search %+v", normalize, i, got, want)
 			}
 
-			wantK, err := ix.SearchKNN(q, 5)
+			wantK, err := knn(ix, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotK, err := eng.QueryKNN(q, 5)
+			gotK, err := knn(eng, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestEngineQueryBatch(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d queries", len(got), len(queries))
 	}
 	for i, q := range queries {
-		want, err := ix.Search(q)
+		want, err := nn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 	queries := make([][]float32, 8)
 	for i := range queries {
 		queries[i] = flat[i*64 : (i+1)*64]
-		m, err := ix.Search(queries[i])
+		m, err := nn1(ix, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
 				i := (g + r) % len(queries)
-				got, err := eng.Query(queries[i])
+				got, err := nn1(eng, queries[i])
 				if err != nil {
 					t.Errorf("querier %d: %v", g, err)
 					return

@@ -58,11 +58,11 @@ func TestBuildDirectSearchMatchesBuffered(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.SeismicLike, 15, 64, 120)
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		a, err := buffered.Search(q, SearchOptions{})
+		a, err := nn1(buffered, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := direct.Search(q, SearchOptions{})
+		b, err := nn1(direct, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestLocalQueuesSearchMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForce1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{LocalQueues: true})
+		got, err := nn1(ix, q, SearchOptions{LocalQueues: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +124,11 @@ func TestApproxSearchUpperBoundsExact(t *testing.T) {
 	exactAtLeastOnce := false
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		approx, err := ix.ApproxSearch(q, SearchOptions{})
+		approx, err := approxNN(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ix.Search(q, SearchOptions{})
+		exact, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestApproxSearchUpperBoundsExact(t *testing.T) {
 func TestApproxSearchSelfQueryIsExact(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 1000, 64, smallOpts())
 	for i := 0; i < 10; i++ {
-		m, err := ix.ApproxSearch(ix.Data.At(i*101%1000), SearchOptions{})
+		m, err := approxNN(ix, ix.Data.At(i*101%1000), SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestApproxSearchSelfQueryIsExact(t *testing.T) {
 
 func TestApproxSearchValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.ApproxSearch(make([]float32, 16), SearchOptions{}); err == nil {
+	if _, err := approxNN(ix, make([]float32, 16), SearchOptions{}); err == nil {
 		t.Error("wrong-length query accepted")
 	}
 }
@@ -188,11 +188,11 @@ func TestBuildLockedBuffersMatchesBuild(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.RandomWalk, 10, 64, 140)
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		a, err := buffered.Search(q, SearchOptions{})
+		a, err := nn1(buffered, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := locked.Search(q, SearchOptions{})
+		b, err := nn1(locked, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

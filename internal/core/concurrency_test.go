@@ -17,7 +17,7 @@ func TestConcurrentQueriesOnSharedIndex(t *testing.T) {
 
 	want := make([]float64, queries.Count())
 	for qi := range want {
-		m, err := ix.Search(queries.At(qi), SearchOptions{})
+		m, err := nn1(ix, queries.At(qi), SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestConcurrentQueriesOnSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func(qi int) {
 				defer wg.Done()
-				m, err := ix.Search(queries.At(qi), SearchOptions{Workers: 4})
+				m, err := nn1(ix, queries.At(qi), SearchOptions{Workers: 4})
 				if err != nil {
 					errs <- err
 					return
@@ -60,19 +60,19 @@ func TestConcurrentMixedQueryKinds(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			if _, err := ix.Search(q, SearchOptions{}); err != nil {
+			if _, err := nn1(ix, q, SearchOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := ix.SearchKNN(q, 3, SearchOptions{}); err != nil {
+			if _, err := knn(ix, q, 3, SearchOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := ix.SearchDTW(q, 6, SearchOptions{}); err != nil {
+			if _, err := dtwNN(ix, q, 6, SearchOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -95,14 +95,14 @@ func TestDuplicateSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ix.Search(data.At(0), SearchOptions{})
+	m, err := nn1(ix, data.At(0), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Dist != 0 || m.Position < 0 || m.Position > 9 {
 		t.Fatalf("duplicate search: %+v", m)
 	}
-	ms, err := ix.SearchKNN(data.At(0), 10, SearchOptions{})
+	ms, err := knn(ix, data.At(0), 10, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestConstantSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := make([]float32, 64)
-	m, err := ix.Search(q, SearchOptions{})
+	m, err := nn1(ix, q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestManyMoreWorkersThanWork(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForce1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{})
+		got, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestBSFUpdateCountIsSmall(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.RandomWalk, 10, 64, 205)
 	ctrs := &stats.Counters{}
 	for qi := 0; qi < queries.Count(); qi++ {
-		if _, err := ix.Search(queries.At(qi), SearchOptions{Counters: ctrs}); err != nil {
+		if _, err := first(runRequest(ix, Request{Query: queries.At(qi), Counters: ctrs}, SearchOptions{})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestLeafCapacityOne(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForce1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{})
+		got, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/isax"
@@ -80,9 +79,9 @@ type Index struct {
 	// to the data).
 	activeRoots []int32
 
-	// tables pools per-query distance tables for query paths that carry
-	// no QueryState (per-query spawn mode, DTW searches); the engine's
-	// pooled states hold their own table. All tables in the pool belong
+	// tables pools per-query distance tables for runs that carry no
+	// QueryState (per-query spawn mode); the engine's pooled states hold
+	// their own table. All tables in the pool belong
 	// to this index's schema.
 	tables sync.Pool
 }
@@ -99,22 +98,11 @@ func (ix *Index) getTable() *isax.DistTable {
 func (ix *Index) putTable(t *isax.DistTable) { ix.tables.Put(t) }
 
 // Match is a query result: the position of a series in the collection and
-// its SQUARED distance to the query (Euclidean, or constrained DTW for the
-// DTW search functions).
+// its SQUARED distance to the query (Euclidean, or constrained DTW for a
+// DTW request).
 type Match struct {
 	Position int
 	Dist     float64
-}
-
-// validateQuery checks a query series against the index shape.
-func (ix *Index) validateQuery(query []float32) error {
-	if ix.Data.Count() == 0 {
-		return ErrEmptyIndex
-	}
-	if len(query) != ix.Data.Length {
-		return fmt.Errorf("%w: query length %d, index series length %d", ErrWrongLength, len(query), ix.Data.Length)
-	}
-	return nil
 }
 
 // ActiveRoots returns the slots of non-empty root subtrees (read-only).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestBuildSingleSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ix.Search(data.At(0), SearchOptions{})
+	m, err := nn1(ix, data.At(0), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestBuildSingleSeries(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.Search(make([]float32, 32), SearchOptions{}); err == nil {
+	if _, err := nn1(ix, make([]float32, 32), SearchOptions{}); err == nil {
 		t.Error("wrong-length query accepted")
 	}
 }
@@ -172,7 +173,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForce1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{})
+		got, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestSearchSingleQueueMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForce1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{Queues: 1}) // MESSI-sq
+		got, err := nn1(ix, q, SearchOptions{Queues: 1}) // MESSI-sq
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestSearchAcrossWorkerAndQueueCounts(t *testing.T) {
 			for qi := 0; qi < queries.Count(); qi++ {
 				q := queries.At(qi)
 				want := bruteForce1NN(ix.Data, q)
-				got, err := ix.Search(q, SearchOptions{Workers: workers, Queues: queues})
+				got, err := nn1(ix, q, SearchOptions{Workers: workers, Queues: queues})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,7 +224,7 @@ func TestSearchAcrossWorkerAndQueueCounts(t *testing.T) {
 func TestSearchSelfQueriesFindThemselves(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 1000, 64, smallOpts())
 	for i := 0; i < 50; i++ {
-		m, err := ix.Search(ix.Data.At(i*7%1000), SearchOptions{})
+		m, err := nn1(ix, ix.Data.At(i*7%1000), SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func TestSearchCounters(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.RandomWalk, 5, 64, 80)
 	for qi := 0; qi < queries.Count(); qi++ {
 		ctrs := &stats.Counters{}
-		got, err := ix.Search(queries.At(qi), SearchOptions{Counters: ctrs})
+		got, err := first(runRequest(ix, Request{Query: queries.At(qi), Counters: ctrs}, SearchOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestSearchBreakdownSumsToSomething(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.RandomWalk, 3, 64, 81)
 	bd := &stats.Breakdown{}
 	for qi := 0; qi < queries.Count(); qi++ {
-		if _, err := ix.Search(queries.At(qi), SearchOptions{Breakdown: bd}); err != nil {
+		if _, err := first(runRequest(ix, Request{Query: queries.At(qi), Breakdown: bd}, SearchOptions{})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +286,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		for qi := 0; qi < queries.Count(); qi++ {
 			q := queries.At(qi)
 			want := bruteForceKNN(ix.Data, q, k)
-			got, err := ix.SearchKNN(q, k, SearchOptions{})
+			got, err := knn(ix, q, k, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,14 +314,17 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestKNNValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.SearchKNN(ix.Data.At(0), 0, SearchOptions{}); err == nil {
-		t.Error("k=0 accepted")
+	if ms, err := knn(ix, ix.Data.At(0), 0, SearchOptions{}); err != nil || len(ms) != 1 {
+		t.Errorf("k=0 must mean 1-NN (Request.K), got %d matches, err %v", len(ms), err)
 	}
-	if _, err := ix.SearchKNN(ix.Data.At(0), -3, SearchOptions{}); err == nil {
-		t.Error("negative k accepted")
+	if _, err := knn(ix, ix.Data.At(0), -3, SearchOptions{}); !errors.Is(err, ErrBadK) {
+		t.Errorf("negative k: err = %v, want ErrBadK", err)
 	}
-	// k larger than the collection is clamped.
-	got, err := ix.SearchKNN(ix.Data.At(0), 1000, SearchOptions{})
+	if _, err := runRequest(ix, Request{Query: ix.Data.At(0), K: 3, DTW: true, Window: 6}, SearchOptions{}); !errors.Is(err, ErrBadK) {
+		t.Errorf("k-NN under DTW: err = %v, want ErrBadK", err)
+	}
+	// k larger than the collection returns the whole collection.
+	got, err := knn(ix, ix.Data.At(0), 1000, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +340,7 @@ func TestSearchDTWMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForceDTW(ix.Data, q, window)
-		got, err := ix.SearchDTW(q, window, SearchOptions{})
+		got, err := dtwNN(ix, q, window, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,11 +356,11 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 	queries, _ := dataset.Queries(dataset.RandomWalk, 5, 64, 84)
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		ed, err := ix.Search(q, SearchOptions{})
+		ed, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt, err := ix.SearchDTW(q, 0, SearchOptions{})
+		dt, err := dtwNN(ix, q, 0, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,10 +372,10 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 
 func TestSearchDTWValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.SearchDTW(ix.Data.At(0), -1, SearchOptions{}); err == nil {
+	if _, err := dtwNN(ix, ix.Data.At(0), -1, SearchOptions{}); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := ix.SearchDTW(ix.Data.At(0), 64, SearchOptions{}); err == nil {
+	if _, err := dtwNN(ix, ix.Data.At(0), 64, SearchOptions{}); err == nil {
 		t.Error("window >= length accepted")
 	}
 }

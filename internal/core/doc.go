@@ -2,15 +2,18 @@
 // in-memory data series index. It contains the parallel index-construction
 // pipeline of §III-A (Algorithms 1-4) and the parallel exact query
 // answering of §III-B (Algorithms 5-9), plus the DTW mode (Figure 19) and
-// a k-NN extension of the same machinery: one SearchRun, parameterised by
-// a distance kernel (Euclidean, or LB_Keogh→DTW) and a pruning bound (the
-// 1-NN BSF or a top-k set), with one candidate loop (refine) behind the
-// exact, k-NN, DTW and approximate paths.
+// a k-NN extension of the same machinery: one SearchRun, built only by
+// Index.NewRun from a Request, parameterised by a distance kernel
+// (Euclidean, or LB_Keogh→DTW), a Collector (the 1-NN BSF or a top-k set)
+// and a QoS state, with one candidate loop (refine) behind every flavour.
+// An approximate answer is a run that is complete after its preparation.
+// The package has no per-flavour entry points: internal/shard fans a
+// Request out over one run per shard, spawn-mode or on the engine's pool.
 //
 // # Contracts
 //
-// An *Index is immutable once Build returns: every search method is safe
-// for unlimited concurrent use, and nothing in the package mutates the
+// An *Index is immutable once Build returns: any number of runs may be in
+// flight on it at once, and nothing in the package mutates the
 // tree, the series block, or the iSAX summaries after construction. All
 // distances handled internally are squared Euclidean (or squared
 // LB_Keogh/DTW); public Match values carry the square root.
@@ -18,9 +21,11 @@
 // Request/Result and the QoS type extend the paper's exact search into a
 // quality spectrum: exact, approximate (leaf-only), epsilon (prune at
 // lb·(1+ε)², answer proven within 1+ε of optimal), and deadline (stop at
-// a time budget, report the proven bound). Validation failures are the
-// sentinel errors ErrBadK, ErrBadWindow, ErrWrongLength, and ErrBadEpsilon
-// so callers can map them to API responses without string matching.
+// a time budget, report the proven bound). Request.Validate (mode, ε, K,
+// DTW×K) and Request.CheckShape (query length, DTW window) are the only
+// validation; their failures are the sentinel errors ErrBadK, ErrBadWindow,
+// ErrWrongLength, and ErrBadEpsilon, so callers can map them to API
+// responses without string matching. NewRun itself trusts a checked request.
 //
 // # Concurrency invariants
 //
@@ -32,11 +37,12 @@
 //   - Query workers share pqueue.Set priority queues; a worker that finds
 //     a queue empty steals from the others before exiting (Algorithm 6's
 //     termination), so no leaf is dropped when workers finish unevenly.
-//   - SearchOptions.Shared threads an external BSF through the search so
-//     several index shards (or the delta scan of a live index) tighten
-//     one another's pruning; SearchOptions.GlobalPos remaps local leaf
-//     positions into the caller's global position space before they are
-//     published to the shared bound.
+//   - SearchOptions.Shared threads an external Collector through the
+//     search so several index shards (and the delta scan of a live index,
+//     whose matches the caller offers it beforehand) tighten one another's
+//     pruning; SearchOptions.GlobalPos remaps local leaf positions into
+//     the caller's global position space before they are published to it.
+//     The top-k collector rejects a position it already holds.
 //   - Per-query scratch (PAA buffer, iSAX word, distance table, queues)
 //     is confined to the query that allocated it; the sync.Pool reuse in
 //     internal/engine relies on queries never retaining scratch past

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/stats"
 )
 
 // topK is the k-NN generalization of the BSF: a bounded max-heap of the k
@@ -46,8 +43,9 @@ func (t *topK) Update(dist float64, pos int64) bool {
 	if len(t.heap) == t.k && dist >= t.heap[0].Dist {
 		return false
 	}
-	// Reject duplicates of the same position (can arrive from the
-	// approximate-search leaf being rescanned during queue processing).
+	// Reject duplicates of the same position: the approximate-search leaf
+	// is rescanned during queue processing, and a caller's seeds may name
+	// series the collection also holds.
 	for _, m := range t.heap {
 		if m.Position == int(pos) {
 			return false
@@ -97,8 +95,9 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// results returns the matches sorted by ascending distance.
-func (t *topK) results() []Match {
+// Matches returns the matches sorted by ascending distance, ties by
+// ascending position.
+func (t *topK) Matches() []Match {
 	t.mu.Lock()
 	out := make([]Match, len(t.heap))
 	copy(out, t.heap)
@@ -111,33 +110,3 @@ func (t *topK) results() []Match {
 	})
 	return out
 }
-
-// validateKNN checks the query shape and k for a k-NN search.
-func (ix *Index) validateKNN(query []float32, k int) error {
-	if err := ix.validateQuery(query); err != nil {
-		return err
-	}
-	if k <= 0 {
-		return fmt.Errorf("%w, got %d", ErrBadK, k)
-	}
-	return nil
-}
-
-// SearchKNN answers an exact k-NN query using the MESSI machinery with the
-// top-k bound in place of the single BSF. It returns at most k matches
-// sorted by ascending distance.
-func (ix *Index) SearchKNN(query []float32, k int, opt SearchOptions) ([]Match, error) {
-	r, err := ix.NewKNNRun(query, k, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	r.Run()
-	r.releaseTable()
-	return r.Matches(), nil
-}
-
-// assert interface satisfaction: both bounds plug into the same search.
-var (
-	_ bound = (*topK)(nil)
-	_ bound = (*stats.BSF)(nil)
-)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dtw"
 	"repro/internal/stats"
 )
 
@@ -28,8 +30,8 @@ import (
 // Typed sentinel errors for request validation, so API layers can
 // errors.Is instead of string-matching.
 var (
-	// ErrBadK reports a non-positive k in a k-NN request.
-	ErrBadK = errors.New("core: k must be positive")
+	// ErrBadK reports a negative K, or K > 1 under DTW.
+	ErrBadK = errors.New("core: invalid k")
 	// ErrBadWindow reports a DTW warping window outside its valid range.
 	ErrBadWindow = errors.New("core: DTW window out of range")
 	// ErrWrongLength reports a query whose length does not match the
@@ -111,18 +113,36 @@ type Request struct {
 	Breakdown *stats.Breakdown
 }
 
-// Validate checks the mode-specific parameters (query shape is validated
-// against the index by the backends).
+// Validate checks the request's own parameters: mode, ε, K, and the one
+// unsupported combination (k-NN under DTW). CheckShape checks it against
+// the indexed collection.
 func (req Request) Validate() error {
 	if !req.Mode.Valid() {
 		return errors.New("core: unknown search mode")
 	}
 	if req.K < 0 {
-		return ErrBadK
+		return fmt.Errorf("%w, got %d", ErrBadK, req.K)
+	}
+	if req.DTW && req.K > 1 {
+		return fmt.Errorf("%w: k-NN under DTW is not supported (k=%d)", ErrBadK, req.K)
 	}
 	if req.Mode == ModeEpsilon &&
 		(math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) || req.Epsilon < 0) {
 		return ErrBadEpsilon
+	}
+	return nil
+}
+
+// CheckShape checks the request against the length of the indexed series:
+// the query's length and, for DTW, the warping window.
+func (req Request) CheckShape(seriesLen int) error {
+	if len(req.Query) != seriesLen {
+		return fmt.Errorf("%w: query length %d, index series length %d", ErrWrongLength, len(req.Query), seriesLen)
+	}
+	if req.DTW {
+		if err := dtw.CheckWindow(seriesLen, req.Window); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadWindow, err)
+		}
 	}
 	return nil
 }

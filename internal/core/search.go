@@ -35,32 +35,21 @@ type SearchOptions struct {
 	// benchmarks. It forces Queues == Workers.
 	LocalQueues bool
 
-	// Seeds are externally known candidate matches (for example the best
-	// matches from a delta-buffer scan in a live index) applied to the
-	// pruning bound before the search starts. They tighten pruning and
-	// take part in the answer: a seed whose distance remains best is
-	// returned as-is, so its Position may lie outside this index's
-	// collection. With GlobalPos set, seed positions are taken as already
-	// global and are not remapped.
-	Seeds []Match
-
 	// GlobalPos maps this index's local series positions into the
 	// caller's global position space (a sharded collection, where this
-	// index holds only every S-th series). When set, the pruning bound —
-	// the 1-NN BSF or the k-NN top-k — carries global positions: every
-	// candidate found in this index is mapped on update, and Best/Matches
-	// report global positions. Nil means the identity (an unsharded
-	// index).
+	// index holds only every S-th series). When set, every candidate found
+	// in this index is mapped before it reaches the collector. Nil means
+	// the identity (a collection of one shard).
 	GlobalPos func(int64) int64
 
-	// Shared, when non-nil, replaces the run's private 1-NN best-so-far
-	// with a caller-owned bound threaded through several concurrent runs —
-	// the sharded fan-out, where a tight bound found in one shard prunes
-	// the searches of all the others. The shared BSF holds global
-	// positions (see GlobalPos); after every sibling run finishes, the
-	// fused answer is the shared bound's Best. Ignored by k-NN runs,
-	// which merge per-shard top-k sets instead.
-	Shared *stats.BSF
+	// Shared, when non-nil, replaces the run's private collector with a
+	// caller-owned one threaded through several concurrent runs — the
+	// sharded fan-out, where a tight bound found in one shard prunes the
+	// searches of all the others. It holds global positions (see
+	// GlobalPos) and whatever externally known candidates the caller
+	// offered it beforehand (a live index's delta-scan matches); after
+	// every sibling run finishes, its Matches are the fused answer.
+	Shared Collector
 
 	// QoS, when non-nil, carries the query's quality-of-service state:
 	// ε-inflated pruning and deadline/cancellation stop checks, with the
@@ -68,13 +57,6 @@ type SearchOptions struct {
 	// Shared, one QoS is threaded through every shard run of a fan-out.
 	// Nil means plain exact search with zero added hot-path work.
 	QoS *QoS
-
-	// Counters, when non-nil, accumulates operation counts (Figure 17).
-	Counters *stats.Counters
-	// Breakdown, when non-nil, accumulates per-phase wall time across
-	// all workers (Figure 13). Enabling it adds clock reads to hot
-	// paths; leave nil when benchmarking end-to-end latency.
-	Breakdown *stats.Breakdown
 }
 
 func (o SearchOptions) withDefaults(ixOpts Options) SearchOptions {
@@ -89,18 +71,52 @@ func (o SearchOptions) withDefaults(ixOpts Options) SearchOptions {
 	return o
 }
 
-// bound abstracts the pruning threshold shared by all search workers: the
-// 1-NN BSF (stats.BSF) or the k-NN top-k set. Load returns the current
-// squared pruning threshold; Update offers an improvement.
+// Collector is the pruning bound and the answer set of one query, shared
+// by all its search workers and, in a fan-out, by every sibling run: the
+// 1-NN best-so-far or the k-NN top-k set. All methods are safe for
+// concurrent use.
+type Collector interface {
+	// Load returns the current squared pruning threshold.
+	Load() float64
+	// Update offers a candidate; it reports whether the answer set changed.
+	Update(dist float64, pos int64) bool
+	// Matches returns the answers in ascending distance order, ties broken
+	// by ascending position. Call it only after every run sharing the
+	// collector has finished.
+	Matches() []Match
+}
+
+// NewCollector returns the collector of a k-nearest-neighbor query; k ≤ 1
+// is the paper's lock-free 1-NN best-so-far.
+func NewCollector(k int) Collector {
+	if k <= 1 {
+		return nearest{stats.NewBSF()}
+	}
+	return newTopK(k)
+}
+
+// nearest is the 1-NN collector: the paper's BSF, answering with at most
+// one match.
+type nearest struct{ *stats.BSF }
+
+func (n nearest) Matches() []Match {
+	d, pos := n.Best()
+	if pos < 0 {
+		return nil
+	}
+	return []Match{{Position: int(pos), Dist: d}}
+}
+
+// bound is the part of a collector the search workers see: the threshold
+// to prune against and where to offer improvements.
 type bound interface {
 	Load() float64
 	Update(dist float64, pos int64) bool
 }
 
-// mappedBound wraps a bound whose positions live in a global space (a
-// sharded collection's), translating this index's local positions on every
-// update. Loads pass through untouched — the pruning threshold is the same
-// number in every space.
+// mappedBound translates this index's local positions into the collector's
+// global space (a sharded collection's) on every update. Loads pass through
+// untouched — the pruning threshold is the same number in every space.
 type mappedBound struct {
 	inner    bound
 	toGlobal func(int64) int64
@@ -270,8 +286,8 @@ type QueryState struct {
 // NewQueryState returns an empty reusable scratch state.
 func NewQueryState() *QueryState { return &QueryState{} }
 
-// SearchRun is one in-flight exact query: the shared per-query state
-// (pruning bound, priority queues, root-claim counter) that any number of
+// SearchRun is one in-flight query on one index: the shared per-query state
+// (collector, priority queues, root-claim counter) that any number of
 // workers operate on. It decomposes Algorithm 6 into two phases so that
 // workers can be either goroutines spawned for this query (Run) or units
 // dispatched onto a persistent pool (internal/engine):
@@ -286,80 +302,58 @@ func NewQueryState() *QueryState { return &QueryState{} }
 // workers for queue-cursor and randomization purposes.
 type SearchRun struct {
 	ix          *Index
-	query       []float32
 	kern        kernel          // the distance flavour: Euclidean or DTW
-	table       *isax.DistTable // per-query MINDIST table, built once in init
+	table       *isax.DistTable // per-query MINDIST table; nil until prepareTable
 	pooledTable bool            // table borrowed from ix.tables (no QueryState)
-	bnd         bound
-	bsf         *stats.BSF // set for 1-NN runs
-	top         *topK      // set for k-NN runs
+	coll        Collector       // the answer set, in the caller's position space
+	bnd         bound           // coll as the workers see it (local positions mapped)
 	queues      *pqueue.Set[*tree.Node]
 	rootCtr     atomic.Int64
 	opt         SearchOptions
-	qos         *QoS    // nil for plain exact runs
-	escale      float64 // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
+	ctrs        *stats.Counters  // nil = not counting
+	bd          *stats.Breakdown // nil = not tracing
+	qos         *QoS             // nil for plain exact runs
+	escale      float64          // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
+	done        bool             // the answer is complete after init (ModeApprox)
 }
 
-// NewSearchRun prepares an exact 1-NN query: it validates the query,
-// computes its PAA and iSAX summaries, seeds the BSF with the approximate
-// search, and readies the queue set. st may be nil (fresh allocations) or
-// a reused QueryState. The query must already be z-normalized if the
-// indexed data is (the public API layer handles this).
-func (ix *Index) NewSearchRun(query []float32, st *QueryState, opt SearchOptions) (*SearchRun, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return nil, err
+// NewRun prepares one query on this index — the only place a SearchRun is
+// built. The request selects the distance kernel (DTW or Euclidean) and
+// the collector (K), unless the caller threads its own through
+// opt.Shared; opt.QoS carries the ε/deadline state built from the same
+// request. Preparation computes the query's PAA and iSAX summaries and
+// seeds the collector with the approximate search. A ModeApprox run is
+// complete at that point (see Done); every other mode then runs the two
+// phases. st may be nil (fresh allocations) or a reused QueryState. The
+// request must have passed Validate and CheckShape, and the query must
+// already be z-normalized if the indexed data is (the public API layer
+// handles both).
+func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*SearchRun, error) {
+	if ix.Data.Count() == 0 {
+		return nil, ErrEmptyIndex
 	}
-	return ix.newBSFRun(query, euclidean(query), st, opt), nil
-}
-
-// newBSFRun prepares a 1-NN run of either distance flavour over an
-// already validated query.
-func (ix *Index) newBSFRun(query []float32, kern kernel, st *QueryState, opt SearchOptions) *SearchRun {
-	bsf := opt.Shared
-	if bsf == nil {
-		bsf = stats.NewBSF()
+	var kern kernel = euclidean(req.Query)
+	if req.DTW {
+		kern = &warped{query: req.Query, window: req.Window}
 	}
-	r := &SearchRun{ix: ix, query: query, kern: kern, bnd: workerBound(bsf, opt.GlobalPos), bsf: bsf,
-		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
-	r.init(st)
-	return r
-}
-
-// NewKNNRun prepares an exact k-NN query (see NewSearchRun); k is clamped
-// to the collection size.
-func (ix *Index) NewKNNRun(query []float32, k int, st *QueryState, opt SearchOptions) (*SearchRun, error) {
-	if err := ix.validateKNN(query, k); err != nil {
-		return nil, err
+	coll := opt.Shared
+	if coll == nil {
+		coll = NewCollector(req.K)
 	}
-	// Seeds may reference series outside this index (a live index's delta
-	// buffer), so the answer set can be larger than the collection.
-	if k > ix.Data.Count()+len(opt.Seeds) {
-		k = ix.Data.Count() + len(opt.Seeds)
-	}
-	best := newTopK(k)
-	r := &SearchRun{ix: ix, query: query, kern: euclidean(query), bnd: workerBound(best, opt.GlobalPos), top: best,
-		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
-	r.init(st)
+	r := &SearchRun{ix: ix, kern: kern, coll: coll, bnd: workerBound(coll, opt.GlobalPos),
+		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown,
+		qos: opt.QoS, escale: opt.QoS.Scale()}
+	r.init(req, st)
 	return r, nil
 }
 
-// globalBnd returns the bound in its global-position space (the BSF or
-// top-k set itself, before local-position mapping) — the right target for
-// seeds, whose positions are already global.
-func (r *SearchRun) globalBnd() bound {
-	if r.bsf != nil {
-		return r.bsf
-	}
-	return r.top
-}
-
 // init computes the query summaries (into st's buffers when available),
-// builds the per-query distance table, seeds the bound via the
-// approximate search, and sizes the queue set.
-func (r *SearchRun) init(st *QueryState) {
-	bd := r.opt.Breakdown
+// seeds the collector via the approximate search and, unless that already
+// completes the run, builds the per-query distance table and sizes the
+// queue set.
+func (r *SearchRun) init(req Request, st *QueryState) {
 	var tInit time.Time
-	if bd.Enabled() {
+	if r.bd.Enabled() {
 		tInit = time.Now()
 	}
 	var paaBuf []float64
@@ -367,10 +361,43 @@ func (r *SearchRun) init(st *QueryState) {
 	if st != nil {
 		paaBuf, wordBuf = st.paaBuf, st.wordBuf
 	}
-	qpaa := paa.Transform(r.query, r.ix.Schema.Segments, paaBuf)
+	qpaa := paa.Transform(req.Query, r.ix.Schema.Segments, paaBuf)
 	qword := r.ix.Schema.WordFromPAA(qpaa, wordBuf)
 	if st != nil {
 		st.paaBuf, st.wordBuf = qpaa, qword
+	}
+	// An approximate Euclidean answer reads the table only in the rare
+	// empty-subtree fallback, and its point is to be cheap: it builds the
+	// table only if it has to go on to the exact phases.
+	lazyTable := req.Mode == ModeApprox && !req.DTW
+	if !lazyTable {
+		r.prepareTable(st, qpaa)
+	}
+	found := r.ix.approxSearch(qpaa, qword, r.table, r.kern, r.bnd, r.ctrs)
+	// An approximate run whose descent reached no candidate falls back to
+	// the exact search simply by not being done.
+	r.done = req.Mode == ModeApprox && found
+	if !r.done {
+		if lazyTable {
+			r.prepareTable(st, qpaa)
+		}
+		if st != nil {
+			st.queues.Resize(r.opt.Queues, 64)
+			r.queues = &st.queues
+		} else {
+			r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
+		}
+	}
+	if r.bd.Enabled() {
+		r.bd.Add(stats.PhaseInit, time.Since(tInit))
+	}
+}
+
+// prepareTable readies the run's distance table — st's when there is one,
+// else one borrowed from the index's pool — and fills it from the query
+// summary the kernel prunes with.
+func (r *SearchRun) prepareTable(st *QueryState, qpaa []float64) {
+	if st != nil {
 		// The table's geometry is schema-bound; a pooled state may have
 		// last served a different generation (engine Swap) or a sibling
 		// shard, so recheck — same geometry means the buffer is reusable.
@@ -378,67 +405,57 @@ func (r *SearchRun) init(st *QueryState) {
 			st.table = r.ix.Schema.NewDistTable()
 		}
 		r.table = st.table
-		st.queues.Resize(r.opt.Queues, 64)
-		r.queues = &st.queues
 	} else {
 		r.table, r.pooledTable = r.ix.getTable(), true
-		r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
 	}
 	r.kern.prepare(r.table, qpaa)
-	for _, s := range r.opt.Seeds {
-		r.globalBnd().Update(s.Dist, int64(s.Position))
-	}
-	r.ix.approxSearch(qpaa, qword, r.table, r.kern, r.bnd, r.opt.Counters)
-	if bd.Enabled() {
-		bd.Add(stats.PhaseInit, time.Since(tInit))
-	}
 }
 
-// Run executes the query with opt.Workers goroutines spawned for this run
-// only — the paper's original per-query execution mode (Algorithm 5/6).
+// Done reports whether the run's answer was complete after preparation —
+// a ModeApprox run whose descent found candidates. The phases of a done
+// run are no-ops.
+func (r *SearchRun) Done() bool { return r.done }
+
+// Run executes the query's phases with opt.Workers goroutines spawned for
+// this run only — the paper's original per-query execution mode
+// (Algorithm 5/6).
 func (r *SearchRun) Run() {
-	var insertBarrier sync.WaitGroup // all-inserted barrier (Algorithm 6 line 7)
-	insertBarrier.Add(r.opt.Workers)
-	var wg sync.WaitGroup
-	for pid := 0; pid < r.opt.Workers; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			r.InsertPhase(pid)
-			insertBarrier.Done()
-			insertBarrier.Wait()
-			r.DrainPhase(pid)
-		}(pid)
+	if !r.done {
+		var insertBarrier sync.WaitGroup // all-inserted barrier (Algorithm 6 line 7)
+		insertBarrier.Add(r.opt.Workers)
+		var wg sync.WaitGroup
+		for pid := 0; pid < r.opt.Workers; pid++ {
+			wg.Add(1)
+			go func(pid int) {
+				defer wg.Done()
+				r.InsertPhase(pid)
+				insertBarrier.Done()
+				insertBarrier.Wait()
+				r.DrainPhase(pid)
+			}(pid)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-}
-
-// Best returns the 1-NN answer. Call only after all workers finished.
-func (r *SearchRun) Best() Match {
-	d, pos := r.bsf.Best()
-	return Match{Position: int(pos), Dist: d}
-}
-
-// Matches returns the k-NN answers sorted by ascending distance. Call
-// only after all workers finished.
-func (r *SearchRun) Matches() []Match { return r.top.results() }
-
-// releaseTable returns a pool-borrowed table after the run completes.
-// Only the Index-owned entry points call it; externally created runs
-// (NewSearchRun with a nil state) simply let their table be collected.
-func (r *SearchRun) releaseTable() {
 	if r.pooledTable {
 		r.ix.putTable(r.table)
 		r.table, r.pooledTable = nil, false
 	}
 }
 
+// Matches returns the run's answers — up to K, in ascending distance order
+// — or, with opt.Shared, whatever the shared collector holds. Call only
+// after all workers finished.
+func (r *SearchRun) Matches() []Match { return r.coll.Matches() }
+
 // InsertPhase is the tree-traversal half of Algorithm 6: claim root
 // subtrees via Fetch&Inc and push non-prunable leaves into the queues.
 // Every participating worker must call it exactly once, and all calls
 // must return before the first DrainPhase call starts.
 func (r *SearchRun) InsertPhase(pid int) {
-	ctrs, bd := r.opt.Counters, r.opt.Breakdown
+	if r.done {
+		return
+	}
+	ctrs, bd := r.ctrs, r.bd
 	cursor := pid % r.opt.Queues // round-robin insertion cursor (line 2)
 
 	var tStart time.Time
@@ -468,7 +485,10 @@ func (r *SearchRun) InsertPhase(pid int) {
 // DrainPhase is the queue-processing half of Algorithm 6 (lines 8-13):
 // drain queues until every queue is finished.
 func (r *SearchRun) DrainPhase(pid int) {
-	ctrs, bd := r.opt.Counters, r.opt.Breakdown
+	if r.done {
+		return
+	}
+	ctrs, bd := r.ctrs, r.bd
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
 
@@ -493,19 +513,6 @@ func (r *SearchRun) DrainPhase(pid int) {
 			return
 		}
 	}
-}
-
-// Search answers an exact 1-NN query (Algorithm 5). The query must be
-// z-normalized by the caller if the indexed data is (the public API layer
-// handles this).
-func (ix *Index) Search(query []float32, opt SearchOptions) (Match, error) {
-	r, err := ix.NewSearchRun(query, nil, opt)
-	if err != nil {
-		return Match{}, err
-	}
-	r.Run()
-	r.releaseTable()
-	return r.Best(), nil
 }
 
 // traverse is Algorithm 7: prune subtrees whose lower bound exceeds the
@@ -617,7 +624,7 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 	}
 	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
 	cand := scratch.filter(lbs, r.table.Scale(), r.bnd.Load(), r.qos)
-	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.qos, r.opt.Counters)
+	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.qos, r.ctrs)
 }
 
 // refine is the single real-distance candidate loop behind every search
@@ -675,76 +682,28 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 	ctrs.AddRealDist(realCount)
 }
 
-// ApproxSearch answers an approximate 1-NN query: only the BSF-seeding
-// step of the exact algorithm (descend to the query's leaf, best real
-// distance inside it). The paper's progressive-search citation observes
-// this initial answer is usually very close to the exact one; the exact
-// search refines it. Falls back to the exact search in the rare case the
-// descent lands on an empty leaf.
-func (ix *Index) ApproxSearch(query []float32, opt SearchOptions) (Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return Match{}, err
-	}
-	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
-	qword := ix.Schema.WordFromPAA(qpaa, nil)
-	bsf := stats.NewBSF()
-	// Seeds (delta-scan results in a live index) compete with the leaf's
-	// candidates exactly as in an exact run; their positions are global.
-	for _, s := range opt.Seeds {
-		bsf.Update(s.Dist, int64(s.Position))
-	}
-	// No distance table here: the approximate search only needs one in
-	// the rare empty-subtree fallback, and its point is to be cheap.
-	ix.approxSearch(qpaa, qword, nil, euclidean(query), workerBound(bsf, opt.GlobalPos), opt.Counters)
-	d, pos := bsf.Best()
-	if pos < 0 {
-		return ix.Search(query, opt)
-	}
-	return Match{Position: int(pos), Dist: d}, nil
-}
-
-// ApproxKNN is the k-NN form of ApproxSearch: the query's own leaf (plus
-// any seeds) populates a top-k set. It reports at most k matches — fewer
-// when the leaf holds fewer series — in ascending distance order.
-func (ix *Index) ApproxKNN(query []float32, k int, opt SearchOptions) ([]Match, error) {
-	if err := ix.validateKNN(query, k); err != nil {
-		return nil, err
-	}
-	if k > ix.Data.Count()+len(opt.Seeds) {
-		k = ix.Data.Count() + len(opt.Seeds)
-	}
-	top := newTopK(k)
-	for _, s := range opt.Seeds {
-		top.Update(s.Dist, int64(s.Position))
-	}
-	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
-	qword := ix.Schema.WordFromPAA(qpaa, nil)
-	ix.approxSearch(qpaa, qword, nil, euclidean(query), workerBound(top, opt.GlobalPos), opt.Counters)
-	ms := top.results()
-	if len(ms) == 0 {
-		return ix.SearchKNN(query, k, opt)
-	}
-	return ms, nil
-}
-
-// approxSearch seeds the BSF (Figure 4(a)): take the best real distance
+// approxSearch seeds the bound (Figure 4(a)): take the best real distances
 // inside the leaf matching the query's iSAX word — every entry is a
-// candidate, with no lower bounds to filter on.
+// candidate, with no lower bounds to filter on. The paper's
+// progressive-search citation observes this initial answer is usually very
+// close to the exact one. It reports whether the descent reached any
+// candidate at all.
 func (ix *Index) approxSearch(qpaa []float64, qword []uint8, tab *isax.DistTable,
-	kern kernel, bnd bound, ctrs *stats.Counters) {
+	kern kernel, bnd bound, ctrs *stats.Counters) bool {
 
 	leaf := ix.approxLeaf(qpaa, qword, tab, ctrs)
-	if leaf == nil {
-		return
+	if leaf == nil || leaf.LeafLen() == 0 {
+		return false
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
 	ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, scratch, bnd, nil, ctrs)
+	return true
 }
 
 // approxLeaf descends to the leaf matching the query's iSAX word. A nil
-// tab (Euclidean only) makes the scalar kernel serve the rare
-// empty-subtree fallback; exact runs pass their already-built table.
+// tab (an approximate Euclidean run) makes the scalar kernel serve the rare
+// empty-subtree fallback; every other run passes its already-built table.
 func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable,
 	ctrs *stats.Counters) *tree.Node {
 
@@ -769,7 +728,7 @@ func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable,
 		}
 	}
 	if root == nil {
-		return nil // empty tree; validateQuery prevents this for public entry points
+		return nil // empty tree; NewRun rules this out
 	}
 	return ix.Tree.DescendToLeaf(root, qword)
 }

@@ -117,7 +117,7 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 
-		got, err := ix.Search(q, SearchOptions{})
+		got, err := nn1(ix, q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 			t.Fatalf("query %d: 1-NN %+v, naive kernels say %+v", qi, got, want)
 		}
 
-		gotK, err := ix.SearchKNN(q, k, SearchOptions{})
+		gotK, err := knn(ix, q, k, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 			}
 		}
 
-		gotD, err := ix.SearchDTW(q, window, SearchOptions{})
+		gotD, err := dtwNN(ix, q, window, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,21 +352,16 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 					// filter stage prunes from the first leaf on.
 					seeds = []Match{{Position: count + 5, Dist: vector.SquaredEuclidean(ix.Data.At(qi), q)}}
 				}
-				req := Request{Mode: ModeEpsilon, Epsilon: fl.eps}
-
 				// The restructured path, through the run's own entry points.
 				var gotCtrs stats.Counters
+				req := Request{Query: q, K: fl.k, DTW: fl.dtw, Window: window,
+					Mode: ModeEpsilon, Epsilon: fl.eps, Counters: &gotCtrs}
 				gotQoS := req.NewQoS()
-				opt := SearchOptions{Workers: 1, Queues: 1, Counters: &gotCtrs, QoS: gotQoS, Seeds: seeds}
-				var run *SearchRun
-				switch {
-				case fl.dtw:
-					run = ix.newBSFRun(q, &warped{query: q, window: window}, nil, opt)
-				case fl.k > 1:
-					run, err = ix.NewKNNRun(q, fl.k, nil, opt)
-				default:
-					run, err = ix.NewSearchRun(q, nil, opt)
+				coll := NewCollector(fl.k)
+				for _, s := range seeds {
+					coll.Update(s.Dist, int64(s.Position))
 				}
+				run, err := ix.NewRun(req, nil, SearchOptions{Workers: 1, Queues: 1, QoS: gotQoS, Shared: coll})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,12 +369,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, leaf := range leaves {
 					run.scanLeaf(leaf, &scratch)
 				}
-				got := []Match{}
-				if fl.k > 1 {
-					got = run.Matches()
-				} else {
-					got = append(got, run.Best())
-				}
+				got := run.Matches()
 
 				// The reference: the same steps with the plain loop.
 				var wantCtrs stats.Counters
@@ -406,7 +396,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 					lbs := refScratch.accumulate(leaf, tab, w)
 					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.Scale(), kern, bnd, wantQoS, &wantCtrs)
 				}
-				want := top.results()
+				want := top.Matches()
 				if fl.k == 1 {
 					d, pos := bsf.Best()
 					want = []Match{{Position: int(pos), Dist: d}}
@@ -451,7 +441,7 @@ func TestRefineSinkIsPerWorker(t *testing.T) {
 		wg.Add(1)
 		go func(q []float32) {
 			defer wg.Done()
-			got, err := ix.Search(q, SearchOptions{Workers: 4, Queues: 2})
+			got, err := nn1(ix, q, SearchOptions{Workers: 4, Queues: 2})
 			if err != nil {
 				t.Error(err)
 				return

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -9,20 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Do serves one quality-of-service request through the engine: admission
-// gate, pooled execution for Euclidean searches, spawn-mode execution for
-// DTW, and the overload-degradation policy (Options.DegradeEpsilon).
-func (e *Engine) Do(req core.Request) (core.Result, error) {
-	return e.DoSeeded(req, nil)
-}
-
-// DoSeeded is Do with externally known candidate matches (global
-// positions) applied to the pruning bound — the live index's delta-scan
-// results. A seed that remains best is part of the answer.
-func (e *Engine) DoSeeded(req core.Request, seeds []core.Match) (core.Result, error) {
-	if err := req.Validate(); err != nil {
-		return core.Result{}, err
-	}
+// Do serves one quality-of-service request through the engine — its only
+// query method: admission gate, the overload-degradation policy
+// (Options.DegradeEpsilon), then pooled execution, whatever the distance,
+// answer shape or mode. seeds are externally known candidate matches with
+// global positions (the live index's delta-scan results), applied to the
+// pruning bound before the search starts; a seed that remains best is part
+// of the answer.
+func (e *Engine) Do(req core.Request, seeds []core.Match) (core.Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -61,14 +56,20 @@ func (e *Engine) DoSeeded(req core.Request, seeds []core.Match) (core.Result, er
 	}
 	if admitted {
 		defer func() { <-e.admit }()
+	} else {
+		// The deadline expired while waiting for admission. The contract is
+		// best-so-far within the budget, so bypass the gate for the cheap
+		// approximate step only (one leaf scan per shard — bounded work
+		// even under overload) and report it as what it is: an inexact
+		// answer.
+		req.Mode = core.ModeApprox
 	}
 
 	sx := e.sx.Load()
 	if sx == nil {
 		return core.Result{}, ErrNoIndex
 	}
-
-	res, err := e.doAdmitted(sx, req, seeds, admitted)
+	res, err := e.run(sx, req, seeds)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -79,83 +80,158 @@ func (e *Engine) DoSeeded(req core.Request, seeds []core.Match) (core.Result, er
 	return res, nil
 }
 
-// doAdmitted executes the request once the admission decision is made.
-func (e *Engine) doAdmitted(sx *shard.Index, req core.Request, seeds []core.Match, admitted bool) (core.Result, error) {
-	if !admitted {
-		// The deadline expired while waiting for admission. The contract is
-		// best-so-far within the budget, so bypass the gate for the cheap
-		// approximate step only (one leaf scan — bounded work even under
-		// overload) and report it as what it is: an inexact answer.
-		req.Mode = core.ModeApprox
-		return sx.Do(req, core.SearchOptions{Seeds: seeds})
-	}
-
-	if req.Mode == core.ModeApprox || req.DTW {
-		// Approximate answers are a single leaf scan; DTW runs the paper's
-		// per-query spawn mode. Neither uses the pool — delegate to the
-		// shard layer under the admission slot we hold.
-		opt := core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues, Seeds: seeds}
-		return sx.Do(req, opt)
-	}
-
-	// Pooled Euclidean path: exact, ε-bounded, and deadline-bounded all run
-	// the exact machinery with the QoS state threaded through every unit.
-	qos := req.NewQoS()
-	base := core.SearchOptions{QoS: qos, Counters: req.Counters, Breakdown: req.Breakdown}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if k == 1 {
-		m, err := e.run1NN(sx, req.Query, seeds, base)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return qos.Finish([]core.Match{m}, req.Mode), nil
-	}
-	ms, err := e.runKNN(sx, req.Query, k, seeds, base)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return qos.Finish(ms, req.Mode), nil
-}
-
 // admitQoS waits for an admission slot, honoring the request's
 // cancellation signal and deadline. It reports whether a slot was taken
 // (false only when a deadline expired while waiting); cancellation is an
-// error, matching context semantics.
+// error, matching context semantics. Release by receiving from e.admit.
 func (e *Engine) admitQoS(req core.Request) (bool, error) {
-	hasDeadline := req.Mode == core.ModeDeadline && !req.Deadline.IsZero()
-	if req.Cancel == nil && !hasDeadline {
-		e.acquire()
-		return true, nil
-	}
 	var timerC <-chan time.Time
-	if hasDeadline {
+	if req.Mode == core.ModeDeadline && !req.Deadline.IsZero() {
 		t := time.NewTimer(time.Until(req.Deadline))
 		defer t.Stop()
 		timerC = t.C
 	}
 	waitStart := e.met.waitStart()
-	// A nil req.Cancel never fires in the select.
+	defer e.met.waitEnd(waitStart)
+	// A nil req.Cancel or timerC never fires in the select.
 	select {
 	case e.admit <- struct{}{}:
 		if e.met != nil {
-			e.met.waitEnd(waitStart)
 			e.met.admitted.Inc()
 		}
 		return true, nil
 	case <-req.Cancel:
 		if e.met != nil {
-			e.met.waitEnd(waitStart)
 			e.met.cancelled.Inc()
 		}
 		return false, context.Canceled
 	case <-timerC:
 		if e.met != nil {
-			e.met.waitEnd(waitStart)
 			e.met.expired.Inc()
 		}
 		return false, nil
+	}
+}
+
+// run executes one request on the pool against the generation sx: one run
+// per shard prepared by shardRuns, then — for every run the preparation
+// did not already complete — QueryWorkers insert units per run, the
+// all-inserted barrier (awaited here, never inside a pool goroutine), and
+// QueryWorkers drain units per run. The barrier spans the whole fan-out,
+// so a shard finishing its tree pass early keeps its bound improvements
+// visible to the shards still traversing. The first failure — a unit
+// panic, recovered where it happened — fails this query alone; the
+// remaining phases are skipped, since the answer is discarded anyway.
+func (e *Engine) run(sx *shard.Index, req core.Request, seeds []core.Match) (core.Result, error) {
+	q, err := sx.NewQuery(req, seeds)
+	if err != nil {
+		return core.Result{}, err
+	}
+	if sx.NumShards() > 1 {
+		e.met.recordFanout()
+	}
+	rec := &panicBox{}
+	runs, sts := e.shardRuns(sx, q, rec)
+	if rec.load() == nil {
+		e.dispatchAll(runs, (*core.SearchRun).InsertPhase, rec)
+	}
+	if rec.load() == nil {
+		e.dispatchAll(runs, (*core.SearchRun).DrainPhase, rec)
+	}
+	if err := rec.load(); err != nil {
+		// Any of the fanned-out states may be the one a panicking unit
+		// left inconsistent; drop them all rather than returning them to
+		// the pool (sync.Pool refills on demand).
+		return core.Result{}, err
+	}
+	for _, st := range sts {
+		e.states.Put(st)
+	}
+	return q.Result(), nil
+}
+
+// shardRuns prepares one run per non-empty shard, borrowing a QueryState
+// for each, and returns the runs that still have phases to execute plus
+// every borrowed state. Preparation — the query's PAA/table build plus the
+// bound-seeding approximate search — is fanned out over the pool, so a
+// query's setup latency does not grow linearly with S; the caller takes
+// the last shard itself instead of idling at the barrier, which for a
+// generation of one shard means no pool hop at all. Approximate answers
+// landing in the shared collector concurrently tighten each other exactly
+// as the drain phases do.
+func (e *Engine) shardRuns(sx *shard.Index, q *shard.Query, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
+	S := sx.NumShards()
+	last := -1
+	for s := 0; s < S; s++ {
+		if sx.Shard(s) != nil {
+			last = s
+		}
+	}
+	opt := core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues}
+	runs := make([]*core.SearchRun, S)
+	sts := make([]*core.QueryState, 0, S)
+	var wg sync.WaitGroup
+	for s := 0; s <= last; s++ {
+		if sx.Shard(s) == nil {
+			continue
+		}
+		st := e.states.Get().(*core.QueryState)
+		sts = append(sts, st)
+		wg.Add(1)
+		prepare := func(int) {
+			defer wg.Done()
+			defer e.recoverInto(rec)
+			run, err := q.NewRun(s, st, opt)
+			if err != nil {
+				rec.note(err)
+				return
+			}
+			runs[s] = run
+		}
+		if s < last {
+			e.tasks <- prepare
+		} else {
+			prepare(0)
+		}
+	}
+	wg.Wait()
+
+	pending := runs[:0]
+	for _, run := range runs {
+		if run != nil && !run.Done() {
+			pending = append(pending, run)
+		}
+	}
+	return pending, sts
+}
+
+// dispatchAll enqueues QueryWorkers units of phase for every run and
+// waits for all of them. A panic in a unit is recovered on the pool
+// worker (before its wg.Done fires, so the barrier never deadlocks) and
+// recorded.
+func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
+	var wg sync.WaitGroup
+	wg.Add(len(runs) * e.opts.QueryWorkers)
+	for _, run := range runs {
+		for i := 0; i < e.opts.QueryWorkers; i++ {
+			e.tasks <- func(pid int) {
+				defer wg.Done()
+				defer e.recoverInto(rec)
+				if err := fpUnit.Hit(); err != nil {
+					rec.note(err)
+					return
+				}
+				phase(run, pid)
+			}
+		}
+	}
+	wg.Wait()
+}
+
+// recoverInto, deferred by every unit of query work, turns a panic into the
+// query's recorded failure.
+func (e *Engine) recoverInto(rec *panicBox) {
+	if r := recover(); r != nil {
+		rec.note(e.panicErr(r))
 	}
 }

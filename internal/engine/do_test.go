@@ -44,7 +44,7 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 	for i := 0; i < nq; i++ {
 		go func(i int) {
 			started <- struct{}{}
-			results[i], errs[i] = e.Do(core.Request{Query: qs.At(i)})
+			results[i], errs[i] = e.Do(core.Request{Query: qs.At(i)}, nil)
 			done <- struct{}{}
 		}(i)
 	}
@@ -64,7 +64,7 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		exact, err := ix.Search(qs.At(i), core.SearchOptions{})
+		exact, err := spawn1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +94,11 @@ func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 	e := New(ix, Options{PoolWorkers: 4, MaxConcurrent: 2, DegradeEpsilon: 0.5})
 	defer e.Close()
 	for i := 0; i < 4; i++ {
-		res, err := e.Do(core.Request{Query: qs.At(i)})
+		res, err := e.Do(core.Request{Query: qs.At(i)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ix.Search(qs.At(i), core.SearchOptions{})
+		want, err := spawn1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 		Query:    qs.At(0),
 		Mode:     core.ModeDeadline,
 		Deadline: time.Now().Add(30 * time.Millisecond),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 	if len(res.Matches) != 1 {
 		t.Fatalf("deadline-expired admission returned %d matches, want the approximate best", len(res.Matches))
 	}
-	want, err := ix.Search(qs.At(0), core.SearchOptions{})
+	want, err := spawn1(ix, qs.At(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCancelDuringAdmission(t *testing.T) {
 	defer release()
 	canceled := make(chan struct{})
 	close(canceled)
-	_, err := e.Do(core.Request{Query: qs.At(0), Cancel: canceled})
+	_, err := e.Do(core.Request{Query: qs.At(0), Cancel: canceled}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled admission returned %v, want context.Canceled", err)
 	}

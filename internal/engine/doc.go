@@ -2,24 +2,31 @@
 // MESSI index: a long-lived pool of worker goroutines that answers many
 // queries over the index's lifetime, amortizing the goroutine spawns and
 // the priority-queue/PAA-buffer allocations that the per-query execution
-// mode (core.Index.Search) pays on every call.
+// mode (shard.Index.Do) pays on every call.
 //
 // The paper (and its VLDBJ journal extension) evaluates one query at a
 // time with Ns freshly spawned workers; a serving system instead sees a
 // sustained stream of concurrent queries. The engine keeps the paper's
 // algorithm intact — each query still runs Algorithm 6's two phases
 // against its own bound and queue set — but executes the phases as work
-// units dispatched onto the shared pool:
+// units dispatched onto the shared pool. Do is the only query method and
+// that pooled path the only path, for every distance (Euclidean, DTW),
+// answer shape (1-NN, k-NN) and quality mode:
 //
 //   - admission: at most MaxConcurrent queries execute at once; each
-//     dispatches QueryWorkers insert units, waits for all of them (the
-//     all-inserted barrier), then dispatches QueryWorkers drain units.
+//     prepares one run per shard (shard.Query.NewRun — an approximate
+//     request is complete at that point), dispatches QueryWorkers insert
+//     units per run, waits for all of them (the all-inserted barrier),
+//     then dispatches QueryWorkers drain units per run.
 //   - pool goroutines never block on query-level barriers (the caller
 //     does), so any mix of in-flight queries is deadlock-free: one query
 //     may own every pool worker, or K queries interleave their units.
-//   - per-query scratch (PAA buffer, iSAX word buffer, queue set) comes
-//     from a sync.Pool of core.QueryState and is returned after each
-//     query.
+//   - per-query scratch (PAA buffer, iSAX word buffer, distance table,
+//     queue set) comes from a sync.Pool of core.QueryState and is returned
+//     after each query.
+//   - every unit of query work — preparation included — recovers its own
+//     panics: the query fails alone with ErrQueryPanicked, its scratch
+//     states are dropped instead of returned, and the pool keeps serving.
 //
 // # Contracts
 //

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
-	"repro/internal/stats"
 )
 
 // ErrClosed is returned by queries submitted after Close.
@@ -60,9 +59,7 @@ type Options struct {
 	// queueing plus full exact-search latency. Requests that ask for a
 	// specific mode (approximate, ε, deadline) are never rewritten, and
 	// the result honestly reports Exact=false plus the ε actually
-	// proven. Zero (the default) never degrades. Only Do requests are
-	// subject to degradation; the deprecated always-exact methods stay
-	// exact.
+	// proven. Zero (the default) never degrades.
 	DegradeEpsilon float64
 	// Metrics, when non-nil, receives the engine's production telemetry:
 	// admission-gate pressure, per-mode latency histograms, answer
@@ -105,11 +102,10 @@ type task func(pid int)
 // index generation — a shard group of one or more core indexes — is held
 // behind an atomic pointer, and Swap atomically replaces it (RCU-style —
 // queries already executing finish against the generation they loaded at
-// admission; new queries see the new one). Sharded generations are
-// answered by fanning per-shard work units onto the same pool, threading
-// one shared best-so-far through every shard's search. It is safe for
-// concurrent use by multiple goroutines. Close it when done to release
-// the pool.
+// admission; new queries see the new one). Every query is answered by
+// fanning per-shard work units onto the one pool, threading one shared
+// collector through every shard's run. It is safe for concurrent use by
+// multiple goroutines. Close it when done to release the pool.
 type Engine struct {
 	sx     atomic.Pointer[shard.Index]
 	opts   Options
@@ -123,16 +119,11 @@ type Engine struct {
 	closed bool
 }
 
-// New starts an engine over the given (unsharded) index. ix may be nil —
-// queries fail with ErrNoIndex until a generation is installed via Swap —
-// which lets a live index start empty and stream data in.
-func New(ix *core.Index, opts Options) *Engine {
-	return NewSharded(shard.Wrap(ix), opts)
-}
-
-// NewSharded starts an engine over a sharded index group. sx may be nil
-// (see New).
-func NewSharded(sx *shard.Index, opts Options) *Engine {
+// New starts an engine over an index generation (a group of one or more
+// shards). sx may be nil — queries fail with ErrNoIndex until a generation
+// is installed via Swap — which lets a live index start empty and stream
+// data in.
+func New(sx *shard.Index, opts Options) *Engine {
 	var ixOpts core.Options
 	if sx != nil {
 		ixOpts = sx.Opts()
@@ -200,7 +191,7 @@ func (e *Engine) panicErr(r any) error {
 	return fmt.Errorf("%w: %v", ErrQueryPanicked, r)
 }
 
-// panicBox collects the first panic of one query's work units.
+// panicBox collects the first failure of one query's work units.
 type panicBox struct {
 	mu  sync.Mutex
 	err error
@@ -223,423 +214,16 @@ func (b *panicBox) load() error {
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Index returns the current generation's single core index — nil when no
-// generation is installed or when the generation is sharded (use Shards).
-func (e *Engine) Index() *core.Index {
-	sx := e.sx.Load()
-	if sx == nil {
-		return nil
-	}
-	return sx.Single()
-}
-
-// Shards returns the current sharded generation (nil if none installed).
+// Shards returns the current generation (nil if none installed).
 func (e *Engine) Shards() *shard.Index { return e.sx.Load() }
 
-// Swap atomically installs a new (unsharded) index generation, returning
-// the previous generation's single index (nil when it was sharded). In-
-// flight queries keep running against the generation they loaded; queries
-// admitted after Swap see the new one. The old generation may be released
-// once its queries drain (Go's GC handles this — callers need no
+// Swap atomically installs a new index generation and returns the previous
+// one. In-flight queries keep running against the generation they loaded;
+// queries admitted after Swap see the new one. The old generation may be
+// released once its queries drain (Go's GC handles this — callers need no
 // quiescence protocol).
-func (e *Engine) Swap(ix *core.Index) *core.Index {
-	prev := e.sx.Swap(shard.Wrap(ix))
-	if prev == nil {
-		return nil
-	}
-	return prev.Single()
-}
-
-// SwapSharded is Swap for sharded generations.
-func (e *Engine) SwapSharded(sx *shard.Index) *shard.Index {
+func (e *Engine) Swap(sx *shard.Index) *shard.Index {
 	return e.sx.Swap(sx)
-}
-
-// acquire blocks until an admission slot is free, recording queue depth
-// and wait time when metrics are on. Release by receiving from e.admit.
-func (e *Engine) acquire() {
-	if e.met == nil {
-		e.admit <- struct{}{}
-		return
-	}
-	start := e.met.waitStart()
-	e.admit <- struct{}{}
-	e.met.waitEnd(start)
-	e.met.admitted.Inc()
-}
-
-// Search answers an exact 1-NN query on the shared pool. It blocks until
-// the query is admitted and answered.
-func (e *Engine) Search(query []float32) (core.Match, error) {
-	return e.SearchSeeded(query, nil)
-}
-
-// SearchSeeded is Search with externally known candidate matches applied
-// to the pruning bound before the search starts (see
-// core.SearchOptions.Seeds). A seed that remains best is returned as-is.
-func (e *Engine) SearchSeeded(query []float32, seeds []core.Match) (core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return core.Match{}, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return core.Match{}, ErrNoIndex
-	}
-	return e.run1NN(sx, query, seeds, core.SearchOptions{})
-}
-
-// run1NN executes an already-admitted 1-NN query on the pool. base carries
-// per-query extras (QoS, Counters); worker shape, seeds, and the sharded
-// fan-out plumbing are filled in here — the one shared path under both the
-// deprecated entry points and Do.
-func (e *Engine) run1NN(sx *shard.Index, query []float32, seeds []core.Match, base core.SearchOptions) (m core.Match, err error) {
-	// Inline preparation (below) runs on the caller's goroutine; a
-	// panic there must fail this query alone, like one on a pool unit.
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = core.Match{}, e.panicErr(r)
-		}
-	}()
-	base.Workers = e.opts.QueryWorkers
-	base.Queues = e.opts.Queues
-	if single := sx.Single(); single != nil {
-		base.Seeds = seeds
-		st := e.states.Get().(*core.QueryState)
-		run, err := single.NewSearchRun(query, st, base)
-		if err != nil {
-			e.states.Put(st)
-			return core.Match{}, err
-		}
-		rec := &panicBox{}
-		e.execute(run, rec)
-		if perr := rec.load(); perr != nil {
-			// The panicking unit may have left st inconsistent; drop
-			// it rather than returning it to the pool.
-			return core.Match{}, perr
-		}
-		m := run.Best()
-		e.states.Put(st)
-		return m, nil
-	}
-
-	// Sharded generation: one run per non-empty shard, all threading one
-	// shared best-so-far, dispatched as per-shard work units on the pool.
-	e.met.recordFanout()
-	shared := stats.NewBSF()
-	for _, s := range seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	runs, sts, err := e.shardRuns(sx, func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error) {
-		opt := base
-		opt.Shared = shared
-		opt.GlobalPos = sx.GlobalPosFunc(s)
-		return sh.NewSearchRun(query, st, opt)
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	rec := &panicBox{}
-	e.executeAll(runs, rec)
-	if perr := rec.load(); perr != nil {
-		// Any of the fanned-out states may be the poisoned one;
-		// discard them all (sync.Pool refills on demand).
-		return core.Match{}, perr
-	}
-	e.putStates(sts)
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
-}
-
-// shardRuns prepares one run per non-empty shard, borrowing a QueryState
-// for each. Preparation — the query's PAA/table build plus the
-// bound-seeding approximate search — is fanned out over the pool too, so
-// a query's setup latency does not grow linearly with S; approximate
-// answers landing in the shared bound concurrently tighten each other
-// exactly as the drain phases do. On any preparation error every
-// borrowed state is returned and the first error wins.
-func (e *Engine) shardRuns(sx *shard.Index,
-	mk func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error)) ([]*core.SearchRun, []*core.QueryState, error) {
-
-	S := sx.NumShards()
-	runs := make([]*core.SearchRun, S)
-	sts := make([]*core.QueryState, S)
-	errs := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		sh := sx.Shard(s)
-		if sh == nil {
-			continue
-		}
-		st := e.states.Get().(*core.QueryState)
-		sts[s] = st
-		wg.Add(1)
-		e.tasks <- func(pid int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					sts[s] = nil // poisoned; never back to the pool
-					errs[s] = e.panicErr(r)
-				}
-			}()
-			runs[s], errs[s] = mk(sh, s, st)
-		}
-	}
-	wg.Wait()
-
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	outRuns := runs[:0]
-	outSts := sts[:0]
-	for s := 0; s < S; s++ {
-		if firstErr != nil {
-			if sts[s] != nil {
-				e.states.Put(sts[s])
-			}
-			continue
-		}
-		if runs[s] != nil {
-			outRuns = append(outRuns, runs[s])
-			outSts = append(outSts, sts[s])
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	return outRuns, outSts, nil
-}
-
-func (e *Engine) putStates(sts []*core.QueryState) {
-	for _, st := range sts {
-		e.states.Put(st)
-	}
-}
-
-// SearchKNN answers an exact k-NN query on the shared pool, returning up
-// to k matches in ascending distance order.
-func (e *Engine) SearchKNN(query []float32, k int) ([]core.Match, error) {
-	return e.SearchKNNSeeded(query, k, nil)
-}
-
-// SearchKNNSeeded is SearchKNN with externally known candidate matches
-// participating in the top-k set (see core.SearchOptions.Seeds).
-func (e *Engine) SearchKNNSeeded(query []float32, k int, seeds []core.Match) ([]core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return nil, ErrNoIndex
-	}
-	return e.runKNN(sx, query, k, seeds, core.SearchOptions{})
-}
-
-// runKNN executes an already-admitted k-NN query on the pool (see run1NN).
-func (e *Engine) runKNN(sx *shard.Index, query []float32, k int, seeds []core.Match, base core.SearchOptions) (ms []core.Match, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ms, err = nil, e.panicErr(r)
-		}
-	}()
-	base.Workers = e.opts.QueryWorkers
-	base.Queues = e.opts.Queues
-	if single := sx.Single(); single != nil {
-		base.Seeds = seeds
-		st := e.states.Get().(*core.QueryState)
-		run, err := single.NewKNNRun(query, k, st, base)
-		if err != nil {
-			e.states.Put(st)
-			return nil, err
-		}
-		rec := &panicBox{}
-		e.execute(run, rec)
-		if perr := rec.load(); perr != nil {
-			return nil, perr
-		}
-		ms := run.Matches()
-		e.states.Put(st)
-		return ms, nil
-	}
-
-	// Sharded generation: every shard computes its own top-k (each seeded
-	// with the caller's global-position seeds) and the per-shard sets are
-	// merged through a priority queue.
-	e.met.recordFanout()
-	runs, sts, err := e.shardRuns(sx, func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error) {
-		opt := base
-		opt.Seeds = seeds
-		opt.GlobalPos = sx.GlobalPosFunc(s)
-		return sh.NewKNNRun(query, k, st, opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec := &panicBox{}
-	e.executeAll(runs, rec)
-	if perr := rec.load(); perr != nil {
-		return nil, perr
-	}
-	lists := make([][]core.Match, len(runs))
-	for i, run := range runs {
-		lists[i] = run.Matches()
-	}
-	e.putStates(sts)
-	return shard.MergeKNN(lists, k), nil
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points), fanning out across
-// shards when the generation is sharded. The DTW search runs the paper's
-// per-query spawn mode — its own worker goroutines, not pool units — but
-// it still passes through the engine's admission gate, so a burst of DTW
-// traffic is capped at MaxConcurrent in-flight queries like every other
-// query path instead of spawning unbounded worker fleets.
-func (e *Engine) SearchDTW(query []float32, window int, seeds []core.Match) (core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return core.Match{}, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return core.Match{}, ErrNoIndex
-	}
-	return sx.SearchDTW(query, window, core.SearchOptions{
-		Workers: e.opts.QueryWorkers,
-		Queues:  e.opts.Queues,
-		Seeds:   seeds,
-	})
-}
-
-// SearchBatch answers many independent 1-NN queries, running up to
-// MaxConcurrent of them through the pool at once. result[i] answers
-// queries[i]. On error it still returns the full slice (failed entries
-// are zero) along with the first error encountered.
-func (e *Engine) SearchBatch(queries [][]float32) ([]core.Match, error) {
-	out := make([]core.Match, len(queries))
-	errs := make([]error, len(queries))
-	// MaxConcurrent submitter goroutines claiming queries via Fetch&Inc:
-	// admission caps useful parallelism there anyway, and a fixed fleet
-	// keeps one huge batch from allocating one goroutine per query.
-	submitters := e.opts.MaxConcurrent
-	if submitters > len(queries) {
-		submitters = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < submitters; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i], errs[i] = e.Search(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("engine: batch query %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// execute runs one prepared query through the pool: QueryWorkers insert
-// units, the all-inserted barrier (awaited here, never inside a pool
-// goroutine), then QueryWorkers drain units. A unit panic is recorded
-// in rec and the drain phase skipped — the run's answer is discarded
-// anyway, and its partially-filled queues are not worth walking.
-func (e *Engine) execute(run *core.SearchRun, rec *panicBox) {
-	e.dispatch(run.InsertPhase, rec)
-	if rec.load() != nil {
-		return
-	}
-	e.dispatch(run.DrainPhase, rec)
-}
-
-// executeAll runs several sibling runs (one per shard) through the pool:
-// every run's insert units are dispatched together and awaited before any
-// drain unit starts — a single all-inserted barrier across the whole
-// fan-out, so a shard finishing its tree pass early keeps its bound
-// improvements visible to the shards still traversing.
-func (e *Engine) executeAll(runs []*core.SearchRun, rec *panicBox) {
-	e.dispatchAll(runs, (*core.SearchRun).InsertPhase, rec)
-	if rec.load() != nil {
-		return
-	}
-	e.dispatchAll(runs, (*core.SearchRun).DrainPhase, rec)
-}
-
-// dispatchAll enqueues QueryWorkers units of phase for every run and
-// waits for all of them.
-func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
-	var wg sync.WaitGroup
-	wg.Add(len(runs) * e.opts.QueryWorkers)
-	for _, run := range runs {
-		run := run
-		for i := 0; i < e.opts.QueryWorkers; i++ {
-			e.tasks <- func(pid int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						rec.note(e.panicErr(r))
-					}
-				}()
-				if err := fpUnit.Hit(); err != nil {
-					rec.note(err)
-					return
-				}
-				phase(run, pid)
-			}
-		}
-	}
-	wg.Wait()
-}
-
-// dispatch enqueues QueryWorkers calls of phase and waits for all of them
-// to finish. Panics in a unit are recovered on the pool worker (before
-// its wg.Done fires, so the barrier never deadlocks) and recorded.
-func (e *Engine) dispatch(phase func(pid int), rec *panicBox) {
-	var wg sync.WaitGroup
-	wg.Add(e.opts.QueryWorkers)
-	for i := 0; i < e.opts.QueryWorkers; i++ {
-		e.tasks <- func(pid int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					rec.note(e.panicErr(r))
-				}
-			}()
-			if err := fpUnit.Hit(); err != nil {
-				rec.note(err)
-				return
-			}
-			phase(pid)
-		}
-	}
-	wg.Wait()
 }
 
 // Close waits for in-flight queries to finish, stops the pool, and

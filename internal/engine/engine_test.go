@@ -18,12 +18,13 @@ const (
 
 var (
 	testOnce sync.Once
-	testIx   *core.Index
+	testIx   *shard.Index
 	testQs   *series.Collection
 )
 
-// testIndex builds one small index (and query set) shared by all tests.
-func testIndex(t *testing.T) (*core.Index, *series.Collection) {
+// testIndex builds one small index — a generation of one shard — and a
+// query set, shared by all tests.
+func testIndex(t *testing.T) (*shard.Index, *series.Collection) {
 	t.Helper()
 	testOnce.Do(func() {
 		data, err := dataset.Generate(dataset.RandomWalk, testSeries, testLength, 7)
@@ -38,9 +39,38 @@ func testIndex(t *testing.T) (*core.Index, *series.Collection) {
 		if err != nil {
 			panic(err)
 		}
-		testIx, testQs = ix, qs
+		testIx, testQs = shard.Wrap(ix), qs
 	})
 	return testIx, testQs
+}
+
+// spawn1 and spawnK answer through the shard layer's per-query spawn mode —
+// the reference the pooled engine must match; pool1 and poolK go through
+// the engine.
+
+func spawn1(sx *shard.Index, q []float32) (core.Match, error) {
+	return first(sx.Do(core.Request{Query: q}, nil, core.SearchOptions{}))
+}
+
+func spawnK(sx *shard.Index, q []float32, k int) ([]core.Match, error) {
+	res, err := sx.Do(core.Request{Query: q, K: k}, nil, core.SearchOptions{})
+	return res.Matches, err
+}
+
+func pool1(e *Engine, q []float32) (core.Match, error) {
+	return first(e.Do(core.Request{Query: q}, nil))
+}
+
+func poolK(e *Engine, q []float32, k int) ([]core.Match, error) {
+	res, err := e.Do(core.Request{Query: q, K: k}, nil)
+	return res.Matches, err
+}
+
+func first(res core.Result, err error) (core.Match, error) {
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
 }
 
 // TestSearchMatchesCore: the pooled engine must return exactly the answer
@@ -51,11 +81,11 @@ func TestSearchMatchesCore(t *testing.T) {
 	defer e.Close()
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
-		want, err := ix.Search(q, core.SearchOptions{})
+		want, err := spawn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Search(q)
+		got, err := pool1(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +103,11 @@ func TestSearchKNNMatchesCore(t *testing.T) {
 	for _, k := range []int{1, 5, 20} {
 		for i := 0; i < 4; i++ {
 			q := qs.At(i)
-			want, err := ix.SearchKNN(q, k, core.SearchOptions{})
+			want, err := spawnK(ix, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.SearchKNN(q, k)
+			got, err := poolK(e, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +130,7 @@ func TestConcurrentQueriers(t *testing.T) {
 	ix, qs := testIndex(t)
 	want := make([]core.Match, qs.Count())
 	for i := range want {
-		m, err := ix.Search(qs.At(i), core.SearchOptions{})
+		m, err := spawn1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +152,7 @@ func TestConcurrentQueriers(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % qs.Count()
-				got, err := e.Search(qs.At(i))
+				got, err := pool1(e, qs.At(i))
 				if err != nil {
 					errc <- err
 					return
@@ -141,23 +171,31 @@ func TestConcurrentQueriers(t *testing.T) {
 	}
 }
 
-// TestSearchBatch: batch answers match element-wise, and a bad query
+// TestBatch: a batch looped over Do answers element-wise, and a bad query
 // surfaces an error without corrupting the others.
-func TestSearchBatch(t *testing.T) {
+func TestBatch(t *testing.T) {
 	ix, qs := testIndex(t)
 	e := New(ix, Options{PoolWorkers: 8, QueryWorkers: 2})
 	defer e.Close()
 
+	batch := func(queries [][]float32) ([]core.Match, error) {
+		out := make([]core.Match, len(queries))
+		err := ForEach(len(queries), e.Options().MaxConcurrent, func(i int) (err error) {
+			out[i], err = pool1(e, queries[i])
+			return err
+		})
+		return out, err
+	}
 	queries := make([][]float32, qs.Count())
 	for i := range queries {
 		queries[i] = qs.At(i)
 	}
-	got, err := e.SearchBatch(queries)
+	got, err := batch(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range queries {
-		want, err := ix.Search(queries[i], core.SearchOptions{})
+		want, err := spawn1(ix, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +205,12 @@ func TestSearchBatch(t *testing.T) {
 	}
 
 	bad := [][]float32{qs.At(0), make([]float32, testLength/2)}
-	if _, err := e.SearchBatch(bad); err == nil {
-		t.Fatal("batch with a wrong-length query did not error")
+	got, err = batch(bad)
+	if !errors.Is(err, core.ErrWrongLength) {
+		t.Fatalf("batch with a wrong-length query: err = %v, want ErrWrongLength", err)
+	}
+	if want, _ := spawn1(ix, bad[0]); got[0] != want {
+		t.Fatalf("good query beside a bad one: got %+v, want %+v", got[0], want)
 	}
 }
 
@@ -176,15 +218,15 @@ func TestSearchBatch(t *testing.T) {
 func TestClose(t *testing.T) {
 	ix, qs := testIndex(t)
 	e := New(ix, Options{PoolWorkers: 4})
-	if _, err := e.Search(qs.At(0)); err != nil {
+	if _, err := pool1(e, qs.At(0)); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close()
-	if _, err := e.Search(qs.At(0)); !errors.Is(err, ErrClosed) {
+	if _, err := pool1(e, qs.At(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Search after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := e.SearchKNN(qs.At(0), 3); !errors.Is(err, ErrClosed) {
+	if _, err := poolK(e, qs.At(0), 3); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SearchKNN after Close: err = %v, want ErrClosed", err)
 	}
 }
@@ -196,14 +238,14 @@ func TestOptionDefaults(t *testing.T) {
 	e := New(ix, Options{})
 	defer e.Close()
 	o := e.Options()
-	if o.PoolWorkers != ix.Opts.SearchWorkers {
-		t.Errorf("PoolWorkers = %d, want index default %d", o.PoolWorkers, ix.Opts.SearchWorkers)
+	if o.PoolWorkers != ix.Opts().SearchWorkers {
+		t.Errorf("PoolWorkers = %d, want index default %d", o.PoolWorkers, ix.Opts().SearchWorkers)
 	}
 	if o.QueryWorkers != o.PoolWorkers {
 		t.Errorf("QueryWorkers = %d, want PoolWorkers %d", o.QueryWorkers, o.PoolWorkers)
 	}
-	if o.Queues != ix.Opts.QueueCount {
-		t.Errorf("Queues = %d, want index default %d", o.Queues, ix.Opts.QueueCount)
+	if o.Queues != ix.Opts().QueueCount {
+		t.Errorf("Queues = %d, want index default %d", o.Queues, ix.Opts().QueueCount)
 	}
 	if o.MaxConcurrent != 1 {
 		t.Errorf("MaxConcurrent = %d, want 1", o.MaxConcurrent)
@@ -222,40 +264,37 @@ func TestOptionDefaults(t *testing.T) {
 
 // TestShardedEngineMatchesSingle: a sharded generation answered through
 // the pool must return exactly the single-index answers — the fan-out
-// (shared BSF, per-shard work units, pqueue k-NN merge) is invisible in
-// the results.
+// (one shared collector, per-shard work units) is invisible in the
+// results.
 func TestShardedEngineMatchesSingle(t *testing.T) {
 	ix, qs := testIndex(t)
 	sx, err := shard.Build(testData(t), 4, core.Options{LeafCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewSharded(sx, Options{PoolWorkers: 8, QueryWorkers: 2})
+	e := New(sx, Options{PoolWorkers: 8, QueryWorkers: 2})
 	defer e.Close()
-	if e.Index() != nil {
-		t.Fatal("Index() non-nil for a sharded generation")
-	}
 	if e.Shards() != sx {
 		t.Fatal("Shards() does not return the installed generation")
 	}
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
-		want, err := ix.Search(q, core.SearchOptions{})
+		want, err := spawn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Search(q)
+		got, err := pool1(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("query %d: sharded engine %+v, core %+v", i, got, want)
 		}
-		wantK, err := ix.SearchKNN(q, 5, core.SearchOptions{})
+		wantK, err := spawnK(ix, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotK, err := e.SearchKNN(q, 5)
+		gotK, err := poolK(e, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,8 +309,8 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSwapShardedGenerations: an engine can move between unsharded and
-// sharded generations; in both directions queries see the new one.
+// TestSwapShardedGenerations: an engine can move between generations of
+// different shard counts; in both directions queries see the new one.
 func TestSwapShardedGenerations(t *testing.T) {
 	ix, qs := testIndex(t)
 	sx, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
@@ -280,29 +319,32 @@ func TestSwapShardedGenerations(t *testing.T) {
 	}
 	e := New(ix, Options{PoolWorkers: 4})
 	defer e.Close()
-	if e.Index() != ix {
-		t.Fatal("initial single generation not visible")
+	if e.Shards() != ix {
+		t.Fatal("initial generation not visible")
 	}
-	if prev := e.SwapSharded(sx); prev == nil || prev.Single() != ix {
-		t.Fatalf("SwapSharded returned %v, want the wrapped single index", prev)
+	if prev := e.Swap(sx); prev != ix {
+		t.Fatalf("Swap returned %v, want the initial generation", prev)
 	}
 	q := qs.At(0)
-	want, err := ix.Search(q, core.SearchOptions{})
+	want, err := spawn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Search(q)
+	got, err := pool1(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("post-swap query answered %+v, want %+v", got, want)
 	}
-	if prev := e.Swap(ix); prev != nil {
-		t.Fatalf("Swap from a sharded generation returned single index %v, want nil", prev)
+	if prev := e.Swap(ix); prev != sx {
+		t.Fatalf("Swap back returned %v, want the sharded generation", prev)
 	}
-	if e.Index() != ix {
-		t.Fatal("swap back to the single generation not visible")
+	if e.Shards() != ix {
+		t.Fatal("swap back to the one-shard generation not visible")
+	}
+	if got, err := pool1(e, q); err != nil || got != want {
+		t.Fatalf("query after swapping back answered %+v (%v), want %+v", got, err, want)
 	}
 }
 

@@ -2,10 +2,14 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dtw"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -23,11 +27,15 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 		name string
 		mk   func(reg *metrics.Registry) *Engine
 	}{
-		{"single", func(reg *metrics.Registry) *Engine {
+		{"one shard", func(reg *metrics.Registry) *Engine {
 			return New(ix, Options{PoolWorkers: 8, Metrics: reg})
 		}},
-		{"sharded", func(reg *metrics.Registry) *Engine {
-			return NewSharded(shard.Wrap(ix), Options{PoolWorkers: 8, Metrics: reg})
+		{"two shards", func(reg *metrics.Registry) *Engine {
+			sx, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return New(sx, Options{PoolWorkers: 8, Metrics: reg})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,7 +46,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 
 			want := make([]core.Match, qs.Count())
 			for i := range want {
-				m, err := ix.Search(qs.At(i), core.SearchOptions{})
+				m, err := spawn1(ix, qs.At(i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,7 +67,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					got, err := e.Search(qs.At(i))
+					got, err := pool1(e, qs.At(i))
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil {
@@ -95,7 +103,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 
 			// The pool survived: the same engine keeps answering exactly.
 			for i := 0; i < qs.Count(); i++ {
-				got, err := e.Search(qs.At(i))
+				got, err := pool1(e, qs.At(i))
 				if err != nil {
 					t.Fatalf("query %d after panic: %v", i, err)
 				}
@@ -107,55 +115,84 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 	}
 }
 
-// TestScanLeafPanicIsolated injects the panic one layer deeper — inside
-// core's leaf scan, the hottest loop of the search — and checks the
-// engine still converts it into a per-query error.
-func TestScanLeafPanicIsolated(t *testing.T) {
+// TestQueryPanicIsolated walks every request flavour over one- and
+// two-shard generations — there is one pooled path, so each must be
+// isolated the same way. First the panic is injected at the deepest point,
+// inside core's leaf scan (an Error spec: scanLeaf has no error return and
+// panics with the injected error, which panicErr keeps matchable through
+// the sentinel); then inside a dispatched work unit. Either way the query
+// fails alone with ErrQueryPanicked, its QueryStates never return to the
+// pool, and the next query on the same pool is answered exactly.
+func TestQueryPanicIsolated(t *testing.T) {
 	ix, qs := testIndex(t)
-	t.Cleanup(fault.DisarmAll)
-	e := New(ix, Options{PoolWorkers: 4})
-	defer e.Close()
-	if err := fault.Arm("core.scanleaf", fault.Spec{Action: fault.Error}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Search(qs.At(0)); !errors.Is(err, ErrQueryPanicked) {
-		t.Fatalf("err = %v, want ErrQueryPanicked", err)
-	} else if !errors.Is(err, fault.ErrInjected) {
-		// scanLeaf panics with the injected error value, and panicErr
-		// keeps error chains matchable through the sentinel.
-		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
-	}
-	// Disarmed (one-shot): the next query on the same pool is exact.
-	want, err := ix.Search(qs.At(1), core.SearchOptions{})
+	two, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Search(qs.At(1))
-	if err != nil {
-		t.Fatal(err)
+	window := dtw.WindowSize(testLength, 0.1)
+	flavours := []struct {
+		name string
+		req  core.Request
+	}{
+		{"1-NN", core.Request{}},
+		{"k=5", core.Request{K: 5}},
+		{"DTW", core.Request{DTW: true, Window: window}},
+		{"epsilon", core.Request{Mode: core.ModeEpsilon, Epsilon: 0.05}},
 	}
-	if got != want {
-		t.Fatalf("after recovery: got %+v, want %+v", got, want)
+	faults := []struct {
+		point string
+		spec  fault.Spec
+	}{
+		{"core.scanleaf", fault.Spec{Action: fault.Error}},
+		{"engine.unit", fault.Spec{Action: fault.Panic}},
 	}
-}
+	for _, sx := range []*shard.Index{ix, two} {
+		for _, fl := range flavours {
+			for _, ft := range faults {
+				t.Run(fmt.Sprintf("S=%d/%s/%s", sx.NumShards(), fl.name, ft.point), func(t *testing.T) {
+					t.Cleanup(fault.DisarmAll)
+					e := New(sx, Options{PoolWorkers: 4})
+					defer e.Close()
+					// Count the states the pool hands out from scratch: a
+					// state that came back after the panic would be reused
+					// by the next query instead.
+					var fresh atomic.Int64
+					e.states.New = func() any { fresh.Add(1); return core.NewQueryState() }
 
-// TestKNNWorkerPanic: the k-NN path shares the pool and the isolation.
-func TestKNNWorkerPanic(t *testing.T) {
-	ix, qs := testIndex(t)
-	t.Cleanup(fault.DisarmAll)
-	e := New(ix, Options{PoolWorkers: 4})
-	defer e.Close()
-	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SearchKNN(qs.At(0), 5); !errors.Is(err, ErrQueryPanicked) {
-		t.Fatalf("err = %v, want ErrQueryPanicked", err)
-	}
-	ms, err := e.SearchKNN(qs.At(0), 5)
-	if err != nil {
-		t.Fatalf("k-NN after panic: %v", err)
-	}
-	if len(ms) != 5 {
-		t.Fatalf("k-NN after panic returned %d matches, want 5", len(ms))
+					if err := fault.Arm(ft.point, ft.spec); err != nil {
+						t.Fatal(err)
+					}
+					req := fl.req
+					req.Query = qs.At(0)
+					_, err := e.Do(req, nil)
+					if !errors.Is(err, ErrQueryPanicked) {
+						t.Fatalf("err = %v, want ErrQueryPanicked", err)
+					}
+					if ft.spec.Action == fault.Error && !errors.Is(err, fault.ErrInjected) {
+						t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
+					}
+					poisoned := fresh.Load()
+
+					// Disarmed (one-shot): the same pool answers the next
+					// query exactly, on states it did not get back.
+					req.Query, req.Mode = qs.At(1), core.ModeExact
+					want, err := sx.Do(req, nil, core.SearchOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.Do(req, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("after recovery: got %+v, want %+v", got, want)
+					}
+					if made := fresh.Load() - poisoned; made != int64(sx.NumShards()) {
+						t.Fatalf("next query drew %d fresh states, want %d: poisoned states went back to the pool",
+							made, sx.NumShards())
+					}
+				})
+			}
+		}
 	}
 }

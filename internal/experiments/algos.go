@@ -9,6 +9,7 @@ import (
 	"repro/internal/paris"
 	"repro/internal/scan"
 	"repro/internal/series"
+	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -108,14 +109,22 @@ func (tb *testbed) runQuery(algo Algo, q []float32, workers, queues int, ctrs *s
 		m, err := tb.paris.SearchTS(q, paris.SearchOptions{Workers: workers, Counters: ctrs})
 		return m.Dist, err
 	case AlgoMESSISQ:
-		m, err := tb.messi.Search(q, core.SearchOptions{Workers: workers, Queues: 1, Counters: ctrs})
-		return m.Dist, err
+		return messiNearest(tb.messi, core.Request{Query: q, Counters: ctrs}, core.SearchOptions{Workers: workers, Queues: 1})
 	case AlgoMESSIMQ:
-		m, err := tb.messi.Search(q, core.SearchOptions{Workers: workers, Counters: ctrs})
-		return m.Dist, err
+		return messiNearest(tb.messi, core.Request{Query: q, Counters: ctrs}, core.SearchOptions{Workers: workers})
 	default:
 		return 0, fmt.Errorf("experiments: unknown algorithm %q", algo)
 	}
+}
+
+// messiNearest answers one exact 1-NN request on a MESSI index in the
+// paper's per-query spawn mode and returns the squared distance.
+func messiNearest(ix *core.Index, req core.Request, opt core.SearchOptions) (float64, error) {
+	res, err := shard.Wrap(ix).Do(req, nil, opt)
+	if err != nil {
+		return 0, err
+	}
+	return res.Matches[0].Dist, nil
 }
 
 // avgQuerySeconds runs the whole query workload sequentially (the paper
@@ -150,7 +159,7 @@ func (tb *testbed) messiQuerySeconds(workers, queues int) (float64, error) {
 	start := time.Now()
 	for qi := 0; qi < tb.queries.Count(); qi++ {
 		opt := core.SearchOptions{Workers: workers, Queues: queues}
-		if _, err := tb.messi.Search(tb.queries.At(qi), opt); err != nil {
+		if _, err := messiNearest(tb.messi, core.Request{Query: tb.queries.At(qi)}, opt); err != nil {
 			return 0, err
 		}
 	}

@@ -133,8 +133,8 @@ func Fig13(cfg Config) (*Table, error) {
 	measure := func(queues int) (*stats.Breakdown, error) {
 		bd := &stats.Breakdown{}
 		for qi := 0; qi < queries.Count(); qi++ {
-			opt := core.SearchOptions{Queues: queues, Breakdown: bd}
-			if _, err := ix.Search(queries.At(qi), opt); err != nil {
+			req := core.Request{Query: queries.At(qi), Breakdown: bd}
+			if _, err := messiNearest(ix, req, core.SearchOptions{Queues: queues}); err != nil {
 				return nil, err
 			}
 		}
@@ -340,7 +340,8 @@ func Fig19(cfg Config) (*Table, error) {
 		}
 		start := time.Now()
 		for qi := 0; qi < queries.Count(); qi++ {
-			if _, err := ix.SearchDTW(queries.At(qi), window, core.SearchOptions{}); err != nil {
+			req := core.Request{Query: queries.At(qi), DTW: true, Window: window}
+			if _, err := messiNearest(ix, req, core.SearchOptions{}); err != nil {
 				return nil, err
 			}
 		}

@@ -1,47 +1,30 @@
 package live
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/dtw"
-)
+import "repro/internal/core"
 
 // Do serves one quality-of-service request over the union of the immutable
-// generation and the delta. The delta is always scanned exactly — it is
-// small by construction, so even approximate and deadline requests afford
-// it — and its best matches seed the engine request, so the tree search
-// honors the same contract (one shared bound, one QoS state) as the static
-// backends. With no generation yet, the exhaustive delta scan IS the whole
-// search, so the answer is exact whatever the requested mode.
+// generation and the delta — the index's only query method. The delta is
+// always scanned exactly — it is small by construction, so even
+// approximate and deadline requests afford it — and its best matches seed
+// the engine request, so the tree search honors the same contract (one
+// shared collector, one QoS state) as the static backends. With no
+// generation yet, the exhaustive delta scan IS the whole search, so the
+// answer is exact whatever the requested mode.
 func (ix *Index) Do(req core.Request) (core.Result, error) {
 	if err := req.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	if err := ix.validateQuery(req.Query); err != nil {
+	if err := req.CheckShape(ix.seriesLen); err != nil {
 		return core.Result{}, err
 	}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if req.DTW {
-		if k > 1 {
-			return core.Result{}, fmt.Errorf("live: k-NN under DTW is not supported (k=%d)", k)
-		}
-		if err := dtw.CheckWindow(ix.seriesLen, req.Window); err != nil {
-			return core.Result{}, fmt.Errorf("%w: %w", core.ErrBadWindow, err)
-		}
-	}
-
 	v := ix.view.Load()
 	var seeds []core.Match
 	var err error
 	switch {
 	case req.DTW:
 		seeds, err = ix.deltaDTW(v, req.Query, req.Window, req.Counters)
-	case k > 1:
-		seeds, err = ix.deltaKNN(v, req.Query, k, req.Counters)
+	case req.K > 1:
+		seeds, err = ix.deltaKNN(v, req.Query, req.K, req.Counters)
 	default:
 		seeds, err = ix.delta1NN(v, req.Query, req.Counters)
 	}
@@ -53,13 +36,10 @@ func (ix *Index) Do(req core.Request) (core.Result, error) {
 		if len(seeds) == 0 {
 			return core.Result{}, ErrEmpty
 		}
-		if len(seeds) > k {
-			seeds = seeds[:k]
-		}
 		return core.Result{Matches: seeds, Exact: true}, nil
 	}
 	// The engine generation may be one rebuild ahead of v — safe, the
-	// frozen series exist in both at the same positions and the bounds
-	// dedupe by position (same reasoning as the deprecated paths).
-	return ix.eng.DoSeeded(req, seeds)
+	// frozen series exist in both at the same positions and the collector
+	// dedupes by position.
+	return ix.eng.Do(req, seeds)
 }

@@ -270,7 +270,7 @@ func (ix *Index) start(base *shard.Index) *Index {
 		baseLen: baseLen,
 		active:  delta.New(ix.seriesLen, ix.opts.BlockSeries),
 	})
-	ix.eng = engine.NewSharded(base, ix.opts.Engine)
+	ix.eng = engine.New(base, ix.opts.Engine)
 	if r := ix.opts.Metrics; r != nil {
 		ix.rebuilds = r.Counter("messi_live_rebuilds_total",
 			"Completed background generation rebuilds.")
@@ -500,7 +500,7 @@ func (ix *Index) rebuild(v *view) {
 		// the bounds dedupe by position — but the reverse order would open
 		// a window where a query sees a frozen-free view while the engine
 		// still serves the old generation, losing the merged series.
-		ix.eng.SwapSharded(newIx)
+		ix.eng.Swap(newIx)
 		ix.view.Store(&view{base: newIx, baseLen: total, active: cur.active})
 		ix.gen.Add(1)
 		ix.rebuildErr = nil
@@ -703,82 +703,6 @@ func (ix *Index) Series(pos int) ([]float32, error) {
 	}
 }
 
-// validateQuery checks the query length against the index shape.
-func (ix *Index) validateQuery(query []float32) error {
-	if len(query) != ix.seriesLen {
-		return fmt.Errorf("%w: query length %d, index series length %d", core.ErrWrongLength, len(query), ix.seriesLen)
-	}
-	return nil
-}
-
-// Search answers an exact 1-NN query under Euclidean distance over the
-// union of the immutable generation and the delta.
-func (ix *Index) Search(query []float32) (core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return core.Match{}, err
-	}
-	v := ix.view.Load()
-	seeds, err := ix.delta1NN(v, query, nil)
-	if err != nil {
-		return core.Match{}, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return core.Match{}, ErrEmpty
-		}
-		return seeds[0], nil
-	}
-	return ix.eng.SearchSeeded(query, seeds)
-}
-
-// SearchKNN answers an exact k-NN query over the union of generation and
-// delta, returning up to k matches in ascending distance order.
-func (ix *Index) SearchKNN(query []float32, k int) ([]core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w, got %d", core.ErrBadK, k)
-	}
-	v := ix.view.Load()
-	seeds, err := ix.deltaKNN(v, query, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return nil, ErrEmpty
-		}
-		return seeds, nil
-	}
-	return ix.eng.SearchKNNSeeded(query, k, seeds)
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points) over the union of
-// generation and delta.
-func (ix *Index) SearchDTW(query []float32, window int) (core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return core.Match{}, err
-	}
-	v := ix.view.Load()
-	seeds, err := ix.deltaDTW(v, query, window, nil)
-	if err != nil {
-		return core.Match{}, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return core.Match{}, ErrEmpty
-		}
-		return seeds[0], nil
-	}
-	// Through the engine for its admission gate (DTW spawns per-query
-	// workers; unbounded concurrent spawns would starve the pool). The
-	// engine generation may be one rebuild ahead of v — safe, the frozen
-	// series exist in both at the same positions.
-	return ix.eng.SearchDTW(query, window, seeds)
-}
-
 // forEachDeltaChunk runs fn over every contiguous chunk of the view's
 // delta (frozen snapshot first, then a fresh snapshot of the active
 // buffer), passing each chunk's global start position.
@@ -815,7 +739,7 @@ func (ix *Index) forEachDeltaChunk(v *view, fn func(col *series.Collection, star
 // or one seed match with a global position. Each chunk scan is seeded
 // with the best distance found so far, so later chunks reuse the earlier
 // chunks' pruning work — the same bound-threading the tree search gets
-// from SearchOptions.Seeds.
+// from its seeds.
 func (ix *Index) deltaBest(v *view, scanChunk func(col *series.Collection, bound float64) (core.Match, error)) ([]core.Match, error) {
 	best := core.Match{Position: -1, Dist: math.Inf(1)}
 	err := ix.forEachDeltaChunk(v, func(col *series.Collection, start int) error {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/series"
+	"repro/internal/shard"
 )
 
 // walk generates n random-walk series of the given length.
@@ -46,15 +47,48 @@ func smallOpts(threshold int) Options {
 	}
 }
 
-// freshIndex builds an immutable core index over rows (the oracle the
-// live index must agree with).
-func freshIndex(t *testing.T, rows [][]float32) *core.Index {
+// oracle is an immutable index built from scratch, answering in the
+// paper's per-query spawn mode — what the live index must agree with.
+type oracle struct{ *shard.Index }
+
+func (o oracle) Do(req core.Request) (core.Result, error) {
+	return o.Index.Do(req, nil, core.SearchOptions{})
+}
+
+func freshIndex(t *testing.T, rows [][]float32) oracle {
 	t.Helper()
-	ix, err := core.Build(collection(t, rows), core.Options{LeafCapacity: 32, SearchWorkers: 4, IndexWorkers: 4, ChunkSize: 128})
+	ix, err := shard.Build(collection(t, rows), 1, core.Options{LeafCapacity: 32, SearchWorkers: 4, IndexWorkers: 4, ChunkSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return oracle{ix}
+}
+
+// Helpers over Do, one per request flavour, for the live index and the
+// oracle alike.
+
+type doer interface {
+	Do(core.Request) (core.Result, error)
+}
+
+func nn1(ix doer, q []float32) (core.Match, error) {
+	return first(ix.Do(core.Request{Query: q}))
+}
+
+func knn(ix doer, q []float32, k int) ([]core.Match, error) {
+	res, err := ix.Do(core.Request{Query: q, K: k})
+	return res.Matches, err
+}
+
+func dtwNN(ix doer, q []float32, window int) (core.Match, error) {
+	return first(ix.Do(core.Request{Query: q, DTW: true, Window: window}))
+}
+
+func first(res core.Result, err error) (core.Match, error) {
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
 }
 
 // TestEquivalenceAcrossLifecycle: live answers must equal a from-scratch
@@ -74,11 +108,11 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 			t.Fatalf("live Len = %d, want %d", ix.Len(), len(rows))
 		}
 		for qi, q := range queries {
-			got, err := ix.Search(q)
+			got, err := nn1(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Search(q, core.SearchOptions{})
+			want, err := nn1(oracle, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,11 +120,11 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 				t.Fatalf("query %d: live 1-NN dist %v (pos %d), fresh %v (pos %d)",
 					qi, got.Dist, got.Position, want.Dist, want.Position)
 			}
-			gotK, err := ix.SearchKNN(q, 5)
+			gotK, err := knn(ix, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 5, core.SearchOptions{})
+			wantK, err := knn(oracle, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +136,11 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 					t.Fatalf("query %d k-NN rank %d: live dist %v, fresh %v", qi, i, gotK[i].Dist, wantK[i].Dist)
 				}
 			}
-			gotD, err := ix.SearchDTW(q, window)
+			gotD, err := dtwNN(ix, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, window, core.SearchOptions{})
+			wantD, err := dtwNN(oracle, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +232,7 @@ func TestEmptyStart(t *testing.T) {
 	}
 	defer ix.Close()
 
-	if _, err := ix.Search(make([]float32, length)); !errors.Is(err, ErrEmpty) {
+	if _, err := nn1(ix, make([]float32, length)); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty search error = %v, want ErrEmpty", err)
 	}
 	rows := walk(50, length, 3)
@@ -206,7 +240,7 @@ func TestEmptyStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rows[17]
-	m, err := ix.Search(q)
+	m, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +256,7 @@ func TestEmptyStart(t *testing.T) {
 	if ix.Generation() != 1 {
 		t.Fatalf("generation = %d after flush, want 1", ix.Generation())
 	}
-	m, err = ix.Search(q)
+	m, err = nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +330,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				q := initial[(s*61+i*7)%len(initial)]
-				m, err := ix.Search(q)
+				m, err := nn1(ix, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -305,7 +339,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 					t.Errorf("self-query dist %v, want 0", m.Dist)
 					return
 				}
-				if _, err := ix.SearchKNN(q, 3); err != nil {
+				if _, err := knn(ix, q, 3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -328,7 +362,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 	}
 	// Every appended series must now be in the generation and findable.
 	for i := 0; i < len(extra); i += 37 {
-		m, err := ix.Search(extra[i])
+		m, err := nn1(ix, extra[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,11 +403,11 @@ func TestValidation(t *testing.T) {
 	if _, err := ix.Append(make([]float32, 5)); err == nil {
 		t.Error("short append accepted")
 	}
-	if _, err := ix.Search(make([]float32, 5)); err == nil {
+	if _, err := nn1(ix, make([]float32, 5)); err == nil {
 		t.Error("short query accepted")
 	}
-	if _, err := ix.SearchKNN(make([]float32, length), 0); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := knn(ix, make([]float32, length), -1); !errors.Is(err, core.ErrBadK) {
+		t.Errorf("negative k: err = %v, want ErrBadK", err)
 	}
 	if _, err := ix.Series(-1); err == nil {
 		t.Error("negative position accepted")
@@ -404,7 +438,7 @@ func TestKNNSpansBaseAndDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := base[0]
-	ms, err := ix.SearchKNN(q, 13)
+	ms, err := knn(ix, q, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,22 +478,22 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Helper()
 		oracle := freshIndex(t, rows)
 		for qi, q := range queries {
-			got, err := ix.Search(q)
+			got, err := nn1(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Search(q, core.SearchOptions{})
+			want, err := nn1(oracle, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("query %d: sharded live %+v, fresh %+v", qi, got, want)
 			}
-			gotK, err := ix.SearchKNN(q, 5)
+			gotK, err := knn(ix, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 5, core.SearchOptions{})
+			wantK, err := knn(oracle, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,11 +505,11 @@ func TestShardedLifecycle(t *testing.T) {
 					t.Fatalf("query %d rank %d: sharded live %+v, fresh %+v", qi, i, gotK[i], wantK[i])
 				}
 			}
-			gotD, err := ix.SearchDTW(q, window)
+			gotD, err := dtwNN(ix, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, window, core.SearchOptions{})
+			wantD, err := dtwNN(oracle, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,15 +51,15 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := x.At(qi * 17)
-		want, err := x.Search(q, core.SearchOptions{})
+		want, err := x.Do(core.Request{Query: q}, nil, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Search(q, core.SearchOptions{})
+		got, err := loaded.Do(core.Request{Query: q}, nil, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if got.Matches[0] != want.Matches[0] {
 			t.Fatalf("query %d: loaded answered %+v, original %+v", qi, got, want)
 		}
 	}

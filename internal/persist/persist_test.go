@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/shard"
 )
 
 // buildIndex constructs a small index over deterministic data.
@@ -73,11 +74,11 @@ func TestRoundTrip(t *testing.T) {
 	// Restored index answers identically (exhaustive over a few queries).
 	for qi := 0; qi < 5; qi++ {
 		q := ix.Data.At(qi * 101)
-		want, err := ix.Search(q, core.SearchOptions{Workers: 2})
+		want, err := search(ix, core.Request{Query: q}, core.SearchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.Search(q, core.SearchOptions{Workers: 2})
+		have, err := search(got, core.Request{Query: q}, core.SearchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,21 +458,13 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 	var out []core.Match
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		m, err := ix.Search(q, core.SearchOptions{Workers: 4, Queues: 2})
-		if err != nil {
-			t.Fatal(err)
+		for _, req := range []core.Request{{Query: q}, {Query: q, K: 3}, {Query: q, DTW: true, Window: 2}} {
+			res, err := shard.Wrap(ix).Do(req, nil, core.SearchOptions{Workers: 4, Queues: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.Matches...)
 		}
-		out = append(out, m)
-		ms, err := ix.SearchKNN(q, 3, core.SearchOptions{Workers: 4, Queues: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, ms...)
-		d, err := ix.SearchDTW(q, 2, core.SearchOptions{Workers: 4, Queues: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, d)
 	}
 	return out
 }
@@ -530,4 +523,14 @@ func TestRoundTripIdenticalAnswers(t *testing.T) {
 			t.Fatalf("answer %d differs after round trip: %+v vs %+v", i, have[i], want[i])
 		}
 	}
+}
+
+// search answers one request on a single core index in spawn mode and
+// returns the nearest match.
+func search(ix *core.Index, req core.Request, opt core.SearchOptions) (core.Match, error) {
+	res, err := shard.Wrap(ix).Do(req, nil, opt)
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
 }

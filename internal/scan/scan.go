@@ -48,7 +48,7 @@ func Search1NN(data *series.Collection, query []float32, workers int, ctrs *stat
 // pruning bound: every worker's early-abandon threshold starts at bound
 // instead of +Inf, so a caller scanning several chunks (a live index's
 // delta blocks) carries its running best into each scan — the same
-// bound-seeding the tree search applies via SearchOptions.Seeds. When no
+// bound-seeding the tree search gets from its seeds. When no
 // candidate beats the bound the result has Position -1 and Dist == bound.
 func Search1NNBounded(data *series.Collection, query []float32, workers int, bound float64, ctrs *stats.Counters) (core.Match, error) {
 	if err := validate(data, query); err != nil {

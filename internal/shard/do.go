@@ -2,120 +2,98 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 )
 
-// ApproxKNN fans the approximate k-NN search out across the shards and
-// merges the per-shard sets — the k-NN form of ApproxSearch.
-func (x *Index) ApproxKNN(query []float32, k int, opt core.SearchOptions) ([]core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxKNN(query, k, opt)
-	}
-	S := len(x.shards)
-	perShard := make([][]core.Match, S)
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, S)
-		ms, err := sh.ApproxKNN(query, k, o)
-		perShard[s] = ms
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeKNN(perShard, k), nil
+// Query is the state one request shares across its per-shard runs: the
+// collector, holding global positions, and the QoS state. Both the
+// spawn-mode Do below and the pooled engine build their runs through it.
+type Query struct {
+	x    *Index
+	req  core.Request
+	coll core.Collector
+	qos  *core.QoS
 }
 
-// ApproxDTW fans the approximate DTW search out across the shards and
-// returns the best per-shard answer — the DTW form of ApproxSearch.
-func (x *Index) ApproxDTW(query []float32, window int, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxDTW(query, window, opt)
+// NewQuery validates the request against the collection and readies its
+// shared state. seeds are externally known candidate matches with global
+// positions (a live index's delta-scan results), offered to the collector
+// once, before any run starts: they tighten every shard's pruning and take
+// part in the answer, so a seed that remains best is returned as-is, and
+// one that names a series a shard also holds is counted once.
+func (x *Index) NewQuery(req core.Request, seeds []core.Match) (*Query, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
-	best := make([]core.Match, len(x.shards))
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, len(x.shards))
-		m, err := sh.ApproxDTW(query, window, o)
-		best[s] = m
-		return err
-	})
+	if err := req.CheckShape(x.length); err != nil {
+		return nil, err
+	}
+	q := &Query{x: x, req: req, coll: core.NewCollector(req.K), qos: req.NewQoS()}
+	for _, m := range seeds {
+		q.coll.Update(m.Dist, int64(m.Position))
+	}
+	return q, nil
+}
+
+// NewRun prepares the query's run on shard s (which must be non-empty),
+// threading the shared state and the shard's position mapping through
+// opt; the caller chooses the worker shape.
+func (q *Query) NewRun(s int, st *core.QueryState, opt core.SearchOptions) (*core.SearchRun, error) {
+	opt.Shared, opt.QoS = q.coll, q.qos
+	if S := len(q.x.shards); S > 1 { // one shard: local positions are global
+		opt.GlobalPos = globalPos(s, S)
+	}
+	return q.x.shards[s].NewRun(q.req, st, opt)
+}
+
+// Result is the fused answer. Call it once every run has finished.
+func (q *Query) Result() core.Result {
+	return q.qos.Finish(q.coll.Matches(), q.req.Mode)
+}
+
+// Do serves one request in the paper's per-query spawn mode: one run per
+// non-empty shard, each with its own worker goroutines, all fanning into
+// one shared collector and one QoS state — so a bound found in one shard
+// prunes all the others, and ε-pruning witnesses and stop checks act
+// globally. An unsharded index is a fan-out of one. The worker budget is
+// divided across the shards, so the fan-out spawns the same total
+// parallelism as one unsharded search. Matches carry global positions and
+// squared distances.
+func (x *Index) Do(req core.Request, seeds []core.Match, opt core.SearchOptions) (core.Result, error) {
+	q, err := x.NewQuery(req, seeds)
 	if err != nil {
-		return core.Match{}, err
+		return core.Result{}, err
 	}
-	out := core.Match{Position: -1}
+	if opt.Workers <= 0 {
+		opt.Workers = x.opts.SearchWorkers
+	}
+	S := len(x.shards)
+	opt.Workers = (opt.Workers + S - 1) / S
+
+	errs := make([]error, S)
+	var wg sync.WaitGroup
 	for s, sh := range x.shards {
 		if sh == nil {
 			continue
 		}
-		if out.Position < 0 || best[s].Dist < out.Dist {
-			out = best[s]
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			run, err := q.NewRun(s, nil, opt)
+			if err != nil {
+				errs[s] = fmt.Errorf("shard: shard %d: %w", s, err)
+				return
+			}
+			run.Run()
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return core.Result{}, err
 		}
 	}
-	return out, nil
-}
-
-// Do serves one quality-of-service request on this index: the single entry
-// point behind which exact, approximate, ε-bounded, and deadline-bounded
-// answers share the same machinery. The request's QoS state (built here)
-// is threaded through every shard of the fan-out via the options struct,
-// exactly like the shared best-so-far, so ε-pruning witnesses and stop
-// checks act globally. Matches carry squared distances (like Match).
-func (x *Index) Do(req core.Request, opt core.SearchOptions) (core.Result, error) {
-	if err := req.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if req.DTW && k > 1 {
-		return core.Result{}, fmt.Errorf("shard: k-NN under DTW is not supported (k=%d)", k)
-	}
-	if req.Counters != nil {
-		opt.Counters = req.Counters
-	}
-	if req.Breakdown != nil {
-		opt.Breakdown = req.Breakdown
-	}
-	qos := req.NewQoS()
-	opt.QoS = qos
-
-	var matches []core.Match
-	var err error
-	if req.Mode == core.ModeApprox {
-		switch {
-		case req.DTW:
-			var m core.Match
-			m, err = x.ApproxDTW(req.Query, req.Window, opt)
-			matches = []core.Match{m}
-		case k > 1:
-			matches, err = x.ApproxKNN(req.Query, k, opt)
-		default:
-			var m core.Match
-			m, err = x.ApproxSearch(req.Query, opt)
-			matches = []core.Match{m}
-		}
-	} else {
-		// Exact, ε-bounded, and deadline-bounded answers all run the exact
-		// algorithm; the QoS state (nil for plain exact) adjusts pruning
-		// and stopping.
-		switch {
-		case req.DTW:
-			var m core.Match
-			m, err = x.SearchDTW(req.Query, req.Window, opt)
-			matches = []core.Match{m}
-		case k > 1:
-			matches, err = x.SearchKNN(req.Query, k, opt)
-		default:
-			var m core.Match
-			m, err = x.Search(req.Query, opt)
-			matches = []core.Match{m}
-		}
-	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	return qos.Finish(matches, req.Mode), nil
+	return q.Result(), nil
 }

@@ -2,13 +2,10 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/pqueue"
 	"repro/internal/series"
-	"repro/internal/stats"
 	"repro/internal/tree"
 )
 
@@ -145,8 +142,7 @@ func (x *Index) recount() int {
 }
 
 // Wrap presents an already-built single index as a 1-shard Index (no
-// copying; the fan-out machinery short-circuits to direct calls).
-// Wrapping nil returns nil.
+// copying). Wrapping nil returns nil.
 func Wrap(ix *core.Index) *Index {
 	if ix == nil {
 		return nil
@@ -217,7 +213,8 @@ func (x *Index) NumShards() int { return len(x.shards) }
 func (x *Index) Shard(s int) *core.Index { return x.shards[s] }
 
 // Single returns the underlying core index when S == 1, nil otherwise —
-// the fast path for layers that special-case the unsharded shape.
+// for the snapshot code, whose on-disk format differs between one tree
+// and a shard directory. No query path asks.
 func (x *Index) Single() *core.Index {
 	if len(x.shards) == 1 {
 		return x.shards[0]
@@ -233,17 +230,6 @@ func (x *Index) SeriesLen() int { return x.length }
 
 // Opts returns the effective (defaulted) construction options.
 func (x *Index) Opts() core.Options { return x.opts }
-
-// GlobalPosFunc returns shard s's local→global position mapping, for
-// callers (the query engine) building per-shard runs themselves. For a
-// single shard it returns nil (the identity), keeping that path free of
-// mapping overhead.
-func (x *Index) GlobalPosFunc(s int) func(int64) int64 {
-	if len(x.shards) == 1 {
-		return nil
-	}
-	return globalPos(s, len(x.shards))
-}
 
 // At returns (a view of) the series at the given global position.
 func (x *Index) At(pos int) []float32 {
@@ -284,184 +270,4 @@ func (x *Index) ShardStats() []tree.Stats {
 		}
 	}
 	return out
-}
-
-// fanOpt derives shard s's search options from the caller's: the shared
-// bound and position mapping are installed, seeds are stripped (the
-// caller applies them to the shared bound once), and the worker budget is
-// divided across shards so the fan-out spawns the same total parallelism
-// as one unsharded search.
-func (x *Index) fanOpt(opt core.SearchOptions, s int, shared *stats.BSF) core.SearchOptions {
-	S := len(x.shards)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = x.opts.SearchWorkers
-	}
-	opt.Workers = (workers + S - 1) / S
-	opt.Shared = shared
-	opt.GlobalPos = globalPos(s, S)
-	opt.Seeds = nil
-	return opt
-}
-
-// forEachShard runs fn concurrently over every non-empty shard and
-// returns the first error.
-func (x *Index) forEachShard(fn func(s int, sh *core.Index) error) error {
-	errs := make([]error, len(x.shards))
-	var wg sync.WaitGroup
-	for s, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, sh *core.Index) {
-			defer wg.Done()
-			errs[s] = fn(s, sh)
-		}(s, sh)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard: shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// Search answers an exact 1-NN query by fanning out across the shards
-// with one shared best-so-far. Answers are identical to a single index
-// over the whole collection; positions are global.
-func (x *Index) Search(query []float32, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.Search(query, opt)
-	}
-	shared := stats.NewBSF()
-	for _, s := range opt.Seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		_, err := sh.Search(query, x.fanOpt(opt, s, shared))
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
-}
-
-// ApproxSearch fans the approximate search out across the shards and
-// returns the best of the per-shard approximate answers. Like the
-// unsharded version, its distance is an upper bound on the exact one.
-func (x *Index) ApproxSearch(query []float32, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxSearch(query, opt)
-	}
-	best := make([]core.Match, len(x.shards))
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, len(x.shards))
-		m, err := sh.ApproxSearch(query, o)
-		best[s] = m
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	out := core.Match{Position: -1}
-	for s, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		if out.Position < 0 || best[s].Dist < out.Dist {
-			out = best[s]
-		}
-	}
-	return out, nil
-}
-
-// SearchKNN answers an exact k-NN query: every shard computes its own
-// top-k concurrently (each seeded with the caller's seeds, so delta
-// matches prune everywhere) and the per-shard sets are merged through a
-// priority queue. The result is at most k matches in ascending distance
-// order, ties broken by (global) position — the same contract as the
-// unsharded search.
-func (x *Index) SearchKNN(query []float32, k int, opt core.SearchOptions) ([]core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.SearchKNN(query, k, opt)
-	}
-	S := len(x.shards)
-	perShard := make([][]core.Match, S)
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := x.fanOpt(opt, s, nil)
-		o.Seeds = opt.Seeds // global positions participate in every shard's set
-		ms, err := sh.SearchKNN(query, k, o)
-		perShard[s] = ms
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeKNN(perShard, k), nil
-}
-
-// MergeKNN merges per-shard k-NN result lists into the global top k
-// through a priority queue, deduplicating by position (seeds handed to
-// every shard appear in several lists). Matches are returned in ascending
-// distance order, ties broken by position.
-func MergeKNN(lists [][]core.Match, k int) []core.Match {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	q := pqueue.New[core.Match](total)
-	for _, l := range lists {
-		for _, m := range l {
-			q.Push(m.Dist, m)
-		}
-	}
-	out := make([]core.Match, 0, k)
-	seen := make(map[int]struct{}, k)
-	for len(out) < k {
-		item, ok := q.PopMin()
-		if !ok {
-			break
-		}
-		if _, dup := seen[item.Value.Position]; dup {
-			continue
-		}
-		seen[item.Value.Position] = struct{}{}
-		out = append(out, item.Value)
-	}
-	// The queue orders by distance only; pin the tie order to the
-	// unsharded contract (ascending position within equal distances).
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Position < out[j].Position
-	})
-	return out
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points), fanning out across the
-// shards with one shared best-so-far.
-func (x *Index) SearchDTW(query []float32, window int, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.SearchDTW(query, window, opt)
-	}
-	shared := stats.NewBSF()
-	for _, s := range opt.Seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		_, err := sh.SearchDTW(query, window, x.fanOpt(opt, s, shared))
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
 }

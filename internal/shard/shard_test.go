@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dtw"
 	"repro/internal/series"
+	"repro/internal/vector"
 )
 
 const (
@@ -38,6 +41,35 @@ func testOpts() core.Options {
 	return core.Options{LeafCapacity: testLeaf, SearchWorkers: 8, IndexWorkers: 8}
 }
 
+// Helpers over Do, one per request flavour.
+
+func matches(t testing.TB, x *Index, req core.Request, seeds []core.Match) []core.Match {
+	t.Helper()
+	res, err := x.Do(req, seeds, core.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact && req.Mode == core.ModeExact {
+		t.Fatalf("exact request answered inexactly: %+v", res)
+	}
+	return res.Matches
+}
+
+func nn1(t testing.TB, x *Index, q []float32, seeds []core.Match) core.Match {
+	t.Helper()
+	return matches(t, x, core.Request{Query: q}, seeds)[0]
+}
+
+func knn(t testing.TB, x *Index, q []float32, k int, seeds []core.Match) []core.Match {
+	t.Helper()
+	return matches(t, x, core.Request{Query: q, K: k}, seeds)
+}
+
+func dtwNN(t testing.TB, x *Index, q []float32, window int, seeds []core.Match) core.Match {
+	t.Helper()
+	return matches(t, x, core.Request{Query: q, DTW: true, Window: window}, seeds)[0]
+}
+
 // TestEquivalence pins the tentpole contract: for S ∈ {2,4,8}, the sharded
 // index answers 1-NN, k-NN and DTW queries bitwise-identically to a single
 // index over the same collection.
@@ -61,26 +93,14 @@ func TestEquivalence(t *testing.T) {
 		for qi := 0; qi < queries.Count(); qi++ {
 			q := queries.At(qi)
 
-			want, err := single.Search(q, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sharded.Search(q, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := nn1(t, single, q, nil)
+			got := nn1(t, sharded, q, nil)
 			if got != want {
 				t.Fatalf("S=%d query %d: 1-NN %+v, single-shard %+v", S, qi, got, want)
 			}
 
-			wantK, err := single.SearchKNN(q, 10, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotK, err := sharded.SearchKNN(q, 10, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantK := knn(t, single, q, 10, nil)
+			gotK := knn(t, sharded, q, 10, nil)
 			if len(gotK) != len(wantK) {
 				t.Fatalf("S=%d query %d: k-NN returned %d matches, want %d", S, qi, len(gotK), len(wantK))
 			}
@@ -90,14 +110,8 @@ func TestEquivalence(t *testing.T) {
 				}
 			}
 
-			wantD, err := single.SearchDTW(q, window, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotD, err := sharded.SearchDTW(q, window, core.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantD := dtwNN(t, single, q, window, nil)
+			gotD := dtwNN(t, sharded, q, window, nil)
 			if gotD != wantD {
 				t.Fatalf("S=%d query %d: DTW %+v, single-shard %+v", S, qi, gotD, wantD)
 			}
@@ -117,33 +131,95 @@ func TestSeeds(t *testing.T) {
 	q := queries.At(0)
 	// A seed better than anything indexed must win all three searches.
 	seed := []core.Match{{Position: 999_999, Dist: 0}}
-	m, err := sharded.Search(q, core.SearchOptions{Seeds: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nn1(t, sharded, q, seed)
 	if m.Position != 999_999 || m.Dist != 0 {
 		t.Fatalf("winning seed not returned by 1-NN: %+v", m)
 	}
-	md, err := sharded.SearchDTW(q, dtw.WindowSize(testLength, 0.1), core.SearchOptions{Seeds: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := dtwNN(t, sharded, q, dtw.WindowSize(testLength, 0.1), seed)
 	if md.Position != 999_999 {
 		t.Fatalf("winning seed not returned by DTW: %+v", md)
 	}
-	ms, err := sharded.SearchKNN(q, 3, core.SearchOptions{Seeds: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := knn(t, sharded, q, 3, seed)
 	if len(ms) != 3 || ms[0].Position != 999_999 {
 		t.Fatalf("winning seed not first in k-NN: %+v", ms)
 	}
-	// The seed is handed to every shard; it must appear exactly once.
+	// Every shard sees the seed through the shared set; it must appear
+	// exactly once.
 	for _, m := range ms[1:] {
 		if m.Position == 999_999 {
-			t.Fatalf("seed duplicated in merged k-NN results: %+v", ms)
+			t.Fatalf("seed duplicated in k-NN results: %+v", ms)
 		}
 	}
+}
+
+// TestSharedTopKMatchesBruteForce: every shard count — one included — fans
+// into ONE collector holding global positions, so k-NN answers (and 1-NN,
+// as k=1) equal a brute-force scan of the collection plus the seeds: sorted
+// by distance, ties by ascending position, a series counted once even when
+// a seed names it too.
+func TestSharedTopKMatchesBruteForce(t *testing.T) {
+	data := testData(t, testSeries)
+	queries := testQueries(t, 4)
+	indexes := map[int]*Index{}
+	for _, S := range []int{1, 2, 4, 8} {
+		x, err := Build(data, S, testOpts())
+		if err != nil {
+			t.Fatalf("S=%d: %v", S, err)
+		}
+		indexes[S] = x
+	}
+	for qi := 0; qi < queries.Count(); qi++ {
+		q := queries.At(qi)
+		all := make([]core.Match, data.Count())
+		for p := range all {
+			all[p] = core.Match{Position: p, Dist: vector.SquaredEuclideanEarlyAbandon(data.At(p), q, math.Inf(1))}
+		}
+		sortMatches(all)
+		seedSets := map[string][]core.Match{
+			"no seeds": nil,
+			// Outside the collection and better than anything in it.
+			"winning seeds": {
+				{Position: testSeries + 7, Dist: all[0].Dist / 4},
+				{Position: testSeries + 3, Dist: all[0].Dist / 2},
+				{Position: testSeries + 5, Dist: all[0].Dist / 2}, // a tie, broken by position
+			},
+			// The collection's own best series, as a live index's delta
+			// scan reports them while a rebuild is in flight.
+			"seeds duplicated in the collection": {all[0], all[2], all[30]},
+		}
+		for name, seeds := range seedSets {
+			want := append([]core.Match(nil), all...)
+			for _, s := range seeds {
+				if s.Position >= testSeries {
+					want = append(want, s)
+				}
+			}
+			sortMatches(want)
+			for _, k := range []int{1, 5, 50} {
+				for S, x := range indexes {
+					got := knn(t, x, q, k, seeds)
+					if len(got) != k {
+						t.Fatalf("S=%d k=%d %s, query %d: %d matches", S, k, name, qi, len(got))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("S=%d k=%d %s, query %d: match %d is %+v, brute force %+v",
+								S, k, name, qi, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func sortMatches(ms []core.Match) {
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Dist != ms[j].Dist {
+			return ms[i].Dist < ms[j].Dist
+		}
+		return ms[i].Position < ms[j].Position
+	})
 }
 
 // TestAtMapping: the global position space round-trips through the shards.
@@ -183,17 +259,11 @@ func TestFewerSeriesThanShards(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(2))
-	m, err := x.Search(q, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nn1(t, x, q, nil)
 	if m.Position != 2 || m.Dist != 0 {
 		t.Fatalf("self-query answered %+v", m)
 	}
-	ms, err := x.SearchKNN(q, 10, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := knn(t, x, q, 10, nil)
 	if len(ms) != 3 {
 		t.Fatalf("k-NN over 3 series returned %d matches", len(ms))
 	}
@@ -246,22 +316,42 @@ func TestApproxSearch(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(123))
-	m, err := x.ApproxSearch(q, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := matches(t, x, core.Request{Query: q, Mode: core.ModeApprox}, nil)[0]
 	if m.Dist != 0 || m.Position != 123 {
 		t.Fatalf("approx self-query answered %+v", m)
 	}
-	exact, err := x.Search(data.At(7), core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := x.ApproxSearch(data.At(7), core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := nn1(t, x, data.At(7), nil)
+	approx := matches(t, x, core.Request{Query: data.At(7), Mode: core.ModeApprox}, nil)[0]
 	if approx.Dist < exact.Dist || math.IsInf(approx.Dist, 1) {
 		t.Fatalf("approx distance %v not an upper bound of exact %v", approx.Dist, exact.Dist)
+	}
+}
+
+// TestDoValidation: the one place a request is checked against the
+// collection rejects each bad shape with its sentinel, whatever S.
+func TestDoValidation(t *testing.T) {
+	data := testData(t, 100)
+	for _, S := range []int{1, 4} {
+		x, err := Build(data, S, testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := data.At(0)
+		for _, tc := range []struct {
+			name string
+			req  core.Request
+			want error
+		}{
+			{"wrong length", core.Request{Query: make([]float32, 32)}, core.ErrWrongLength},
+			{"negative k", core.Request{Query: good, K: -3}, core.ErrBadK},
+			{"k-NN under DTW", core.Request{Query: good, K: 3, DTW: true, Window: 6}, core.ErrBadK},
+			{"negative window", core.Request{Query: good, DTW: true, Window: -1}, core.ErrBadWindow},
+			{"window as long as the series", core.Request{Query: good, DTW: true, Window: testLength}, core.ErrBadWindow},
+			{"negative epsilon", core.Request{Query: good, Mode: core.ModeEpsilon, Epsilon: -1}, core.ErrBadEpsilon},
+		} {
+			if _, err := x.Do(tc.req, nil, core.SearchOptions{}); !errors.Is(err, tc.want) {
+				t.Errorf("S=%d %s: err = %v, want %v", S, tc.name, err, tc.want)
+			}
+		}
 	}
 }

@@ -1,13 +1,13 @@
 package messi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/series"
 	"repro/internal/wal"
@@ -61,7 +61,7 @@ func (o *LiveOptions) toLive(coreOpts core.Options, shards int) live.Options {
 	if o != nil {
 		lo.RebuildThreshold = o.RebuildThreshold
 		lo.ScanWorkers = o.ScanWorkers
-		lo.Engine = o.Engine.toInternal()
+		lo.Engine = engine.Options(o.Engine)
 		lo.Metrics = o.Metrics
 	}
 	return lo
@@ -76,7 +76,7 @@ func (o *LiveOptions) toLive(coreOpts core.Options, shards int) live.Options {
 //
 //	ix, _ := messi.NewLive(256, nil, nil)          // start empty
 //	pos, _ := ix.Append(mySeries)                  // searchable immediately
-//	m, _ := ix.Search(query)
+//	res, _ := ix.Do(ctx, messi.SearchRequest{Query: query})
 //	ix.Close()
 //
 // A LiveIndex is safe for concurrent use; Close it when done.
@@ -165,14 +165,6 @@ func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOp
 	return &LiveIndex{inner: inner, normalize: normalize, snapshotPath: snapshotPath(lopts), wal: w}, nil
 }
 
-// prepareQuery applies normalization when the index was built with it.
-func (ix *LiveIndex) prepareQuery(query []float32) []float32 {
-	if !ix.normalize {
-		return query
-	}
-	return series.ZNormalized(query)
-}
-
 // Append adds one series (copied) and returns its stable position. The
 // series is searchable as soon as Append returns, before any rebuild.
 func (ix *LiveIndex) Append(s []float32) (int, error) {
@@ -193,47 +185,6 @@ func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 		rows = normalized
 	}
 	return ix.inner.AppendBatch(rows)
-}
-
-// Search answers an exact 1-NN query under Euclidean distance over all
-// appended and indexed series.
-//
-// Deprecated: use Do with a SearchRequest (the zero Mode is exact 1-NN).
-func (ix *LiveIndex) Search(query []float32) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
-}
-
-// SearchKNN answers an exact k-NN query, returning up to k matches in
-// ascending distance order.
-//
-// Deprecated: use Do with K set.
-func (ix *LiveIndex) SearchKNN(query []float32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w, got %d", ErrBadK, k)
-	}
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba warping window given as a fraction of the series length
-// (0.1 = the 10% window the paper uses). Fractions outside [0,1] are an
-// error, not a silent clamp.
-//
-// Deprecated: use Do with DTW: true and Window set.
-func (ix *LiveIndex) SearchDTW(query []float32, window float64) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, DTW: true, Window: window})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
 }
 
 // Flush synchronously merges all buffered series into the immutable
@@ -266,15 +217,7 @@ func (ix *LiveIndex) SeriesLen() int { return ix.inner.SeriesLen() }
 // EngineOptions returns the effective (defaulted) options of the
 // embedded query engine — the admission-gate configuration in force.
 func (ix *LiveIndex) EngineOptions() EngineOptions {
-	o := ix.inner.Engine().Options()
-	return EngineOptions{
-		PoolWorkers:    o.PoolWorkers,
-		QueryWorkers:   o.QueryWorkers,
-		Queues:         o.Queues,
-		MaxConcurrent:  o.MaxConcurrent,
-		DegradeEpsilon: o.DegradeEpsilon,
-		Metrics:        o.Metrics,
-	}
+	return EngineOptions(ix.inner.Engine().Options())
 }
 
 // Close stops background rebuilds and the query pool, then closes the

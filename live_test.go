@@ -49,22 +49,22 @@ func TestLiveEquivalence(t *testing.T) {
 	check := func(t *testing.T) {
 		t.Helper()
 		for qi, q := range queries {
-			got, err := lix.Search(q)
+			got, err := nn1(lix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Search(q)
+			want, err := nn1(oracle, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Distance != want.Distance || got.Position != want.Position {
 				t.Fatalf("query %d: live %+v, fresh %+v", qi, got, want)
 			}
-			gotK, err := lix.SearchKNN(q, 7)
+			gotK, err := knn(lix, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 7)
+			wantK, err := knn(oracle, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +76,11 @@ func TestLiveEquivalence(t *testing.T) {
 					t.Fatalf("query %d k-NN rank %d: live %v, fresh %v", qi, i, gotK[i].Distance, wantK[i].Distance)
 				}
 			}
-			gotD, err := lix.SearchDTW(q, 0.1)
+			gotD, err := dtwNN(lix, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, 0.1)
+			wantD, err := dtwNN(oracle, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +131,11 @@ func TestLiveEquivalenceNormalized(t *testing.T) {
 		}
 	}
 	q := rowsOf(RandomWalk(1, length, 24), length)[0]
-	got, err := lix.Search(q)
+	got, err := nn1(lix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Search(q)
+	want, err := nn1(oracle, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				q := initial[(s*131+i*17)%len(initial)]
-				m, err := lix.Search(q)
+				m, err := nn1(lix, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -186,7 +186,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 					t.Errorf("self-query distance %v, want 0", m.Distance)
 					return
 				}
-				if _, err := lix.SearchKNN(q, 3); err != nil {
+				if _, err := knn(lix, q, 3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -206,7 +206,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 	}
 	// Everything appended mid-traffic is now indexed and findable.
 	for i := 0; i < len(extra); i += 29 {
-		m, err := lix.Search(extra[i])
+		m, err := nn1(lix, extra[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestLiveEmptyStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lix.Close()
-	if _, err := lix.Search(make([]float32, length)); err == nil {
+	if _, err := nn1(lix, make([]float32, length)); err == nil {
 		t.Fatal("search over empty live index succeeded")
 	}
 	rows := rowsOf(RandomWalk(10, length, 27), length)
@@ -236,7 +236,7 @@ func TestLiveEmptyStart(t *testing.T) {
 	if pos != 0 {
 		t.Fatalf("first batch position %d, want 0", pos)
 	}
-	m, err := lix.Search(rows[3])
+	m, err := nn1(lix, rows[3])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,18 @@
 //	data := messi.RandomWalk(100_000, 256, 1) // or your own flat []float32
 //	ix, err := messi.BuildFlat(data, 256, nil)
 //	if err != nil { ... }
-//	m, err := ix.Search(query)                // exact nearest neighbor
-//	fmt.Println(m.Position, m.Distance)
+//	res, err := ix.Do(ctx, messi.SearchRequest{Query: query}) // exact nearest neighbor
+//	if err != nil { ... }
+//	fmt.Println(res.Best().Position, res.Best().Distance)
 //
-// The index is immutable after Build and safe for concurrent queries.
+// Do is the one query method of Index, LiveIndex and Engine; the request
+// selects k-NN (K), constrained DTW (DTW, Window) and the quality mode
+// (approximate, ε-bounded, deadline-bounded). The index is immutable after
+// Build and safe for concurrent queries.
 //
 // # Distances
 //
-// All Search functions return true (non-squared) distances. Internally the
+// Every Result carries true (non-squared) distances. Internally the
 // library works with squared distances; Match.Distance is the square root
 // of the internal value. Data series are compared as-is: if you want the
 // standard z-normalized similarity semantics, either normalize your data
@@ -24,9 +28,7 @@
 package messi
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/core"
@@ -114,7 +116,7 @@ type Match struct {
 	// (its row for Build, its offset/length for BuildFlat).
 	Position int
 	// Distance is the true distance between query and match (Euclidean,
-	// or constrained-DTW for SearchDTW).
+	// or constrained DTW for a DTW request).
 	Distance float64
 }
 
@@ -169,79 +171,6 @@ func buildCollection(col *series.Collection, opts *Options) (*Index, error) {
 		return nil, err
 	}
 	return &Index{inner: inner, normalize: normalize}, nil
-}
-
-// prepareQuery applies normalization when the index was built with it.
-func (ix *Index) prepareQuery(query []float32) []float32 {
-	if !ix.normalize {
-		return query
-	}
-	return series.ZNormalized(query)
-}
-
-// Search answers an exact 1-NN query under Euclidean distance.
-//
-// Deprecated: use Do with a SearchRequest (the zero Mode is exact 1-NN).
-func (ix *Index) Search(query []float32) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
-}
-
-// ApproxSearch answers an approximate 1-NN query: the initial step of the
-// exact algorithm only (the leaf matching the query's iSAX summary). It is
-// much cheaper than Search and its answer is typically very close to
-// exact; its distance is always an upper bound on the exact distance.
-//
-// Deprecated: use Do with Mode: ModeApprox.
-func (ix *Index) ApproxSearch(query []float32) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, Mode: ModeApprox})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
-}
-
-// SearchKNN answers an exact k-NN query under Euclidean distance,
-// returning up to k matches in ascending distance order.
-//
-// Deprecated: use Do with K set.
-func (ix *Index) SearchKNN(query []float32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w, got %d", ErrBadK, k)
-	}
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba warping window given as a fraction of the series length
-// (0.1 = the 10% window the paper uses). Fractions outside [0,1] are an
-// error, not a silent clamp.
-//
-// Deprecated: use Do with DTW: true and Window set.
-func (ix *Index) SearchDTW(query []float32, window float64) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, DTW: true, Window: window})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
-}
-
-// checkWindowFraction validates a DTW warping-window fraction. The
-// underlying absolute band radius is clamped by dtw.WindowSize, which
-// silently accepted any fraction; the public API rejects out-of-range
-// fractions instead, since they are always caller bugs.
-func checkWindowFraction(window float64) error {
-	if math.IsNaN(window) || window < 0 || window > 1 {
-		return fmt.Errorf("%w: fraction %v outside [0,1]", ErrBadWindow, window)
-	}
-	return nil
 }
 
 // Series returns (a view of) the indexed series at the given position.

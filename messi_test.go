@@ -32,7 +32,7 @@ func TestBuildAndSearch(t *testing.T) {
 		pos := i * 97 % 2000
 		q := make([]float32, 64)
 		copy(q, mustSeries(t, ix, pos))
-		m, err := ix.Search(q)
+		m, err := nn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestBuildFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ix.Search(rows[2])
+	m, err := nn1(ix, rows[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBuildFromRows(t *testing.T) {
 	}
 	// Build must copy: mutating the caller's rows does not affect results.
 	rows[2][0] = 1000
-	m2, err := ix.Search(mustSeries(t, ix, 2))
+	m2, err := nn1(ix, mustSeries(t, ix, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCardinalityMapping(t *testing.T) {
 		}
 		q := make([]float32, 64)
 		copy(q, mustSeries(t, ix, 7))
-		m, err := ix.Search(q)
+		m, err := nn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestSearchReturnsTrueDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 99)
-	m, err := ix.Search(q)
+	m, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSearchKNNOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := SeismicLike(1, 64, 105)
-	ms, err := ix.SearchKNN(q, 5)
+	ms, err := knn(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSearchKNNOrdering(t *testing.T) {
 		}
 	}
 	// First result must agree with 1-NN search.
-	m1, err := ix.Search(q)
+	m1, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestSearchDTWWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 106)
-	ed, err := ix.Search(q)
+	ed, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d10, err := ix.SearchDTW(q, 0.1)
+	d10, err := dtwNN(ix, q, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSearchDTWWindow(t *testing.T) {
 	}
 	// Out-of-range fractions are rejected — they used to be clamped
 	// silently (window=-0.5 answered with err=nil), which hid caller bugs.
-	if _, err := ix.SearchDTW(q, -0.5); err == nil {
+	if _, err := dtwNN(ix, q, -0.5); err == nil {
 		t.Error("negative window fraction accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestNormalizeOption(t *testing.T) {
 	for j := range q {
 		q[j] = 1000 * float32(j%7)
 	}
-	m, err := ix.Search(q)
+	m, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFileRoundTripThroughAPI(t *testing.T) {
 	}
 	q := make([]float32, 128)
 	copy(q, mustSeries(t, ix, 42))
-	m, err := ix.Search(q)
+	m, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,18 +277,18 @@ func TestApproxSearchPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 777)
-	approx, err := ix.ApproxSearch(q)
+	approx, err := approxNN(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ix.Search(q)
+	exact, err := nn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if approx.Distance < exact.Distance-1e-9 {
 		t.Errorf("approximate %v below exact %v", approx.Distance, exact.Distance)
 	}
-	if _, err := ix.ApproxSearch(make([]float32, 3)); err == nil {
+	if _, err := approxNN(ix, make([]float32, 3)); err == nil {
 		t.Error("wrong-length approx query accepted")
 	}
 }

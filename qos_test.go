@@ -282,9 +282,10 @@ func TestCancellationNoLeakedWorkers(t *testing.T) {
 	}
 }
 
-// TestSentinelErrors: every frontend reports malformed requests through
-// the same errors.Is-matchable sentinels, on the unified API and the
-// deprecated shims alike.
+// TestSentinelErrors: every frontend reports the same malformed request
+// through the same errors.Is-matchable sentinel — the request is validated
+// by one function, wherever it enters. (cmd/messi-serve's
+// TestSearchEndpointBadRequests pins the same table to a 400.)
 func TestSentinelErrors(t *testing.T) {
 	data := RandomWalk(300, 64, 91)
 	ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64})
@@ -296,15 +297,26 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lix.Close()
+	fresh, err := NewLive(64, &Options{LeafCapacity: 64, SearchWorkers: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.Append(data[:64]); err != nil {
+		t.Fatal(err)
+	}
 	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2})
 	defer eng.Close()
 
 	ctx := context.Background()
 	good := make([]float32, 64)
 	frontends := map[string]func(SearchRequest) error{
-		"index":  func(r SearchRequest) error { _, err := ix.Do(ctx, r); return err },
-		"live":   func(r SearchRequest) error { _, err := lix.Do(ctx, r); return err },
-		"engine": func(r SearchRequest) error { _, err := eng.Do(ctx, r); return err },
+		"index": func(r SearchRequest) error { _, err := ix.Do(ctx, r); return err },
+		"live":  func(r SearchRequest) error { _, err := lix.Do(ctx, r); return err },
+		// No base generation yet: the delta scan is the whole search, and
+		// the request must be checked before it, not by the engine.
+		"live without base": func(r SearchRequest) error { _, err := fresh.Do(ctx, r); return err },
+		"engine":            func(r SearchRequest) error { _, err := eng.Do(ctx, r); return err },
 	}
 	cases := []struct {
 		name string
@@ -314,6 +326,7 @@ func TestSentinelErrors(t *testing.T) {
 		{"negative k", SearchRequest{Query: good, K: -1}, ErrBadK},
 		{"dtw knn", SearchRequest{Query: good, DTW: true, Window: 0.1, K: 3}, ErrBadK},
 		{"window above 1", SearchRequest{Query: good, DTW: true, Window: 1.5}, ErrBadWindow},
+		{"negative window", SearchRequest{Query: good, DTW: true, Window: -0.5}, ErrBadWindow},
 		{"window NaN", SearchRequest{Query: good, DTW: true, Window: math.NaN()}, ErrBadWindow},
 		{"wrong length", SearchRequest{Query: make([]float32, 5)}, ErrWrongLength},
 		{"negative epsilon", SearchRequest{Query: good, Mode: ModeEpsilon, Epsilon: -0.1}, ErrBadEpsilon},
@@ -329,28 +342,11 @@ func TestSentinelErrors(t *testing.T) {
 			}
 		}
 	}
-
-	// The deprecated shims speak the same sentinels.
-	if _, err := ix.SearchKNN(good, 0); !errors.Is(err, ErrBadK) {
-		t.Errorf("Index.SearchKNN(k=0): %v, want ErrBadK", err)
-	}
-	if _, err := ix.SearchDTW(good, -0.5); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("Index.SearchDTW(-0.5): %v, want ErrBadWindow", err)
-	}
-	if _, err := ix.Search(make([]float32, 3)); !errors.Is(err, ErrWrongLength) {
-		t.Errorf("Index.Search(short): %v, want ErrWrongLength", err)
-	}
-	if _, err := lix.SearchKNN(good, -2); !errors.Is(err, ErrBadK) {
-		t.Errorf("LiveIndex.SearchKNN(k=-2): %v, want ErrBadK", err)
-	}
-	if _, err := eng.QueryDTW(good, 7); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("Engine.QueryDTW(7): %v, want ErrBadWindow", err)
-	}
 }
 
-// TestEngineDoSpectrum: the engine's unified method matches the
-// deprecated always-exact shims for exact requests and keeps the quality
-// contract for the rest of the spectrum.
+// TestEngineDoSpectrum: the engine answers exact requests exactly like the
+// index's own Do and keeps the quality contract for the rest of the
+// spectrum.
 func TestEngineDoSpectrum(t *testing.T) {
 	data := RandomWalk(2500, 64, 93)
 	for _, shards := range []int{0, 4} {
@@ -366,12 +362,12 @@ func TestEngineDoSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shim, err := eng.Query(q)
+		want, err := nn1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exact || res.Best() != shim {
-			t.Fatalf("shards=%d: Do %+v, Query shim %+v", shards, res, shim)
+		if !res.Exact || res.Best() != want {
+			t.Fatalf("shards=%d: Engine.Do %+v, Index.Do %+v", shards, res, want)
 		}
 
 		res, err = eng.Do(context.Background(), SearchRequest{Query: q, Mode: ModeEpsilon, Epsilon: 0.05})
@@ -386,8 +382,8 @@ func TestEngineDoSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exact || res.Best() != shim {
-			t.Fatalf("shards=%d: generous deadline %+v, exact %+v", shards, res.Best(), shim)
+		if !res.Exact || res.Best() != want {
+			t.Fatalf("shards=%d: generous deadline %+v, exact %+v", shards, res.Best(), want)
 		}
 
 		res, err = eng.Do(context.Background(), SearchRequest{Query: q, DTW: true, Window: 0.1})

@@ -17,18 +17,13 @@ import (
 // method on Index, LiveIndex, and Engine, covering the whole quality
 // spectrum — exact, approximate, ε-bounded, and deadline-bounded answers —
 // under every distance (Euclidean and constrained DTW) and answer shape
-// (1-NN and k-NN). The older per-method entry points (Search, SearchKNN,
-// SearchDTW, ApproxSearch, Query…) remain as thin deprecated shims.
-//
-// The unified method is named Do (as in http.Client.Do) because Go has no
-// overloading and the name Search is already taken by the deprecated
-// 1-NN methods this API supersedes.
+// (1-NN and k-NN). It is the only query method (Engine.QueryBatch is a
+// loop over it), named Do as in http.Client.Do.
 
 // Typed sentinel errors shared by every query layer, matchable with
 // errors.Is across Index, LiveIndex, Engine, and the HTTP handlers.
 var (
-	// ErrBadK reports a negative K in a request (or non-positive k in the
-	// deprecated k-NN methods).
+	// ErrBadK reports a negative K in a request, or K > 1 under DTW.
 	ErrBadK = core.ErrBadK
 	// ErrBadWindow reports a DTW window fraction outside [0,1].
 	ErrBadWindow = core.ErrBadWindow
@@ -187,8 +182,8 @@ func (r Result) Best() Match {
 	return r.Matches[0]
 }
 
-// collectors carries the per-query measurement state buildRequest
-// attaches to a request, so publicResult can roll it into the Result.
+// collectors carries the per-query measurement state do attaches to a
+// request, so publicResult can roll it into the Result.
 type collectors struct {
 	ctrs         *stats.Counters  // non-nil when counting or tracing
 	wantCounters bool             // fill Result.Counters
@@ -196,23 +191,21 @@ type collectors struct {
 	start        time.Time        // Do entry time when tracing
 }
 
-// buildRequest is the one shared request-normalization path under every
-// frontend's Do: it validates the request, applies z-normalization when
-// the index uses it, converts the window fraction to points, resolves
-// the effective absolute deadline from the request budget and the
-// context, and attaches the counter/trace collectors the request asked
-// for.
-func buildRequest(ctx context.Context, req SearchRequest, seriesLen int, normalize bool) (core.Request, collectors, error) {
-	if req.K < 0 {
-		return core.Request{}, collectors{}, fmt.Errorf("%w, got %d", ErrBadK, req.K)
-	}
-	if req.DTW && req.K > 1 {
-		return core.Request{}, collectors{}, fmt.Errorf("messi: k-NN under DTW is not supported (k=%d): %w", req.K, ErrBadK)
-	}
+// do is the one request path under every frontend's Do: it checks the
+// window fraction and converts it to points, applies z-normalization when
+// the index uses it, resolves the effective absolute deadline from the
+// request budget and the context, attaches the counter/trace collectors
+// the request asked for, hands the core request to the backend's own Do —
+// which validates it — and converts the answer to the public shape.
+func do(ctx context.Context, req SearchRequest, seriesLen int, normalize bool,
+	backend func(core.Request) (core.Result, error)) (Result, error) {
+
 	window := 0
 	if req.DTW {
-		if err := checkWindowFraction(req.Window); err != nil {
-			return core.Request{}, collectors{}, err
+		// dtw.WindowSize clamps silently; an out-of-range fraction is
+		// always a caller bug, so reject it instead.
+		if math.IsNaN(req.Window) || req.Window < 0 || req.Window > 1 {
+			return Result{}, fmt.Errorf("%w: fraction %v outside [0,1]", ErrBadWindow, req.Window)
 		}
 		window = dtw.WindowSize(seriesLen, req.Window)
 	}
@@ -240,7 +233,7 @@ func buildRequest(ctx context.Context, req SearchRequest, seriesLen int, normali
 		col.bd = &stats.Breakdown{}
 		col.start = time.Now()
 	}
-	creq := core.Request{
+	res, err := backend(core.Request{
 		Query:     query,
 		K:         req.K,
 		DTW:       req.DTW,
@@ -251,11 +244,11 @@ func buildRequest(ctx context.Context, req SearchRequest, seriesLen int, normali
 		Cancel:    ctx.Done(),
 		Counters:  col.ctrs,
 		Breakdown: col.bd,
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if err := creq.Validate(); err != nil {
-		return core.Request{}, collectors{}, err
-	}
-	return creq, col, nil
+	return publicResult(res, col), nil
 }
 
 // publicResult converts a core result (squared distances) into the public
@@ -267,9 +260,6 @@ func publicResult(res core.Result, col collectors) Result {
 		EpsilonBound: res.EpsilonBound,
 	}
 	for _, m := range res.Matches {
-		if m.Position < 0 {
-			continue
-		}
 		out.Matches = append(out.Matches, Match{Position: m.Position, Distance: math.Sqrt(m.Dist)})
 	}
 	var qc QueryCounters
@@ -302,51 +292,30 @@ func publicResult(res core.Result, col collectors) Result {
 	return out
 }
 
-// Do serves one query on the index across the whole quality spectrum —
-// the unified entry point the deprecated Search/ApproxSearch/SearchKNN/
-// SearchDTW methods delegate to. A context cancellation stops the search
-// at leaf-scan granularity and returns the best answer so far flagged
-// Exact=false.
+// Do serves one query on the index across the whole quality spectrum, in
+// the paper's per-query mode (worker goroutines spawned for this query). A
+// context cancellation stops the search at leaf-scan granularity and
+// returns the best answer so far flagged Exact=false.
 func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
-	creq, col, err := buildRequest(ctx, req, ix.inner.SeriesLen(), ix.normalize)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ix.inner.Do(creq, core.SearchOptions{})
-	if err != nil {
-		return Result{}, err
-	}
-	return publicResult(res, col), nil
+	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, func(creq core.Request) (core.Result, error) {
+		return ix.inner.Do(creq, nil, core.SearchOptions{})
+	})
 }
 
 // Do serves one query over the union of the immutable generation and the
 // delta buffer (see Index.Do). The delta is always answered exactly; the
 // quality mode governs the tree search it seeds.
 func (ix *LiveIndex) Do(ctx context.Context, req SearchRequest) (Result, error) {
-	creq, col, err := buildRequest(ctx, req, ix.inner.SeriesLen(), ix.normalize)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ix.inner.Do(creq)
-	if err != nil {
-		return Result{}, err
-	}
-	return publicResult(res, col), nil
+	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, ix.inner.Do)
 }
 
 // Do serves one query through the persistent engine: the pool answers it
 // under the admission gate, and with EngineOptions.DegradeEpsilon set an
 // exact request arriving under overload is degraded to an ε-bounded one
 // instead of paying queueing latency (the Result reports what was actually
-// proven).
+// proven). A query that panics fails alone with ErrQueryPanicked.
 func (e *Engine) Do(ctx context.Context, req SearchRequest) (Result, error) {
-	creq, col, err := buildRequest(ctx, req, e.ix.SeriesLen(), e.ix.normalize)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := e.inner.Do(creq)
-	if err != nil {
-		return Result{}, err
-	}
-	return publicResult(res, col), nil
+	return do(ctx, req, e.ix.SeriesLen(), e.ix.normalize, func(creq core.Request) (core.Result, error) {
+		return e.inner.Do(creq, nil)
+	})
 }

@@ -29,33 +29,33 @@ func TestShardedPublicEquivalence(t *testing.T) {
 		eng := sharded.NewEngine(&EngineOptions{PoolWorkers: 4})
 		for qi := 0; qi < 8; qi++ {
 			q := queries[qi*64 : (qi+1)*64]
-			want, err := plain.Search(q)
+			want, err := nn1(plain, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Search(q)
+			got, err := nn1(sharded, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("Shards=%d query %d: %+v, unsharded %+v", S, qi, got, want)
 			}
-			viaEng, err := eng.Query(q)
+			viaEng, err := nn1(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if viaEng != want {
 				t.Fatalf("Shards=%d query %d via engine: %+v, unsharded %+v", S, qi, viaEng, want)
 			}
-			wantK, err := plain.SearchKNN(q, 7)
+			wantK, err := knn(plain, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotK, err := sharded.SearchKNN(q, 7)
+			gotK, err := knn(sharded, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			engK, err := eng.QueryKNN(q, 7)
+			engK, err := knn(eng, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +68,11 @@ func TestShardedPublicEquivalence(t *testing.T) {
 						S, qi, i, gotK[i], engK[i], wantK[i])
 				}
 			}
-			wantD, err := plain.SearchDTW(q, 0.1)
+			wantD, err := dtwNN(plain, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := sharded.SearchDTW(q, 0.1)
+			gotD, err := dtwNN(sharded, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,11 +111,11 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	}
 	q := make([]float32, 64)
 	copy(q, mustSeries(t, sharded, 421))
-	want, err := sharded.Search(q)
+	want, err := nn1(sharded, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Search(q)
+	got, err := nn1(loaded, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err := lix.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := lix.Search(novel)
+	m, err := nn1(lix, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,21 +176,21 @@ func TestDTWWindowValidation(t *testing.T) {
 	q := make([]float32, 64)
 
 	for _, window := range []float64{-0.5, -1e-9, 1.0000001, 42, math.NaN()} {
-		if _, err := ix.SearchDTW(q, window); err == nil {
+		if _, err := dtwNN(ix, q, window); err == nil {
 			t.Errorf("Index.SearchDTW accepted window %v", window)
 		} else if !strings.Contains(err.Error(), "window") {
 			t.Errorf("Index.SearchDTW window %v: undescriptive error %q", window, err)
 		}
-		if _, err := lix.SearchDTW(q, window); err == nil {
+		if _, err := dtwNN(lix, q, window); err == nil {
 			t.Errorf("LiveIndex.SearchDTW accepted window %v", window)
 		}
 	}
 	// The boundary fractions stay valid.
 	for _, window := range []float64{0, 0.1, 1} {
-		if _, err := ix.SearchDTW(q, window); err != nil {
+		if _, err := dtwNN(ix, q, window); err != nil {
 			t.Errorf("Index.SearchDTW rejected window %v: %v", window, err)
 		}
-		if _, err := lix.SearchDTW(q, window); err != nil {
+		if _, err := dtwNN(lix, q, window); err != nil {
 			t.Errorf("LiveIndex.SearchDTW rejected window %v: %v", window, err)
 		}
 	}
@@ -207,26 +207,28 @@ func TestAPIBoundaryEdgeCases(t *testing.T) {
 	}
 
 	t.Run("wrong-length-search", func(t *testing.T) {
-		if _, err := ix.Search(make([]float32, 7)); err == nil {
+		if _, err := nn1(ix, make([]float32, 7)); err == nil {
 			t.Error("Search accepted a wrong-length query")
 		}
-		if _, err := ix.SearchKNN(make([]float32, 7), 3); err == nil {
+		if _, err := knn(ix, make([]float32, 7), 3); err == nil {
 			t.Error("SearchKNN accepted a wrong-length query")
 		}
-		if _, err := ix.SearchDTW(make([]float32, 7), 0.1); err == nil {
+		if _, err := dtwNN(ix, make([]float32, 7), 0.1); err == nil {
 			t.Error("SearchDTW accepted a wrong-length query")
 		}
 	})
 
 	t.Run("knn-k-range", func(t *testing.T) {
 		q := make([]float32, 64)
-		for _, k := range []int{0, -3} {
-			if _, err := ix.SearchKNN(q, k); err == nil {
-				t.Errorf("SearchKNN accepted k=%d", k)
-			}
+		if _, err := knn(ix, q, -3); !errors.Is(err, ErrBadK) {
+			t.Errorf("K=-3: err = %v, want ErrBadK", err)
+		}
+		// K=0 is the zero value of SearchRequest.K: 1-NN.
+		if ms, err := knn(ix, q, 0); err != nil || len(ms) != 1 {
+			t.Errorf("K=0 returned %d matches, err %v; want the nearest neighbor", len(ms), err)
 		}
 		// k beyond the collection clamps to Len(), not an error.
-		ms, err := ix.SearchKNN(q, ix.Len()+100)
+		ms, err := knn(ix, q, ix.Len()+100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,13 +274,13 @@ func TestAPIBoundaryEdgeCases(t *testing.T) {
 		}
 		defer lix.Close()
 		q := make([]float32, 64)
-		if _, err := lix.Search(q); err == nil {
+		if _, err := nn1(lix, q); err == nil {
 			t.Error("Search on an empty live index did not error")
 		}
-		if _, err := lix.SearchKNN(q, 3); err == nil {
+		if _, err := knn(lix, q, 3); err == nil {
 			t.Error("SearchKNN on an empty live index did not error")
 		}
-		if _, err := lix.SearchDTW(q, 0.1); err == nil {
+		if _, err := dtwNN(lix, q, 0.1); err == nil {
 			t.Error("SearchDTW on an empty live index did not error")
 		}
 	})

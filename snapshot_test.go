@@ -24,22 +24,22 @@ func snapshotTestIndex(t *testing.T, normalize bool) (*Index, []float32) {
 func assertSameAnswers(t *testing.T, want, got *Index, queries [][]float32) {
 	t.Helper()
 	for qi, q := range queries {
-		w1, err := want.Search(q)
+		w1, err := nn1(want, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g1, err := got.Search(q)
+		g1, err := nn1(got, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g1 != w1 {
 			t.Fatalf("query %d 1-NN: loaded %+v, built %+v", qi, g1, w1)
 		}
-		wk, err := want.SearchKNN(q, 5)
+		wk, err := knn(want, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gk, err := got.SearchKNN(q, 5)
+		gk, err := knn(got, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func assertSameAnswers(t *testing.T, want, got *Index, queries [][]float32) {
 				t.Fatalf("query %d k-NN[%d]: loaded %+v, built %+v", qi, i, gk[i], wk[i])
 			}
 		}
-		wd, err := want.SearchDTW(q, 0.1)
+		wd, err := dtwNN(want, q, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gd, err := got.SearchDTW(q, 0.1)
+		gd, err := dtwNN(got, q, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +104,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			eng := loaded.NewEngine(&EngineOptions{PoolWorkers: 4})
 			defer eng.Close()
 			q := snapshotQueries(1, 64)[0]
-			want, err := ix.Search(q)
+			want, err := nn1(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Query(q)
+			got, err := nn1(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,22 +172,22 @@ func TestLiveSaveLoad(t *testing.T) {
 		t.Fatalf("loaded live stats %+v", st)
 	}
 	for qi, q := range snapshotQueries(5, 64) {
-		want, err := lix.Search(q)
+		want, err := nn1(lix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Search(q)
+		got, err := nn1(loaded, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("query %d 1-NN: loaded live %+v, original %+v", qi, got, want)
 		}
-		wantK, err := lix.SearchKNN(q, 4)
+		wantK, err := knn(lix, q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotK, err := loaded.SearchKNN(q, 4)
+		gotK, err := knn(loaded, q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,11 @@ func TestLiveSaveLoad(t *testing.T) {
 				t.Fatalf("query %d k-NN[%d]: loaded live %+v, original %+v", qi, i, gotK[i], wantK[i])
 			}
 		}
-		wantD, err := lix.SearchDTW(q, 0.1)
+		wantD, err := dtwNN(lix, q, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotD, err := loaded.SearchDTW(q, 0.1)
+		gotD, err := dtwNN(loaded, q, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestLiveSaveLoad(t *testing.T) {
 	if pos != 1240 {
 		t.Fatalf("append position %d, want 1240", pos)
 	}
-	m, err := loaded.Search(novel)
+	m, err := nn1(loaded, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestLiveSaveLoad(t *testing.T) {
 	if st := loaded.Stats(); st.Generation != 2 || st.BaseSeries != 1241 {
 		t.Fatalf("post-flush stats %+v", st)
 	}
-	m, err = loaded.Search(novel)
+	m, err = nn1(loaded, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
