@@ -148,7 +148,7 @@ func BenchmarkFig07LeafSizeQuery(b *testing.B) {
 			b.Run(fmt.Sprintf("leaf=%d/%s", leaf, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					q := queries.At(i % queries.Count())
-					if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{Queues: mode.queues}); err != nil {
+					if _, err := ix.Do(core.Request{Query: q}, core.SearchOptions{Queues: mode.queues}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -239,11 +239,11 @@ func queryBenchAlgos(b *testing.B, data *series.Collection, queries *series.Coll
 		return err
 	})
 	run("MESSI-sq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{Workers: workers, Queues: 1})
+		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{Workers: workers, Queues: 1})
 		return err
 	})
 	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{Workers: workers})
+		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{Workers: workers})
 		return err
 	})
 }
@@ -296,7 +296,7 @@ func BenchmarkFig13QueueBreakdown(b *testing.B) {
 			bd := &stats.Breakdown{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, Breakdown: bd}, nil, core.SearchOptions{Queues: mode.queues}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, Breakdown: bd}, core.SearchOptions{Queues: mode.queues}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -318,7 +318,7 @@ func BenchmarkFig14QueueCount(b *testing.B) {
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{Queues: queues}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q}, core.SearchOptions{Queues: queues}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -379,7 +379,7 @@ func BenchmarkFig17DistanceCounts(b *testing.B) {
 			ctrs := &stats.Counters{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := messiIx.Do(core.Request{Query: q, Counters: ctrs}, nil, core.SearchOptions{}); err != nil {
+				if _, err := messiIx.Do(core.Request{Query: q, Counters: ctrs}, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -419,7 +419,7 @@ func BenchmarkFig18BenefitBreakdown(b *testing.B) {
 		return err
 	})
 	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{})
+		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{})
 		return err
 	})
 }
@@ -451,7 +451,7 @@ func BenchmarkFig19DTW(b *testing.B) {
 		b.Run(fmt.Sprintf("series=%d/MESSI-DTW", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, DTW: true, Window: window}, nil, core.SearchOptions{}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, DTW: true, Window: window}, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -512,7 +512,7 @@ func BenchmarkAblationQueueStrategies(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q}, nil, mode.opt); err != nil {
+				if _, err := ix.Do(core.Request{Query: q}, mode.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -529,7 +529,7 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	b.Run("approximate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := ix.Do(core.Request{Query: q, Mode: core.ModeApprox}, nil, core.SearchOptions{}); err != nil {
+			if _, err := ix.Do(core.Request{Query: q, Mode: core.ModeApprox}, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -537,7 +537,7 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
+			if _, err := ix.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -587,15 +587,15 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=%d/spawn-per-query", clients), func(b *testing.B) {
 			runClients(b, clients, func(q []float32) error {
-				_, err := ix.Do(core.Request{Query: q}, nil, core.SearchOptions{})
+				_, err := ix.Do(core.Request{Query: q}, core.SearchOptions{})
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("clients=%d/pooled-exclusive", clients), func(b *testing.B) {
-			eng := engine.New(ix, engine.Options{})
+			eng := engine.New(ix.Opts(), engine.Options{})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Do(core.Request{Query: q}, nil)
+				_, err := eng.Do(engine.View{Base: ix}, core.Request{Query: q})
 				return err
 			})
 		})
@@ -604,10 +604,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			if perQuery < 1 {
 				perQuery = 1
 			}
-			eng := engine.New(ix, engine.Options{QueryWorkers: perQuery, MaxConcurrent: clients})
+			eng := engine.New(ix.Opts(), engine.Options{QueryWorkers: perQuery, MaxConcurrent: clients})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Do(core.Request{Query: q}, nil)
+				_, err := eng.Do(engine.View{Base: ix}, core.Request{Query: q})
 				return err
 			})
 		})
@@ -628,7 +628,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	run := func(b *testing.B, reg *metrics.Registry) {
 		b.Helper()
 		b.ReportAllocs()
-		eng := engine.New(ix, engine.Options{Metrics: reg})
+		eng := engine.New(ix.Opts(), engine.Options{Metrics: reg})
 		defer eng.Close()
 		const clients = 8
 		var next atomic.Int64
@@ -642,7 +642,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 					if i >= b.N {
 						return
 					}
-					if _, err := eng.Do(core.Request{Query: queries.At(i % queries.Count())}, nil); err != nil {
+					if _, err := eng.Do(engine.View{Base: ix}, core.Request{Query: queries.At(i % queries.Count())}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -696,7 +696,7 @@ func BenchmarkKNN(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, K: k}, nil, core.SearchOptions{}); err != nil {
+				if _, err := ix.Do(core.Request{Query: q, K: k}, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -729,7 +729,7 @@ func BenchmarkIntroClaims(b *testing.B) {
 	b.Run("sequential-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := serialIx.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
+			if _, err := serialIx.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -745,7 +745,7 @@ func BenchmarkIntroClaims(b *testing.B) {
 	b.Run("MESSI", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := messiIx.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
+			if _, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -784,7 +784,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", S), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := x.Do(core.Request{Query: q}, nil, core.SearchOptions{}); err != nil {
+				if _, err := x.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,10 @@
 // Command messi-serve builds a MESSI index over a dataset file and serves
-// similarity queries over HTTP through a persistent query engine
-// (messi.Engine) — the sustained-multi-query serving scenario, as opposed
-// to messi-query's one-shot exploratory runs.
+// similarity queries over HTTP through a persistent query engine — the
+// sustained-multi-query serving scenario, as opposed to messi-query's
+// one-shot exploratory runs. There is one backend, a messi.LiveIndex: a
+// static index is a live one that never receives an append, so every
+// query, with or without -live, takes the same path through the same pool
+// and admission gate.
 //
 // Usage:
 //
@@ -49,11 +52,13 @@
 // HTTP response carries an X-Request-Id header that slow-query log lines
 // reference.
 //
-// With -live the server runs a messi.LiveIndex: POST /v1/series appends
-// new series that are searchable immediately, and a background rebuild
-// merges them into the next index generation once the delta buffer
-// crosses -rebuild-threshold. Without -live the index is immutable and
-// /v1/series is not registered.
+// With -live POST /v1/series appends new series that are searchable
+// immediately, and a background rebuild merges them into the next index
+// generation once the delta buffer crosses -rebuild-threshold. That is all
+// -live switches: whether /v1/series is served (404 without it), whether
+// -wal is allowed, whether the -snapshot file is rewritten automatically
+// on flush and shutdown, and whether /v1/stats reports "live": true with
+// the generation and delta fields.
 //
 // With -wal DIR (live mode only) every acked append is journaled to a
 // write-ahead log in DIR before it becomes searchable, and a restart
@@ -190,8 +195,8 @@ func run(args []string) error {
 
 	// The listener opens before the index boots so health probes see an
 	// honest 503 ("loading") instead of a connection refused during a
-	// long build; the backend is installed once boot succeeds.
-	s := newServer(reg, *snapPath, *slowQuery)
+	// long build; the index is installed once boot succeeds.
+	s := newServer(reg, *liveMode, *snapPath, *slowQuery)
 	srv := &http.Server{
 		Handler: s,
 		// Bound slow clients: a connection may not hold a goroutine and
@@ -215,58 +220,33 @@ func run(args []string) error {
 		errc <- nil
 	}()
 
-	// In live mode with a snapshot path, a graceful shutdown must not
-	// lose series still sitting in the delta: Close alone snapshots only
-	// the already-merged generation, so drain the delta first.
-	persistOnShutdown := func() {}
-	if *liveMode {
-		lix, source, err := bootLive(*dataPath, *snapPath, opts, &messi.LiveOptions{
-			RebuildThreshold: *threshold,
-			SnapshotPath:     *snapPath,
-			Engine:           engOpts,
-			Metrics:          reg,
-			WALDir:           *walDir,
-			WALSync:          *walSync,
-			WALSegmentBytes:  *walSeg,
-		})
-		if err != nil {
-			srv.Close()
-			return err
-		}
-		defer func() {
-			// A failed close-time snapshot (or WAL close) is a durability
-			// gap worth a log line even on the way out.
-			if err := lix.Close(); err != nil {
-				slog.Error("live index close failed", "err", err)
-			}
-		}()
-		warnShardMismatch(*shards, lix.Stats().Shards)
-		slog.Info("index ready", "source", source, "series", lix.Len(),
-			"series_len", lix.SeriesLen(), "rebuild_threshold", *threshold, "wal", *walDir)
-		s.install(&liveBackend{lix: lix})
-		if *snapPath != "" {
-			persistOnShutdown = func() {
-				if err := lix.Save(*snapPath); err != nil {
-					slog.Error("shutdown snapshot failed", "path", *snapPath, "err", err)
-					return
-				}
-				slog.Info("shutdown snapshot saved", "path", *snapPath,
-					"series", lix.Len(), "gen", lix.Stats().Generation)
-			}
-		}
-	} else {
-		ix, source, err := bootStatic(*dataPath, *snapPath, opts)
-		if err != nil {
-			srv.Close()
-			return err
-		}
-		warnShardMismatch(*shards, ix.Shards())
-		slog.Info("index ready", "source", source, "series", ix.Len(), "series_len", ix.SeriesLen())
-
-		eng := ix.NewEngine(&engOpts)
-		defer eng.Close()
-		s.install(&engineBackend{eng: eng})
+	lopts := &messi.LiveOptions{
+		RebuildThreshold: *threshold,
+		Engine:           engOpts,
+		Metrics:          reg,
+		WALDir:           *walDir,
+		WALSync:          *walSync,
+		WALSegmentBytes:  *walSeg,
 	}
+	if *liveMode {
+		lopts.SnapshotPath = *snapPath
+	}
+	ix, source, err := boot(*dataPath, *snapPath, opts, lopts)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	defer func() {
+		// A failed close-time snapshot (or WAL close) is a durability
+		// gap worth a log line even on the way out.
+		if err := ix.Close(); err != nil {
+			slog.Error("index close failed", "err", err)
+		}
+	}()
+	warnShardMismatch(*shards, ix.Stats().Shards)
+	slog.Info("index ready", "source", source, "series", ix.Len(), "series_len", ix.SeriesLen(),
+		"live", *liveMode, "rebuild_threshold", *threshold, "wal", *walDir)
+	s.install(ix)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -282,7 +262,17 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	persistOnShutdown()
+	if *liveMode && *snapPath != "" {
+		// A graceful shutdown must not lose series still sitting in the
+		// delta: Close alone snapshots only the already-merged generation,
+		// so drain the delta first.
+		if err := ix.Save(*snapPath); err != nil {
+			slog.Error("shutdown snapshot failed", "path", *snapPath, "err", err)
+		} else {
+			slog.Info("shutdown snapshot saved", "path", *snapPath,
+				"series", ix.Len(), "gen", ix.Stats().Generation)
+		}
+	}
 	return <-errc
 }
 
@@ -325,50 +315,33 @@ func startPprof(addr string) (string, func(), error) {
 }
 
 // boot resolves what the server serves: the snapshot when one is
-// available, the dataset file otherwise. It returns a human-readable
-// source description for the boot log. Load failures name the failing
-// path — a dataset error is additionally logged before it aborts startup,
-// so a restart loop is diagnosable from the server's own output, not
-// just the exit status.
-func boot[T any](dataPath, snapPath, loadedAs, builtAs string,
-	loadSnap func(string) (T, error), build func(string) (T, error)) (T, string, error) {
-
-	var zero T
+// available — it becomes the index's first generation — the dataset file
+// otherwise. It returns a human-readable source description for the boot
+// log. Load failures name the failing path — a dataset error is
+// additionally logged before it aborts startup, so a restart loop is
+// diagnosable from the server's own output, not just the exit status.
+func boot(dataPath, snapPath string, opts *messi.Options, lopts *messi.LiveOptions) (*messi.LiveIndex, string, error) {
 	start := time.Now()
 	if snapPath != "" {
 		if _, err := os.Stat(snapPath); err == nil {
-			ix, err := loadSnap(snapPath)
+			ix, err := messi.LoadLive(snapPath, opts, lopts)
 			if err != nil {
-				return zero, "", fmt.Errorf("load snapshot %s: %w", snapPath, err)
+				return nil, "", fmt.Errorf("load snapshot %s: %w", snapPath, err)
 			}
-			return ix, fmt.Sprintf("%s %s in %v", loadedAs, snapPath, time.Since(start).Round(time.Millisecond)), nil
+			return ix, fmt.Sprintf("loaded snapshot %s in %v", snapPath, time.Since(start).Round(time.Millisecond)), nil
 		}
 		slog.Info("snapshot not found, building from dataset", "path", snapPath, "data", dataPath)
 		if dataPath == "" {
-			return zero, "", fmt.Errorf("snapshot %s does not exist and no -data to build from", snapPath)
+			return nil, "", fmt.Errorf("snapshot %s does not exist and no -data to build from", snapPath)
 		}
 	}
-	ix, err := build(dataPath)
+	ix, err := messi.BuildLiveFromFile(dataPath, opts, lopts)
 	if err != nil {
 		err = fmt.Errorf("load dataset %s: %w", dataPath, err)
 		slog.Error("boot failed", "path", dataPath, "err", err)
-		return zero, "", err
+		return nil, "", err
 	}
-	return ix, fmt.Sprintf("%s %s in %v", builtAs, dataPath, time.Since(start).Round(time.Millisecond)), nil
-}
-
-func bootStatic(dataPath, snapPath string, opts *messi.Options) (*messi.Index, string, error) {
-	return boot(dataPath, snapPath, "loaded snapshot", "indexed",
-		messi.Load,
-		func(p string) (*messi.Index, error) { return messi.BuildFromFile(p, opts) })
-}
-
-// bootLive is bootStatic for -live mode: a snapshot becomes the live
-// index's first generation, a dataset file is live-indexed from scratch.
-func bootLive(dataPath, snapPath string, opts *messi.Options, lopts *messi.LiveOptions) (*messi.LiveIndex, string, error) {
-	return boot(dataPath, snapPath, "loaded live snapshot", "live-indexed",
-		func(p string) (*messi.LiveIndex, error) { return messi.LoadLive(p, opts, lopts) },
-		func(p string) (*messi.LiveIndex, error) { return messi.BuildLiveFromFile(p, opts, lopts) })
+	return ix, fmt.Sprintf("indexed %s in %v", dataPath, time.Since(start).Round(time.Millisecond)), nil
 }
 
 // jsonMatch is the wire form of one answer.
@@ -549,7 +522,7 @@ type statsResponse struct {
 	BaseSeries    int          `json:"base_series,omitempty"`
 	DeltaSeries   int          `json:"delta_series,omitempty"`
 	Rebuilding    bool         `json:"rebuilding,omitempty"`
-	// Server-level fields, filled by the HTTP layer (not the backend).
+	// Server-level fields.
 	UptimeSeconds float64          `json:"uptime_seconds,omitempty"`
 	QueriesServed int64            `json:"queries_served,omitempty"`
 	Admission     *admissionConfig `json:"admission,omitempty"`
@@ -580,94 +553,25 @@ func toShardStats(per []messi.Stats) []shardStats {
 	return out
 }
 
-// backend abstracts the two serving modes: a static index behind the
-// persistent engine, or a mutable live index accepting appends.
-type backend interface {
-	// do answers one quality-spectrum query; the context's cancellation
-	// and deadline thread into the search.
-	do(ctx context.Context, req messi.SearchRequest) (messi.Result, error)
-	stats() statsResponse
-	// engineOptions reports the effective admission-gate configuration.
-	engineOptions() messi.EngineOptions
-	// snapshot persists the served index to path (atomically) and
-	// reports how many series it covers. Live backends flush first, so
-	// the snapshot includes everything appended so far.
-	snapshot(path string) (int, error)
-}
-
-// appender is implemented by backends that accept new series (live mode).
-type appender interface {
-	appendSeries(rows [][]float32) (int, error)
-}
-
-// engineBackend serves an immutable index through messi.Engine.
-type engineBackend struct {
-	eng *messi.Engine
-}
-
-func (b *engineBackend) do(ctx context.Context, req messi.SearchRequest) (messi.Result, error) {
-	return b.eng.Do(ctx, req)
-}
-func (b *engineBackend) engineOptions() messi.EngineOptions { return b.eng.Options() }
-func (b *engineBackend) snapshot(path string) (int, error) {
-	ix := b.eng.Index()
-	if err := ix.Save(path); err != nil {
-		return 0, err
-	}
-	return ix.Len(), nil
-}
-func (b *engineBackend) stats() statsResponse {
-	ix := b.eng.Index()
+// stats reports the served index's shape; the generation and delta fields
+// belong to live mode.
+func (s *server) stats(ix *messi.LiveIndex) statsResponse {
 	st := ix.Stats()
 	resp := statsResponse{
 		Series:        st.Series,
 		SeriesLen:     ix.SeriesLen(),
-		RootChildren:  st.RootChildren,
-		InternalNodes: st.InternalNodes,
-		Leaves:        st.Leaves,
-		MaxDepth:      st.MaxDepth,
-		MaxLeafFill:   st.MaxLeafFill,
-	}
-	if ix.Shards() > 1 {
-		resp.Shards = ix.Shards()
-		resp.PerShard = toShardStats(ix.ShardStats())
-	}
-	return resp
-}
-
-// liveBackend serves a messi.LiveIndex (streaming ingestion mode).
-type liveBackend struct {
-	lix *messi.LiveIndex
-}
-
-func (b *liveBackend) do(ctx context.Context, req messi.SearchRequest) (messi.Result, error) {
-	return b.lix.Do(ctx, req)
-}
-func (b *liveBackend) appendSeries(rows [][]float32) (int, error) {
-	return b.lix.AppendBatch(rows)
-}
-func (b *liveBackend) engineOptions() messi.EngineOptions { return b.lix.EngineOptions() }
-func (b *liveBackend) snapshot(path string) (int, error) {
-	if err := b.lix.Save(path); err != nil {
-		return 0, err
-	}
-	return b.lix.Len(), nil
-}
-func (b *liveBackend) stats() statsResponse {
-	st := b.lix.Stats()
-	resp := statsResponse{
-		Series:        st.Series,
-		SeriesLen:     b.lix.SeriesLen(),
 		RootChildren:  st.Index.RootChildren,
 		InternalNodes: st.Index.InternalNodes,
 		Leaves:        st.Index.Leaves,
 		MaxDepth:      st.Index.MaxDepth,
 		MaxLeafFill:   st.Index.MaxLeafFill,
-		Live:          true,
-		Generation:    st.Generation,
-		BaseSeries:    st.BaseSeries,
-		DeltaSeries:   st.DeltaSeries,
-		Rebuilding:    st.Rebuilding,
+		Live:          s.live,
+	}
+	if s.live {
+		resp.Generation = st.Generation
+		resp.BaseSeries = st.BaseSeries
+		resp.DeltaSeries = st.DeltaSeries
+		resp.Rebuilding = st.Rebuilding
 	}
 	if st.Shards > 1 {
 		resp.Shards = st.Shards
@@ -676,12 +580,9 @@ func (b *liveBackend) stats() statsResponse {
 	return resp
 }
 
-// backendBox wraps the backend interface for atomic.Pointer.
-type backendBox struct{ b backend }
-
-// server is the HTTP layer around a serving backend: routing, readiness
+// server is the HTTP layer around the served index: routing, readiness
 // gating, per-route latency metrics, request IDs, and slow-query trace
-// logging. The backend is installed only after boot completes, so every
+// logging. The index is installed only after boot completes, so every
 // endpoint (including the health probes) answers 503 while a snapshot
 // load or index build is still running behind an already-open listener.
 type server struct {
@@ -689,8 +590,9 @@ type server struct {
 	reg   *messi.Metrics
 	start time.Time
 
-	backend atomic.Pointer[backendBox] // nil until install
+	index atomic.Pointer[messi.LiveIndex] // nil until install
 
+	live                bool          // -live: POST /v1/series is served, /v1/stats reports the live fields
 	defaultSnapshotPath string        // -snapshot: POST /v1/snapshot target when the body names none
 	slowQuery           time.Duration // -slow-query: trace-log threshold (0 disables)
 
@@ -699,12 +601,13 @@ type server struct {
 }
 
 // newServer builds the HTTP API recording into reg. The returned server
-// is not ready (everything 503s) until install is called with a backend.
-func newServer(reg *messi.Metrics, defaultSnapshotPath string, slowQuery time.Duration) *server {
+// is not ready (everything 503s) until install is called with an index.
+func newServer(reg *messi.Metrics, live bool, defaultSnapshotPath string, slowQuery time.Duration) *server {
 	s := &server{
 		mux:                 http.NewServeMux(),
 		reg:                 reg,
 		start:               time.Now(),
+		live:                live,
 		defaultSnapshotPath: defaultSnapshotPath,
 		slowQuery:           slowQuery,
 	}
@@ -712,27 +615,19 @@ func newServer(reg *messi.Metrics, defaultSnapshotPath string, slowQuery time.Du
 	return s
 }
 
-// install makes b the serving backend; the server reports ready from now
+// install makes ix the served index; the server reports ready from now
 // on. Safe to call while requests are in flight.
-func (s *server) install(b backend) { s.backend.Store(&backendBox{b: b}) }
-
-// current returns the serving backend, or nil before install.
-func (s *server) current() backend {
-	if box := s.backend.Load(); box != nil {
-		return box.b
-	}
-	return nil
-}
+func (s *server) install(ix *messi.LiveIndex) { s.index.Store(ix) }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// newHandler builds a ready HTTP API around a backend with a private
+// newHandler builds a ready HTTP API around an index with a private
 // metrics registry — the embedding/test entry point. run() instead wires
-// one shared registry through every layer and installs the backend only
+// one shared registry through every layer and installs the index only
 // after boot.
-func newHandler(b backend, defaultSnapshotPath string) http.Handler {
-	s := newServer(messi.NewMetrics(), defaultSnapshotPath, 0)
-	s.install(b)
+func newHandler(ix *messi.LiveIndex, live bool, defaultSnapshotPath string) http.Handler {
+	s := newServer(messi.NewMetrics(), live, defaultSnapshotPath, 0)
+	s.install(ix)
 	return s
 }
 
@@ -760,7 +655,7 @@ func servedRoutes() []string {
 func (s *server) routes() {
 	health := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.current() == nil {
+		if s.index.Load() == nil {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, "loading")
 			return
@@ -854,14 +749,14 @@ func requestID(ctx context.Context) string {
 	return id
 }
 
-// readyBackend returns the serving backend, writing a 503 and returning
-// nil while the index is still booting.
-func (s *server) readyBackend(w http.ResponseWriter) backend {
-	b := s.current()
-	if b == nil {
+// ready returns the served index, writing a 503 and returning nil while
+// it is still booting.
+func (s *server) ready(w http.ResponseWriter) *messi.LiveIndex {
+	ix := s.index.Load()
+	if ix == nil {
 		writeError(w, http.StatusServiceUnavailable, "index is still loading")
 	}
-	return b
+	return ix
 }
 
 // handleMetrics serves the registry plus Go runtime stats in Prometheus
@@ -875,14 +770,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	b := s.readyBackend(w)
-	if b == nil {
+	ix := s.ready(w)
+	if ix == nil {
 		return
 	}
-	resp := b.stats()
+	resp := s.stats(ix)
 	resp.UptimeSeconds = time.Since(s.start).Seconds()
 	resp.QueriesServed = s.queries.Load()
-	eo := b.engineOptions()
+	eo := ix.EngineOptions()
 	resp.Admission = &admissionConfig{
 		PoolWorkers:    eo.PoolWorkers,
 		QueryWorkers:   eo.QueryWorkers,
@@ -898,8 +793,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /v1/dtw, requiring k for /v1/knn) before it reaches the library.
 func (s *server) searchHandler(prep func(*searchRequest) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		b := s.readyBackend(w)
-		if b == nil {
+		ix := s.ready(w)
+		if ix == nil {
 			return
 		}
 		var req searchRequest
@@ -925,7 +820,7 @@ func (s *server) searchHandler(prep func(*searchRequest) error) http.HandlerFunc
 			mreq.Trace = true
 		}
 		start := time.Now()
-		res, err := b.do(r.Context(), mreq)
+		res, err := ix.Do(r.Context(), mreq)
 		elapsed := time.Since(start)
 		s.queries.Add(1)
 		if err != nil {
@@ -978,8 +873,8 @@ func phaseKey(name string) string {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	b := s.readyBackend(w)
-	if b == nil {
+	ix := s.ready(w)
+	if ix == nil {
 		return
 	}
 	var req batchRequest
@@ -990,11 +885,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "queries must be non-empty")
 		return
 	}
-	// The same submitter loop as messi.Engine.QueryBatch, whichever the
-	// backend: as many queries in flight as the admission gate admits.
+	// The same submitter loop as messi.Engine.QueryBatch: as many queries
+	// in flight as the admission gate admits, under the request's context —
+	// once the client is gone the remaining queries are not started.
 	resp := batchResponse{Results: make([][]jsonMatch, len(req.Queries))}
-	err := engine.ForEach(len(req.Queries), b.engineOptions().MaxConcurrent, func(i int) error {
-		res, err := b.do(context.Background(), messi.SearchRequest{Query: req.Queries[i]})
+	err := engine.ForEach(len(req.Queries), ix.EngineOptions().MaxConcurrent, func(i int) error {
+		if err := r.Context().Err(); err != nil {
+			return err
+		}
+		res, err := ix.Do(r.Context(), messi.SearchRequest{Query: req.Queries[i]})
 		if err == nil {
 			resp.Results[i] = toJSONMatches(res.Matches)
 		}
@@ -1002,15 +901,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 	s.queries.Add(int64(len(req.Queries)))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	b := s.readyBackend(w)
-	if b == nil {
+	ix := s.ready(w)
+	if ix == nil {
 		return
 	}
 	// The body is optional: an empty POST snapshots to the default.
@@ -1029,25 +928,24 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no snapshot path: pass {\"path\":...} or start with -snapshot")
 		return
 	}
-	series, err := b.snapshot(path)
-	if err != nil {
+	// Save flushes first, so the snapshot includes everything appended so
+	// far.
+	if err := ix.Save(path); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Path: path, Series: series, Bytes: snapshotSize(path)})
+	writeJSON(w, http.StatusOK, snapshotResponse{Path: path, Series: ix.Len(), Bytes: snapshotSize(path)})
 }
 
 // handleAppend serves POST /v1/series. The route always exists (so it
-// can 503 during boot like everything else), but a backend that cannot
-// append — static mode — answers 404 exactly as when the route was not
-// registered at all.
+// can 503 during boot like everything else), but without -live it answers
+// 404 exactly as when the route was not registered at all.
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	b := s.readyBackend(w)
-	if b == nil {
+	ix := s.ready(w)
+	if ix == nil {
 		return
 	}
-	app, ok := b.(appender)
-	if !ok {
+	if !s.live {
 		http.NotFound(w, r)
 		return
 	}
@@ -1059,7 +957,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "series must be non-empty")
 		return
 	}
-	first, err := app.appendSeries(req.Series)
+	first, err := ix.AppendBatch(req.Series)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	messi "repro"
+	"repro/internal/fault"
 )
 
 // doer is the unified query method shared by Index and LiveIndex.
@@ -41,17 +42,29 @@ func mustSeries(t *testing.T, ix *messi.Index, pos int) []float32 {
 	return s
 }
 
-// newTestHandler builds a small index and the HTTP API around it.
-func newTestHandler(t *testing.T) (http.Handler, *messi.Index) {
+// serveStatic builds what the server serves without -live — a live index
+// that never receives an append — and the HTTP API around it.
+func serveStatic(t *testing.T, data []float32, opts *messi.Options, defaultSnapshotPath string) http.Handler {
 	t.Helper()
-	data := messi.RandomWalk(1500, 64, 11)
-	ix, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64})
+	lix, err := messi.BuildLiveFlat(data, 64, opts,
+		&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ix.NewEngine(&messi.EngineOptions{PoolWorkers: 4})
-	t.Cleanup(eng.Close)
-	return newHandler(&engineBackend{eng: eng}, ""), ix
+	t.Cleanup(func() { lix.Close() })
+	return newHandler(lix, false, defaultSnapshotPath)
+}
+
+// newTestHandler builds the static HTTP API over a small collection, plus
+// an immutable index over the same data as the reference.
+func newTestHandler(t *testing.T) (http.Handler, *messi.Index) {
+	t.Helper()
+	opts := &messi.Options{LeafCapacity: 64}
+	ix, err := messi.BuildFlat(messi.RandomWalk(1500, 64, 11), 64, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveStatic(t, messi.RandomWalk(1500, 64, 11), opts, ""), ix
 }
 
 // newLiveTestHandler builds a small live index and the HTTP API around it.
@@ -59,12 +72,12 @@ func newLiveTestHandler(t *testing.T) (http.Handler, *messi.LiveIndex) {
 	t.Helper()
 	data := messi.RandomWalk(800, 64, 12)
 	lix, err := messi.BuildLiveFlat(data, 64, &messi.Options{LeafCapacity: 64, SearchWorkers: 4},
-		&messi.LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+		&messi.LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lix.Close() })
-	return newHandler(&liveBackend{lix: lix}, ""), lix
+	return newHandler(lix, true, ""), lix
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -188,12 +201,12 @@ func TestLiveAppendAndQuery(t *testing.T) {
 // searchable again after the reboot.
 func TestLiveWALRestartRecoversAppends(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	lopts := &messi.LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2, WALDir: walDir}
+	lopts := &messi.LiveOptions{RebuildThreshold: 1 << 30, WALDir: walDir}
 	lix, err := messi.NewLive(64, &messi.Options{LeafCapacity: 64, SearchWorkers: 2}, lopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newHandler(&liveBackend{lix: lix}, "")
+	h := newHandler(lix, true, "")
 	novel := make([]float32, 64)
 	for i := range novel {
 		novel[i] = 100 + float32(i)
@@ -211,7 +224,7 @@ func TestLiveWALRestartRecoversAppends(t *testing.T) {
 	if rec.Len() != 1 {
 		t.Fatalf("recovered %d series, want 1", rec.Len())
 	}
-	h = newHandler(&liveBackend{lix: rec}, "")
+	h = newHandler(rec, true, "")
 	rr := postJSON(t, h, "/v1/query", queryRequest{Query: novel})
 	if rr.Code != http.StatusOK {
 		t.Fatalf("query after reboot: status %d, body %s", rr.Code, rr.Body)
@@ -416,7 +429,7 @@ func TestRunLiveDatasetLoadError(t *testing.T) {
 }
 
 // TestSnapshotEndpointAndBoot: POST /v1/snapshot writes a loadable
-// snapshot, and bootStatic prefers it over rebuilding.
+// snapshot, and boot prefers it over rebuilding.
 func TestSnapshotEndpointAndBoot(t *testing.T) {
 	h, ix := newTestHandler(t)
 	path := filepath.Join(t.TempDir(), "served.snap")
@@ -442,11 +455,12 @@ func TestSnapshotEndpointAndBoot(t *testing.T) {
 		t.Fatalf("loaded snapshot answered %+v, served index %+v", got, want)
 	}
 
-	// bootStatic: snapshot present → loaded (no -data needed).
-	booted, source, err := bootStatic("", path, nil)
+	// boot: snapshot present → loaded (no -data needed).
+	booted, source, err := boot("", path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer booted.Close()
 	if booted.Len() != ix.Len() {
 		t.Fatalf("booted %d series, want %d", booted.Len(), ix.Len())
 	}
@@ -454,8 +468,8 @@ func TestSnapshotEndpointAndBoot(t *testing.T) {
 		t.Fatalf("boot source %q does not mention the snapshot", source)
 	}
 	// Snapshot absent and no data: a startup error, not a silent build.
-	if _, _, err := bootStatic("", filepath.Join(t.TempDir(), "missing.snap"), nil); err == nil {
-		t.Fatal("bootStatic with missing snapshot and no data did not error")
+	if _, _, err := boot("", filepath.Join(t.TempDir(), "missing.snap"), nil, nil); err == nil {
+		t.Fatal("boot with missing snapshot and no data did not error")
 	}
 }
 
@@ -468,15 +482,8 @@ func TestSnapshotEndpointDefaults(t *testing.T) {
 		t.Fatalf("snapshot without any path: status %d, want 400", rr.Code)
 	}
 
-	data := messi.RandomWalk(900, 64, 13)
-	ix, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := ix.NewEngine(&messi.EngineOptions{PoolWorkers: 4})
-	t.Cleanup(eng.Close)
 	def := filepath.Join(t.TempDir(), "default.snap")
-	hd := newHandler(&engineBackend{eng: eng}, def)
+	hd := serveStatic(t, messi.RandomWalk(900, 64, 13), &messi.Options{LeafCapacity: 64}, def)
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/snapshot", nil)
 	rr = httptest.NewRecorder()
@@ -493,8 +500,8 @@ func TestSnapshotEndpointDefaults(t *testing.T) {
 }
 
 // TestLiveSnapshotEndpoint: in live mode the endpoint flushes first, so
-// freshly appended series are part of the snapshot, and bootLive resumes
-// from it.
+// freshly appended series are part of the snapshot, and boot resumes from
+// it.
 func TestLiveSnapshotEndpoint(t *testing.T) {
 	h, lix := newLiveTestHandler(t)
 	novel := make([]float32, 64)
@@ -513,7 +520,7 @@ func TestLiveSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("snapshot response %+v, want %d series", sr, lix.Len())
 	}
 
-	booted, source, err := bootLive("", path, nil, &messi.LiveOptions{ScanWorkers: 2})
+	booted, source, err := boot("", path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,13 +629,7 @@ func TestShardedServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sharded.NewEngine(&messi.EngineOptions{PoolWorkers: 4})
-	t.Cleanup(eng.Close)
-	h := newHandler(&engineBackend{eng: eng}, "")
+	h := serveStatic(t, data, &messi.Options{LeafCapacity: 64, Shards: 4}, "")
 
 	q := make([]float32, 64)
 	copy(q, mustSeries(t, plain, 321))
@@ -665,14 +666,7 @@ func TestShardedServe(t *testing.T) {
 // a sharded snapshot directory's files instead of reporting the
 // directory inode size.
 func TestSnapshotSizeForDirectory(t *testing.T) {
-	data := messi.RandomWalk(800, 64, 15)
-	ix, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := ix.NewEngine(&messi.EngineOptions{PoolWorkers: 4})
-	t.Cleanup(eng.Close)
-	h := newHandler(&engineBackend{eng: eng}, "")
+	h := serveStatic(t, messi.RandomWalk(800, 64, 15), &messi.Options{LeafCapacity: 64, Shards: 2}, "")
 	dir := filepath.Join(t.TempDir(), "sized.snapdir")
 	rr := postJSON(t, h, "/v1/snapshot", snapshotRequest{Path: dir})
 	if rr.Code != http.StatusOK {
@@ -813,6 +807,49 @@ func TestSearchEndpointBadRequests(t *testing.T) {
 				t.Errorf("%s/%s: status %d, want 400 (body %s)", name, tc.name, rr.Code, rr.Body)
 			}
 		}
+	}
+}
+
+// TestBatchEndpointFailures: /v1/query/batch classifies a failure the way
+// /v1/search does — the client's fault is a 400, a query that panicked is a
+// 500, a client that went away is a 503 — and runs under the request's
+// context, so nothing is searched once that context is done.
+func TestBatchEndpointFailures(t *testing.T) {
+	h, _ := newTestHandler(t)
+	good := make([]float32, 64)
+	post := func(ctx context.Context, body batchRequest) *httptest.ResponseRecorder {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(buf)).WithContext(ctx))
+		return rr
+	}
+
+	rr := post(context.Background(), batchRequest{Queries: [][]float32{good, make([]float32, 5)}})
+	if rr.Code != http.StatusBadRequest {
+		t.Errorf("wrong-length row: status %d, want 400 (body %s)", rr.Code, rr.Body)
+	}
+
+	t.Cleanup(fault.DisarmAll)
+	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
+		t.Fatal(err)
+	}
+	rr = post(context.Background(), batchRequest{Queries: [][]float32{good, good}})
+	if rr.Code != http.StatusInternalServerError {
+		t.Errorf("panicked query: status %d, want 500 (body %s)", rr.Code, rr.Body)
+	}
+	if rr = post(context.Background(), batchRequest{Queries: [][]float32{good}}); rr.Code != http.StatusOK {
+		t.Errorf("batch after the panic: status %d, want 200 (body %s)", rr.Code, rr.Body)
+	}
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	rr = post(gone, batchRequest{Queries: [][]float32{good, good, good}})
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled client: status %d, want 503 (body %s)", rr.Code, rr.Body)
 	}
 }
 

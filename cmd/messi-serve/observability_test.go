@@ -15,19 +15,18 @@ import (
 )
 
 // newObservableServer builds a server the way run() does: one registry
-// shared by the engine and the HTTP layer.
-func newObservableServer(t *testing.T, slowQuery time.Duration) (*server, *messi.Index) {
+// shared by the index, its engine and the HTTP layer.
+func newObservableServer(t *testing.T, slowQuery time.Duration) (*server, *messi.LiveIndex) {
 	t.Helper()
-	data := messi.RandomWalk(1200, 64, 17)
-	ix, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64})
+	reg := messi.NewMetrics()
+	ix, err := messi.BuildLiveFlat(messi.RandomWalk(1200, 64, 17), 64, &messi.Options{LeafCapacity: 64},
+		&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 4}, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := messi.NewMetrics()
-	eng := ix.NewEngine(&messi.EngineOptions{PoolWorkers: 4, Metrics: reg})
-	t.Cleanup(eng.Close)
-	s := newServer(reg, "", slowQuery)
-	s.install(&engineBackend{eng: eng})
+	t.Cleanup(func() { ix.Close() })
+	s := newServer(reg, false, "", slowQuery)
+	s.install(ix)
 	return s, ix
 }
 
@@ -161,11 +160,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestReadiness: before a backend is installed every endpoint (including
+// TestReadiness: before an index is installed every endpoint (including
 // the health probes) answers 503 — except /metrics, which must be
 // scrapeable during a long boot; after install the server is ready.
 func TestReadiness(t *testing.T) {
-	s := newServer(messi.NewMetrics(), "", 0)
+	s := newServer(messi.NewMetrics(), false, "", 0)
 	for _, path := range []string{"/healthz", "/readyz", "/v1/stats"} {
 		if rr := getPath(t, s, path); rr.Code != http.StatusServiceUnavailable {
 			t.Errorf("%s before install: status %d, want 503", path, rr.Code)
@@ -178,14 +177,13 @@ func TestReadiness(t *testing.T) {
 		t.Errorf("/metrics before install: status %d, want 200", rr.Code)
 	}
 
-	data := messi.RandomWalk(300, 64, 5)
-	ix, err := messi.BuildFlat(data, 64, &messi.Options{LeafCapacity: 64})
+	ix, err := messi.BuildLiveFlat(messi.RandomWalk(300, 64, 5), 64, &messi.Options{LeafCapacity: 64},
+		&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ix.NewEngine(&messi.EngineOptions{PoolWorkers: 2})
-	t.Cleanup(eng.Close)
-	s.install(&engineBackend{eng: eng})
+	t.Cleanup(func() { ix.Close() })
+	s.install(ix)
 
 	for _, path := range []string{"/healthz", "/readyz"} {
 		rr := getPath(t, s, path)

@@ -56,7 +56,7 @@ func TestREADMEDocumentsServedRoutes(t *testing.T) {
 // mux: each must resolve to a registered pattern (not the catch-all 404),
 // proving servedRoutes() and routes() stay in lockstep.
 func TestServedRoutesRegister(t *testing.T) {
-	s := newServer(messi.NewMetrics(), "", 0)
+	s := newServer(messi.NewMetrics(), false, "", 0)
 	for _, pattern := range servedRoutes() {
 		method, path, ok := strings.Cut(pattern, " ")
 		if !ok {

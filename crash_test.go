@@ -88,7 +88,6 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	opts := &Options{LeafCapacity: 2, IndexWorkers: 2, SearchWorkers: 2, Shards: shards}
 	lopts := &LiveOptions{
 		RebuildThreshold: 1 << 30, // rebuilds happen via explicit Flush/Save only
-		ScanWorkers:      2,
 		WALDir:           walDir,
 		WALSync:          "always",
 		WALSegmentBytes:  crashSegmentBytes,
@@ -197,7 +196,6 @@ func TestCrashTornRecordDropped(t *testing.T) {
 	opts := &Options{LeafCapacity: 64, IndexWorkers: 2, SearchWorkers: 2}
 	lopts := &LiveOptions{
 		RebuildThreshold: 1 << 30,
-		ScanWorkers:      2,
 		WALDir:           filepath.Join(dir, "wal"),
 		WALSync:          "always",
 	}
@@ -265,7 +263,7 @@ func TestQueryPanickedPublicSentinel(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	ix, err := BuildLiveFlat(RandomWalk(200, crashSeriesLen, 11), crashSeriesLen,
 		&Options{LeafCapacity: 64, SearchWorkers: 2},
-		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+		&LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,6 @@ func TestCrashRecoveryTruncatedLog(t *testing.T) {
 	opts := &Options{LeafCapacity: 64, IndexWorkers: 2, SearchWorkers: 2}
 	lopts := &LiveOptions{
 		RebuildThreshold: 1 << 30,
-		ScanWorkers:      2,
 		WALDir:           walDir,
 		WALSync:          "always",
 		WALSegmentBytes:  crashSegmentBytes,

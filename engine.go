@@ -61,7 +61,8 @@ func (ix *Index) NewEngine(opts *EngineOptions) *Engine {
 		// conversion stops compiling if they drift apart.
 		o = engine.Options(*opts)
 	}
-	return &Engine{ix: ix, inner: engine.New(ix.inner, o)}
+	engine.RegisterShards(o.Metrics, ix.inner.NumShards)
+	return &Engine{ix: ix, inner: engine.New(ix.inner.Opts(), o)}
 }
 
 // Options returns the engine's effective (defaulted) options — the

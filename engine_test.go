@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -126,4 +127,23 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEngineShardsGauge: the engine holds no index, so the static index it
+// was started over feeds messi_engine_shards.
+func TestEngineShardsGauge(t *testing.T) {
+	ix, err := BuildFlat(RandomWalk(200, 64, 31), 64, &Options{LeafCapacity: 32, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetrics()
+	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2, Metrics: reg})
+	defer eng.Close()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\nmessi_engine_shards 4\n") {
+		t.Fatalf("messi_engine_shards does not read 4:\n%s", sb.String())
+	}
 }

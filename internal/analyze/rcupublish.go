@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// RCUPublish enforces the read-copy-update discipline used by the
-// engine's shard pointer, the live index's view pointer and the serving
-// backend: a value obtained from an atomic.Pointer (or atomic.Value)
-// Load is a published generation and is immutable — readers hold it
-// without locks. Mutating it races every concurrent query. The correct
+// RCUPublish enforces the read-copy-update discipline used by the live
+// index's view pointer — the one place an index generation is published;
+// the engine is handed the view per query and holds none — and by the
+// server's index pointer: a value obtained from an atomic.Pointer (or
+// atomic.Value) Load is a published generation and is immutable — readers
+// hold it without locks. Mutating it races every concurrent query. The correct
 // pattern is copy-on-write: build a fresh value, then Store/Swap/CAS it
 // in.
 //

@@ -5,7 +5,8 @@
 // a k-NN extension of the same machinery: one SearchRun, built only by
 // Index.NewRun from a Request, parameterised by a distance kernel
 // (Euclidean, or LB_Keogh→DTW), a Collector (the 1-NN BSF or a top-k set)
-// and a QoS state, with one candidate loop (refine) behind every flavour.
+// and a QoS state, with one candidate loop (refine) behind every flavour
+// and its position-order counterpart (Scan) for series held outside a tree.
 // An approximate answer is a run that is complete after its preparation.
 // The package has no per-flavour entry points: internal/shard fans a
 // Request out over one run per shard, spawn-mode or on the engine's pool.
@@ -38,9 +39,9 @@
 //     a queue empty steals from the others before exiting (Algorithm 6's
 //     termination), so no leaf is dropped when workers finish unevenly.
 //   - SearchOptions.Shared threads an external Collector through the
-//     search so several index shards (and the delta scan of a live index,
-//     whose matches the caller offers it beforehand) tighten one another's
-//     pruning; SearchOptions.GlobalPos remaps local leaf positions into
+//     search so several index shards (and the position-order Scan of a
+//     live index's delta chunks) tighten one another's pruning as they
+//     run; SearchOptions.GlobalPos remaps local leaf positions into
 //     the caller's global position space before they are published to it.
 //     The top-k collector rejects a position it already holds.
 //   - Per-query scratch (PAA buffer, iSAX word, distance table, queues)

@@ -20,18 +20,17 @@ import (
 // upper bound on the exact constrained-DTW distance.
 
 // warped is the DTW kernel: the query, its warping window and its
-// LB_Keogh envelope. The distance table is built from the envelope's
-// per-segment summary (max of the upper envelope, min of the lower), and a
-// raw candidate is measured by LB_Keogh first, then the early-abandoning
-// DTW itself.
+// LB_Keogh envelope (newKernel builds it). The distance table is built from
+// the envelope's per-segment summary (max of the upper envelope, min of the
+// lower), and a raw candidate is measured by LB_Keogh first, then the
+// early-abandoning DTW itself.
 type warped struct {
 	query        []float32
 	window       int
-	upper, lower []float32 // pointwise envelope, set by prepare
+	upper, lower []float32 // pointwise envelope
 }
 
 func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
-	k.upper, k.lower = dtw.Envelope(k.query, k.window)
 	w := tab.Schema().Segments
 	tab.BuildEnvelope(paa.SegmentMax(k.upper, w, nil), paa.SegmentMin(k.lower, w, nil))
 }

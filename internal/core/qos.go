@@ -84,7 +84,7 @@ func (m Mode) Valid() bool { return m >= ModeExact && m <= ModeDeadline }
 
 // Request is one backend-independent similarity query: the same contract
 // is served by a single tree, a sharded fan-out, the persistent engine,
-// and the live index (which fuses a delta scan into it).
+// and the live index (whose delta chunks join the fan-out).
 type Request struct {
 	Query []float32
 	// K is the number of neighbors; 0 and 1 both mean 1-NN.

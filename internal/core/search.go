@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dtw"
 	"repro/internal/fault"
 	"repro/internal/isax"
 	"repro/internal/paa"
 	"repro/internal/pqueue"
+	"repro/internal/series"
 	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/vector"
@@ -46,9 +48,9 @@ type SearchOptions struct {
 	// caller-owned one threaded through several concurrent runs — the
 	// sharded fan-out, where a tight bound found in one shard prunes the
 	// searches of all the others. It holds global positions (see
-	// GlobalPos) and whatever externally known candidates the caller
-	// offered it beforehand (a live index's delta-scan matches); after
-	// every sibling run finishes, its Matches are the fused answer.
+	// GlobalPos), and series outside any index (a live index's delta) are
+	// measured into it by Scan; after every sibling finishes, its Matches
+	// are the fused answer.
 	Shared Collector
 
 	// QoS, when non-nil, carries the query's quality-of-service state:
@@ -148,6 +150,15 @@ type kernel interface {
 	// is ruled out) and how many raw-series lower bounds and real
 	// distances that took.
 	dist(candidate []float32, limit float64) (d float64, lowerBounds, realDists int64)
+}
+
+// newKernel returns the kernel of a checked request.
+func newKernel(req Request) kernel {
+	if req.DTW {
+		upper, lower := dtw.Envelope(req.Query, req.Window)
+		return &warped{query: req.Query, window: req.Window, upper: upper, lower: lower}
+	}
+	return euclidean(req.Query)
 }
 
 // euclidean is the paper's default kernel: the early-abandoning squared
@@ -332,30 +343,27 @@ func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*Search
 	if ix.Data.Count() == 0 {
 		return nil, ErrEmptyIndex
 	}
-	var kern kernel = euclidean(req.Query)
-	if req.DTW {
-		kern = &warped{query: req.Query, window: req.Window}
-	}
 	coll := opt.Shared
 	if coll == nil {
 		coll = NewCollector(req.K)
 	}
-	r := &SearchRun{ix: ix, kern: kern, coll: coll, bnd: workerBound(coll, opt.GlobalPos),
+	r := &SearchRun{ix: ix, coll: coll, bnd: workerBound(coll, opt.GlobalPos),
 		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown,
 		qos: opt.QoS, escale: opt.QoS.Scale()}
 	r.init(req, st)
 	return r, nil
 }
 
-// init computes the query summaries (into st's buffers when available),
-// seeds the collector via the approximate search and, unless that already
-// completes the run, builds the per-query distance table and sizes the
-// queue set.
+// init builds the kernel, computes the query summaries (into st's buffers
+// when available), seeds the collector via the approximate search and,
+// unless that already completes the run, builds the per-query distance
+// table and sizes the queue set.
 func (r *SearchRun) init(req Request, st *QueryState) {
 	var tInit time.Time
 	if r.bd.Enabled() {
 		tInit = time.Now()
 	}
+	r.kern = newKernel(req)
 	var paaBuf []float64
 	var wordBuf []uint8
 	if st != nil {
@@ -676,6 +684,36 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 				}
 				limit = bnd.Load()
 			}
+		}
+	}
+	ctrs.AddLowerBound(lbCount)
+	ctrs.AddRealDist(realCount)
+}
+
+// Scan is the position-order counterpart of refine: it measures every
+// series of a flat collection with the request's kernel against coll,
+// offering series i as position start+i. There are no summaries to filter
+// on and nothing for ε to inflate, so the collection is searched exactly
+// whatever the request's mode — which a live index's delta, small by
+// construction, affords. The request must have passed Validate and
+// CheckShape.
+func Scan(req Request, data *series.Collection, start int64, coll Collector) {
+	scanRange(data, 0, data.Count(), newKernel(req),
+		mappedBound{inner: coll, toGlobal: func(i int64) int64 { return start + i }}, req.Counters)
+}
+
+// scanRange measures data's series [lo,hi) in position order against bnd,
+// which is read before every candidate: another run sharing it may have
+// tightened it meanwhile.
+func scanRange(data *series.Collection, lo, hi int, kern kernel, bnd bound, ctrs *stats.Counters) {
+	var lbCount, realCount int64
+	for i := lo; i < hi; i++ {
+		limit := bnd.Load()
+		d, nLB, nReal := kern.dist(data.At(i), limit)
+		lbCount += nLB
+		realCount += nReal
+		if d < limit && bnd.Update(d, int64(i)) {
+			ctrs.AddBSFUpdate()
 		}
 	}
 	ctrs.AddLowerBound(lbCount)

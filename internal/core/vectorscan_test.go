@@ -374,10 +374,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				// The reference: the same steps with the plain loop.
 				var wantCtrs stats.Counters
 				wantQoS := req.NewQoS()
-				var kern kernel = euclidean(q)
-				if fl.dtw {
-					kern = &warped{query: q, window: window}
-				}
+				kern := newKernel(req)
 				qpaa := paa.Transform(q, w, nil)
 				tab := ix.Schema.NewDistTable()
 				kern.prepare(tab, qpaa)

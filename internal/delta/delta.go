@@ -10,10 +10,10 @@
 // both captured under the buffer's mutex when the snapshot is taken.
 //
 // The buffer deliberately has no index structure: the live index answers
-// queries over it by brute-force scan (internal/scan), which is fast at
-// delta scale and exact by construction. When the delta grows past the
-// rebuild threshold its contents are merged into the next immutable
-// generation and the buffer is discarded.
+// queries over it by an exact position-order scan of its chunks (core.Scan,
+// on the engine's pool), which is fast at delta scale. When the delta grows
+// past the rebuild threshold its contents are merged into the next
+// immutable generation and the buffer is discarded.
 package delta
 
 import (
@@ -132,9 +132,9 @@ func (s *Snapshot) At(i int) []float32 {
 }
 
 // Collections exposes the snapshot as contiguous series.Collection chunks
-// (one per occupied block, in order), so collection-based algorithms like
-// the internal/scan brute-force searches can run over delta data without
-// copying. Chunk c starts at series c*blockCap of the snapshot.
+// (one per occupied block, in order), so collection-based algorithms — a
+// query's position-order scans — run over delta data without copying.
+// Chunk c starts at series c*blockCap of the snapshot.
 func (s *Snapshot) Collections() ([]*series.Collection, error) {
 	var cols []*series.Collection
 	remaining := s.count

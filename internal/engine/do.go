@@ -6,22 +6,63 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
-// Do serves one quality-of-service request through the engine — its only
-// query method: admission gate, the overload-degradation policy
-// (Options.DegradeEpsilon), then pooled execution, whatever the distance,
-// answer shape or mode. seeds are externally known candidate matches with
-// global positions (the live index's delta-scan results), applied to the
-// pruning bound before the search starts; a seed that remains best is part
-// of the answer.
-func (e *Engine) Do(req core.Request, seeds []core.Match) (core.Result, error) {
+// View is what one query searches: an immutable index generation plus the
+// series appended since. A static index is a view with an empty delta; a
+// live index that has built nothing yet is one with no base.
+type View struct {
+	Base  *shard.Index // nil before the first generation exists
+	Delta []Chunk      // contiguous, in position order
+}
+
+// Chunk is a contiguous run of delta series; Start is the global position
+// of the first.
+type Chunk struct {
+	Data  *series.Collection
+	Start int
+}
+
+// shards reports the generation's shard count, 0 when there is none.
+func (v View) shards() int {
+	if v.Base == nil {
+		return 0
+	}
+	return v.Base.NumShards()
+}
+
+// check validates the request on its own, then against the length of the
+// view's series; a view holding none cannot be searched.
+func (v View) check(req core.Request) error {
+	if err := req.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case v.Base != nil:
+		return req.CheckShape(v.Base.SeriesLen())
+	case len(v.Delta) > 0:
+		return req.CheckShape(v.Delta[0].Data.Length)
+	}
+	return core.ErrEmptyIndex
+}
+
+// Do serves one quality-of-service request over the view — the engine's
+// only query method, and the one place a request is validated, admitted
+// and executed: the request is checked first, so a malformed one is
+// rejected without queueing; then the admission gate and the
+// overload-degradation policy (Options.DegradeEpsilon); then pooled
+// execution, whatever the distance, answer shape or mode.
+func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return core.Result{}, ErrClosed
+	}
+	if err := v.check(req); err != nil {
+		return core.Result{}, err
 	}
 
 	// With metrics on, every query contributes its operation counts to the
@@ -65,11 +106,7 @@ func (e *Engine) Do(req core.Request, seeds []core.Match) (core.Result, error) {
 		req.Mode = core.ModeApprox
 	}
 
-	sx := e.sx.Load()
-	if sx == nil {
-		return core.Result{}, ErrNoIndex
-	}
-	res, err := e.run(sx, req, seeds)
+	res, err := e.run(v, req)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -113,25 +150,28 @@ func (e *Engine) admitQoS(req core.Request) (bool, error) {
 	}
 }
 
-// run executes one request on the pool against the generation sx: one run
-// per shard prepared by shardRuns, then — for every run the preparation
-// did not already complete — QueryWorkers insert units per run, the
-// all-inserted barrier (awaited here, never inside a pool goroutine), and
-// QueryWorkers drain units per run. The barrier spans the whole fan-out,
-// so a shard finishing its tree pass early keeps its bound improvements
-// visible to the shards still traversing. The first failure — a unit
-// panic, recovered where it happened — fails this query alone; the
-// remaining phases are skipped, since the answer is discarded anyway.
-func (e *Engine) run(sx *shard.Index, req core.Request, seeds []core.Match) (core.Result, error) {
-	q, err := sx.NewQuery(req, seeds)
-	if err != nil {
-		return core.Result{}, err
+// run executes one request on the pool against the view: every member of
+// the fan-out — one run per shard, one scan per delta chunk — is prepared
+// by prepare, then — for every run the preparation did not already
+// complete — QueryWorkers insert units per run, the all-inserted barrier
+// (awaited here, never inside a pool goroutine), and QueryWorkers drain
+// units per run. The barrier spans the whole fan-out, so a shard finishing
+// its tree pass early keeps its bound improvements visible to the shards
+// still traversing. The first failure — a unit panic, recovered where it
+// happened — fails this query alone; the remaining phases are skipped,
+// since the answer is discarded anyway.
+func (e *Engine) run(v View, req core.Request) (core.Result, error) {
+	if v.Base == nil {
+		// Delta chunks are scanned exactly in every mode, so with nothing
+		// else to search the answer is exact whatever was asked for.
+		req.Mode = core.ModeExact
 	}
-	if sx.NumShards() > 1 {
-		e.met.recordFanout()
+	q := shard.NewQuery(v.Base, req)
+	if e.met != nil && v.shards() > 1 {
+		e.met.fanout.Inc()
 	}
 	rec := &panicBox{}
-	runs, sts := e.shardRuns(sx, q, rec)
+	runs, sts := e.prepare(v, q, rec)
 	if rec.load() == nil {
 		e.dispatchAll(runs, (*core.SearchRun).InsertPhase, rec)
 	}
@@ -150,48 +190,49 @@ func (e *Engine) run(sx *shard.Index, req core.Request, seeds []core.Match) (cor
 	return q.Result(), nil
 }
 
-// shardRuns prepares one run per non-empty shard, borrowing a QueryState
-// for each, and returns the runs that still have phases to execute plus
-// every borrowed state. Preparation — the query's PAA/table build plus the
-// bound-seeding approximate search — is fanned out over the pool, so a
-// query's setup latency does not grow linearly with S; the caller takes
-// the last shard itself instead of idling at the barrier, which for a
-// generation of one shard means no pool hop at all. Approximate answers
-// landing in the shared collector concurrently tighten each other exactly
+// prepare runs the first stage of every member of the fan-out on the pool:
+// per non-empty shard, the run's preparation on a borrowed QueryState — the
+// query's PAA/table build plus the bound-seeding approximate search — and
+// per delta chunk its whole exact scan, which has no later stage. It
+// returns the runs that still have phases to execute plus every borrowed
+// state. Fanned out, a query's setup latency does not grow linearly with
+// the member count; the shards go first, since an approximate answer is
+// cheap and lets the chunk scans abandon early; and the caller takes the
+// last member itself instead of idling at the barrier, which for a static
+// view of one shard means no pool hop at all. Everything lands in the
+// shared collector concurrently, each member tightening the others exactly
 // as the drain phases do.
-func (e *Engine) shardRuns(sx *shard.Index, q *shard.Query, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
-	S := sx.NumShards()
-	last := -1
-	for s := 0; s < S; s++ {
-		if sx.Shard(s) != nil {
-			last = s
-		}
-	}
-	opt := core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues}
+func (e *Engine) prepare(v View, q *shard.Query, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
+	S := v.shards()
 	runs := make([]*core.SearchRun, S)
 	sts := make([]*core.QueryState, 0, S)
+	members := S + len(v.Delta) // an empty shard is a member with nothing to do
 	var wg sync.WaitGroup
-	for s := 0; s <= last; s++ {
-		if sx.Shard(s) == nil {
-			continue
+	wg.Add(members)
+	for i := 0; i < members; i++ {
+		var st *core.QueryState
+		if i < S && v.Base.Shard(i) != nil {
+			st = e.states.Get().(*core.QueryState)
+			sts = append(sts, st)
 		}
-		st := e.states.Get().(*core.QueryState)
-		sts = append(sts, st)
-		wg.Add(1)
-		prepare := func(int) {
-			defer wg.Done()
-			defer e.recoverInto(rec)
-			run, err := q.NewRun(s, st, opt)
-			if err != nil {
-				rec.note(err)
-				return
-			}
-			runs[s] = run
+		member := func(int) {
+			e.unit(&wg, rec, func() {
+				if i >= S {
+					q.Scan(v.Delta[i-S].Data, v.Delta[i-S].Start)
+				} else if st != nil {
+					run, err := q.NewRun(i, st, core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues})
+					if err != nil {
+						rec.note(err)
+						return
+					}
+					runs[i] = run
+				}
+			})
 		}
-		if s < last {
-			e.tasks <- prepare
+		if i < members-1 {
+			e.tasks <- member
 		} else {
-			prepare(0)
+			member(0)
 		}
 	}
 	wg.Wait()
@@ -206,32 +247,34 @@ func (e *Engine) shardRuns(sx *shard.Index, q *shard.Query, rec *panicBox) ([]*c
 }
 
 // dispatchAll enqueues QueryWorkers units of phase for every run and
-// waits for all of them. A panic in a unit is recovered on the pool
-// worker (before its wg.Done fires, so the barrier never deadlocks) and
-// recorded.
+// waits for all of them.
 func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
 	var wg sync.WaitGroup
 	wg.Add(len(runs) * e.opts.QueryWorkers)
 	for _, run := range runs {
 		for i := 0; i < e.opts.QueryWorkers; i++ {
 			e.tasks <- func(pid int) {
-				defer wg.Done()
-				defer e.recoverInto(rec)
-				if err := fpUnit.Hit(); err != nil {
-					rec.note(err)
-					return
-				}
-				phase(run, pid)
+				e.unit(&wg, rec, func() { phase(run, pid) })
 			}
 		}
 	}
 	wg.Wait()
 }
 
-// recoverInto, deferred by every unit of query work, turns a panic into the
+// unit executes one unit of query work — a member's preparation or one
+// worker's share of a phase. A panic in it is recovered where it happens
+// (before wg.Done fires, so the barrier never deadlocks) and becomes the
 // query's recorded failure.
-func (e *Engine) recoverInto(rec *panicBox) {
-	if r := recover(); r != nil {
-		rec.note(e.panicErr(r))
+func (e *Engine) unit(wg *sync.WaitGroup, rec *panicBox, work func()) {
+	defer wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			rec.note(e.panicErr(r))
+		}
+	}()
+	if err := fpUnit.Hit(); err != nil {
+		rec.note(err)
+		return
 	}
+	work()
 }

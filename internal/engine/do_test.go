@@ -32,10 +32,10 @@ func fillGate(e *Engine) func() {
 func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 	ix, qs := testIndex(t)
 	const eps = 4.0
-	e := New(ix, Options{PoolWorkers: 4, MaxConcurrent: 1, DegradeEpsilon: eps})
+	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1, DegradeEpsilon: eps})
 	defer e.Close()
 
-	release := fillGate(e)
+	release := fillGate(e.Engine)
 	const nq = 8
 	results := make([]core.Result, nq)
 	errs := make([]error, nq)
@@ -44,7 +44,7 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 	for i := 0; i < nq; i++ {
 		go func(i int) {
 			started <- struct{}{}
-			results[i], errs[i] = e.Do(core.Request{Query: qs.At(i)}, nil)
+			results[i], errs[i] = e.do(core.Request{Query: qs.At(i)})
 			done <- struct{}{}
 		}(i)
 	}
@@ -91,10 +91,10 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 // idle engine with DegradeEpsilon configured still answers exactly.
 func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 4, MaxConcurrent: 2, DegradeEpsilon: 0.5})
+	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 2, DegradeEpsilon: 0.5})
 	defer e.Close()
 	for i := 0; i < 4; i++ {
-		res, err := e.Do(core.Request{Query: qs.At(i)}, nil)
+		res, err := e.do(core.Request{Query: qs.At(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,17 +113,17 @@ func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 // approximate step and reports the answer as inexact.
 func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
+	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
 	defer e.Close()
 
-	release := fillGate(e)
+	release := fillGate(e.Engine)
 	defer release()
 	start := time.Now()
-	res, err := e.Do(core.Request{
+	res, err := e.do(core.Request{
 		Query:    qs.At(0),
 		Mode:     core.ModeDeadline,
 		Deadline: time.Now().Add(30 * time.Millisecond),
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +149,14 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 // returns context.Canceled without running any search.
 func TestCancelDuringAdmission(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
+	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
 	defer e.Close()
 
-	release := fillGate(e)
+	release := fillGate(e.Engine)
 	defer release()
 	canceled := make(chan struct{})
 	close(canceled)
-	_, err := e.Do(core.Request{Query: qs.At(0), Cancel: canceled}, nil)
+	_, err := e.do(core.Request{Query: qs.At(0), Cancel: canceled})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled admission returned %v, want context.Canceled", err)
 	}

@@ -7,12 +7,10 @@ import (
 	"log/slog"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 )
 
 // ErrClosed is returned by queries submitted after Close.
@@ -30,13 +28,9 @@ var ErrQueryPanicked = errors.New("engine: query panicked")
 // cannot take the pool down.
 var fpUnit = fault.Register("engine.unit")
 
-// ErrNoIndex is returned by queries while the engine has no index yet (an
-// engine may be started before its first generation is built and receive
-// one later via Swap).
-var ErrNoIndex = errors.New("engine: no index installed")
-
-// Options configures an Engine. Zero fields inherit from the index
-// options (which themselves default to the paper's values).
+// Options configures an Engine. Zero fields inherit from the options of
+// the indexes it will search (which themselves default to the paper's
+// values).
 type Options struct {
 	// PoolWorkers is the number of long-lived worker goroutines shared
 	// by all queries. Default: the index's SearchWorkers (Ns).
@@ -73,17 +67,11 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 	if o.PoolWorkers <= 0 {
 		o.PoolWorkers = ixOpts.SearchWorkers
 	}
-	if o.PoolWorkers <= 0 {
-		o.PoolWorkers = core.DefaultSearchWorkers
-	}
 	if o.QueryWorkers <= 0 || o.QueryWorkers > o.PoolWorkers {
 		o.QueryWorkers = o.PoolWorkers
 	}
 	if o.Queues <= 0 {
 		o.Queues = ixOpts.QueueCount
-	}
-	if o.Queues <= 0 {
-		o.Queues = core.DefaultQueueCount
 	}
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = o.PoolWorkers / o.QueryWorkers
@@ -98,16 +86,14 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 // goroutine's index in the pool.
 type task func(pid int)
 
-// Engine is a persistent query engine over a swappable index: the current
-// index generation — a shard group of one or more core indexes — is held
-// behind an atomic pointer, and Swap atomically replaces it (RCU-style —
-// queries already executing finish against the generation they loaded at
-// admission; new queries see the new one). Every query is answered by
-// fanning per-shard work units onto the one pool, threading one shared
-// collector through every shard's run. It is safe for concurrent use by
-// multiple goroutines. Close it when done to release the pool.
+// Engine is a persistent query engine: the worker pool, the admission gate
+// and the per-query scratch that every query of one index — whatever
+// generation of it — runs through. It owns no index: each Do names the View
+// to search, so a caller that rebuilds its index publishes the new
+// generation in one place (its own view pointer), and a query runs from
+// start to finish against the view it was handed. It is safe for concurrent
+// use by multiple goroutines. Close it when done to release the pool.
 type Engine struct {
-	sx     atomic.Pointer[shard.Index]
 	opts   Options
 	met    *engMetrics // nil when Options.Metrics is nil
 	tasks  chan task
@@ -119,31 +105,16 @@ type Engine struct {
 	closed bool
 }
 
-// New starts an engine over an index generation (a group of one or more
-// shards). sx may be nil — queries fail with ErrNoIndex until a generation
-// is installed via Swap — which lets a live index start empty and stream
-// data in.
-func New(sx *shard.Index, opts Options) *Engine {
-	var ixOpts core.Options
-	if sx != nil {
-		ixOpts = sx.Opts()
-	}
-	opts = opts.withDefaults(ixOpts)
+// New starts an engine for indexes built with ixOpts, which (after their own
+// defaults) supply the defaults of opts' zero fields.
+func New(ixOpts core.Options, opts Options) *Engine {
+	opts = opts.withDefaults(core.FillDefaults(ixOpts))
 	e := &Engine{
 		opts:  opts,
 		met:   newEngMetrics(opts.Metrics, opts),
 		tasks: make(chan task, 4*opts.PoolWorkers),
 		admit: make(chan struct{}, opts.MaxConcurrent),
 	}
-	e.sx.Store(sx)
-	opts.Metrics.GaugeFunc("messi_engine_shards",
-		"Shards in the currently installed index generation.", func() float64 {
-			cur := e.sx.Load()
-			if cur == nil {
-				return 0
-			}
-			return float64(cur.NumShards())
-		})
 	e.states.New = func() any { return core.NewQueryState() }
 	e.wg.Add(opts.PoolWorkers)
 	for pid := 0; pid < opts.PoolWorkers; pid++ {
@@ -176,7 +147,9 @@ func (e *Engine) runTask(t task, pid int) {
 // messi_query_panics_total; the returned error carries only the panic
 // value, so API consumers see a clean sentinel.
 func (e *Engine) panicErr(r any) error {
-	e.met.recordPanic()
+	if e.met != nil {
+		e.met.panics.Inc()
+	}
 	level := slog.LevelError
 	if fault.IsInjectedPanic(r) {
 		level = slog.LevelInfo // chaos tests inject these on purpose
@@ -213,18 +186,6 @@ func (b *panicBox) load() error {
 
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
-
-// Shards returns the current generation (nil if none installed).
-func (e *Engine) Shards() *shard.Index { return e.sx.Load() }
-
-// Swap atomically installs a new index generation and returns the previous
-// one. In-flight queries keep running against the generation they loaded;
-// queries admitted after Swap see the new one. The old generation may be
-// released once its queries drain (Go's GC handles this — callers need no
-// quiescence protocol).
-func (e *Engine) Swap(sx *shard.Index) *shard.Index {
-	return e.sx.Swap(sx)
-}
 
 // Close waits for in-flight queries to finish, stops the pool, and
 // releases its goroutines. Queries submitted after Close return

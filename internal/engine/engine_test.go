@@ -49,20 +49,32 @@ func testIndex(t *testing.T) (*shard.Index, *series.Collection) {
 // the engine.
 
 func spawn1(sx *shard.Index, q []float32) (core.Match, error) {
-	return first(sx.Do(core.Request{Query: q}, nil, core.SearchOptions{}))
+	return first(sx.Do(core.Request{Query: q}, core.SearchOptions{}))
 }
 
 func spawnK(sx *shard.Index, q []float32, k int) ([]core.Match, error) {
-	res, err := sx.Do(core.Request{Query: q, K: k}, nil, core.SearchOptions{})
+	res, err := sx.Do(core.Request{Query: q, K: k}, core.SearchOptions{})
 	return res.Matches, err
 }
 
-func pool1(e *Engine, q []float32) (core.Match, error) {
-	return first(e.Do(core.Request{Query: q}, nil))
+// served is an engine bound to the one view a test searches.
+type served struct {
+	*Engine
+	view View
 }
 
-func poolK(e *Engine, q []float32, k int) ([]core.Match, error) {
-	res, err := e.Do(core.Request{Query: q, K: k}, nil)
+func serve(sx *shard.Index, opts Options) *served {
+	return &served{New(sx.Opts(), opts), View{Base: sx}}
+}
+
+func (e *served) do(req core.Request) (core.Result, error) { return e.Do(e.view, req) }
+
+func pool1(e *served, q []float32) (core.Match, error) {
+	return first(e.do(core.Request{Query: q}))
+}
+
+func poolK(e *served, q []float32, k int) ([]core.Match, error) {
+	res, err := e.do(core.Request{Query: q, K: k})
 	return res.Matches, err
 }
 
@@ -77,7 +89,7 @@ func first(res core.Result, err error) (core.Match, error) {
 // of the per-query-spawn core search on the same inputs.
 func TestSearchMatchesCore(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 8})
+	e := serve(ix, Options{PoolWorkers: 8})
 	defer e.Close()
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
@@ -98,7 +110,7 @@ func TestSearchMatchesCore(t *testing.T) {
 // TestSearchKNNMatchesCore: k-NN parity between the engine and core.
 func TestSearchKNNMatchesCore(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 8})
+	e := serve(ix, Options{PoolWorkers: 8})
 	defer e.Close()
 	for _, k := range []int{1, 5, 20} {
 		for i := 0; i < 4; i++ {
@@ -139,7 +151,7 @@ func TestConcurrentQueriers(t *testing.T) {
 
 	// A deliberately over-subscribed configuration: more concurrent
 	// queriers than admission slots, fewer pool workers than queriers.
-	e := New(ix, Options{PoolWorkers: 6, QueryWorkers: 3, MaxConcurrent: 4})
+	e := serve(ix, Options{PoolWorkers: 6, QueryWorkers: 3, MaxConcurrent: 4})
 	defer e.Close()
 
 	const queriers = 10
@@ -175,7 +187,7 @@ func TestConcurrentQueriers(t *testing.T) {
 // surfaces an error without corrupting the others.
 func TestBatch(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 8, QueryWorkers: 2})
+	e := serve(ix, Options{PoolWorkers: 8, QueryWorkers: 2})
 	defer e.Close()
 
 	batch := func(queries [][]float32) ([]core.Match, error) {
@@ -217,7 +229,7 @@ func TestBatch(t *testing.T) {
 // TestClose: queries after Close fail with ErrClosed; Close is idempotent.
 func TestClose(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := New(ix, Options{PoolWorkers: 4})
+	e := serve(ix, Options{PoolWorkers: 4})
 	if _, err := pool1(e, qs.At(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestClose(t *testing.T) {
 // is clamped to the pool size.
 func TestOptionDefaults(t *testing.T) {
 	ix, _ := testIndex(t)
-	e := New(ix, Options{})
+	e := serve(ix, Options{})
 	defer e.Close()
 	o := e.Options()
 	if o.PoolWorkers != ix.Opts().SearchWorkers {
@@ -251,7 +263,7 @@ func TestOptionDefaults(t *testing.T) {
 		t.Errorf("MaxConcurrent = %d, want 1", o.MaxConcurrent)
 	}
 
-	e2 := New(ix, Options{PoolWorkers: 12, QueryWorkers: 99, Queues: 3})
+	e2 := serve(ix, Options{PoolWorkers: 12, QueryWorkers: 99, Queues: 3})
 	defer e2.Close()
 	o2 := e2.Options()
 	if o2.QueryWorkers != 12 {
@@ -272,11 +284,8 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(sx, Options{PoolWorkers: 8, QueryWorkers: 2})
+	e := serve(sx, Options{PoolWorkers: 8, QueryWorkers: 2})
 	defer e.Close()
-	if e.Shards() != sx {
-		t.Fatal("Shards() does not return the installed generation")
-	}
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
 		want, err := spawn1(ix, q)
@@ -309,42 +318,30 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSwapShardedGenerations: an engine can move between generations of
-// different shard counts; in both directions queries see the new one.
-func TestSwapShardedGenerations(t *testing.T) {
+// TestGenerationsShareOnePool: one engine serves views of generations with
+// different shard counts, in any order — the generation is an argument of
+// the query, not state of the engine.
+func TestGenerationsShareOnePool(t *testing.T) {
 	ix, qs := testIndex(t)
 	sx, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, Options{PoolWorkers: 4})
+	e := New(ix.Opts(), Options{PoolWorkers: 4})
 	defer e.Close()
-	if e.Shards() != ix {
-		t.Fatal("initial generation not visible")
-	}
-	if prev := e.Swap(sx); prev != ix {
-		t.Fatalf("Swap returned %v, want the initial generation", prev)
-	}
 	q := qs.At(0)
 	want, err := spawn1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool1(e, q)
-	if err != nil {
-		t.Fatal(err)
+	for i, gen := range []*shard.Index{ix, sx, ix} {
+		got, err := first(e.Do(View{Base: gen}, core.Request{Query: q}))
+		if err != nil || got != want {
+			t.Fatalf("view %d (S=%d) answered %+v (%v), want %+v", i, gen.NumShards(), got, err, want)
+		}
 	}
-	if got != want {
-		t.Fatalf("post-swap query answered %+v, want %+v", got, want)
-	}
-	if prev := e.Swap(ix); prev != sx {
-		t.Fatalf("Swap back returned %v, want the sharded generation", prev)
-	}
-	if e.Shards() != ix {
-		t.Fatal("swap back to the one-shard generation not visible")
-	}
-	if got, err := pool1(e, q); err != nil || got != want {
-		t.Fatalf("query after swapping back answered %+v (%v), want %+v", got, err, want)
+	if _, err := e.Do(View{}, core.Request{Query: q}); !errors.Is(err, core.ErrEmptyIndex) {
+		t.Fatalf("empty view: err = %v, want ErrEmptyIndex", err)
 	}
 }
 

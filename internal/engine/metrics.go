@@ -37,7 +37,7 @@ type engMetrics struct {
 
 // newEngMetrics registers the engine's instruments on r (nil r → nil, all
 // recording disabled). Registration is idempotent, so several engines in
-// one process (a live index swapping generations, say) share one set.
+// one process share one set.
 func newEngMetrics(r *metrics.Registry, opts Options) *engMetrics {
 	if r == nil {
 		return nil
@@ -90,6 +90,15 @@ func newEngMetrics(r *metrics.Registry, opts Options) *engMetrics {
 	return m
 }
 
+// RegisterShards registers messi_engine_shards on r, read from shards at
+// exposition time. The engine holds no generation, so whoever owns the
+// current one — a live index's view, a static index — feeds the series.
+func RegisterShards(r *metrics.Registry, shards func() int) {
+	r.GaugeFunc("messi_engine_shards",
+		"Shards in the currently installed index generation.",
+		func() float64 { return float64(shards()) })
+}
+
 // waitStart marks a query entering the admission queue and returns the
 // wait-measurement start time (zero when metrics are off).
 func (m *engMetrics) waitStart() time.Time {
@@ -136,20 +145,4 @@ func (m *engMetrics) recordCounters(s stats.Snapshot) {
 	m.leavesIns.Add(s.LeavesInserted)
 	m.leavesPrune.Add(s.LeavesPruned)
 	m.bsfUpdates.Add(s.BSFUpdates)
-}
-
-// recordPanic counts one recovered query panic.
-func (m *engMetrics) recordPanic() {
-	if m == nil {
-		return
-	}
-	m.panics.Inc()
-}
-
-// recordFanout counts one sharded fan-out query.
-func (m *engMetrics) recordFanout() {
-	if m == nil {
-		return
-	}
-	m.fanout.Inc()
 }

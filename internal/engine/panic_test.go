@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/dtw"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/series"
 	"repro/internal/shard"
 )
 
@@ -25,17 +27,17 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 	ix, qs := testIndex(t)
 	for _, tc := range []struct {
 		name string
-		mk   func(reg *metrics.Registry) *Engine
+		mk   func(reg *metrics.Registry) *served
 	}{
-		{"one shard", func(reg *metrics.Registry) *Engine {
-			return New(ix, Options{PoolWorkers: 8, Metrics: reg})
+		{"one shard", func(reg *metrics.Registry) *served {
+			return serve(ix, Options{PoolWorkers: 8, Metrics: reg})
 		}},
-		{"two shards", func(reg *metrics.Registry) *Engine {
+		{"two shards", func(reg *metrics.Registry) *served {
 			sx, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return New(sx, Options{PoolWorkers: 8, Metrics: reg})
+			return serve(sx, Options{PoolWorkers: 8, Metrics: reg})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,18 +118,52 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 }
 
 // TestQueryPanicIsolated walks every request flavour over one- and
-// two-shard generations — there is one pooled path, so each must be
-// isolated the same way. First the panic is injected at the deepest point,
-// inside core's leaf scan (an Error spec: scanLeaf has no error return and
-// panics with the injected error, which panicErr keeps matchable through
-// the sentinel); then inside a dispatched work unit. Either way the query
-// fails alone with ErrQueryPanicked, its QueryStates never return to the
-// pool, and the next query on the same pool is answered exactly.
+// two-shard generations, alone and with a delta beside them, and over a
+// delta with no generation at all — there is one pooled path, so each must
+// be isolated the same way. First the panic is injected at the deepest
+// point, inside core's leaf scan (an Error spec: scanLeaf has no error
+// return and panics with the injected error, which panicErr keeps matchable
+// through the sentinel); then inside a unit of query work, which a delta
+// chunk's scan is like any other. Either way the query fails alone with
+// ErrQueryPanicked, its QueryStates never return to the pool, and the next
+// query on the same pool is answered exactly.
 func TestQueryPanicIsolated(t *testing.T) {
 	ix, qs := testIndex(t)
-	two, err := shard.Build(testData(t), 2, core.Options{LeafCapacity: 100})
+	data := testData(t)
+	two, err := shard.Build(data, 2, core.Options{LeafCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// 300 more series after the generation's, as two delta chunks, and the
+	// from-scratch index over everything that views with a delta must match.
+	extra, err := dataset.Generate(dataset.RandomWalk, 300, testLength, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := series.NewCollection(append(append([]float32(nil), data.Data...), extra.Data...), testLength)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := shard.Build(all, 1, core.Options{LeafCapacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := chunks(t, all, testSeries, all.Count(), 200)
+	deltaOnly, err := shard.Build(extra, 1, core.Options{LeafCapacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []struct {
+		name string
+		view View
+		want *shard.Index // answers what the view must answer
+		off  int          // position of want's first series in the view
+	}{
+		{"S=1", View{Base: ix}, ix, 0},
+		{"S=2", View{Base: two}, ix, 0},
+		{"S=1+delta", View{Base: ix, Delta: delta}, full, 0},
+		{"S=2+delta", View{Base: two, Delta: delta}, full, 0},
+		{"delta", View{Delta: delta}, deltaOnly, testSeries},
 	}
 	window := dtw.WindowSize(testLength, 0.1)
 	flavours := []struct {
@@ -146,12 +182,15 @@ func TestQueryPanicIsolated(t *testing.T) {
 		{"core.scanleaf", fault.Spec{Action: fault.Error}},
 		{"engine.unit", fault.Spec{Action: fault.Panic}},
 	}
-	for _, sx := range []*shard.Index{ix, two} {
+	for _, vw := range views {
 		for _, fl := range flavours {
 			for _, ft := range faults {
-				t.Run(fmt.Sprintf("S=%d/%s/%s", sx.NumShards(), fl.name, ft.point), func(t *testing.T) {
+				if vw.view.Base == nil && ft.point == "core.scanleaf" {
+					continue // no tree, no leaf scan
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", vw.name, fl.name, ft.point), func(t *testing.T) {
 					t.Cleanup(fault.DisarmAll)
-					e := New(sx, Options{PoolWorkers: 4})
+					e := New(ix.Opts(), Options{PoolWorkers: 4})
 					defer e.Close()
 					// Count the states the pool hands out from scratch: a
 					// state that came back after the panic would be reused
@@ -164,7 +203,7 @@ func TestQueryPanicIsolated(t *testing.T) {
 					}
 					req := fl.req
 					req.Query = qs.At(0)
-					_, err := e.Do(req, nil)
+					_, err := e.Do(vw.view, req)
 					if !errors.Is(err, ErrQueryPanicked) {
 						t.Fatalf("err = %v, want ErrQueryPanicked", err)
 					}
@@ -176,20 +215,27 @@ func TestQueryPanicIsolated(t *testing.T) {
 					// Disarmed (one-shot): the same pool answers the next
 					// query exactly, on states it did not get back.
 					req.Query, req.Mode = qs.At(1), core.ModeExact
-					want, err := sx.Do(req, nil, core.SearchOptions{})
+					want, err := vw.want.Do(req, core.SearchOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.Do(req, nil)
+					for i := range want.Matches {
+						want.Matches[i].Position += vw.off
+					}
+					got, err := e.Do(vw.view, req)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("after recovery: got %+v, want %+v", got, want)
 					}
-					if made := fresh.Load() - poisoned; made != int64(sx.NumShards()) {
+					states := 0
+					if vw.view.Base != nil {
+						states = vw.view.Base.NumShards()
+					}
+					if made := fresh.Load() - poisoned; made != int64(states) {
 						t.Fatalf("next query drew %d fresh states, want %d: poisoned states went back to the pool",
-							made, sx.NumShards())
+							made, states)
 					}
 				})
 			}

@@ -120,7 +120,7 @@ func (tb *testbed) runQuery(algo Algo, q []float32, workers, queues int, ctrs *s
 // messiNearest answers one exact 1-NN request on a MESSI index in the
 // paper's per-query spawn mode and returns the squared distance.
 func messiNearest(ix *core.Index, req core.Request, opt core.SearchOptions) (float64, error) {
-	res, err := shard.Wrap(ix).Do(req, nil, opt)
+	res, err := shard.Wrap(ix).Do(req, opt)
 	if err != nil {
 		return 0, err
 	}

@@ -1,45 +1,27 @@
 package live
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/engine"
+)
 
 // Do serves one quality-of-service request over the union of the immutable
-// generation and the delta — the index's only query method. The delta is
-// always scanned exactly — it is small by construction, so even
-// approximate and deadline requests afford it — and its best matches seed
-// the engine request, so the tree search honors the same contract (one
-// shared collector, one QoS state) as the static backends. With no
-// generation yet, the exhaustive delta scan IS the whole search, so the
-// answer is exact whatever the requested mode.
+// generation and the delta — the index's only query method. It loads ONE
+// view and hands it to the engine, which validates the request, admits it
+// and searches the generation's shards and the delta's chunks as members
+// of one fan-out: one shared collector, one QoS state, every unit of work
+// on the pool. The delta is always scanned exactly — it is small by
+// construction, so even approximate and deadline requests afford it — and
+// with no generation yet that scan IS the whole search, so the answer is
+// exact whatever the requested mode.
 func (ix *Index) Do(req core.Request) (core.Result, error) {
-	if err := req.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := req.CheckShape(ix.seriesLen); err != nil {
-		return core.Result{}, err
-	}
 	v := ix.view.Load()
-	var seeds []core.Match
-	var err error
-	switch {
-	case req.DTW:
-		seeds, err = ix.deltaDTW(v, req.Query, req.Window, req.Counters)
-	case req.K > 1:
-		seeds, err = ix.deltaKNN(v, req.Query, req.K, req.Counters)
-	default:
-		seeds, err = ix.delta1NN(v, req.Query, req.Counters)
-	}
+	chunks, err := v.deltaChunks()
 	if err != nil {
 		return core.Result{}, err
 	}
-
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return core.Result{}, ErrEmpty
-		}
-		return core.Result{Matches: seeds, Exact: true}, nil
+	if v.base == nil && len(chunks) == 0 {
+		return core.Result{}, ErrEmpty
 	}
-	// The engine generation may be one rebuild ahead of v — safe, the
-	// frozen series exist in both at the same positions and the collector
-	// dedupes by position.
-	return ix.eng.Do(req, seeds)
+	return ix.eng.Do(engine.View{Base: v.base, Delta: chunks}, req)
 }

@@ -1,12 +1,13 @@
 // Package live implements a mutable MESSI index as a layered system over
 // the immutable core: freshly appended series land in a concurrent delta
-// buffer (internal/delta) and are answered by exact brute-force scan
-// (internal/scan), while the bulk of the data lives in an immutable
-// core.Index generation queried through the persistent engine
-// (internal/engine). A query fuses the two paths by scanning the delta
-// first and seeding the tree search's pruning bound with the delta's best
-// matches — the delta answer both participates in the result and tightens
-// tree pruning.
+// buffer (internal/delta), while the bulk of the data lives in an immutable
+// generation — a shard group of core indexes. A query loads ONE view
+// (generation + frozen delta + active delta) and hands it to the persistent
+// engine (internal/engine), which searches the generation's shards and the
+// delta's chunks as members of one fan-out: the chunks are scanned exactly,
+// in position order, on the same pool and into the same collector as the
+// tree search, so what the delta holds both participates in the result and
+// tightens tree pruning, and the other way round.
 //
 // When the delta exceeds a configurable threshold, a background rebuild
 // merges it with the current generation into a new core.Index using the
@@ -15,7 +16,9 @@
 // immutable value behind an atomic pointer). In-flight queries finish on
 // the view they loaded; appends arriving during the rebuild go to a fresh
 // active delta and become part of the next generation. Neither queries
-// nor appends ever block on a rebuild.
+// nor appends ever block on a rebuild. A rebuild first collects the
+// generation its predecessor retired (one runtime.GC), so memory stays at
+// about two generations whatever the pacer's cycles would have left.
 //
 // Positions are stable across rebuilds: series are numbered in append
 // order (the initial collection first), and the merge preserves that
@@ -24,7 +27,8 @@
 //
 // # Generation swap rules
 //
-//   - The view pointer is the single source of truth. A query loads it
+//   - The view pointer is the single source of truth and the only place a
+//     generation is published (the engine holds none). A query loads it
 //     once and uses that consistent (generation, frozen delta, active
 //     delta) triple for its whole execution; it never re-loads mid-query.
 //   - Only the rebuild goroutine swaps the pointer, and only after the

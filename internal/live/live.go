@@ -3,8 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +14,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/isax"
 	"repro/internal/metrics"
-	"repro/internal/scan"
 	"repro/internal/series"
 	"repro/internal/shard"
-	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/wal"
 )
@@ -31,12 +28,6 @@ var fpRebuild = fault.Register("live.rebuild")
 // DefaultRebuildThreshold is the default number of active-delta series
 // that triggers a background generation rebuild.
 const DefaultRebuildThreshold = 100_000
-
-// DefaultScanWorkers is the default parallelism of the delta brute-force
-// scan. The delta is small by construction, so a handful of workers keeps
-// the scan off the query's critical path without stealing cores from the
-// tree search.
-const DefaultScanWorkers = 8
 
 // Default bounds of the rebuild retry backoff: a failed background
 // rebuild is retried after DefaultRebuildRetryBase, doubling per
@@ -58,14 +49,12 @@ type Options struct {
 	// Core configures every immutable generation (construction and
 	// default query parameters); zero fields use the paper's defaults.
 	Core core.Options
-	// Engine configures the persistent query pool shared by all
-	// generations.
+	// Engine configures the persistent query pool every query runs on,
+	// whatever generation it searches; zero fields inherit from Core.
 	Engine engine.Options
 	// RebuildThreshold is the active-delta size (series) that triggers a
 	// background rebuild. Default DefaultRebuildThreshold.
 	RebuildThreshold int
-	// ScanWorkers is the delta-scan parallelism. Default DefaultScanWorkers.
-	ScanWorkers int
 	// BlockSeries is the delta storage block granularity. Default
 	// delta.DefaultBlockSeries.
 	BlockSeries int
@@ -97,9 +86,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.RebuildThreshold <= 0 {
 		o.RebuildThreshold = DefaultRebuildThreshold
-	}
-	if o.ScanWorkers <= 0 {
-		o.ScanWorkers = DefaultScanWorkers
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -231,15 +217,6 @@ func (ix *Index) boot(base *shard.Index) (*Index, error) {
 func prepare(seriesLen int, opts Options) (*Index, error) {
 	opts.Core = core.FillDefaults(opts.Core)
 	opts = opts.withDefaults()
-	// The engine inherits its pool shape from the core options even when
-	// the index starts empty (engine.New would otherwise only see them
-	// once a generation exists).
-	if opts.Engine.PoolWorkers <= 0 {
-		opts.Engine.PoolWorkers = opts.Core.SearchWorkers
-	}
-	if opts.Engine.Queues <= 0 {
-		opts.Engine.Queues = opts.Core.QueueCount
-	}
 	if opts.Engine.Metrics == nil {
 		opts.Engine.Metrics = opts.Metrics
 	}
@@ -270,7 +247,13 @@ func (ix *Index) start(base *shard.Index) *Index {
 		baseLen: baseLen,
 		active:  delta.New(ix.seriesLen, ix.opts.BlockSeries),
 	})
-	ix.eng = engine.New(base, ix.opts.Engine)
+	ix.eng = engine.New(ix.opts.Core, ix.opts.Engine)
+	engine.RegisterShards(ix.opts.Engine.Metrics, func() int {
+		if base := ix.view.Load().base; base != nil {
+			return base.NumShards()
+		}
+		return 0
+	})
 	if r := ix.opts.Metrics; r != nil {
 		ix.rebuilds = r.Counter("messi_live_rebuilds_total",
 			"Completed background generation rebuilds.")
@@ -352,8 +335,8 @@ func (ix *Index) Len() int {
 // Generation reports how many immutable generations have been built.
 func (ix *Index) Generation() int64 { return ix.gen.Load() }
 
-// Engine returns the persistent query engine serving the current
-// generation (for callers that want direct, delta-blind tree queries).
+// Engine returns the persistent query engine — pool and admission gate —
+// every query of this index runs through.
 func (ix *Index) Engine() *engine.Engine { return ix.eng }
 
 // Base returns the current immutable generation — a shard group of one
@@ -493,14 +476,10 @@ func (ix *Index) rebuild(v *view) {
 		ix.rebuildErr = err
 		ix.scheduleRetryLocked()
 	} else {
+		// One pointer store publishes the generation: a query searches the
+		// view it loaded, old or new, and in both every series is in
+		// exactly one of {generation, frozen delta, active delta}.
 		cur := ix.view.Load() // only rebuilds store the view after freeze, and only one runs
-		// Swap the engine BEFORE publishing the new view. A query that
-		// loads the old view against the new generation is safe — the
-		// frozen series it scans exist in both, at the same positions, and
-		// the bounds dedupe by position — but the reverse order would open
-		// a window where a query sees a frozen-free view while the engine
-		// still serves the old generation, losing the merged series.
-		ix.eng.Swap(newIx)
 		ix.view.Store(&view{base: newIx, baseLen: total, active: cur.active})
 		ix.gen.Add(1)
 		ix.rebuildErr = nil
@@ -581,6 +560,13 @@ func (ix *Index) mergeGeneration(v *view, total int) (*shard.Index, error) {
 	S := ix.opts.Shards
 	L := ix.seriesLen
 
+	// Collect the generation the previous rebuild retired before allocating
+	// the next one. A generation is by far the heap's largest object and a
+	// rebuild allocates a whole one, so the pacer, left alone, runs about
+	// one cycle per rebuild, and how many retired generations sit beside
+	// the live one at the peak depends only on where those cycles happen to
+	// fall. Here the last one retired has long lost its readers.
+	runtime.GC()
 	flats := shard.AllocSlices(total, S, L)
 	fill := make([]int, S)
 	for s := 0; s < S; s++ {
@@ -628,7 +614,7 @@ func (ix *Index) Flush() error {
 
 // Close stops background rebuilds (waiting for an in-flight one) and
 // shuts down the query pool. Appends and Flushes after Close return
-// ErrClosed; queries that reach the engine return engine.ErrClosed.
+// ErrClosed; queries return engine.ErrClosed.
 func (ix *Index) Close() {
 	ix.mu.Lock()
 	if ix.closed {
@@ -703,102 +689,29 @@ func (ix *Index) Series(pos int) ([]float32, error) {
 	}
 }
 
-// forEachDeltaChunk runs fn over every contiguous chunk of the view's
-// delta (frozen snapshot first, then a fresh snapshot of the active
-// buffer), passing each chunk's global start position.
-func (ix *Index) forEachDeltaChunk(v *view, fn func(col *series.Collection, start int) error) error {
-	emit := func(snap *delta.Snapshot, start int) error {
+// deltaChunks lists the view's delta as the contiguous chunks a query
+// scans, each with its global start position: the frozen snapshot first,
+// then a fresh snapshot of the active buffer.
+func (v *view) deltaChunks() ([]engine.Chunk, error) {
+	var chunks []engine.Chunk
+	add := func(snap *delta.Snapshot, start int) error {
 		cols, err := snap.Collections()
 		if err != nil {
 			return err
 		}
-		off := start
 		for _, col := range cols {
-			if err := fn(col, off); err != nil {
-				return err
-			}
-			off += col.Count()
+			chunks = append(chunks, engine.Chunk{Data: col, Start: start})
+			start += col.Count()
 		}
 		return nil
 	}
 	if v.frozen != nil {
-		if err := emit(v.frozen, v.baseLen); err != nil {
-			return err
+		if err := add(v.frozen, v.baseLen); err != nil {
+			return nil, err
 		}
 	}
-	active := v.active.Snapshot()
-	if active.Len() > 0 {
-		if err := emit(active, v.activeStart()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deltaBest folds a per-chunk 1-NN scan over the delta, returning zero
-// or one seed match with a global position. Each chunk scan is seeded
-// with the best distance found so far, so later chunks reuse the earlier
-// chunks' pruning work — the same bound-threading the tree search gets
-// from its seeds.
-func (ix *Index) deltaBest(v *view, scanChunk func(col *series.Collection, bound float64) (core.Match, error)) ([]core.Match, error) {
-	best := core.Match{Position: -1, Dist: math.Inf(1)}
-	err := ix.forEachDeltaChunk(v, func(col *series.Collection, start int) error {
-		m, err := scanChunk(col, best.Dist)
-		if err != nil {
-			return err
-		}
-		if m.Position >= 0 && m.Dist < best.Dist {
-			best = core.Match{Position: start + m.Position, Dist: m.Dist}
-		}
-		return nil
-	})
-	if err != nil || best.Position < 0 {
+	if err := add(v.active.Snapshot(), v.activeStart()); err != nil {
 		return nil, err
 	}
-	return []core.Match{best}, nil
-}
-
-// delta1NN brute-force scans the delta for the query's nearest neighbor.
-// ctrs, when non-nil, accumulates the scan's distance-computation counts
-// (so per-query traces cover the delta side too).
-func (ix *Index) delta1NN(v *view, query []float32, ctrs *stats.Counters) ([]core.Match, error) {
-	return ix.deltaBest(v, func(col *series.Collection, bound float64) (core.Match, error) {
-		return scan.Search1NNBounded(col, query, ix.opts.ScanWorkers, bound, ctrs)
-	})
-}
-
-// deltaKNN brute-force scans the delta for the query's k nearest
-// neighbors (global positions, ascending distance).
-func (ix *Index) deltaKNN(v *view, query []float32, k int, ctrs *stats.Counters) ([]core.Match, error) {
-	var all []core.Match
-	err := ix.forEachDeltaChunk(v, func(col *series.Collection, start int) error {
-		ms, err := scan.SearchKNN(col, query, k, ix.opts.ScanWorkers, ctrs)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			all = append(all, core.Match{Position: start + m.Position, Dist: m.Dist})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Position < all[j].Position
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
-}
-
-// deltaDTW brute-force scans the delta under constrained DTW.
-func (ix *Index) deltaDTW(v *view, query []float32, window int, ctrs *stats.Counters) ([]core.Match, error) {
-	return ix.deltaBest(v, func(col *series.Collection, bound float64) (core.Match, error) {
-		return scan.SearchDTWBounded(col, query, window, ix.opts.ScanWorkers, bound, ctrs)
-	})
+	return chunks, nil
 }

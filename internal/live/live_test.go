@@ -42,7 +42,6 @@ func smallOpts(threshold int) Options {
 	return Options{
 		Core:             core.Options{LeafCapacity: 32, SearchWorkers: 4, IndexWorkers: 4, ChunkSize: 128},
 		RebuildThreshold: threshold,
-		ScanWorkers:      2,
 		BlockSeries:      64,
 	}
 }
@@ -52,7 +51,7 @@ func smallOpts(threshold int) Options {
 type oracle struct{ *shard.Index }
 
 func (o oracle) Do(req core.Request) (core.Result, error) {
-	return o.Index.Do(req, nil, core.SearchOptions{})
+	return o.Index.Do(req, core.SearchOptions{})
 }
 
 func freshIndex(t *testing.T, rows [][]float32) oracle {

@@ -51,11 +51,11 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := x.At(qi * 17)
-		want, err := x.Do(core.Request{Query: q}, nil, core.SearchOptions{})
+		want, err := x.Do(core.Request{Query: q}, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Do(core.Request{Query: q}, nil, core.SearchOptions{})
+		got, err := loaded.Do(core.Request{Query: q}, core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

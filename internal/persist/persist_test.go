@@ -459,7 +459,7 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		for _, req := range []core.Request{{Query: q}, {Query: q, K: 3}, {Query: q, DTW: true, Window: 2}} {
-			res, err := shard.Wrap(ix).Do(req, nil, core.SearchOptions{Workers: 4, Queues: 2})
+			res, err := shard.Wrap(ix).Do(req, core.SearchOptions{Workers: 4, Queues: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -528,7 +528,7 @@ func TestRoundTripIdenticalAnswers(t *testing.T) {
 // search answers one request on a single core index in spawn mode and
 // returns the nearest match.
 func search(ix *core.Index, req core.Request, opt core.SearchOptions) (core.Match, error) {
-	res, err := shard.Wrap(ix).Do(req, nil, opt)
+	res, err := shard.Wrap(ix).Do(req, opt)
 	if err != nil {
 		return core.Match{}, err
 	}

@@ -5,10 +5,11 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/series"
 )
 
-// Query is the state one request shares across its per-shard runs: the
-// collector, holding global positions, and the QoS state. Both the
+// Query is the state one request shares across the members of its fan-out:
+// the collector, holding global positions, and the QoS state. Both the
 // spawn-mode Do below and the pooled engine build their runs through it.
 type Query struct {
 	x    *Index
@@ -17,24 +18,11 @@ type Query struct {
 	qos  *core.QoS
 }
 
-// NewQuery validates the request against the collection and readies its
-// shared state. seeds are externally known candidate matches with global
-// positions (a live index's delta-scan results), offered to the collector
-// once, before any run starts: they tighten every shard's pruning and take
-// part in the answer, so a seed that remains best is returned as-is, and
-// one that names a series a shard also holds is counted once.
-func (x *Index) NewQuery(req core.Request, seeds []core.Match) (*Query, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	if err := req.CheckShape(x.length); err != nil {
-		return nil, err
-	}
-	q := &Query{x: x, req: req, coll: core.NewCollector(req.K), qos: req.NewQoS()}
-	for _, m := range seeds {
-		q.coll.Update(m.Dist, int64(m.Position))
-	}
-	return q, nil
+// NewQuery readies the shared state of one request, which must have passed
+// Validate and CheckShape. x is nil when the fan-out has no shard to run on
+// — a live index before its first generation, searched through Scan alone.
+func NewQuery(x *Index, req core.Request) *Query {
+	return &Query{x: x, req: req, coll: core.NewCollector(req.K), qos: req.NewQoS()}
 }
 
 // NewRun prepares the query's run on shard s (which must be non-empty),
@@ -48,7 +36,16 @@ func (q *Query) NewRun(s int, st *core.QueryState, opt core.SearchOptions) (*cor
 	return q.x.shards[s].NewRun(q.req, st, opt)
 }
 
-// Result is the fused answer. Call it once every run has finished.
+// Scan executes one more member of the fan-out: a contiguous chunk of
+// series no shard holds yet (a live index's delta), whose first series has
+// global position start. It is measured exactly, in position order, into
+// the shared collector: what it finds prunes every shard's run and the
+// other way round, and a series a shard also holds is counted once.
+func (q *Query) Scan(chunk *series.Collection, start int) {
+	core.Scan(q.req, chunk, int64(start), q.coll)
+}
+
+// Result is the fused answer. Call it once every member has finished.
 func (q *Query) Result() core.Result {
 	return q.qos.Finish(q.coll.Matches(), q.req.Mode)
 }
@@ -61,11 +58,14 @@ func (q *Query) Result() core.Result {
 // divided across the shards, so the fan-out spawns the same total
 // parallelism as one unsharded search. Matches carry global positions and
 // squared distances.
-func (x *Index) Do(req core.Request, seeds []core.Match, opt core.SearchOptions) (core.Result, error) {
-	q, err := x.NewQuery(req, seeds)
-	if err != nil {
+func (x *Index) Do(req core.Request, opt core.SearchOptions) (core.Result, error) {
+	if err := req.Validate(); err != nil {
 		return core.Result{}, err
 	}
+	if err := req.CheckShape(x.length); err != nil {
+		return core.Result{}, err
+	}
+	q := NewQuery(x, req)
 	if opt.Workers <= 0 {
 		opt.Workers = x.opts.SearchWorkers
 	}

@@ -16,9 +16,11 @@
 // leaf scans of shards 1..S-1, so the fan-out does the same total pruning
 // work as one big tree, and the collector's contents are the answer — there
 // is no merge step. Answers are identical to a single index built over the
-// whole collection. Do spawns each run's workers for the query (the paper's
-// mode); the engine builds the same runs through Query.NewRun and executes
-// them on its pool.
+// whole collection. Do validates the request and spawns each run's workers
+// for the query (the paper's mode); the engine, which validates before it
+// admits, builds the same runs through Query.NewRun and executes them on
+// its pool, and adds the chunks of a live index's delta to the same fan-out
+// through Query.Scan — members with no tree, scanned in position order.
 //
 // # Concurrency invariants
 //

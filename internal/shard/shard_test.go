@@ -43,9 +43,9 @@ func testOpts() core.Options {
 
 // Helpers over Do, one per request flavour.
 
-func matches(t testing.TB, x *Index, req core.Request, seeds []core.Match) []core.Match {
+func matches(t testing.TB, x *Index, req core.Request) []core.Match {
 	t.Helper()
-	res, err := x.Do(req, seeds, core.SearchOptions{})
+	res, err := x.Do(req, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,19 +55,19 @@ func matches(t testing.TB, x *Index, req core.Request, seeds []core.Match) []cor
 	return res.Matches
 }
 
-func nn1(t testing.TB, x *Index, q []float32, seeds []core.Match) core.Match {
+func nn1(t testing.TB, x *Index, q []float32) core.Match {
 	t.Helper()
-	return matches(t, x, core.Request{Query: q}, seeds)[0]
+	return matches(t, x, core.Request{Query: q})[0]
 }
 
-func knn(t testing.TB, x *Index, q []float32, k int, seeds []core.Match) []core.Match {
+func knn(t testing.TB, x *Index, q []float32, k int) []core.Match {
 	t.Helper()
-	return matches(t, x, core.Request{Query: q, K: k}, seeds)
+	return matches(t, x, core.Request{Query: q, K: k})
 }
 
-func dtwNN(t testing.TB, x *Index, q []float32, window int, seeds []core.Match) core.Match {
+func dtwNN(t testing.TB, x *Index, q []float32, window int) core.Match {
 	t.Helper()
-	return matches(t, x, core.Request{Query: q, DTW: true, Window: window}, seeds)[0]
+	return matches(t, x, core.Request{Query: q, DTW: true, Window: window})[0]
 }
 
 // TestEquivalence pins the tentpole contract: for S ∈ {2,4,8}, the sharded
@@ -93,14 +93,14 @@ func TestEquivalence(t *testing.T) {
 		for qi := 0; qi < queries.Count(); qi++ {
 			q := queries.At(qi)
 
-			want := nn1(t, single, q, nil)
-			got := nn1(t, sharded, q, nil)
+			want := nn1(t, single, q)
+			got := nn1(t, sharded, q)
 			if got != want {
 				t.Fatalf("S=%d query %d: 1-NN %+v, single-shard %+v", S, qi, got, want)
 			}
 
-			wantK := knn(t, single, q, 10, nil)
-			gotK := knn(t, sharded, q, 10, nil)
+			wantK := knn(t, single, q, 10)
+			gotK := knn(t, sharded, q, 10)
 			if len(gotK) != len(wantK) {
 				t.Fatalf("S=%d query %d: k-NN returned %d matches, want %d", S, qi, len(gotK), len(wantK))
 			}
@@ -110,8 +110,8 @@ func TestEquivalence(t *testing.T) {
 				}
 			}
 
-			wantD := dtwNN(t, single, q, window, nil)
-			gotD := dtwNN(t, sharded, q, window, nil)
+			wantD := dtwNN(t, single, q, window)
+			gotD := dtwNN(t, sharded, q, window)
 			if gotD != wantD {
 				t.Fatalf("S=%d query %d: DTW %+v, single-shard %+v", S, qi, gotD, wantD)
 			}
@@ -119,44 +119,11 @@ func TestEquivalence(t *testing.T) {
 	}
 }
 
-// TestSeeds: seeds (global positions, possibly outside the collection)
-// participate in sharded answers exactly as in unsharded ones.
-func TestSeeds(t *testing.T) {
-	data := testData(t, testSeries)
-	queries := testQueries(t, 4)
-	sharded, err := Build(data, 4, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queries.At(0)
-	// A seed better than anything indexed must win all three searches.
-	seed := []core.Match{{Position: 999_999, Dist: 0}}
-	m := nn1(t, sharded, q, seed)
-	if m.Position != 999_999 || m.Dist != 0 {
-		t.Fatalf("winning seed not returned by 1-NN: %+v", m)
-	}
-	md := dtwNN(t, sharded, q, dtw.WindowSize(testLength, 0.1), seed)
-	if md.Position != 999_999 {
-		t.Fatalf("winning seed not returned by DTW: %+v", md)
-	}
-	ms := knn(t, sharded, q, 3, seed)
-	if len(ms) != 3 || ms[0].Position != 999_999 {
-		t.Fatalf("winning seed not first in k-NN: %+v", ms)
-	}
-	// Every shard sees the seed through the shared set; it must appear
-	// exactly once.
-	for _, m := range ms[1:] {
-		if m.Position == 999_999 {
-			t.Fatalf("seed duplicated in k-NN results: %+v", ms)
-		}
-	}
-}
-
 // TestSharedTopKMatchesBruteForce: every shard count — one included — fans
 // into ONE collector holding global positions, so k-NN answers (and 1-NN,
-// as k=1) equal a brute-force scan of the collection plus the seeds: sorted
-// by distance, ties by ascending position, a series counted once even when
-// a seed names it too.
+// as k=1) equal a brute-force scan of the collection: sorted by distance,
+// ties by ascending position. (The rows where series outside the shards
+// join the fan-out are internal/engine's TestViewMatchesBruteForce.)
 func TestSharedTopKMatchesBruteForce(t *testing.T) {
 	data := testData(t, testSeries)
 	queries := testQueries(t, 4)
@@ -170,42 +137,21 @@ func TestSharedTopKMatchesBruteForce(t *testing.T) {
 	}
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		all := make([]core.Match, data.Count())
-		for p := range all {
-			all[p] = core.Match{Position: p, Dist: vector.SquaredEuclideanEarlyAbandon(data.At(p), q, math.Inf(1))}
+		want := make([]core.Match, data.Count())
+		for p := range want {
+			want[p] = core.Match{Position: p, Dist: vector.SquaredEuclideanEarlyAbandon(data.At(p), q, math.Inf(1))}
 		}
-		sortMatches(all)
-		seedSets := map[string][]core.Match{
-			"no seeds": nil,
-			// Outside the collection and better than anything in it.
-			"winning seeds": {
-				{Position: testSeries + 7, Dist: all[0].Dist / 4},
-				{Position: testSeries + 3, Dist: all[0].Dist / 2},
-				{Position: testSeries + 5, Dist: all[0].Dist / 2}, // a tie, broken by position
-			},
-			// The collection's own best series, as a live index's delta
-			// scan reports them while a rebuild is in flight.
-			"seeds duplicated in the collection": {all[0], all[2], all[30]},
-		}
-		for name, seeds := range seedSets {
-			want := append([]core.Match(nil), all...)
-			for _, s := range seeds {
-				if s.Position >= testSeries {
-					want = append(want, s)
+		sortMatches(want)
+		for _, k := range []int{1, 5, 50} {
+			for S, x := range indexes {
+				got := knn(t, x, q, k)
+				if len(got) != k {
+					t.Fatalf("S=%d k=%d, query %d: %d matches", S, k, qi, len(got))
 				}
-			}
-			sortMatches(want)
-			for _, k := range []int{1, 5, 50} {
-				for S, x := range indexes {
-					got := knn(t, x, q, k, seeds)
-					if len(got) != k {
-						t.Fatalf("S=%d k=%d %s, query %d: %d matches", S, k, name, qi, len(got))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("S=%d k=%d %s, query %d: match %d is %+v, brute force %+v",
-								S, k, name, qi, i, got[i], want[i])
-						}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("S=%d k=%d, query %d: match %d is %+v, brute force %+v",
+							S, k, qi, i, got[i], want[i])
 					}
 				}
 			}
@@ -259,11 +205,11 @@ func TestFewerSeriesThanShards(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(2))
-	m := nn1(t, x, q, nil)
+	m := nn1(t, x, q)
 	if m.Position != 2 || m.Dist != 0 {
 		t.Fatalf("self-query answered %+v", m)
 	}
-	ms := knn(t, x, q, 10, nil)
+	ms := knn(t, x, q, 10)
 	if len(ms) != 3 {
 		t.Fatalf("k-NN over 3 series returned %d matches", len(ms))
 	}
@@ -316,12 +262,12 @@ func TestApproxSearch(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(123))
-	m := matches(t, x, core.Request{Query: q, Mode: core.ModeApprox}, nil)[0]
+	m := matches(t, x, core.Request{Query: q, Mode: core.ModeApprox})[0]
 	if m.Dist != 0 || m.Position != 123 {
 		t.Fatalf("approx self-query answered %+v", m)
 	}
-	exact := nn1(t, x, data.At(7), nil)
-	approx := matches(t, x, core.Request{Query: data.At(7), Mode: core.ModeApprox}, nil)[0]
+	exact := nn1(t, x, data.At(7))
+	approx := matches(t, x, core.Request{Query: data.At(7), Mode: core.ModeApprox})[0]
 	if approx.Dist < exact.Dist || math.IsInf(approx.Dist, 1) {
 		t.Fatalf("approx distance %v not an upper bound of exact %v", approx.Dist, exact.Dist)
 	}
@@ -349,7 +295,7 @@ func TestDoValidation(t *testing.T) {
 			{"window as long as the series", core.Request{Query: good, DTW: true, Window: testLength}, core.ErrBadWindow},
 			{"negative epsilon", core.Request{Query: good, Mode: core.ModeEpsilon, Epsilon: -1}, core.ErrBadEpsilon},
 		} {
-			if _, err := x.Do(tc.req, nil, core.SearchOptions{}); !errors.Is(err, tc.want) {
+			if _, err := x.Do(tc.req, core.SearchOptions{}); !errors.Is(err, tc.want) {
 				t.Errorf("S=%d %s: err = %v, want %v", S, tc.name, err, tc.want)
 			}
 		}

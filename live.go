@@ -19,11 +19,9 @@ type LiveOptions struct {
 	// RebuildThreshold is the number of buffered (delta) series that
 	// triggers a background generation rebuild. Default 100000.
 	RebuildThreshold int
-	// ScanWorkers is the parallelism of the delta brute-force scan on the
-	// query path. Default 8.
-	ScanWorkers int
-	// Engine configures the persistent query pool answering the
-	// tree-search side of every query (same semantics as Index.NewEngine).
+	// Engine configures the persistent query pool that answers every
+	// query, tree search and delta scan alike (same semantics as
+	// Index.NewEngine).
 	Engine EngineOptions
 	// SnapshotPath, when non-empty, makes the live index persist its
 	// immutable generation there (atomically) after every successful
@@ -60,7 +58,6 @@ func (o *LiveOptions) toLive(coreOpts core.Options, shards int) live.Options {
 	lo := live.Options{Core: coreOpts, Shards: shards}
 	if o != nil {
 		lo.RebuildThreshold = o.RebuildThreshold
-		lo.ScanWorkers = o.ScanWorkers
 		lo.Engine = engine.Options(o.Engine)
 		lo.Metrics = o.Metrics
 	}

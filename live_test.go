@@ -151,7 +151,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 	const length = 64
 	initialFlat := RandomWalk(300, length, 25)
 	initial := rowsOf(initialFlat, length)
-	lix, err := BuildLive(initial, liveTestOpts(), &LiveOptions{RebuildThreshold: 50, ScanWorkers: 2})
+	lix, err := BuildLive(initial, liveTestOpts(), &LiveOptions{RebuildThreshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,7 +314,7 @@ func TestSentinelErrors(t *testing.T) {
 		"index": func(r SearchRequest) error { _, err := ix.Do(ctx, r); return err },
 		"live":  func(r SearchRequest) error { _, err := lix.Do(ctx, r); return err },
 		// No base generation yet: the delta scan is the whole search, and
-		// the request must be checked before it, not by the engine.
+		// the engine checks the request before it all the same.
 		"live without base": func(r SearchRequest) error { _, err := fresh.Do(ctx, r); return err },
 		"engine":            func(r SearchRequest) error { _, err := eng.Do(ctx, r); return err },
 	}
@@ -452,7 +452,7 @@ func TestDegradeEpsilonKeepsGuarantee(t *testing.T) {
 func TestLiveDoSpectrum(t *testing.T) {
 	lix, err := BuildLiveFlat(RandomWalk(1500, 64, 101), 64,
 		&Options{LeafCapacity: 64, SearchWorkers: 4},
-		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+		&LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

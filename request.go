@@ -298,13 +298,14 @@ func publicResult(res core.Result, col collectors) Result {
 // returns the best answer so far flagged Exact=false.
 func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, func(creq core.Request) (core.Result, error) {
-		return ix.inner.Do(creq, nil, core.SearchOptions{})
+		return ix.inner.Do(creq, core.SearchOptions{})
 	})
 }
 
 // Do serves one query over the union of the immutable generation and the
-// delta buffer (see Index.Do). The delta is always answered exactly; the
-// quality mode governs the tree search it seeds.
+// delta buffer (see Index.Do), on the embedded engine's pool and under its
+// admission gate. The delta is always answered exactly; the quality mode
+// governs the tree search beside it.
 func (ix *LiveIndex) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, ix.inner.Do)
 }
@@ -316,6 +317,6 @@ func (ix *LiveIndex) Do(ctx context.Context, req SearchRequest) (Result, error) 
 // proven). A query that panics fails alone with ErrQueryPanicked.
 func (e *Engine) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	return do(ctx, req, e.ix.SeriesLen(), e.ix.normalize, func(creq core.Request) (core.Result, error) {
-		return e.inner.Do(creq, nil)
+		return e.inner.Do(engine.View{Base: e.ix.inner}, creq)
 	})
 }

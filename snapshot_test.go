@@ -140,7 +140,7 @@ func TestSnapshotStream(t *testing.T) {
 func TestLiveSaveLoad(t *testing.T) {
 	data := RandomWalk(1200, 64, 31)
 	lix, err := BuildLiveFlat(data, 64, &Options{LeafCapacity: 64, SearchWorkers: 4},
-		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+		&LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestLiveSaveLoad(t *testing.T) {
 	}
 
 	loaded, err := LoadLive(path, &Options{SearchWorkers: 4},
-		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+		&LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "auto.snap")
 	data := RandomWalk(600, 32, 41)
 	lix, err := BuildLiveFlat(data, 32, &Options{LeafCapacity: 32, SearchWorkers: 2},
-		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2, SnapshotPath: path})
+		&LiveOptions{RebuildThreshold: 1 << 30, SnapshotPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	if err := lix.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLive(path, nil, &LiveOptions{ScanWorkers: 2})
+	loaded, err := LoadLive(path, nil, nil)
 	if err != nil {
 		t.Fatalf("flush did not leave a loadable snapshot: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestLiveAutoSnapshot(t *testing.T) {
 
 // TestLiveSaveEmpty: an empty live index has no generation to persist.
 func TestLiveSaveEmpty(t *testing.T) {
-	lix, err := NewLive(32, nil, &LiveOptions{ScanWorkers: 1})
+	lix, err := NewLive(32, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
