@@ -9,7 +9,10 @@
 //     gofmt-clean;
 //   - every block annotated `<!-- docscheck:file <path> -->` is
 //     byte-identical to that file, so a cookbook's embedded program can
-//     never drift from the runnable example it documents.
+//     never drift from the runnable example it documents;
+//   - every backticked `cmd/<name>` or `internal/<name>` in a table row is
+//     a directory of the module, so a package map cannot outlive the
+//     packages it lists.
 //
 // External URLs are not fetched (CI must not flake on the network), and
 // relative links that escape the repository root (GitHub web paths like
@@ -87,6 +90,7 @@ func checkFile(root, path, content string) []string {
 
 	problems = append(problems, checkLinks(root, path, lines)...)
 	problems = append(problems, checkCodeBlocks(root, path, lines)...)
+	problems = append(problems, checkPackageRows(root, lines)...)
 	return problems
 }
 
@@ -94,7 +98,30 @@ var (
 	linkRe   = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	markerRe = regexp.MustCompile(`<!-- docscheck:file ([^ ]+) -->`)
 	fenceRe  = regexp.MustCompile("^```([a-zA-Z0-9]*)")
+	pkgRefRe = regexp.MustCompile("`((?:cmd|internal)/[A-Za-z0-9_-]+)[`/]")
 )
+
+// checkPackageRows verifies that every `cmd/<name>` or `internal/<name>`
+// named in a table row is a directory under root.
+func checkPackageRows(root string, lines []string) []string {
+	var problems []string
+	inFence := false
+	for i, line := range lines {
+		if fenceRe.MatchString(line) {
+			inFence = !inFence
+			continue
+		}
+		if inFence || !strings.HasPrefix(strings.TrimSpace(line), "|") {
+			continue
+		}
+		for _, m := range pkgRefRe.FindAllStringSubmatch(line, -1) {
+			if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+				problems = append(problems, fmt.Sprintf("line %d: table row names %s, which is not a directory of the module", i+1, m[1]))
+			}
+		}
+	}
+	return problems
+}
 
 // checkLinks verifies relative link targets and heading anchors.
 func checkLinks(root, path string, lines []string) []string {

@@ -67,6 +67,40 @@ func TestCleanDoc(t *testing.T) {
 	}
 }
 
+// TestStalePackageRow: a table row naming a package directory that does
+// not exist is a finding; existing directories (also as the prefix of a
+// longer path), prose and code fences are not.
+func TestStalePackageRow(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "internal/kept/doc.go", "package kept\n")
+	write(t, dir, "cmd/tool/main.go", "package main\n")
+	write(t, dir, "doc.md", strings.Join([]string{
+		"| Package | What it is |",
+		"| --- | --- |",
+		"| `internal/kept`, `cmd/tool` | still here |",
+		"| `internal/kept/doc.go` | a file under a live package |",
+		"| `internal/gone` | deleted two PRs ago |",
+		"| `cmd/gone-too` | so was this |",
+		"",
+		"Prose may mention `internal/history` freely.",
+		"",
+		"```",
+		"| `internal/fenced` | not a table |",
+		"```",
+		"",
+	}, "\n"))
+	inDir(t, dir)
+	code, out := runCheck(t, "doc.md")
+	if code != 1 {
+		t.Fatalf("want findings, got exit %d:\n%s", code, out)
+	}
+	for _, want := range []string{"line 5: table row names internal/gone", "line 6: table row names cmd/gone-too", "2 problem(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestBrokenLinkAndAnchor(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "other.md", "# Real Heading\n")
@@ -227,7 +261,7 @@ func TestNoArgsErrors(t *testing.T) {
 // block fails `go test ./...` locally, not just in the docs job.
 func TestRepoDocsAreClean(t *testing.T) {
 	inDir(t, "../..")
-	code, out := runCheck(t, "README.md", "docs/ARCHITECTURE.md", "docs/COOKBOOK.md")
+	code, out := runCheck(t, "README.md", "docs/ARCHITECTURE.md", "docs/COOKBOOK.md", "docs/REPRODUCTION.md")
 	if code != 0 {
 		t.Fatalf("repo docs have problems:\n%s", out)
 	}

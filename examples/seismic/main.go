@@ -2,7 +2,7 @@
 // and, when a new event arrives, retrieve the most similar historical
 // waveforms at interactive latency. This mirrors the paper's motivating
 // in-memory analytics setting (and its IRIS Seismic evaluation dataset,
-// here replaced by the seismic-like generator — see DESIGN.md).
+// here replaced by the seismic-like generator — see docs/REPRODUCTION.md).
 package main
 
 import (

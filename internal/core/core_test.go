@@ -396,3 +396,51 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Error("negative value not clamped to default")
 	}
 }
+
+func TestApproxSearchUpperBoundsExact(t *testing.T) {
+	ix := buildTestIndex(t, dataset.RandomWalk, 4000, 64, smallOpts())
+	queries, _ := dataset.Queries(dataset.RandomWalk, 20, 64, 122)
+	exactAtLeastOnce := false
+	for qi := 0; qi < queries.Count(); qi++ {
+		q := queries.At(qi)
+		approx, err := approxNN(ix, q, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := nn1(ix, q, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if approx.Dist < exact.Dist-1e-9 {
+			t.Fatalf("query %d: approximate %v below exact %v (impossible)", qi, approx.Dist, exact.Dist)
+		}
+		if math.Abs(approx.Dist-exact.Dist) < 1e-9 {
+			exactAtLeastOnce = true
+		}
+	}
+	// The paper reports the initial BSF is usually very close to final;
+	// on random walks the approximate answer is frequently exact.
+	if !exactAtLeastOnce {
+		t.Error("approximate search never matched the exact answer across 20 queries (suspicious)")
+	}
+}
+
+func TestApproxSearchSelfQueryIsExact(t *testing.T) {
+	ix := buildTestIndex(t, dataset.RandomWalk, 1000, 64, smallOpts())
+	for i := 0; i < 10; i++ {
+		m, err := approxNN(ix, ix.Data.At(i*101%1000), SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Dist != 0 {
+			t.Fatalf("self approx query %d: dist %v", i, m.Dist)
+		}
+	}
+}
+
+func TestApproxSearchValidation(t *testing.T) {
+	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
+	if _, err := approxNN(ix, make([]float32, 16), SearchOptions{}); err == nil {
+		t.Error("wrong-length query accepted")
+	}
+}

@@ -31,12 +31,6 @@ type SearchOptions struct {
 	Workers int // Ns: search worker goroutines
 	Queues  int // Nq: priority queues; 1 = MESSI-sq, >1 = MESSI-mq
 
-	// LocalQueues selects the rejected per-thread-queue design the paper
-	// discusses in §III-B (one private queue per worker, no sharing or
-	// stealing): it suffers load imbalance and exists for the ablation
-	// benchmarks. It forces Queues == Workers.
-	LocalQueues bool
-
 	// GlobalPos maps this index's local series positions into the
 	// caller's global position space (a sharded collection, where this
 	// index holds only every S-th series). When set, every candidate found
@@ -65,9 +59,7 @@ func (o SearchOptions) withDefaults(ixOpts Options) SearchOptions {
 	if o.Workers <= 0 {
 		o.Workers = ixOpts.SearchWorkers
 	}
-	if o.LocalQueues {
-		o.Queues = o.Workers
-	} else if o.Queues <= 0 {
+	if o.Queues <= 0 {
 		o.Queues = ixOpts.QueueCount
 	}
 	return o
@@ -499,14 +491,6 @@ func (r *SearchRun) DrainPhase(pid int) {
 	ctrs, bd := r.ctrs, r.bd
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
-
-	if r.opt.LocalQueues {
-		// Ablation mode: drain only this worker's private queue; no
-		// stealing. Workers whose queues drain early sit idle — the
-		// load imbalance the paper rejected this design for.
-		r.processQueue(r.queues.Queue(pid%r.opt.Queues), scratch, ctrs, bd)
-		return
-	}
 
 	// The next queue to work on is chosen starting from a randomized
 	// position — the load-balancing scheme the paper settled on ("workers

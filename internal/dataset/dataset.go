@@ -6,8 +6,8 @@
 // each time point a new number is drawn from this distribution and added to
 // the value of the last number" — and (ii) two real collections we cannot
 // redistribute: Seismic (IRIS waveforms, 100M×256) and SALD (MRI series,
-// 200M×128). Per the substitution policy in DESIGN.md we model the real
-// datasets with generators that reproduce their relevant property for this
+// 200M×128). Per the substitution policy in docs/REPRODUCTION.md we model
+// the real datasets with generators that reproduce their relevant property for this
 // paper: real data is more self-similar than random walks, so pruning is
 // less effective and queries are slower (Figures 14, 16, 17).
 //

@@ -46,9 +46,6 @@ func New(seriesLen, blockSeries int) *Buffer {
 	return &Buffer{length: seriesLen, blockCap: blockSeries}
 }
 
-// SeriesLen reports the length (points) of each stored series.
-func (b *Buffer) SeriesLen() int { return b.length }
-
 // Len reports the number of series currently stored.
 func (b *Buffer) Len() int {
 	b.mu.Lock()
@@ -119,9 +116,6 @@ type Snapshot struct {
 
 // Len reports the number of series in the snapshot.
 func (s *Snapshot) Len() int { return s.count }
-
-// SeriesLen reports the length (points) of each series.
-func (s *Snapshot) SeriesLen() int { return s.length }
 
 // At returns series i as a view into block storage (no copy). The caller
 // must not modify it.

@@ -175,9 +175,6 @@ func Fired(name string) int64 {
 	return 0
 }
 
-// Name returns the point's registered name.
-func (p *Point) Name() string { return p.name }
-
 type panicValue struct {
 	point string
 	err   error

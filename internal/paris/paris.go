@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/isax"
@@ -69,22 +68,8 @@ type Index struct {
 	activeRoots []int32
 }
 
-// BuildTiming mirrors core.BuildTiming for Figure 9's phase split.
-type BuildTiming struct {
-	Summarize time.Duration
-	TreeBuild time.Duration
-}
-
-// Total returns end-to-end construction time.
-func (bt BuildTiming) Total() time.Duration { return bt.Summarize + bt.TreeBuild }
-
 // Build constructs the ParIS index.
 func Build(data *series.Collection, opts Options) (*Index, error) {
-	return BuildTimed(data, opts, nil)
-}
-
-// BuildTimed is Build with optional per-phase timing.
-func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*Index, error) {
 	if data == nil || data.Count() == 0 {
 		return nil, fmt.Errorf("paris: cannot build an index over an empty collection")
 	}
@@ -114,7 +99,6 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 
 	// Phase 1 — bulk loading: static partition (one chunk per worker),
 	// each append to the shared receive buffer takes that buffer's lock.
-	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
@@ -124,7 +108,6 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 		}(w)
 	}
 	wg.Wait()
-	summarizeDone := time.Now()
 
 	// Phase 2 — index construction: workers claim root subtrees via
 	// Fetch&Inc and insert the buffered positions, reading words from the
@@ -139,10 +122,6 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 	}
 	wg.Wait()
 
-	if timing != nil {
-		timing.Summarize = summarizeDone.Sub(start)
-		timing.TreeBuild = time.Since(summarizeDone)
-	}
 	for l := 0; l < schema.RootFanout(); l++ {
 		if tr.Root(l) != nil {
 			ix.activeRoots = append(ix.activeRoots, int32(l))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/series"
+	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -79,32 +80,27 @@ func TestBuildConservesSeriesAndFillsSAX(t *testing.T) {
 	}
 }
 
-func TestBuildTimedPhases(t *testing.T) {
-	data, _ := dataset.Generate(dataset.RandomWalk, 2000, 64, 3)
-	var bt BuildTiming
-	if _, err := BuildTimed(data, smallOpts(), &bt); err != nil {
-		t.Fatal(err)
-	}
-	if bt.Summarize <= 0 || bt.TreeBuild <= 0 {
-		t.Errorf("phases not recorded: %+v", bt)
-	}
-	if bt.Total() != bt.Summarize+bt.TreeBuild {
-		t.Errorf("total inconsistent")
-	}
-}
+// bruteForceLengths are the series lengths of the brute-force equivalence
+// tests: 64 gives power-of-two PAA segments (4 points at w = 16), 96 gives
+// 6-point segments, where a mean computed as sum/6 and one computed as
+// sum*(1/6) differ in the last ulp — the query must be summarised exactly
+// as the indexed words were.
+var bruteForceLengths = []int{64, 96}
 
 func TestSIMSMatchesBruteForce(t *testing.T) {
-	ix := buildParis(t, dataset.RandomWalk, 3000, 64)
-	queries, _ := dataset.Queries(dataset.RandomWalk, 20, 64, 55)
-	for qi := 0; qi < queries.Count(); qi++ {
-		q := queries.At(qi)
-		want := brute1NN(ix.Data, q)
-		got, err := ix.Search(q, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist-want.Dist) > 1e-6*(1+want.Dist) {
-			t.Fatalf("query %d: %v want %v", qi, got.Dist, want.Dist)
+	for _, length := range bruteForceLengths {
+		ix := buildParis(t, dataset.RandomWalk, 3000, length)
+		queries, _ := dataset.Queries(dataset.RandomWalk, 20, length, 55)
+		for qi := 0; qi < queries.Count(); qi++ {
+			q := queries.At(qi)
+			want := brute1NN(ix.Data, q)
+			got, err := ix.Search(q, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Dist-want.Dist) > 1e-6*(1+want.Dist) {
+				t.Fatalf("length %d query %d: %v want %v", length, qi, got.Dist, want.Dist)
+			}
 		}
 	}
 }
@@ -139,18 +135,20 @@ func TestSIMSComputesLowerBoundForEverySeries(t *testing.T) {
 }
 
 func TestTSMatchesBruteForce(t *testing.T) {
-	ix := buildParis(t, dataset.RandomWalk, 3000, 64)
-	queries, _ := dataset.Queries(dataset.RandomWalk, 20, 64, 57)
-	for _, workers := range []int{1, 4, 8} {
-		for qi := 0; qi < queries.Count(); qi++ {
-			q := queries.At(qi)
-			want := brute1NN(ix.Data, q)
-			got, err := ix.SearchTS(q, SearchOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.Dist-want.Dist) > 1e-6*(1+want.Dist) {
-				t.Fatalf("workers=%d query %d: %v want %v", workers, qi, got.Dist, want.Dist)
+	for _, length := range bruteForceLengths {
+		ix := buildParis(t, dataset.RandomWalk, 3000, length)
+		queries, _ := dataset.Queries(dataset.RandomWalk, 20, length, 57)
+		for _, workers := range []int{1, 4, 8} {
+			for qi := 0; qi < queries.Count(); qi++ {
+				q := queries.At(qi)
+				want := brute1NN(ix.Data, q)
+				got, err := ix.SearchTS(q, SearchOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got.Dist-want.Dist) > 1e-6*(1+want.Dist) {
+					t.Fatalf("length %d workers=%d query %d: %v want %v", length, workers, qi, got.Dist, want.Dist)
+				}
 			}
 		}
 	}
@@ -203,6 +201,55 @@ func TestSelfQueries(t *testing.T) {
 		}
 		if m.Dist != 0 {
 			t.Fatalf("TS self query %d: dist %v", i, m.Dist)
+		}
+	}
+}
+
+// TestFig17ShapeHolds pins the paper's Figure 17 claim on the three
+// dataset families: MESSI performs fewer lower-bound calculations than
+// ParIS (whose SIMS sweep computes one per series) and no more
+// real-distance calculations. The advantage needs realistically
+// proportioned leaves, hence 20 000 series (on a tree of many tiny leaves
+// the per-node bounds outnumber ParIS's one-per-series sweep).
+func TestFig17ShapeHolds(t *testing.T) {
+	const count, leafCap = 20000, 100
+	for _, kind := range []dataset.Kind{dataset.RandomWalk, dataset.SeismicLike, dataset.SALDLike} {
+		length := 64
+		if kind == dataset.SALDLike {
+			length = 128
+		}
+		data, err := dataset.Generate(kind, count, length, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, err := dataset.Queries(kind, 2, length, 1001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parisIx, err := Build(data, Options{LeafCapacity: leafCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		messiIx, err := core.Build(data, core.Options{LeafCapacity: leafCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parisCtrs, messiCtrs := &stats.Counters{}, &stats.Counters{}
+		for qi := 0; qi < queries.Count(); qi++ {
+			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Counters: parisCtrs}); err != nil {
+				t.Fatal(err)
+			}
+			req := core.Request{Query: queries.At(qi), Counters: messiCtrs}
+			if _, err := shard.Wrap(messiIx).Do(req, core.SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, m := parisCtrs.Snapshot(), messiCtrs.Snapshot()
+		if m.LowerBoundCalcs >= p.LowerBoundCalcs {
+			t.Errorf("%s: MESSI lower bounds (%d) not below ParIS (%d)", kind, m.LowerBoundCalcs, p.LowerBoundCalcs)
+		}
+		if m.RealDistCalcs > p.RealDistCalcs {
+			t.Errorf("%s: MESSI real calcs (%d) above ParIS (%d)", kind, m.RealDistCalcs, p.RealDistCalcs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/paa"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -54,7 +55,7 @@ func (ix *Index) Search(query []float32, opt SearchOptions) (core.Match, error) 
 	}
 	ctrs := opt.Counters
 
-	qpaa := ix.queryPAA(query)
+	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
 	bsf := stats.NewBSF()
 	ix.approxSearch(query, qpaa, bsf, opt.Kernel, ctrs)
 
@@ -142,19 +143,6 @@ func (ix *Index) realDist(query []float32, pos int, limit float64, k Kernel) flo
 		return vector.ScalarSquaredEuclideanEarlyAbandon(ix.Data.At(pos), query, limit)
 	}
 	return vector.SquaredEuclideanEarlyAbandon(ix.Data.At(pos), query, limit)
-}
-
-func (ix *Index) queryPAA(query []float32) []float64 {
-	out := make([]float64, ix.Schema.Segments)
-	seg := len(query) / ix.Schema.Segments
-	for i := range out {
-		var sum float64
-		for _, v := range query[i*seg : (i+1)*seg] {
-			sum += float64(v)
-		}
-		out[i] = sum / float64(seg)
-	}
-	return out
 }
 
 // approxSearch descends to the query's leaf and seeds the BSF, exactly as

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/paa"
 	"repro/internal/pqueue"
 	"repro/internal/stats"
 	"repro/internal/tree"
@@ -36,7 +37,7 @@ func (ix *Index) SearchTS(query []float32, opt SearchOptions) (core.Match, error
 	}
 	ctrs := opt.Counters
 
-	qpaa := ix.queryPAA(query)
+	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
 	bsf := stats.NewBSF()
 	ix.approxSearch(query, qpaa, bsf, opt.Kernel, ctrs)
 

@@ -6,7 +6,7 @@
 // transforms, quantization and splits entirely, so a server restarts in
 // the time it takes to read the file.
 //
-// # Layout (version 1, all integers little-endian)
+// # Layout (version 2, all integers little-endian)
 //
 //	[0,8)    magic "MESSIIX1"
 //	[8,12)   format version (uint32)
@@ -17,7 +17,7 @@
 //	[28,32)  series length in points (uint32)
 //	[32,40)  series count (uint64)
 //	[40,48)  tree section payload length in bytes (uint64)
-//	[48,56)  series block offset from file start (uint64; 64 in v1)
+//	[48,56)  series block offset from file start (uint64; 64 today)
 //	[56,60)  reserved (zero)
 //	[60,64)  CRC-32C of bytes [0,60)
 //
@@ -45,7 +45,9 @@
 // entry-major (one w-byte word per entry) to segment-major (w contiguous
 // symbol columns per leaf) — the layout the query kernels scan, so a
 // mapped load aliases leaf payloads with no conversion. Version 1 files
-// remain readable: the decoder transposes their leaf words on load.
+// are rejected with ErrVersion like any other unknown version and must be
+// regenerated from the data (messi-gen -snapshot, or Save on a freshly
+// built index).
 //
 // # Contracts
 //

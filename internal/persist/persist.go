@@ -37,10 +37,6 @@ const Magic = "MESSIIX1"
 // Version is the current snapshot format version (what Write produces).
 const Version = 2
 
-// versionV1 is the legacy format with entry-major leaf words; still
-// accepted by readers, transposed to the segment-major layout on load.
-const versionV1 = 1
-
 // HeaderSize is the fixed header length; the series block starts here.
 const HeaderSize = 64
 
@@ -141,8 +137,8 @@ func ParseHeader(b []byte) (Header, error) {
 		return h, fmt.Errorf("%w: %q", ErrBadMagic, b[0:8])
 	}
 	h.Version = binary.LittleEndian.Uint32(b[8:12])
-	if h.Version != Version && h.Version != versionV1 {
-		return h, fmt.Errorf("%w: file version %d, this reader understands %d and %d", ErrVersion, h.Version, versionV1, Version)
+	if h.Version != Version {
+		return h, fmt.Errorf("%w: file version %d, this reader understands only %d; regenerate the file (messi-gen -snapshot, or a fresh Save)", ErrVersion, h.Version, Version)
 	}
 	if got, want := crc32.Checksum(b[0:60], castagnoli), binary.LittleEndian.Uint32(b[60:64]); got != want {
 		return h, fmt.Errorf("%w: header CRC %08x, stored %08x", ErrChecksum, got, want)
@@ -377,9 +373,8 @@ func readUint32(r io.Reader, section string) (uint32, error) {
 //	  internal: uint8 split segment, uint32 left, uint32 right
 //	  leaf:     uint32 entry count, count×w word bytes, count×uint32 positions
 //
-// The count×w leaf word bytes are segment-major in version 2 (w columns
-// of count symbols each, the in-memory scan layout) and entry-major in
-// version 1 (count words of w symbols each, transposed on load).
+// The count×w leaf word bytes are segment-major: w columns of count
+// symbols each, the in-memory scan layout.
 const (
 	treeFlagLeaf         = 1 << 0
 	treeFlagUnsplittable = 1 << 1
@@ -516,17 +511,6 @@ func decodeTree(payload []byte, h Header) (*tree.Flat, error) {
 			words, err := take(int(count)*w, "leaf words")
 			if err != nil {
 				return nil, err
-			}
-			if h.Version == versionV1 && count > 0 {
-				// Legacy entry-major words: transpose to the
-				// segment-major scan layout (the one copy a v1 load pays).
-				conv := make([]uint8, len(words))
-				for e := 0; e < int(count); e++ {
-					for s := 0; s < w; s++ {
-						conv[s*int(count)+e] = words[e*w+s]
-					}
-				}
-				words = conv
 			}
 			n.Words = words
 			posBytes, err := take(int(count)*4, "leaf positions")

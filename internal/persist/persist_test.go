@@ -188,11 +188,19 @@ func TestCorruptionTyped(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		b := bytes.Clone(raw)
-		binary.LittleEndian.PutUint32(b[8:12], Version+1)
-		binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
-		if err := reread(b); !errors.Is(err, ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
+		// 1 is the retired entry-major format: rejected like any other
+		// unknown version, with a message saying what to do about it.
+		for _, v := range []uint32{0, 1, Version + 1} {
+			b := bytes.Clone(raw)
+			binary.LittleEndian.PutUint32(b[8:12], v)
+			binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
+			err := reread(b)
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+			}
+			if !strings.Contains(err.Error(), "regenerate") {
+				t.Errorf("version %d: error %q does not say the file must be regenerated", v, err)
+			}
 		}
 	})
 	t.Run("unknown flags", func(t *testing.T) {
@@ -366,87 +374,6 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 	}
 }
 
-// encodeV1Snapshot serializes ix in the legacy version-1 layout —
-// entry-major leaf words — to exercise the reader's compatibility
-// transpose. It mirrors Write otherwise (little-endian hosts only, which
-// is all CI runs on).
-func encodeV1Snapshot(t testing.TB, ix *core.Index, normalize bool) []byte {
-	t.Helper()
-	if !hostLittleEndian {
-		t.Skip("v1 fixture writer assumes a little-endian host")
-	}
-	st := ix.Snapshot()
-	w := st.Opts.Segments
-
-	var tb bytes.Buffer
-	putU32 := func(v uint32) {
-		var tmp [4]byte
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		tb.Write(tmp[:])
-	}
-	putU32(uint32(len(st.Tree.RootSlots)))
-	putU32(uint32(len(st.Tree.Nodes)))
-	for i := range st.Tree.RootSlots {
-		putU32(uint32(st.Tree.RootSlots[i]))
-		putU32(uint32(st.Tree.RootNodes[i]))
-	}
-	for i := range st.Tree.Nodes {
-		n := &st.Tree.Nodes[i]
-		var flags uint8
-		if n.IsLeaf() {
-			flags |= treeFlagLeaf
-		}
-		if n.Unsplittable {
-			flags |= treeFlagUnsplittable
-		}
-		tb.WriteByte(flags)
-		tb.Write(n.Symbols)
-		tb.Write(n.Bits)
-		if n.IsLeaf() {
-			count := len(n.Positions)
-			putU32(uint32(count))
-			// n.Words is segment-major packed; v1 stores entry-major.
-			for e := 0; e < count; e++ {
-				for s := 0; s < w; s++ {
-					tb.WriteByte(n.Words[s*count+e])
-				}
-			}
-			for _, p := range n.Positions {
-				putU32(uint32(p))
-			}
-		} else {
-			tb.WriteByte(n.SplitSegment)
-			putU32(uint32(n.Left))
-			putU32(uint32(n.Right))
-		}
-	}
-	treePayload := tb.Bytes()
-
-	h := Header{
-		Version:      versionV1,
-		Normalize:    normalize,
-		Segments:     st.Opts.Segments,
-		CardBits:     st.Opts.CardBits,
-		LeafCapacity: st.Opts.LeafCapacity,
-		SeriesLen:    st.Data.Length,
-		SeriesCount:  st.Data.Count(),
-		TreeBytes:    int64(len(treePayload)),
-		DataOffset:   HeaderSize,
-	}
-	var out bytes.Buffer
-	hdr := h.encode()
-	out.Write(hdr[:])
-	raw := float32Bytes(st.Data.Data)
-	out.Write(raw)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.Checksum(raw, castagnoli))
-	out.Write(tmp[:])
-	out.Write(treePayload)
-	binary.LittleEndian.PutUint32(tmp[:], crc32.Checksum(treePayload, castagnoli))
-	out.Write(tmp[:])
-	return out.Bytes()
-}
-
 // searchAnswers collects 1-NN, k-NN and DTW answers for a deterministic
 // query workload so two indexes can be compared for exact equality.
 func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
@@ -467,44 +394,6 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 		}
 	}
 	return out
-}
-
-// TestReadV1Snapshot checks that legacy entry-major snapshots load and
-// answer queries identically to the index they captured — through both
-// the streaming reader and the mapped-file path.
-func TestReadV1Snapshot(t *testing.T) {
-	ix := buildIndex(t, 1500, 64, 32)
-	raw := encodeV1Snapshot(t, ix, false)
-
-	got, normalize, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if normalize {
-		t.Error("normalize flag invented")
-	}
-	want := searchAnswers(t, ix)
-	have := searchAnswers(t, got)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("answer %d differs after v1 load: %+v vs %+v", i, have[i], want[i])
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mapped, _, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have = searchAnswers(t, mapped)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("answer %d differs after mapped v1 load: %+v vs %+v", i, have[i], want[i])
-		}
-	}
 }
 
 // TestRoundTripIdenticalAnswers pins the acceptance criterion that a

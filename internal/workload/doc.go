@@ -39,6 +39,7 @@
 // (Config.MeasureLatency), keeping the default report byte-stable for
 // CI comparison across commits.
 //
-// The runner imports the public repro package (like internal/experiments)
-// so tiers exercise exactly the API users call.
+// The runner imports the public repro package so tiers exercise exactly
+// the API users call; the paper's figures are measured separately, by the
+// root bench_test.go (docs/REPRODUCTION.md).
 package workload
