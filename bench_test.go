@@ -87,7 +87,13 @@ func benchQueriesFor(b *testing.B, kind dataset.Kind) *series.Collection {
 	return c
 }
 
-func messiOpts() core.Options  { return core.Options{LeafCapacity: benchLeafCap} }
+// messiOpts scales ChunkSize down with the collection: at the paper's 20K
+// series per chunk the whole benchmark collection would be one Fetch&Inc
+// unit, and phase 1 would run on one worker whatever IndexWorkers says.
+// benchSeries/20 = 1000 sits where Fig 5 finds build time flat.
+func messiOpts() core.Options {
+	return core.Options{LeafCapacity: benchLeafCap, ChunkSize: benchSeries / 20}
+}
 func parisOpts() paris.Options { return paris.Options{LeafCapacity: benchLeafCap} }
 
 func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *shard.Index {
@@ -167,23 +173,6 @@ func BenchmarkFig07LeafSizeQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkFig08BufferSize — index creation vs. initial iSAX buffer size.
-// Paper: smaller initial sizes are better (5 chosen); large initial parts
-// waste allocation.
-func BenchmarkFig08BufferSize(b *testing.B) {
-	data := benchCollection(b, dataset.RandomWalk, benchSeries)
-	for _, initCap := range []int{2, 5, 100, 1000} {
-		b.Run(fmt.Sprintf("init=%d", initCap), func(b *testing.B) {
-			opts := messiOpts()
-			opts.InitBufferCap = initCap
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buildMESSI(b, data, opts)
-			}
-		})
-	}
-}
-
 // BenchmarkFig09BuildCores — index creation vs. worker count, ParIS vs
 // MESSI. Paper: both scale with cores, MESSI ~3.5x faster at 24 workers.
 // A worker sweep beyond the host's core count cannot show hardware
@@ -192,6 +181,7 @@ func BenchmarkFig09BuildCores(b *testing.B) {
 	data := benchCollection(b, dataset.RandomWalk, benchSeries)
 	for _, workers := range []int{1, 4, 24} {
 		b.Run(fmt.Sprintf("ParIS/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			opts := parisOpts()
 			opts.IndexWorkers = workers
 			for i := 0; i < b.N; i++ {
@@ -199,6 +189,7 @@ func BenchmarkFig09BuildCores(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("MESSI/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			opts := messiOpts()
 			opts.IndexWorkers = workers
 			for i := 0; i < b.N; i++ {
@@ -214,11 +205,13 @@ func BenchmarkFig10BuildDataSize(b *testing.B) {
 	for _, n := range []int{benchSeries / 2, benchSeries, benchSeries * 2} {
 		data := benchCollection(b, dataset.RandomWalk, n)
 		b.Run(fmt.Sprintf("ParIS/series=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buildParIS(b, data, parisOpts())
 			}
 		})
 		b.Run(fmt.Sprintf("MESSI/series=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buildMESSI(b, data, messiOpts())
 			}
@@ -351,11 +344,13 @@ func BenchmarkFig15BuildReal(b *testing.B) {
 	for _, kind := range []dataset.Kind{dataset.SALDLike, dataset.SeismicLike} {
 		data := benchCollection(b, kind, benchSeries)
 		b.Run(string(kind)+"/ParIS", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buildParIS(b, data, parisOpts())
 			}
 		})
 		b.Run(string(kind)+"/MESSI", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buildMESSI(b, data, messiOpts())
 			}

@@ -15,7 +15,6 @@ const (
 	DefaultCardBits      = 8     // alphabet cardinality 256
 	DefaultLeafCapacity  = 2000  // leaf size minimizing query time (Fig 7)
 	DefaultChunkSize     = 20000 // 20K series = 20MB chunks (Fig 5)
-	DefaultInitBufferCap = 5     // initial iSAX buffer part size (Fig 8)
 	DefaultIndexWorkers  = 24    // Nw (Fig 9)
 	DefaultSearchWorkers = 48    // Ns (Fig 11)
 	DefaultQueueCount    = 24    // Nq (Fig 14)
@@ -28,7 +27,6 @@ type Options struct {
 	CardBits      int // bits per symbol (cardinality = 1<<CardBits)
 	LeafCapacity  int // max series per leaf before splitting
 	ChunkSize     int // series per Fetch&Inc work unit in phase 1
-	InitBufferCap int // initial per-part iSAX buffer capacity (series)
 	IndexWorkers  int // Nw: index construction workers
 	SearchWorkers int // Ns: search workers
 	QueueCount    int // Nq: priority queues (1 = the paper's MESSI-sq)
@@ -46,7 +44,6 @@ func (o Options) withDefaults() Options {
 	def(&o.CardBits, DefaultCardBits)
 	def(&o.LeafCapacity, DefaultLeafCapacity)
 	def(&o.ChunkSize, DefaultChunkSize)
-	def(&o.InitBufferCap, DefaultInitBufferCap)
 	def(&o.IndexWorkers, DefaultIndexWorkers)
 	def(&o.SearchWorkers, DefaultSearchWorkers)
 	def(&o.QueueCount, DefaultQueueCount)

@@ -3,12 +3,16 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dtw"
+	"repro/internal/isax"
+	"repro/internal/paa"
 	"repro/internal/series"
 	"repro/internal/stats"
+	"repro/internal/tree"
 	"repro/internal/vector"
 )
 
@@ -112,9 +116,8 @@ func TestBuildConservesSeries(t *testing.T) {
 }
 
 func TestBuildDeterministicTreeShape(t *testing.T) {
-	// Different worker interleavings may reorder leaf entries, but the
-	// multiset of series per leaf-prefix is deterministic; we check the
-	// weaker but robust property that shape statistics agree.
+	// Shape statistics agree between a parallel and a serial build;
+	// TestBuildIsPositionOrder checks the trees node for node.
 	a := buildTestIndex(t, dataset.RandomWalk, 2000, 64, smallOpts())
 	opts := smallOpts()
 	opts.IndexWorkers = 1
@@ -122,6 +125,42 @@ func TestBuildDeterministicTreeShape(t *testing.T) {
 	sa, sb := a.Stats(), b.Stats()
 	if sa.Series != sb.Series || sa.RootChildren != sb.RootChildren {
 		t.Errorf("parallel %+v vs serial %+v", sa, sb)
+	}
+}
+
+// TestBuildIsPositionOrder pins the build's determinism: whatever the
+// worker count and schedule, the tree is the one a sequential insert of
+// every series in position order builds.
+func TestBuildIsPositionOrder(t *testing.T) {
+	data, err := dataset.Generate(dataset.RandomWalk, 20000, 64, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{LeafCapacity: 32, ChunkSize: 64}.withDefaults()
+	schema, err := isax.NewSchema(data.Length, opts.Segments, opts.CardBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := tree.New(schema, opts.LeafCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paaBuf := make([]float64, schema.Segments)
+	for j := 0; j < data.Count(); j++ {
+		paa.Transform(data.At(j), schema.Segments, paaBuf)
+		word := schema.WordFromPAA(paaBuf, nil)
+		ref.Insert(ref.EnsureRoot(schema.RootIndex(word)), word, int32(j))
+	}
+	want := ref.Flatten()
+	for _, workers := range []int{1, 2, 4, 24} {
+		opts.IndexWorkers = workers
+		ix, err := Build(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ix.Tree.Flatten(), want) {
+			t.Errorf("IndexWorkers=%d: tree differs from the position-order insert", workers)
+		}
 	}
 }
 
@@ -383,7 +422,7 @@ func TestSearchDTWValidation(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Segments != 16 || o.CardBits != 8 || o.LeafCapacity != 2000 ||
-		o.ChunkSize != 20000 || o.InitBufferCap != 5 ||
+		o.ChunkSize != 20000 ||
 		o.IndexWorkers != 24 || o.SearchWorkers != 48 || o.QueueCount != 24 {
 		t.Errorf("defaults wrong: %+v", o)
 	}

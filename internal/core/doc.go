@@ -13,6 +13,8 @@
 //
 // # Contracts
 //
+// Build is deterministic: the tree is the one a sequential insert of the
+// series in position order builds, at every IndexWorkers and ChunkSize.
 // An *Index is immutable once Build returns: any number of runs may be in
 // flight on it at once, and nothing in the package mutates the
 // tree, the series block, or the iSAX summaries after construction. All

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/buffer"
 	"repro/internal/isax"
 	"repro/internal/paa"
 	"repro/internal/series"
@@ -95,7 +94,7 @@ func Build(data *series.Collection, opts Options) (*Index, error) {
 	if nw > n {
 		nw = n
 	}
-	recv := buffer.NewLockedBuffers(schema.RootFanout())
+	recv := newLockedBuffers(schema.RootFanout())
 
 	// Phase 1 — bulk loading: static partition (one chunk per worker),
 	// each append to the shared receive buffer takes that buffer's lock.
@@ -130,7 +129,7 @@ func Build(data *series.Collection, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-func bulkLoadWorker(ix *Index, recv *buffer.LockedBuffers, lo, hi int) {
+func bulkLoadWorker(ix *Index, recv *lockedBuffers, lo, hi int) {
 	schema := ix.Schema
 	w := schema.Segments
 	paaBuf := make([]float64, w)
@@ -138,11 +137,11 @@ func bulkLoadWorker(ix *Index, recv *buffer.LockedBuffers, lo, hi int) {
 		paa.Transform(ix.Data.At(j), w, paaBuf)
 		word := ix.SAX[j*w : (j+1)*w]
 		schema.WordFromPAA(paaBuf, word)
-		recv.Append(schema.RootIndex(word), int32(j))
+		recv.add(schema.RootIndex(word), int32(j))
 	}
 }
 
-func constructionWorker(ix *Index, recv *buffer.LockedBuffers, subtreeCtr *atomic.Int64) {
+func constructionWorker(ix *Index, recv *lockedBuffers, subtreeCtr *atomic.Int64) {
 	schema := ix.Schema
 	w := schema.Segments
 	fanout := schema.RootFanout()
@@ -151,7 +150,7 @@ func constructionWorker(ix *Index, recv *buffer.LockedBuffers, subtreeCtr *atomi
 		if l >= fanout {
 			return
 		}
-		positions := recv.Positions(l)
+		positions := recv.bufs[l].positions
 		if len(positions) == 0 {
 			continue
 		}
@@ -160,6 +159,33 @@ func constructionWorker(ix *Index, recv *buffer.LockedBuffers, subtreeCtr *atomi
 			ix.Tree.Insert(root, ix.SAX[int(pos)*w:(int(pos)+1)*w], pos)
 		}
 	}
+}
+
+// lockedBuffers are the ParIS receive buffers: one shared buffer per root
+// subtree, each append taking that buffer's lock. Entries reference
+// positions in the SAX array rather than carrying their words (ParIS
+// stores <iSAX summary, position> pairs in one global array and pointers in
+// the receive buffers). A buffer's positions are read only after all
+// appends have completed (post-barrier), matching ParIS's two phases.
+type lockedBuffers struct {
+	bufs []lockedBuf
+}
+
+type lockedBuf struct {
+	mu        sync.Mutex
+	positions []int32
+}
+
+func newLockedBuffers(fanout int) *lockedBuffers {
+	return &lockedBuffers{bufs: make([]lockedBuf, fanout)}
+}
+
+// add adds a position to buffer l under its lock.
+func (b *lockedBuffers) add(l int, pos int32) {
+	lb := &b.bufs[l]
+	lb.mu.Lock()
+	lb.positions = append(lb.positions, pos)
+	lb.mu.Unlock()
 }
 
 // Word returns series i's full-precision iSAX word from the SAX array.

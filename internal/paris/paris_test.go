@@ -2,6 +2,7 @@ package paris
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -251,5 +252,54 @@ func TestFig17ShapeHolds(t *testing.T) {
 		if m.RealDistCalcs > p.RealDistCalcs {
 			t.Errorf("%s: MESSI real calcs (%d) above ParIS (%d)", kind, m.RealDistCalcs, p.RealDistCalcs)
 		}
+	}
+}
+
+func TestLockedBuffers(t *testing.T) {
+	b := newLockedBuffers(3)
+	if len(b.bufs) != 3 {
+		t.Errorf("fanout = %d", len(b.bufs))
+	}
+	b.add(0, 5)
+	b.add(0, 6)
+	b.add(2, 7)
+	if got := b.bufs[0].positions; len(got) != 2 || got[0] != 5 || got[1] != 6 {
+		t.Errorf("positions(0) = %v", got)
+	}
+	if got := b.bufs[1].positions; len(got) != 0 {
+		t.Errorf("positions(1) = %v, want empty", got)
+	}
+	if got := len(b.bufs[2].positions); got != 1 {
+		t.Errorf("len(positions(2)) = %d, want 1", got)
+	}
+}
+
+// All workers hammering the same locked buffer must serialize correctly.
+func TestLockedBuffersConcurrent(t *testing.T) {
+	const workers = 8
+	const per = 2000
+	b := newLockedBuffers(4)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				b.add(i%4, int32(w*per+i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[int32]bool, workers*per)
+	for l := range b.bufs {
+		for _, pos := range b.bufs[l].positions {
+			if seen[pos] {
+				t.Fatalf("position %d appears twice", pos)
+			}
+			seen[pos] = true
+		}
+	}
+	if len(seen) != workers*per {
+		t.Fatalf("lost entries: %d distinct, want %d", len(seen), workers*per)
 	}
 }

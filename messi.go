@@ -52,14 +52,13 @@ type Options struct {
 	// LeafCapacity is the maximum number of series per leaf before it
 	// splits. Default 2000.
 	LeafCapacity int
-	// ChunkSize is the number of series per construction work unit.
-	// Default 20000.
+	// ChunkSize is the number of series per work unit of the
+	// summarization phase; a collection of at most one chunk is
+	// summarized by one worker. Default 20000.
 	ChunkSize int
-	// InitialBufferSize is the initial per-worker iSAX buffer capacity
-	// in series. Default 5.
-	InitialBufferSize int
-	// IndexWorkers (Nw) is the number of construction goroutines.
-	// Default 24.
+	// IndexWorkers (Nw) is the number of construction goroutines. It
+	// changes how fast an index builds, never what is built: every worker
+	// count yields the same tree and the same snapshot bytes. Default 24.
 	IndexWorkers int
 	// SearchWorkers (Ns) is the number of query goroutines. Default 48.
 	SearchWorkers int
@@ -103,7 +102,6 @@ func (o *Options) toCore() (core.Options, bool, error) {
 		CardBits:      cardBits,
 		LeafCapacity:  o.LeafCapacity,
 		ChunkSize:     o.ChunkSize,
-		InitBufferCap: o.InitialBufferSize,
 		IndexWorkers:  o.IndexWorkers,
 		SearchWorkers: o.SearchWorkers,
 		QueueCount:    o.QueueCount,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -132,6 +133,56 @@ func TestSnapshotStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, ix, loaded, snapshotQueries(3, 64))
+}
+
+// TestSaveBytesIndependentOfIndexWorkers: the build is deterministic, so
+// the snapshot of one collection holds the same bytes whichever
+// IndexWorkers built it, sharded or not. Member files are compared (a
+// sharded directory's manifest names them with a fresh per-save token).
+func TestSaveBytesIndependentOfIndexWorkers(t *testing.T) {
+	data := RandomWalk(5000, 64, 21)
+	members := func(path string) [][]byte {
+		t.Helper()
+		files := []string{path}
+		if fi, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if fi.IsDir() {
+			if files, err = filepath.Glob(filepath.Join(path, "shard-*.snap")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out [][]byte
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	for _, shards := range []int{1, 3} {
+		var want [][]byte
+		for _, workers := range []int{1, 24} {
+			ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 32, ChunkSize: 64, IndexWorkers: workers, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "ix.snap")
+			if err := ix.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			got := members(path)
+			if len(got) != shards {
+				t.Fatalf("shards=%d: %d member files", shards, len(got))
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d: IndexWorkers=%d snapshot bytes differ from IndexWorkers=1", shards, workers)
+			}
+		}
+	}
 }
 
 // TestLiveSaveLoad: a flushed LiveIndex saves a snapshot that LoadLive
