@@ -1,7 +1,8 @@
 // Command messi-gen writes synthetic dataset files in the binary format
 // understood by messi-query, messi-serve, and messi.BuildFromFile — and,
-// with -snapshot, ready-to-serve index snapshots that messi-serve boots
-// from in a fraction of the build time.
+// with -snapshot, a ready-to-serve index snapshot directory (MANIFEST
+// plus member file) that messi-serve boots from in a fraction of the
+// build time.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@ import (
 
 	messi "repro"
 	"repro/internal/dataset"
+	"repro/internal/persist"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 		length    = fs.Int("length", 0, "series length (default: 256, or 128 for sald)")
 		seed      = fs.Int64("seed", 1, "generator seed")
 		out       = fs.String("out", "", "output dataset file path (this or -snapshot is required)")
-		snapshot  = fs.String("snapshot", "", "also build an index over the data and write it as a snapshot here")
+		snapshot  = fs.String("snapshot", "", "also build an index over the data and write it as a snapshot directory here")
 		leafCap   = fs.Int("leaf", 0, "snapshot index leaf capacity (default 2000)")
 		normalize = fs.Bool("normalize", false, "snapshot index: z-normalize the data before building")
 	)
@@ -82,12 +84,8 @@ func run(args []string, stdout io.Writer) error {
 		if err := ix.Save(*snapshot); err != nil {
 			return err
 		}
-		size := int64(0)
-		if fi, err := os.Stat(*snapshot); err == nil {
-			size = fi.Size()
-		}
 		fmt.Fprintf(stdout, "wrote index snapshot of %d series × %d points (%d MB) to %s\n",
-			ix.Len(), ix.SeriesLen(), size>>20, *snapshot)
+			ix.Len(), ix.SeriesLen(), persist.Size(*snapshot)>>20, *snapshot)
 	}
 	return nil
 }

@@ -122,3 +122,16 @@ func TestRunSnapshotOnly(t *testing.T) {
 		t.Fatalf("snapshot shape %d×%d, want 100×32", ix.Len(), ix.SeriesLen())
 	}
 }
+
+// TestRunSnapshotReportsDirectorySize: the printed size is the snapshot
+// directory's file bytes (1.2 MB of series here), not a directory inode.
+func TestRunSnapshotReportsDirectorySize(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "sized.snap")
+	var buf strings.Builder
+	if err := run([]string{"-kind", "random", "-count", "5000", "-length", "64", "-snapshot", snap}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "(1 MB)") {
+		t.Fatalf("output %q does not report the directory's 1 MB", buf.String())
+	}
+}

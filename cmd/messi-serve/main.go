@@ -56,7 +56,7 @@
 // immediately, and a background rebuild merges them into the next index
 // generation once the delta buffer crosses -rebuild-threshold. That is all
 // -live switches: whether /v1/series is served (404 without it), whether
-// -wal is allowed, whether the -snapshot file is rewritten automatically
+// -wal is allowed, whether the -snapshot directory is rewritten automatically
 // on flush and shutdown, and whether /v1/stats reports "live": true with
 // the generation and delta fields.
 //
@@ -82,11 +82,14 @@
 //	messi-serve -data data.bin -pprof localhost:6060
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //
-// With -snapshot the server boots from the named index snapshot when it
-// exists (falling back to building from -data when it does not), and the
-// same path is the default target of POST /v1/snapshot — so a serve →
-// snapshot → restart cycle needs no other coordination. In live mode the
-// snapshot is also rewritten automatically on flush and shutdown.
+// With -snapshot the server boots from the named snapshot directory when
+// it holds a MANIFEST (falling back to building from -data when the path
+// is missing or is a directory a failed first save left without one),
+// and the same path is the default target of POST /v1/snapshot — so a
+// serve → snapshot → restart cycle needs no other coordination. A bare
+// single-file snapshot from before snapshots were directories fails boot
+// with a "regenerate" error. In live mode the snapshot is also rewritten
+// automatically on flush and shutdown.
 //
 // The listener opens before the index is built or loaded, so health
 // probes get an honest 503 during a long boot instead of a connection
@@ -118,6 +121,7 @@ import (
 	messi "repro"
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/persist"
 	"repro/internal/wal"
 )
 
@@ -135,7 +139,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("messi-serve", flag.ContinueOnError)
 	var (
 		dataPath  = fs.String("data", "", "dataset file to index (this or -snapshot is required)")
-		snapPath  = fs.String("snapshot", "", "index snapshot: booted from when present, default target of POST /v1/snapshot")
+		snapPath  = fs.String("snapshot", "", "index snapshot directory: booted from when present, default target of POST /v1/snapshot")
 		addr      = fs.String("addr", ":8080", "listen address")
 		leafCap   = fs.Int("leaf", 0, "leaf capacity (default 2000)")
 		pool      = fs.Int("pool", 0, "engine pool workers (default: search workers)")
@@ -316,14 +320,17 @@ func startPprof(addr string) (string, func(), error) {
 
 // boot resolves what the server serves: the snapshot when one is
 // available — it becomes the index's first generation — the dataset file
-// otherwise. It returns a human-readable source description for the boot
+// otherwise. A missing path, or a directory with no MANIFEST (what a
+// failed first save leaves), is no snapshot; anything else is loaded, so
+// a bare pre-directory snapshot file fails boot instead of being rebuilt
+// over. It returns a human-readable source description for the boot
 // log. Load failures name the failing path — a dataset error is
 // additionally logged before it aborts startup, so a restart loop is
 // diagnosable from the server's own output, not just the exit status.
 func boot(dataPath, snapPath string, opts *messi.Options, lopts *messi.LiveOptions) (*messi.LiveIndex, string, error) {
 	start := time.Now()
 	if snapPath != "" {
-		if _, err := os.Stat(snapPath); err == nil {
+		if persist.Present(snapPath) {
 			ix, err := messi.LoadLive(snapPath, opts, lopts)
 			if err != nil {
 				return nil, "", fmt.Errorf("load snapshot %s: %w", snapPath, err)
@@ -332,7 +339,7 @@ func boot(dataPath, snapPath string, opts *messi.Options, lopts *messi.LiveOptio
 		}
 		slog.Info("snapshot not found, building from dataset", "path", snapPath, "data", dataPath)
 		if dataPath == "" {
-			return nil, "", fmt.Errorf("snapshot %s does not exist and no -data to build from", snapPath)
+			return nil, "", fmt.Errorf("no snapshot at %s and no -data to build from", snapPath)
 		}
 	}
 	ix, err := messi.BuildLiveFromFile(dataPath, opts, lopts)
@@ -934,7 +941,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Path: path, Series: ix.Len(), Bytes: snapshotSize(path)})
+	writeJSON(w, http.StatusOK, snapshotResponse{Path: path, Series: ix.Len(), Bytes: persist.Size(path)})
 }
 
 // handleAppend serves POST /v1/series. The route always exists (so it
@@ -963,30 +970,6 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, appendResponse{FirstPosition: first, Count: len(req.Series)})
-}
-
-// snapshotSize reports the on-disk size of a snapshot: the file's size,
-// or for a sharded snapshot directory the sum of the files inside it
-// (a bare directory Stat would report the inode size, ~4 KiB).
-func snapshotSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	if !fi.IsDir() {
-		return fi.Size()
-	}
-	var total int64
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return 0
-	}
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil && !e.IsDir() {
-			total += info.Size()
-		}
-	}
-	return total
 }
 
 func toJSONMatches(ms []messi.Match) []jsonMatch {

@@ -473,6 +473,72 @@ func TestSnapshotEndpointAndBoot(t *testing.T) {
 	}
 }
 
+// TestBootAfterAbortedFirstSave: a first save that fails before its
+// manifest lands leaves an empty directory at -snapshot; the next boot
+// treats it as no snapshot and builds from -data instead of failing. A
+// bare single-file snapshot from before snapshots were directories is
+// not rebuilt over: boot fails and says to regenerate it.
+func TestBootAfterAbortedFirstSave(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
+	data := messi.RandomWalk(600, 64, 16)
+	dataPath := filepath.Join(t.TempDir(), "data.bin")
+	if err := messi.WriteSeriesFile(dataPath, data, 64); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		opts := &messi.Options{LeafCapacity: 64, Shards: shards}
+		h := serveStatic(t, data, opts, "")
+		snap := filepath.Join(t.TempDir(), "snap")
+		if err := fault.Arm("persist.manifest.write", fault.Spec{Action: fault.Error}); err != nil {
+			t.Fatal(err)
+		}
+		if rr := postJSON(t, h, "/v1/snapshot", snapshotRequest{Path: snap}); rr.Code != http.StatusInternalServerError {
+			t.Fatalf("shards=%d: failed save answered %d, body %s", shards, rr.Code, rr.Body)
+		}
+		fault.DisarmAll()
+		if fi, err := os.Stat(snap); err != nil || !fi.IsDir() {
+			t.Fatalf("shards=%d: aborted save left no directory (%v)", shards, err)
+		}
+
+		booted, source, err := boot(dataPath, snap, opts, nil)
+		if err != nil {
+			t.Fatalf("shards=%d: boot over an aborted save: %v", shards, err)
+		}
+		if !strings.Contains(source, "indexed") || booted.Len() != 600 {
+			t.Fatalf("shards=%d: boot source %q with %d series, want a rebuild of 600", shards, source, booted.Len())
+		}
+		booted.Close()
+		if _, _, err := boot("", snap, opts, nil); err == nil {
+			t.Fatalf("shards=%d: boot with no snapshot and no -data did not error", shards)
+		}
+	}
+
+	// A bare member file at -snapshot fails boot even with -data given.
+	h := serveStatic(t, data, &messi.Options{LeafCapacity: 64}, "")
+	dir := filepath.Join(t.TempDir(), "dir.snap")
+	if rr := postJSON(t, h, "/v1/snapshot", snapshotRequest{Path: dir}); rr.Code != http.StatusOK {
+		t.Fatalf("snapshot: status %d, body %s", rr.Code, rr.Body)
+	}
+	member, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
+	if err != nil || len(member) != 1 {
+		t.Fatalf("snapshot members %v (err %v), want one", member, err)
+	}
+	raw, err := os.ReadFile(member[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := filepath.Join(t.TempDir(), "bare.snap")
+	if err := os.WriteFile(bare, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ix, _, err := boot(dataPath, bare, nil, nil); err == nil {
+		ix.Close()
+		t.Fatal("boot accepted a bare single-file snapshot")
+	} else if !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("boot over a bare snapshot file: %v, want a regenerate error", err)
+	}
+}
+
 // TestSnapshotEndpointDefaults: empty body uses the -snapshot default;
 // no default at all is a 400.
 func TestSnapshotEndpointDefaults(t *testing.T) {

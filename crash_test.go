@@ -139,13 +139,9 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 		appendOne()
 	}
 
-	// Every point must actually have been reached by the workload —
-	// except the sharded-manifest one, which only exists on disk when
-	// the snapshot is a multi-shard directory.
-	if requireFire && !(point == "persist.manifest.write" && shards == 1) {
-		if fault.Fired(point) == firedBefore {
-			t.Fatalf("failpoint %s never fired: the scenario does not reach it", point)
-		}
+	// Every point must actually have been reached by the workload.
+	if requireFire && fault.Fired(point) == firedBefore {
+		t.Fatalf("failpoint %s never fired: the scenario does not reach it", point)
 	}
 
 	// Crash: abandon the instance. Close releases goroutines and file
@@ -155,9 +151,9 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	fault.DisarmAll()
 	ix.Close()
 
-	// Reboot from whatever survived. An aborted sharded save may leave
-	// an empty directory behind (never a partial manifest), which is not
-	// a loadable snapshot.
+	// Reboot from whatever survived. An aborted save may leave an empty
+	// directory behind (never a partial manifest), which is not a
+	// loadable snapshot.
 	rec := rebootLive(t, snapPath, opts, lopts)
 	defer rec.Close()
 
@@ -237,12 +233,12 @@ func TestCrashTornRecordDropped(t *testing.T) {
 	}
 }
 
-// rebootLive reopens the on-disk state like a restarted server: from the
-// snapshot plus the WAL tail when a loadable snapshot exists, from the
-// WAL alone otherwise.
+// rebootLive reopens the on-disk state like a restarted server (the same
+// persist.Present test messi-serve boots by): from the snapshot plus the
+// WAL tail when a snapshot is present, from the WAL alone otherwise.
 func rebootLive(t *testing.T, snapPath string, opts *Options, lopts *LiveOptions) *LiveIndex {
 	t.Helper()
-	if fi, err := os.Stat(snapPath); err == nil && (!fi.IsDir() || persist.IsShardedDir(snapPath)) {
+	if persist.Present(snapPath) {
 		rec, err := LoadLive(snapPath, opts, lopts)
 		if err != nil {
 			t.Fatalf("reboot from snapshot: %v", err)

@@ -4,9 +4,9 @@
 // and iSAX schema parameters, the raw series block, and the index tree
 // flattened with its leaf payloads. Loading a snapshot skips PAA
 // transforms, quantization and splits entirely, so a server restarts in
-// the time it takes to read the file.
+// the time it takes to read the files.
 //
-// # Layout (version 2, all integers little-endian)
+// # Member file layout (version 2, all integers little-endian)
 //
 //	[0,8)    magic "MESSIIX1"
 //	[8,12)   format version (uint32)
@@ -51,14 +51,21 @@
 //
 // # Contracts
 //
-// Write is atomic at the file level: writers should emit to a temp file
-// and rename (cmd/messi-serve's snapshot endpoint does), so a crashed
-// writer never leaves a half-written snapshot under the published name.
-// Every section is independently checksummed; Load verifies header,
-// series block, and tree section CRCs before returning an index, and a
-// corrupt file fails with a sentinel error naming the damaged section
-// rather than producing a silently wrong index. Sharded indexes snapshot
-// as one file per shard plus a manifest binding the shard files to their
-// routing (round-robin, shard count) so a load cannot mix files from
-// different snapshots.
+// A snapshot is always a directory: one member file in the layout above
+// per non-empty shard, plus a checksummed MANIFEST binding the members to
+// their routing (round-robin, shard count), so a load cannot mix files
+// from different snapshots. An unsharded index is a directory of one
+// member. WriteDir and ReadDir are the only save and load.
+//
+// WriteDir writes each member to a temp file, fsyncs and renames it
+// under a fresh per-save name, and renames the manifest into place last:
+// a crashed or failed save never changes what the previous manifest
+// names, and leaves at most a directory with no manifest, which Present
+// reports as no snapshot. Every section is independently checksummed;
+// ReadDir verifies the manifest and each member's header, series block
+// and tree section CRCs before returning an index, and a corrupt file
+// fails with a sentinel error naming the damaged section rather than
+// producing a silently wrong index. A bare member file — the single-file
+// snapshot of earlier releases — fails with ErrVersion and must be
+// regenerated.
 package persist

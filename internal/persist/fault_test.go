@@ -43,9 +43,9 @@ func TestWriteFileFailureLeavesNoTemp(t *testing.T) {
 			if err := fault.Arm(point, fault.Spec{Action: fault.Error}); err != nil {
 				t.Fatal(err)
 			}
-			err := WriteFile(path, ix, false)
+			err := writeFile(path, ix, false)
 			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("WriteFile = %v, want the injected error surfaced", err)
+				t.Fatalf("writeFile = %v, want the injected error surfaced", err)
 			}
 			if strays := listStrays(t, dir); len(strays) != 0 {
 				t.Fatalf("failed save left temp strays: %v", strays)
@@ -54,7 +54,7 @@ func TestWriteFileFailureLeavesNoTemp(t *testing.T) {
 				t.Fatalf("failed save left a target file: %v", err)
 			}
 			// A retry with the fault gone succeeds into the same path.
-			if err := WriteFile(path, ix, false); err != nil {
+			if err := writeFile(path, ix, false); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
 		})
@@ -67,7 +67,7 @@ func TestShardedSaveAbortCleansUp(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	x := buildSharded(t, 300, 3)
 	dir := t.TempDir()
-	if err := WriteShardedDir(dir, x, false); err != nil {
+	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadDir(dir)
@@ -79,8 +79,8 @@ func TestShardedSaveAbortCleansUp(t *testing.T) {
 		if err := fault.Arm(point, fault.Spec{Action: fault.Error}); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteShardedDir(dir, x, false); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("%s: WriteShardedDir = %v, want injected error", point, err)
+		if err := WriteDir(dir, x, false); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: WriteDir = %v, want injected error", point, err)
 		}
 		after, err := os.ReadDir(dir)
 		if err != nil {
@@ -89,7 +89,7 @@ func TestShardedSaveAbortCleansUp(t *testing.T) {
 		if len(after) != len(before) {
 			t.Fatalf("%s: aborted save changed directory contents: %d files, want %d", point, len(after), len(before))
 		}
-		loaded, _, err := ReadShardedDir(dir)
+		loaded, _, err := ReadDir(dir)
 		if err != nil {
 			t.Fatalf("%s: previous snapshot unreadable after aborted save: %v", point, err)
 		}
@@ -104,10 +104,10 @@ func TestShardedSaveAbortCleansUp(t *testing.T) {
 func TestSweepRemovesCrashedTempStrays(t *testing.T) {
 	x := buildSharded(t, 300, 2)
 	dir := t.TempDir()
-	if err := WriteShardedDir(dir, x, false); err != nil {
+	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
-	// Plant what a kill mid-WriteFile leaves behind: a half-written
+	// Plant what a kill mid-writeFile leaves behind: a half-written
 	// shard temp and an orphaned old shard file.
 	stray1 := filepath.Join(dir, "shard-0001-deadbeef.snap.tmp123")
 	stray2 := filepath.Join(dir, "shard-0001-deadbeef.snap")
@@ -116,7 +116,7 @@ func TestSweepRemovesCrashedTempStrays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteShardedDir(dir, x, false); err != nil {
+	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{stray1, stray2} {
@@ -124,7 +124,7 @@ func TestSweepRemovesCrashedTempStrays(t *testing.T) {
 			t.Fatalf("sweep left stray %s", filepath.Base(s))
 		}
 	}
-	if _, _, err := ReadShardedDir(dir); err != nil {
+	if _, _, err := ReadDir(dir); err != nil {
 		t.Fatal(err)
 	}
 }

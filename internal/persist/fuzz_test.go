@@ -68,14 +68,14 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, ix, false); err != nil {
+	if err := write(&buf, ix, false); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:HeaderSize])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, _, err := Read(bytes.NewReader(b))
+		got, _, err := read(bytes.NewReader(b))
 		if err != nil {
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -20,17 +21,16 @@ import (
 )
 
 // fpManifest fires where a crash or disk failure would interrupt a
-// sharded save after its shard files are written but before the
-// manifest lands — the instant that must leave the previous snapshot
-// intact.
+// save after its member files are written but before the manifest
+// lands — the instant that must leave the previous snapshot intact.
 var fpManifest = fault.Register("persist.manifest.write")
 
-// This file defines the multi-shard snapshot layout: a DIRECTORY (not a
-// new snapshot format version) holding one ordinary single-index snapshot
-// file per shard plus a checksummed manifest naming them:
+// This file defines the snapshot layout: a DIRECTORY holding one member
+// file (format v2) per shard plus a checksummed manifest naming them. An
+// unsharded index is a directory of one member:
 //
 //	<dir>/MANIFEST                   magic + length-prefixed JSON + CRC-32C
-//	<dir>/shard-0000-<token>.snap    ordinary snapshot (format v2) of shard 0
+//	<dir>/shard-0000-<token>.snap    member file (format v2) of shard 0
 //	<dir>/shard-0001-<token>.snap    ...
 //
 // The token is fresh per save, so re-saving over an existing snapshot
@@ -38,21 +38,20 @@ var fpManifest = fault.Register("persist.manifest.write")
 // crash mid-save leaves the old manifest pointing at intact old files
 // (strays from the aborted save are swept by the next successful one).
 // Only after the new manifest is atomically renamed into place do the
-// previous save's shard files become garbage and get removed.
+// previous save's member files become garbage and get removed.
 //
-// Each shard file is self-describing and individually checksummed, so the
-// manifest only records the partition: the shard count, the collection
-// shape, and the per-shard file names (empty for shards whose round-robin
-// slice is empty). Shards are written and loaded in parallel; cross-shard
-// consistency (round-robin counts, matching schema and normalize flags) is
-// validated on load.
+// Each member file is self-describing and individually checksummed, so
+// the manifest only records the partition: the shard count, the
+// collection shape, and the per-shard file names (empty for shards whose
+// round-robin slice is empty). Members are written and loaded in
+// parallel; cross-shard consistency (round-robin counts, matching schema
+// and normalize flags) is validated on load.
 
 // ManifestMagic identifies a shard-manifest file (distinct from both the
 // snapshot magic "MESSIIX1" and the dataset magic "MESSIDS1").
 const ManifestMagic = "MESSIMF1"
 
-// ManifestName is the manifest's file name inside a sharded snapshot
-// directory.
+// ManifestName is the manifest's file name inside a snapshot directory.
 const ManifestName = "MANIFEST"
 
 // ManifestVersion is the current manifest payload version.
@@ -65,7 +64,7 @@ const manifestHeaderSize = 12
 // maxManifestPayload bounds the JSON payload a manifest header may claim.
 const maxManifestPayload = 1 << 20
 
-// Manifest describes a sharded snapshot directory.
+// Manifest describes a snapshot directory.
 type Manifest struct {
 	Version     int      `json:"version"`
 	Shards      int      `json:"shards"`
@@ -166,7 +165,7 @@ func (m Manifest) validate() error {
 	return nil
 }
 
-// shardFileName is the per-shard snapshot file name: the shard number
+// shardFileName is the per-shard member file name: the shard number
 // plus a per-save token (see the package comment on crash safety).
 func shardFileName(s int, token string) string {
 	return fmt.Sprintf("shard-%04d-%s.snap", s, token)
@@ -182,26 +181,26 @@ func saveToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// dirSaves serializes WriteShardedDir calls per target directory (keyed
-// by cleaned path): without it, two in-process saves — a Flush
+// dirSaves serializes writeDir calls per target directory (keyed by
+// cleaned path): without it, two in-process saves — a Flush
 // auto-snapshot racing a POST /v1/snapshot — could sweep each other's
-// in-flight shard files and leave a manifest naming deleted files.
+// in-flight member files and leave a manifest naming deleted files.
 // Concurrent saves into one directory from SEPARATE processes remain the
 // caller's responsibility, as with any shared file target.
 var dirSaves sync.Map // map[string]*sync.Mutex
 
-// WriteShardedDir persists a sharded index as a snapshot directory: one
-// snapshot file per non-empty shard (written concurrently, each atomically
-// via WriteFile, under fresh per-save names) plus the checksummed
-// manifest, written last. Because shard files are never overwritten in
-// place, re-saving over an existing snapshot directory is crash-safe: a
-// crash before the manifest rename leaves the previous manifest naming
-// its intact files; the moment the rename lands, the new snapshot is
-// complete and the superseded shard files are swept (best-effort).
+// writeDir persists an index as a snapshot directory: one member file
+// per non-empty shard (written concurrently, each atomically via
+// writeFile, under fresh per-save names) plus the checksummed manifest,
+// written last. Because member files are never overwritten in place,
+// re-saving over an existing snapshot directory is crash-safe: a crash
+// before the manifest rename leaves the previous manifest naming its
+// intact files; the moment the rename lands, the new snapshot is
+// complete and the superseded member files are swept (best-effort).
 // In-process saves to the same directory are serialized.
-func writeShardedDir(dir string, x *shard.Index, normalize bool) error {
+func writeDir(dir string, x *shard.Index, normalize bool) error {
 	if x == nil || x.Len() == 0 {
-		return fmt.Errorf("persist: cannot snapshot an empty sharded index")
+		return fmt.Errorf("persist: cannot snapshot an empty index")
 	}
 	muAny, _ := dirSaves.LoadOrStore(filepath.Clean(dir), &sync.Mutex{})
 	mu := muAny.(*sync.Mutex)
@@ -233,7 +232,7 @@ func writeShardedDir(dir string, x *shard.Index, normalize bool) error {
 		wg.Add(1)
 		go func(s int, sh *core.Index) {
 			defer wg.Done()
-			errs[s] = WriteFile(filepath.Join(dir, shardFileName(s, token)), sh, normalize)
+			errs[s] = writeFile(filepath.Join(dir, shardFileName(s, token)), sh, normalize)
 		}(s, sh)
 	}
 	wg.Wait()
@@ -292,7 +291,7 @@ func removeSaveFiles(dir string, files []string) {
 	}
 }
 
-// sweepStaleShards removes shard snapshot files not named by the
+// sweepStaleShards removes member files not named by the
 // just-written manifest — earlier saves' files and strays from aborted
 // saves — plus manifest temp files a crash may have orphaned.
 // Best-effort: a leftover file costs disk space, never correctness, so
@@ -318,7 +317,7 @@ func sweepStaleShards(dir string, live []string) {
 			_, ok := keep[name]
 			stale = !ok
 		}
-		// WriteFile temp files (shard-....snap.tmp*) orphaned by a
+		// writeFile temp files (shard-....snap.tmp*) orphaned by a
 		// crash mid-save are strays too.
 		if strings.HasPrefix(name, "shard-") && strings.Contains(name, ".snap.tmp") {
 			stale = true
@@ -329,25 +328,27 @@ func sweepStaleShards(dir string, live []string) {
 	}
 }
 
-// ReadShardedDir loads a snapshot directory written by WriteShardedDir:
-// the manifest is parsed and validated, the shard files are loaded in
-// parallel (each through the ordinary snapshot reader, mmap fast path
-// included), and the shards are reassembled with full cross-shard
-// validation. The returned bool is the shards' common normalize flag.
+// readDir loads a snapshot directory written by writeDir: the manifest
+// is parsed and validated, the member files are loaded in parallel (each
+// through readFile, mmap fast path included), and the shards are
+// reassembled with full cross-shard validation. The returned bool is the
+// members' common normalize flag.
 //
 // A writer in ANOTHER process may replace the snapshot between our
-// manifest read and the shard-file opens (its post-save sweep unlinks the
-// superseded files — unlike a single-file snapshot, where the rename
-// leaves the old inode openable). A vanished shard file therefore means
-// "the manifest we read was superseded": re-read the manifest and retry
+// manifest read and the member-file opens (its post-save sweep unlinks
+// the superseded files). A vanished member file therefore means "the
+// manifest we read was superseded": re-read the manifest and retry
 // rather than failing a snapshot that was valid when observed.
-func readShardedDir(dir string) (*shard.Index, bool, error) {
+func readDir(dir string) (*shard.Index, bool, error) {
+	if err := checkDir(dir); err != nil {
+		return nil, false, err
+	}
 	const retries = 3
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
 		var x *shard.Index
 		var normalize bool
-		x, normalize, err = readShardedDirOnce(dir)
+		x, normalize, err = readDirOnce(dir)
 		if err == nil || !errors.Is(err, fs.ErrNotExist) || attempt == retries {
 			return x, normalize, err
 		}
@@ -355,7 +356,31 @@ func readShardedDir(dir string) (*shard.Index, bool, error) {
 	return nil, false, err
 }
 
-func readShardedDirOnce(dir string) (*shard.Index, bool, error) {
+// checkDir rejects a path that is not a directory: a bare member file
+// (the single-file snapshot written before every snapshot became a
+// directory) with ErrVersion and a "regenerate" message, any other file
+// with ErrBadMagic.
+func checkDir(path string) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if fi.IsDir() {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	defer f.Close()
+	magic := make([]byte, len(Magic))
+	if _, err := io.ReadFull(f, magic); err == nil && string(magic) == Magic {
+		return fmt.Errorf("%w: %s is a single-file snapshot, and snapshots are directories now; regenerate it (messi-gen -snapshot, or a fresh Save)", ErrVersion, path)
+	}
+	return fmt.Errorf("%w: %s is not a snapshot directory", ErrBadMagic, path)
+}
+
+func readDirOnce(dir string) (*shard.Index, bool, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, false, fmt.Errorf("persist: %w", err)
@@ -376,7 +401,7 @@ func readShardedDirOnce(dir string) (*shard.Index, bool, error) {
 		wg.Add(1)
 		go func(s int, name string) {
 			defer wg.Done()
-			cores[s], norms[s], errs[s] = ReadFile(filepath.Join(dir, name))
+			cores[s], norms[s], errs[s] = readFile(filepath.Join(dir, name))
 		}(s, name)
 	}
 	wg.Wait()
@@ -410,13 +435,19 @@ func readShardedDirOnce(dir string) (*shard.Index, bool, error) {
 	return x, normalize, nil
 }
 
-// IsShardedDir reports whether path looks like a sharded snapshot
-// directory (a directory containing a manifest file).
-func IsShardedDir(path string) bool {
+// Present reports whether path holds something ReadDir should load:
+// anything but a missing path or a directory with no manifest — which is
+// what a save that failed before its manifest landed leaves behind. A
+// bare file counts, so ReadDir rejects it rather than a caller silently
+// rebuilding over it.
+func Present(path string) bool {
 	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
+	if errors.Is(err, fs.ErrNotExist) {
 		return false
 	}
+	if err != nil || !fi.IsDir() {
+		return true
+	}
 	_, err = os.Stat(filepath.Join(path, ManifestName))
-	return err == nil
+	return !errors.Is(err, fs.ErrNotExist)
 }

@@ -1,11 +1,14 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,13 +35,13 @@ func buildSharded(t *testing.T, n, shards int) *shard.Index {
 func TestShardedRoundTrip(t *testing.T) {
 	x := buildSharded(t, 500, 4)
 	dir := filepath.Join(t.TempDir(), "sharded.snapdir")
-	if err := WriteShardedDir(dir, x, true); err != nil {
+	if err := WriteDir(dir, x, true); err != nil {
 		t.Fatal(err)
 	}
-	if !IsShardedDir(dir) {
-		t.Fatal("written directory not recognized as a sharded snapshot")
+	if !Present(dir) {
+		t.Fatal("written directory not recognized as a snapshot")
 	}
-	loaded, normalize, err := ReadShardedDir(dir)
+	loaded, normalize, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +68,106 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneShardDir: an unsharded index is a directory of one member plus
+// the manifest, and the member holds exactly the bytes write produces.
+func TestOneShardDir(t *testing.T) {
+	x := buildSharded(t, 300, 1)
+	dir := filepath.Join(t.TempDir(), "one.snapdir")
+	if err := WriteDir(dir, x, false); err != nil {
+		t.Fatal(err)
+	}
+	members, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
+	if err != nil || len(members) != 1 {
+		t.Fatalf("members %v (err %v), want one", members, err)
+	}
+	got, err := os.ReadFile(members[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := snapshotBytes(t, x.Shard(0), false); !bytes.Equal(got, want) {
+		t.Fatal("member file differs from the in-memory encoding")
+	}
+	mf, err := os.Stat(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Size(dir) != int64(len(got))+mf.Size() {
+		t.Fatalf("Size(dir) = %d, want member + manifest bytes", Size(dir))
+	}
+	loaded, _, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.NumShards() != 1 || loaded.Len() != 300 {
+		t.Fatalf("loaded %d shards × %d series", loaded.NumShards(), loaded.Len())
+	}
+}
+
+// TestReadDirRejectsFiles: a bare member file — the single-file snapshot
+// of earlier releases — fails with ErrVersion and says to regenerate;
+// any other file fails with ErrBadMagic; a missing path fails too.
+func TestReadDirRejectsFiles(t *testing.T) {
+	dir := t.TempDir()
+	bare := filepath.Join(dir, "bare.snap")
+	if err := os.WriteFile(bare, snapshotBytes(t, buildIndex(t, 200, 32, 16), false), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := ReadDir(bare)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("bare member file: %v, want ErrVersion saying regenerate", err)
+	}
+	other := filepath.Join(dir, "other.bin")
+	if err := os.WriteFile(other, []byte("MESSIDS1 not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDir(other); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("other file: %v, want ErrBadMagic", err)
+	}
+	if _, _, err := ReadDir(filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing path: %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestPresent: a missing path and a directory with no manifest (what a
+// failed first save leaves) hold no snapshot; a snapshot directory and
+// any file do, so a bare file reaches ReadDir's rejection.
+func TestPresent(t *testing.T) {
+	dir := t.TempDir()
+	if Present(filepath.Join(dir, "missing")) {
+		t.Error("missing path reported present")
+	}
+	empty := filepath.Join(dir, "empty")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if Present(empty) {
+		t.Error("directory with no manifest reported present")
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte(Magic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !Present(file) {
+		t.Error("bare file reported absent")
+	}
+	snap := filepath.Join(dir, "snap")
+	if err := WriteDir(snap, buildSharded(t, 50, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	if !Present(snap) {
+		t.Error("snapshot directory reported absent")
+	}
+}
+
 // TestShardedDirWithEmptyShards: count < shards leaves empty file entries
 // that round-trip cleanly.
 func TestShardedDirWithEmptyShards(t *testing.T) {
 	x := buildSharded(t, 3, 8)
 	dir := filepath.Join(t.TempDir(), "tiny.snapdir")
-	if err := WriteShardedDir(dir, x, false); err != nil {
+	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := ReadShardedDir(dir)
+	loaded, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +180,7 @@ func TestShardedDirWithEmptyShards(t *testing.T) {
 func TestManifestCorruption(t *testing.T) {
 	x := buildSharded(t, 200, 2)
 	dir := filepath.Join(t.TempDir(), "corrupt.snapdir")
-	if err := WriteShardedDir(dir, x, false); err != nil {
+	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
 	mpath := filepath.Join(dir, ManifestName)
@@ -101,7 +195,7 @@ func TestManifestCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer os.WriteFile(mpath, good, 0o644)
-		_, _, err := ReadShardedDir(dir)
+		_, _, err := ReadDir(dir)
 		if !errors.Is(err, want) {
 			t.Fatalf("corrupted manifest: got %v, want %v", err, want)
 		}
@@ -127,7 +221,7 @@ func TestManifestCorruption(t *testing.T) {
 	if err := os.WriteFile(spath, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadShardedDir(dir); !errors.Is(err, ErrChecksum) {
+	if _, _, err := ReadDir(dir); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted shard file: got %v, want %v", err, ErrChecksum)
 	}
 }
@@ -155,7 +249,7 @@ func TestManifestEscapingNames(t *testing.T) {
 func TestShardedResave(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "resave.snapdir")
 	first := buildSharded(t, 100, 2)
-	if err := WriteShardedDir(dir, first, false); err != nil {
+	if err := WriteDir(dir, first, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -168,10 +262,10 @@ func TestShardedResave(t *testing.T) {
 	}
 
 	second := buildSharded(t, 300, 2)
-	if err := WriteShardedDir(dir, second, false); err != nil {
+	if err := WriteDir(dir, second, false); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := ReadShardedDir(dir)
+	loaded, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +333,13 @@ func TestConcurrentShardedSaves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := WriteShardedDir(dir, x, false); err != nil {
+			if err := WriteDir(dir, x, false); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	loaded, _, err := ReadShardedDir(dir)
+	loaded, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatalf("directory unloadable after racing saves: %v", err)
 	}

@@ -2,20 +2,19 @@ package persist
 
 import (
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 )
 
 // Snapshot I/O telemetry. The persist API is package-level functions, so
 // the hook is a package-level registry installed once at process startup
-// (SetMetrics); the instrumented exported entry points here wrap the
-// unexported implementations. A nil (never-installed) hook costs one
-// atomic pointer load per snapshot operation — nothing on query paths.
+// (SetMetrics); the two exported entry points here wrap the unexported
+// implementations, so each save or load is observed exactly once. A nil
+// (never-installed) hook costs one atomic pointer load per snapshot
+// operation — nothing on query paths.
 
 // persistInstruments is the registered instrument set.
 type persistInstruments struct {
@@ -39,9 +38,9 @@ func SetMetrics(r *metrics.Registry) {
 	}
 	instruments.Store(&persistInstruments{
 		saveSeconds: r.Histogram("messi_snapshot_save_seconds",
-			"Wall time of snapshot writes (single files and sharded directories)."),
+			"Wall time of snapshot directory saves."),
 		loadSeconds: r.Histogram("messi_snapshot_load_seconds",
-			"Wall time of snapshot loads (single files and sharded directories)."),
+			"Wall time of snapshot directory loads."),
 		saveBytes: r.Counter("messi_snapshot_save_bytes_total",
 			"Cumulative bytes written by successful snapshot saves."),
 		loadBytes: r.Counter("messi_snapshot_load_bytes_total",
@@ -54,26 +53,19 @@ func SetMetrics(r *metrics.Registry) {
 }
 
 // observe records one snapshot operation against the installed hook.
-func observe(dur *metrics.Histogram, bytes, failures *metrics.Counter, path string, elapsed time.Duration, err error) {
+func observe(dur *metrics.Histogram, bytes, failures *metrics.Counter, dir string, elapsed time.Duration, err error) {
 	if err != nil {
 		failures.Inc()
 		return
 	}
 	dur.Observe(elapsed)
-	bytes.Add(pathSize(path))
+	bytes.Add(Size(dir))
 }
 
-// pathSize reports the on-disk size of a snapshot: the file's size, or
-// for a sharded directory the sum of the files inside it.
-func pathSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	if !fi.IsDir() {
-		return fi.Size()
-	}
-	entries, err := os.ReadDir(path)
+// Size reports the on-disk size of a snapshot directory: the summed
+// sizes of the files inside it (0 when dir cannot be listed).
+func Size(dir string) int64 {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
 	}
@@ -86,50 +78,26 @@ func pathSize(path string) int64 {
 	return total
 }
 
-// WriteFile atomically writes the index snapshot to path (see writeFile
-// for the temp-file + rename contract), recording save telemetry when a
-// metrics registry is installed via SetMetrics.
-func WriteFile(path string, ix *core.Index, normalize bool) error {
+// WriteDir writes x as a snapshot directory (see writeDir for the
+// manifest contract), recording save telemetry when a metrics registry
+// is installed via SetMetrics.
+func WriteDir(dir string, x *shard.Index, normalize bool) error {
 	start := time.Now()
-	err := writeFile(path, ix, normalize)
+	err := writeDir(dir, x, normalize)
 	if m := instruments.Load(); m != nil {
-		observe(m.saveSeconds, m.saveBytes, m.saveFailures, path, time.Since(start), err)
+		observe(m.saveSeconds, m.saveBytes, m.saveFailures, dir, time.Since(start), err)
 	}
 	return err
 }
 
-// ReadFile loads an index snapshot from path (see readFile for the mmap
-// fast path), recording load telemetry when a metrics registry is
+// ReadDir loads a snapshot directory (see readDir for the retry
+// contract), recording load telemetry when a metrics registry is
 // installed via SetMetrics.
-func ReadFile(path string) (*core.Index, bool, error) {
+func ReadDir(dir string) (*shard.Index, bool, error) {
 	start := time.Now()
-	ix, normalize, err := readFile(path)
+	x, normalize, err := readDir(dir)
 	if m := instruments.Load(); m != nil {
-		observe(m.loadSeconds, m.loadBytes, m.loadFailures, path, time.Since(start), err)
-	}
-	return ix, normalize, err
-}
-
-// WriteShardedDir writes a sharded snapshot directory (see
-// writeShardedDir for the manifest contract), recording save telemetry
-// when a metrics registry is installed via SetMetrics.
-func WriteShardedDir(dir string, x *shard.Index, normalize bool) error {
-	start := time.Now()
-	err := writeShardedDir(dir, x, normalize)
-	if m := instruments.Load(); m != nil {
-		observe(m.saveSeconds, m.saveBytes, m.saveFailures, filepath.Clean(dir), time.Since(start), err)
-	}
-	return err
-}
-
-// ReadShardedDir loads a sharded snapshot directory (see readShardedDir
-// for the retry contract), recording load telemetry when a metrics
-// registry is installed via SetMetrics.
-func ReadShardedDir(dir string) (*shard.Index, bool, error) {
-	start := time.Now()
-	x, normalize, err := readShardedDir(dir)
-	if m := instruments.Load(); m != nil {
-		observe(m.loadSeconds, m.loadBytes, m.loadFailures, filepath.Clean(dir), time.Since(start), err)
+		observe(m.loadSeconds, m.loadBytes, m.loadFailures, dir, time.Since(start), err)
 	}
 	return x, normalize, err
 }

@@ -5,5 +5,5 @@ package persist
 import "os"
 
 // mmapFile reports that memory-mapped loading is unavailable on this
-// platform; ReadFile falls back to streaming reads.
+// platform; readFile falls back to streaming reads.
 func mmapFile(f *os.File) ([]byte, bool) { return nil, false }

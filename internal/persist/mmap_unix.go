@@ -12,7 +12,7 @@ import (
 // whole lifetime (a process typically loads one snapshot at boot).
 // MAP_PRIVATE means neither later in-place writes through the index (there
 // are none today) nor the mapping itself can modify the file, and
-// WriteFile replaces snapshots by rename (fresh inode), so an existing
+// writeFile replaces members by rename (fresh inode), so an existing
 // mapping never observes a rewrite.
 func mmapFile(f *os.File) ([]byte, bool) {
 	fi, err := f.Stat()

@@ -30,11 +30,11 @@ var (
 	fpRename = fault.Register("persist.writefile.rename")
 )
 
-// Magic identifies a MESSI index snapshot file (distinct from the
+// Magic identifies a MESSI snapshot member file (distinct from the
 // dataset file magic "MESSIDS1").
 const Magic = "MESSIIX1"
 
-// Version is the current snapshot format version (what Write produces).
+// Version is the current snapshot format version (what write produces).
 const Version = 2
 
 // HeaderSize is the fixed header length; the series block starts here.
@@ -185,10 +185,10 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Write serializes the index (and its normalize flag) to w in the
+// write serializes the index (and its normalize flag) to w in the
 // snapshot format. w need not be buffered for correctness, but wrapping a
-// raw file in a bufio.Writer (as WriteFile does) avoids small writes.
-func Write(w io.Writer, ix *core.Index, normalize bool) error {
+// raw file in a bufio.Writer (as writeFile does) avoids small writes.
+func write(w io.Writer, ix *core.Index, normalize bool) error {
 	st := ix.Snapshot()
 	treePayload, err := encodeTree(st.Tree, st.Opts.Segments)
 	if err != nil {
@@ -259,10 +259,10 @@ func writeUint32(w io.Writer, v uint32) error {
 	return nil
 }
 
-// Read decodes a snapshot from r and restores the index. The returned
+// read decodes a snapshot from r and restores the index. The returned
 // bool is the snapshot's normalize flag. All corruption paths return
 // errors wrapping the typed sentinels of this package.
-func Read(r io.Reader) (*core.Index, bool, error) {
+func read(r io.Reader) (*core.Index, bool, error) {
 	var hdr [HeaderSize]byte
 	if err := readFull(r, hdr[:], "header"); err != nil {
 		return nil, false, err
@@ -547,9 +547,9 @@ func decodeTree(payload []byte, h Header) (*tree.Flat, error) {
 	return f, nil
 }
 
-// WriteFile atomically writes the index snapshot to path: the bytes land
+// writeFile atomically writes one member file to path: the bytes land
 // in a temporary file in the same directory, which is fsynced and renamed
-// over path, so a crash mid-write can never leave a half-written snapshot
+// over path, so a crash mid-write can never leave a half-written member
 // under the target name.
 func writeFile(path string, ix *core.Index, normalize bool) error {
 	dir := filepath.Dir(path)
@@ -564,7 +564,7 @@ func writeFile(path string, ix *core.Index, normalize bool) error {
 		}
 	}()
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := Write(bw, ix, normalize); err != nil {
+	if err := write(bw, ix, normalize); err != nil {
 		return err
 	}
 	if err := fpWrite.Hit(); err != nil {
@@ -605,7 +605,7 @@ func writeFile(path string, ix *core.Index, normalize bool) error {
 	return nil
 }
 
-// ReadFile loads an index snapshot from path. On unix little-endian
+// readFile loads one member file from path. On unix little-endian
 // hosts the file is memory-mapped and decoded in place — the series
 // block (and the leaf words) alias the mapping, so loading costs one
 // checksum pass instead of a copy, and the mapping stays alive as long
@@ -624,7 +624,7 @@ func readFile(path string) (*core.Index, bool, error) {
 	if b, ok := mmapFile(f); ok && hostLittleEndian && alignedFloat32(b) {
 		ix, normalize, err = decodeMapped(b)
 	} else {
-		ix, normalize, err = Read(f)
+		ix, normalize, err = read(f)
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("%w (file %s)", err, path)

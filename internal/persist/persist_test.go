@@ -35,7 +35,7 @@ func buildIndex(t testing.TB, count, length, leafCap int) *core.Index {
 func snapshotBytes(t testing.TB, ix *core.Index, normalize bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, ix, normalize); err != nil {
+	if err := write(&buf, ix, normalize); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -45,7 +45,7 @@ func TestRoundTrip(t *testing.T) {
 	ix := buildIndex(t, 2000, 64, 32)
 	raw := snapshotBytes(t, ix, true)
 
-	got, normalize, err := Read(bytes.NewReader(raw))
+	got, normalize, err := read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestRoundTrip(t *testing.T) {
 func TestWriteFileReadFile(t *testing.T) {
 	ix := buildIndex(t, 500, 32, 16)
 	path := filepath.Join(t.TempDir(), "ix.snap")
-	if err := WriteFile(path, ix, false); err != nil {
+	if err := writeFile(path, ix, false); err != nil {
 		t.Fatal(err)
 	}
-	got, normalize, err := ReadFile(path)
+	got, normalize, err := readFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 }
 
-// TestReadFileCorruption exercises the corruption paths through ReadFile
-// (the memory-mapped loader on unix), not just the streaming Read.
+// TestReadFileCorruption exercises the corruption paths through readFile
+// (the memory-mapped loader on unix), not just the streaming read.
 func TestReadFileCorruption(t *testing.T) {
 	ix := buildIndex(t, 400, 32, 16)
 	dir := t.TempDir()
@@ -142,7 +142,7 @@ func TestReadFileCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := write(t, tc.mutate)
-			if _, _, err := ReadFile(path); !errors.Is(err, tc.want) {
+			if _, _, err := readFile(path); !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
@@ -150,7 +150,7 @@ func TestReadFileCorruption(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "nope.snap")); err == nil {
+	if _, _, err := readFile(filepath.Join(t.TempDir(), "nope.snap")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -161,7 +161,7 @@ func TestCorruptionTyped(t *testing.T) {
 	raw := snapshotBytes(t, ix, false)
 
 	reread := func(b []byte) error {
-		_, _, err := Read(bytes.NewReader(b))
+		_, _, err := read(bytes.NewReader(b))
 		return err
 	}
 
@@ -265,7 +265,7 @@ func TestCorruptionTyped(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := readFile(path); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("mapped err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -345,14 +345,14 @@ func TestParseHeaderRoundTrip(t *testing.T) {
 func TestSnapshotSharesNoState(t *testing.T) {
 	ix := buildIndex(t, 300, 32, 16)
 	raw := snapshotBytes(t, ix, false)
-	a, _, err := Read(bytes.NewReader(raw))
+	a, _, err := read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Data.Data {
 		a.Data.Data[i] = float32(math.Inf(1))
 	}
-	b, _, err := Read(bytes.NewReader(raw))
+	b, _, err := read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSnapshotSharesNoState(t *testing.T) {
 	}
 }
 
-// TestEmptyCollectionRejected: Write only accepts built (non-empty)
+// TestZeroSeriesHeaderRejected: write only accepts built (non-empty)
 // indexes; a header claiming zero series is corrupt.
 func TestZeroSeriesHeaderRejected(t *testing.T) {
 	ix := buildIndex(t, 100, 32, 16)
@@ -369,7 +369,7 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 	b := bytes.Clone(raw)
 	binary.LittleEndian.PutUint64(b[32:40], 0)
 	binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
-	if _, _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := read(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -401,7 +401,7 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 // 1-NN, k-NN and DTW answers are exactly those of the original.
 func TestRoundTripIdenticalAnswers(t *testing.T) {
 	ix := buildIndex(t, 1500, 64, 32)
-	got, _, err := Read(bytes.NewReader(snapshotBytes(t, ix, false)))
+	got, _, err := read(bytes.NewReader(snapshotBytes(t, ix, false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,12 +164,6 @@ func FromCores(cores []*core.Index) (*Index, error) {
 	if S < 1 || S > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", S, MaxShards)
 	}
-	if S == 1 {
-		if cores[0] == nil {
-			return nil, fmt.Errorf("shard: single shard is nil")
-		}
-		return Wrap(cores[0]), nil
-	}
 	count := 0
 	length := -1
 	var opts core.Options
@@ -211,16 +205,6 @@ func (x *Index) NumShards() int { return len(x.shards) }
 
 // Shard returns shard s's core index (nil when that slice is empty).
 func (x *Index) Shard(s int) *core.Index { return x.shards[s] }
-
-// Single returns the underlying core index when S == 1, nil otherwise —
-// for the snapshot code, whose on-disk format differs between one tree
-// and a shard directory. No query path asks.
-func (x *Index) Single() *core.Index {
-	if len(x.shards) == 1 {
-		return x.shards[0]
-	}
-	return nil
-}
 
 // Len reports the total number of indexed series.
 func (x *Index) Len() int { return x.count }

@@ -236,6 +236,15 @@ func TestFromCoresValidation(t *testing.T) {
 	if _, err := FromCores(nil); err == nil {
 		t.Fatal("zero shards accepted")
 	}
+	// One shard takes the general path: a whole collection is its own
+	// round-robin slice, and a nil one is an empty partition.
+	one, err := FromCores([]*core.Index{x.Shard(0)})
+	if err != nil || one.NumShards() != 1 || one.Len() != x.Shard(0).Data.Count() {
+		t.Fatalf("one-shard partition: %v", err)
+	}
+	if _, err := FromCores([]*core.Index{nil}); err == nil {
+		t.Fatal("one nil shard accepted")
+	}
 }
 
 // TestBuildValidation covers the construction error paths.

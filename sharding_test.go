@@ -97,10 +97,6 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err := sharded.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Streaming a sharded snapshot is a directory-shaped operation.
-	if err := sharded.WriteSnapshot(nopWriter{}); !errors.Is(err, ErrShardedStream) {
-		t.Fatalf("WriteSnapshot on a sharded index: %v, want ErrShardedStream", err)
-	}
 
 	loaded, err := Load(dir)
 	if err != nil {
@@ -155,10 +151,6 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 		t.Fatalf("appended series lost across sharded rebuild: %+v", m)
 	}
 }
-
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestDTWWindowValidation: out-of-range window fractions error on both
 // index kinds (the silent-clamp bug this release fixes).

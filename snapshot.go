@@ -3,19 +3,17 @@ package messi
 import (
 	"errors"
 	"fmt"
-	"io"
 
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/persist"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
 // This file is the public face of the snapshot subsystem
 // (internal/persist): saving a built index to a versioned, checksummed
-// binary file and loading it back in a fraction of the build time. A
-// loaded index answers every query identically to the freshly built one.
+// snapshot directory and loading it back in a fraction of the build
+// time. A loaded index answers every query identically to the freshly
+// built one.
 //
 //	ix, _ := messi.BuildFlat(data, 256, nil)
 //	_ = ix.Save("index.snap")
@@ -23,78 +21,41 @@ import (
 //	ix2, _ := messi.Load("index.snap") // seconds, not an O(n) rebuild
 //
 // Snapshots record the index options that shape the structure (segments,
-// cardinality, leaf capacity) and the normalization flag; runtime tuning
-// (worker counts, queue counts) is not persisted and takes the usual
-// defaults on load.
+// cardinality, leaf capacity), the shard count and the normalization
+// flag; runtime tuning (worker counts, queue counts) is not persisted and
+// takes the usual defaults on load.
 
 // ErrNoGeneration is returned when saving a LiveIndex that has no
 // immutable generation to snapshot (nothing was ever indexed).
 var ErrNoGeneration = errors.New("messi: live index has no generation to snapshot")
 
-// ErrShardedStream is returned by WriteSnapshot on a sharded index: the
-// multi-shard snapshot is a directory layout (one file per shard plus a
-// manifest), not a single stream. Use Save with a directory path instead.
-var ErrShardedStream = errors.New("messi: sharded index snapshots are directories; use Save")
-
-// Save writes the index to path as a snapshot. An unsharded index becomes
-// a single file (written atomically: temp file, sync, rename); a sharded
-// index becomes a snapshot DIRECTORY at path — one ordinary snapshot file
-// per shard plus a checksummed manifest, written concurrently with the
-// manifest last. Load accepts either shape.
+// Save writes the index to path as a snapshot DIRECTORY: one member file
+// per shard (an unsharded index has one) plus a checksummed MANIFEST,
+// written concurrently with the manifest last, so a failed or crashed
+// save leaves any previous snapshot at path loadable.
 func (ix *Index) Save(path string) error {
-	if single := ix.inner.Single(); single != nil {
-		return persist.WriteFile(path, single, ix.normalize)
-	}
-	return persist.WriteShardedDir(path, ix.inner, ix.normalize)
+	return persist.WriteDir(path, ix.inner, ix.normalize)
 }
 
-// WriteSnapshot streams the index snapshot to w (the same bytes Save
-// writes to a file). Sharded indexes cannot be streamed (their snapshot
-// is a directory): WriteSnapshot returns ErrShardedStream.
-func (ix *Index) WriteSnapshot(w io.Writer) error {
-	single := ix.inner.Single()
-	if single == nil {
-		return ErrShardedStream
-	}
-	return persist.Write(w, single, ix.normalize)
-}
-
-// Load reads a snapshot written by Save (or messi-gen -snapshot) and
-// restores the index without re-running construction. Corrupt or
-// incompatible files fail with a descriptive error rather than a corrupt
-// index: the format is checksummed section by section.
+// Load reads a snapshot directory written by Save (or messi-gen
+// -snapshot) and restores the index, shard count included, without
+// re-running construction. Corrupt or incompatible snapshots fail with a
+// descriptive error rather than a corrupt index: the manifest and every
+// section of every member file are checksummed. A bare single-file
+// snapshot from before snapshots were directories fails with
+// persist.ErrVersion and must be regenerated.
 //
-// On unix hosts the snapshot file is memory-mapped and the loaded index
-// aliases the (copy-on-write, page-cache-backed) mapping for as long as
+// On unix hosts the member files are memory-mapped and the loaded index
+// aliases the (copy-on-write, page-cache-backed) mappings for as long as
 // the process lives — the intended shape for a server that loads one
 // snapshot at boot. A process that loads snapshots repeatedly
-// accumulates one mapping per Load; use ReadSnapshot over an opened file
-// for a fully heap-allocated index instead.
-// Sharded snapshot directories (written by Save on a sharded index) are
-// detected by their manifest and loaded shard-parallel.
+// accumulates mappings with every Load.
 func Load(path string) (*Index, error) {
-	if persist.IsShardedDir(path) {
-		inner, normalize, err := persist.ReadShardedDir(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Index{inner: inner, normalize: normalize}, nil
-	}
-	inner, normalize, err := persist.ReadFile(path)
+	inner, normalize, err := persist.ReadDir(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: shard.Wrap(inner), normalize: normalize}, nil
-}
-
-// ReadSnapshot restores an index from a snapshot stream (the inverse of
-// WriteSnapshot).
-func ReadSnapshot(r io.Reader) (*Index, error) {
-	inner, normalize, err := persist.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{inner: shard.Wrap(inner), normalize: normalize}, nil
+	return &Index{inner: inner, normalize: normalize}, nil
 }
 
 // LoadLive boots a mutable live index from a snapshot: the snapshot
@@ -103,24 +64,13 @@ func ReadSnapshot(r io.Reader) (*Index, error) {
 // are taken from the snapshot; opts supplies runtime tuning and lopts the
 // live-index behaviour (including SnapshotPath for automatic
 // re-snapshots on Flush and Close).
-// A sharded snapshot directory boots a sharded live index: the base's
-// shard count carries over, so appends keep the same round-robin routing.
+// The snapshot's shard count carries over, so appends keep the same
+// round-robin routing.
 // With LiveOptions.WALDir set, the log tail beyond the snapshot is
 // replayed into the delta before LoadLive returns, so a crashed server
 // restarts with every acked append searchable again.
 func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error) {
-	var (
-		base      *shard.Index
-		normalize bool
-		err       error
-	)
-	if persist.IsShardedDir(path) {
-		base, normalize, err = persist.ReadShardedDir(path)
-	} else {
-		var single *core.Index
-		single, normalize, err = persist.ReadFile(path)
-		base = shard.Wrap(single)
-	}
+	base, normalize, err := persist.ReadDir(path)
 	if err != nil {
 		return nil, err
 	}
@@ -155,25 +105,18 @@ func (ix *LiveIndex) Save(path string) error {
 	return ix.saveBase(path)
 }
 
-// saveBase persists the current immutable generation as-is (no flush):
-// a single snapshot file for an unsharded index, a snapshot directory
-// for a sharded one. With a WAL configured, a successful save truncates
-// the log's covered prefix — every journaled position below the saved
-// generation's length is now durable in the snapshot, so replay never
-// needs it again.
+// saveBase persists the current immutable generation as-is (no flush)
+// as a snapshot directory. With a WAL configured, a successful save
+// truncates the log's covered prefix — every journaled position below the
+// saved generation's length is now durable in the snapshot, so replay
+// never needs it again.
 func (ix *LiveIndex) saveBase(path string) error {
 	base := ix.inner.Base()
 	if base == nil {
 		return ErrNoGeneration
 	}
 	covered := int64(base.Len())
-	var err error
-	if single := base.Single(); single != nil {
-		err = persist.WriteFile(path, single, ix.normalize)
-	} else {
-		err = persist.WriteShardedDir(path, base, ix.normalize)
-	}
-	if err != nil {
+	if err := persist.WriteDir(path, base, ix.normalize); err != nil {
 		return err
 	}
 	if ix.wal != nil {

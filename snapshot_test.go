@@ -1,12 +1,16 @@
 package messi
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/persist"
 )
 
 // snapshotTestIndex builds a deterministic index for round-trip tests.
@@ -120,47 +124,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotStream: WriteSnapshot/ReadSnapshot round-trips through any
-// io.Writer/Reader pair.
-func TestSnapshotStream(t *testing.T) {
-	ix, _ := snapshotTestIndex(t, false)
-	var buf bytes.Buffer
-	if err := ix.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(&buf)
+// members reads the member files of the snapshot directory at path, in
+// shard order.
+func members(t *testing.T, path string) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(path, "shard-*.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, ix, loaded, snapshotQueries(3, 64))
+	var out [][]byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
 }
 
 // TestSaveBytesIndependentOfIndexWorkers: the build is deterministic, so
 // the snapshot of one collection holds the same bytes whichever
-// IndexWorkers built it, sharded or not. Member files are compared (a
-// sharded directory's manifest names them with a fresh per-save token).
+// IndexWorkers built it, sharded or not. Member files are compared (the
+// manifest names them with a fresh per-save token).
 func TestSaveBytesIndependentOfIndexWorkers(t *testing.T) {
 	data := RandomWalk(5000, 64, 21)
-	members := func(path string) [][]byte {
-		t.Helper()
-		files := []string{path}
-		if fi, err := os.Stat(path); err != nil {
-			t.Fatal(err)
-		} else if fi.IsDir() {
-			if files, err = filepath.Glob(filepath.Join(path, "shard-*.snap")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out [][]byte
-		for _, f := range files {
-			b, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, b)
-		}
-		return out
-	}
 	for _, shards := range []int{1, 3} {
 		var want [][]byte
 		for _, workers := range []int{1, 24} {
@@ -172,7 +160,7 @@ func TestSaveBytesIndependentOfIndexWorkers(t *testing.T) {
 			if err := ix.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			got := members(path)
+			got := members(t, path)
 			if len(got) != shards {
 				t.Fatalf("shards=%d: %d member files", shards, len(got))
 			}
@@ -325,13 +313,17 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	loaded.Close()
 
 	// Close rewrites the snapshot (best-effort) with the current
-	// generation; remove the flush-time file to observe it.
-	if err := os.Remove(path); err != nil {
+	// generation; remove the flush-time directory to observe it.
+	if err := os.RemoveAll(path); err != nil {
 		t.Fatal(err)
 	}
 	lix.Close()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close did not write a snapshot: %v", err)
+	reloaded, err := Load(path)
+	if err != nil {
+		t.Fatalf("Close did not write a loadable snapshot: %v", err)
+	}
+	if reloaded.Len() != 601 {
+		t.Fatalf("close snapshot has %d series, want 601", reloaded.Len())
 	}
 }
 
@@ -356,5 +348,115 @@ func TestLoadRejectsDatasetFile(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load accepted a dataset file")
+	}
+}
+
+// TestLoadRejectsBareSnapshotFile: a bare member file — what Save wrote
+// for an unsharded index before every snapshot became a directory — is
+// refused by Load and LoadLive alike with persist.ErrVersion and a
+// message saying to regenerate it, never loaded.
+func TestLoadRejectsBareSnapshotFile(t *testing.T) {
+	ix, _ := snapshotTestIndex(t, false)
+	dir := filepath.Join(t.TempDir(), "ix.snap")
+	if err := ix.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m := members(t, dir)
+	if len(m) != 1 {
+		t.Fatalf("unsharded save wrote %d member files, want 1", len(m))
+	}
+	bare := filepath.Join(t.TempDir(), "bare.snap")
+	if err := os.WriteFile(bare, m[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("%s of a bare member file: %v, want persist.ErrVersion saying regenerate", what, err)
+		}
+	}
+	_, err := Load(bare)
+	check("Load", err)
+	lix, err := LoadLive(bare, nil, nil)
+	if err == nil {
+		lix.Close()
+	}
+	check("LoadLive", err)
+}
+
+// TestSnapshotMetrics: one Save and one Load are observed once each,
+// whatever the shard count, and both byte counters report the snapshot
+// directory's on-disk size. A save failing at the manifest and a load of
+// a corrupt manifest each count exactly one failure.
+func TestSnapshotMetrics(t *testing.T) {
+	t.Cleanup(func() {
+		EnableSnapshotMetrics(nil)
+		fault.DisarmAll()
+	})
+	data := RandomWalk(1000, 64, 51)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			reg := NewMetrics()
+			EnableSnapshotMetrics(reg)
+			saveSeconds := reg.Histogram("messi_snapshot_save_seconds", "")
+			loadSeconds := reg.Histogram("messi_snapshot_load_seconds", "")
+			saveBytes := reg.Counter("messi_snapshot_save_bytes_total", "")
+			loadBytes := reg.Counter("messi_snapshot_load_bytes_total", "")
+			saveFailures := reg.Counter("messi_snapshot_save_failures_total", "")
+			loadFailures := reg.Counter("messi_snapshot_load_failures_total", "")
+
+			ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "ix.snap")
+			if err := ix.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var size int64
+			for _, e := range entries {
+				fi, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				size += fi.Size()
+			}
+			if n, m := saveSeconds.Count(), loadSeconds.Count(); n != 1 || m != 1 {
+				t.Errorf("save/load observed %d/%d times, want 1/1", n, m)
+			}
+			if sb, lb := saveBytes.Value(), loadBytes.Value(); sb != size || lb != size {
+				t.Errorf("save/load bytes %d/%d, want the directory's %d", sb, lb, size)
+			}
+
+			if err := fault.Arm("persist.manifest.write", fault.Spec{Action: fault.Error}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Save(dir); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("save with the manifest failpoint armed: %v", err)
+			}
+			fault.DisarmAll()
+			if f := saveFailures.Value(); f != 1 {
+				t.Errorf("save failures %d after one failed save, want 1", f)
+			}
+			if err := os.WriteFile(filepath.Join(dir, persist.ManifestName), []byte("not a manifest"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir); err == nil {
+				t.Fatal("Load accepted a corrupt manifest")
+			}
+			if f := loadFailures.Value(); f != 1 {
+				t.Errorf("load failures %d after one failed load, want 1", f)
+			}
+			if n, m := saveSeconds.Count(), loadSeconds.Count(); n != 1 || m != 1 {
+				t.Errorf("failures observed as successes: save/load counts %d/%d, want 1/1", n, m)
+			}
+		})
 	}
 }
