@@ -14,7 +14,7 @@ import (
 // per-segment bounds and the node summary — served from the same per-query
 // distance table as the Euclidean path, built from the envelope summary
 // instead of the PAA — and per-series filtering cascades that bound, then
-// LB_Keogh on the raw series, then the early-abandoning DTW itself. An
+// dtw.Cascade on the raw series: LB_Keogh, then the DTW itself. An
 // approximate DTW answer is the seeding descent alone: warping alignment
 // keeps the query's natural leaf a good candidate, and its distance is an
 // upper bound on the exact constrained-DTW distance.
@@ -22,8 +22,7 @@ import (
 // warped is the DTW kernel: the query, its warping window and its
 // LB_Keogh envelope (newKernel builds it). The distance table is built from
 // the envelope's per-segment summary (max of the upper envelope, min of the
-// lower), and a raw candidate is measured by LB_Keogh first, then the
-// early-abandoning DTW itself.
+// lower), and a raw candidate is measured by dtw.Cascade.
 type warped struct {
 	query        []float32
 	window       int
@@ -36,18 +35,20 @@ func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
 }
 
 func (k *warped) dist(candidate []float32, limit float64) (float64, int64, int64) {
-	if lb := dtw.LBKeogh(candidate, k.lower, k.upper, limit); lb >= limit {
-		return lb, 1, 0
+	d, ran := dtw.Cascade(k.query, candidate, k.lower, k.upper, k.window, limit)
+	if !ran {
+		return d, 1, 0
 	}
-	return dtw.Distance(k.query, candidate, k.window, limit), 1, 1
+	return d, 1, 1
 }
 
 // A DTW run never scans. DTW's cost is arithmetic — LB_Keogh, then the
 // warping distance, paid per surviving candidate on either plan — not the
 // leaf-order gather the scan avoids. On 25 000 × 128 random walks under a
 // 10 % window (BenchmarkPlanCrossover, the serve-dtw shape) the sweep's mean
-// moves by under 3 % from the tree alone to the scan alone (158.4 → 154.4
-// and 152.1 → 150.8 ms in two runs), while single queries go either way
-// (tree/scan 0.68–1.23, a third of them below 1) with no trend in the share:
-// the sweep shows no crossover to set.
+// falls by 4 % from the tree alone to the scan alone (52.4 → 50.1 and
+// 51.5 → 49.5 ms in two runs), and it falls monotonically as the threshold
+// drops, while single queries go either way (tree/scan 0.75–1.27, 13 of 100
+// below 1) with no trend in the share: the scan is slightly ahead at every
+// share rather than past a crossover, so there is no threshold to set.
 func (*warped) crossover() float64 { return 2 }

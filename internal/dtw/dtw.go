@@ -1,10 +1,17 @@
 // Package dtw implements constrained Dynamic Time Warping with a
-// Sakoe-Chiba band, early abandoning, and the LB_Keogh lower-bounding
-// machinery (envelope construction and envelope distances) that MESSI uses
-// to answer DTW similarity queries without changing the index structure
-// (Figure 19 of the paper: "we just have to build the envelope of the
-// LB_Keogh method around the query series, and then search the index using
-// this envelope").
+// Sakoe-Chiba band and the LB_Keogh lower-bounding machinery (envelope
+// construction and envelope distances) that MESSI uses to answer DTW
+// similarity queries without changing the index structure (Figure 19 of
+// the paper: "we just have to build the envelope of the LB_Keogh method
+// around the query series, and then search the index using this
+// envelope").
+//
+// The kernel takes the UCR Suite's cheap techniques (Rakthanmanon et al.,
+// "Searching and Mining Trillions of Time Series Subsequences under DTW",
+// KDD 2012): the DP touches only the band, with no data-dependent branch
+// per cell, and Cascade measures a candidate by LB_Keogh first, then by
+// the DP, which abandons once its row minimum plus the LB_Keogh of the
+// columns it has not reached yet reaches the limit.
 //
 // As everywhere in this repository, distances are SQUARED: Distance returns
 // the sum of squared point costs along the optimal warping path, which for
@@ -19,23 +26,29 @@ import (
 	"repro/internal/vector"
 )
 
-// dpScratch holds the two DP rows Distance needs. Rows are pooled: query
-// answering calls Distance tens of thousands of times per query, and
-// per-call allocation would dominate the run with GC work.
-type dpScratch struct {
-	prev, cur []float64
-}
+// slack widens every abandon test that compares a lower bound with a
+// limit: Cascade abandons at limit·slack, not at limit. A bound sums its
+// terms in another order than the DP sums the costs it bounds, and the
+// bound of the columns not yet reached is a difference of two such sums,
+// so either can round a few ulps above the DTW computed from those costs.
+// The rounding of n-term sums stays below 1e-9 of the limit for series of
+// up to ~10⁶ points.
+const slack = 1 + 1e-9
 
-var scratchPool = sync.Pool{New: func() any { return &dpScratch{} }}
+// scratch is the pooled room one DTW evaluation needs: two DP rows of n+2
+// cells (column j at index j+1, a +Inf guard on either side of the band)
+// and the n LB_Keogh prefix sums of Cascade. Query answering measures tens
+// of thousands of candidates per query; per-call allocation would dominate
+// the run with GC work.
+type scratch struct{ buf []float64 }
 
-func getScratch(n int) *dpScratch {
-	s := scratchPool.Get().(*dpScratch)
-	if cap(s.prev) < n {
-		s.prev = make([]float64, n)
-		s.cur = make([]float64, n)
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if len(s.buf) < 3*n+4 {
+		s.buf = make([]float64, 3*n+4)
 	}
-	s.prev = s.prev[:n]
-	s.cur = s.cur[:n]
 	return s
 }
 
@@ -116,78 +129,84 @@ func LBKeogh(x, lower, upper []float32, limit float64) float64 {
 	return vector.SquaredEnvelopeDistanceEarlyAbandon(x, lower, upper, limit)
 }
 
+// Cascade measures candidate x against query q under a band of radius r,
+// given q's envelope: LB_Keogh first, then, unless the bound reaches
+// limit, the DTW distance. ran reports whether the DP ran. The DP abandons
+// after row i once its row minimum plus the LB_Keogh terms of the columns
+// beyond i+r reaches limit (the UCR Suite's cumulative bound): a path
+// leaving row i has not reached those columns yet, and each costs at least
+// its term. The result is Distance's, bit for bit, when that is below
+// limit, and some value >= limit otherwise.
+func Cascade(q, x, lower, upper []float32, r int, limit float64) (d float64, ran bool) {
+	n := len(q)
+	s := getScratch(n)
+	defer scratchPool.Put(s)
+	prefix := s.buf[2*n+4 : 3*n+4]
+	limit *= slack
+	if lb := vector.EnvelopePrefixEarlyAbandon(x, lower, upper, prefix, limit); lb >= limit {
+		return lb, false
+	}
+	return s.band(q, x, r, limit, prefix), true
+}
+
 // Distance computes the squared constrained DTW distance between a and b
 // under a Sakoe-Chiba band of radius r, abandoning (returning a value >=
-// limit) as soon as every cell of a DP row reaches limit. The slices must
-// have equal length; r must satisfy 0 <= r < len(a).
+// limit) once the minimum of a DP row reaches limit. The slices must have
+// equal length; r must satisfy 0 <= r < len(a).
 func Distance(a, b []float32, r int, limit float64) float64 {
+	s := getScratch(len(a))
+	defer scratchPool.Put(s)
+	return s.band(a, b, r, limit, nil)
+}
+
+// band runs the DP over the band alone. Row i covers columns
+// [max(i-r,0), min(i+r,n-1)], and the +Inf cells on either side of it
+// stand for every cell outside, so a cell needs no test: it is the
+// builtin min of its three neighbours (which compiles without branches)
+// plus its cost, with the left neighbour carried in a register. Every
+// cell inside the band is reachable, and the guards' +Inf plus a cost
+// stays +Inf. On finite inputs the builtin picks the value a compare-and-
+// branch min would, so the result is bitwise the reference DP's: a sum of
+// squares is never NaN and never -0. After each row the row minimum is
+// compared with limit; given Cascade's LB_Keogh prefix sums, the bound of
+// the columns beyond the row's band, their total minus the prefix up to
+// it, is added first.
+func (s *scratch) band(a, b []float32, r int, limit float64, prefix []float64) float64 {
 	n := len(a)
 	if n == 0 {
 		return 0
 	}
-	if n == 1 {
-		d := float64(a[0]) - float64(b[0])
-		return d * d
-	}
 	inf := math.Inf(1)
-	scratch := getScratch(n)
-	defer scratchPool.Put(scratch)
-	prev, cur := scratch.prev, scratch.cur
-	// Row 0: only cells j in [0, r]; dp[0][j] = dp[0][j-1] + cost(0, j).
-	for j := range prev {
-		prev[j] = inf
+	prev, cur := s.buf[:n+2], s.buf[n+2:2*n+4]
+	// Row 0: dp[0][j] = dp[0][j-1] + cost(0, j) for j in [0, r].
+	hi := min(r, n-1)
+	acc := 0.0
+	for j, x := range b[:hi+1] {
+		d := float64(a[0]) - float64(x)
+		acc += d * d
+		prev[j+1] = acc
 	}
-	{
-		acc := 0.0
-		hi := r
-		if hi > n-1 {
-			hi = n - 1
-		}
-		for j := 0; j <= hi; j++ {
-			d := float64(a[0]) - float64(b[j])
-			acc += d * d
-			prev[j] = acc
-		}
-	}
+	prev[0], prev[hi+2] = inf, inf
 	for i := 1; i < n; i++ {
-		lo := i - r
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + r
-		if hi > n-1 {
-			hi = n - 1
-		}
-		for j := range cur {
-			cur[j] = inf
-		}
-		rowMin := inf
+		lo, hi := max(i-r, 0), min(i+r, n-1)
+		ai := float64(a[i])
+		left, rowMin := inf, inf
 		for j := lo; j <= hi; j++ {
-			best := prev[j] // vertical move (i-1, j)
-			if j > 0 {
-				if v := prev[j-1]; v < best { // diagonal (i-1, j-1)
-					best = v
-				}
-				if v := cur[j-1]; v < best { // horizontal (i, j-1)
-					best = v
-				}
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			d := float64(a[i]) - float64(b[j])
-			c := best + d*d
-			cur[j] = c
-			if c < rowMin {
-				rowMin = c
-			}
+			d := ai - float64(b[j])
+			left = min(prev[j+1], prev[j], left) + d*d
+			cur[j+1] = left
+			rowMin = min(rowMin, left)
+		}
+		cur[lo], cur[hi+2] = inf, inf
+		if prefix != nil {
+			rowMin += prefix[n-1] - prefix[hi]
 		}
 		if rowMin >= limit {
 			return rowMin
 		}
 		prev, cur = cur, prev
 	}
-	return prev[n-1]
+	return prev[n]
 }
 
 // DistanceExact is Distance with no early abandoning.

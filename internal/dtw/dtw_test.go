@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,7 +198,8 @@ func TestDistanceMonotoneInBand(t *testing.T) {
 	}
 }
 
-// LB_Keogh lower-bounds cDTW (the classic exact-indexing result).
+// LB_Keogh lower-bounds cDTW (the classic exact-indexing result), up to
+// the summation-order slack Cascade allows for.
 func TestLBKeoghLowerBoundsDTW(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := func(seed int64, nRaw, rRaw uint8) bool {
@@ -209,7 +211,7 @@ func TestLBKeoghLowerBoundsDTW(t *testing.T) {
 		u, l := Envelope(q, r)
 		lb := LBKeogh(c, l, u, math.Inf(1))
 		d := DistanceExact(q, c, r)
-		return lb <= d+1e-6*(1+d)
+		return lb <= d*slack
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -247,6 +249,147 @@ func TestDistanceTinyInputs(t *testing.T) {
 	}
 }
 
+// referenceDistance is the plain DP the band-only kernel is pinned
+// against: it resets every cell of each row, tests reachability per cell
+// and takes the 3-way minimum with compare-and-branch.
+func referenceDistance(a, b []float32, r int, limit float64) float64 {
+	n := len(a)
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		d := float64(a[0]) - float64(b[0])
+		return d * d
+	}
+	inf := math.Inf(1)
+	prev, cur := make([]float64, n), make([]float64, n)
+	// Row 0: only cells j in [0, r]; dp[0][j] = dp[0][j-1] + cost(0, j).
+	for j := range prev {
+		prev[j] = inf
+	}
+	{
+		acc := 0.0
+		hi := r
+		if hi > n-1 {
+			hi = n - 1
+		}
+		for j := 0; j <= hi; j++ {
+			d := float64(a[0]) - float64(b[j])
+			acc += d * d
+			prev[j] = acc
+		}
+	}
+	for i := 1; i < n; i++ {
+		lo := i - r
+		if lo < 0 {
+			lo = 0
+		}
+		hi := i + r
+		if hi > n-1 {
+			hi = n - 1
+		}
+		for j := range cur {
+			cur[j] = inf
+		}
+		rowMin := inf
+		for j := lo; j <= hi; j++ {
+			best := prev[j] // vertical move (i-1, j)
+			if j > 0 {
+				if v := prev[j-1]; v < best { // diagonal (i-1, j-1)
+					best = v
+				}
+				if v := cur[j-1]; v < best { // horizontal (i, j-1)
+					best = v
+				}
+			}
+			if math.IsInf(best, 1) {
+				continue
+			}
+			d := float64(a[i]) - float64(b[j])
+			c := best + d*d
+			cur[j] = c
+			if c < rowMin {
+				rowMin = c
+			}
+		}
+		if rowMin >= limit {
+			return rowMin
+		}
+		prev, cur = cur, prev
+	}
+	return prev[n-1]
+}
+
+// checkAgainstReference measures the pair (a, b) under band r with
+// Distance and Cascade against limit, and reports how either departs from
+// the reference: below limit they must return its exact bits, otherwise
+// some value >= limit.
+func checkAgainstReference(a, b []float32, r int, limit float64) error {
+	ref := referenceDistance(a, b, r, math.Inf(1))
+	u, l := Envelope(a, r)
+	casc, _ := Cascade(a, b, l, u, r, limit)
+	for _, got := range []struct {
+		name string
+		d    float64
+	}{{"Distance", Distance(a, b, r, limit)}, {"Cascade", casc}} {
+		if ref < limit && math.Float64bits(got.d) != math.Float64bits(ref) {
+			return fmt.Errorf("n=%d r=%d limit=%v: %s = %v, reference %v", len(a), r, limit, got.name, got.d, ref)
+		}
+		if ref >= limit && got.d < limit {
+			return fmt.Errorf("n=%d r=%d limit=%v: %s = %v below limit, reference %v", len(a), r, limit, got.name, got.d, ref)
+		}
+	}
+	return nil
+}
+
+// limits returns the limits a pair is checked against: unbounded, the
+// near-ties on either side of the reference, and random fractions of it.
+func limits(rng *rand.Rand, ref float64) []float64 {
+	return []float64{
+		math.Inf(1), ref, math.Nextafter(ref, math.Inf(1)), math.Nextafter(ref, 0),
+		ref * rng.Float64(), ref * (1 + rng.Float64()),
+	}
+}
+
+func TestDistanceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	trials := 3000
+	if testing.Short() {
+		trials = 300
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%2 == 0 {
+			n = 1 + rng.Intn(12)
+		}
+		r := rng.Intn(n)
+		a, b := randWalk(rng, n), randWalk(rng, n)
+		for _, limit := range limits(rng, referenceDistance(a, b, r, math.Inf(1))) {
+			if err := checkAgainstReference(a, b, r, limit); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	}
+}
+
+func FuzzDistanceMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(128), uint16(13), 0.5)
+	f.Add(int64(2), uint16(3), uint16(0), 1.0)
+	f.Add(int64(3), uint16(300), uint16(299), 2.0)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, rRaw uint16, frac float64) {
+		n := int(nRaw)%300 + 1
+		r := int(rRaw) % n
+		rng := rand.New(rand.NewSource(seed))
+		a, b := randWalk(rng, n), randWalk(rng, n)
+		ref := referenceDistance(a, b, r, math.Inf(1))
+		for _, limit := range append(limits(rng, ref), ref*math.Abs(frac)) {
+			if err := checkAgainstReference(a, b, r, limit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkDTW256Band26(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	x := randWalk(rng, 256)
@@ -256,6 +399,31 @@ func BenchmarkDTW256Band26(b *testing.B) {
 		DistanceExact(x, y, 26)
 	}
 }
+
+// BenchmarkDistance128Band13 is the serve-dtw shape (128 points, a 10 %
+// window). It cycles over 1 024 random walks: on one repeated pair the
+// branch predictor learns the pair's path, which flatters a branchy DP.
+func BenchmarkDistance128Band13(b *testing.B) {
+	const n, r, count = 128, 13, 1024
+	rng := rand.New(rand.NewSource(11))
+	q := randWalk(rng, n)
+	walks := make([][]float32, count)
+	for i := range walks {
+		walks[i] = randWalk(rng, n)
+	}
+	cells := 0
+	for i := 0; i < n; i++ {
+		cells += min(i+r, n-1) - max(i-r, 0) + 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += Distance(q, walks[i%count], r, math.Inf(1))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+}
+
+var sink float64
 
 func BenchmarkEnvelope256(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))

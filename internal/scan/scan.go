@@ -210,8 +210,9 @@ func SearchKNN(data *series.Collection, query []float32, k, workers int, ctrs *s
 
 // SearchDTW is the DTW scan. With workers == 1 it is the serial UCR Suite
 // DTW; with workers > 1 it is UCR Suite-P DTW. Each worker runs the
-// LB_Keogh cascade (envelope lower bound, then full early-abandoning cDTW)
-// against its thread-local best.
+// LB_Keogh cascade (dtw.Cascade: envelope lower bound, then the cDTW that
+// abandons on its row minimum plus the bound of the columns not yet
+// reached) against its thread-local best.
 func SearchDTW(data *series.Collection, query []float32, window, workers int, ctrs *stats.Counters) (core.Match, error) {
 	return SearchDTWBounded(data, query, window, workers, math.Inf(1), ctrs)
 }
@@ -245,13 +246,11 @@ func SearchDTWBounded(data *series.Collection, query []float32, window, workers 
 			best := core.Match{Position: -1, Dist: bound}
 			var lbCount, realCount int64
 			for i := lo; i < hi; i++ {
-				candidate := data.At(i)
 				lbCount++
-				if dtw.LBKeogh(candidate, lower, upper, best.Dist) >= best.Dist {
-					continue
+				d, ran := dtw.Cascade(query, data.At(i), lower, upper, window, best.Dist)
+				if ran {
+					realCount++
 				}
-				realCount++
-				d := dtw.Distance(query, candidate, window, best.Dist)
 				if d < best.Dist {
 					best = core.Match{Position: i, Dist: d}
 				}

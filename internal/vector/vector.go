@@ -179,13 +179,32 @@ func SquaredEnvelopeDistanceEarlyAbandon(x, lower, upper []float32, limit float6
 	return sum
 }
 
+// EnvelopePrefixEarlyAbandon is SquaredEnvelopeDistanceEarlyAbandon over
+// the first len(prefix) points that also writes the running sum after
+// each point into prefix. Once the sum reaches limit (checked every 8
+// points) it returns that partial sum and leaves the rest unwritten.
+func EnvelopePrefixEarlyAbandon(x, lower, upper []float32, prefix []float64, limit float64) float64 {
+	var sum float64
+	for i := range prefix {
+		sum += envTerm(x[i], lower[i], upper[i])
+		prefix[i] = sum
+		if i&7 == 7 && sum >= limit {
+			return sum
+		}
+	}
+	return sum
+}
+
+// envTerm subtracts in float64, as the DTW DP does: a float32 difference
+// can round above the DP's cost of the same point, and the bound then
+// exceeds the DTW it bounds.
 func envTerm(x, lo, hi float32) float64 {
 	if x > hi {
-		d := float64(x - hi)
+		d := float64(x) - float64(hi)
 		return d * d
 	}
 	if x < lo {
-		d := float64(lo - x)
+		d := float64(lo) - float64(x)
 		return d * d
 	}
 	return 0

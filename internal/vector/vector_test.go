@@ -176,6 +176,36 @@ func TestSquaredEnvelopeDistanceEarlyAbandon(t *testing.T) {
 	}
 }
 
+// The prefix kernel's running sums end at the envelope distance, and its
+// abandoned sum reaches the limit.
+func TestEnvelopePrefixEarlyAbandon(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		x, q := randSeries(rng, n), randSeries(rng, n)
+		lo, hi := make([]float32, n), make([]float32, n)
+		for i := range q {
+			lo[i], hi[i] = q[i]-0.1, q[i]+0.1
+		}
+		exact := SquaredEnvelopeDistance(x, lo, hi)
+		prefix := make([]float64, n)
+		got := EnvelopePrefixEarlyAbandon(x, lo, hi, prefix, math.Inf(1))
+		if got != prefix[n-1] || math.Abs(got-exact) > 1e-9*(1+exact) {
+			t.Fatalf("trial %d: prefix sum %v (last %v), envelope distance %v", trial, got, prefix[n-1], exact)
+		}
+		for i := 1; i < n; i++ {
+			if prefix[i] < prefix[i-1] {
+				t.Fatalf("trial %d: prefix decreases at %d", trial, i)
+			}
+		}
+		if exact > 0 {
+			if abandoned := EnvelopePrefixEarlyAbandon(x, lo, hi, prefix, exact/2); abandoned < exact/2 {
+				t.Fatalf("trial %d: abandoned %v < limit %v", trial, abandoned, exact/2)
+			}
+		}
+	}
+}
+
 // Envelope distance degenerates to squared ED when the envelope collapses
 // to a single series.
 func TestEnvelopeDistanceDegeneratesToED(t *testing.T) {
