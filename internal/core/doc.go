@@ -33,10 +33,11 @@
 // quality spectrum: exact, approximate (leaf-only), epsilon (prune at
 // lb·(1+ε)², answer proven within 1+ε of optimal), and deadline (stop at
 // a time budget, report the proven bound). Request.Validate (mode, ε, K,
-// DTW×K) and Request.CheckShape (query length, DTW window) are the only
-// validation; their failures are the sentinel errors ErrBadK, ErrBadWindow,
-// ErrWrongLength, and ErrBadEpsilon, so callers can map them to API
-// responses without string matching. NewRun itself trusts a checked request.
+// DTW×K) and Request.CheckShape (query length and values, DTW window) are
+// the only validation; their failures are the sentinel errors ErrBadK,
+// ErrBadWindow, ErrWrongLength, ErrBadEpsilon, and ErrNonFinite, so callers
+// can map them to API responses without string matching. NewRun itself
+// trusts a checked request.
 //
 // # Concurrency invariants
 //

@@ -46,9 +46,10 @@ func (k *warped) dist(candidate []float32, limit float64) (float64, int64, int64
 // warping distance, paid per surviving candidate on either plan — not the
 // leaf-order gather the scan avoids. On 25 000 × 128 random walks under a
 // 10 % window (BenchmarkPlanCrossover, the serve-dtw shape) the sweep's mean
-// falls by 4 % from the tree alone to the scan alone (52.4 → 50.1 and
-// 51.5 → 49.5 ms in two runs), and it falls monotonically as the threshold
-// drops, while single queries go either way (tree/scan 0.75–1.27, 13 of 100
-// below 1) with no trend in the share: the scan is slightly ahead at every
-// share rather than past a crossover, so there is no threshold to set.
+// falls by 7–9 % from the tree alone to the scan alone (37.1 → 34.5,
+// 41.8 → 38.4, 34.9 → 31.9 and 35.5 → 32.9 ms in four runs), and it falls
+// monotonically as the threshold drops, while single queries go either way
+// (tree/scan 0.82–1.62 in a fifth run, 13 of 50 below 1) with no trend in
+// the share: the scan is slightly ahead at every share rather than past a
+// crossover, so there is no threshold to set.
 func (*warped) crossover() float64 { return 2 }

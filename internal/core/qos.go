@@ -39,6 +39,9 @@ var (
 	ErrWrongLength = errors.New("core: query length does not match index series length")
 	// ErrBadEpsilon reports a negative or non-finite ε tolerance.
 	ErrBadEpsilon = errors.New("core: epsilon must be finite and non-negative")
+	// ErrNonFinite reports a query or an appended series holding a NaN or
+	// an infinity, to which no distance is defined.
+	ErrNonFinite = errors.New("core: series value is not finite")
 )
 
 // Mode selects the quality-of-service level of one query.
@@ -134,14 +137,28 @@ func (req Request) Validate() error {
 }
 
 // CheckShape checks the request against the length of the indexed series:
-// the query's length and, for DTW, the warping window.
+// the query's length and values and, for DTW, the warping window.
 func (req Request) CheckShape(seriesLen int) error {
 	if len(req.Query) != seriesLen {
 		return fmt.Errorf("%w: query length %d, index series length %d", ErrWrongLength, len(req.Query), seriesLen)
 	}
+	if err := CheckFinite(req.Query); err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
 	if req.DTW {
 		if err := dtw.CheckWindow(seriesLen, req.Window); err != nil {
 			return fmt.Errorf("%w: %w", ErrBadWindow, err)
+		}
+	}
+	return nil
+}
+
+// CheckFinite reports the first NaN or infinity of s as an error wrapping
+// ErrNonFinite. Every distance kernel relies on finite values.
+func CheckFinite(s []float32) error {
+	for i, v := range s {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%w: %v at point %d", ErrNonFinite, v, i)
 		}
 	}
 	return nil

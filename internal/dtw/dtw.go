@@ -10,12 +10,16 @@
 // "Searching and Mining Trillions of Time Series Subsequences under DTW",
 // KDD 2012): the DP touches only the band, with no data-dependent branch
 // per cell, and Cascade measures a candidate by LB_Keogh first, then by
-// the DP, which abandons once its row minimum plus the LB_Keogh of the
-// columns it has not reached yet reaches the limit.
+// the DP, which abandons once a row minimum plus the LB_Keogh of the
+// columns it has not reached yet reaches the limit. The DP computes two
+// rows per pass over the columns, so two left-neighbour chains run side by
+// side, and takes its minima over the cells' bit patterns on the integer
+// ports; both keep the result bitwise equal to the plain DP's.
 //
 // As everywhere in this repository, distances are SQUARED: Distance returns
 // the sum of squared point costs along the optimal warping path, which for
-// a zero-width band degenerates to the squared Euclidean distance.
+// a zero-width band degenerates to the squared Euclidean distance. Inputs
+// must be finite.
 package dtw
 
 import (
@@ -36,18 +40,21 @@ import (
 const slack = 1 + 1e-9
 
 // scratch is the pooled room one DTW evaluation needs: two DP rows of n+2
-// cells (column j at index j+1, a +Inf guard on either side of the band)
-// and the n LB_Keogh prefix sums of Cascade. Query answering measures tens
-// of thousands of candidates per query; per-call allocation would dominate
-// the run with GC work.
-type scratch struct{ buf []float64 }
+// cells (column j at index j+1, a +Inf guard on either side of the band),
+// held as IEEE-754 bit patterns, and the n LB_Keogh prefix sums of
+// Cascade. Query answering measures tens of thousands of candidates per
+// query; per-call allocation would dominate the run with GC work.
+type scratch struct {
+	rows   []uint64
+	prefix []float64
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch(n int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	if len(s.buf) < 3*n+4 {
-		s.buf = make([]float64, 3*n+4)
+	if len(s.prefix) < n {
+		s.rows, s.prefix = make([]uint64, 2*n+4), make([]float64, n)
 	}
 	return s
 }
@@ -132,16 +139,16 @@ func LBKeogh(x, lower, upper []float32, limit float64) float64 {
 // Cascade measures candidate x against query q under a band of radius r,
 // given q's envelope: LB_Keogh first, then, unless the bound reaches
 // limit, the DTW distance. ran reports whether the DP ran. The DP abandons
-// after row i once its row minimum plus the LB_Keogh terms of the columns
-// beyond i+r reaches limit (the UCR Suite's cumulative bound): a path
-// leaving row i has not reached those columns yet, and each costs at least
-// its term. The result is Distance's, bit for bit, when that is below
-// limit, and some value >= limit otherwise.
+// after an odd row i once its row minimum plus the LB_Keogh terms of the
+// columns beyond i+r reaches limit (the UCR Suite's cumulative bound): a
+// path leaving row i has not reached those columns yet, and each costs at
+// least its term. The result is Distance's, bit for bit, when that is
+// below limit, and some value >= limit otherwise.
 func Cascade(q, x, lower, upper []float32, r int, limit float64) (d float64, ran bool) {
 	n := len(q)
 	s := getScratch(n)
 	defer scratchPool.Put(s)
-	prefix := s.buf[2*n+4 : 3*n+4]
+	prefix := s.prefix[:n]
 	limit *= slack
 	if lb := vector.EnvelopePrefixEarlyAbandon(x, lower, upper, prefix, limit); lb >= limit {
 		return lb, false
@@ -151,62 +158,98 @@ func Cascade(q, x, lower, upper []float32, r int, limit float64) (d float64, ran
 
 // Distance computes the squared constrained DTW distance between a and b
 // under a Sakoe-Chiba band of radius r, abandoning (returning a value >=
-// limit) once the minimum of a DP row reaches limit. The slices must have
-// equal length; r must satisfy 0 <= r < len(a).
+// limit) once the minimum of an odd DP row reaches limit. The slices must
+// have equal length and finite values; r must satisfy 0 <= r < len(a).
 func Distance(a, b []float32, r int, limit float64) float64 {
 	s := getScratch(len(a))
 	defer scratchPool.Put(s)
 	return s.band(a, b, r, limit, nil)
 }
 
+// inf is the bit pattern of +Inf, the guard cell of the DP rows.
+const inf uint64 = 0x7FF0_0000_0000_0000
+
+// cell is one DP cell: the least of its three neighbours plus its cost.
+// The neighbours are the bit patterns of +0, of positive finite sums of
+// squares or of +Inf, which order as unsigned integers exactly as they do
+// as floats, so the min runs on the integer ports (CMP/CMOV), beside the
+// floating-point work of the cost.
+func cell(up, diag, left uint64, d float64) uint64 {
+	return math.Float64bits(math.Float64frombits(min(up, diag, left)) + d*d)
+}
+
 // band runs the DP over the band alone. Row i covers columns
 // [max(i-r,0), min(i+r,n-1)], and the +Inf cells on either side of it
-// stand for every cell outside, so a cell needs no test: it is the
-// builtin min of its three neighbours (which compiles without branches)
-// plus its cost, with the left neighbour carried in a register. Every
-// cell inside the band is reachable, and the guards' +Inf plus a cost
-// stays +Inf. On finite inputs the builtin picks the value a compare-and-
-// branch min would, so the result is bitwise the reference DP's: a sum of
-// squares is never NaN and never -0. After each row the row minimum is
-// compared with limit; given Cascade's LB_Keogh prefix sums, the bound of
-// the columns beyond the row's band, their total minus the prefix up to
-// it, is added first.
+// stand for every cell outside, so a cell needs no test: it is the min of
+// its three neighbours plus its cost, with the left neighbour carried in
+// a register. Row -1 is a 0 on cell (0,0)'s diagonal and +Inf elsewhere.
+// Every cell inside the band is reachable, and the guards' +Inf plus a
+// cost stays +Inf.
+//
+// One pass over the columns computes two rows: cell (i+1, j) takes its
+// up and diagonal neighbours from row i's cells j and j-1, still in
+// registers, so the two rows' left-neighbour chains run side by side.
+// Row i's band starts and ends at most one column before row i+1's: that
+// column, when there is one, runs for one row alone. When n is odd, the
+// last row runs alone.
+//
+// The inputs must be finite (the API layers reject NaN and ±Inf): then
+// every cell is +0, a positive sum of squares or +Inf, never NaN or -0,
+// so the integer min picks the value a compare-and-branch min would and
+// the result is bitwise the reference DP's. After each pair of rows, row
+// i+1's minimum is compared with limit; given Cascade's LB_Keogh prefix
+// sums, the bound of the columns beyond row i+1's band, their total minus
+// the prefix up to it, is added first.
 func (s *scratch) band(a, b []float32, r int, limit float64, prefix []float64) float64 {
 	n := len(a)
 	if n == 0 {
 		return 0
 	}
-	inf := math.Inf(1)
-	prev, cur := s.buf[:n+2], s.buf[n+2:2*n+4]
-	// Row 0: dp[0][j] = dp[0][j-1] + cost(0, j) for j in [0, r].
-	hi := min(r, n-1)
-	acc := 0.0
-	for j, x := range b[:hi+1] {
-		d := float64(a[0]) - float64(x)
-		acc += d * d
-		prev[j+1] = acc
+	prev, cur := s.rows[:n+2], s.rows[n+2:2*n+4]
+	prev[0] = 0
+	for j := 1; j <= min(r, n-1)+1; j++ {
+		prev[j] = inf
 	}
-	prev[0], prev[hi+2] = inf, inf
-	for i := 1; i < n; i++ {
-		lo, hi := max(i-r, 0), min(i+r, n-1)
-		ai := float64(a[i])
-		left, rowMin := inf, inf
-		for j := lo; j <= hi; j++ {
-			d := ai - float64(b[j])
-			left = min(prev[j+1], prev[j], left) + d*d
-			cur[j+1] = left
-			rowMin = min(rowMin, left)
+	i := 0
+	for ; i+1 < n; i += 2 {
+		lo, hi := max(i+1-r, 0), min(i+1+r, n-1)
+		a1, a2 := float64(a[i]), float64(a[i+1])
+		left1, left2, rowMin := inf, inf, inf
+		j := max(i-r, 0)
+		for ; j < lo; j++ { // row i alone
+			left1 = cell(prev[j+1], prev[j], left1, a1-float64(b[j]))
+		}
+		for ; j <= min(i+r, n-1); j++ { // both rows
+			x := float64(b[j])
+			c := cell(prev[j+1], prev[j], left1, a1-x)
+			left2 = cell(c, left1, left2, a2-x)
+			left1 = c
+			cur[j+1] = left2
+			rowMin = min(rowMin, left2)
+		}
+		for ; j <= hi; j++ { // row i+1 alone
+			left2 = cell(inf, left1, left2, a2-float64(b[j]))
+			cur[j+1] = left2
+			rowMin = min(rowMin, left2)
 		}
 		cur[lo], cur[hi+2] = inf, inf
+		bound := math.Float64frombits(rowMin)
 		if prefix != nil {
-			rowMin += prefix[n-1] - prefix[hi]
+			bound += prefix[n-1] - prefix[hi]
 		}
-		if rowMin >= limit {
-			return rowMin
+		if bound >= limit {
+			return bound
 		}
 		prev, cur = cur, prev
 	}
-	return prev[n]
+	if i == n-1 { // n is odd: the last row alone
+		ai, left := float64(a[i]), inf
+		for j := max(i-r, 0); j < n; j++ {
+			left = cell(prev[j+1], prev[j], left, ai-float64(b[j]))
+		}
+		return math.Float64frombits(left)
+	}
+	return math.Float64frombits(prev[n])
 }
 
 // DistanceExact is Distance with no early abandoning.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -372,10 +373,54 @@ func TestDistanceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDistanceMatchesReferenceSmall sweeps every band of every short
+// length, so each shape of the two-row pass is met: a column of one row
+// alone at either end of the band, a last row alone (odd n), and bands
+// that reach both edges of the matrix.
+func TestDistanceMatchesReferenceSmall(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for n := 1; n <= 40; n++ {
+		for r := 0; r < n; r++ {
+			a, b := randWalk(rng, n), randWalk(rng, n)
+			for _, limit := range limits(rng, referenceDistance(a, b, r, math.Inf(1))) {
+				if err := checkAgainstReference(a, b, r, limit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// The DP tests its abandon bound after every second row. Here the row-by-
+// row reference abandons on row 2, whose every cell costs 100; Cascade
+// must abandon at the next row it tests, not run on to the last row,
+// which costs 100 more.
+func TestCascadeAbandonsAtTheNextTestedRow(t *testing.T) {
+	q := []float32{0, 0, 10, 0, 0, 10}
+	x := make([]float32, len(q))
+	const r, limit = 1, 50
+	if ref := referenceDistance(q, x, r, limit); ref != 100 {
+		t.Fatalf("reference = %v, want to abandon at 100", ref)
+	}
+	u, l := Envelope(q, r)
+	if d, ran := Cascade(q, x, l, u, r, limit); d != 100 || !ran {
+		t.Errorf("Cascade = %v, ran %v; want 100 from the DP", d, ran)
+	}
+	if d := DistanceExact(q, x, r); d != 200 {
+		t.Errorf("DistanceExact = %v, want 200", d)
+	}
+}
+
 func FuzzDistanceMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(128), uint16(13), 0.5)
 	f.Add(int64(2), uint16(3), uint16(0), 1.0)
 	f.Add(int64(3), uint16(300), uint16(299), 2.0)
+	// n = 1, 2, 3, 128 and 129 (with and without a last row alone), at
+	// r = 0 and r = n-1 (the field holds n-1).
+	for _, nRaw := range []uint16{0, 1, 2, 127, 128} {
+		f.Add(int64(4), nRaw, uint16(0), 0.9)
+		f.Add(int64(5), nRaw, nRaw, 0.9)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, rRaw uint16, frac float64) {
 		n := int(nRaw)%300 + 1
 		r := int(rRaw) % n
@@ -421,6 +466,38 @@ func BenchmarkDistance128Band13(b *testing.B) {
 		sink += Distance(q, walks[i%count], r, math.Inf(1))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+}
+
+// BenchmarkCascade128Band13 is the abandoning path of the serve-dtw shape.
+// Most candidates of a query are measured against a limit far below their
+// DTW, so LB_Keogh rejects them or the DP abandons; that cost, not the
+// full DP's, is what a query pays for most of its distances. The limit is
+// the 10th percentile of the 1 024 walks' DTW to the query.
+func BenchmarkCascade128Band13(b *testing.B) {
+	const n, r, count = 128, 13, 1024
+	rng := rand.New(rand.NewSource(11))
+	q := randWalk(rng, n)
+	walks := make([][]float32, count)
+	dists := make([]float64, count)
+	for i := range walks {
+		walks[i] = randWalk(rng, n)
+		dists[i] = DistanceExact(q, walks[i], r)
+	}
+	slices.Sort(dists)
+	limit := dists[count/10]
+	u, l := Envelope(q, r)
+	ran := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, dp := Cascade(q, walks[i%count], l, u, r, limit)
+		sink += d
+		if dp {
+			ran++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/candidate")
+	b.ReportMetric(float64(ran)/float64(b.N), "dp_share")
 }
 
 var sink float64

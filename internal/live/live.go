@@ -349,10 +349,14 @@ func (ix *Index) Base() *shard.Index { return ix.view.Load().base }
 func (ix *Index) Shards() int { return ix.opts.Shards }
 
 // Append adds one series (copied) and returns its stable position. The
-// series is searchable as soon as Append returns.
+// series is searchable as soon as Append returns. A series holding a NaN
+// or an infinity is refused with core.ErrNonFinite before the WAL sees it.
 func (ix *Index) Append(s []float32) (int, error) {
 	if len(s) != ix.seriesLen {
 		return 0, fmt.Errorf("live: series length %d, index series length %d", len(s), ix.seriesLen)
+	}
+	if err := core.CheckFinite(s); err != nil {
+		return 0, fmt.Errorf("live: %w", err)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -385,6 +389,9 @@ func (ix *Index) AppendBatch(rows [][]float32) (int, error) {
 	for i, r := range rows {
 		if len(r) != ix.seriesLen {
 			return 0, fmt.Errorf("live: batch series %d has length %d, index series length %d", i, len(r), ix.seriesLen)
+		}
+		if err := core.CheckFinite(r); err != nil {
+			return 0, fmt.Errorf("live: batch series %d: %w", i, err)
 		}
 	}
 	ix.mu.Lock()

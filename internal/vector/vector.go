@@ -209,12 +209,3 @@ func envTerm(x, lo, hi float32) float64 {
 	}
 	return 0
 }
-
-// Min returns the smaller of two float64 values. Inlined helper used on
-// hot paths where math.Min's NaN handling is unnecessary overhead.
-func Min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,8 +1,10 @@
 package vector
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -245,12 +247,6 @@ func TestEnvelopeLowerBoundsED(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	if Min(1, 2) != 1 || Min(2, 1) != 1 || Min(3, 3) != 3 {
-		t.Error("Min is broken")
-	}
-}
-
 func BenchmarkSquaredEuclidean256(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randSeries(rng, 256)
@@ -268,5 +264,83 @@ func BenchmarkScalarSquaredEuclidean256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ScalarSquaredEuclidean(x, y)
+	}
+}
+
+// BenchmarkScanRoofline asks whether the Euclidean scan is bound by memory
+// bandwidth or by arithmetic. With 1 and 2 goroutines, each reading 128 MB
+// of its own, it reports GB/s for three arms: a plain streaming read; the
+// early-abandon kernel with an out-of-distribution query, whose limit (the
+// nearest distance in a sample) abandons little, as a hard query's scan
+// does; and the same kernel cycled over a 128 KB slice that stays in
+// cache. A scan that streams at the read's rate, well below its in-cache
+// rate, sits at the bandwidth ceiling, and a faster kernel cannot move it.
+func BenchmarkScanRoofline(b *testing.B) {
+	const length, streamPoints, cachePoints = 128, 32 << 20, 32 << 10
+	rng := rand.New(rand.NewSource(12))
+	var data [2][]float32
+	for w := range data {
+		data[w] = make([]float32, streamPoints)
+		for i := range data[w] {
+			data[w][i] = rng.Float32()
+		}
+	}
+	query := make([]float32, length)
+	for i := range query {
+		query[i] = 4 + rng.Float32()
+	}
+	limit := math.Inf(1)
+	for i := 0; i < 4096; i++ {
+		limit = min(limit, SquaredEuclidean(data[0][i*length:(i+1)*length], query))
+	}
+	scan := func(xs []float32) (s float64) {
+		for i := 0; i+length <= len(xs); i += length {
+			s += SquaredEuclideanEarlyAbandon(xs[i:i+length], query, limit)
+		}
+		return s
+	}
+	arms := []struct {
+		name string
+		run  func(xs []float32) float64
+	}{
+		{"memread", func(xs []float32) float64 {
+			// Integer adds of the bit patterns: the read, not a float
+			// add chain, sets the pace.
+			var s0, s1, s2, s3 uint32
+			for i := 0; i+4 <= len(xs); i += 4 {
+				s0 += math.Float32bits(xs[i])
+				s1 += math.Float32bits(xs[i+1])
+				s2 += math.Float32bits(xs[i+2])
+				s3 += math.Float32bits(xs[i+3])
+			}
+			return float64(s0 ^ s1 ^ s2 ^ s3)
+		}},
+		{"scan", scan},
+		{"scan_in_cache", func(xs []float32) (s float64) {
+			for range streamPoints / cachePoints {
+				s += scan(xs[:cachePoints])
+			}
+			return s
+		}},
+	}
+	for _, arm := range arms {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", arm.name, workers), func(b *testing.B) {
+				sums := make([]float64, workers)
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							sums[w] += arm.run(data[w])
+						}()
+					}
+					wg.Wait()
+				}
+				bytes := float64(4 * streamPoints * workers * b.N)
+				b.ReportMetric(bytes/float64(b.Elapsed().Nanoseconds()), "GB/s")
+			})
+		}
 	}
 }

@@ -163,7 +163,8 @@ func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOp
 }
 
 // Append adds one series (copied) and returns its stable position. The
-// series is searchable as soon as Append returns, before any rebuild.
+// series is searchable as soon as Append returns, before any rebuild. A
+// series holding a NaN or an infinity fails with ErrNonFinite.
 func (ix *LiveIndex) Append(s []float32) (int, error) {
 	if ix.normalize {
 		s = series.ZNormalized(s)
@@ -172,7 +173,8 @@ func (ix *LiveIndex) Append(s []float32) (int, error) {
 }
 
 // AppendBatch adds a batch of series (copied) atomically, returning the
-// position of the first; the batch occupies contiguous positions.
+// position of the first; the batch occupies contiguous positions. One
+// non-finite value anywhere fails the whole batch with ErrNonFinite.
 func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 	if ix.normalize {
 		normalized := make([][]float32, len(rows))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -331,6 +332,10 @@ func TestSentinelErrors(t *testing.T) {
 		{"wrong length", SearchRequest{Query: make([]float32, 5)}, ErrWrongLength},
 		{"negative epsilon", SearchRequest{Query: good, Mode: ModeEpsilon, Epsilon: -0.1}, ErrBadEpsilon},
 		{"epsilon NaN", SearchRequest{Query: good, Mode: ModeEpsilon, Epsilon: math.NaN()}, ErrBadEpsilon},
+		{"query NaN", SearchRequest{Query: nonFinite(good, math.NaN())}, ErrNonFinite},
+		{"query +Inf", SearchRequest{Query: nonFinite(good, math.Inf(1))}, ErrNonFinite},
+		{"dtw query NaN", SearchRequest{Query: nonFinite(good, math.NaN()), DTW: true, Window: 0.1}, ErrNonFinite},
+		{"dtw query -Inf", SearchRequest{Query: nonFinite(good, math.Inf(-1)), DTW: true, Window: 0.1}, ErrNonFinite},
 	}
 	for fname, do := range frontends {
 		for _, tc := range cases {
@@ -341,6 +346,52 @@ func TestSentinelErrors(t *testing.T) {
 				t.Errorf("%s/%s: error %q does not match sentinel", fname, tc.name, err)
 			}
 		}
+	}
+}
+
+// nonFinite returns a copy of s whose point 3 is v.
+func nonFinite(s []float32, v float64) []float32 {
+	out := slices.Clone(s)
+	out[3] = float32(v)
+	return out
+}
+
+// TestAppendRejectsNonFinite: a live index refuses a series with a NaN or
+// an infinity before journaling it, so nothing is acked that could never
+// match, and a reopened WAL holds only the good rows.
+func TestAppendRejectsNonFinite(t *testing.T) {
+	walDir := t.TempDir()
+	open := func() *LiveIndex {
+		lix, err := NewLive(64, &Options{LeafCapacity: 64, SearchWorkers: 2}, &LiveOptions{WALDir: walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lix
+	}
+	lix := open()
+	good := RandomWalk(1, 64, 95)
+	if _, err := lix.Append(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := nonFinite(good, v)
+		if _, err := lix.Append(bad); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Append with %v: err = %v, want ErrNonFinite", v, err)
+		}
+		if _, err := lix.AppendBatch([][]float32{good, bad}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("AppendBatch with %v: err = %v, want ErrNonFinite", v, err)
+		}
+	}
+	if n := lix.Len(); n != 1 {
+		t.Errorf("Len = %d after refused appends, want 1", n)
+	}
+	if err := lix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lix = open()
+	defer lix.Close()
+	if n := lix.Len(); n != 1 {
+		t.Errorf("Len = %d after WAL replay, want 1", n)
 	}
 }
 

@@ -32,6 +32,9 @@ var (
 	ErrWrongLength = core.ErrWrongLength
 	// ErrBadEpsilon reports a negative or non-finite Epsilon.
 	ErrBadEpsilon = core.ErrBadEpsilon
+	// ErrNonFinite reports a query, or a series appended to a LiveIndex,
+	// that holds a NaN or an infinity.
+	ErrNonFinite = core.ErrNonFinite
 	// ErrQueryPanicked reports a query that panicked inside the engine.
 	// The panic is recovered on the worker, fails only the offending
 	// query, and leaves the pool serving; the wrapped error carries the
