@@ -105,6 +105,19 @@ func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *shard
 	return ix
 }
 
+// messiDo answers queries on ix through the query engine without a pool —
+// root Index.Do's path — with workers units per phase and queues priority
+// queues (zero: the index's SearchWorkers and QueueCount). Build it outside
+// the timed loop.
+func messiDo(ix *shard.Index, workers, queues int) func(core.Request) error {
+	e := engine.NewUnpooled(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+	v := engine.View{Base: ix}
+	return func(req core.Request) error {
+		_, err := e.Do(v, req)
+		return err
+	}
+}
+
 func buildParIS(b *testing.B, data *series.Collection, opts paris.Options) *paris.Index {
 	b.Helper()
 	ix, err := paris.Build(data, opts)
@@ -161,10 +174,11 @@ func BenchmarkFig07LeafSizeQuery(b *testing.B) {
 			name   string
 			queues int
 		}{{"sq", 1}, {"mq", 0}} {
+			do := messiDo(ix, 0, mode.queues)
 			b.Run(fmt.Sprintf("leaf=%d/%s", leaf, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					q := queries.At(i % queries.Count())
-					if _, err := ix.Do(core.Request{Query: q}, core.SearchOptions{Queues: mode.queues}); err != nil {
+					if err := do(core.Request{Query: q}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -245,14 +259,9 @@ func queryBenchAlgos(b *testing.B, data *series.Collection, queries *series.Coll
 		_, err := parisIx.SearchTS(q, paris.SearchOptions{Workers: workers})
 		return err
 	})
-	run("MESSI-sq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{Workers: workers, Queues: 1})
-		return err
-	})
-	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{Workers: workers})
-		return err
-	})
+	sq, mq := messiDo(messiIx, workers, 1), messiDo(messiIx, workers, 0)
+	run("MESSI-sq", func(q []float32) error { return sq(core.Request{Query: q}) })
+	run("MESSI-mq", func(q []float32) error { return mq(core.Request{Query: q}) })
 }
 
 func workersOrDefault(workers, def int) int {
@@ -302,11 +311,12 @@ func BenchmarkFig13QueueBreakdown(b *testing.B) {
 		name   string
 		queues int
 	}{{"sq", 1}, {"mq", 0}} {
+		do := messiDo(ix, 0, mode.queues)
 		b.Run(mode.name, func(b *testing.B) {
 			bd := &stats.Breakdown{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, Breakdown: bd}, core.SearchOptions{Queues: mode.queues}); err != nil {
+				if err := do(core.Request{Query: q, Breakdown: bd}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -326,10 +336,11 @@ func BenchmarkFig14QueueCount(b *testing.B) {
 	queries := benchQueriesFor(b, dataset.RandomWalk)
 	ix := buildMESSI(b, data, messiOpts())
 	for _, queues := range []int{1, 4, 24, 48} {
+		do := messiDo(ix, 0, queues)
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q}, core.SearchOptions{Queues: queues}); err != nil {
+				if err := do(core.Request{Query: q}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -394,11 +405,12 @@ func BenchmarkFig17DistanceCounts(b *testing.B) {
 			b.ReportMetric(float64(s.LowerBoundCalcs)/float64(b.N), "lb/query")
 			b.ReportMetric(float64(s.RealDistCalcs)/float64(b.N), "real/query")
 		})
+		do := messiDo(messiIx, 0, 0)
 		b.Run(string(kind)+"/MESSI", func(b *testing.B) {
 			ctrs := &stats.Counters{}
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := messiIx.Do(core.Request{Query: q, Counters: ctrs}, core.SearchOptions{}); err != nil {
+				if err := do(core.Request{Query: q, Counters: ctrs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -438,10 +450,8 @@ func BenchmarkFig18BenefitBreakdown(b *testing.B) {
 		_, err := parisIx.SearchTS(q, paris.SearchOptions{})
 		return err
 	})
-	run("MESSI-mq", func(q []float32) error {
-		_, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{})
-		return err
-	})
+	mq := messiDo(messiIx, 0, 0)
+	run("MESSI-mq", func(q []float32) error { return mq(core.Request{Query: q}) })
 }
 
 // BenchmarkFig19DTW — DTW query answering (10% warping window): serial UCR
@@ -469,10 +479,11 @@ func BenchmarkFig19DTW(b *testing.B) {
 				}
 			}
 		})
+		do := messiDo(ix, 0, 0)
 		b.Run(fmt.Sprintf("series=%d/MESSI-DTW", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, DTW: true, Window: window}, core.SearchOptions{}); err != nil {
+				if err := do(core.Request{Query: q, DTW: true, Window: window}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -485,8 +496,8 @@ func BenchmarkFig19DTW(b *testing.B) {
 // `clients` goroutines each issue 1-NN queries as fast as they are
 // answered. Modes:
 //
-//   - spawn-per-query: the paper's execution, Index.Search spawning Ns
-//     fresh goroutines and allocating fresh priority queues per call;
+//   - spawn-per-query: the engine without a pool (root Index.Do's path),
+//     starting Ns goroutines per phase of every query;
 //   - pooled-exclusive: the persistent engine with default scheduling
 //     (each query owns the whole worker pool, queries queue for admission);
 //   - pooled-shared: the engine splitting the pool across `clients`
@@ -522,10 +533,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 	for _, clients := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=%d/spawn-per-query", clients), func(b *testing.B) {
-			runClients(b, clients, func(q []float32) error {
-				_, err := ix.Do(core.Request{Query: q}, core.SearchOptions{})
-				return err
-			})
+			do := messiDo(ix, 0, 0)
+			runClients(b, clients, func(q []float32) error { return do(core.Request{Query: q}) })
 		})
 		b.Run(fmt.Sprintf("clients=%d/pooled-exclusive", clients), func(b *testing.B) {
 			eng := engine.New(ix.Opts(), engine.Options{})
@@ -628,11 +637,12 @@ func BenchmarkKNN(b *testing.B) {
 	data := benchCollection(b, dataset.RandomWalk, benchSeries)
 	queries := benchQueriesFor(b, dataset.RandomWalk)
 	ix := buildMESSI(b, data, messiOpts())
+	do := messiDo(ix, 0, 0)
 	for _, k := range []int{1, 5, 25} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := ix.Do(core.Request{Query: q, K: k}, core.SearchOptions{}); err != nil {
+				if err := do(core.Request{Query: q, K: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -662,10 +672,11 @@ func BenchmarkIntroClaims(b *testing.B) {
 			}
 		}
 	})
+	serial, messi := messiDo(serialIx, 0, 0), messiDo(messiIx, 0, 0)
 	b.Run("sequential-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := serialIx.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
+			if err := serial(core.Request{Query: q}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -681,7 +692,7 @@ func BenchmarkIntroClaims(b *testing.B) {
 	b.Run("MESSI", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries.At(i % queries.Count())
-			if _, err := messiIx.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
+			if err := messi(core.Request{Query: q}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -717,10 +728,11 @@ func BenchmarkShardedQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		do := messiDo(x, 0, 0)
 		b.Run(fmt.Sprintf("shards=%d", S), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := x.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
+				if err := do(core.Request{Query: q}); err != nil {
 					b.Fatal(err)
 				}
 			}

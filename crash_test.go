@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -252,27 +253,60 @@ func rebootLive(t *testing.T, snapPath string, opts *Options, lopts *LiveOptions
 	return rec
 }
 
-// TestQueryPanickedPublicSentinel pins the public error surface: a
-// panic on a pool worker reaches API consumers as ErrQueryPanicked,
-// matchable with errors.Is, and the serving pool survives it.
+// TestQueryPanickedPublicSentinel pins the public error surface on every
+// frontend — LiveIndex, Index (one shard, three, and Loaded from a
+// snapshot) and Engine: a panic in any unit of a query's work, injected in
+// the engine's unit or in core's leaf scan, reaches API consumers as
+// ErrQueryPanicked, matchable with errors.Is, and the next query on the
+// same frontend is answered exactly.
 func TestQueryPanickedPublicSentinel(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
-	ix, err := BuildLiveFlat(RandomWalk(200, crashSeriesLen, 11), crashSeriesLen,
-		&Options{LeafCapacity: 64, SearchWorkers: 2},
+	data := RandomWalk(200, crashSeriesLen, 11)
+	live, err := BuildLiveFlat(data, crashSeriesLen, &Options{LeafCapacity: 64, SearchWorkers: 2},
 		&LiveOptions{RebuildThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	defer live.Close()
+	frontends := map[string]doer{"live": live}
+	for _, shards := range []int{1, 3} {
+		ix, err := BuildFlat(data, crashSeriesLen, &Options{LeafCapacity: 64, SearchWorkers: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := ix.NewEngine(nil)
+		defer eng.Close()
+		frontends[fmt.Sprintf("index/shards=%d", shards)] = ix
+		frontends[fmt.Sprintf("engine/shards=%d", shards)] = eng
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := ix.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if frontends[fmt.Sprintf("loaded/shards=%d", shards)], err = Load(path); err != nil {
+			t.Fatal(err)
+		}
+	}
 	q := crashRow(0)
-	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nn1(ix, q); !errors.Is(err, ErrQueryPanicked) {
-		t.Fatalf("err = %v, want ErrQueryPanicked", err)
-	}
-	if _, err := nn1(ix, q); err != nil {
-		t.Fatalf("query after recovered panic: %v (pool must keep serving)", err)
+	for name, ix := range frontends {
+		want, err := nn1(ix, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, point := range []string{"engine.unit", "core.scanleaf"} {
+			if err := fault.Arm(point, fault.Spec{Action: fault.Panic}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nn1(ix, q); !errors.Is(err, ErrQueryPanicked) {
+				t.Fatalf("%s, %s: err = %v, want ErrQueryPanicked", name, point, err)
+			}
+			res, err := ix.Do(context.Background(), SearchRequest{Query: q})
+			if err != nil {
+				t.Fatalf("%s, %s: query after recovered panic: %v (the index must keep serving)", name, point, err)
+			}
+			if !res.Exact || res.Best() != want {
+				t.Fatalf("%s, %s: query after recovered panic answered %+v, want exactly %+v", name, point, res, want)
+			}
+		}
 	}
 }
 

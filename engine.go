@@ -13,7 +13,8 @@ type EngineOptions struct {
 	// all queries. Default: the index's SearchWorkers.
 	PoolWorkers int
 	// QueryWorkers is the per-query parallelism: how many pool work units
-	// each query dispatches per phase. Default: PoolWorkers.
+	// each query dispatches per phase, in total across its shards.
+	// Default: PoolWorkers.
 	QueryWorkers int
 	// Queues is the number of priority queues per query. Default: the
 	// index's QueueCount.
@@ -38,10 +39,11 @@ type EngineOptions struct {
 	Metrics *Metrics
 }
 
-// Engine is a persistent query engine over one Index: a long-lived worker
-// pool that amortizes goroutine spawns and per-query allocations across
-// queries, and runs many independent queries concurrently through the
-// shared pool. Results are identical to Index.Do's. An Engine is safe for
+// Engine is a persistent query engine over one Index: Index.Do's executor
+// plus a long-lived worker pool, which amortizes goroutine starts across
+// queries, and an admission gate, which runs many independent queries
+// concurrently through the shared pool. Results are identical to
+// Index.Do's. An Engine is safe for
 // concurrent use; Close it when done.
 //
 //	eng := ix.NewEngine(nil)

@@ -32,7 +32,7 @@ func TestConcurrentQueriesOnSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func(qi int) {
 				defer wg.Done()
-				m, err := nn1(ix, queries.At(qi), SearchOptions{Workers: 4})
+				m, err := first(runWith(ix, Request{Query: queries.At(qi)}, SearchOptions{}, 4))
 				if err != nil {
 					errs <- err
 					return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/isax"
 	"repro/internal/series"
@@ -81,24 +80,7 @@ type Index struct {
 	// probes to choose its plan (see SearchRun.sampledShare). Build and
 	// Restore fill it identically.
 	sample []uint8
-
-	// tables pools per-query distance tables for runs that carry no
-	// QueryState (per-query spawn mode); the engine's pooled states hold
-	// their own table. All tables in the pool belong
-	// to this index's schema.
-	tables sync.Pool
 }
-
-// getTable borrows a distance table sized for this index's schema.
-func (ix *Index) getTable() *isax.DistTable {
-	if t, ok := ix.tables.Get().(*isax.DistTable); ok {
-		return t
-	}
-	return ix.Schema.NewDistTable()
-}
-
-// putTable returns a borrowed table to the pool.
-func (ix *Index) putTable(t *isax.DistTable) { ix.tables.Put(t) }
 
 // sampleSize is how many words the plan sample holds: 32 KB at w = 16, and
 // every position of a smaller collection. The standard error of a share

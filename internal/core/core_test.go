@@ -247,7 +247,7 @@ func TestSearchAcrossWorkerAndQueueCounts(t *testing.T) {
 			for qi := 0; qi < queries.Count(); qi++ {
 				q := queries.At(qi)
 				want := bruteForce1NN(ix.Data, q)
-				got, err := nn1(ix, q, SearchOptions{Workers: workers, Queues: queues})
+				got, err := first(runWith(ix, Request{Query: q}, SearchOptions{Queues: queues}, workers))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,8 +13,10 @@
 // passing them through the tree and the queues, with the same kernel and
 // collector. An approximate answer is a run that is complete after its
 // preparation.
-// The package has no per-flavour entry points: internal/shard fans a
-// Request out over one run per shard, spawn-mode or on the engine's pool.
+// The package has no per-flavour entry points and no executor: the query
+// engine (internal/engine) fans a Request out over one run per shard, each
+// on a borrowed QueryState, and dispatches the runs' phases as units of
+// work.
 //
 // # Contracts
 //
@@ -56,9 +58,9 @@
 //     the caller's global position space before they are published to it.
 //     The top-k collector rejects a position it already holds.
 //   - Per-query scratch (PAA buffer, iSAX word, distance table, queues)
-//     is confined to the query that allocated it; the sync.Pool reuse in
-//     internal/engine relies on queries never retaining scratch past
-//     return.
+//     lives in the QueryState a run is built on and is confined to that
+//     run; the sync.Pool reuse in internal/engine relies on queries never
+//     retaining scratch past return.
 //   - Per-worker leaf-scan scratch (lower bounds, surviving entries, the
 //     sink of the gather-ahead loads) is borrowed from a pool for one
 //     drain phase and never shared between workers.

@@ -128,7 +128,7 @@ func BenchmarkPlanCrossover(b *testing.B) {
 				share, tree, scan float64 // ms
 			}
 			prepare := func(req Request) *SearchRun {
-				run, err := ix.NewRun(req, nil, SearchOptions{Workers: 2})
+				run, err := newRun(ix, req, SearchOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func BenchmarkPlanCrossover(b *testing.B) {
 				start := time.Now()
 				run := prepare(req)
 				forcePlan(run, scan)
-				run.Run()
+				drive(run, 2)
 				return float64(time.Since(start).Nanoseconds()) / 1e6
 			}
 			var rows []row
@@ -231,7 +231,7 @@ func TestSampledShareTracksEntryShare(t *testing.T) {
 	for _, qt := range []queryTier{memberTier, nearDupTier, noisyTier(10), oodTier, adversarialTier} {
 		for qi, q := range qt.queries(ix.Data, 4, 5) {
 			for _, req := range []Request{{Query: q}, {Query: q, Mode: ModeEpsilon, Epsilon: 0.05}} {
-				run, err := ix.NewRun(req, nil, SearchOptions{QoS: req.NewQoS()})
+				run, err := newRun(ix, req, SearchOptions{QoS: req.NewQoS()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,7 +270,7 @@ func TestRestoreKeepsPlanSample(t *testing.T) {
 			for qi, q := range qt.queries(ix.Data, 3, 9) {
 				var plans [2]bool
 				for i, x := range []*Index{ix, rx} {
-					run, err := x.NewRun(Request{Query: q}, nil, SearchOptions{})
+					run, err := newRun(x, Request{Query: q}, SearchOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -382,7 +382,7 @@ func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())
 	for _, workers := range []int{1, 3, 8} {
 		coll := &offerCounter{offers: make([]atomic.Int32, count)}
-		run, err := ix.NewRun(Request{Query: ix.Data.At(5)}, nil, SearchOptions{Workers: workers, Shared: coll})
+		run, err := newRun(ix, Request{Query: ix.Data.At(5)}, SearchOptions{Shared: coll})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 			coll.offers[i].Store(0) // forget the approximate search's leaf
 		}
 		forcePlan(run, true)
-		run.Run()
+		drive(run, workers)
 		for pos := range coll.offers {
 			if n := coll.offers[pos].Load(); n != 1 {
 				t.Fatalf("%d workers: series %d measured %d times", workers, pos, n)

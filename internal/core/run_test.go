@@ -1,22 +1,60 @@
 package core
 
-// Test helpers over NewRun, one per request flavour, standing where the
-// per-flavour entry points used to: each validates, prepares and runs one
-// request in spawn mode.
+import "sync"
 
-func runRequest(ix *Index, req Request, opt SearchOptions) ([]Match, error) {
+// The test driver of a SearchRun, standing where the query engine does in
+// production: newRun prepares a run on a fresh QueryState (and a private
+// collector when the caller threads none), and drive executes its phases
+// on goroutines of its own, with the all-inserted barrier between them.
+
+func newRun(ix *Index, req Request, opt SearchOptions) (*SearchRun, error) {
+	if opt.Shared == nil {
+		opt.Shared = NewCollector(req.K)
+	}
+	return ix.NewRun(req, NewQueryState(), opt)
+}
+
+func drive(run *SearchRun, workers int) {
+	var inserted, wg sync.WaitGroup // inserted: the barrier of Algorithm 6 line 7
+	inserted.Add(workers)
+	wg.Add(workers)
+	for pid := 0; pid < workers; pid++ {
+		go func(pid int) {
+			defer wg.Done()
+			run.InsertPhase(pid)
+			inserted.Done()
+			inserted.Wait()
+			run.DrainPhase(pid)
+		}(pid)
+	}
+	wg.Wait()
+}
+
+// runWith validates, prepares and drives one request on workers
+// goroutines and returns the collector's answer.
+func runWith(ix *Index, req Request, opt SearchOptions, workers int) ([]Match, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	if err := req.CheckShape(ix.Data.Length); err != nil {
 		return nil, err
 	}
-	run, err := ix.NewRun(req, nil, opt)
+	if opt.Shared == nil {
+		opt.Shared = NewCollector(req.K)
+	}
+	run, err := newRun(ix, req, opt)
 	if err != nil {
 		return nil, err
 	}
-	run.Run()
-	return run.Matches(), nil
+	drive(run, workers)
+	return opt.Shared.Matches(), nil
+}
+
+// Helpers over runWith, one per request flavour, on the index's own
+// SearchWorkers.
+
+func runRequest(ix *Index, req Request, opt SearchOptions) ([]Match, error) {
+	return runWith(ix, req, opt, ix.Opts.SearchWorkers)
 }
 
 func first(ms []Match, err error) (Match, error) {

@@ -26,11 +26,11 @@ import (
 // into typed per-query errors.
 var fpScanLeaf = fault.Register("core.scanleaf")
 
-// SearchOptions configures one query. Zero fields inherit the index
-// options (which themselves default to the paper's values).
+// SearchOptions configures one query's run on one index. A zero Queues
+// inherits the index options (which themselves default to the paper's
+// values); how many workers execute the phases is the caller's choice.
 type SearchOptions struct {
-	Workers int // Ns: search worker goroutines
-	Queues  int // Nq: priority queues; 1 = MESSI-sq, >1 = MESSI-mq
+	Queues int // Nq: priority queues; 1 = MESSI-sq, >1 = MESSI-mq
 
 	// GlobalPos maps this index's local series positions into the
 	// caller's global position space (a sharded collection, where this
@@ -39,13 +39,13 @@ type SearchOptions struct {
 	// the identity (a collection of one shard).
 	GlobalPos func(int64) int64
 
-	// Shared, when non-nil, replaces the run's private collector with a
-	// caller-owned one threaded through several concurrent runs — the
-	// sharded fan-out, where a tight bound found in one shard prunes the
-	// searches of all the others. It holds global positions (see
-	// GlobalPos), and series outside any index (a live index's delta) are
-	// measured into it by Scan; after every sibling finishes, its Matches
-	// are the fused answer.
+	// Shared is the query's collector (required), owned by the caller and
+	// threaded through every concurrent run of the query — the sharded
+	// fan-out, where a tight bound found in one shard prunes the searches
+	// of all the others. It holds global positions (see GlobalPos), and
+	// series outside any index (a live index's delta) are measured into it
+	// by Scan; after every sibling finishes, its Matches are the fused
+	// answer.
 	Shared Collector
 
 	// QoS, when non-nil, carries the query's quality-of-service state:
@@ -57,9 +57,6 @@ type SearchOptions struct {
 }
 
 func (o SearchOptions) withDefaults(ixOpts Options) SearchOptions {
-	if o.Workers <= 0 {
-		o.Workers = ixOpts.SearchWorkers
-	}
 	if o.Queues <= 0 {
 		o.Queues = ixOpts.QueueCount
 	}
@@ -296,9 +293,9 @@ var scratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 
 // QueryState holds the per-query scratch resources — PAA buffer, iSAX word
 // buffer, the per-query distance table, and the priority-queue set — that
-// a long-lived query engine reuses across queries instead of reallocating
-// per search. A QueryState may back at most one SearchRun at a time; the
-// zero value is ready to use.
+// the query engine reuses across queries instead of reallocating per
+// search. Every SearchRun is backed by one, and a QueryState may back at
+// most one SearchRun at a time; the zero value is ready to use.
 type QueryState struct {
 	paaBuf  []float64
 	wordBuf []uint8
@@ -311,9 +308,8 @@ func NewQueryState() *QueryState { return &QueryState{} }
 
 // SearchRun is one in-flight query on one index: the shared per-query state
 // (collector, priority queues, claim counter) that any number of workers
-// operate on. It decomposes Algorithm 6 into two phases so that workers can
-// be either goroutines spawned for this query (Run) or units dispatched
-// onto a persistent pool (internal/engine):
+// operate on. It decomposes Algorithm 6 into two phases, which the query
+// engine (internal/engine) dispatches as units of work:
 //
 //	InsertPhase — the tree pass or the scan. On the tree plan: claim root
 //	              subtrees via Fetch&Inc, prune, push non-prunable leaves
@@ -331,69 +327,61 @@ func NewQueryState() *QueryState { return &QueryState{} }
 // All phase methods are safe for concurrent use; pid distinguishes
 // workers for queue-cursor and randomization purposes.
 type SearchRun struct {
-	ix          *Index
-	kern        kernel          // the distance flavour: Euclidean or DTW
-	table       *isax.DistTable // per-query MINDIST table; nil until prepareTable
-	pooledTable bool            // table borrowed from ix.tables (no QueryState)
-	coll        Collector       // the answer set, in the caller's position space
-	bnd         bound           // coll as the workers see it (local positions mapped)
-	queues      *pqueue.Set[*tree.Node]
-	claimCtr    atomic.Int64 // Fetch&Inc cursor: root subtrees, or scan blocks
-	opt         SearchOptions
-	ctrs        *stats.Counters  // nil = not counting
-	bd          *stats.Breakdown // nil = not tracing
-	qos         *QoS             // nil for plain exact runs
-	escale      float64          // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
-	done        bool             // the answer is complete after init (ModeApprox)
-	scan        bool             // the scan plan: InsertPhase scans, DrainPhase is a no-op
+	ix     *Index
+	kern   kernel          // the distance flavour: Euclidean or DTW
+	table  *isax.DistTable // per-query MINDIST table; nil until prepareTable
+	bnd    bound           // opt.Shared as the workers see it (local positions mapped)
+	queues *pqueue.Set[*tree.Node]
+	// claimCtr is written by every worker at every claim, while the fields
+	// around it are read at every node; the padding keeps it on a cache
+	// line of its own (sharing one cost the serve-easy benchmark ~10 % of
+	// its p50 on a 2-core Xeon).
+	_        [64]byte
+	claimCtr atomic.Int64 // Fetch&Inc cursor: root subtrees, or scan blocks
+	_        [56]byte
+	opt      SearchOptions
+	ctrs     *stats.Counters  // nil = not counting
+	bd       *stats.Breakdown // nil = not tracing
+	qos      *QoS             // nil for plain exact runs
+	escale   float64          // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
+	done     bool             // the answer is complete after init (ModeApprox)
+	scan     bool             // the scan plan: InsertPhase scans, DrainPhase is a no-op
 }
 
 // NewRun prepares one query on this index — the only place a SearchRun is
-// built. The request selects the distance kernel (DTW or Euclidean) and
-// the collector (K), unless the caller threads its own through
-// opt.Shared; opt.QoS carries the ε/deadline state built from the same
-// request. Preparation computes the query's PAA and iSAX summaries and
-// seeds the collector with the approximate search. A ModeApprox run is
-// complete at that point (see Done); every other mode then runs the two
-// phases. st may be nil (fresh allocations) or a reused QueryState. The
-// request must have passed Validate and CheckShape, and the query must
-// already be z-normalized if the indexed data is (the public API layer
-// handles both).
+// built. The request selects the distance kernel (DTW or Euclidean);
+// opt.Shared is the collector it fills and opt.QoS the ε/deadline state
+// built from the same request. Preparation computes the query's PAA and
+// iSAX summaries and seeds the collector with the approximate search. A
+// ModeApprox run is complete at that point (see Done); every other mode
+// then runs the two phases. st is the run's scratch, borrowed for its
+// lifetime. The request must have passed Validate and CheckShape, and the
+// query must already be z-normalized if the indexed data is (the public
+// API layer handles both).
 func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*SearchRun, error) {
 	if ix.Data.Count() == 0 {
 		return nil, ErrEmptyIndex
 	}
-	coll := opt.Shared
-	if coll == nil {
-		coll = NewCollector(req.K)
-	}
-	r := &SearchRun{ix: ix, coll: coll, bnd: workerBound(coll, opt.GlobalPos),
+	r := &SearchRun{ix: ix, bnd: workerBound(opt.Shared, opt.GlobalPos),
 		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown,
 		qos: opt.QoS, escale: opt.QoS.Scale()}
 	r.init(req, st)
 	return r, nil
 }
 
-// init builds the kernel, computes the query summaries (into st's buffers
-// when available), seeds the collector via the approximate search and,
-// unless that already completes the run, builds the per-query distance
-// table, chooses the plan and, for the tree plan, sizes the queue set.
+// init builds the kernel, computes the query summaries into st's buffers,
+// seeds the collector via the approximate search and, unless that already
+// completes the run, builds the per-query distance table, chooses the plan
+// and, for the tree plan, sizes st's queue set.
 func (r *SearchRun) init(req Request, st *QueryState) {
 	var tInit time.Time
 	if r.bd.Enabled() {
 		tInit = time.Now()
 	}
 	r.kern = newKernel(req)
-	var paaBuf []float64
-	var wordBuf []uint8
-	if st != nil {
-		paaBuf, wordBuf = st.paaBuf, st.wordBuf
-	}
-	qpaa := paa.Transform(req.Query, r.ix.Schema.Segments, paaBuf)
-	qword := r.ix.Schema.WordFromPAA(qpaa, wordBuf)
-	if st != nil {
-		st.paaBuf, st.wordBuf = qpaa, qword
-	}
+	qpaa := paa.Transform(req.Query, r.ix.Schema.Segments, st.paaBuf)
+	qword := r.ix.Schema.WordFromPAA(qpaa, st.wordBuf)
+	st.paaBuf, st.wordBuf = qpaa, qword
 	// An approximate Euclidean answer reads the table only in the rare
 	// empty-subtree fallback, and its point is to be cheap: it builds the
 	// table only if it has to go on to the exact phases.
@@ -410,14 +398,11 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 			r.prepareTable(st, qpaa)
 		}
 		r.scan = r.scanPays()
-		switch {
-		case r.scan:
+		if r.scan {
 			r.ctrs.AddScanPlan()
-		case st != nil:
+		} else {
 			st.queues.Resize(r.opt.Queues, 64)
 			r.queues = &st.queues
-		default:
-			r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
 		}
 	}
 	if r.bd.Enabled() {
@@ -425,21 +410,16 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 	}
 }
 
-// prepareTable readies the run's distance table — st's when there is one,
-// else one borrowed from the index's pool — and fills it from the query
-// summary the kernel prunes with.
+// prepareTable readies st's distance table as the run's and fills it from
+// the query summary the kernel prunes with.
 func (r *SearchRun) prepareTable(st *QueryState, qpaa []float64) {
-	if st != nil {
-		// The table's geometry is schema-bound; a pooled state may have
-		// last served a different generation (engine Swap) or a sibling
-		// shard, so recheck — same geometry means the buffer is reusable.
-		if st.table == nil || !st.table.Schema().SameGeometry(r.ix.Schema) {
-			st.table = r.ix.Schema.NewDistTable()
-		}
-		r.table = st.table
-	} else {
-		r.table, r.pooledTable = r.ix.getTable(), true
+	// The table's geometry is schema-bound; a pooled state may have last
+	// served another generation or a sibling shard, so recheck — same
+	// geometry means the buffer is reusable.
+	if st.table == nil || !st.table.Schema().SameGeometry(r.ix.Schema) {
+		st.table = r.ix.Schema.NewDistTable()
 	}
+	r.table = st.table
 	r.kern.prepare(r.table, qpaa)
 }
 
@@ -479,37 +459,6 @@ func (r *SearchRun) sampledShare() float64 {
 // a ModeApprox run whose descent found candidates. The phases of a done
 // run are no-ops.
 func (r *SearchRun) Done() bool { return r.done }
-
-// Run executes the query's phases with opt.Workers goroutines spawned for
-// this run only — the paper's original per-query execution mode
-// (Algorithm 5/6).
-func (r *SearchRun) Run() {
-	if !r.done {
-		var insertBarrier sync.WaitGroup // all-inserted barrier (Algorithm 6 line 7)
-		insertBarrier.Add(r.opt.Workers)
-		var wg sync.WaitGroup
-		for pid := 0; pid < r.opt.Workers; pid++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				r.InsertPhase(pid)
-				insertBarrier.Done()
-				insertBarrier.Wait()
-				r.DrainPhase(pid)
-			}(pid)
-		}
-		wg.Wait()
-	}
-	if r.pooledTable {
-		r.ix.putTable(r.table)
-		r.table, r.pooledTable = nil, false
-	}
-}
-
-// Matches returns the run's answers — up to K, in ascending distance order
-// — or, with opt.Shared, whatever the shared collector holds. Call only
-// after all workers finished.
-func (r *SearchRun) Matches() []Match { return r.coll.Matches() }
 
 // InsertPhase is the tree-traversal half of Algorithm 6: claim root
 // subtrees via Fetch&Inc and push non-prunable leaves into the queues — or,

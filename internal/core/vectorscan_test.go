@@ -362,7 +362,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, s := range seeds {
 					coll.Update(s.Dist, int64(s.Position))
 				}
-				run, err := ix.NewRun(req, nil, SearchOptions{Workers: 1, Queues: 1, QoS: gotQoS, Shared: coll})
+				run, err := newRun(ix, req, SearchOptions{Queues: 1, QoS: gotQoS, Shared: coll})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -370,7 +370,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, leaf := range leaves {
 					run.scanLeaf(leaf, &scratch)
 				}
-				got := run.Matches()
+				got := coll.Matches()
 
 				// The reference: the same steps with the plain loop.
 				var wantCtrs stats.Counters
@@ -443,7 +443,7 @@ func TestRefineSinkIsPerWorker(t *testing.T) {
 		wg.Add(1)
 		go func(q []float32) {
 			defer wg.Done()
-			got, err := nn1(ix, q, SearchOptions{Workers: 4, Queues: 2})
+			got, err := first(runWith(ix, Request{Query: q}, SearchOptions{Queues: 2}, 4))
 			if err != nil {
 				t.Error(err)
 				return

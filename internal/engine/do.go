@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -53,8 +54,8 @@ func (v View) check(req core.Request) error {
 // only query method, and the one place a request is validated, admitted
 // and executed: the request is checked first, so a malformed one is
 // rejected without queueing; then the admission gate and the
-// overload-degradation policy (Options.DegradeEpsilon); then pooled
-// execution, whatever the distance, answer shape or mode.
+// overload-degradation policy (Options.DegradeEpsilon), when the engine
+// has a gate; then execution, whatever the distance, answer shape or mode.
 func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -82,7 +83,7 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	// instead — it still waits for admission, but runs far cheaper once
 	// admitted, and the result honestly reports what was proven. Requests
 	// that chose their mode explicitly are never rewritten.
-	if req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && len(e.admit) == cap(e.admit) {
+	if req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && e.admit != nil && len(e.admit) == cap(e.admit) {
 		req.Mode = core.ModeEpsilon
 		req.Epsilon = e.opts.DegradeEpsilon
 		if e.met != nil {
@@ -91,19 +92,21 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	}
 	mode := req.Mode
 
-	admitted, err := e.admitQoS(req)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if admitted {
-		defer func() { <-e.admit }()
-	} else {
-		// The deadline expired while waiting for admission. The contract is
-		// best-so-far within the budget, so bypass the gate for the cheap
-		// approximate step only (one leaf scan per shard — bounded work
-		// even under overload) and report it as what it is: an inexact
-		// answer.
-		req.Mode = core.ModeApprox
+	if e.admit != nil {
+		admitted, err := e.admitQoS(req)
+		if err != nil {
+			return core.Result{}, err
+		}
+		if admitted {
+			defer func() { <-e.admit }()
+		} else {
+			// The deadline expired while waiting for admission. The
+			// contract is best-so-far within the budget, so bypass the gate
+			// for the cheap approximate step only (one leaf scan per shard
+			// — bounded work even under overload) and report it as what it
+			// is: an inexact answer.
+			req.Mode = core.ModeApprox
+		}
 	}
 
 	res, err := e.run(v, req)
@@ -122,61 +125,64 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 // (false only when a deadline expired while waiting); cancellation is an
 // error, matching context semantics. Release by receiving from e.admit.
 func (e *Engine) admitQoS(req core.Request) (bool, error) {
-	var timerC <-chan time.Time
-	if req.Mode == core.ModeDeadline && !req.Deadline.IsZero() {
-		t := time.NewTimer(time.Until(req.Deadline))
-		defer t.Stop()
-		timerC = t.C
-	}
 	waitStart := e.met.waitStart()
 	defer e.met.waitEnd(waitStart)
-	// A nil req.Cancel or timerC never fires in the select.
+	// A free slot is taken before anything else is looked at: a select
+	// picks at random among its ready cases, so a request cancelled or
+	// expired before it arrived would otherwise be refused by an idle gate
+	// half the time.
 	select {
 	case e.admit <- struct{}{}:
-		if e.met != nil {
-			e.met.admitted.Inc()
+	default:
+		var timerC <-chan time.Time
+		if req.Mode == core.ModeDeadline && !req.Deadline.IsZero() {
+			t := time.NewTimer(time.Until(req.Deadline))
+			defer t.Stop()
+			timerC = t.C
 		}
-		return true, nil
-	case <-req.Cancel:
-		if e.met != nil {
-			e.met.cancelled.Inc()
+		// A nil req.Cancel or timerC never fires in the select.
+		select {
+		case e.admit <- struct{}{}:
+		case <-req.Cancel:
+			if e.met != nil {
+				e.met.cancelled.Inc()
+			}
+			return false, context.Canceled
+		case <-timerC:
+			if e.met != nil {
+				e.met.expired.Inc()
+			}
+			return false, nil
 		}
-		return false, context.Canceled
-	case <-timerC:
-		if e.met != nil {
-			e.met.expired.Inc()
-		}
-		return false, nil
 	}
+	if e.met != nil {
+		e.met.admitted.Inc()
+	}
+	return true, nil
 }
 
-// run executes one request on the pool against the view: every member of
-// the fan-out — one run per shard, one scan per delta chunk — is prepared
-// by prepare, then — for every run the preparation did not already
-// complete — QueryWorkers insert units per run, the all-inserted barrier
-// (awaited here, never inside a pool goroutine), and QueryWorkers drain
-// units per run. The barrier spans the whole fan-out, so a shard finishing
-// its tree pass early keeps its bound improvements visible to the shards
-// still traversing. The first failure — a unit panic, recovered where it
-// happened — fails this query alone; the remaining phases are skipped,
-// since the answer is discarded anyway.
+// run executes one request against the view: every member of the fan-out
+// — one run per shard, one scan per delta chunk — is prepared by prepare,
+// into one shared collector and one QoS state, then every run the
+// preparation did not already complete goes through its phases (execute).
+// The collector's contents are the fused answer, in global positions. The
+// first failure — a unit panic, recovered where it happened — fails this
+// query alone; the remaining phases are skipped, since the answer is
+// discarded anyway.
 func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	if v.Base == nil {
 		// Delta chunks are scanned exactly in every mode, so with nothing
 		// else to search the answer is exact whatever was asked for.
 		req.Mode = core.ModeExact
 	}
-	q := shard.NewQuery(v.Base, req)
+	opt := core.SearchOptions{Queues: e.opts.Queues, Shared: core.NewCollector(req.K), QoS: req.NewQoS()}
 	if e.met != nil && v.shards() > 1 {
 		e.met.fanout.Inc()
 	}
 	rec := &panicBox{}
-	runs, sts := e.prepare(v, q, rec)
-	if rec.load() == nil {
-		e.dispatchAll(runs, (*core.SearchRun).InsertPhase, rec)
-	}
-	if rec.load() == nil {
-		e.dispatchAll(runs, (*core.SearchRun).DrainPhase, rec)
+	runs, sts := e.prepare(v, req, opt, rec)
+	if rec.load() == nil && len(runs) > 0 {
+		e.execute(runs, rec)
 	}
 	if err := rec.load(); err != nil {
 		// Any of the fanned-out states may be the one a panicking unit
@@ -187,22 +193,22 @@ func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	for _, st := range sts {
 		e.states.Put(st)
 	}
-	return q.Result(), nil
+	return opt.QoS.Finish(opt.Shared.Matches(), req.Mode), nil
 }
 
-// prepare runs the first stage of every member of the fan-out on the pool:
-// per non-empty shard, the run's preparation on a borrowed QueryState — the
-// query's PAA/table build plus the bound-seeding approximate search — and
-// per delta chunk its whole exact scan, which has no later stage. It
-// returns the runs that still have phases to execute plus every borrowed
-// state. Fanned out, a query's setup latency does not grow linearly with
-// the member count; the shards go first, since an approximate answer is
-// cheap and lets the chunk scans abandon early; and the caller takes the
-// last member itself instead of idling at the barrier, which for a static
-// view of one shard means no pool hop at all. Everything lands in the
-// shared collector concurrently, each member tightening the others exactly
-// as the drain phases do.
-func (e *Engine) prepare(v View, q *shard.Query, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
+// prepare runs the first stage of every member of the fan-out as units of
+// work: per non-empty shard, the run's preparation on a borrowed
+// QueryState — the query's PAA/table build plus the bound-seeding
+// approximate search — and per delta chunk its whole exact scan, which has
+// no later stage. It returns the runs that still have phases to execute
+// plus every borrowed state. Fanned out, a query's setup latency does not
+// grow linearly with the member count; the shards go first, since an
+// approximate answer is cheap and lets the chunk scans abandon early; and
+// the caller takes the last member itself instead of idling at the
+// barrier, which for a static view of one shard means no hop at all.
+// Everything lands in the shared collector concurrently, each member
+// tightening the others exactly as the drain phases do.
+func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
 	S := v.shards()
 	runs := make([]*core.SearchRun, S)
 	sts := make([]*core.QueryState, 0, S)
@@ -216,11 +222,14 @@ func (e *Engine) prepare(v View, q *shard.Query, rec *panicBox) ([]*core.SearchR
 			sts = append(sts, st)
 		}
 		member := func(int) {
-			e.unit(&wg, rec, func() {
+			e.unit(rec, func() {
 				if i >= S {
-					q.Scan(v.Delta[i-S].Data, v.Delta[i-S].Start)
+					chunk := v.Delta[i-S]
+					core.Scan(req, chunk.Data, int64(chunk.Start), opt.Shared)
 				} else if st != nil {
-					run, err := q.NewRun(i, st, core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues})
+					o := opt
+					o.GlobalPos = v.Base.GlobalPos(i)
+					run, err := v.Base.Shard(i).NewRun(req, st, o)
 					if err != nil {
 						rec.note(err)
 						return
@@ -228,9 +237,10 @@ func (e *Engine) prepare(v View, q *shard.Query, rec *panicBox) ([]*core.SearchR
 					runs[i] = run
 				}
 			})
+			wg.Done()
 		}
 		if i < members-1 {
-			e.tasks <- member
+			e.submit(member, i)
 		} else {
 			member(0)
 		}
@@ -246,27 +256,51 @@ func (e *Engine) prepare(v View, q *shard.Query, rec *panicBox) ([]*core.SearchR
 	return pending, sts
 }
 
-// dispatchAll enqueues QueryWorkers units of phase for every run and
-// waits for all of them.
-func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
-	var wg sync.WaitGroup
-	wg.Add(len(runs) * e.opts.QueryWorkers)
-	for _, run := range runs {
-		for i := 0; i < e.opts.QueryWorkers; i++ {
-			e.tasks <- func(pid int) {
-				e.unit(&wg, rec, func() { phase(run, pid) })
-			}
+// execute runs the phases of the pending runs: QueryWorkers insert units
+// per query, split evenly across the runs (⌈QueryWorkers/len(runs)⌉ each),
+// and for each run as many drain units once its last insert unit has
+// returned — Algorithm 6's all-inserted barrier, per run, awaited here and
+// never inside a pool goroutine. A run that finishes its tree pass early
+// drains while the others still traverse, so the bounds it finds prune
+// their traversals. After a failure no further drain starts.
+func (e *Engine) execute(runs []*core.SearchRun, rec *panicBox) {
+	per := (e.opts.QueryWorkers + len(runs) - 1) / len(runs)
+	inserted := make(chan *core.SearchRun, len(runs))
+	left := make([]atomic.Int32, len(runs)) // insert units still running, per run
+	for r, run := range runs {
+		n := &left[r]
+		n.Store(int32(per))
+		for i := 0; i < per; i++ {
+			e.submit(func(pid int) {
+				e.unit(rec, func() { run.InsertPhase(pid) })
+				if n.Add(-1) == 0 {
+					inserted <- run
+				}
+			}, i)
 		}
 	}
-	wg.Wait()
+	var drained sync.WaitGroup
+	for range runs {
+		run := <-inserted
+		if rec.load() != nil {
+			continue
+		}
+		drained.Add(per)
+		for i := 0; i < per; i++ {
+			e.submit(func(pid int) {
+				e.unit(rec, func() { run.DrainPhase(pid) })
+				drained.Done()
+			}, i)
+		}
+	}
+	drained.Wait()
 }
 
 // unit executes one unit of query work — a member's preparation or one
-// worker's share of a phase. A panic in it is recovered where it happens
-// (before wg.Done fires, so the barrier never deadlocks) and becomes the
-// query's recorded failure.
-func (e *Engine) unit(wg *sync.WaitGroup, rec *panicBox, work func()) {
-	defer wg.Done()
+// worker's share of a phase. A panic in it is recovered where it happens,
+// so the unit always returns and its barrier never deadlocks, and becomes
+// the query's recorded failure.
+func (e *Engine) unit(rec *panicBox, work func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			rec.note(e.panicErr(r))

@@ -64,7 +64,7 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		exact, err := spawn1(ix, qs.At(i))
+		exact, err := brute1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := spawn1(ix, qs.At(i))
+		want, err := brute1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 	if len(res.Matches) != 1 {
 		t.Fatalf("deadline-expired admission returned %d matches, want the approximate best", len(res.Matches))
 	}
-	want, err := spawn1(ix, qs.At(0))
+	want, err := brute1(ix, qs.At(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,9 @@ import (
 var ErrClosed = errors.New("engine: closed")
 
 // ErrQueryPanicked is returned (wrapped) by a query whose execution
-// panicked on a pool worker. The panic is confined to that one query:
-// the worker recovers, the stack goes to slog and the
-// messi_query_panics_total counter, and the pool keeps serving every
+// panicked in one of its units of work. The panic is confined to that one
+// query: the unit recovers, the stack goes to slog and the
+// messi_query_panics_total counter, and the engine keeps serving every
 // other query.
 var ErrQueryPanicked = errors.New("engine: query panicked")
 
@@ -36,8 +36,9 @@ type Options struct {
 	// by all queries. Default: the index's SearchWorkers (Ns).
 	PoolWorkers int
 	// QueryWorkers is the number of work units each query dispatches per
-	// phase — the per-query parallelism. Default: PoolWorkers (a lone
-	// query owns the whole pool).
+	// phase in total, split evenly across its shards — the per-query
+	// parallelism. Default: PoolWorkers (a lone query owns the whole
+	// pool).
 	QueryWorkers int
 	// Queues is the number of priority queues per query (Nq). Default:
 	// the index's QueueCount.
@@ -82,8 +83,8 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 	return o
 }
 
-// task is one unit of query work executed by a pool goroutine; pid is the
-// goroutine's index in the pool.
+// task is one unit of query work; pid is the index of the pool goroutine
+// executing it, or, without a pool, the unit's index among its run's.
 type task func(pid int)
 
 // Engine is a persistent query engine: the worker pool, the admission gate
@@ -95,9 +96,9 @@ type task func(pid int)
 // use by multiple goroutines. Close it when done to release the pool.
 type Engine struct {
 	opts   Options
-	met    *engMetrics // nil when Options.Metrics is nil
-	tasks  chan task
-	admit  chan struct{}
+	met    *engMetrics   // nil when Options.Metrics is nil
+	tasks  chan task     // nil without a pool (NewUnpooled)
+	admit  chan struct{} // nil without a gate (NewUnpooled)
 	states sync.Pool
 	wg     sync.WaitGroup
 
@@ -108,16 +109,11 @@ type Engine struct {
 // New starts an engine for indexes built with ixOpts, which (after their own
 // defaults) supply the defaults of opts' zero fields.
 func New(ixOpts core.Options, opts Options) *Engine {
-	opts = opts.withDefaults(core.FillDefaults(ixOpts))
-	e := &Engine{
-		opts:  opts,
-		met:   newEngMetrics(opts.Metrics, opts),
-		tasks: make(chan task, 4*opts.PoolWorkers),
-		admit: make(chan struct{}, opts.MaxConcurrent),
-	}
-	e.states.New = func() any { return core.NewQueryState() }
-	e.wg.Add(opts.PoolWorkers)
-	for pid := 0; pid < opts.PoolWorkers; pid++ {
+	e := NewUnpooled(ixOpts, opts)
+	e.tasks = make(chan task, 4*e.opts.PoolWorkers)
+	e.admit = make(chan struct{}, e.opts.MaxConcurrent)
+	e.wg.Add(e.opts.PoolWorkers)
+	for pid := 0; pid < e.opts.PoolWorkers; pid++ {
 		go func(pid int) {
 			defer e.wg.Done()
 			for t := range e.tasks {
@@ -126,6 +122,28 @@ func New(ixOpts core.Options, opts Options) *Engine {
 		}(pid)
 	}
 	return e
+}
+
+// NewUnpooled returns an engine with no pool and no admission gate: each
+// unit of query work runs on a goroutine started for it, and every query
+// is admitted at once. It holds no goroutine between queries, so an owner
+// that is never closed — a static index — can keep one for its lifetime.
+// Validation, execution, panic isolation and the scratch pool are New's.
+func NewUnpooled(ixOpts core.Options, opts Options) *Engine {
+	opts = opts.withDefaults(core.FillDefaults(ixOpts))
+	e := &Engine{opts: opts, met: newEngMetrics(opts.Metrics, opts)}
+	e.states.New = func() any { return core.NewQueryState() }
+	return e
+}
+
+// submit starts one unit of query work: on the pool, or without one on a
+// goroutine of its own, as unit pid.
+func (e *Engine) submit(t task, pid int) {
+	if e.tasks == nil {
+		go t(pid)
+		return
+	}
+	e.tasks <- t
 }
 
 // runTask executes one task with a backstop recover: every query task
@@ -197,7 +215,9 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	close(e.tasks)
+	if e.tasks != nil {
+		close(e.tasks)
+	}
 	e.mu.Unlock()
 	e.wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/scan"
 	"repro/internal/series"
 	"repro/internal/shard"
 )
@@ -44,17 +45,35 @@ func testIndex(t *testing.T) (*shard.Index, *series.Collection) {
 	return testIx, testQs
 }
 
-// spawn1 and spawnK answer through the shard layer's per-query spawn mode —
-// the reference the pooled engine must match; pool1 and poolK go through
-// the engine.
+// brute1 and bruteK answer by brute force over the series of an unsharded
+// index — the reference the engine must match bitwise; pool1 and poolK go
+// through the engine.
 
-func spawn1(sx *shard.Index, q []float32) (core.Match, error) {
-	return first(sx.Do(core.Request{Query: q}, core.SearchOptions{}))
+func brute1(sx *shard.Index, q []float32) (core.Match, error) {
+	return scan.Search1NN(sx.Shard(0).Data, q, 1, nil)
 }
 
-func spawnK(sx *shard.Index, q []float32, k int) ([]core.Match, error) {
-	res, err := sx.Do(core.Request{Query: q, K: k}, core.SearchOptions{})
-	return res.Matches, err
+func bruteK(sx *shard.Index, q []float32, k int) ([]core.Match, error) {
+	return scan.SearchKNN(sx.Shard(0).Data, q, k, 1, nil)
+}
+
+// brute answers a checked exact request by brute force over data: what
+// the engine must answer for it, bitwise.
+func brute(t *testing.T, data *series.Collection, req core.Request) core.Result {
+	t.Helper()
+	var ms []core.Match
+	var err error
+	if req.DTW {
+		var m core.Match
+		m, err = scan.SearchDTW(data, req.Query, req.Window, 1, nil)
+		ms = []core.Match{m}
+	} else {
+		ms, err = scan.SearchKNN(data, req.Query, max(req.K, 1), 1, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Result{Matches: ms, Exact: true}
 }
 
 // served is an engine bound to the one view a test searches.
@@ -86,14 +105,14 @@ func first(res core.Result, err error) (core.Match, error) {
 }
 
 // TestSearchMatchesCore: the pooled engine must return exactly the answer
-// of the per-query-spawn core search on the same inputs.
+// of a brute-force scan of the same series.
 func TestSearchMatchesCore(t *testing.T) {
 	ix, qs := testIndex(t)
 	e := serve(ix, Options{PoolWorkers: 8})
 	defer e.Close()
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
-		want, err := spawn1(ix, q)
+		want, err := brute1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +121,12 @@ func TestSearchMatchesCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("query %d: engine %+v, core %+v", i, got, want)
+			t.Fatalf("query %d: engine %+v, brute force %+v", i, got, want)
 		}
 	}
 }
 
-// TestSearchKNNMatchesCore: k-NN parity between the engine and core.
+// TestSearchKNNMatchesCore: k-NN parity between the engine and brute force.
 func TestSearchKNNMatchesCore(t *testing.T) {
 	ix, qs := testIndex(t)
 	e := serve(ix, Options{PoolWorkers: 8})
@@ -115,7 +134,7 @@ func TestSearchKNNMatchesCore(t *testing.T) {
 	for _, k := range []int{1, 5, 20} {
 		for i := 0; i < 4; i++ {
 			q := qs.At(i)
-			want, err := spawnK(ix, q, k)
+			want, err := bruteK(ix, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,11 +143,11 @@ func TestSearchKNNMatchesCore(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("k=%d query %d: engine returned %d matches, core %d", k, i, len(got), len(want))
+				t.Fatalf("k=%d query %d: engine returned %d matches, brute force %d", k, i, len(got), len(want))
 			}
 			for j := range got {
 				if got[j] != want[j] {
-					t.Fatalf("k=%d query %d match %d: engine %+v, core %+v", k, i, j, got[j], want[j])
+					t.Fatalf("k=%d query %d match %d: engine %+v, brute force %+v", k, i, j, got[j], want[j])
 				}
 			}
 		}
@@ -136,13 +155,12 @@ func TestSearchKNNMatchesCore(t *testing.T) {
 }
 
 // TestConcurrentQueriers hammers one engine from many goroutines (run
-// under -race in CI) and checks every answer against the single-query
-// path.
+// under -race in CI) and checks every answer against brute force.
 func TestConcurrentQueriers(t *testing.T) {
 	ix, qs := testIndex(t)
 	want := make([]core.Match, qs.Count())
 	for i := range want {
-		m, err := spawn1(ix, qs.At(i))
+		m, err := brute1(ix, qs.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +225,7 @@ func TestBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range queries {
-		want, err := spawn1(ix, queries[i])
+		want, err := brute1(ix, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +239,7 @@ func TestBatch(t *testing.T) {
 	if !errors.Is(err, core.ErrWrongLength) {
 		t.Fatalf("batch with a wrong-length query: err = %v, want ErrWrongLength", err)
 	}
-	if want, _ := spawn1(ix, bad[0]); got[0] != want {
+	if want, _ := brute1(ix, bad[0]); got[0] != want {
 		t.Fatalf("good query beside a bad one: got %+v, want %+v", got[0], want)
 	}
 }
@@ -288,7 +306,7 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 	defer e.Close()
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)
-		want, err := spawn1(ix, q)
+		want, err := brute1(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,9 +315,9 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("query %d: sharded engine %+v, core %+v", i, got, want)
+			t.Fatalf("query %d: sharded engine %+v, brute force %+v", i, got, want)
 		}
-		wantK, err := spawnK(ix, q, 5)
+		wantK, err := bruteK(ix, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +330,7 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 		}
 		for j := range gotK {
 			if gotK[j] != wantK[j] {
-				t.Fatalf("query %d match %d: sharded %+v, core %+v", i, j, gotK[j], wantK[j])
+				t.Fatalf("query %d match %d: sharded %+v, brute force %+v", i, j, gotK[j], wantK[j])
 			}
 		}
 	}
@@ -330,7 +348,7 @@ func TestGenerationsShareOnePool(t *testing.T) {
 	e := New(ix.Opts(), Options{PoolWorkers: 4})
 	defer e.Close()
 	q := qs.At(0)
-	want, err := spawn1(ix, q)
+	want, err := brute1(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}

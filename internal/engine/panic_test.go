@@ -49,7 +49,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 
 			want := make([]core.Match, qs.Count())
 			for i := range want {
-				m, err := spawn1(ix, qs.At(i))
+				m, err := brute1(ix, qs.At(i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,8 @@ func TestQueryPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 300 more series after the generation's, as two delta chunks, and the
-	// from-scratch index over everything that views with a delta must match.
+	// whole collection, whose brute-force answers views with a delta must
+	// match.
 	extra, err := dataset.Generate(dataset.RandomWalk, 300, testLength, 71)
 	if err != nil {
 		t.Fatal(err)
@@ -147,26 +148,18 @@ func TestQueryPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := shard.Build(all, 1, core.Options{LeafCapacity: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
 	delta := chunks(t, all, testSeries, all.Count(), 200)
-	deltaOnly, err := shard.Build(extra, 1, core.Options{LeafCapacity: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
 	views := []struct {
 		name string
 		view View
-		want *shard.Index // answers what the view must answer
-		off  int          // position of want's first series in the view
+		want *series.Collection // the series the view holds
+		off  int                // position of want's first series in the view
 	}{
-		{"S=1", View{Base: ix}, ix, 0},
-		{"S=2", View{Base: two}, ix, 0},
-		{"S=1+delta", View{Base: ix, Delta: delta}, full, 0},
-		{"S=2+delta", View{Base: two, Delta: delta}, full, 0},
-		{"delta", View{Delta: delta}, deltaOnly, testSeries},
+		{"S=1", View{Base: ix}, data, 0},
+		{"S=2", View{Base: two}, data, 0},
+		{"S=1+delta", View{Base: ix, Delta: delta}, all, 0},
+		{"S=2+delta", View{Base: two, Delta: delta}, all, 0},
+		{"delta", View{Delta: delta}, extra, testSeries},
 	}
 	plans := []struct {
 		prefix         string // of the subtest names
@@ -236,10 +229,7 @@ func TestQueryPanicIsolated(t *testing.T) {
 						// Disarmed (one-shot): the same pool answers the next
 						// query exactly, on states it did not get back.
 						req.Query, req.Mode = pl.next, core.ModeExact
-						want, err := vw.want.Do(req, core.SearchOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := brute(t, vw.want, req)
 						for i := range want.Matches {
 							want.Matches[i].Position += vw.off
 						}

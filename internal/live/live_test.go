@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtw"
+	"repro/internal/scan"
 	"repro/internal/series"
-	"repro/internal/shard"
 )
 
 // walk generates n random-walk series of the given length.
@@ -46,21 +46,22 @@ func smallOpts(threshold int) Options {
 	}
 }
 
-// oracle is an immutable index built from scratch, answering in the
-// paper's per-query spawn mode — what the live index must agree with.
-type oracle struct{ *shard.Index }
+// oracle answers exact requests by brute force over every series the
+// live index holds — what the live index must agree with, bitwise.
+type oracle struct{ data *series.Collection }
 
 func (o oracle) Do(req core.Request) (core.Result, error) {
-	return o.Index.Do(req, core.SearchOptions{})
+	if req.DTW {
+		m, err := scan.SearchDTW(o.data, req.Query, req.Window, 1, nil)
+		return core.Result{Matches: []core.Match{m}, Exact: true}, err
+	}
+	ms, err := scan.SearchKNN(o.data, req.Query, max(req.K, 1), 1, nil)
+	return core.Result{Matches: ms, Exact: true}, err
 }
 
-func freshIndex(t *testing.T, rows [][]float32) oracle {
+func bruteForce(t *testing.T, rows [][]float32) oracle {
 	t.Helper()
-	ix, err := shard.Build(collection(t, rows), 1, core.Options{LeafCapacity: 32, SearchWorkers: 4, IndexWorkers: 4, ChunkSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return oracle{ix}
+	return oracle{collection(t, rows)}
 }
 
 // Helpers over Do, one per request flavour, for the live index and the
@@ -90,19 +91,19 @@ func first(res core.Result, err error) (core.Match, error) {
 	return res.Matches[0], nil
 }
 
-// TestEquivalenceAcrossLifecycle: live answers must equal a from-scratch
-// build over the union of the data at every stage — delta-only, mixed
-// base+delta, and post-flush.
+// TestEquivalenceAcrossLifecycle: live answers must equal brute force over
+// the union of the data at every stage — delta-only, mixed base+delta, and
+// post-flush.
 func TestEquivalenceAcrossLifecycle(t *testing.T) {
 	const length = 64
 	all := walk(600, length, 1)
 	queries := walk(20, length, 99)
 	window := dtw.WindowSize(length, 0.1)
 
-	// Stage machinery: check live against a fresh build over rows.
+	// Stage machinery: check live against brute force over rows.
 	check := func(t *testing.T, ix *Index, rows [][]float32) {
 		t.Helper()
-		oracle := freshIndex(t, rows)
+		oracle := bruteForce(t, rows)
 		if ix.Len() != len(rows) {
 			t.Fatalf("live Len = %d, want %d", ix.Len(), len(rows))
 		}
@@ -116,7 +117,7 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Dist != want.Dist {
-				t.Fatalf("query %d: live 1-NN dist %v (pos %d), fresh %v (pos %d)",
+				t.Fatalf("query %d: live 1-NN dist %v (pos %d), brute force %v (pos %d)",
 					qi, got.Dist, got.Position, want.Dist, want.Position)
 			}
 			gotK, err := knn(ix, q, 5)
@@ -128,11 +129,11 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(gotK) != len(wantK) {
-				t.Fatalf("query %d: live k-NN returned %d, fresh %d", qi, len(gotK), len(wantK))
+				t.Fatalf("query %d: live k-NN returned %d, brute force %d", qi, len(gotK), len(wantK))
 			}
 			for i := range gotK {
 				if gotK[i].Dist != wantK[i].Dist {
-					t.Fatalf("query %d k-NN rank %d: live dist %v, fresh %v", qi, i, gotK[i].Dist, wantK[i].Dist)
+					t.Fatalf("query %d k-NN rank %d: live dist %v, brute force %v", qi, i, gotK[i].Dist, wantK[i].Dist)
 				}
 			}
 			gotD, err := dtwNN(ix, q, window)
@@ -144,7 +145,7 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gotD.Dist != wantD.Dist {
-				t.Fatalf("query %d: live DTW dist %v, fresh %v", qi, gotD.Dist, wantD.Dist)
+				t.Fatalf("query %d: live DTW dist %v, brute force %v", qi, gotD.Dist, wantD.Dist)
 			}
 		}
 	}
@@ -454,7 +455,7 @@ func TestKNNSpansBaseAndDelta(t *testing.T) {
 }
 
 // TestShardedLifecycle: a sharded live index (S=4) answers identically to
-// a fresh unsharded build at every stage, keeps positions stable across
+// brute force at every stage, keeps positions stable across
 // the per-shard generational rebuilds, and reports per-shard stats.
 func TestShardedLifecycle(t *testing.T) {
 	const length = 64
@@ -475,7 +476,7 @@ func TestShardedLifecycle(t *testing.T) {
 
 	check := func(t *testing.T, rows [][]float32) {
 		t.Helper()
-		oracle := freshIndex(t, rows)
+		oracle := bruteForce(t, rows)
 		for qi, q := range queries {
 			got, err := nn1(ix, q)
 			if err != nil {
@@ -486,7 +487,7 @@ func TestShardedLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("query %d: sharded live %+v, fresh %+v", qi, got, want)
+				t.Fatalf("query %d: sharded live %+v, brute force %+v", qi, got, want)
 			}
 			gotK, err := knn(ix, q, 5)
 			if err != nil {
@@ -497,11 +498,11 @@ func TestShardedLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(gotK) != len(wantK) {
-				t.Fatalf("query %d: k-NN %d matches, fresh %d", qi, len(gotK), len(wantK))
+				t.Fatalf("query %d: k-NN %d matches, brute force %d", qi, len(gotK), len(wantK))
 			}
 			for i := range gotK {
 				if gotK[i] != wantK[i] {
-					t.Fatalf("query %d rank %d: sharded live %+v, fresh %+v", qi, i, gotK[i], wantK[i])
+					t.Fatalf("query %d rank %d: sharded live %+v, brute force %+v", qi, i, gotK[i], wantK[i])
 				}
 			}
 			gotD, err := dtwNN(ix, q, window)
@@ -513,7 +514,7 @@ func TestShardedLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gotD != wantD {
-				t.Fatalf("query %d: sharded live DTW %+v, fresh %+v", qi, gotD, wantD)
+				t.Fatalf("query %d: sharded live DTW %+v, brute force %+v", qi, gotD, wantD)
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func TestLiveQueryPanicIsolated(t *testing.T) {
 	rows := walk(400, length, 21)
 	queries := walk(2, length, 22)
 	window := dtw.WindowSize(length, 0.1)
-	oracle := freshIndex(t, rows)
+	oracle := bruteForce(t, rows)
 	flavours := []struct {
 		name string
 		req  core.Request
@@ -94,7 +94,7 @@ func TestLiveQueryPanicIsolated(t *testing.T) {
 					}
 					for i := range got.Matches {
 						if got.Matches[i] != want.Matches[i] {
-							t.Fatalf("after recovery: match %d is %+v, fresh build %+v", i, got.Matches[i], want.Matches[i])
+							t.Fatalf("after recovery: match %d is %+v, brute force %+v", i, got.Matches[i], want.Matches[i])
 						}
 					}
 				})

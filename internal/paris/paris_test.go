@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -236,12 +237,13 @@ func TestFig17ShapeHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		parisCtrs, messiCtrs := &stats.Counters{}, &stats.Counters{}
+		messi := engine.NewUnpooled(messiIx.Opts, engine.Options{})
 		for qi := 0; qi < queries.Count(); qi++ {
 			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Counters: parisCtrs}); err != nil {
 				t.Fatal(err)
 			}
 			req := core.Request{Query: queries.At(qi), Counters: messiCtrs}
-			if _, err := shard.Wrap(messiIx).Do(req, core.SearchOptions{}); err != nil {
+			if _, err := messi.Do(engine.View{Base: shard.Wrap(messiIx)}, req); err != nil {
 				t.Fatal(err)
 			}
 		}

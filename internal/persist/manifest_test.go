@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/series"
 	"repro/internal/shard"
 )
 
@@ -31,7 +33,8 @@ func buildSharded(t *testing.T, n, shards int) *shard.Index {
 }
 
 // TestShardedRoundTrip: snapshot → manifest → load reproduces the sharded
-// index bitwise — every query answers identically.
+// index bitwise — every query answers what brute force does over the
+// original series.
 func TestShardedRoundTrip(t *testing.T) {
 	x := buildSharded(t, 500, 4)
 	dir := filepath.Join(t.TempDir(), "sharded.snapdir")
@@ -52,18 +55,23 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatalf("loaded shape %d shards %d×%d, want 4 shards %d×%d",
 			loaded.NumShards(), loaded.Len(), loaded.SeriesLen(), x.Len(), x.SeriesLen())
 	}
+	all := make([]float32, 0, x.Len()*x.SeriesLen())
+	for p := 0; p < x.Len(); p++ {
+		all = append(all, x.At(p)...)
+	}
+	data, err := series.NewCollection(all, x.SeriesLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewUnpooled(loaded.Opts(), engine.Options{})
 	for qi := 0; qi < 20; qi++ {
-		q := x.At(qi * 17)
-		want, err := x.Do(core.Request{Query: q}, core.SearchOptions{})
+		req := core.Request{Query: x.At(qi * 17)}
+		got, err := e.Do(engine.View{Base: loaded}, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Do(core.Request{Query: q}, core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Matches[0] != want.Matches[0] {
-			t.Fatalf("query %d: loaded answered %+v, original %+v", qi, got, want)
+		if want := brute(t, data, req); got.Matches[0] != want[0] {
+			t.Fatalf("query %d: loaded answered %+v, brute force %+v", qi, got, want)
 		}
 	}
 }

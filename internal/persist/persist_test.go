@@ -14,6 +14,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/scan"
+	"repro/internal/series"
 	"repro/internal/shard"
 )
 
@@ -71,19 +74,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("restored opts %+v, want %+v", gotOpts, wantOpts)
 	}
 
-	// Restored index answers identically (exhaustive over a few queries).
+	// Restored index answers exactly (brute force over a few queries).
 	for qi := 0; qi < 5; qi++ {
-		q := ix.Data.At(qi * 101)
-		want, err := search(ix, core.Request{Query: q}, core.SearchOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		have, err := search(got, core.Request{Query: q}, core.SearchOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if have != want {
-			t.Fatalf("query %d: restored answered %+v, built answered %+v", qi, have, want)
+		req := core.Request{Query: ix.Data.At(qi * 101)}
+		if have, want := search(t, got, req)[0], brute(t, ix.Data, req)[0]; have != want {
+			t.Fatalf("query %d: restored answered %+v, brute force %+v", qi, have, want)
 		}
 	}
 }
@@ -374,11 +369,41 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 	}
 }
 
-// searchAnswers collects 1-NN, k-NN and DTW answers for a deterministic
-// query workload so two indexes can be compared for exact equality.
-func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
+// search answers one request on a single core index through the query
+// engine.
+func search(t testing.TB, ix *core.Index, req core.Request) []core.Match {
 	t.Helper()
-	queries, err := dataset.Generate(dataset.RandomWalk, 10, ix.Data.Length, 77)
+	e := engine.NewUnpooled(ix.Opts, engine.Options{PoolWorkers: 4, Queues: 2})
+	res, err := e.Do(engine.View{Base: shard.Wrap(ix)}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
+}
+
+// brute answers an exact request by brute force over data — the
+// reference search must match bitwise.
+func brute(t testing.TB, data *series.Collection, req core.Request) []core.Match {
+	t.Helper()
+	if req.DTW {
+		m, err := scan.SearchDTW(data, req.Query, req.Window, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []core.Match{m}
+	}
+	ms, err := scan.SearchKNN(data, req.Query, max(req.K, 1), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// searchAnswers collects 1-NN, k-NN and DTW answers for a deterministic
+// query workload, through answer.
+func searchAnswers(t testing.TB, length int, answer func(core.Request) []core.Match) []core.Match {
+	t.Helper()
+	queries, err := dataset.Generate(dataset.RandomWalk, 10, length, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +411,7 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		for _, req := range []core.Request{{Query: q}, {Query: q, K: 3}, {Query: q, DTW: true, Window: 2}} {
-			res, err := shard.Wrap(ix).Do(req, core.SearchOptions{Workers: 4, Queues: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, res.Matches...)
+			out = append(out, answer(req)...)
 		}
 	}
 	return out
@@ -398,28 +419,22 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 
 // TestRoundTripIdenticalAnswers pins the acceptance criterion that a
 // snapshot round trip through the current format yields an index whose
-// 1-NN, k-NN and DTW answers are exactly those of the original.
+// 1-NN, k-NN and DTW answers are exactly brute force's over the original
+// series.
 func TestRoundTripIdenticalAnswers(t *testing.T) {
 	ix := buildIndex(t, 1500, 64, 32)
 	got, _, err := read(bytes.NewReader(snapshotBytes(t, ix, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := searchAnswers(t, ix)
-	have := searchAnswers(t, got)
+	want := searchAnswers(t, ix.Data.Length, func(req core.Request) []core.Match { return brute(t, ix.Data, req) })
+	have := searchAnswers(t, ix.Data.Length, func(req core.Request) []core.Match { return search(t, got, req) })
+	if len(have) != len(want) {
+		t.Fatalf("%d answers after round trip, brute force %d", len(have), len(want))
+	}
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("answer %d differs after round trip: %+v vs %+v", i, have[i], want[i])
 		}
 	}
-}
-
-// search answers one request on a single core index in spawn mode and
-// returns the nearest match.
-func search(ix *core.Index, req core.Request, opt core.SearchOptions) (core.Match, error) {
-	res, err := shard.Wrap(ix).Do(req, opt)
-	if err != nil {
-		return core.Match{}, err
-	}
-	return res.Matches[0], nil
 }

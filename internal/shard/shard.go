@@ -33,12 +33,6 @@ func SliceLen(n, s, S int) int {
 	return (n - s + S - 1) / S
 }
 
-// globalPos maps shard s's local position to the collection-global one.
-func globalPos(s, S int) func(int64) int64 {
-	s64, stride := int64(s), int64(S)
-	return func(local int64) int64 { return local*stride + s64 }
-}
-
 // Build partitions the collection into S shards and builds them
 // concurrently, each with the paper's two-phase parallel pipeline. S == 1
 // retains the collection without copying (like core.Build); S > 1 copies
@@ -205,6 +199,17 @@ func (x *Index) NumShards() int { return len(x.shards) }
 
 // Shard returns shard s's core index (nil when that slice is empty).
 func (x *Index) Shard(s int) *core.Index { return x.shards[s] }
+
+// GlobalPos maps shard s's local positions to collection-global ones — nil
+// for an unsharded index, whose local positions are global.
+func (x *Index) GlobalPos(s int) func(int64) int64 {
+	S := len(x.shards)
+	if S == 1 {
+		return nil
+	}
+	s64, stride := int64(s), int64(S)
+	return func(local int64) int64 { return local*stride + s64 }
+}
 
 // Len reports the total number of indexed series.
 func (x *Index) Len() int { return x.count }

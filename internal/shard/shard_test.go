@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"errors"
@@ -9,9 +9,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dtw"
+	"repro/internal/engine"
 	"repro/internal/series"
+	"repro/internal/shard"
 	"repro/internal/vector"
 )
+
+// The package holds no query code: these tests search a shard group the
+// way every frontend does, as the base of an engine view.
 
 const (
 	testSeries = 3000
@@ -41,11 +46,15 @@ func testOpts() core.Options {
 	return core.Options{LeafCapacity: testLeaf, SearchWorkers: 8, IndexWorkers: 8}
 }
 
-// Helpers over Do, one per request flavour.
+// Helpers over the engine's Do, one per request flavour.
 
-func matches(t testing.TB, x *Index, req core.Request) []core.Match {
+func do(x *shard.Index, req core.Request) (core.Result, error) {
+	return engine.NewUnpooled(x.Opts(), engine.Options{}).Do(engine.View{Base: x}, req)
+}
+
+func matches(t testing.TB, x *shard.Index, req core.Request) []core.Match {
 	t.Helper()
-	res, err := x.Do(req, core.SearchOptions{})
+	res, err := do(x, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +64,17 @@ func matches(t testing.TB, x *Index, req core.Request) []core.Match {
 	return res.Matches
 }
 
-func nn1(t testing.TB, x *Index, q []float32) core.Match {
+func nn1(t testing.TB, x *shard.Index, q []float32) core.Match {
 	t.Helper()
 	return matches(t, x, core.Request{Query: q})[0]
 }
 
-func knn(t testing.TB, x *Index, q []float32, k int) []core.Match {
+func knn(t testing.TB, x *shard.Index, q []float32, k int) []core.Match {
 	t.Helper()
 	return matches(t, x, core.Request{Query: q, K: k})
 }
 
-func dtwNN(t testing.TB, x *Index, q []float32, window int) core.Match {
+func dtwNN(t testing.TB, x *shard.Index, q []float32, window int) core.Match {
 	t.Helper()
 	return matches(t, x, core.Request{Query: q, DTW: true, Window: window})[0]
 }
@@ -76,14 +85,14 @@ func dtwNN(t testing.TB, x *Index, q []float32, window int) core.Match {
 func TestEquivalence(t *testing.T) {
 	data := testData(t, testSeries)
 	queries := testQueries(t, 10)
-	single, err := Build(data, 1, testOpts())
+	single, err := shard.Build(data, 1, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	window := dtw.WindowSize(testLength, 0.1)
 
 	for _, S := range []int{2, 4, 8} {
-		sharded, err := Build(data, S, testOpts())
+		sharded, err := shard.Build(data, S, testOpts())
 		if err != nil {
 			t.Fatalf("S=%d: %v", S, err)
 		}
@@ -127,9 +136,9 @@ func TestEquivalence(t *testing.T) {
 func TestSharedTopKMatchesBruteForce(t *testing.T) {
 	data := testData(t, testSeries)
 	queries := testQueries(t, 4)
-	indexes := map[int]*Index{}
+	indexes := map[int]*shard.Index{}
 	for _, S := range []int{1, 2, 4, 8} {
-		x, err := Build(data, S, testOpts())
+		x, err := shard.Build(data, S, testOpts())
 		if err != nil {
 			t.Fatalf("S=%d: %v", S, err)
 		}
@@ -171,7 +180,7 @@ func sortMatches(ms []core.Match) {
 // TestAtMapping: the global position space round-trips through the shards.
 func TestAtMapping(t *testing.T) {
 	data := testData(t, 257) // deliberately not a multiple of the shard count
-	x, err := Build(data, 4, testOpts())
+	x, err := shard.Build(data, 4, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ func TestAtMapping(t *testing.T) {
 // queries still work.
 func TestFewerSeriesThanShards(t *testing.T) {
 	data := testData(t, 3)
-	x, err := Build(data, 8, testOpts())
+	x, err := shard.Build(data, 8, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,31 +227,31 @@ func TestFewerSeriesThanShards(t *testing.T) {
 // TestFromCoresValidation: mismatched partitions are rejected.
 func TestFromCoresValidation(t *testing.T) {
 	data := testData(t, 100)
-	x, err := Build(data, 2, testOpts())
+	x, err := shard.Build(data, 2, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromCores([]*core.Index{x.Shard(0), x.Shard(1)}); err != nil {
+	if _, err := shard.FromCores([]*core.Index{x.Shard(0), x.Shard(1)}); err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
 	// Swapped shards break the round-robin counts only when uneven;
 	// a missing shard always does.
-	if _, err := FromCores([]*core.Index{x.Shard(0), nil}); err == nil {
+	if _, err := shard.FromCores([]*core.Index{x.Shard(0), nil}); err == nil {
 		t.Fatal("partition with a missing shard accepted")
 	}
-	if _, err := FromCores([]*core.Index{nil, nil}); err == nil {
+	if _, err := shard.FromCores([]*core.Index{nil, nil}); err == nil {
 		t.Fatal("all-empty partition accepted")
 	}
-	if _, err := FromCores(nil); err == nil {
+	if _, err := shard.FromCores(nil); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 	// One shard takes the general path: a whole collection is its own
 	// round-robin slice, and a nil one is an empty partition.
-	one, err := FromCores([]*core.Index{x.Shard(0)})
+	one, err := shard.FromCores([]*core.Index{x.Shard(0)})
 	if err != nil || one.NumShards() != 1 || one.Len() != x.Shard(0).Data.Count() {
 		t.Fatalf("one-shard partition: %v", err)
 	}
-	if _, err := FromCores([]*core.Index{nil}); err == nil {
+	if _, err := shard.FromCores([]*core.Index{nil}); err == nil {
 		t.Fatal("one nil shard accepted")
 	}
 }
@@ -250,13 +259,13 @@ func TestFromCoresValidation(t *testing.T) {
 // TestBuildValidation covers the construction error paths.
 func TestBuildValidation(t *testing.T) {
 	data := testData(t, 10)
-	if _, err := Build(nil, 2, testOpts()); err == nil {
+	if _, err := shard.Build(nil, 2, testOpts()); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := Build(data, 0, testOpts()); err == nil {
+	if _, err := shard.Build(data, 0, testOpts()); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := Build(data, MaxShards+1, testOpts()); err == nil {
+	if _, err := shard.Build(data, shard.MaxShards+1, testOpts()); err == nil {
 		t.Fatal("absurd shard count accepted")
 	}
 }
@@ -265,7 +274,7 @@ func TestBuildValidation(t *testing.T) {
 // and finds exact self-matches.
 func TestApproxSearch(t *testing.T) {
 	data := testData(t, testSeries)
-	x, err := Build(data, 4, testOpts())
+	x, err := shard.Build(data, 4, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +291,12 @@ func TestApproxSearch(t *testing.T) {
 	}
 }
 
-// TestDoValidation: the one place a request is checked against the
-// collection rejects each bad shape with its sentinel, whatever S.
+// TestDoValidation: the one place a request is checked against a shard
+// group rejects each bad shape with its sentinel, whatever S.
 func TestDoValidation(t *testing.T) {
 	data := testData(t, 100)
 	for _, S := range []int{1, 4} {
-		x, err := Build(data, S, testOpts())
+		x, err := shard.Build(data, S, testOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +313,7 @@ func TestDoValidation(t *testing.T) {
 			{"window as long as the series", core.Request{Query: good, DTW: true, Window: testLength}, core.ErrBadWindow},
 			{"negative epsilon", core.Request{Query: good, Mode: core.ModeEpsilon, Epsilon: -1}, core.ErrBadEpsilon},
 		} {
-			if _, err := x.Do(tc.req, core.SearchOptions{}); !errors.Is(err, tc.want) {
+			if _, err := do(x, tc.req); !errors.Is(err, tc.want) {
 				t.Errorf("S=%d %s: err = %v, want %v", S, tc.name, err, tc.want)
 			}
 		}

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/tree"
@@ -123,6 +124,12 @@ type Match struct {
 type Index struct {
 	inner     *shard.Index
 	normalize bool
+	eng       *engine.Engine // pool-less: an Index holds no goroutines and is never closed
+}
+
+// newIndex wraps a built or loaded shard group.
+func newIndex(inner *shard.Index, normalize bool) *Index {
+	return &Index{inner: inner, normalize: normalize, eng: engine.NewUnpooled(inner.Opts(), engine.Options{})}
 }
 
 // Build indexes a slice of equal-length series (each row is copied into
@@ -168,7 +175,7 @@ func buildCollection(col *series.Collection, opts *Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: inner, normalize: normalize}, nil
+	return newIndex(inner, normalize), nil
 }
 
 // Series returns (a view of) the indexed series at the given position.

@@ -198,45 +198,70 @@ func TestDeadlineUnlimitedEqualsExact(t *testing.T) {
 	}
 }
 
+// qosFrontends is qosIndexes plus an Engine over each index and a
+// LiveIndex over the same data, all closed at cleanup: every Do the quality
+// contract binds.
+func qosFrontends(t *testing.T, data []float32, length int) map[string]doer {
+	t.Helper()
+	out := map[string]doer{}
+	for name, ix := range qosIndexes(t, data, length) {
+		eng := ix.NewEngine(nil)
+		t.Cleanup(eng.Close)
+		out[name], out[name+" engine"] = ix, eng
+	}
+	live, err := BuildLiveFlat(data, length, &Options{LeafCapacity: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	out["live"] = live
+	return out
+}
+
 // TestDeadlineTruncationContract: a canceled or deadline-expired query
 // returns promptly with the best answer so far, flagged inexact, and the
-// answer is still an upper bound on the optimal distance.
+// answer is still an upper bound on the optimal distance — on every
+// frontend, 50 times over, so that an admission gate choosing at random
+// between a free slot and an already-closed request would show.
 func TestDeadlineTruncationContract(t *testing.T) {
 	data := RandomWalk(10000, 64, 83)
 	q := RandomWalk(1, 64, 8383)
 	optimal := bruteKNN(t, data, 64, q, 1)[0]
-	for name, ix := range qosIndexes(t, data, 64) {
-		// A context canceled before the call: the search must stop at the
-		// first stop-check and report inexactness — never hang, never claim
-		// exact.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		start := time.Now()
-		res, err := ix.Do(ctx, SearchRequest{Query: q, Mode: ModeDeadline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("%s: pre-canceled query took %v", name, elapsed)
-		}
-		if res.Exact {
-			t.Fatalf("%s: pre-canceled query claims exactness", name)
-		}
-		if len(res.Matches) > 0 && res.Best().Distance < optimal-1e-6 {
-			t.Fatalf("%s: truncated answer %v better than optimal %v", name, res.Best().Distance, optimal)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ix := range qosFrontends(t, data, 64) {
+		for call := 0; call < 50; call++ {
+			// A context canceled before the call: the search must stop at
+			// the first stop-check and report inexactness — never hang,
+			// never claim exact, never refuse an idle index.
+			start := time.Now()
+			res, err := ix.Do(ctx, SearchRequest{Query: q, Mode: ModeDeadline})
+			if err != nil {
+				t.Fatalf("%s call %d: %v", name, call, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("%s: pre-canceled query took %v", name, elapsed)
+			}
+			if res.Exact {
+				t.Fatalf("%s: pre-canceled query claims exactness", name)
+			}
+			if len(res.Matches) > 0 && res.Best().Distance < optimal-1e-6 {
+				t.Fatalf("%s: truncated answer %v better than optimal %v", name, res.Best().Distance, optimal)
+			}
 
-		// A microscopic budget: whatever is returned must satisfy the same
-		// contract (tiny indexes may still finish — then Exact is true).
-		res, err = ix.Do(context.Background(), SearchRequest{Query: q, Mode: ModeDeadline, Deadline: 10 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Matches) > 0 && res.Best().Distance < optimal-1e-6 {
-			t.Fatalf("%s: budgeted answer %v better than optimal %v", name, res.Best().Distance, optimal)
-		}
-		if res.Exact && math.Abs(res.Best().Distance-optimal) > 1e-5 {
-			t.Fatalf("%s: claimed exact under budget but %v != optimal %v", name, res.Best().Distance, optimal)
+			// A microscopic budget: whatever is returned must satisfy the
+			// same contract (tiny indexes may still finish — then Exact is
+			// true).
+			res, err = ix.Do(context.Background(), SearchRequest{Query: q, Mode: ModeDeadline, Deadline: 10 * time.Microsecond})
+			if err != nil {
+				t.Fatalf("%s call %d: %v", name, call, err)
+			}
+			if len(res.Matches) > 0 && res.Best().Distance < optimal-1e-6 {
+				t.Fatalf("%s: budgeted answer %v better than optimal %v", name, res.Best().Distance, optimal)
+			}
+			if res.Exact && math.Abs(res.Best().Distance-optimal) > 1e-5 {
+				t.Fatalf("%s: claimed exact under budget but %v != optimal %v", name, res.Best().Distance, optimal)
+			}
 		}
 	}
 }

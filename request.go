@@ -35,10 +35,11 @@ var (
 	// ErrNonFinite reports a query, or a series appended to a LiveIndex,
 	// that holds a NaN or an infinity.
 	ErrNonFinite = core.ErrNonFinite
-	// ErrQueryPanicked reports a query that panicked inside the engine.
-	// The panic is recovered on the worker, fails only the offending
-	// query, and leaves the pool serving; the wrapped error carries the
-	// panic value and the stack is logged via slog.
+	// ErrQueryPanicked reports a query that panicked, on any frontend's
+	// Do. The panic is recovered in the unit of work where it happened,
+	// fails only the offending query, and leaves the index (and its pool,
+	// if any) serving; the wrapped error carries the panic value and the
+	// stack is logged via slog.
 	ErrQueryPanicked = engine.ErrQueryPanicked
 )
 
@@ -297,13 +298,17 @@ func publicResult(res core.Result, col collectors) Result {
 	return out
 }
 
-// Do serves one query on the index across the whole quality spectrum, in
-// the paper's per-query mode (worker goroutines spawned for this query). A
-// context cancellation stops the search at leaf-scan granularity and
-// returns the best answer so far flagged Exact=false.
+// Do serves one query on the index across the whole quality spectrum,
+// through the same engine as Engine.Do and LiveIndex.Do but without a pool
+// or an admission gate: each unit of the query's work runs on a goroutine
+// started for it, SearchWorkers of them per phase across all shards. A
+// context cancellation
+// stops the search at leaf-scan granularity and returns the best answer so
+// far flagged Exact=false. A query that panics fails alone with
+// ErrQueryPanicked.
 func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, func(creq core.Request) (core.Result, error) {
-		return ix.inner.Do(creq, core.SearchOptions{})
+		return ix.eng.Do(engine.View{Base: ix.inner}, creq)
 	})
 }
 

@@ -55,7 +55,7 @@ func Load(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: inner, normalize: normalize}, nil
+	return newIndex(inner, normalize), nil
 }
 
 // LoadLive boots a mutable live index from a snapshot: the snapshot
