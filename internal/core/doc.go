@@ -54,8 +54,8 @@
 //   - SearchOptions.Shared threads an external Collector through the
 //     search so several index shards (and the position-order Scan of a
 //     live index's delta chunks) tighten one another's pruning as they
-//     run; SearchOptions.GlobalPos remaps local leaf positions into
-//     the caller's global position space before they are published to it.
+//     run; SearchOptions.Start, the global position of the index's first
+//     series, is added to every local position published to it.
 //     The top-k collector rejects a position it already holds.
 //   - Per-query scratch (PAA buffer, iSAX word, distance table, queues)
 //     lives in the QueryState a run is built on and is confined to that

@@ -318,7 +318,3 @@ func (q *QoS) Finish(matches []Match, mode Mode) Result {
 	res.EpsilonBound = math.Sqrt(worstSq/witness) - 1
 	return res
 }
-
-// assert the min-cell trick's precondition stays visible: squared
-// distances are non-negative, so bit-pattern order equals numeric order.
-var _ = math.Float64bits

@@ -32,17 +32,16 @@ var fpScanLeaf = fault.Register("core.scanleaf")
 type SearchOptions struct {
 	Queues int // Nq: priority queues; 1 = MESSI-sq, >1 = MESSI-mq
 
-	// GlobalPos maps this index's local series positions into the
-	// caller's global position space (a sharded collection, where this
-	// index holds only every S-th series). When set, every candidate found
-	// in this index is mapped before it reaches the collector. Nil means
-	// the identity (a collection of one shard).
-	GlobalPos func(int64) int64
+	// Start is the global position of this index's first series: a member
+	// of a sharded collection holds one contiguous range of it, so every
+	// candidate found here reaches the collector as Start plus its local
+	// position. Zero for a collection of one shard.
+	Start int64
 
 	// Shared is the query's collector (required), owned by the caller and
 	// threaded through every concurrent run of the query — the sharded
 	// fan-out, where a tight bound found in one shard prunes the searches
-	// of all the others. It holds global positions (see GlobalPos), and
+	// of all the others. It holds global positions (see Start), and
 	// series outside any index (a live index's delta) are measured into it
 	// by Scan; after every sibling finishes, its Matches are the fused
 	// answer.
@@ -97,34 +96,6 @@ func (n nearest) Matches() []Match {
 		return nil
 	}
 	return []Match{{Position: int(pos), Dist: d}}
-}
-
-// bound is the part of a collector the search workers see: the threshold
-// to prune against and where to offer improvements.
-type bound interface {
-	Load() float64
-	Update(dist float64, pos int64) bool
-}
-
-// mappedBound translates this index's local positions into the collector's
-// global space (a sharded collection's) on every update. Loads pass through
-// untouched — the pruning threshold is the same number in every space.
-type mappedBound struct {
-	inner    bound
-	toGlobal func(int64) int64
-}
-
-func (m mappedBound) Load() float64 { return m.inner.Load() }
-func (m mappedBound) Update(dist float64, pos int64) bool {
-	return m.inner.Update(dist, m.toGlobal(pos))
-}
-
-// workerBound wraps b with the run's position mapping when one is set.
-func workerBound(b bound, toGlobal func(int64) int64) bound {
-	if toGlobal == nil {
-		return b
-	}
-	return mappedBound{inner: b, toGlobal: toGlobal}
 }
 
 // kernel is the one thing that differs between the search flavours — the
@@ -330,7 +301,7 @@ type SearchRun struct {
 	ix     *Index
 	kern   kernel          // the distance flavour: Euclidean or DTW
 	table  *isax.DistTable // per-query MINDIST table; nil until prepareTable
-	bnd    bound           // opt.Shared as the workers see it (local positions mapped)
+	bnd    Collector       // opt.Shared
 	queues *pqueue.Set[*tree.Node]
 	// claimCtr is written by every worker at every claim, while the fields
 	// around it are read at every node; the padding keeps it on a cache
@@ -362,7 +333,7 @@ func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*Search
 	if ix.Data.Count() == 0 {
 		return nil, ErrEmptyIndex
 	}
-	r := &SearchRun{ix: ix, bnd: workerBound(opt.Shared, opt.GlobalPos),
+	r := &SearchRun{ix: ix, bnd: opt.Shared,
 		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown,
 		qos: opt.QoS, escale: opt.QoS.Scale()}
 	r.init(req, st)
@@ -389,7 +360,7 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 	if !lazyTable {
 		r.prepareTable(st, qpaa)
 	}
-	found := r.ix.approxSearch(qpaa, qword, r.table, r.kern, r.bnd, r.ctrs)
+	found := r.approxSearch(qpaa, qword)
 	// An approximate run whose descent reached no candidate falls back to
 	// the exact search simply by not being done.
 	r.done = req.Mode == ModeApprox && found
@@ -528,7 +499,7 @@ func (r *SearchRun) scanPhase() {
 		if err := fpScanLeaf.Hit(); err != nil {
 			panic(err)
 		}
-		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, r.bnd, r.ctrs)
+		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, r.bnd, r.opt.Start, r.ctrs)
 	}
 	if r.bd.Enabled() {
 		r.bd.Add(stats.PhaseDistCalc, time.Since(tStart))
@@ -670,20 +641,20 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 	}
 	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
 	cand := scratch.filter(lbs, r.table.Scale(), r.bnd.Load(), r.qos)
-	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.qos, r.ctrs)
+	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.opt.Start, r.qos, r.ctrs)
 }
 
 // refine is the single real-distance candidate loop behind every search
 // path: it measures the leaf entries listed in cand, in that order, against
-// bnd (see refineBatch for the batching). lbs holds the entries' lower
-// bounds, each re-checked against the bound as it stands when its candidate
-// comes up; a nil lbs (the approximate search, which has none) skips the
-// re-check. The bound is cached locally and refreshed per batch and after
-// every improvement instead of loading the shared atomic per candidate — a
-// stale (larger) threshold only admits extra candidates, never wrongly
-// prunes.
+// coll, offering entry positions shifted by start (see refineBatch for the
+// batching). lbs holds the entries' lower bounds, each re-checked against
+// the bound as it stands when its candidate comes up; a nil lbs (the
+// approximate search, which has none) skips the re-check. The bound is
+// cached locally and refreshed per batch and after every improvement
+// instead of loading the shared atomic per candidate — a stale (larger)
+// threshold only admits extra candidates, never wrongly prunes.
 func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
-	scratch *leafScratch, bnd bound, qos *QoS, ctrs *stats.Counters) {
+	scratch *leafScratch, coll Collector, start int64, qos *QoS, ctrs *stats.Counters) {
 
 	escale := qos.Scale()
 	lbCount, realCount := int64(len(lbs)), int64(0)
@@ -701,7 +672,7 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 			}
 		}
 		scratch.sink += sink
-		limit := bnd.Load()
+		limit := coll.Load()
 		for _, e := range batch {
 			if lbs != nil {
 				if lb := lbs[e]; lb*escale >= limit {
@@ -717,10 +688,10 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 			lbCount += nLB
 			realCount += nReal
 			if d < limit {
-				if bnd.Update(d, int64(pos)) {
+				if coll.Update(d, start+int64(pos)) {
 					ctrs.AddBSFUpdate()
 				}
-				limit = bnd.Load()
+				limit = coll.Load()
 			}
 		}
 	}
@@ -736,21 +707,20 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 // construction, affords. The request must have passed Validate and
 // CheckShape.
 func Scan(req Request, data *series.Collection, start int64, coll Collector) {
-	scanRange(data, 0, data.Count(), newKernel(req),
-		mappedBound{inner: coll, toGlobal: func(i int64) int64 { return start + i }}, req.Counters)
+	scanRange(data, 0, data.Count(), newKernel(req), coll, start, req.Counters)
 }
 
-// scanRange measures data's series [lo,hi) in position order against bnd,
-// which is read before every candidate: another run sharing it may have
-// tightened it meanwhile.
-func scanRange(data *series.Collection, lo, hi int, kern kernel, bnd bound, ctrs *stats.Counters) {
+// scanRange measures data's series [lo,hi) in position order against coll,
+// offering series i as position start+i. The bound is read before every
+// candidate: another run sharing it may have tightened it meanwhile.
+func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector, start int64, ctrs *stats.Counters) {
 	var lbCount, realCount int64
 	for i := lo; i < hi; i++ {
-		limit := bnd.Load()
+		limit := coll.Load()
 		d, nLB, nReal := kern.dist(data.At(i), limit)
 		lbCount += nLB
 		realCount += nReal
-		if d < limit && bnd.Update(d, int64(i)) {
+		if d < limit && coll.Update(d, start+int64(i)) {
 			ctrs.AddBSFUpdate()
 		}
 	}
@@ -764,16 +734,14 @@ func scanRange(data *series.Collection, lo, hi int, kern kernel, bnd bound, ctrs
 // progressive-search citation observes this initial answer is usually very
 // close to the exact one. It reports whether the descent reached any
 // candidate at all.
-func (ix *Index) approxSearch(qpaa []float64, qword []uint8, tab *isax.DistTable,
-	kern kernel, bnd bound, ctrs *stats.Counters) bool {
-
-	leaf := ix.approxLeaf(qpaa, qword, tab, ctrs)
+func (r *SearchRun) approxSearch(qpaa []float64, qword []uint8) bool {
+	leaf := r.ix.approxLeaf(qpaa, qword, r.table, r.ctrs)
 	if leaf == nil || leaf.LeafLen() == 0 {
 		return false
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
-	ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, scratch, bnd, nil, ctrs)
+	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, nil, r.ctrs)
 	return true
 }
 

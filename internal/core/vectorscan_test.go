@@ -259,7 +259,7 @@ func BenchmarkLeafScan(b *testing.B) {
 // refreshed after every improvement. A nil lbs is the approximate search's
 // form (every entry measured).
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
-	kern kernel, bnd bound, qos *QoS, ctrs *stats.Counters) {
+	kern kernel, bnd Collector, qos *QoS, ctrs *stats.Counters) {
 
 	limit := bnd.Load()
 	lbCount, realCount := int64(len(lbs)), int64(0)
@@ -383,7 +383,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				tab := ix.Schema.NewDistTable()
 				kern.prepare(tab, qpaa)
 				bsf, top := stats.NewBSF(), newTopK(fl.k)
-				var bnd bound = bsf
+				var bnd Collector = nearest{bsf}
 				if fl.k > 1 {
 					bnd = top
 				}
@@ -462,6 +462,7 @@ type unboundedBound struct{}
 
 func (unboundedBound) Load() float64              { return math.Inf(1) }
 func (unboundedBound) Update(float64, int64) bool { return false }
+func (unboundedBound) Matches() []Match           { return nil }
 
 // BenchmarkRefineOrder isolates what the refine stage's memory access
 // pattern costs: the same kernel over the same series — a collection larger
@@ -515,7 +516,7 @@ func BenchmarkRefineOrder(b *testing.B) {
 		var scratch leafScratch
 		for i := 0; i < b.N; i++ {
 			for _, leaf := range leaves {
-				ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, &scratch, unboundedBound{}, nil, nil)
+				ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, &scratch, unboundedBound{}, 0, nil, nil)
 			}
 		}
 		perSeries(b)

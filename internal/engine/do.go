@@ -228,7 +228,7 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 					core.Scan(req, chunk.Data, int64(chunk.Start), opt.Shared)
 				} else if st != nil {
 					o := opt
-					o.GlobalPos = v.Base.GlobalPos(i)
+					o.Start = int64(v.Base.Start(i))
 					run, err := v.Base.Shard(i).NewRun(req, st, o)
 					if err != nil {
 						rec.note(err)

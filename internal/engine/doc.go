@@ -28,9 +28,10 @@
 //   - admission: at most MaxConcurrent queries execute at once (no gate
 //     without a pool).
 //   - execution: every member of the fan-out is prepared in one stage —
-//     one run per shard (core.Index.NewRun with the shard's GlobalPos — an
-//     approximate request is complete at that point) and one exact
-//     position-order scan per delta chunk (core.Scan), all into one shared
+//     one run per shard (core.Index.NewRun, offset by the shard's Start —
+//     an approximate request is complete at that point) and one exact
+//     position-order scan per delta chunk (core.Scan, offset by the
+//     chunk's Start), all into one shared
 //     collector and one QoS state — then the insert units and, as soon as
 //     a run's last insert unit returns (its all-inserted barrier), that
 //     run's drain units: QueryWorkers units per phase in total, split

@@ -40,7 +40,10 @@ func testIndex(t *testing.T) (*shard.Index, *series.Collection) {
 		if err != nil {
 			panic(err)
 		}
-		testIx, testQs = shard.Wrap(ix), qs
+		if testIx, err = shard.FromCores([]*core.Index{ix}); err != nil {
+			panic(err)
+		}
+		testQs = qs
 	})
 	return testIx, testQs
 }

@@ -59,10 +59,10 @@ type Options struct {
 	// delta.DefaultBlockSeries.
 	BlockSeries int
 	// Shards is the number of independent index shards per generation
-	// (default 1). Appends route round-robin — global position p lives in
-	// shard p%S — so a generational rebuild reconstructs S trees of
-	// O(n/S) series concurrently instead of one O(n) tree, and queries
-	// fan out across the shards with a shared pruning bound.
+	// (default 1). Each shard covers a contiguous range of positions, so a
+	// generational rebuild reconstructs S trees of O(n/S) series
+	// concurrently instead of one O(n) tree, and queries fan out across
+	// the shards with a shared pruning bound.
 	Shards int
 	// Metrics, when non-nil, receives the live index's telemetry — delta
 	// occupancy, generation number, rebuild counts and durations — and is
@@ -181,9 +181,9 @@ func New(seriesLen int, initial *series.Collection, opts Options) (*Index, error
 // entirely: base becomes generation 1 and future rebuilds merge appends
 // into it. Structural options (segments, cardinality, leaf capacity) are
 // taken from base so later generations keep its shape; runtime options
-// (workers, queues, thresholds) come from opts. A sharded base fixes the
-// live index's shard count: positions are routed by the base's
-// round-robin partition, so opts.Shards is overridden.
+// (workers, queues, thresholds) come from opts. The base's shard count is
+// structural too, so opts.Shards is overridden: later generations keep the
+// partition the base was built (or saved) with.
 func NewFromIndex(base *shard.Index, opts Options) (*Index, error) {
 	if base == nil || base.Len() == 0 {
 		return nil, fmt.Errorf("live: cannot boot from an empty index")
@@ -461,9 +461,8 @@ func (ix *Index) startRebuildLocked() {
 // rebuild merges the view's generation and frozen delta into a new
 // immutable generation and swaps it in. It runs in its own goroutine;
 // queries and appends proceed concurrently against the frozen view.
-// With S shards the merge is per shard — each shard's O(n/S) slice plus
-// its round-robin share of the frozen delta — and the S builds run
-// concurrently.
+// With S shards the merged positions are cut into S contiguous ranges,
+// and the S builds run concurrently.
 func (ix *Index) rebuild(v *view) {
 	start := time.Now()
 	total := v.baseLen + v.frozen.Len()
@@ -558,15 +557,12 @@ func (ix *Index) retryRebuild() {
 	ix.startRebuildLocked()
 }
 
-// mergeGeneration builds the next generation: every shard's new slice is
-// its current data followed by its round-robin share of the frozen delta
-// (global position p routes to shard p%S, so locals stay ascending), and
-// the per-shard builds run concurrently with the construction workers
-// divided among them.
+// mergeGeneration builds the next generation over every position in
+// order — the current generation's shards, each a contiguous range, then
+// the frozen delta — copied into one allocation and partitioned by
+// shard.Build, whose per-shard builds run concurrently with the
+// construction workers divided among them.
 func (ix *Index) mergeGeneration(v *view, total int) (*shard.Index, error) {
-	S := ix.opts.Shards
-	L := ix.seriesLen
-
 	// Collect the generation the previous rebuild retired before allocating
 	// the next one. A generation is by far the heap's largest object and a
 	// rebuild allocates a whole one, so the pacer, left alone, runs about
@@ -574,23 +570,20 @@ func (ix *Index) mergeGeneration(v *view, total int) (*shard.Index, error) {
 	// the live one at the peak depends only on where those cycles happen to
 	// fall. Here the last one retired has long lost its readers.
 	runtime.GC()
-	flats := shard.AllocSlices(total, S, L)
-	fill := make([]int, S)
-	for s := 0; s < S; s++ {
-		if v.base == nil {
-			break
-		}
+	flat := make([]float32, 0, total*ix.seriesLen)
+	for s := 0; v.base != nil && s < v.base.NumShards(); s++ {
 		if old := v.base.Shard(s); old != nil {
-			copy(flats[s], old.Data.Data)
-			fill[s] = len(old.Data.Data)
+			flat = append(flat, old.Data.Data...)
 		}
 	}
 	for j := 0; j < v.frozen.Len(); j++ {
-		s := (v.baseLen + j) % S
-		copy(flats[s][fill[s]:fill[s]+L], v.frozen.At(j))
-		fill[s] += L
+		flat = append(flat, v.frozen.At(j)...)
 	}
-	return shard.BuildFlats(flats, total, L, ix.opts.Core)
+	col, err := series.NewCollection(flat, ix.seriesLen)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Build(col, ix.opts.Shards, ix.opts.Core)
 }
 
 // Flush synchronously merges all buffered series into the immutable

@@ -3,11 +3,13 @@ package live
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dtw"
+	"repro/internal/persist"
 	"repro/internal/scan"
 	"repro/internal/series"
 )
@@ -454,107 +456,165 @@ func TestKNNSpansBaseAndDelta(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycle: a sharded live index (S=4) answers identically to
-// brute force at every stage, keeps positions stable across
-// the per-shard generational rebuilds, and reports per-shard stats.
+// TestShardedLifecycle: sharded live indexes (S ∈ {3, 4}, counts not
+// divisible by S) answer identically to brute force at every stage, keep
+// every position stable across two generational rebuilds, a snapshot round
+// trip and a rebuild after it, and report per-shard stats.
 func TestShardedLifecycle(t *testing.T) {
 	const length = 64
-	all := walk(600, length, 3)
+	all := walk(703, length, 3)
 	queries := walk(10, length, 303)
 	window := dtw.WindowSize(length, 0.1)
 
+	sizes := []int{3, 4}
 	opts := smallOpts(1_000_000)
-	opts.Shards = 4
-	ix, err := New(length, collection(t, all[:200]), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if ix.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", ix.Shards())
-	}
-
-	check := func(t *testing.T, rows [][]float32) {
-		t.Helper()
-		oracle := bruteForce(t, rows)
-		for qi, q := range queries {
-			got, err := nn1(ix, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := nn1(oracle, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("query %d: sharded live %+v, brute force %+v", qi, got, want)
-			}
-			gotK, err := knn(ix, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantK, err := knn(oracle, q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotK) != len(wantK) {
-				t.Fatalf("query %d: k-NN %d matches, brute force %d", qi, len(gotK), len(wantK))
-			}
-			for i := range gotK {
-				if gotK[i] != wantK[i] {
-					t.Fatalf("query %d rank %d: sharded live %+v, brute force %+v", qi, i, gotK[i], wantK[i])
-				}
-			}
-			gotD, err := dtwNN(ix, q, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantD, err := dtwNN(oracle, q, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotD != wantD {
-				t.Fatalf("query %d: sharded live DTW %+v, brute force %+v", qi, gotD, wantD)
-			}
-		}
-	}
-
-	t.Run("base-only", func(t *testing.T) { check(t, all[:200]) })
-
-	if _, err := ix.AppendBatch(all[200:]); err != nil {
-		t.Fatal(err)
-	}
-	t.Run("base-plus-delta", func(t *testing.T) { check(t, all) })
-
-	if err := ix.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := ix.Stats()
-	if st.DeltaSeries != 0 || st.BaseSeries != len(all) || st.Shards != 4 {
-		t.Fatalf("after flush: %+v", st)
-	}
-	if len(st.PerShard) != 4 {
-		t.Fatalf("per-shard stats: %d entries, want 4", len(st.PerShard))
-	}
-	perShardTotal := 0
-	for _, ps := range st.PerShard {
-		perShardTotal += ps.Series
-	}
-	if perShardTotal != len(all) || st.Tree.Series != len(all) {
-		t.Fatalf("per-shard series sum %d, aggregate %d, want %d", perShardTotal, st.Tree.Series, len(all))
-	}
-	t.Run("post-flush", func(t *testing.T) { check(t, all) })
-
-	// Positions remain append-order across the sharded rebuild.
-	for _, p := range []int{0, 199, 200, 399, 599} {
-		got, err := ix.Series(p)
+	ixs := make([]*Index, len(sizes))
+	for i, S := range sizes {
+		opts.Shards = S
+		ix, err := New(length, collection(t, all[:202]), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != all[p][i] {
-				t.Fatalf("position %d changed across sharded rebuild (point %d)", p, i)
+		if ix.Shards() != S {
+			t.Fatalf("Shards() = %d, want %d", ix.Shards(), S)
+		}
+		ixs[i] = ix
+	}
+	defer func() {
+		for _, ix := range ixs {
+			ix.Close()
+		}
+	}()
+
+	// check compares every position and every query flavour with brute
+	// force over rows, on every shard count.
+	check := func(t *testing.T, rows [][]float32) {
+		t.Helper()
+		oracle := bruteForce(t, rows)
+		for i, ix := range ixs {
+			S := sizes[i]
+			if ix.Len() != len(rows) {
+				t.Fatalf("S=%d: Len = %d, want %d", S, ix.Len(), len(rows))
+			}
+			for p, row := range rows {
+				got, err := ix.Series(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range row {
+					if got[j] != row[j] {
+						t.Fatalf("S=%d: position %d differs at point %d", S, p, j)
+					}
+				}
+			}
+			for qi, q := range queries {
+				got, err := nn1(ix, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := nn1(oracle, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("S=%d query %d: sharded live %+v, brute force %+v", S, qi, got, want)
+				}
+				gotK, err := knn(ix, q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantK, err := knn(oracle, q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gotK) != len(wantK) {
+					t.Fatalf("S=%d query %d: k-NN %d matches, brute force %d", S, qi, len(gotK), len(wantK))
+				}
+				for r := range gotK {
+					if gotK[r] != wantK[r] {
+						t.Fatalf("S=%d query %d rank %d: sharded live %+v, brute force %+v", S, qi, r, gotK[r], wantK[r])
+					}
+				}
+				gotD, err := dtwNN(ix, q, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantD, err := dtwNN(oracle, q, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotD != wantD {
+					t.Fatalf("S=%d query %d: sharded live DTW %+v, brute force %+v", S, qi, gotD, wantD)
+				}
 			}
 		}
 	}
+	appendRows := func(from, to int) {
+		t.Helper()
+		for _, ix := range ixs {
+			if _, err := ix.AppendBatch(all[from:to]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// flush rebuilds every index into a new generation of to series.
+	flush := func(to int) {
+		t.Helper()
+		for i, ix := range ixs {
+			S, gen := sizes[i], ix.Generation()
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if ix.Generation() != gen+1 {
+				t.Fatalf("S=%d: flush built generation %d, want %d", S, ix.Generation(), gen+1)
+			}
+			st := ix.Stats()
+			if st.DeltaSeries != 0 || st.BaseSeries != to || st.Shards != S || len(st.PerShard) != S {
+				t.Fatalf("S=%d after flush: %+v", S, st)
+			}
+			perShardTotal := 0
+			for _, ps := range st.PerShard {
+				perShardTotal += ps.Series
+			}
+			if perShardTotal != to || st.Tree.Series != to {
+				t.Fatalf("S=%d: per-shard series sum %d, aggregate %d, want %d", S, perShardTotal, st.Tree.Series, to)
+			}
+		}
+	}
+
+	t.Run("base-only", func(t *testing.T) { check(t, all[:202]) })
+	appendRows(202, 401)
+	t.Run("base-plus-delta", func(t *testing.T) { check(t, all[:401]) })
+	flush(401)
+	t.Run("post-flush", func(t *testing.T) { check(t, all[:401]) })
+	appendRows(401, 557)
+	t.Run("base-plus-delta-2", func(t *testing.T) { check(t, all[:557]) })
+	flush(557)
+	t.Run("post-flush-2", func(t *testing.T) { check(t, all[:557]) })
+
+	// The flushed generations through a snapshot: a loaded base fixes the
+	// shard count whatever the options ask for.
+	opts.Shards = 1
+	for i, ix := range ixs {
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := persist.WriteDir(dir, ix.Base(), false); err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+		base, _, err := persist.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ixs[i], err = NewFromIndex(base, opts); err != nil {
+			t.Fatal(err)
+		}
+		if ixs[i].Shards() != sizes[i] {
+			t.Fatalf("loaded Shards() = %d, want %d", ixs[i].Shards(), sizes[i])
+		}
+	}
+	t.Run("loaded", func(t *testing.T) { check(t, all[:557]) })
+	appendRows(557, len(all))
+	t.Run("loaded-plus-delta", func(t *testing.T) { check(t, all) })
+	flush(len(all))
+	t.Run("loaded-post-flush", func(t *testing.T) { check(t, all) })
 }

@@ -237,13 +237,17 @@ func TestFig17ShapeHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		parisCtrs, messiCtrs := &stats.Counters{}, &stats.Counters{}
+		messiView, err := shard.FromCores([]*core.Index{messiIx})
+		if err != nil {
+			t.Fatal(err)
+		}
 		messi := engine.NewUnpooled(messiIx.Opts, engine.Options{})
 		for qi := 0; qi < queries.Count(); qi++ {
 			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Counters: parisCtrs}); err != nil {
 				t.Fatal(err)
 			}
 			req := core.Request{Query: queries.At(qi), Counters: messiCtrs}
-			if _, err := messi.Do(engine.View{Base: shard.Wrap(messiIx)}, req); err != nil {
+			if _, err := messi.Do(engine.View{Base: messiView}, req); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -52,10 +52,12 @@
 // # Contracts
 //
 // A snapshot is always a directory: one member file in the layout above
-// per non-empty shard, plus a checksummed MANIFEST binding the members to
-// their routing (round-robin, shard count), so a load cannot mix files
+// per non-empty shard, plus a checksummed MANIFEST listing the members in
+// position order (each a contiguous range), so a load cannot mix files
 // from different snapshots. An unsharded index is a directory of one
-// member. WriteDir and ReadDir are the only save and load.
+// member. WriteDir and ReadDir are the only save and load. A version 1
+// manifest of several members (round-robin shards) fails with ErrVersion
+// and must be regenerated; one of a single member still loads.
 //
 // WriteDir writes each member to a temp file, fsyncs and renames it
 // under a fresh per-save name, and renames the manifest into place last:

@@ -89,17 +89,24 @@ func FuzzRead(f *testing.F) {
 // decoder: it must never panic, and every rejection must carry one of the
 // package's typed sentinel errors.
 func FuzzParseManifest(f *testing.F) {
-	valid, err := EncodeManifest(Manifest{
+	m := Manifest{
 		Version:     ManifestVersion,
 		Shards:      4,
 		SeriesLen:   32,
 		SeriesCount: 100,
 		Files:       []string{"shard-0000.snap", "shard-0001.snap", "shard-0002.snap", "shard-0003.snap"},
-	})
+	}
+	valid, err := EncodeManifest(m)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	m.Version = 1 // round-robin shards: refused with ErrVersion
+	v1, err := EncodeManifest(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add([]byte(ManifestMagic))
 	f.Add(bytes.Repeat([]byte{0}, 16))
 	corrupted := bytes.Clone(valid)

@@ -42,10 +42,12 @@ var fpManifest = fault.Register("persist.manifest.write")
 //
 // Each member file is self-describing and individually checksummed, so
 // the manifest only records the partition: the shard count, the
-// collection shape, and the per-shard file names (empty for shards whose
-// round-robin slice is empty). Members are written and loaded in
-// parallel; cross-shard consistency (round-robin counts, matching schema
-// and normalize flags) is validated on load.
+// collection shape, and the per-shard file names in position order (empty
+// for shards whose range is empty). Shard s covers a contiguous range of
+// positions that starts where shard s-1's ends, so the member sizes alone
+// place every series. Members are written and loaded in parallel;
+// cross-shard consistency (the partition's sizes, matching schema and
+// normalize flags) is validated on load.
 
 // ManifestMagic identifies a shard-manifest file (distinct from both the
 // snapshot magic "MESSIIX1" and the dataset magic "MESSIDS1").
@@ -54,8 +56,10 @@ const ManifestMagic = "MESSIMF1"
 // ManifestName is the manifest's file name inside a snapshot directory.
 const ManifestName = "MANIFEST"
 
-// ManifestVersion is the current manifest payload version.
-const ManifestVersion = 1
+// ManifestVersion is the current manifest payload version. Version 2
+// members are contiguous position ranges; version 1 members were
+// round-robin slices, which only a one-member manifest shares with it.
+const ManifestVersion = 2
 
 // manifestHeaderSize is the fixed prefix: 8 magic bytes plus the uint32
 // payload length.
@@ -121,7 +125,12 @@ func ParseManifest(b []byte) (Manifest, error) {
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return m, fmt.Errorf("%w: manifest payload: %w", ErrCorrupt, err)
 	}
-	if m.Version != ManifestVersion {
+	switch {
+	case m.Version == 1 && m.Shards > 1:
+		// Its members have the sizes of the contiguous partition, so a load
+		// would scramble positions without any check failing.
+		return m, fmt.Errorf("%w: manifest version 1 holds round-robin shards, and shards are contiguous ranges now; regenerate it (messi-gen -snapshot, or a fresh Save)", ErrVersion)
+	case m.Version != ManifestVersion && m.Version != 1:
 		return m, fmt.Errorf("%w: manifest version %d, this reader understands %d", ErrVersion, m.Version, ManifestVersion)
 	}
 	if err := m.validate(); err != nil {
@@ -149,7 +158,7 @@ func (m Manifest) validate() error {
 	seen := make(map[string]struct{}, len(m.Files))
 	for s, name := range m.Files {
 		if name == "" {
-			continue // empty round-robin slice
+			continue // empty range
 		}
 		if name != filepath.Base(name) || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
 			return fmt.Errorf("%w: manifest shard %d file name %q escapes the snapshot directory", ErrCorrupt, s, name)

@@ -136,6 +136,77 @@ func TestReadDirRejectsFiles(t *testing.T) {
 	}
 }
 
+// TestManifestV1: a version 1 manifest of several members lists
+// round-robin shards, whose sizes are the contiguous partition's too, so it
+// fails with ErrVersion and says to regenerate instead of loading with
+// scrambled positions. A one-member manifest has the same layout in both
+// versions and still loads, answering bitwise as the saved index did.
+func TestManifestV1(t *testing.T) {
+	asV1 := func(t *testing.T, x *shard.Index) string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "v1.snapdir")
+		if err := WriteDir(dir, x, false); err != nil {
+			t.Fatal(err)
+		}
+		mpath := filepath.Join(dir, ManifestName)
+		raw, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ParseManifest(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Version = 1
+		enc, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	// 257 series over 4 shards: 65/64/64/64 under either partition.
+	_, _, err := ReadDir(asV1(t, buildSharded(t, 257, 4)))
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("v1 4-shard manifest: %v, want ErrVersion saying regenerate", err)
+	}
+
+	x := buildSharded(t, 257, 1)
+	loaded, _, err := ReadDir(asV1(t, x))
+	if err != nil {
+		t.Fatalf("v1 one-member manifest: %v", err)
+	}
+	want := engine.NewUnpooled(x.Opts(), engine.Options{})
+	got := engine.NewUnpooled(loaded.Opts(), engine.Options{})
+	for qi := 0; qi < 10; qi++ {
+		q := make([]float32, x.SeriesLen())
+		for i := range q {
+			q[i] = x.At(qi * 25)[i] + float32(i%3)
+		}
+		for _, req := range []core.Request{{Query: q}, {Query: q, K: 5}, {Query: q, DTW: true, Window: 3}} {
+			a, err := want.Do(engine.View{Base: x}, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := got.Do(engine.View{Base: loaded}, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Matches) != len(b.Matches) {
+				t.Fatalf("query %d %+v: %d matches loaded, %d saved", qi, req, len(b.Matches), len(a.Matches))
+			}
+			for i := range a.Matches {
+				if a.Matches[i] != b.Matches[i] {
+					t.Fatalf("query %d: match %d loaded %+v, saved %+v", qi, i, b.Matches[i], a.Matches[i])
+				}
+			}
+		}
+	}
+}
+
 // TestPresent: a missing path and a directory with no manifest (what a
 // failed first save leaves) hold no snapshot; a snapshot directory and
 // any file do, so a bare file reaches ReadDir's rejection.
@@ -313,10 +384,11 @@ func TestParseManifestRejects(t *testing.T) {
 		want    error
 	}{
 		{"not JSON", `{nope`, ErrCorrupt},
-		{"wrong version", `{"version":9,"shards":1,"series_len":32,"series_count":1,"files":[""]}`, ErrVersion},
-		{"zero shards", `{"version":1,"shards":0,"series_len":32,"series_count":1,"files":[]}`, ErrCorrupt},
-		{"file count mismatch", `{"version":1,"shards":2,"series_len":32,"series_count":1,"files":["a"]}`, ErrCorrupt},
-		{"absurd count", `{"version":1,"shards":1,"series_len":32,"series_count":99999999999,"files":["a"]}`, ErrCorrupt},
+		{"wrong version", `{"version":3,"shards":1,"series_len":32,"series_count":1,"files":[""]}`, ErrVersion},
+		{"v1 sharded", `{"version":1,"shards":2,"series_len":32,"series_count":2,"files":["a","b"]}`, ErrVersion},
+		{"zero shards", `{"version":2,"shards":0,"series_len":32,"series_count":1,"files":[]}`, ErrCorrupt},
+		{"file count mismatch", `{"version":2,"shards":2,"series_len":32,"series_count":1,"files":["a"]}`, ErrCorrupt},
+		{"absurd count", `{"version":2,"shards":1,"series_len":32,"series_count":99999999999,"files":["a"]}`, ErrCorrupt},
 	}
 	for _, tc := range cases {
 		if _, err := ParseManifest(encode([]byte(tc.payload))); !errors.Is(err, tc.want) {

@@ -374,7 +374,11 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 func search(t testing.TB, ix *core.Index, req core.Request) []core.Match {
 	t.Helper()
 	e := engine.NewUnpooled(ix.Opts, engine.Options{PoolWorkers: 4, Queues: 2})
-	res, err := e.Do(engine.View{Base: shard.Wrap(ix)}, req)
+	x, err := shard.FromCores([]*core.Index{ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Do(engine.View{Base: x}, req)
 	if err != nil {
 		t.Fatal(err)
 	}

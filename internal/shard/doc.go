@@ -2,22 +2,24 @@
 // indexes (ParIS+-style: one index structure per slice of the data), which
 // queries fan out across.
 //
-// Series are routed round-robin: global position p lives in shard p%S at
-// local position p/S, so the local↔global mapping is pure arithmetic and
-// stays stable as the collection grows — a live index appending series
-// keeps the same routing forever, and a generational rebuild touches each
-// shard's O(n/S) slice instead of one O(n) tree.
+// Each shard covers one contiguous range of positions: shard s holds
+// [Start(s), Start(s)+n_s), where the first n%S shards hold ⌈n/S⌉ series
+// and the rest ⌊n/S⌋. A shard's local position i is global position
+// Start(s)+i — the same rule a live index's delta chunks follow — so the
+// mapping is one offset per shard, and a static build indexes subslices of
+// the caller's storage without copying it.
 //
 // The package holds no query code. A shard group is what the query engine
 // (internal/engine) searches as the base of a view: one run per non-empty
-// shard, built through core.Index.NewRun with GlobalPos as the position
-// mapping, all threading one shared collector (the 1-NN best-so-far or the
-// k-NN top-k, holding global positions) and one QoS state
-// (core.SearchOptions.Shared/GlobalPos/QoS). A tight bound found in shard 0
-// immediately prunes the tree traversals and leaf scans of shards 1..S-1,
-// so the fan-out does the same total pruning work as one big tree, and the
-// collector's contents are the answer — there is no merge step. Answers
-// are identical to a single index built over the whole collection; an
+// shard, built through core.Index.NewRun with the shard's Start as the
+// position offset, all threading one shared collector (the 1-NN
+// best-so-far or the k-NN top-k, holding global positions) and one QoS
+// state (core.SearchOptions.Shared/Start/QoS). A tight bound found in shard
+// 0 immediately prunes the tree traversals and leaf scans of shards
+// 1..S-1, so the fan-out does the same total pruning work as one big tree,
+// and the collector's contents are the answer — there is no merge step.
+// Answers are identical to a single index built over the whole collection,
+// since the collector breaks distance ties by global position; an
 // unsharded index is a fan-out of one.
 //
 // # Concurrency invariants

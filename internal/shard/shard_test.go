@@ -177,12 +177,31 @@ func sortMatches(ms []core.Match) {
 	})
 }
 
-// TestAtMapping: the global position space round-trips through the shards.
+// TestAtMapping: the global position space round-trips through the shards,
+// each shard holds the contiguous range its Start begins, and a static
+// build indexes the caller's storage in place instead of copying it.
 func TestAtMapping(t *testing.T) {
 	data := testData(t, 257) // deliberately not a multiple of the shard count
 	x, err := shard.Build(data, 4, testOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for s := 0; s < x.NumShards(); s++ {
+		sh := x.Shard(s)
+		for i := 0; i < sh.Data.Count(); i++ {
+			got, want := sh.Data.At(i), data.At(x.Start(s)+i)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("shard %d local %d: differs from position %d at point %d", s, i, x.Start(s)+i, j)
+				}
+			}
+		}
+		if &sh.Data.Data[0] != &data.Data[x.Start(s)*testLength] {
+			t.Fatalf("shard %d copies its range instead of aliasing the caller's storage", s)
+		}
+		if len(sh.Data.Data) != cap(sh.Data.Data) {
+			t.Fatalf("shard %d storage can grow into its neighbour (len %d, cap %d)", s, len(sh.Data.Data), cap(sh.Data.Data))
+		}
 	}
 	for p := 0; p < data.Count(); p++ {
 		got := x.At(p)
@@ -234,7 +253,7 @@ func TestFromCoresValidation(t *testing.T) {
 	if _, err := shard.FromCores([]*core.Index{x.Shard(0), x.Shard(1)}); err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
-	// Swapped shards break the round-robin counts only when uneven;
+	// Swapped shards break the partition's counts only when uneven;
 	// a missing shard always does.
 	if _, err := shard.FromCores([]*core.Index{x.Shard(0), nil}); err == nil {
 		t.Fatal("partition with a missing shard accepted")
@@ -246,7 +265,7 @@ func TestFromCoresValidation(t *testing.T) {
 		t.Fatal("zero shards accepted")
 	}
 	// One shard takes the general path: a whole collection is its own
-	// round-robin slice, and a nil one is an empty partition.
+	// range, and a nil one is an empty partition.
 	one, err := shard.FromCores([]*core.Index{x.Shard(0)})
 	if err != nil || one.NumShards() != 1 || one.Len() != x.Shard(0).Data.Count() {
 		t.Fatalf("one-shard partition: %v", err)

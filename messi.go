@@ -36,7 +36,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/series"
 	"repro/internal/shard"
-	"repro/internal/tree"
 )
 
 // Options configures index construction and default query parallelism.
@@ -73,9 +72,8 @@ type Options struct {
 	// Shards partitions the collection across this many independent index
 	// shards, built concurrently and queried by a fan-out that threads one
 	// shared pruning bound — answers are identical to an unsharded index.
-	// Series route round-robin (global position p lives in shard p%S).
-	// 0 or 1 builds a single tree. With Shards > 1 even BuildFlat copies
-	// each series into its shard's storage. Default 1.
+	// Each shard covers a contiguous range of positions. 0 or 1 builds a
+	// single tree. Default 1.
 	Shards int
 }
 
@@ -227,7 +225,3 @@ func (ix *Index) ShardStats() []Stats {
 	}
 	return out
 }
-
-// compile-time check that the conversion above stays in sync with the
-// internal stats type.
-var _ = func() Stats { return Stats(tree.Stats{}) }

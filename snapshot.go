@@ -64,8 +64,8 @@ func Load(path string) (*Index, error) {
 // are taken from the snapshot; opts supplies runtime tuning and lopts the
 // live-index behaviour (including SnapshotPath for automatic
 // re-snapshots on Flush and Close).
-// The snapshot's shard count carries over, so appends keep the same
-// round-robin routing.
+// The snapshot's shard count carries over: later generations are cut
+// into as many contiguous position ranges.
 // With LiveOptions.WALDir set, the log tail beyond the snapshot is
 // replayed into the delta before LoadLive returns, so a crashed server
 // restarts with every acked append searchable again.
