@@ -122,6 +122,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/persist"
+	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -248,8 +249,7 @@ func run(args []string) error {
 		}
 	}()
 	warnShardMismatch(*shards, ix.Stats().Shards)
-	slog.Info("index ready", "source", source, "series", ix.Len(), "series_len", ix.SeriesLen(),
-		"live", *liveMode, "rebuild_threshold", *threshold, "wal", *walDir)
+	logReady(ix, source, *liveMode, *threshold, *walDir)
 	s.install(ix)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -278,6 +278,14 @@ func run(args []string) error {
 		}
 	}
 	return <-errc
+}
+
+// logReady writes the boot's "index ready" line. distance_kernel names the
+// Euclidean kernel in use ("avx" or "go"), which sets the speed of every
+// scan.
+func logReady(ix *messi.LiveIndex, source string, live bool, threshold int, walDir string) {
+	slog.Info("index ready", "source", source, "series", ix.Len(), "series_len", ix.SeriesLen(),
+		"live", live, "rebuild_threshold", threshold, "wal", walDir, "distance_kernel", vector.Kernel())
 }
 
 // warnShardMismatch logs when the -shards flag disagrees with the served

@@ -331,6 +331,23 @@ func TestScanPlansMetric(t *testing.T) {
 	}
 }
 
+// TestReadyLogNamesKernel: the boot's "index ready" line names the
+// Euclidean distance kernel in use, so a slow scan on a CPU without AVX is
+// explained from the log.
+func TestReadyLogNamesKernel(t *testing.T) {
+	_, ix := newObservableServer(t, 0)
+	var buf bytes.Buffer
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	defer slog.SetDefault(old)
+
+	logReady(ix, "data.bin", false, 0, "")
+	logged := buf.String()
+	if !strings.Contains(logged, "index ready") || !regexp.MustCompile(`distance_kernel=(avx|go)\b`).MatchString(logged) {
+		t.Fatalf("ready log %q lacks distance_kernel=avx|go", logged)
+	}
+}
+
 // TestSlowQueryLog: with -slow-query set, a query over the threshold is
 // logged with its request ID and trace keys, and the response still
 // omits the trace the client never asked for.

@@ -16,7 +16,7 @@ type Kernel int
 
 // Kernel choices.
 const (
-	KernelSIMD Kernel = iota // unrolled multi-accumulator kernels (default)
+	KernelSIMD Kernel = iota // package vector's default kernels, AVX on amd64 (default)
 	KernelSISD               // naive per-element kernels with per-element branches
 )
 

@@ -172,7 +172,7 @@ func ParseHeader(b []byte) (Header, error) {
 	if h.SeriesLen > maxSeriesLen {
 		return h, fmt.Errorf("%w: header claims %d points per series", ErrCorrupt, h.SeriesLen)
 	}
-	if h.SeriesCount < 1 || h.SeriesCount > maxPoints ||
+	if h.SeriesCount < 1 || uint64(h.SeriesCount) > maxPoints ||
 		uint64(h.SeriesCount)*uint64(h.SeriesLen) > maxPoints {
 		return h, fmt.Errorf("%w: header claims %d series × %d points", ErrCorrupt, h.SeriesCount, h.SeriesLen)
 	}

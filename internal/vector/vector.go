@@ -2,13 +2,15 @@
 // used throughout the index: squared Euclidean distance, early-abandoning
 // variants, and envelope (clamp) distances for DTW lower bounds.
 //
-// The paper computes these kernels with 256-bit AVX SIMD intrinsics. Go has
-// no stdlib intrinsics, so this package supplies two implementations behind
-// the same API:
+// The paper computes these kernels with 256-bit AVX SIMD intrinsics. Here:
 //
-//   - the default kernels are 8-way unrolled with independent accumulators,
-//     which keeps the floating-point dependency chains short and lets the
-//     compiler keep everything in registers (our stand-in for "SIMD");
+//   - SquaredEuclideanEarlyAbandon, the kernel of every Euclidean scan and
+//     refine, is AVX Go assembly on amd64 CPUs that have AVX (Kernel
+//     reports "avx"). The unrolled Go loop it replaces, earlyAbandonGo, is
+//     its bitwise reference and its fallback elsewhere ("go"): both add
+//     the same terms in the same order, so no answer depends on the CPU;
+//   - the other default kernels are unrolled Go loops with independent
+//     accumulators, which keep the floating-point dependency chains short;
 //   - the Scalar* kernels are deliberately naive one-element-at-a-time
 //     loops, used by the ParIS-SISD ablation (Figure 18) to reproduce the
 //     paper's SIMD-vs-SISD comparison.
@@ -50,20 +52,14 @@ func SquaredEuclidean(a, b []float32) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// SquaredEuclideanEarlyAbandon returns the squared Euclidean distance
-// between a and b, abandoning the computation as soon as the running sum
-// reaches limit. When the computation is abandoned the returned value is
-// some partial sum >= limit; callers must only rely on the comparison
-// against limit, not on the exact value.
-//
-// The abandon check runs once per 16-element block so the common
-// (non-abandoned) path stays tight, mirroring how the paper's SIMD kernels
-// check the accumulated vector sum periodically rather than per lane.
-func SquaredEuclideanEarlyAbandon(a, b []float32, limit float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// earlyAbandonGo is the reference SquaredEuclideanEarlyAbandon, and its
+// fallback without AVX. Each 16-element block sums its squares in four
+// lanes, lane k taking elements k, k+4, k+8 and k+12 in that order; the
+// lanes are added ((s0+s1)+s2)+s3 into the running sum, which is checked
+// against limit after every block. The fewer than 16 elements left after
+// the last block are added one by one.
+func earlyAbandonGo(a, b []float32, limit float64) float64 {
+	n := min(len(a), len(b))
 	a = a[:n]
 	b = b[:n]
 	var sum float64
@@ -85,7 +81,13 @@ func SquaredEuclideanEarlyAbandon(a, b []float32, limit float64) float64 {
 			return sum
 		}
 	}
-	for ; i < n; i++ {
+	return addTail(a[i:], b[i:], sum)
+}
+
+// addTail adds the squared differences of a and b, one at a time, to sum.
+func addTail(a, b []float32, sum float64) float64 {
+	b = b[:len(a)]
+	for i := range a {
 		d := float64(a[i] - b[i])
 		sum += d * d
 	}

@@ -117,13 +117,84 @@ func TestEarlyAbandonReturnsAtLeastLimit(t *testing.T) {
 	}
 }
 
+// The abandon test runs after each whole 16-element block, never inside
+// one: with limit 0, a 17-element input returns the first block's sum,
+// 1²+…+16², not the full 1785.
 func TestEarlyAbandonZeroLimit(t *testing.T) {
 	a := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
 	b := make([]float32, len(a))
-	got := SquaredEuclideanEarlyAbandon(a, b, 0)
-	if got < 0 {
-		t.Errorf("negative distance %v", got)
+	if got := SquaredEuclideanEarlyAbandon(a, b, 0); got != 1496 {
+		t.Errorf("limit 0: got %v, want the first block's 1496", got)
 	}
+}
+
+// signedScaled returns n values of both signs whose magnitudes spread
+// log-uniformly over 10^-exp..10^exp.
+func signedScaled(rng *rand.Rand, n int, exp float64) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(rng.NormFloat64() * math.Pow(10, exp*(2*rng.Float64()-1)))
+	}
+	return s
+}
+
+// checkMatchesReference compares SquaredEuclideanEarlyAbandon with
+// earlyAbandonGo bit for bit, both ways round, at limits that complete,
+// abandon on the last block, abandon midway, abandon on the first block
+// and abandon at once.
+func checkMatchesReference(t *testing.T, a, b []float32) {
+	t.Helper()
+	exact := earlyAbandonGo(a, b, math.Inf(1))
+	limits := []float64{math.Inf(1), exact, math.Nextafter(exact, 0), exact / 2, 0}
+	if n := min(len(a), len(b)); n >= 16 {
+		limits = append(limits, earlyAbandonGo(a[:16], b[:16], math.Inf(1)))
+	}
+	for _, limit := range limits {
+		for _, p := range [][2][]float32{{a, b}, {b, a}} {
+			got := SquaredEuclideanEarlyAbandon(p[0], p[1], limit)
+			want := earlyAbandonGo(p[0], p[1], limit)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("len %d/%d, limit %v: kernel %v (%#x), reference %v (%#x)",
+					len(p[0]), len(p[1]), limit, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// The kernel in use returns bit for bit what the Go reference returns,
+// abandoned partial sums included, at every length up to 300 (so every
+// tail after the last block), from every offset 0–7 of either operand (so
+// unaligned loads), against a longer second operand.
+func TestEarlyAbandonMatchesReference(t *testing.T) {
+	if Kernel() == "go" {
+		t.Log("no AVX kernel on this CPU: the Go reference is compared with itself")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n <= 300; n++ {
+		bufA := signedScaled(rng, n+8, 4)
+		bufB := signedScaled(rng, n+8, 4)
+		for offA := range 8 {
+			for offB := range 8 {
+				checkMatchesReference(t, bufA[offA:offA+n], bufB[offB:])
+			}
+		}
+	}
+}
+
+func FuzzEarlyAbandonMatchesReference(f *testing.F) {
+	for _, n := range []uint16{0, 1, 15, 16, 17, 31, 32, 128, 300} {
+		for _, exp := range []uint8{0, 4} {
+			f.Add(int64(n), n, uint8(n%8), uint8(n/2%8), exp)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, offA, offB, exp uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		// |exp| ≤ 30 keeps every value finite, and so every sum non-NaN.
+		size := int(n%1024) + 8
+		bufA := signedScaled(rng, size, float64(exp%31))
+		bufB := signedScaled(rng, size, float64(exp%31))
+		checkMatchesReference(t, bufA[offA%8:], bufB[offB%8:])
+	})
 }
 
 func TestSquaredEnvelopeDistance(t *testing.T) {
@@ -293,12 +364,23 @@ func BenchmarkScanRoofline(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		limit = min(limit, SquaredEuclidean(data[0][i*length:(i+1)*length], query))
 	}
-	scan := func(xs []float32) (s float64) {
-		for i := 0; i+length <= len(xs); i += length {
-			s += SquaredEuclideanEarlyAbandon(xs[i:i+length], query, limit)
+	scanWith := func(kernel func(a, b []float32, limit float64) float64) func([]float32) float64 {
+		return func(xs []float32) (s float64) {
+			for i := 0; i+length <= len(xs); i += length {
+				s += kernel(xs[i:i+length], query, limit)
+			}
+			return s
 		}
-		return s
 	}
+	inCache := func(scan func([]float32) float64) func([]float32) float64 {
+		return func(xs []float32) (s float64) {
+			for range streamPoints / cachePoints {
+				s += scan(xs[:cachePoints])
+			}
+			return s
+		}
+	}
+	scan, scanRef := scanWith(SquaredEuclideanEarlyAbandon), scanWith(earlyAbandonGo)
 	arms := []struct {
 		name string
 		run  func(xs []float32) float64
@@ -316,12 +398,9 @@ func BenchmarkScanRoofline(b *testing.B) {
 			return float64(s0 ^ s1 ^ s2 ^ s3)
 		}},
 		{"scan", scan},
-		{"scan_in_cache", func(xs []float32) (s float64) {
-			for range streamPoints / cachePoints {
-				s += scan(xs[:cachePoints])
-			}
-			return s
-		}},
+		{"scan_in_cache", inCache(scan)},
+		{"scan_ref", scanRef},
+		{"scan_ref_in_cache", inCache(scanRef)},
 	}
 	for _, arm := range arms {
 		for _, workers := range []int{1, 2} {
