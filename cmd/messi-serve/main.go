@@ -33,7 +33,7 @@
 // Every query endpoint accepts the quality-spectrum fields: "mode" is one
 // of "exact" (default), "approx", "epsilon", "deadline"; "epsilon" is the
 // relative error budget for mode=epsilon; "deadline_ms" is the latency
-// budget for mode=deadline. Responses report "exact" (whether the answer
+// budget for mode=deadline (≥ 0; 0 means no budget). Responses report "exact" (whether the answer
 // is provably exact) and, for inexact answers with a proven bound,
 // "epsilon_bound". With -degrade-epsilon the admission gate serves
 // exact-mode requests arriving under overload as ε-bounded ones instead
@@ -1023,7 +1023,8 @@ func errorStatus(err error) int {
 	case errors.Is(err, messi.ErrBadK),
 		errors.Is(err, messi.ErrBadWindow),
 		errors.Is(err, messi.ErrWrongLength),
-		errors.Is(err, messi.ErrBadEpsilon):
+		errors.Is(err, messi.ErrBadEpsilon),
+		errors.Is(err, messi.ErrBadDeadline):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):

@@ -862,6 +862,7 @@ func TestSearchEndpointBadRequests(t *testing.T) {
 		{"unknown mode", searchRequest{Query: good, Mode: "psychic"}},
 		{"negative k", searchRequest{Query: good, K: -1}},
 		{"negative epsilon", searchRequest{Query: good, Mode: "epsilon", Epsilon: -0.5}},
+		{"negative deadline", searchRequest{Query: good, Mode: "deadline", DeadlineMS: -5}},
 		{"wrong length", searchRequest{Query: make([]float32, 5)}},
 		{"bad dtw window", searchRequest{Query: good, DTW: true, Window: 3}},
 		{"negative dtw window", searchRequest{Query: good, DTW: true, Window: -0.5}},

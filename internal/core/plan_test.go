@@ -231,13 +231,13 @@ func TestSampledShareTracksEntryShare(t *testing.T) {
 	for _, qt := range []queryTier{memberTier, nearDupTier, noisyTier(10), oodTier, adversarialTier} {
 		for qi, q := range qt.queries(ix.Data, 4, 5) {
 			for _, req := range []Request{{Query: q}, {Query: q, Mode: ModeEpsilon, Epsilon: 0.05}} {
-				run, err := newRun(ix, req, SearchOptions{QoS: req.NewQoS()})
+				run, err := newRun(ix, req, SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				limit, survivors := run.bnd.Load(), 0
 				for i := 0; i < len(words); i += w {
-					if run.table.MinDistWord(words[i:i+w])*run.escale < limit {
+					if run.table.MinDistWord(words[i:i+w])*run.qos.scale < limit {
 						survivors++
 					}
 				}
@@ -335,7 +335,7 @@ func checkPlans(t *testing.T) {
 				if scanned := ctrs.ScanPlans.Load() == 1; scanned != wantScan {
 					t.Fatalf("%s query %d, %s: scanned=%v, want %v", tc.tier.name, qi, name, scanned, wantScan)
 				}
-				return qos.Finish(ms, req.Mode)
+				return qos.Finish(ms)
 			}
 			where := fmt.Sprintf("%s query %d", tc.tier.name, qi)
 

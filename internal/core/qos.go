@@ -25,7 +25,8 @@ import (
 // against the best-so-far, so a search terminates as soon as the priority
 // queues' minima prove the BSF is within (1+ε) of optimal. Deadline-
 // bounded search checks a clock (and the caller's cancellation signal) at
-// leaf-scan granularity and returns the best-so-far flagged inexact.
+// every claim — a root subtree, a scan block or a queue pop — and returns
+// the best-so-far flagged inexact.
 
 // Typed sentinel errors for request validation, so API layers can
 // errors.Is instead of string-matching.
@@ -60,8 +61,9 @@ const (
 	// of optimal. ε = 0 is bitwise identical to ModeExact.
 	ModeEpsilon
 	// ModeDeadline runs the exact algorithm but checks the request
-	// deadline (and cancellation) at leaf-scan granularity, returning
-	// the best-so-far flagged inexact when time runs out. A zero
+	// deadline (and cancellation) at every claim of work — a root
+	// subtree, a 1 024-series scan block or a queue pop — returning the
+	// best-so-far flagged inexact when time runs out. A zero
 	// deadline never expires — equivalent to ModeExact.
 	ModeDeadline
 )
@@ -164,25 +166,16 @@ func CheckFinite(s []float32) error {
 	return nil
 }
 
-// NewQoS builds the per-query QoS state for the request, or nil when the
-// request needs none (an exact run with no deadline and no cancellation —
-// the hot paths then skip every QoS check).
+// NewQoS builds the per-query QoS state for the request. An exact request
+// gets one too: its scale is 1, so it prunes exactly as plain search does,
+// and it stops only on its cancellation signal.
 func (req Request) NewQoS() *QoS {
-	eps := 0.0
-	if req.Mode == ModeEpsilon {
-		eps = req.Epsilon
-	}
-	deadline := time.Time{}
-	if req.Mode == ModeDeadline {
-		deadline = req.Deadline
-	}
-	if eps == 0 && deadline.IsZero() && req.Cancel == nil {
-		return nil
-	}
-	q := &QoS{
-		scale:    (1 + eps) * (1 + eps),
-		deadline: deadline,
-		cancel:   req.Cancel,
+	q := &QoS{scale: 1, mode: req.Mode, cancel: req.Cancel}
+	switch req.Mode {
+	case ModeEpsilon:
+		q.scale = (1 + req.Epsilon) * (1 + req.Epsilon)
+	case ModeDeadline:
+		q.deadline = req.Deadline
 	}
 	q.epsPruned.Store(math.Float64bits(math.Inf(1)))
 	return q
@@ -206,10 +199,11 @@ type Result struct {
 
 // QoS is the quality-of-service state of one query, shared by all its
 // workers and, in a sharded fan-out, by every sibling shard run (like the
-// shared best-so-far). All methods are safe for concurrent use and
-// nil-receiver safe; a nil *QoS means plain exact search.
+// shared best-so-far). It decides every prune (prunes) and every stop
+// (stop) of the search; all its methods are safe for concurrent use.
 type QoS struct {
 	scale    float64         // (1+ε)² lower-bound inflation; 1 = exact
+	mode     Mode            // the request's mode, for Finish
 	deadline time.Time       // zero = none
 	cancel   <-chan struct{} // nil = none
 
@@ -218,60 +212,29 @@ type QoS struct {
 	// bound discarded only because of ε-inflation — the witness that
 	// bounds how far the answer can be from optimal.
 	epsPruned atomic.Uint64
-	stopped   atomic.Bool // deadline/cancellation fired
-	truncated atomic.Bool // some work was actually skipped after stopping
+	// stopped latches the first stop. Only a worker holding claimed work
+	// asks, so it also means that work went unexplored.
+	stopped atomic.Bool
 }
 
-// Scale returns the (1+ε)² pruning inflation (1 for nil or exact).
-func (q *QoS) Scale() float64 {
-	if q == nil {
-		return 1
-	}
-	return q.scale
-}
-
-// ShouldStop reports whether the search should abandon remaining work:
-// the deadline passed or the request was cancelled. Workers call it at
-// leaf-scan granularity; once it fires it stays latched, so the clock is
-// read at most until the first expiry.
-func (q *QoS) ShouldStop() bool {
-	if q == nil {
+// prunes reports whether a candidate, subtree or queue minimum whose
+// squared lower bound is lb can be discarded against the pruning limit:
+// lb inflated by (1+ε)² is no better. One discarded only because of the
+// inflation is recorded as an answer-quality witness (at scale 1 no bound
+// gets that far).
+func (q *QoS) prunes(lb, limit float64) bool {
+	if lb*q.scale < limit {
 		return false
 	}
-	if q.stopped.Load() {
-		return true
+	if lb < limit {
+		q.witness(lb)
 	}
-	if q.cancel != nil {
-		select {
-		case <-q.cancel:
-			q.stopped.Store(true)
-			return true
-		default:
-		}
-	}
-	if !q.deadline.IsZero() && time.Now().After(q.deadline) {
-		q.stopped.Store(true)
-		return true
-	}
-	return false
+	return true
 }
 
-// MarkTruncated records that remaining work was skipped after a stop —
-// the answer can no longer be claimed exact.
-func (q *QoS) MarkTruncated() {
-	if q != nil {
-		q.truncated.Store(true)
-	}
-}
-
-// PruneEps records the squared lower bound of a candidate (or subtree, or
-// queue minimum) discarded only because of ε-inflation: lb*Scale() beat
-// the BSF but lb alone did not. The smallest witness bounds the proven
-// quality of the final answer.
-func (q *QoS) PruneEps(lb float64) {
-	if q == nil {
-		return
-	}
+// witness lowers the ε witness to lb. The smallest witness bounds the
+// proven quality of the final answer.
+func (q *QoS) witness(lb float64) {
 	bits := math.Float64bits(lb)
 	for {
 		cur := q.epsPruned.Load()
@@ -281,21 +244,33 @@ func (q *QoS) PruneEps(lb float64) {
 	}
 }
 
-// Finish derives the Result for the completed matches. worstSq is the
-// squared distance of the worst reported match (the 1-NN distance, or the
-// k-th best), +Inf when no match was found.
-func (q *QoS) Finish(matches []Match, mode Mode) Result {
+// stop reports whether the worker asking should drop the work it has just
+// claimed (a root subtree, a scan block or a popped leaf): the deadline
+// passed or the request was cancelled. The answer is then no longer exact.
+// Once it fires it stays latched, so the clock is read at most until the
+// first expiry.
+func (q *QoS) stop() bool {
+	if q.stopped.Load() {
+		return true
+	}
+	select {
+	case <-q.cancel:
+	default:
+		if q.deadline.IsZero() || !time.Now().After(q.deadline) {
+			return false
+		}
+	}
+	q.stopped.Store(true)
+	return true
+}
+
+// Finish derives the Result for the completed matches: inexact with no
+// proven bound for an approximate or stopped run, else exact unless an ε
+// witness lies below the worst match (the 1-NN distance, or the k-th best).
+func (q *QoS) Finish(matches []Match) Result {
 	res := Result{Matches: matches, Exact: true}
-	if mode == ModeApprox {
+	if q.mode == ModeApprox || q.stopped.Load() {
 		// Nothing proven: the answer is an upper bound only.
-		res.Exact = false
-		res.EpsilonBound = math.Inf(1)
-		return res
-	}
-	if q == nil {
-		return res
-	}
-	if q.truncated.Load() {
 		res.Exact = false
 		res.EpsilonBound = math.Inf(1)
 		return res

@@ -4,12 +4,16 @@ import "sync"
 
 // The test driver of a SearchRun, standing where the query engine does in
 // production: newRun prepares a run on a fresh QueryState (and a private
-// collector when the caller threads none), and drive executes its phases
-// on goroutines of its own, with the all-inserted barrier between them.
+// collector and QoS state when the caller threads none), and drive
+// executes its phases on goroutines of its own, with the all-inserted
+// barrier between them.
 
 func newRun(ix *Index, req Request, opt SearchOptions) (*SearchRun, error) {
 	if opt.Shared == nil {
 		opt.Shared = NewCollector(req.K)
+	}
+	if opt.QoS == nil {
+		opt.QoS = req.NewQoS()
 	}
 	return ix.NewRun(req, NewQueryState(), opt)
 }

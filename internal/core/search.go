@@ -47,11 +47,10 @@ type SearchOptions struct {
 	// answer.
 	Shared Collector
 
-	// QoS, when non-nil, carries the query's quality-of-service state:
-	// ε-inflated pruning and deadline/cancellation stop checks, with the
-	// bookkeeping that proves the answer's quality afterwards. Like
-	// Shared, one QoS is threaded through every shard run of a fan-out.
-	// Nil means plain exact search with zero added hot-path work.
+	// QoS is the query's quality-of-service state (required, built by
+	// Request.NewQoS): it decides every prune and every stop, and proves
+	// the answer's quality afterwards. Like Shared, one QoS is threaded
+	// through every shard run of a fan-out.
 	QoS *QoS
 }
 
@@ -243,19 +242,13 @@ func (s *leafScratch) all(n int) []int32 {
 // later bound would have pruned it without inflation; such a witness is no
 // smaller than the final answer, and Finish ignores those.
 func (s *leafScratch) filter(lbs []float64, scale, limit float64, qos *QoS) []int32 {
-	escale := qos.Scale()
 	cand := s.candidates(len(lbs))
 	for e, sum := range lbs {
 		lb := sum * scale
 		lbs[e] = lb
-		if lb*escale >= limit {
-			if escale > 1 && lb < limit {
-				// Entry skipped only because of ε-inflation.
-				qos.PruneEps(lb)
-			}
-			continue
+		if !qos.prunes(lb, limit) {
+			cand = append(cand, int32(e))
 		}
-		cand = append(cand, int32(e))
 	}
 	return cand
 }
@@ -313,8 +306,7 @@ type SearchRun struct {
 	opt      SearchOptions
 	ctrs     *stats.Counters  // nil = not counting
 	bd       *stats.Breakdown // nil = not tracing
-	qos      *QoS             // nil for plain exact runs
-	escale   float64          // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
+	qos      *QoS             // opt.QoS
 	done     bool             // the answer is complete after init (ModeApprox)
 	scan     bool             // the scan plan: InsertPhase scans, DrainPhase is a no-op
 }
@@ -334,8 +326,7 @@ func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*Search
 		return nil, ErrEmptyIndex
 	}
 	r := &SearchRun{ix: ix, bnd: opt.Shared,
-		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown,
-		qos: opt.QoS, escale: opt.QoS.Scale()}
+		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown, qos: opt.QoS}
 	r.init(req, st)
 	return r, nil
 }
@@ -413,13 +404,13 @@ func (r *SearchRun) scanPays() bool {
 // whether iSAX pruning pays ("Data Series Indexing Gone Parallel",
 // PAPERS.md): this share estimates how much of the collection the refine
 // stage would gather in leaf order. The probes are plan cost (25 µs at
-// w = 16), not search work, and are not counted.
+// w = 16), not search work: they are not counted and record no ε witness.
 func (r *SearchRun) sampledShare() float64 {
 	w := r.ix.Schema.Segments
 	limit := r.bnd.Load()
 	survivors := 0
 	for i := 0; i < len(r.ix.sample); i += w {
-		if r.table.MinDistWord(r.ix.sample[i:i+w])*r.escale < limit {
+		if r.table.MinDistWord(r.ix.sample[i:i+w])*r.qos.scale < limit {
 			survivors++
 		}
 	}
@@ -457,9 +448,7 @@ func (r *SearchRun) InsertPhase(pid int) {
 		if i >= len(r.ix.activeRoots) {
 			break
 		}
-		if r.qos.ShouldStop() {
-			// Root subtree i (at least) goes unexplored.
-			r.qos.MarkTruncated()
+		if r.qos.stop() {
 			break
 		}
 		root := r.ix.Tree.Root(int(r.ix.activeRoots[i]))
@@ -491,9 +480,7 @@ func (r *SearchRun) scanPhase() {
 		if lo >= n {
 			break
 		}
-		if r.qos.ShouldStop() {
-			// Block lo (at least) goes unmeasured.
-			r.qos.MarkTruncated()
+		if r.qos.stop() {
 			break
 		}
 		if err := fpScanLeaf.Hit(); err != nil {
@@ -541,13 +528,7 @@ func (r *SearchRun) traverse(node *tree.Node, cursor *int, insertTime *time.Dura
 	ctrs.AddNodesVisited(1)
 	dist := r.table.MinDistPrefix(node.Symbols, node.Bits)
 	ctrs.AddLowerBound(1)
-	if limit := r.bnd.Load(); dist*r.escale >= limit {
-		if dist < limit {
-			// Pruned only because of the (1+ε)² inflation: this subtree
-			// could hold something better than the BSF, but nothing below
-			// dist — record it as an answer-quality witness.
-			r.qos.PruneEps(dist)
-		}
+	if r.qos.prunes(dist, r.bnd.Load()) {
 		return
 	}
 	if node.IsLeaf() {
@@ -569,23 +550,13 @@ func (r *SearchRun) traverse(node *tree.Node, cursor *int, insertTime *time.Dura
 }
 
 // processQueue is Algorithm 8: repeatedly DeleteMin; once the popped bound
-// is no better than the BSF (or the queue is empty), mark the queue
-// finished and return.
+// is no better than the BSF (or the queue is empty, or the QoS state stops
+// the run), mark the queue finished and return.
 func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScratch,
 	ctrs *stats.Counters, bd *stats.Breakdown) {
 
 	for {
 		if q.Finished() {
-			return
-		}
-		if r.qos.ShouldStop() {
-			// Deadline passed or request cancelled: abandon the queue at
-			// leaf-scan granularity. The answer only loses exactness if
-			// unscanned work actually remained.
-			if _, ok := q.PopMin(); ok {
-				r.qos.MarkTruncated()
-			}
-			q.MarkFinished()
 			return
 		}
 		var t0 time.Time
@@ -596,18 +567,15 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 		if bd.Enabled() {
 			bd.Add(stats.PhasePQRemove, time.Since(t0))
 		}
-		if !ok {
+		if !ok || r.qos.stop() {
 			q.MarkFinished()
 			return
 		}
-		if limit := r.bnd.Load(); item.Priority*r.escale >= limit {
+		if r.qos.prunes(item.Priority, r.bnd.Load()) {
 			// Everything left in this min-queue is at least as far:
 			// abandon the whole queue (Algorithm 8 lines 8-10). Under
 			// ε-inflation the popped minimum bounds every remaining item,
 			// so it is the single witness for the whole queue.
-			if item.Priority < limit {
-				r.qos.PruneEps(item.Priority)
-			}
 			ctrs.AddLeavesPruned(1)
 			q.MarkFinished()
 			return
@@ -656,7 +624,6 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
 	scratch *leafScratch, coll Collector, start int64, qos *QoS, ctrs *stats.Counters) {
 
-	escale := qos.Scale()
 	lbCount, realCount := int64(len(lbs)), int64(0)
 	for len(cand) > 0 {
 		batch := cand
@@ -674,14 +641,8 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 		scratch.sink += sink
 		limit := coll.Load()
 		for _, e := range batch {
-			if lbs != nil {
-				if lb := lbs[e]; lb*escale >= limit {
-					if escale > 1 && lb < limit {
-						// Candidate skipped only because of ε-inflation.
-						qos.PruneEps(lb)
-					}
-					continue
-				}
+			if lbs != nil && qos.prunes(lbs[e], limit) {
+				continue
 			}
 			pos := leaf.Positions[e]
 			d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
@@ -741,7 +702,7 @@ func (r *SearchRun) approxSearch(qpaa []float64, qword []uint8) bool {
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
-	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, nil, r.ctrs)
+	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, r.qos, r.ctrs)
 	return true
 }
 

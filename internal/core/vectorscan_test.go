@@ -269,8 +269,10 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 		}
 		if lbs != nil {
 			if lb := lbs[e] * scale; lb*escale >= limit {
-				if escale > 1 && lb < limit {
-					qos.PruneEps(lb)
+				// Skipped only because of ε-inflation: a witness. One
+				// worker, so a plain load and store keep the minimum.
+				if escale > 1 && lb < limit && lb < math.Float64frombits(qos.epsPruned.Load()) {
+					qos.epsPruned.Store(math.Float64bits(lb))
 				}
 				continue
 			}
@@ -395,7 +397,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				var refScratch leafScratch
 				for _, leaf := range leaves {
 					lbs := refScratch.accumulate(leaf, tab, w)
-					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.Scale(), kern, bnd, wantQoS, &wantCtrs)
+					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.scale, kern, bnd, wantQoS, &wantCtrs)
 				}
 				want := top.Matches()
 				if fl.k == 1 {
@@ -415,7 +417,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				if g, p := gotCtrs.Snapshot(), wantCtrs.Snapshot(); g != p {
 					t.Fatalf("%s: counters %+v, plain loop %+v", name, g, p)
 				}
-				gotRes, wantRes := gotQoS.Finish(got, req.Mode), wantQoS.Finish(want, req.Mode)
+				gotRes, wantRes := gotQoS.Finish(got), wantQoS.Finish(want)
 				if gotRes.Exact != wantRes.Exact || gotRes.EpsilonBound != wantRes.EpsilonBound {
 					t.Fatalf("%s: exact=%v bound=%v, plain loop exact=%v bound=%v", name,
 						gotRes.Exact, gotRes.EpsilonBound, wantRes.Exact, wantRes.EpsilonBound)

@@ -193,7 +193,7 @@ func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	for _, st := range sts {
 		e.states.Put(st)
 	}
-	return opt.QoS.Finish(opt.Shared.Matches(), req.Mode), nil
+	return opt.QoS.Finish(opt.Shared.Matches()), nil
 }
 
 // prepare runs the first stage of every member of the fan-out as units of

@@ -3,6 +3,7 @@ package messi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -47,41 +48,70 @@ func bruteKNN(t *testing.T, data []float32, length int, q []float32, k int) []fl
 	return dists
 }
 
-// TestEpsilonZeroEqualsExact: ε = 0 answers are bitwise identical to
-// ModeExact — inflating bounds by (1+0)² is the same arithmetic — across
-// 1-NN, k-NN, and DTW, on single-tree and sharded backends.
+// TestEpsilonZeroEqualsExact: every exact-equivalent request answers
+// bitwise like ModeExact — ε = 0 (inflating bounds by (1+0)² is the same
+// arithmetic), ModeDeadline with no budget, and an exact query under a
+// live context that is never cancelled (the served shape: its QoS state
+// watches a channel that never closes) — across 1-NN, k-NN, and DTW, on
+// single-tree and sharded backends. On a one-shard, one-worker index,
+// where operation counts are deterministic, the counters match too: the
+// same prunes, the same stops.
 func TestEpsilonZeroEqualsExact(t *testing.T) {
 	data := RandomWalk(3000, 64, 71)
 	queries := RandomWalk(8, 64, 7171)
-	for name, ix := range qosIndexes(t, data, 64) {
+	indexes := qosIndexes(t, data, 64)
+	serial, err := BuildFlat(data, 64, &Options{LeafCapacity: 64, SearchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes["serial"] = serial
+	bg := context.Background()
+	live, cancel := context.WithCancel(bg)
+	defer cancel()
+	variants := []struct {
+		name string
+		ctx  context.Context
+		edit func(*SearchRequest)
+	}{
+		{"ε=0", bg, func(r *SearchRequest) { r.Mode, r.Epsilon = ModeEpsilon, 0 }},
+		{"zero deadline", bg, func(r *SearchRequest) { r.Mode, r.Deadline = ModeDeadline, 0 }},
+		{"live context", live, func(*SearchRequest) {}},
+	}
+	for name, ix := range indexes {
 		for qi := 0; qi < 8; qi++ {
 			q := queries[qi*64 : (qi+1)*64]
 			shapes := []SearchRequest{
-				{Query: q},
-				{Query: q, K: 5},
-				{Query: q, DTW: true, Window: 0.1},
+				{Query: q, Counters: true},
+				{Query: q, K: 5, Counters: true},
+				{Query: q, DTW: true, Window: 0.1, Counters: true},
 			}
 			for _, base := range shapes {
-				exact, err := ix.Do(context.Background(), base)
+				exact, err := ix.Do(bg, base)
 				if err != nil {
 					t.Fatal(err)
 				}
-				eps := base
-				eps.Mode, eps.Epsilon = ModeEpsilon, 0
-				got, err := ix.Do(context.Background(), eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Exact || got.EpsilonBound != 0 {
-					t.Fatalf("%s query %d: ε=0 result not exact: %+v", name, qi, got)
-				}
-				if len(got.Matches) != len(exact.Matches) {
-					t.Fatalf("%s query %d: ε=0 returned %d matches, exact %d", name, qi, len(got.Matches), len(exact.Matches))
-				}
-				for i := range exact.Matches {
-					if got.Matches[i] != exact.Matches[i] {
-						t.Fatalf("%s query %d rank %d: ε=0 %+v, exact %+v (must be bitwise identical)",
-							name, qi, i, got.Matches[i], exact.Matches[i])
+				for _, v := range variants {
+					req := base
+					v.edit(&req)
+					got, err := ix.Do(v.ctx, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					where := fmt.Sprintf("%s query %d k=%d dtw=%v, %s", name, qi, base.K, base.DTW, v.name)
+					if !got.Exact || got.EpsilonBound != 0 {
+						t.Fatalf("%s: result not exact: %+v", where, got)
+					}
+					if len(got.Matches) != len(exact.Matches) {
+						t.Fatalf("%s: %d matches, exact %d", where, len(got.Matches), len(exact.Matches))
+					}
+					for i := range exact.Matches {
+						if got.Matches[i] != exact.Matches[i] {
+							t.Fatalf("%s rank %d: %+v, exact %+v (must be bitwise identical)",
+								where, i, got.Matches[i], exact.Matches[i])
+						}
+					}
+					if name == "serial" && *got.Counters != *exact.Counters {
+						t.Fatalf("%s: counters %+v, exact %+v", where, *got.Counters, *exact.Counters)
 					}
 				}
 			}
@@ -357,6 +387,7 @@ func TestSentinelErrors(t *testing.T) {
 		{"wrong length", SearchRequest{Query: make([]float32, 5)}, ErrWrongLength},
 		{"negative epsilon", SearchRequest{Query: good, Mode: ModeEpsilon, Epsilon: -0.1}, ErrBadEpsilon},
 		{"epsilon NaN", SearchRequest{Query: good, Mode: ModeEpsilon, Epsilon: math.NaN()}, ErrBadEpsilon},
+		{"negative deadline", SearchRequest{Query: good, Mode: ModeDeadline, Deadline: -5 * time.Millisecond}, ErrBadDeadline},
 		{"query NaN", SearchRequest{Query: nonFinite(good, math.NaN())}, ErrNonFinite},
 		{"query +Inf", SearchRequest{Query: nonFinite(good, math.Inf(1))}, ErrNonFinite},
 		{"dtw query NaN", SearchRequest{Query: nonFinite(good, math.NaN()), DTW: true, Window: 0.1}, ErrNonFinite},

@@ -2,6 +2,7 @@ package messi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -35,6 +36,9 @@ var (
 	// ErrNonFinite reports a query, or a series appended to a LiveIndex,
 	// that holds a NaN or an infinity.
 	ErrNonFinite = core.ErrNonFinite
+	// ErrBadDeadline reports a negative Deadline: a spent budget is not
+	// "no budget", which is zero.
+	ErrBadDeadline = errors.New("messi: deadline must be non-negative")
 	// ErrQueryPanicked reports a query that panicked, on any frontend's
 	// Do. The panic is recovered in the unit of work where it happened,
 	// fails only the offending query, and leaves the index (and its pool,
@@ -60,10 +64,11 @@ const (
 	// by (1+ε)², terminating as soon as the answer is provably within
 	// (1+ε) of optimal. Epsilon = 0 is identical to ModeExact.
 	ModeEpsilon = Mode(core.ModeEpsilon)
-	// ModeDeadline runs the exact algorithm but stops at leaf-scan
-	// granularity when the request's Deadline (or the context's) passes,
-	// returning the best answer found so far flagged Exact=false. With
-	// no deadline at all it is identical to ModeExact.
+	// ModeDeadline runs the exact algorithm but stops at its next claim
+	// of work — a root subtree, a 1 024-series scan block or a queue pop —
+	// once the request's Deadline (or the context's) passes, returning the
+	// best answer found so far flagged Exact=false. With no deadline at
+	// all it is identical to ModeExact.
 	ModeDeadline = Mode(core.ModeDeadline)
 )
 
@@ -108,7 +113,7 @@ type SearchRequest struct {
 	Epsilon float64
 	// Deadline is the query's latency budget, measured from the Do call.
 	// Zero means no budget (the context's deadline, if any, still
-	// applies in ModeDeadline).
+	// applies in ModeDeadline); a negative one fails with ErrBadDeadline.
 	Deadline time.Duration
 	// Counters, when true, collects per-query operation counts into
 	// Result.Counters (a small amount of atomic-counter overhead).
@@ -197,7 +202,7 @@ type collectors struct {
 }
 
 // do is the one request path under every frontend's Do: it checks the
-// window fraction and converts it to points, applies z-normalization when
+// deadline budget and the window fraction, converts the window to points, applies z-normalization when
 // the index uses it, resolves the effective absolute deadline from the
 // request budget and the context, attaches the counter/trace collectors
 // the request asked for, hands the core request to the backend's own Do —
@@ -213,6 +218,9 @@ func do(ctx context.Context, req SearchRequest, seriesLen int, normalize bool,
 			return Result{}, fmt.Errorf("%w: fraction %v outside [0,1]", ErrBadWindow, req.Window)
 		}
 		window = dtw.WindowSize(seriesLen, req.Window)
+	}
+	if req.Deadline < 0 {
+		return Result{}, fmt.Errorf("%w, got %v", ErrBadDeadline, req.Deadline)
 	}
 	query := req.Query
 	if normalize {
@@ -302,8 +310,8 @@ func publicResult(res core.Result, col collectors) Result {
 // through the same engine as Engine.Do and LiveIndex.Do but without a pool
 // or an admission gate: each unit of the query's work runs on a goroutine
 // started for it, SearchWorkers of them per phase across all shards. A
-// context cancellation
-// stops the search at leaf-scan granularity and returns the best answer so
+// context cancellation stops the search at its next claim of work — a root
+// subtree, a scan block or a queue pop — and returns the best answer so
 // far flagged Exact=false. A query that panics fails alone with
 // ErrQueryPanicked.
 func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
