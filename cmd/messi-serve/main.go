@@ -394,6 +394,11 @@ func (sr searchRequest) toSearchRequest() (messi.SearchRequest, error) {
 	if err != nil {
 		return messi.SearchRequest{}, err
 	}
+	// A larger budget would wrap around in time.Duration and become a tiny
+	// (or negative) one.
+	if sr.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
+		return messi.SearchRequest{}, fmt.Errorf("%w: deadline_ms %d overflows a duration", messi.ErrBadDeadline, sr.DeadlineMS)
+	}
 	return messi.SearchRequest{
 		Query:    sr.Query,
 		K:        sr.K,
@@ -903,9 +908,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "queries must be non-empty")
 		return
 	}
-	// The same submitter loop as messi.Engine.QueryBatch: as many queries
-	// in flight as the admission gate admits, under the request's context —
-	// once the client is gone the remaining queries are not started.
+	// A fixed submitter fleet over Do: as many queries in flight as the
+	// admission gate admits, under the request's context — once the client
+	// is gone the remaining queries are not started.
 	resp := batchResponse{Results: make([][]jsonMatch, len(req.Queries))}
 	err := engine.ForEach(len(req.Queries), ix.EngineOptions().MaxConcurrent, func(i int) error {
 		if err := r.Context().Err(); err != nil {
@@ -977,7 +982,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	first, err := ix.AppendBatch(req.Series)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, appendResponse{FirstPosition: first, Count: len(req.Series)})
@@ -1015,16 +1020,18 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// errorStatus classifies a query error: the library's typed sentinels are
-// the client's fault (400), a context torn down mid-query maps to 503,
-// and anything else is the server's problem (500).
+// errorStatus classifies a query or append error: the library's typed
+// sentinels are the client's fault (400), a context torn down mid-query
+// maps to 503, and anything else — a failed WAL write, a closed index —
+// is the server's problem (500).
 func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, messi.ErrBadK),
 		errors.Is(err, messi.ErrBadWindow),
 		errors.Is(err, messi.ErrWrongLength),
 		errors.Is(err, messi.ErrBadEpsilon),
-		errors.Is(err, messi.ErrBadDeadline):
+		errors.Is(err, messi.ErrBadDeadline),
+		errors.Is(err, messi.ErrNonFinite):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):

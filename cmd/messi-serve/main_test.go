@@ -286,6 +286,37 @@ func TestLiveBadAppends(t *testing.T) {
 	}
 }
 
+// TestAppendFailureStatus: POST /v1/series blames the client only for the
+// client's fault. A row of the wrong length is a 400; a WAL write that
+// fails is the server's problem, a 500, and the batch is not acked.
+func TestAppendFailureStatus(t *testing.T) {
+	lix, err := messi.NewLive(64, &messi.Options{LeafCapacity: 64, SearchWorkers: 2},
+		&messi.LiveOptions{WALDir: filepath.Join(t.TempDir(), "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lix.Close() })
+	h := newHandler(lix, true, "")
+	good := messi.RandomWalk(1, 64, 13)
+
+	rr := postJSON(t, h, "/v1/series", appendRequest{Series: [][]float32{good, good[:10]}})
+	if rr.Code != http.StatusBadRequest {
+		t.Errorf("wrong-length row: status %d, want 400 (body %s)", rr.Code, rr.Body)
+	}
+
+	t.Cleanup(fault.DisarmAll)
+	if err := fault.Arm("wal.append.write", fault.Spec{Action: fault.Error}); err != nil {
+		t.Fatal(err)
+	}
+	rr = postJSON(t, h, "/v1/series", appendRequest{Series: [][]float32{good}})
+	if rr.Code != http.StatusInternalServerError {
+		t.Errorf("failed WAL write: status %d, want 500 (body %s)", rr.Code, rr.Body)
+	}
+	if n := lix.Len(); n != 0 {
+		t.Errorf("Len = %d after refused appends, want 0", n)
+	}
+}
+
 // TestQueryEndpoint: the served 1-NN answer must equal the library answer.
 func TestQueryEndpoint(t *testing.T) {
 	h, ix := newTestHandler(t)
@@ -863,6 +894,8 @@ func TestSearchEndpointBadRequests(t *testing.T) {
 		{"negative k", searchRequest{Query: good, K: -1}},
 		{"negative epsilon", searchRequest{Query: good, Mode: "epsilon", Epsilon: -0.5}},
 		{"negative deadline", searchRequest{Query: good, Mode: "deadline", DeadlineMS: -5}},
+		// 18446744073710 ms wraps to a 448 µs time.Duration.
+		{"overflowing deadline", searchRequest{Query: good, Mode: "deadline", DeadlineMS: 18446744073710}},
 		{"wrong length", searchRequest{Query: make([]float32, 5)}},
 		{"bad dtw window", searchRequest{Query: good, DTW: true, Window: 3}},
 		{"negative dtw window", searchRequest{Query: good, DTW: true, Window: -0.5}},

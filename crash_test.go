@@ -255,10 +255,10 @@ func rebootLive(t *testing.T, snapPath string, opts *Options, lopts *LiveOptions
 
 // TestQueryPanickedPublicSentinel pins the public error surface on every
 // frontend — LiveIndex, Index (one shard, three, and Loaded from a
-// snapshot) and Engine: a panic in any unit of a query's work, injected in
-// the engine's unit or in core's leaf scan, reaches API consumers as
-// ErrQueryPanicked, matchable with errors.Is, and the next query on the
-// same frontend is answered exactly.
+// snapshot) and Index.NewEngine's LiveIndex: a panic in any unit of a
+// query's work, injected in the engine's unit or in core's leaf scan,
+// reaches API consumers as ErrQueryPanicked, matchable with errors.Is, and
+// the next query on the same frontend is answered exactly.
 func TestQueryPanickedPublicSentinel(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 	data := RandomWalk(200, crashSeriesLen, 11)

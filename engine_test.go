@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,39 +51,6 @@ func TestEngineMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestEngineQueryBatch: batch results line up with per-query answers.
-func TestEngineQueryBatch(t *testing.T) {
-	data := RandomWalk(2000, 64, 5)
-	ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 6, QueryWorkers: 2})
-	defer eng.Close()
-
-	flat := RandomWalk(12, 64, 505)
-	queries := make([][]float32, 12)
-	for i := range queries {
-		queries[i] = flat[i*64 : (i+1)*64]
-	}
-	got, err := eng.QueryBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(queries) {
-		t.Fatalf("batch returned %d results for %d queries", len(got), len(queries))
-	}
-	for i, q := range queries {
-		want, err := nn1(ix, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("batch query %d: got %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
 // TestEngineConcurrentQueriers: ≥8 goroutines share one engine; every
 // answer must match the single-query path (run under -race in CI).
 func TestEngineConcurrentQueriers(t *testing.T) {
@@ -129,8 +97,8 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineShardsGauge: the engine holds no index, so the static index it
-// was started over feeds messi_engine_shards.
+// TestEngineShardsGauge: the live index NewEngine returns publishes the
+// built index as its generation, which feeds messi_engine_shards.
 func TestEngineShardsGauge(t *testing.T) {
 	ix, err := BuildFlat(RandomWalk(200, 64, 31), 64, &Options{LeafCapacity: 32, Shards: 4})
 	if err != nil {
@@ -145,5 +113,27 @@ func TestEngineShardsGauge(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "\nmessi_engine_shards 4\n") {
 		t.Fatalf("messi_engine_shards does not read 4:\n%s", sb.String())
+	}
+}
+
+// TestNewEngineInheritsIndex: the live index NewEngine returns takes its
+// pool and queue defaults from the index's options, holds the index as its
+// one generation with an empty delta, and has nothing to persist on Close.
+func TestNewEngineInheritsIndex(t *testing.T) {
+	ix, err := BuildFlat(RandomWalk(300, 64, 37), 64,
+		&Options{LeafCapacity: 32, SearchWorkers: 3, QueueCount: 5, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ix.NewEngine(nil)
+	if o := eng.EngineOptions(); o.PoolWorkers != 3 || o.QueryWorkers != 3 || o.Queues != 5 {
+		t.Errorf("defaults %+v, want PoolWorkers=QueryWorkers=3 and Queues=5 from the index", o)
+	}
+	want := LiveStats{Series: 300, BaseSeries: 300, Generation: 1, Shards: 2, Index: ix.Stats(), PerShard: ix.ShardStats()}
+	if got := eng.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	if err := eng.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }

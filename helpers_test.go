@@ -2,8 +2,8 @@ package messi
 
 import "context"
 
-// Test helpers over Do, one per request flavour, for Index, LiveIndex and
-// Engine alike: every test asks through the one public query method.
+// Test helpers over Do, one per request flavour, for Index and LiveIndex
+// alike: every test asks through the one public query method.
 
 type doer interface {
 	Do(ctx context.Context, req SearchRequest) (Result, error)

@@ -35,9 +35,9 @@ var (
 	ErrBadK = errors.New("core: invalid k")
 	// ErrBadWindow reports a DTW warping window outside its valid range.
 	ErrBadWindow = errors.New("core: DTW window out of range")
-	// ErrWrongLength reports a query whose length does not match the
-	// indexed series length.
-	ErrWrongLength = errors.New("core: query length does not match index series length")
+	// ErrWrongLength reports a query, or an appended series, whose length
+	// does not match the indexed series length.
+	ErrWrongLength = errors.New("core: series length does not match index series length")
 	// ErrBadEpsilon reports a negative or non-finite ε tolerance.
 	ErrBadEpsilon = errors.New("core: epsilon must be finite and non-negative")
 	// ErrNonFinite reports a query or an appended series holding a NaN or

@@ -149,27 +149,3 @@ func (s *Snapshot) Collections() ([]*series.Collection, error) {
 	}
 	return cols, nil
 }
-
-// CopyInto copies all snapshot series into dst (flat row-major), which
-// must hold Len()*SeriesLen() values. Used by the generational rebuild to
-// merge delta contents into the next immutable collection.
-func (s *Snapshot) CopyInto(dst []float32) error {
-	if len(dst) < s.count*s.length {
-		return fmt.Errorf("delta: destination holds %d values, need %d", len(dst), s.count*s.length)
-	}
-	off := 0
-	remaining := s.count
-	for _, block := range s.blocks {
-		if remaining <= 0 {
-			break
-		}
-		n := remaining
-		if n > s.blockCap {
-			n = s.blockCap
-		}
-		copy(dst[off:off+n*s.length], block[:n*s.length])
-		off += n * s.length
-		remaining -= n
-	}
-	return nil
-}

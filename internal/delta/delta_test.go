@@ -101,26 +101,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestCopyInto(t *testing.T) {
-	b := New(2, 3)
-	for i := 0; i < 7; i++ {
-		b.Append([]float32{float32(i), float32(-i)})
-	}
-	snap := b.Snapshot()
-	dst := make([]float32, 7*2)
-	if err := snap.CopyInto(dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		if dst[2*i] != float32(i) || dst[2*i+1] != float32(-i) {
-			t.Fatalf("copied series %d = %v", i, dst[2*i:2*i+2])
-		}
-	}
-	if err := snap.CopyInto(make([]float32, 3)); err == nil {
-		t.Fatal("short destination accepted")
-	}
-}
-
 // TestConcurrentAppendSnapshot exercises concurrent appenders and readers;
 // run under -race this validates the locking discipline.
 func TestConcurrentAppendSnapshot(t *testing.T) {

@@ -9,6 +9,12 @@
 // tree search, so what the delta holds both participates in the result and
 // tightens tree pruning, and the other way round.
 //
+// New is the one constructor. It starts with no generation, or from a
+// built one: a fresh shard.Build, a loaded snapshot, or the index behind
+// the root package's Index.NewEngine, which is a live index that never
+// appends and so serves a static index on the same pool, admission gate
+// and Do as every other.
+//
 // When the delta exceeds a configurable threshold, a background rebuild
 // merges it with the current generation into a new core.Index using the
 // paper's parallel construction, then atomically swaps the generation in

@@ -155,66 +155,26 @@ type Index struct {
 	walRow [1][]float32 // scratch for journaling single appends (under mu)
 }
 
-// New creates a live index for series of the given length. initial may be
-// nil or empty (the index starts with no generation and answers purely
-// from the delta); when non-empty it is indexed synchronously as
-// generation 1 and retained, like core.Build, without copying.
-func New(seriesLen int, initial *series.Collection, opts Options) (*Index, error) {
-	if initial != nil && initial.Count() > 0 && initial.Length != seriesLen {
-		return nil, fmt.Errorf("live: initial collection series length %d, want %d", initial.Length, seriesLen)
-	}
-	ix, err := prepare(seriesLen, opts)
-	if err != nil {
-		return nil, err
-	}
-	var base *shard.Index
-	if initial != nil && initial.Count() > 0 {
-		if base, err = shard.Build(initial, ix.opts.Shards, ix.opts.Core); err != nil {
-			return nil, err
+// New creates a live index for series of the given length. base, when
+// non-nil, is an already-built generation — fresh from shard.Build or
+// restored from a snapshot — published as generation 1 and retained
+// without copying; future rebuilds merge appends into it. Its structural
+// options (segments, cardinality, leaf capacity) and its shard count
+// override opts, so later generations keep its shape; runtime options
+// (workers, queues, thresholds) come from opts. A nil base starts with no
+// generation: the index answers purely from the delta until the first
+// rebuild.
+func New(seriesLen int, base *shard.Index, opts Options) (*Index, error) {
+	if base != nil {
+		if base.Len() == 0 || base.SeriesLen() != seriesLen {
+			return nil, fmt.Errorf("live: base holds %d series of length %d, want a non-empty one of length %d", base.Len(), base.SeriesLen(), seriesLen)
 		}
+		baseOpts := base.Opts()
+		opts.Core.Segments = baseOpts.Segments
+		opts.Core.CardBits = baseOpts.CardBits
+		opts.Core.LeafCapacity = baseOpts.LeafCapacity
+		opts.Shards = base.NumShards()
 	}
-	return ix.boot(base)
-}
-
-// NewFromIndex boots a live index from an already-built (typically
-// snapshot-restored) generation, skipping the construction pipeline
-// entirely: base becomes generation 1 and future rebuilds merge appends
-// into it. Structural options (segments, cardinality, leaf capacity) are
-// taken from base so later generations keep its shape; runtime options
-// (workers, queues, thresholds) come from opts. The base's shard count is
-// structural too, so opts.Shards is overridden: later generations keep the
-// partition the base was built (or saved) with.
-func NewFromIndex(base *shard.Index, opts Options) (*Index, error) {
-	if base == nil || base.Len() == 0 {
-		return nil, fmt.Errorf("live: cannot boot from an empty index")
-	}
-	baseOpts := base.Opts()
-	opts.Core.Segments = baseOpts.Segments
-	opts.Core.CardBits = baseOpts.CardBits
-	opts.Core.LeafCapacity = baseOpts.LeafCapacity
-	opts.Shards = base.NumShards()
-	ix, err := prepare(base.SeriesLen(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return ix.boot(base)
-}
-
-// boot publishes the initial view, replays the WAL tail (when one is
-// configured) into the delta, and hands the index back ready to serve.
-// A replay failure shuts the engine down and surfaces the error — a
-// live index must not come up silently missing acked appends.
-func (ix *Index) boot(base *shard.Index) (*Index, error) {
-	ix.start(base)
-	if err := ix.replayWAL(); err != nil {
-		ix.eng.Close()
-		return nil, err
-	}
-	return ix, nil
-}
-
-// prepare validates options and builds the not-yet-started index shell.
-func prepare(seriesLen int, opts Options) (*Index, error) {
 	opts.Core = core.FillDefaults(opts.Core)
 	opts = opts.withDefaults()
 	if opts.Engine.Metrics == nil {
@@ -231,12 +191,19 @@ func prepare(seriesLen int, opts Options) (*Index, error) {
 	}
 	ix := &Index{opts: opts, seriesLen: seriesLen}
 	ix.cond = sync.NewCond(&ix.mu)
+	ix.start(base)
+	// A replay failure shuts the engine down and surfaces the error — a
+	// live index must not come up silently missing acked appends.
+	if err := ix.replayWAL(); err != nil {
+		ix.eng.Close()
+		return nil, err
+	}
 	return ix, nil
 }
 
 // start publishes the initial view around base (which may be nil) and
 // spins up the query engine.
-func (ix *Index) start(base *shard.Index) *Index {
+func (ix *Index) start(base *shard.Index) {
 	baseLen := 0
 	if base != nil {
 		baseLen = base.Len()
@@ -277,7 +244,6 @@ func (ix *Index) start(base *shard.Index) *Index {
 				return float64(ix.gen.Load())
 			})
 	}
-	return ix
 }
 
 // replayWAL replays the configured WAL's uncovered tail into the
@@ -353,7 +319,7 @@ func (ix *Index) Shards() int { return ix.opts.Shards }
 // or an infinity is refused with core.ErrNonFinite before the WAL sees it.
 func (ix *Index) Append(s []float32) (int, error) {
 	if len(s) != ix.seriesLen {
-		return 0, fmt.Errorf("live: series length %d, index series length %d", len(s), ix.seriesLen)
+		return 0, fmt.Errorf("live: %w: series length %d, index series length %d", core.ErrWrongLength, len(s), ix.seriesLen)
 	}
 	if err := core.CheckFinite(s); err != nil {
 		return 0, fmt.Errorf("live: %w", err)
@@ -388,7 +354,7 @@ func (ix *Index) Append(s []float32) (int, error) {
 func (ix *Index) AppendBatch(rows [][]float32) (int, error) {
 	for i, r := range rows {
 		if len(r) != ix.seriesLen {
-			return 0, fmt.Errorf("live: batch series %d has length %d, index series length %d", i, len(r), ix.seriesLen)
+			return 0, fmt.Errorf("live: batch series %d: %w: length %d, index series length %d", i, core.ErrWrongLength, len(r), ix.seriesLen)
 		}
 		if err := core.CheckFinite(r); err != nil {
 			return 0, fmt.Errorf("live: batch series %d: %w", i, err)

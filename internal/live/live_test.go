@@ -12,6 +12,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/scan"
 	"repro/internal/series"
+	"repro/internal/shard"
 )
 
 // walk generates n random-walk series of the given length.
@@ -37,6 +38,17 @@ func collection(t *testing.T, rows [][]float32) *series.Collection {
 		t.Fatal(err)
 	}
 	return col
+}
+
+// generation builds rows into a first generation for New, under opts'
+// core options and shard count.
+func generation(t *testing.T, rows [][]float32, opts Options) *shard.Index {
+	t.Helper()
+	base, err := shard.Build(collection(t, rows), max(opts.Shards, 1), opts.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
 }
 
 // smallOpts keeps trees and pools small enough for fast unit tests.
@@ -154,7 +166,8 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 
 	// Large threshold: no automatic rebuild, so each stage tests a known
 	// base/delta split.
-	ix, err := New(length, collection(t, all[:200]), smallOpts(1_000_000))
+	opts := smallOpts(1_000_000)
+	ix, err := New(length, generation(t, all[:200], opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +203,8 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 func TestAppendPositionsStable(t *testing.T) {
 	const length = 32
 	rows := walk(300, length, 2)
-	ix, err := New(length, collection(t, rows[:100]), smallOpts(1_000_000))
+	opts := smallOpts(1_000_000)
+	ix, err := New(length, generation(t, rows[:100], opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +285,8 @@ func TestEmptyStart(t *testing.T) {
 // generation swap without any explicit Flush.
 func TestAutomaticRebuild(t *testing.T) {
 	const length = 32
-	ix, err := New(length, collection(t, walk(100, length, 4)), smallOpts(50))
+	opts := smallOpts(50)
+	ix, err := New(length, generation(t, walk(100, length, 4), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +318,8 @@ func TestAutomaticRebuild(t *testing.T) {
 func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 	const length = 32
 	initial := walk(200, length, 6)
-	ix, err := New(length, collection(t, initial), smallOpts(40)) // tiny threshold: many rebuilds
+	opts := smallOpts(40)
+	ix, err := New(length, generation(t, initial, opts), opts) // tiny threshold: many rebuilds
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +396,8 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 // TestClose: operations after Close fail cleanly and Close is idempotent.
 func TestClose(t *testing.T) {
 	const length = 32
-	ix, err := New(length, collection(t, walk(50, length, 8)), smallOpts(1_000_000))
+	opts := smallOpts(1_000_000)
+	ix, err := New(length, generation(t, walk(50, length, 8), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +414,8 @@ func TestClose(t *testing.T) {
 // TestValidation: malformed inputs are rejected.
 func TestValidation(t *testing.T) {
 	const length = 32
-	ix, err := New(length, collection(t, walk(50, length, 9)), smallOpts(1_000_000))
+	opts := smallOpts(1_000_000)
+	ix, err := New(length, generation(t, walk(50, length, 9), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +435,7 @@ func TestValidation(t *testing.T) {
 	if _, err := ix.Series(10_000); err == nil {
 		t.Error("out-of-range position accepted")
 	}
-	if _, err := New(16, collection(t, walk(5, 32, 10)), Options{}); err == nil {
+	if _, err := New(16, generation(t, walk(5, 32, 10), Options{}), Options{}); err == nil {
 		t.Error("mismatched initial collection accepted")
 	}
 	if _, err := New(33, nil, Options{}); err == nil {
@@ -430,7 +448,8 @@ func TestValidation(t *testing.T) {
 func TestKNNSpansBaseAndDelta(t *testing.T) {
 	const length = 32
 	base := walk(3, length, 11)
-	ix, err := New(length, collection(t, base), smallOpts(1_000_000))
+	opts := smallOpts(1_000_000)
+	ix, err := New(length, generation(t, base, opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +490,7 @@ func TestShardedLifecycle(t *testing.T) {
 	ixs := make([]*Index, len(sizes))
 	for i, S := range sizes {
 		opts.Shards = S
-		ix, err := New(length, collection(t, all[:202]), opts)
+		ix, err := New(length, generation(t, all[:202], opts), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +624,7 @@ func TestShardedLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ixs[i], err = NewFromIndex(base, opts); err != nil {
+		if ixs[i], err = New(base.SeriesLen(), base, opts); err != nil {
 			t.Fatal(err)
 		}
 		if ixs[i].Shards() != sizes[i] {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/series"
+	"repro/internal/shard"
 )
 
 // sample reads one unlabeled series from a registry's text exposition.
@@ -56,10 +56,10 @@ func TestLiveQueryPanicIsolated(t *testing.T) {
 					t.Cleanup(fault.DisarmAll)
 					opts := smallOpts(1 << 30)
 					opts.Shards = S
-					var initial *series.Collection
+					var initial *shard.Index
 					appended := rows
 					if based {
-						initial, appended = collection(t, rows[:250]), rows[250:]
+						initial, appended = generation(t, rows[:250], opts), rows[250:]
 					}
 					ix, err := New(length, initial, opts)
 					if err != nil {
@@ -112,7 +112,7 @@ func TestRejectedBeforeTheGate(t *testing.T) {
 	reg := metrics.NewRegistry()
 	opts := smallOpts(1 << 30)
 	opts.Metrics = reg
-	ix, err := New(length, collection(t, walk(50, length, 31)), opts)
+	ix, err := New(length, generation(t, walk(50, length, 31), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestEngineShardsGauge(t *testing.T) {
 	one := metrics.NewRegistry()
 	opts := smallOpts(1 << 30)
 	opts.Metrics = one
-	ix1, err := New(length, collection(t, walk(40, length, 41)), opts)
+	ix1, err := New(length, generation(t, walk(40, length, 41), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,43 @@ import (
 	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/series"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
+
+// EngineOptions configures the worker pool and admission gate a LiveIndex
+// serves every query on (LiveOptions.Engine, Index.NewEngine). Zero fields
+// inherit from the index options.
+type EngineOptions struct {
+	// PoolWorkers is the number of long-lived worker goroutines shared by
+	// all queries. Default: the index's SearchWorkers.
+	PoolWorkers int
+	// QueryWorkers is the per-query parallelism: how many pool work units
+	// each query dispatches per phase, in total across its shards.
+	// Default: PoolWorkers.
+	QueryWorkers int
+	// Queues is the number of priority queues per query. Default: the
+	// index's QueueCount.
+	Queues int
+	// MaxConcurrent bounds how many queries execute concurrently; further
+	// queries wait for admission. Default: PoolWorkers/QueryWorkers
+	// (at least 1).
+	MaxConcurrent int
+	// DegradeEpsilon, when positive, is the overload policy of the
+	// admission gate: an exact-mode Do request arriving while
+	// MaxConcurrent queries are already executing is served as an
+	// ε-bounded query with this ε instead of stacking queueing latency
+	// on top of exact-search latency. Requests that chose their mode
+	// explicitly are never rewritten, and the Result reports the bound
+	// actually proven. Zero (the default) never degrades.
+	DegradeEpsilon float64
+	// Metrics, when non-nil, receives the engine's serving telemetry:
+	// admission-gate pressure (queue depth, wait time, admitted/degraded/
+	// deadline-expired/cancelled counts), per-mode latency histograms,
+	// answer exactness outcomes, and cumulative pruning counters. Nil
+	// (the default) disables all measurement.
+	Metrics *Metrics
+}
 
 // LiveOptions configures streaming ingestion for a LiveIndex. The zero
 // value (or a nil *LiveOptions) selects the defaults.
@@ -19,9 +54,8 @@ type LiveOptions struct {
 	// RebuildThreshold is the number of buffered (delta) series that
 	// triggers a background generation rebuild. Default 100000.
 	RebuildThreshold int
-	// Engine configures the persistent query pool that answers every
-	// query, tree search and delta scan alike (same semantics as
-	// Index.NewEngine).
+	// Engine configures the worker pool and admission gate that answer
+	// every query, tree search and delta scan alike.
 	Engine EngineOptions
 	// SnapshotPath, when non-empty, makes the live index persist its
 	// immutable generation there (atomically) after every successful
@@ -32,7 +66,7 @@ type LiveOptions struct {
 	SnapshotPath string
 	// Metrics, when non-nil, receives the live index's telemetry (delta
 	// occupancy, rebuild counts and durations, generation number) and is
-	// inherited by the embedded Engine unless Engine.Metrics is set
+	// inherited by the query pool unless Engine.Metrics is set
 	// separately. Nil disables measurement.
 	Metrics *Metrics
 	// WALDir, when non-empty, enables a write-ahead log in that
@@ -54,8 +88,8 @@ type LiveOptions struct {
 	WALSegmentBytes int64
 }
 
-func (o *LiveOptions) toLive(coreOpts core.Options, shards int) live.Options {
-	lo := live.Options{Core: coreOpts, Shards: shards}
+func (o *LiveOptions) toLive(coreOpts core.Options) live.Options {
+	lo := live.Options{Core: coreOpts}
 	if o != nil {
 		lo.RebuildThreshold = o.RebuildThreshold
 		lo.Engine = engine.Options(o.Engine)
@@ -138,21 +172,61 @@ func BuildLiveFromFile(path string, opts *Options, lopts *LiveOptions) (*LiveInd
 	return newLive(col.Length, col, opts, lopts)
 }
 
+// newLive indexes col (nil or empty for an empty start) as the first
+// generation of a new live index.
 func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOptions) (*LiveIndex, error) {
 	coreOpts, normalize, err := opts.toCore()
 	if err != nil {
 		return nil, err
 	}
-	if normalize && col != nil {
-		col.ZNormalizeAll()
+	lo := lopts.toLive(coreOpts)
+	lo.Shards = opts.shards()
+	var base *shard.Index
+	if col != nil && col.Count() > 0 {
+		if normalize {
+			col.ZNormalizeAll()
+		}
+		if base, err = shard.Build(col, lo.Shards, coreOpts); err != nil {
+			return nil, err
+		}
 	}
+	return startLive(seriesLen, base, normalize, lo, lopts)
+}
+
+// NewEngine serves the index on a worker pool behind an admission gate: a
+// LiveIndex whose first generation is the index itself, with no WAL, no
+// snapshot path and no live metrics. Its answers are Index.Do's; pool and
+// queue defaults come from the index's options. opts may be nil for the
+// defaults. Close it when done.
+//
+//	eng := ix.NewEngine(nil)
+//	defer eng.Close()
+//	res, err := eng.Do(ctx, messi.SearchRequest{Query: q})
+func (ix *Index) NewEngine(opts *EngineOptions) *LiveIndex {
+	lopts := &LiveOptions{}
+	if opts != nil {
+		lopts.Engine = *opts
+	}
+	lix, err := startLive(ix.inner.SeriesLen(), ix.inner, ix.normalize, lopts.toLive(ix.inner.Opts()), lopts)
+	if err != nil {
+		// A built index is non-empty, its schema is valid and no WAL is
+		// named: only a bug gets here.
+		panic(fmt.Sprintf("messi: NewEngine: %v", err))
+	}
+	return lix
+}
+
+// startLive is the one assembly of a LiveIndex: it opens the WAL lopts
+// names, starts the internal live index around base (nil for an empty
+// start), which replays the log's tail, and closes the log again when
+// that fails.
+func startLive(seriesLen int, base *shard.Index, normalize bool, lo live.Options, lopts *LiveOptions) (*LiveIndex, error) {
 	w, err := openWAL(lopts, seriesLen)
 	if err != nil {
 		return nil, err
 	}
-	lo := lopts.toLive(coreOpts, opts.shards())
 	lo.WAL = w
-	inner, err := live.New(seriesLen, col, lo)
+	inner, err := live.New(seriesLen, base, lo)
 	if err != nil {
 		if w != nil {
 			w.Close()

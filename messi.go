@@ -13,10 +13,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Best().Position, res.Best().Distance)
 //
-// Do is the one query method of Index, LiveIndex and Engine; the request
+// Do is the one query method of Index and LiveIndex; the request
 // selects k-NN (K), constrained DTW (DTW, Window) and the quality mode
 // (approximate, ε-bounded, deadline-bounded). The index is immutable after
-// Build and safe for concurrent queries.
+// Build and safe for concurrent queries; Index.NewEngine serves it on a
+// worker pool behind an admission gate, as a LiveIndex.
 //
 // # Distances
 //

@@ -228,7 +228,7 @@ func TestDeadlineUnlimitedEqualsExact(t *testing.T) {
 	}
 }
 
-// qosFrontends is qosIndexes plus an Engine over each index and a
+// qosFrontends is qosIndexes plus Index.NewEngine over each index and a
 // LiveIndex over the same data, all closed at cleanup: every Do the quality
 // contract binds.
 func qosFrontends(t *testing.T, data []float32, length int) map[string]doer {
@@ -236,7 +236,7 @@ func qosFrontends(t *testing.T, data []float32, length int) map[string]doer {
 	out := map[string]doer{}
 	for name, ix := range qosIndexes(t, data, length) {
 		eng := ix.NewEngine(nil)
-		t.Cleanup(eng.Close)
+		t.Cleanup(func() { eng.Close() })
 		out[name], out[name+" engine"] = ix, eng
 	}
 	live, err := BuildLiveFlat(data, length, &Options{LeafCapacity: 64}, nil)
@@ -474,7 +474,7 @@ func TestEngineDoSpectrum(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Exact || res.Best() != want {
-			t.Fatalf("shards=%d: Engine.Do %+v, Index.Do %+v", shards, res, want)
+			t.Fatalf("shards=%d: NewEngine Do %+v, Index.Do %+v", shards, res, want)
 		}
 
 		res, err = eng.Do(context.Background(), SearchRequest{Query: q, Mode: ModeEpsilon, Epsilon: 0.05})

@@ -15,30 +15,30 @@ import (
 )
 
 // This file is the unified query API: one SearchRequest served by one Do
-// method on Index, LiveIndex, and Engine, covering the whole quality
-// spectrum — exact, approximate, ε-bounded, and deadline-bounded answers —
-// under every distance (Euclidean and constrained DTW) and answer shape
-// (1-NN and k-NN). It is the only query method (Engine.QueryBatch is a
-// loop over it), named Do as in http.Client.Do.
+// method on Index and LiveIndex, covering the whole quality spectrum —
+// exact, approximate, ε-bounded, and deadline-bounded answers — under
+// every distance (Euclidean and constrained DTW) and answer shape (1-NN
+// and k-NN). It is the only query method, named Do as in http.Client.Do.
 
 // Typed sentinel errors shared by every query layer, matchable with
-// errors.Is across Index, LiveIndex, Engine, and the HTTP handlers.
+// errors.Is across Index, LiveIndex, and the HTTP handlers.
 var (
 	// ErrBadK reports a negative K in a request, or K > 1 under DTW.
 	ErrBadK = core.ErrBadK
 	// ErrBadWindow reports a DTW window fraction outside [0,1].
 	ErrBadWindow = core.ErrBadWindow
-	// ErrWrongLength reports a query whose length does not match the
-	// indexed series length.
+	// ErrWrongLength reports a query, or a series appended to a
+	// LiveIndex, whose length does not match the indexed series length.
 	ErrWrongLength = core.ErrWrongLength
 	// ErrBadEpsilon reports a negative or non-finite Epsilon.
 	ErrBadEpsilon = core.ErrBadEpsilon
 	// ErrNonFinite reports a query, or a series appended to a LiveIndex,
 	// that holds a NaN or an infinity.
 	ErrNonFinite = core.ErrNonFinite
-	// ErrBadDeadline reports a negative Deadline: a spent budget is not
-	// "no budget", which is zero.
-	ErrBadDeadline = errors.New("messi: deadline must be non-negative")
+	// ErrBadDeadline reports a negative Deadline (a spent budget is not
+	// "no budget", which is zero), or a wire-format budget too large for a
+	// time.Duration.
+	ErrBadDeadline = errors.New("messi: invalid deadline")
 	// ErrQueryPanicked reports a query that panicked, on any frontend's
 	// Do. The panic is recovered in the unit of work where it happened,
 	// fails only the offending query, and leaves the index (and its pool,
@@ -152,7 +152,7 @@ type Trace struct {
 	// worker-seconds: their sum can exceed Elapsed.
 	Phases []TracePhase
 	// Elapsed is the query's wall-clock latency as observed by Do,
-	// including admission-gate waiting on an Engine.
+	// including admission-gate waiting on a LiveIndex.
 	Elapsed time.Duration
 	// Counters are the query's operation counts (always collected when
 	// tracing, regardless of SearchRequest.Counters).
@@ -220,7 +220,7 @@ func do(ctx context.Context, req SearchRequest, seriesLen int, normalize bool,
 		window = dtw.WindowSize(seriesLen, req.Window)
 	}
 	if req.Deadline < 0 {
-		return Result{}, fmt.Errorf("%w, got %v", ErrBadDeadline, req.Deadline)
+		return Result{}, fmt.Errorf("%w: negative budget %v", ErrBadDeadline, req.Deadline)
 	}
 	query := req.Query
 	if normalize {
@@ -307,8 +307,8 @@ func publicResult(res core.Result, col collectors) Result {
 }
 
 // Do serves one query on the index across the whole quality spectrum,
-// through the same engine as Engine.Do and LiveIndex.Do but without a pool
-// or an admission gate: each unit of the query's work runs on a goroutine
+// through the same engine as LiveIndex.Do but without a pool or an
+// admission gate: each unit of the query's work runs on a goroutine
 // started for it, SearchWorkers of them per phase across all shards. A
 // context cancellation stops the search at its next claim of work — a root
 // subtree, a scan block or a queue pop — and returns the best answer so
@@ -321,20 +321,13 @@ func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 }
 
 // Do serves one query over the union of the immutable generation and the
-// delta buffer (see Index.Do), on the embedded engine's pool and under its
+// delta buffer (see Index.Do), on the index's worker pool and under its
 // admission gate. The delta is always answered exactly; the quality mode
-// governs the tree search beside it.
+// governs the tree search beside it. With EngineOptions.DegradeEpsilon
+// set, an exact request arriving under overload is degraded to an
+// ε-bounded one instead of paying queueing latency (the Result reports
+// what was actually proven). A query that panics fails alone with
+// ErrQueryPanicked.
 func (ix *LiveIndex) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, ix.inner.Do)
-}
-
-// Do serves one query through the persistent engine: the pool answers it
-// under the admission gate, and with EngineOptions.DegradeEpsilon set an
-// exact request arriving under overload is degraded to an ε-bounded one
-// instead of paying queueing latency (the Result reports what was actually
-// proven). A query that panics fails alone with ErrQueryPanicked.
-func (e *Engine) Do(ctx context.Context, req SearchRequest) (Result, error) {
-	return do(ctx, req, e.ix.SeriesLen(), e.ix.normalize, func(creq core.Request) (core.Result, error) {
-		return e.inner.Do(engine.View{Base: e.ix.inner}, creq)
-	})
 }

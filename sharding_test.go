@@ -229,36 +229,6 @@ func TestAPIBoundaryEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("query-batch", func(t *testing.T) {
-		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2})
-		defer eng.Close()
-		// Empty batch: empty results, no error.
-		ms, err := eng.QueryBatch(nil)
-		if err != nil || len(ms) != 0 {
-			t.Errorf("empty batch: %d results, err %v", len(ms), err)
-		}
-		// Partial error: the slice stays full-length, good entries are
-		// answered, and the error names the failing query.
-		good := make([]float32, 64)
-		copy(good, mustSeries(t, ix, 3))
-		ms, err = eng.QueryBatch([][]float32{good, make([]float32, 5), good})
-		if err == nil {
-			t.Fatal("batch with a wrong-length query did not error")
-		}
-		if !strings.Contains(err.Error(), "1") {
-			t.Errorf("batch error %q does not identify query 1", err)
-		}
-		if len(ms) != 3 {
-			t.Fatalf("batch returned %d results, want full-length 3", len(ms))
-		}
-		if ms[0].Position != 3 || ms[2].Position != 3 {
-			t.Errorf("good batch entries not answered: %+v", ms)
-		}
-		if ms[1].Position != 0 || ms[1].Distance != 0 {
-			t.Errorf("failed batch entry not zero: %+v", ms[1])
-		}
-	})
-
 	t.Run("empty-live-search", func(t *testing.T) {
 		lix, err := NewLive(64, nil, nil)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/live"
 	"repro/internal/persist"
 	"repro/internal/wal"
 )
@@ -78,20 +77,7 @@ func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(lopts, base.SeriesLen())
-	if err != nil {
-		return nil, err
-	}
-	lo := lopts.toLive(coreOpts, opts.shards())
-	lo.WAL = w
-	inner, err := live.NewFromIndex(base, lo)
-	if err != nil {
-		if w != nil {
-			w.Close()
-		}
-		return nil, err
-	}
-	return &LiveIndex{inner: inner, normalize: normalize, snapshotPath: snapshotPath(lopts), wal: w}, nil
+	return startLive(base.SeriesLen(), base, normalize, lopts.toLive(coreOpts), lopts)
 }
 
 // Save snapshots the live index to path: it first Flushes (merging all
