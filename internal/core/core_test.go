@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -151,14 +151,17 @@ func TestBuildIsPositionOrder(t *testing.T) {
 		word := schema.WordFromPAA(paaBuf, nil)
 		ref.Insert(ref.EnsureRoot(schema.RootIndex(word)), word, int32(j))
 	}
-	want := ref.Flatten()
+	want, err := ref.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 4, 24} {
 		opts.IndexWorkers = workers
 		ix, err := Build(data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ix.Tree.Flatten(), want) {
+		if got, err := ix.Tree.AppendBinary(nil); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("IndexWorkers=%d: tree differs from the position-order insert", workers)
 		}
 	}

@@ -256,10 +256,7 @@ func TestSampledShareTracksEntryShare(t *testing.T) {
 func TestRestoreKeepsPlanSample(t *testing.T) {
 	for _, count := range []int{1500, 20000} { // every position, and a strided sample
 		ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())
-		rx, err := Restore(ix.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rx := Restore(ix.Data, ix.Tree, ix.Opts)
 		if want := min(count, sampleSize) * ix.Schema.Segments; len(ix.sample) != want {
 			t.Fatalf("%d series: sample holds %d bytes, want %d", count, len(ix.sample), want)
 		}

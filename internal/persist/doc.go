@@ -2,7 +2,7 @@
 // checksummed binary format holding everything needed to serve queries
 // without re-running the O(n) construction pipeline — the index options
 // and iSAX schema parameters, the raw series block, and the index tree
-// flattened with its leaf payloads. Loading a snapshot skips PAA
+// in preorder with its leaf payloads. Loading a snapshot skips PAA
 // transforms, quantization and splits entirely, so a server restarts in
 // the time it takes to read the files.
 //
@@ -25,13 +25,22 @@
 // header: count*length raw little-endian float32 values, row-major,
 // followed by their CRC-32C (uint32). Because the block is contiguous,
 // aligned, and exactly the in-memory representation of
-// series.Collection.Data, a loader can bring it in with one bulk read
-// into a single flat allocation — no per-series allocation — and an
-// mmap-based loader on a little-endian host could use the region in
-// place.
+// series.Collection.Data on a little-endian host, a loaded index uses the
+// region in place — no per-series allocation, no copy.
 //
-// The tree section follows: the flattened iSAX tree (preorder nodes with
-// leaf payloads) and its CRC-32C (uint32).
+// The tree section follows: the iSAX tree (preorder nodes with leaf
+// payloads) and its CRC-32C (uint32). Its layout belongs to
+// internal/tree and is specified at tree.Decode, which reads it straight
+// into tree nodes; tree.AppendBinary writes it.
+//
+// # One decoder
+//
+// A member is loaded from one in-memory image of the file — mapped on
+// unix hosts, read whole elsewhere — by one decoder, which checks the
+// header, both section CRCs and the tree's structure and summaries, and
+// aliases the series block and leaf words into the image. An image whose
+// series block is not 4-byte aligned, or any image on a big-endian host,
+// gets a converted copy of the block instead; the answers are the same.
 //
 // # Versioning policy
 //

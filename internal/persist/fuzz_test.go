@@ -56,8 +56,11 @@ func (h Header) encodeSeed() []byte {
 	return b[:]
 }
 
-// FuzzRead feeds mutated snapshot files through the full decoder: every
-// outcome must be either a typed error or a structurally valid index.
+// FuzzRead feeds mutated member images through decode: every outcome
+// must be either a typed error or a structurally valid index whose tree
+// re-encodes to the input's tree section byte for byte. The harness
+// re-seals the checksums after mutating, so mutations reach tree.Decode
+// instead of stopping at a CRC.
 func FuzzRead(f *testing.F) {
 	col, err := dataset.Generate(dataset.RandomWalk, 64, 32, 5)
 	if err != nil {
@@ -75,12 +78,26 @@ func FuzzRead(f *testing.F) {
 	f.Add(buf.Bytes()[:HeaderSize])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, _, err := read(bytes.NewReader(b))
+		b = bytes.Clone(b)
+		reseal(b)
+		got, _, err := decode(b)
 		if err != nil {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) &&
+				!errors.Is(err, ErrVersion) && !errors.Is(err, ErrChecksum) &&
+				!errors.Is(err, ErrSchemaMismatch) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
 			return
 		}
 		if verr := got.Tree.CheckInvariants(); verr != nil {
 			t.Fatalf("accepted snapshot decodes to an invalid tree: %v", verr)
+		}
+		enc, err := got.Tree.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start, h := treeSection(t, b); !bytes.Equal(enc, b[start:start+int(h.TreeBytes)]) {
+			t.Fatal("accepted tree section does not re-encode to its own bytes")
 		}
 	})
 }

@@ -2,8 +2,9 @@
 
 package persist
 
-import "os"
+// mapFile reports that memory-mapped loading is unavailable on this
+// platform; readFile reads the file whole instead.
+func mapFile(path string) ([]byte, bool) { return nil, false }
 
-// mmapFile reports that memory-mapped loading is unavailable on this
-// platform; readFile falls back to streaming reads.
-func mmapFile(f *os.File) ([]byte, bool) { return nil, false }
+// unmap is never reached: mapFile maps nothing here.
+func unmap(b []byte) {}

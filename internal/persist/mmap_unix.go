@@ -7,14 +7,19 @@ import (
 	"syscall"
 )
 
-// mmapFile maps the whole file copy-on-write. The mapping is
-// intentionally never unmapped: the restored index aliases it for its
-// whole lifetime (a process typically loads one snapshot at boot).
-// MAP_PRIVATE means neither later in-place writes through the index (there
-// are none today) nor the mapping itself can modify the file, and
-// writeFile replaces members by rename (fresh inode), so an existing
-// mapping never observes a rewrite.
-func mmapFile(f *os.File) ([]byte, bool) {
+// mapFile maps the whole file at path copy-on-write. A mapping that
+// backs a loaded index is intentionally never unmapped: the index aliases
+// it for its whole lifetime (a process typically loads one snapshot at
+// boot). MAP_PRIVATE means neither later in-place writes through the
+// index (there are none today) nor the mapping itself can modify the
+// file, and writeFile replaces members by rename (fresh inode), so an
+// existing mapping never observes a rewrite.
+func mapFile(path string) ([]byte, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil || fi.Size() <= 0 || fi.Size() != int64(int(fi.Size())) {
 		return nil, false
@@ -26,3 +31,6 @@ func mmapFile(f *os.File) ([]byte, bool) {
 	}
 	return b, true
 }
+
+// unmap releases a mapping from mapFile that no index aliases.
+func unmap(b []byte) { syscall.Munmap(b) }

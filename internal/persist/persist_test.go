@@ -3,21 +3,25 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"hash/crc32"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/isax"
 	"repro/internal/scan"
 	"repro/internal/series"
 	"repro/internal/shard"
+	"repro/internal/tree"
 )
 
 // buildIndex constructs a small index over deterministic data.
@@ -48,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 	ix := buildIndex(t, 2000, 64, 32)
 	raw := snapshotBytes(t, ix, true)
 
-	got, normalize, err := read(bytes.NewReader(raw))
+	got, normalize, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestWriteFileReadFile(t *testing.T) {
 }
 
 // TestReadFileCorruption exercises the corruption paths through readFile
-// (the memory-mapped loader on unix), not just the streaming read.
+// (the memory-mapped loader on unix), not just decode over a buffer.
 func TestReadFileCorruption(t *testing.T) {
 	ix := buildIndex(t, 400, 32, 16)
 	dir := t.TempDir()
@@ -156,7 +160,7 @@ func TestCorruptionTyped(t *testing.T) {
 	raw := snapshotBytes(t, ix, false)
 
 	reread := func(b []byte) error {
-		_, _, err := read(bytes.NewReader(b))
+		_, _, err := decode(b)
 		return err
 	}
 
@@ -246,7 +250,7 @@ func TestCorruptionTyped(t *testing.T) {
 	t.Run("overflowing count*length product", func(t *testing.T) {
 		// Regression: SeriesCount=1<<61 × SeriesLen=8 wraps uint64 to 0,
 		// which once slipped past the maxPoints guard and panicked in the
-		// mapped decoder. Must be a typed error through both loaders.
+		// mapped decoder. Must be a typed error from a buffer and a file.
 		b := bytes.Clone(raw[:HeaderSize])
 		binary.LittleEndian.PutUint64(b[32:40], 1<<61)
 		binary.LittleEndian.PutUint32(b[28:32], 8)
@@ -254,7 +258,7 @@ func TestCorruptionTyped(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
 		b = append(b, make([]byte, 16)...) // a few bytes past the header
 		if err := reread(b); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("streaming err = %v, want ErrCorrupt", err)
+			t.Fatalf("buffer err = %v, want ErrCorrupt", err)
 		}
 		path := filepath.Join(t.TempDir(), "overflow.snap")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -335,24 +339,28 @@ func TestParseHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharesNoState: mutating the restored index's data must not
-// affect a second restore from the same bytes (decode owns its memory).
+// TestSnapshotSharesNoState: mutating a loaded index's data must not
+// affect a second load of the same file (each load maps the file
+// copy-on-write, or reads it into its own buffer).
 func TestSnapshotSharesNoState(t *testing.T) {
 	ix := buildIndex(t, 300, 32, 16)
-	raw := snapshotBytes(t, ix, false)
-	a, _, err := read(bytes.NewReader(raw))
+	path := filepath.Join(t.TempDir(), "ix.snap")
+	if err := writeFile(path, ix, false); err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := readFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Data.Data {
 		a.Data.Data[i] = float32(math.Inf(1))
 	}
-	b, _, err := read(bytes.NewReader(raw))
+	b, _, err := readFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Data.Validate(); err != nil {
-		t.Fatalf("second restore sees first restore's mutations: %v", err)
+		t.Fatalf("second load sees first load's mutations: %v", err)
 	}
 }
 
@@ -364,7 +372,7 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 	b := bytes.Clone(raw)
 	binary.LittleEndian.PutUint64(b[32:40], 0)
 	binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
-	if _, _, err := read(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decode(b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -427,7 +435,7 @@ func searchAnswers(t testing.TB, length int, answer func(core.Request) []core.Ma
 // series.
 func TestRoundTripIdenticalAnswers(t *testing.T) {
 	ix := buildIndex(t, 1500, 64, 32)
-	got, _, err := read(bytes.NewReader(snapshotBytes(t, ix, false)))
+	got, _, err := decode(snapshotBytes(t, ix, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,5 +448,175 @@ func TestRoundTripIdenticalAnswers(t *testing.T) {
 		if want[i] != have[i] {
 			t.Fatalf("answer %d differs after round trip: %+v vs %+v", i, have[i], want[i])
 		}
+	}
+}
+
+// treeSection returns where the tree section of member image b starts,
+// and b's header.
+func treeSection(t testing.TB, b []byte) (int, Header) {
+	t.Helper()
+	h, err := ParseHeader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return HeaderSize + h.SeriesCount*h.SeriesLen*4 + 4, h
+}
+
+// reseal recomputes the header, series block and tree section CRCs of
+// member image b in place, as far as its header and length allow, so a
+// mutation reaches the decoder past the checksums.
+func reseal(b []byte) {
+	if len(b) < HeaderSize {
+		return
+	}
+	binary.LittleEndian.PutUint32(b[60:64], crc32Of(b[:60]))
+	h, err := ParseHeader(b)
+	if err != nil {
+		return
+	}
+	block := int64(h.SeriesCount) * int64(h.SeriesLen) * 4
+	for _, sec := range [][2]int64{{HeaderSize, block}, {HeaderSize + block + 4, h.TreeBytes}} {
+		if end := sec[0] + sec[1]; end+4 <= int64(len(b)) {
+			binary.LittleEndian.PutUint32(b[end:], crc32Of(b[sec[0]:end]))
+		}
+	}
+}
+
+// TestLoadValidatesTree: a member whose checksums are intact but whose
+// tree breaks the invariants the search relies on — a root summary that
+// is not its slot, more bits than the cardinality, a position in two
+// leaves — fails with ErrCorrupt instead of loading an index that answers
+// differently from brute force.
+func TestLoadValidatesTree(t *testing.T) {
+	ix := buildIndex(t, 1500, 64, 32)
+	raw := snapshotBytes(t, ix, false)
+	start, h := treeSection(t, raw)
+	root := start + 8 + 8*int(binary.LittleEndian.Uint32(raw[start:])) // node 0, a root child
+	var leaf []int32
+	ix.Tree.ForEachLeaf(func(n *tree.Node) {
+		if leaf == nil && n.LeafLen() >= 2 {
+			leaf = n.Positions
+		}
+	})
+	var posBytes []byte
+	for _, p := range leaf {
+		posBytes = binary.LittleEndian.AppendUint32(posBytes, uint32(p))
+	}
+	cases := []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"root symbol flipped", func(b []byte) { b[root+1] ^= 1 }},
+		{"bits past CardBits", func(b []byte) { b[root+1+h.Segments] = uint8(h.CardBits + 1) }},
+		{"root symbol flipped and bits past CardBits", func(b []byte) {
+			b[root+1] ^= 1
+			b[root+1+h.Segments] = uint8(h.CardBits + 1)
+		}},
+		{"leaf position written twice", func(b []byte) {
+			at := start + bytes.Index(b[start:], posBytes)
+			copy(b[at+4:], b[at:at+4])
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := bytes.Clone(raw)
+			tc.mutate(b)
+			reseal(b)
+			if bytes.Equal(b, raw) {
+				t.Fatal("mutation left the member unchanged")
+			}
+			if _, _, err := decode(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestDecodeUnalignedImage: a member image at an odd offset takes the
+// copy-converting series block path, and answers exactly like the
+// aliased decode of the same bytes.
+func TestDecodeUnalignedImage(t *testing.T) {
+	ix := buildIndex(t, 1500, 64, 32)
+	raw := snapshotBytes(t, ix, false)
+	buf := make([]byte, len(raw)+1)
+	copy(buf[1:], raw)
+	aligned, _, err := decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unaligned, _, err := decode(buf[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases := func(x *core.Index, b []byte) bool {
+		return unsafe.Pointer(&x.Data.Data[0]) == unsafe.Pointer(&b[HeaderSize])
+	}
+	if !hostLittleEndian || !aliases(aligned, raw) || aliases(unaligned, buf[1:]) {
+		t.Fatalf("want the aligned decode aliased and the unaligned one copied (little-endian host %v)", hostLittleEndian)
+	}
+	want := searchAnswers(t, ix.Data.Length, func(req core.Request) []core.Match { return search(t, aligned, req) })
+	have := searchAnswers(t, ix.Data.Length, func(req core.Request) []core.Match { return search(t, unaligned, req) })
+	if !reflect.DeepEqual(have, want) {
+		t.Fatal("unaligned decode answers differently from the aliased one")
+	}
+}
+
+// TestTreeSectionPinned pins the header and tree section bytes written
+// for a tree built by tree.Insert from fixed words (no float arithmetic,
+// so they hold on every architecture): the encoder may change, the bytes
+// may not.
+func TestTreeSectionPinned(t *testing.T) {
+	schema, err := isax.NewSchema(8, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.New(schema, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four words under root 0 force splits; three equal words under root
+	// 15 split to full cardinality and leave an unsplittable leaf and
+	// empty siblings.
+	words := [][]uint8{{0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0}, {1, 1, 0, 0}, {3, 3, 3, 3}, {3, 3, 3, 3}, {3, 3, 3, 3}, {2, 0, 1, 3}, {0, 0, 0, 1}}
+	for i, w := range words {
+		tr.Insert(tr.EnsureRoot(schema.RootIndex(w)), w, int32(i))
+	}
+	data := make([]float32, len(words)*8)
+	for i := range data {
+		data[i] = float32(i)
+	}
+	col, err := series.NewCollection(data, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := write(&buf, core.Restore(col, tr, core.Options{}), false); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	start, h := treeSection(t, b)
+	const (
+		header = "4d45535349495831020000000000000004000000020000000200000008000000" +
+			"090000000000000049010000000000004000000000000000000000000c418a4e"
+		section = "030000000f000000000000000000000009000000050000000f00000006000000" +
+			"0000000000010101010001000000040000000000000000020101010102000000" +
+			"0300000001000000000202010102000000000000000000000100000000080000" +
+			"0001000100000202010101000000000100000200000001010000000201010102" +
+			"0000000101000100000000010000000300000001010000010101010101000000" +
+			"0200010307000000000101010101010101000700000008000000010201010102" +
+			"0101010000000000030101010201010101090000000a00000001030201010202" +
+			"010100000000000303010102020101020b0000000c0000000103030201020202" +
+			"0100000000000303030102020201030d0000000e000000010303030202020202" +
+			"0000000003030303030202020203000000030303030303030303030303040000" +
+			"000500000006000000"
+	)
+	if got := hex.EncodeToString(b[:HeaderSize]); got != header {
+		t.Errorf("header bytes changed:\n got %s\nwant %s", got, header)
+	}
+	if got := hex.EncodeToString(b[start : start+int(h.TreeBytes)]); got != section {
+		t.Errorf("tree section bytes changed:\n got %s\nwant %s", got, section)
+	}
+	if _, _, err := decode(b); err != nil {
+		t.Fatalf("pinned member does not load: %v", err)
 	}
 }

@@ -15,6 +15,8 @@
 package tree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isax"
@@ -71,21 +73,6 @@ func (n *Node) Word(i, w int, dst []uint8) []uint8 {
 		dst[s] = n.Words[s*n.Stride+i]
 	}
 	return dst
-}
-
-// PackedWords returns the leaf's words as w contiguous columns of exactly
-// LeafLen bytes each (stride == entry count) — the serialization form.
-// It shares storage when the node is already packed, copying otherwise.
-func (n *Node) PackedWords(w int) []uint8 {
-	count := len(n.Positions)
-	if n.Stride == count {
-		return n.Words[:w*count]
-	}
-	out := make([]uint8, w*count)
-	for s := 0; s < w; s++ {
-		copy(out[s*count:], n.Words[s*n.Stride:s*n.Stride+count])
-	}
-	return out
 }
 
 // appendEntry adds one <word, position> pair to a leaf's columns,
@@ -362,88 +349,118 @@ func (t *Tree) Stats() Stats {
 	return s
 }
 
-// CheckInvariants validates the structural invariants of the tree:
-// prefix consistency of every leaf entry, child summary derivation,
-// size bookkeeping, and leaf capacity (unless unsplittable). It is meant
-// for tests and costs a full walk.
+// CheckInvariants validates the structural invariants of the tree: those
+// of every node (see checkNode), size bookkeeping, and both children of
+// every internal node. It is meant for tests and costs a full walk.
 func (t *Tree) CheckInvariants() error {
-	w := t.Schema.Segments
-	var check func(n *Node, rootSlot int) (int, error)
-	check = func(n *Node, rootSlot int) (int, error) {
-		for seg := 0; seg < w; seg++ {
-			if n.Bits[seg] == 0 || int(n.Bits[seg]) > t.Schema.CardBits {
-				return 0, fmt.Errorf("tree: node under root %d has bad bits[%d]=%d", rootSlot, seg, n.Bits[seg])
-			}
-			if int(n.Symbols[seg]) >= 1<<n.Bits[seg] {
-				return 0, fmt.Errorf("tree: node under root %d has symbol[%d]=%d out of range for %d bits",
-					rootSlot, seg, n.Symbols[seg], n.Bits[seg])
-			}
+	var check func(n, parent *Node, slot int, right bool) (int, error)
+	check = func(n, parent *Node, slot int, right bool) (int, error) {
+		if err := t.checkNode(n, parent, slot, right); err != nil {
+			return 0, err
 		}
 		if n.IsLeaf() {
-			if n.Right != nil {
-				return 0, fmt.Errorf("tree: half-internal node under root %d", rootSlot)
-			}
-			if len(n.Words) != w*n.Stride || len(n.Positions) > n.Stride {
-				return 0, fmt.Errorf("tree: leaf storage mismatch under root %d", rootSlot)
-			}
-			if len(n.Positions) > t.LeafCapacity && !n.unsplittable {
-				return 0, fmt.Errorf("tree: splittable leaf holds %d > capacity %d", len(n.Positions), t.LeafCapacity)
-			}
-			wordBuf := make([]uint8, w)
-			for i := 0; i < n.LeafLen(); i++ {
-				if !t.Schema.MatchesPrefix(n.Word(i, w, wordBuf), n.Symbols, n.Bits) {
-					return 0, fmt.Errorf("tree: leaf entry %d (pos %d) does not match node prefix under root %d",
-						i, n.Positions[i], rootSlot)
-				}
-			}
 			if n.Size != n.LeafLen() {
-				return 0, fmt.Errorf("tree: leaf size %d != entries %d under root %d", n.Size, n.LeafLen(), rootSlot)
+				return 0, fmt.Errorf("tree: leaf size %d != entries %d under root %d", n.Size, n.LeafLen(), slot)
 			}
-			return n.LeafLen(), nil
+			return n.Size, nil
 		}
-		if n.Left == nil || n.Right == nil {
-			return 0, fmt.Errorf("tree: internal node missing a child under root %d", rootSlot)
+		if n.Right == nil {
+			return 0, fmt.Errorf("tree: internal node missing a child under root %d", slot)
 		}
-		seg := n.SplitSegment
-		for _, c := range []*Node{n.Left, n.Right} {
-			if c.Bits[seg] != n.Bits[seg]+1 {
-				return 0, fmt.Errorf("tree: child bits not parent+1 at segment %d under root %d", seg, rootSlot)
-			}
-			if c.Symbols[seg]>>1 != n.Symbols[seg] {
-				return 0, fmt.Errorf("tree: child symbol prefix mismatch at segment %d under root %d", seg, rootSlot)
-			}
-		}
-		if n.Left.Symbols[seg]&1 != 0 || n.Right.Symbols[seg]&1 != 1 {
-			return 0, fmt.Errorf("tree: children not 0/1 ordered at segment %d under root %d", seg, rootSlot)
-		}
-		ln, err := check(n.Left, rootSlot)
+		ln, err := check(n.Left, n, slot, false)
 		if err != nil {
 			return 0, err
 		}
-		rn, err := check(n.Right, rootSlot)
+		rn, err := check(n.Right, n, slot, true)
 		if err != nil {
 			return 0, err
 		}
 		if n.Size != ln+rn {
-			return 0, fmt.Errorf("tree: internal size %d != children sum %d under root %d", n.Size, ln+rn, rootSlot)
+			return 0, fmt.Errorf("tree: internal size %d != children sum %d under root %d", n.Size, ln+rn, slot)
 		}
-		return ln + rn, nil
+		return n.Size, nil
 	}
 	for l, r := range t.roots {
-		if r == nil {
-			continue
-		}
-		for seg := 0; seg < w; seg++ {
-			if r.Bits[seg] != 1 {
-				return fmt.Errorf("tree: root child %d has bits[%d]=%d, want 1", l, seg, r.Bits[seg])
+		if r != nil {
+			if _, err := check(r, nil, l, false); err != nil {
+				return err
 			}
-			if r.Symbols[seg] != uint8(l>>(w-1-seg))&1 {
-				return fmt.Errorf("tree: root child %d symbol mismatch at segment %d", l, seg)
-			}
-		}
-		if _, err := check(r, l); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// checkNode validates the invariants of n that need only n and its
+// parent, which Decode checks for every node it reads: a root child's
+// summary (parent nil) is the one-bit prefix of its slot; a child's is
+// its parent's with the split segment refined by one bit, 0 for the left
+// child and 1 for the right, to at most CardBits bits (so depth is
+// bounded by w·(CardBits−1)+1); a split segment is in [0,w); and a
+// leaf's storage is shaped by its stride, within capacity unless
+// unsplittable, with every word under the leaf's summary.
+func (t *Tree) checkNode(n, parent *Node, slot int, right bool) error {
+	w, card := t.Schema.Segments, uint8(t.Schema.CardBits)
+	var sym, bits [isax.MaxSegments]uint8
+	if parent == nil {
+		for s := 0; s < w; s++ {
+			sym[s], bits[s] = uint8(slot>>(w-1-s))&1, 1
+		}
+	} else {
+		copy(sym[:], parent.Symbols)
+		copy(bits[:], parent.Bits)
+		s := parent.SplitSegment
+		sym[s], bits[s] = sym[s]<<1, bits[s]+1
+		if right {
+			sym[s] |= 1
+		}
+		if bits[s] > card {
+			return fmt.Errorf("tree: node under root %d refines segment %d past %d bits", slot, s, card)
+		}
+	}
+	if !bytes.Equal(n.Symbols, sym[:w]) || !bytes.Equal(n.Bits, bits[:w]) {
+		return fmt.Errorf("tree: node under root %d has summary %v at bits %v, not its parent's refined by one bit",
+			slot, n.Symbols, n.Bits)
+	}
+	if !n.IsLeaf() {
+		if n.SplitSegment < 0 || n.SplitSegment >= w {
+			return fmt.Errorf("tree: node under root %d splits segment %d of %d", slot, n.SplitSegment, w)
+		}
+		return nil
+	}
+	if n.Right != nil {
+		return fmt.Errorf("tree: half-internal node under root %d", slot)
+	}
+	if len(n.Words) != w*n.Stride || len(n.Positions) > n.Stride {
+		return fmt.Errorf("tree: leaf storage mismatch under root %d", slot)
+	}
+	if len(n.Positions) > t.LeafCapacity && !n.unsplittable {
+		return fmt.Errorf("tree: splittable leaf holds %d > capacity %d", len(n.Positions), t.LeafCapacity)
+	}
+	for s := 0; s < w; s++ {
+		if !underPrefix(n.Col(s), n.Symbols[s], card-n.Bits[s]) {
+			return fmt.Errorf("tree: leaf word under root %d does not match the node prefix in segment %d", slot, s)
+		}
+	}
+	return nil
+}
+
+// underPrefix reports whether every symbol of col shifted right by shift
+// equals prefix, eight symbols per load: a symbol is under the prefix
+// exactly when it differs from prefix<<shift only in its low shift bits.
+func underPrefix(col []uint8, prefix, shift uint8) bool {
+	const ones = 0x0101010101010101
+	base, high := uint64(prefix<<shift)*ones, uint64(0xFF<<shift&0xFF)*ones
+	var diff uint64
+	if len(col) < 8 {
+		for _, c := range col {
+			diff |= uint64(c ^ uint8(base))
+		}
+		return diff&high == 0
+	}
+	for i := 0; i < len(col)-8; i += 8 {
+		diff |= binary.LittleEndian.Uint64(col[i:]) ^ base
+	}
+	// The last eight symbols, overlapping the loop's final load.
+	diff |= binary.LittleEndian.Uint64(col[len(col)-8:]) ^ base
+	return diff&high == 0
 }

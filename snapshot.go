@@ -44,11 +44,14 @@ func (ix *Index) Save(path string) error {
 // snapshot from before snapshots were directories fails with
 // persist.ErrVersion and must be regenerated.
 //
-// On unix hosts the member files are memory-mapped and the loaded index
-// aliases the (copy-on-write, page-cache-backed) mappings for as long as
-// the process lives — the intended shape for a server that loads one
-// snapshot at boot. A process that loads snapshots repeatedly
-// accumulates mappings with every Load.
+// Every member file is decoded by one decoder from one image of the
+// file, which checks the tree's structure and node summaries as well as
+// the checksums. On unix hosts the image is a memory mapping, and the
+// loaded index aliases the (copy-on-write, page-cache-backed) mappings
+// for as long as the process lives — the intended shape for a server
+// that loads one snapshot at boot. A process that loads snapshots
+// repeatedly accumulates mappings with every successful Load; a failed
+// one unmaps what it mapped.
 func Load(path string) (*Index, error) {
 	inner, normalize, err := persist.ReadDir(path)
 	if err != nil {
