@@ -97,23 +97,62 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineShardsGauge: the live index NewEngine returns publishes the
-// built index as its generation, which feeds messi_engine_shards.
+// TestEngineShardsGauge: messi_engine_shards follows the generation a
+// live index currently publishes — the index feeds it, the engine holds
+// none — whether NewEngine built it around an Index or it grew from
+// appends.
 func TestEngineShardsGauge(t *testing.T) {
-	ix, err := BuildFlat(RandomWalk(200, 64, 31), 64, &Options{LeafCapacity: 32, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetrics()
-	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2, Metrics: reg})
-	defer eng.Close()
+	t.Run("NewEngine", func(t *testing.T) {
+		ix, err := BuildFlat(RandomWalk(200, 64, 31), 64, &Options{LeafCapacity: 32, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewMetrics()
+		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2, Metrics: reg})
+		defer eng.Close()
+		if got := sample(t, reg, "messi_engine_shards"); got != "4" {
+			t.Fatalf("messi_engine_shards = %s, want 4", got)
+		}
+	})
+	t.Run("live", func(t *testing.T) {
+		const length = 32
+		one := NewMetrics()
+		smallLive(t, length, walk(40, length, 41), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, Metrics: one})
+		if got := sample(t, one, "messi_engine_shards"); got != "1" {
+			t.Errorf("unsharded generation: messi_engine_shards = %s, want 1", got)
+		}
+
+		four := NewMetrics()
+		ix4 := smallLive(t, length, nil, smallOpts(4), &LiveOptions{RebuildThreshold: 1 << 30, Metrics: four})
+		if got := sample(t, four, "messi_engine_shards"); got != "0" {
+			t.Errorf("no generation yet: messi_engine_shards = %s, want 0", got)
+		}
+		if _, err := ix4.AppendBatch(walk(40, length, 42)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix4.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sample(t, four, "messi_engine_shards"); got != "4" {
+			t.Errorf("after the first rebuild: messi_engine_shards = %s, want 4", got)
+		}
+	})
+}
+
+// sample reads one unlabeled series from a registry's text exposition.
+func sample(t *testing.T, r *Metrics, name string) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
+	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "\nmessi_engine_shards 4\n") {
-		t.Fatalf("messi_engine_shards does not read 4:\n%s", sb.String())
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
 	}
+	t.Fatalf("%s is not exposed", name)
+	return ""
 }
 
 // TestNewEngineInheritsIndex: the live index NewEngine returns takes its

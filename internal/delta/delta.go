@@ -53,17 +53,6 @@ func (b *Buffer) Len() int {
 	return b.count
 }
 
-// Append copies one series into the buffer and returns its index.
-func (b *Buffer) Append(s []float32) (int, error) {
-	if len(s) != b.length {
-		return 0, fmt.Errorf("delta: series length %d, buffer series length %d", len(s), b.length)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.appendLocked(s)
-	return b.count - 1, nil
-}
-
 // AppendBatch copies a batch of series atomically (one lock acquisition,
 // contiguous indices) and returns the index of the first. All series must
 // have the buffer's length; on a length mismatch nothing is appended.
@@ -77,20 +66,14 @@ func (b *Buffer) AppendBatch(rows [][]float32) (int, error) {
 	defer b.mu.Unlock()
 	first := b.count
 	for _, r := range rows {
-		b.appendLocked(r)
+		within := b.count % b.blockCap
+		if within == 0 {
+			b.blocks = append(b.blocks, make([]float32, b.blockCap*b.length))
+		}
+		copy(b.blocks[len(b.blocks)-1][within*b.length:], r)
+		b.count++
 	}
 	return first, nil
-}
-
-// appendLocked copies one validated series; the caller holds b.mu.
-func (b *Buffer) appendLocked(s []float32) {
-	within := b.count % b.blockCap
-	if within == 0 {
-		b.blocks = append(b.blocks, make([]float32, b.blockCap*b.length))
-	}
-	block := b.blocks[len(b.blocks)-1]
-	copy(block[within*b.length:(within+1)*b.length], s)
-	b.count++
 }
 
 // Snapshot captures a consistent point-in-time view of the buffer. The

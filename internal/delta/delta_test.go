@@ -13,7 +13,7 @@ func mkSeries(v float32) []float32 {
 func TestAppendAndAt(t *testing.T) {
 	b := New(4, 3) // tiny blocks to exercise block boundaries
 	for i := 0; i < 10; i++ {
-		pos, err := b.Append(mkSeries(float32(i)))
+		pos, err := b.AppendBatch([][]float32{mkSeries(float32(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestAppendAndAt(t *testing.T) {
 
 func TestAppendBatch(t *testing.T) {
 	b := New(4, 4)
-	if _, err := b.Append(mkSeries(0)); err != nil {
+	if _, err := b.AppendBatch([][]float32{mkSeries(0)}); err != nil {
 		t.Fatal(err)
 	}
 	rows := [][]float32{mkSeries(1), mkSeries(2), mkSeries(3), mkSeries(4), mkSeries(5)}
@@ -58,7 +58,7 @@ func TestAppendBatch(t *testing.T) {
 
 func TestAppendRejectsWrongLength(t *testing.T) {
 	b := New(4, 4)
-	if _, err := b.Append([]float32{1, 2}); err == nil {
+	if _, err := b.AppendBatch([][]float32{{1, 2}}); err == nil {
 		t.Fatal("short series accepted")
 	}
 	if _, err := b.AppendBatch([][]float32{mkSeries(1), {1}}); err == nil {
@@ -74,11 +74,11 @@ func TestAppendRejectsWrongLength(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	b := New(4, 4)
 	for i := 0; i < 5; i++ {
-		b.Append(mkSeries(float32(i)))
+		b.AppendBatch([][]float32{mkSeries(float32(i))})
 	}
 	snap := b.Snapshot()
 	for i := 5; i < 12; i++ {
-		b.Append(mkSeries(float32(i)))
+		b.AppendBatch([][]float32{mkSeries(float32(i))})
 	}
 	if snap.Len() != 5 {
 		t.Fatalf("snapshot len = %d, want 5", snap.Len())
@@ -112,7 +112,7 @@ func TestConcurrentAppendSnapshot(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < perAppender; i++ {
-				if _, err := b.Append(mkSeries(float32(a))); err != nil {
+				if _, err := b.AppendBatch([][]float32{mkSeries(float32(a))}); err != nil {
 					t.Error(err)
 					return
 				}

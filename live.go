@@ -4,14 +4,92 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/delta"
 	"repro/internal/engine"
-	"repro/internal/live"
+	"repro/internal/fault"
+	"repro/internal/isax"
+	"repro/internal/metrics"
+	"repro/internal/persist"
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/wal"
+)
+
+// This file is the live index: a mutable MESSI index layered over the
+// immutable core. Freshly appended series land in a concurrent delta
+// buffer (internal/delta), while the bulk of the data lives in an
+// immutable generation — a shard group of core indexes. A query loads ONE
+// view (generation + frozen delta + active delta) and hands it to the
+// persistent engine (internal/engine), which searches the generation's
+// shards and the delta's chunks as members of one fan-out: the chunks are
+// scanned exactly, in position order, on the same pool and into the same
+// collector as the tree search, so what the delta holds both participates
+// in the result and tightens tree pruning, and the other way round.
+//
+// When the active delta reaches LiveOptions.RebuildThreshold, a background
+// rebuild merges it with the current generation into a new one using the
+// paper's parallel construction, then publishes it with one pointer store.
+// In-flight queries finish on the view they loaded; appends arriving
+// during the rebuild go to a fresh active delta and become part of the
+// next generation. Neither queries nor appends ever block on a rebuild. A
+// rebuild first collects the generation its predecessor retired (one
+// runtime.GC), so memory stays at about two generations whatever the
+// pacer's cycles would have left. A failed rebuild keeps its frozen delta
+// searchable and is retried after rebuildRetryBase, doubling per
+// consecutive failure up to rebuildRetryMax.
+//
+// Positions are stable across rebuilds: series are numbered in append
+// order (the initial collection first), and the merge preserves that
+// order, so a position handed out by Append refers to the same series
+// forever.
+//
+// The index owns its durability: it opens the write-ahead log, replays
+// its uncovered tail into the delta at boot, journals every append before
+// it reaches the delta, truncates the log's covered prefix after every
+// snapshot it writes, and closes it.
+//
+// # Generation swap rules
+//
+//   - The view pointer is the single source of truth and the only place a
+//     generation is published (the engine holds none). A query loads it
+//     once and uses that consistent (generation, frozen delta, active
+//     delta) triple for its whole execution; it never re-loads mid-query.
+//   - Only the rebuild goroutine swaps in a generation, and only after it
+//     is fully built, so readers observe either the old complete view or
+//     the new complete view — never a partial one.
+//   - At most one rebuild runs at a time; a threshold crossing during an
+//     active rebuild marks it pending rather than starting a second.
+//   - The frozen delta stays queryable until the swap lands; the series
+//     it holds are in exactly one of {frozen delta, new generation} from
+//     any reader's perspective, so answers neither miss nor duplicate a
+//     series.
+
+// fpRebuild fires inside the background generation merge, where crash
+// tests inject rebuild failures (and panics) to exercise the frozen
+// delta staying searchable and the bounded retry path.
+var fpRebuild = fault.Register("live.rebuild")
+
+const (
+	// defaultRebuildThreshold is LiveOptions.RebuildThreshold's default.
+	defaultRebuildThreshold = 100_000
+	// Bounds of the backoff between retries of a failed rebuild.
+	rebuildRetryBase = 100 * time.Millisecond
+	rebuildRetryMax  = 10 * time.Second
+)
+
+var (
+	// errClosed fails appends and flushes on a closed live index.
+	errClosed = errors.New("live: index closed")
+	// errEmpty fails queries against a live index holding no series; it
+	// wraps core.ErrEmptyIndex so errors.Is treats the two uniformly.
+	errEmpty = fmt.Errorf("live: index contains no series: %w", core.ErrEmptyIndex)
 )
 
 // EngineOptions configures the worker pool and admission gate a LiveIndex
@@ -59,10 +137,9 @@ type LiveOptions struct {
 	Engine EngineOptions
 	// SnapshotPath, when non-empty, makes the live index persist its
 	// immutable generation there (atomically) after every successful
-	// Flush, and best-effort on Close — so a restarted server can boot
-	// from the snapshot via LoadLive instead of rebuilding. Errors from
-	// the Close-time snapshot are discarded; call Flush or Save first
-	// when durability must be confirmed.
+	// Flush, and on Close — so a restarted server can boot from the
+	// snapshot via LoadLive instead of rebuilding. A generation already
+	// written there, and still there, is not written again.
 	SnapshotPath string
 	// Metrics, when non-nil, receives the live index's telemetry (delta
 	// occupancy, rebuild counts and durations, generation number) and is
@@ -88,16 +165,6 @@ type LiveOptions struct {
 	WALSegmentBytes int64
 }
 
-func (o *LiveOptions) toLive(coreOpts core.Options) live.Options {
-	lo := live.Options{Core: coreOpts}
-	if o != nil {
-		lo.RebuildThreshold = o.RebuildThreshold
-		lo.Engine = engine.Options(o.Engine)
-		lo.Metrics = o.Metrics
-	}
-	return lo
-}
-
 // LiveIndex is a mutable MESSI index supporting streaming ingestion:
 // Append adds series that are immediately searchable (answered exactly
 // from a delta buffer fused with the indexed generation), and a
@@ -112,28 +179,57 @@ func (o *LiveOptions) toLive(coreOpts core.Options) live.Options {
 //
 // A LiveIndex is safe for concurrent use; Close it when done.
 type LiveIndex struct {
-	inner        *live.Index
-	normalize    bool
-	snapshotPath string   // from LiveOptions.SnapshotPath; "" disables
-	wal          *wal.Log // from LiveOptions.WALDir; nil disables
+	seriesLen   int
+	normalize   bool
+	coreOpts    core.Options // every generation's construction options
+	shards      int          // shards per generation
+	threshold   int          // active-delta series that trigger a rebuild
+	blockSeries int          // delta block size, set only by tests; 0 selects delta.DefaultBlockSeries
+	eng         *engine.Engine
+	view        atomic.Pointer[view]
+
+	snapshotPath string   // LiveOptions.SnapshotPath; "" disables
+	wal          *wal.Log // nil without LiveOptions.WALDir
+
+	// Rebuild telemetry (nil instruments without LiveOptions.Metrics).
+	rebuilds, rebuildFailures, rebuildRetries *metrics.Counter
+	rebuildDur                                *metrics.Histogram
+
+	mu           sync.Mutex // serializes appends and view transitions
+	cond         *sync.Cond // broadcast when a rebuild finishes
+	rebuilding   bool
+	closed       bool
+	rebuildErr   error       // last rebuild failure, until a rebuild succeeds
+	retryAttempt int         // consecutive rebuild failures
+	retryTimer   *time.Timer // pending rebuild retry, nil when none
+
+	saveMu sync.Mutex // serializes snapshot writes
+	saved  int64      // generation last written to snapshotPath (under saveMu)
 }
 
-// openWAL opens the write-ahead log configured by lopts (nil when
-// journaling is disabled). The LiveIndex owns the returned log: the
-// internal live index only appends to and replays from it.
-func openWAL(lopts *LiveOptions, seriesLen int) (*wal.Log, error) {
-	if lopts == nil || lopts.WALDir == "" {
-		return nil, nil
-	}
-	policy, err := wal.ParseSyncPolicy(lopts.WALSync)
-	if err != nil {
-		return nil, err
-	}
-	return wal.Open(lopts.WALDir, seriesLen, &wal.Options{
-		SegmentBytes: lopts.WALSegmentBytes,
-		Sync:         policy,
-	})
+// view is one immutable configuration of the index: the current
+// generation, the frozen delta being merged by an in-flight (or failed)
+// rebuild, and the active delta receiving appends. Queries load the whole
+// view with one atomic read; the three position ranges are [0, baseLen),
+// [baseLen, activeStart()) and [activeStart(), activeStart()+active.Len()).
+type view struct {
+	base    *shard.Index    // nil before the first generation exists
+	baseLen int             // series in base (0 when base == nil)
+	gen     int64           // generations built so far (base is the gen-th)
+	frozen  *delta.Snapshot // nil unless a rebuild is pending or in flight
+	active  *delta.Buffer
 }
+
+// frozenLen reports the frozen snapshot's size (0 when none).
+func (v *view) frozenLen() int {
+	if v.frozen == nil {
+		return 0
+	}
+	return v.frozen.Len()
+}
+
+// activeStart is the global position of the active delta's first series.
+func (v *view) activeStart() int { return v.baseLen + v.frozenLen() }
 
 // NewLive creates an empty live index for series of the given length.
 // Both option structs may be nil for the defaults.
@@ -179,18 +275,16 @@ func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOp
 	if err != nil {
 		return nil, err
 	}
-	lo := lopts.toLive(coreOpts)
-	lo.Shards = opts.shards()
 	var base *shard.Index
 	if col != nil && col.Count() > 0 {
 		if normalize {
 			col.ZNormalizeAll()
 		}
-		if base, err = shard.Build(col, lo.Shards, coreOpts); err != nil {
+		if base, err = shard.Build(col, opts.shards(), coreOpts); err != nil {
 			return nil, err
 		}
 	}
-	return startLive(seriesLen, base, normalize, lo, lopts)
+	return openLive(seriesLen, base, normalize, coreOpts, opts.shards(), lopts)
 }
 
 // NewEngine serves the index on a worker pool behind an admission gate: a
@@ -207,7 +301,7 @@ func (ix *Index) NewEngine(opts *EngineOptions) *LiveIndex {
 	if opts != nil {
 		lopts.Engine = *opts
 	}
-	lix, err := startLive(ix.inner.SeriesLen(), ix.inner, ix.normalize, lopts.toLive(ix.inner.Opts()), lopts)
+	lix, err := openLive(ix.inner.SeriesLen(), ix.inner, ix.normalize, ix.inner.Opts(), ix.inner.NumShards(), lopts)
 	if err != nil {
 		// A built index is non-empty, its schema is valid and no WAL is
 		// named: only a bug gets here.
@@ -216,39 +310,173 @@ func (ix *Index) NewEngine(opts *EngineOptions) *LiveIndex {
 	return lix
 }
 
-// startLive is the one assembly of a LiveIndex: it opens the WAL lopts
-// names, starts the internal live index around base (nil for an empty
-// start), which replays the log's tail, and closes the log again when
-// that fails.
-func startLive(seriesLen int, base *shard.Index, normalize bool, lo live.Options, lopts *LiveOptions) (*LiveIndex, error) {
-	w, err := openWAL(lopts, seriesLen)
-	if err != nil {
-		return nil, err
+// openLive is the one constructor of a LiveIndex. base, when non-nil, is
+// an already-built generation — fresh from shard.Build or loaded from a
+// snapshot — published as generation 1 and retained without copying. Its
+// structural options (segments, cardinality, leaf capacity) and its shard
+// count override coreOpts and shards, so later generations keep its
+// shape; runtime options (workers, queues) come from coreOpts. A nil base
+// starts with no generation: the index answers from the delta alone until
+// the first rebuild. With LiveOptions.WALDir set, the log is opened and
+// its uncovered tail replayed into the delta before openLive returns.
+func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Options, shards int, lopts *LiveOptions) (*LiveIndex, error) {
+	if lopts == nil {
+		lopts = &LiveOptions{}
 	}
-	lo.WAL = w
-	inner, err := live.New(seriesLen, base, lo)
-	if err != nil {
-		if w != nil {
-			w.Close()
+	v := &view{}
+	if base != nil {
+		if base.Len() == 0 || base.SeriesLen() != seriesLen {
+			return nil, fmt.Errorf("live: base holds %d series of length %d, want a non-empty one of length %d", base.Len(), base.SeriesLen(), seriesLen)
 		}
+		bo := base.Opts()
+		coreOpts.Segments, coreOpts.CardBits, coreOpts.LeafCapacity = bo.Segments, bo.CardBits, bo.LeafCapacity
+		shards = base.NumShards()
+		v.base, v.baseLen, v.gen = base, base.Len(), 1
+	}
+	coreOpts = core.FillDefaults(coreOpts)
+	// Validate the schema and shard count up front, so a rebuild cannot
+	// fail on configuration in a background goroutine.
+	if _, err := isax.NewSchema(seriesLen, coreOpts.Segments, coreOpts.CardBits); err != nil {
 		return nil, err
 	}
-	return &LiveIndex{inner: inner, normalize: normalize, snapshotPath: snapshotPath(lopts), wal: w}, nil
+	if shards > shard.MaxShards {
+		return nil, fmt.Errorf("live: shard count %d out of range [1,%d]", shards, shard.MaxShards)
+	}
+	ix := &LiveIndex{
+		seriesLen:    seriesLen,
+		normalize:    normalize,
+		coreOpts:     coreOpts,
+		shards:       shards,
+		threshold:    lopts.RebuildThreshold,
+		snapshotPath: lopts.SnapshotPath,
+	}
+	if ix.threshold <= 0 {
+		ix.threshold = defaultRebuildThreshold
+	}
+	ix.cond = sync.NewCond(&ix.mu)
+	v.active = ix.newDelta()
+	ix.view.Store(v)
+	engOpts := engine.Options(lopts.Engine)
+	if engOpts.Metrics == nil {
+		engOpts.Metrics = lopts.Metrics
+	}
+	ix.eng = engine.New(coreOpts, engOpts)
+	engine.RegisterShards(engOpts.Metrics, func() int {
+		if base := ix.view.Load().base; base != nil {
+			return base.NumShards()
+		}
+		return 0
+	})
+	ix.register(lopts.Metrics)
+	// A live index must not come up silently missing acked appends.
+	if err := ix.openWAL(lopts); err != nil {
+		ix.eng.Close()
+		return nil, err
+	}
+	return ix, nil
 }
 
-// Append adds one series (copied) and returns its stable position. The
-// series is searchable as soon as Append returns, before any rebuild. A
-// series holding a NaN or an infinity fails with ErrNonFinite.
-func (ix *LiveIndex) Append(s []float32) (int, error) {
-	if ix.normalize {
-		s = series.ZNormalized(s)
+// register installs the live index's telemetry on r (nil disables it).
+func (ix *LiveIndex) register(r *metrics.Registry) {
+	if r == nil {
+		return
 	}
-	return ix.inner.Append(s)
+	ix.rebuilds = r.Counter("messi_live_rebuilds_total",
+		"Completed background generation rebuilds.")
+	ix.rebuildFailures = r.Counter("messi_live_rebuild_failures_total",
+		"Background generation rebuilds that failed (the frozen delta stays searchable and is retried).")
+	ix.rebuildRetries = r.Counter("messi_rebuild_retries_total",
+		"Background rebuilds relaunched by the bounded-backoff retry after a failure.")
+	ix.rebuildDur = r.Histogram("messi_live_rebuild_seconds",
+		"Wall time of background generation rebuilds (merge plus swap).")
+	r.GaugeFunc("messi_live_delta_series",
+		"Series buffered in the delta (frozen plus active), answered by exact scan.", func() float64 {
+			v := ix.view.Load()
+			return float64(v.frozenLen() + v.active.Len())
+		})
+	r.GaugeFunc("messi_live_base_series",
+		"Series in the current immutable generation.", func() float64 {
+			return float64(ix.view.Load().baseLen)
+		})
+	r.GaugeFunc("messi_live_generation",
+		"Immutable generations built so far.", func() float64 {
+			return float64(ix.view.Load().gen)
+		})
+}
+
+// newDelta returns an empty delta buffer for the index's series.
+func (ix *LiveIndex) newDelta() *delta.Buffer { return delta.New(ix.seriesLen, ix.blockSeries) }
+
+// openWAL opens the write-ahead log lopts names, if any, and replays its
+// uncovered tail into the active delta. Positions below the generation
+// (covered by the loaded snapshot) are skipped; the rest must form a
+// contiguous run starting exactly at the generation's length, or recovery
+// refuses — a gap means the snapshot predates the log's truncation point
+// and acked series would be silently lost. On failure the log is closed.
+func (ix *LiveIndex) openWAL(lopts *LiveOptions) (err error) {
+	if lopts.WALDir == "" {
+		return nil
+	}
+	policy, err := wal.ParseSyncPolicy(lopts.WALSync)
+	if err != nil {
+		return err
+	}
+	w, err := wal.Open(lopts.WALDir, ix.seriesLen, &wal.Options{SegmentBytes: lopts.WALSegmentBytes, Sync: policy})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
+	v := ix.view.Load()
+	base := int64(v.baseLen)
+	if s := w.Start(); s > base {
+		return fmt.Errorf("live: wal starts at position %d but the loaded snapshot covers only %d series (snapshot older than the wal's truncation point)", s, base)
+	}
+	if end := w.End(); end >= 0 && end < base {
+		// The snapshot covers the whole log (it was saved after the last
+		// logged append): drop the stale records and realign the log to
+		// continue at the snapshot boundary.
+		err = w.Truncate(base)
+	} else {
+		expect := base
+		err = w.Replay(base, func(pos int64, s []float32) error {
+			if pos != expect {
+				return fmt.Errorf("live: wal replay gap: got position %d, want %d", pos, expect)
+			}
+			expect++
+			_, err := v.active.AppendBatch([][]float32{s})
+			return err
+		})
+	}
+	if err != nil {
+		return err
+	}
+	ix.wal = w
+	// The replayed tail may already exceed the rebuild threshold.
+	ix.mu.Lock()
+	ix.maybeRebuildLocked()
+	ix.mu.Unlock()
+	return nil
+}
+
+// Append adds one series (copied) and returns its stable position: it is
+// AppendBatch of one row. The series is searchable as soon as Append
+// returns, before any rebuild. A series holding a NaN or an infinity
+// fails with ErrNonFinite.
+func (ix *LiveIndex) Append(s []float32) (int, error) {
+	return ix.AppendBatch([][]float32{s})
 }
 
 // AppendBatch adds a batch of series (copied) atomically, returning the
-// position of the first; the batch occupies contiguous positions. One
-// non-finite value anywhere fails the whole batch with ErrNonFinite.
+// position of the first; the batch occupies contiguous positions. With a
+// WAL the batch is journaled as one record before it reaches the delta,
+// so an ack implies the batch is recoverable and replay preserves its
+// atomicity; a refused journal write fails the batch with the delta
+// untouched. One non-finite value anywhere fails the whole batch with
+// ErrNonFinite, before the WAL sees it.
 func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 	if ix.normalize {
 		normalized := make([][]float32, len(rows))
@@ -257,60 +485,278 @@ func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 		}
 		rows = normalized
 	}
-	return ix.inner.AppendBatch(rows)
+	for i, r := range rows {
+		if len(r) != ix.seriesLen {
+			return 0, fmt.Errorf("live: batch series %d: %w: length %d, index series length %d", i, core.ErrWrongLength, len(r), ix.seriesLen)
+		}
+		if err := core.CheckFinite(r); err != nil {
+			return 0, fmt.Errorf("live: batch series %d: %w", i, err)
+		}
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.closed {
+		return 0, errClosed
+	}
+	v := ix.view.Load()
+	first := v.activeStart() + v.active.Len()
+	if ix.wal != nil && len(rows) > 0 {
+		if err := ix.wal.Append(int64(first), rows); err != nil {
+			return 0, fmt.Errorf("live: wal append: %w", err)
+		}
+	}
+	if _, err := v.active.AppendBatch(rows); err != nil {
+		return 0, err
+	}
+	ix.maybeRebuildLocked()
+	return first, nil
 }
 
-// Flush synchronously merges all buffered series into the immutable
-// generation; afterwards (absent concurrent appends) the delta is empty.
-// With LiveOptions.SnapshotPath set, the merged generation is then
-// persisted there; a snapshot write failure is returned (the in-memory
-// merge itself has already succeeded).
+// maybeRebuildLocked launches a background rebuild when the active delta
+// has reached the threshold (or a failed rebuild left a frozen snapshot
+// behind) and none is in flight. After a failure only the backoff timer
+// relaunches: retrying on every append would run a failing O(n) merge in
+// a hot loop. Caller holds mu.
+func (ix *LiveIndex) maybeRebuildLocked() {
+	if ix.rebuilding || ix.closed || ix.rebuildErr != nil {
+		return
+	}
+	if v := ix.view.Load(); v.frozen != nil || v.active.Len() >= ix.threshold {
+		ix.startRebuildLocked()
+	}
+}
+
+// startRebuildLocked freezes the active delta (unless a frozen snapshot
+// is already pending from a failed attempt) and launches the background
+// merge. Caller holds mu with !rebuilding && !closed. It is a no-op when
+// there is nothing to merge.
+func (ix *LiveIndex) startRebuildLocked() {
+	v := ix.view.Load()
+	if v.frozen == nil {
+		frozen := v.active.Snapshot()
+		if frozen.Len() == 0 {
+			return
+		}
+		v = &view{base: v.base, baseLen: v.baseLen, gen: v.gen, frozen: frozen, active: ix.newDelta()}
+		ix.view.Store(v)
+	}
+	ix.rebuilding = true
+	go ix.rebuild(v)
+}
+
+// rebuild merges the view's generation and frozen delta into a new
+// generation and publishes it. It runs in its own goroutine; queries and
+// appends proceed meanwhile against the frozen view.
+func (ix *LiveIndex) rebuild(v *view) {
+	start := time.Now()
+	total := v.baseLen + v.frozen.Len()
+	next, err := ix.merge(v, total)
+	ix.rebuildDur.Observe(time.Since(start))
+	if err != nil {
+		ix.rebuildFailures.Inc()
+	} else {
+		ix.rebuilds.Inc()
+	}
+
+	ix.mu.Lock()
+	if err != nil {
+		// The frozen snapshot stays in the view, searchable, until the
+		// backoff timer armed here retries the merge.
+		ix.rebuildErr = err
+		ix.scheduleRetryLocked()
+	} else {
+		// One pointer store publishes the generation: a query searches the
+		// view it loaded, old or new, and in both every series is in
+		// exactly one of {generation, frozen delta, active delta}.
+		cur := ix.view.Load() // only a rebuild stores the view after a freeze, and only one runs
+		ix.view.Store(&view{base: next, baseLen: total, gen: cur.gen + 1, active: cur.active})
+		ix.rebuildErr = nil
+		ix.retryAttempt = 0
+		if ix.retryTimer != nil {
+			ix.retryTimer.Stop()
+			ix.retryTimer = nil
+		}
+	}
+	ix.rebuilding = false
+	ix.cond.Broadcast()
+	// Appends during the rebuild may already have crossed the threshold.
+	ix.maybeRebuildLocked()
+	ix.mu.Unlock()
+}
+
+// merge builds the next generation over every position in order — the
+// current generation's shards, each a contiguous range, then the frozen
+// delta — copied into one allocation and partitioned by shard.Build, whose
+// per-shard builds run concurrently. A panicking merge (a bug, or an
+// injected fault) degrades into an ordinary rebuild failure, never kills
+// the process.
+func (ix *LiveIndex) merge(v *view, total int) (next *shard.Index, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			next, err = nil, fmt.Errorf("live: rebuild panicked: %v", r)
+		}
+	}()
+	if err := fpRebuild.Hit(); err != nil {
+		return nil, err
+	}
+	// Collect the generation the previous rebuild retired before allocating
+	// the next one. A generation is by far the heap's largest object and a
+	// rebuild allocates a whole one, so the pacer, left alone, runs about
+	// one cycle per rebuild, and how many retired generations sit beside
+	// the live one at the peak depends only on where those cycles happen to
+	// fall. Here the last one retired has long lost its readers.
+	runtime.GC()
+	flat := make([]float32, 0, total*ix.seriesLen)
+	for s := 0; v.base != nil && s < v.base.NumShards(); s++ {
+		if old := v.base.Shard(s); old != nil {
+			flat = append(flat, old.Data.Data...)
+		}
+	}
+	for j := 0; j < v.frozen.Len(); j++ {
+		flat = append(flat, v.frozen.At(j)...)
+	}
+	col, err := series.NewCollection(flat, ix.seriesLen)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Build(col, ix.shards, ix.coreOpts)
+}
+
+// scheduleRetryLocked arms the backoff timer after a rebuild failure:
+// rebuildRetryBase doubling per consecutive failure, capped at
+// rebuildRetryMax. Caller holds mu.
+func (ix *LiveIndex) scheduleRetryLocked() {
+	if ix.closed {
+		return
+	}
+	delay := rebuildRetryMax
+	if ix.retryAttempt < 16 { // 2^16 × base is past the cap
+		delay = min(rebuildRetryBase<<ix.retryAttempt, rebuildRetryMax)
+	}
+	ix.retryAttempt++
+	if ix.retryTimer != nil {
+		ix.retryTimer.Stop()
+	}
+	ix.retryTimer = time.AfterFunc(delay, ix.retryRebuild)
+}
+
+// retryRebuild is the backoff timer's callback: relaunch the merge if
+// it is still needed and nothing else already has.
+func (ix *LiveIndex) retryRebuild() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.retryTimer = nil
+	if ix.closed || ix.rebuilding {
+		return
+	}
+	if v := ix.view.Load(); v.frozen != nil || v.active.Len() >= ix.threshold {
+		ix.rebuildRetries.Inc()
+		ix.startRebuildLocked()
+	}
+}
+
+// flush merges every series appended before it was called into the
+// generation: it waits for an in-flight rebuild and starts another until
+// the generation covers the index's length at entry, or a rebuild fails.
+// Appends arriving meanwhile do not hold it up.
+func (ix *LiveIndex) flush() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	target := ix.Len()
+	for {
+		switch {
+		case ix.closed:
+			return errClosed
+		case ix.view.Load().baseLen >= target:
+			return nil
+		case ix.rebuilding:
+			ix.cond.Wait()
+		case ix.rebuildErr != nil:
+			return ix.rebuildErr
+		default:
+			ix.startRebuildLocked()
+		}
+	}
+}
+
+// Flush synchronously merges every series appended before the call into
+// the immutable generation, while later appends proceed; afterwards
+// (absent concurrent appends) the delta is empty. With
+// LiveOptions.SnapshotPath set, the merged generation is then persisted
+// there unless it already is; a snapshot write failure is returned (the
+// in-memory merge itself has already succeeded).
 func (ix *LiveIndex) Flush() error {
-	if err := ix.inner.Flush(); err != nil {
+	if err := ix.flush(); err != nil {
 		return err
 	}
-	if ix.snapshotPath != "" && ix.inner.Base() != nil {
+	if ix.snapshotPath != "" && ix.view.Load().base != nil {
 		return ix.saveBase(ix.snapshotPath)
 	}
 	return nil
 }
 
-// Series returns (a view of) the series at the given stable position.
-// Callers must not modify it.
-func (ix *LiveIndex) Series(position int) ([]float32, error) {
-	return ix.inner.Series(position)
+// saveBase persists the current generation as-is (no flush) as a
+// snapshot directory. At SnapshotPath a generation is written at most
+// once: one already written there, whose manifest is still in place, is
+// not rewritten. With a WAL, a successful write truncates the log's
+// covered prefix — every journaled position below the saved generation's
+// length is now durable in the snapshot, so replay never needs it again.
+func (ix *LiveIndex) saveBase(path string) error {
+	ix.saveMu.Lock()
+	defer ix.saveMu.Unlock()
+	v := ix.view.Load()
+	if v.base == nil {
+		return ErrNoGeneration
+	}
+	if path == ix.snapshotPath && v.gen == ix.saved && persist.Present(path) {
+		return nil
+	}
+	if err := persist.WriteDir(path, v.base, ix.normalize); err != nil {
+		return err
+	}
+	if path == ix.snapshotPath {
+		ix.saved = v.gen
+	}
+	if ix.wal != nil {
+		if err := ix.wal.Truncate(int64(v.baseLen)); err != nil && !errors.Is(err, wal.ErrClosed) {
+			return fmt.Errorf("messi: wal truncate after snapshot: %w", err)
+		}
+	}
+	return nil
 }
 
-// Len reports the number of searchable series.
-func (ix *LiveIndex) Len() int { return ix.inner.Len() }
-
-// SeriesLen reports the length (points) of each indexed series.
-func (ix *LiveIndex) SeriesLen() int { return ix.inner.SeriesLen() }
-
-// EngineOptions returns the effective (defaulted) options of the
-// embedded query engine — the admission-gate configuration in force.
-func (ix *LiveIndex) EngineOptions() EngineOptions {
-	return EngineOptions(ix.inner.Engine().Options())
-}
-
-// Close stops background rebuilds and the query pool, then closes the
-// WAL (when one is configured). Appends and queries after Close fail;
-// Close is idempotent. With LiveOptions.SnapshotPath set, Close first
-// writes a snapshot of the current generation (series still in the
-// delta are not included — call Flush first for a complete one); a
-// snapshot failure is returned AND logged, and counts against
-// messi_snapshot_save_failures_total when snapshot metrics are
+// Close stops background rebuilds (waiting for an in-flight one) and the
+// query pool, then closes the WAL (when one is configured). Appends,
+// flushes and queries after Close fail; a second Close does nothing and
+// returns nil. With LiveOptions.SnapshotPath set, Close first writes the
+// current generation there unless Save, Flush or an earlier write already
+// did (series still in the delta are not included — call Flush first for
+// a complete one); a snapshot failure is returned AND logged, and counts
+// against messi_snapshot_save_failures_total when snapshot metrics are
 // installed, so an operator sees the durability gap either way. With a
 // WAL the gap is bounded anyway: journaled appends replay on the next
 // boot even when the Close-time snapshot never landed.
 func (ix *LiveIndex) Close() error {
-	ix.inner.Close()
+	ix.mu.Lock()
+	if ix.closed {
+		ix.mu.Unlock()
+		return nil
+	}
+	ix.closed = true
+	if ix.retryTimer != nil {
+		ix.retryTimer.Stop()
+		ix.retryTimer = nil
+	}
+	for ix.rebuilding {
+		ix.cond.Wait()
+	}
+	ix.mu.Unlock()
+	ix.eng.Close()
 	var err error
-	if ix.snapshotPath != "" && ix.inner.Base() != nil {
+	if ix.snapshotPath != "" && ix.view.Load().base != nil {
 		if serr := ix.saveBase(ix.snapshotPath); serr != nil {
 			err = fmt.Errorf("messi: close-time snapshot: %w", serr)
-			slog.Warn("live index close-time snapshot failed",
-				"path", ix.snapshotPath, "err", serr)
+			slog.Warn("live index close-time snapshot failed", "path", ix.snapshotPath, "err", serr)
 		}
 	}
 	if ix.wal != nil {
@@ -320,6 +766,38 @@ func (ix *LiveIndex) Close() error {
 	}
 	return err
 }
+
+// Series returns (a view of) the series at the given stable position.
+// Callers must not modify it.
+func (ix *LiveIndex) Series(position int) ([]float32, error) {
+	v := ix.view.Load()
+	switch {
+	case position < 0:
+		return nil, fmt.Errorf("live: negative position %d", position)
+	case position < v.baseLen:
+		return v.base.At(position), nil
+	case position < v.activeStart():
+		return v.frozen.At(position - v.baseLen), nil
+	}
+	snap := v.active.Snapshot()
+	if i := position - v.activeStart(); i < snap.Len() {
+		return snap.At(i), nil
+	}
+	return nil, fmt.Errorf("live: position %d out of range [0,%d)", position, v.activeStart()+snap.Len())
+}
+
+// Len reports the number of searchable series.
+func (ix *LiveIndex) Len() int {
+	v := ix.view.Load()
+	return v.activeStart() + v.active.Len()
+}
+
+// SeriesLen reports the length (points) of each indexed series.
+func (ix *LiveIndex) SeriesLen() int { return ix.seriesLen }
+
+// EngineOptions returns the effective (defaulted) options of the
+// embedded query engine — the admission-gate configuration in force.
+func (ix *LiveIndex) EngineOptions() EngineOptions { return EngineOptions(ix.eng.Options()) }
 
 // LiveStats describes a live index's current shape.
 type LiveStats struct {
@@ -335,21 +813,54 @@ type LiveStats struct {
 
 // Stats returns a point-in-time snapshot of the index shape.
 func (ix *LiveIndex) Stats() LiveStats {
-	s := ix.inner.Stats()
-	out := LiveStats{
-		Series:      s.Series,
-		BaseSeries:  s.BaseSeries,
-		DeltaSeries: s.DeltaSeries,
-		Generation:  s.Generation,
-		Rebuilding:  s.Rebuilding,
-		Shards:      s.Shards,
-		Index:       Stats(s.Tree),
+	v := ix.view.Load()
+	ix.mu.Lock()
+	rebuilding := ix.rebuilding
+	ix.mu.Unlock()
+	st := LiveStats{
+		BaseSeries:  v.baseLen,
+		DeltaSeries: v.frozenLen() + v.active.Len(),
+		Generation:  v.gen,
+		Rebuilding:  rebuilding,
+		Shards:      ix.shards,
 	}
-	if len(s.PerShard) > 0 {
-		out.PerShard = make([]Stats, len(s.PerShard))
-		for i, st := range s.PerShard {
-			out.PerShard[i] = Stats(st)
+	st.Series = st.BaseSeries + st.DeltaSeries
+	if v.base != nil {
+		gen := &Index{inner: v.base}
+		st.Index, st.PerShard = gen.Stats(), gen.ShardStats()
+	}
+	return st
+}
+
+// search serves one core request over ONE view: the engine searches the
+// generation's shards and the delta's chunks as members of one fan-out.
+// The delta is always scanned exactly — it is small by construction, so
+// even approximate and deadline requests afford it — and with no
+// generation yet that scan IS the whole search.
+func (ix *LiveIndex) search(req core.Request) (core.Result, error) {
+	v := ix.view.Load()
+	var chunks []engine.Chunk
+	add := func(snap *delta.Snapshot, start int) error {
+		cols, err := snap.Collections()
+		if err != nil {
+			return err
+		}
+		for _, col := range cols {
+			chunks = append(chunks, engine.Chunk{Data: col, Start: start})
+			start += col.Count()
+		}
+		return nil
+	}
+	if v.frozen != nil {
+		if err := add(v.frozen, v.baseLen); err != nil {
+			return core.Result{}, err
 		}
 	}
-	return out
+	if err := add(v.active.Snapshot(), v.activeStart()); err != nil {
+		return core.Result{}, err
+	}
+	if v.base == nil && len(chunks) == 0 {
+		return core.Result{}, errEmpty
+	}
+	return ix.eng.Do(engine.View{Base: v.base, Delta: chunks}, req)
 }

@@ -329,5 +329,5 @@ func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 // what was actually proven). A query that panics fails alone with
 // ErrQueryPanicked.
 func (ix *LiveIndex) Do(ctx context.Context, req SearchRequest) (Result, error) {
-	return do(ctx, req, ix.inner.SeriesLen(), ix.normalize, ix.inner.Do)
+	return do(ctx, req, ix.seriesLen, ix.normalize, ix.search)
 }

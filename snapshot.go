@@ -2,10 +2,8 @@ package messi
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/persist"
-	"repro/internal/wal"
 )
 
 // This file is the public face of the snapshot subsystem
@@ -80,45 +78,16 @@ func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error
 	if err != nil {
 		return nil, err
 	}
-	return startLive(base.SeriesLen(), base, normalize, lopts.toLive(coreOpts), lopts)
+	return openLive(base.SeriesLen(), base, normalize, coreOpts, base.NumShards(), lopts)
 }
 
-// Save snapshots the live index to path: it first Flushes (merging all
-// buffered series into the immutable generation), then writes that
-// generation atomically. Concurrent appends arriving after the flush are
-// not part of the snapshot.
+// Save snapshots the live index to path: it first merges every series
+// appended before the call into the immutable generation, as Flush does,
+// then writes that generation atomically. Appends arriving meanwhile do
+// not hold it up; the snapshot holds those the merge happened to cover.
 func (ix *LiveIndex) Save(path string) error {
-	if err := ix.inner.Flush(); err != nil {
+	if err := ix.flush(); err != nil {
 		return err
 	}
 	return ix.saveBase(path)
-}
-
-// saveBase persists the current immutable generation as-is (no flush)
-// as a snapshot directory. With a WAL configured, a successful save
-// truncates the log's covered prefix — every journaled position below the
-// saved generation's length is now durable in the snapshot, so replay
-// never needs it again.
-func (ix *LiveIndex) saveBase(path string) error {
-	base := ix.inner.Base()
-	if base == nil {
-		return ErrNoGeneration
-	}
-	covered := int64(base.Len())
-	if err := persist.WriteDir(path, base, ix.normalize); err != nil {
-		return err
-	}
-	if ix.wal != nil {
-		if terr := ix.wal.Truncate(covered); terr != nil && !errors.Is(terr, wal.ErrClosed) {
-			return fmt.Errorf("messi: wal truncate after snapshot: %w", terr)
-		}
-	}
-	return nil
-}
-
-func snapshotPath(lopts *LiveOptions) string {
-	if lopts == nil {
-		return ""
-	}
-	return lopts.SnapshotPath
 }

@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -312,8 +313,8 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	}
 	loaded.Close()
 
-	// Close rewrites the snapshot (best-effort) with the current
-	// generation; remove the flush-time directory to observe it.
+	// Close writes the current generation unless the path still holds
+	// it; remove the flush-time directory to observe the write.
 	if err := os.RemoveAll(path); err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +325,72 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	}
 	if reloaded.Len() != 601 {
 		t.Fatalf("close snapshot has %d series, want 601", reloaded.Len())
+	}
+}
+
+// TestCloseWritesAGenerationOnce: Close does not rewrite a generation
+// Save already wrote to SnapshotPath — the MANIFEST stays byte-identical,
+// through a second Close too — but still writes one a background rebuild
+// built after the last write.
+func TestCloseWritesAGenerationOnce(t *testing.T) {
+	manifest := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(path, persist.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	data := RandomWalk(300, 32, 53)
+	opts := &Options{LeafCapacity: 32, SearchWorkers: 2}
+
+	path := filepath.Join(t.TempDir(), "snap")
+	lix, err := BuildLiveFlat(data, 32, opts, &LiveOptions{RebuildThreshold: 1 << 30, SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lix.AppendBatch(rowsOf(RandomWalk(20, 32, 54), 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved := manifest(path)
+	for i := 1; i <= 2; i++ {
+		if err := lix.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i, err)
+		}
+		if got := manifest(path); !bytes.Equal(got, saved) {
+			t.Fatalf("Close %d rewrote the generation Save wrote:\n%q\n%q", i, got, saved)
+		}
+	}
+
+	path = filepath.Join(t.TempDir(), "snap")
+	lix, err = BuildLiveFlat(data, 32, opts, &LiveOptions{RebuildThreshold: 50, SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved = manifest(path)
+	// 100 series past a threshold of 50 start a background rebuild, which
+	// Close waits for.
+	if _, err := lix.AppendBatch(rowsOf(RandomWalk(100, 32, 55), 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(manifest(path), saved) {
+		t.Fatal("Close did not write the generation a background rebuild built after Save")
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != 400 {
+		t.Fatalf("close-time snapshot holds %d series, want 400", loaded.Len())
 	}
 }
 
