@@ -110,12 +110,19 @@ func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *shard
 // queues (zero: the index's SearchWorkers and QueueCount). Build it outside
 // the timed loop.
 func messiDo(ix *shard.Index, workers, queues int) func(core.Request) error {
-	e := engine.NewUnpooled(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
-	v := engine.View{Base: ix}
+	run := messiRun(ix, workers, queues)
 	return func(req core.Request) error {
-		_, err := e.Do(v, req)
+		_, err := run(req)
 		return err
 	}
+}
+
+// messiRun is messiDo returning the result, for the figures that read its
+// tally.
+func messiRun(ix *shard.Index, workers, queues int) func(core.Request) (core.Result, error) {
+	e := engine.NewUnpooled(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+	v := engine.View{Base: ix}
+	return func(req core.Request) (core.Result, error) { return e.Do(v, req) }
 }
 
 func buildParIS(b *testing.B, data *series.Collection, opts paris.Options) *paris.Index {
@@ -311,19 +318,21 @@ func BenchmarkFig13QueueBreakdown(b *testing.B) {
 		name   string
 		queues int
 	}{{"sq", 1}, {"mq", 0}} {
-		do := messiDo(ix, 0, mode.queues)
+		run := messiRun(ix, 0, mode.queues)
 		b.Run(mode.name, func(b *testing.B) {
-			bd := &stats.Breakdown{}
+			var sum stats.Tally
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if err := do(core.Request{Query: q, Breakdown: bd}); err != nil {
+				res, err := run(core.Request{Query: q, Trace: true})
+				if err != nil {
 					b.Fatal(err)
 				}
+				sum.Add(res.Tally)
 			}
-			for p := stats.Phase(0); p < stats.NumPhases; p++ {
+			for p, d := range sum.Phases {
 				// Metric units must not contain whitespace.
-				unit := strings.ReplaceAll(p.String(), " ", "-") + "-ns/q"
-				b.ReportMetric(float64(bd.Get(p).Nanoseconds())/float64(b.N), unit)
+				unit := strings.ReplaceAll(stats.Phase(p).String(), " ", "-") + "-ns/q"
+				b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), unit)
 			}
 		})
 	}
@@ -394,29 +403,29 @@ func BenchmarkFig17DistanceCounts(b *testing.B) {
 		messiIx := buildMESSI(b, data, messiOpts())
 		parisIx := buildParIS(b, data, parisOpts())
 		b.Run(string(kind)+"/ParIS", func(b *testing.B) {
-			ctrs := &stats.Counters{}
+			var sum stats.Tally
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := parisIx.Search(q, paris.SearchOptions{Counters: ctrs}); err != nil {
+				if _, err := parisIx.Search(q, paris.SearchOptions{Tally: &sum}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			s := ctrs.Snapshot()
-			b.ReportMetric(float64(s.LowerBoundCalcs)/float64(b.N), "lb/query")
-			b.ReportMetric(float64(s.RealDistCalcs)/float64(b.N), "real/query")
+			b.ReportMetric(float64(sum.LowerBoundCalcs)/float64(b.N), "lb/query")
+			b.ReportMetric(float64(sum.RealDistCalcs)/float64(b.N), "real/query")
 		})
-		do := messiDo(messiIx, 0, 0)
+		run := messiRun(messiIx, 0, 0)
 		b.Run(string(kind)+"/MESSI", func(b *testing.B) {
-			ctrs := &stats.Counters{}
+			var sum stats.Tally
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if err := do(core.Request{Query: q, Counters: ctrs}); err != nil {
+				res, err := run(core.Request{Query: q})
+				if err != nil {
 					b.Fatal(err)
 				}
+				sum.Add(res.Tally)
 			}
-			s := ctrs.Snapshot()
-			b.ReportMetric(float64(s.LowerBoundCalcs)/float64(b.N), "lb/query")
-			b.ReportMetric(float64(s.RealDistCalcs)/float64(b.N), "real/query")
+			b.ReportMetric(float64(sum.LowerBoundCalcs)/float64(b.N), "lb/query")
+			b.ReportMetric(float64(sum.RealDistCalcs)/float64(b.N), "real/query")
 		})
 	}
 }

@@ -412,29 +412,6 @@ func (sr searchRequest) toSearchRequest() (messi.SearchRequest, error) {
 	}, nil
 }
 
-// jsonCounters is the wire form of per-query operation counts.
-type jsonCounters struct {
-	NodesVisited   int64 `json:"nodes_visited"`
-	LowerBounds    int64 `json:"lower_bounds"`
-	RealDistances  int64 `json:"real_distances"`
-	LeavesInserted int64 `json:"leaves_inserted"`
-	LeavesPruned   int64 `json:"leaves_pruned"`
-	BSFUpdates     int64 `json:"bsf_updates"`
-	ScanPlans      int64 `json:"scan_plans"`
-}
-
-func toJSONCounters(c messi.QueryCounters) jsonCounters {
-	return jsonCounters{
-		NodesVisited:   c.NodesVisited,
-		LowerBounds:    c.LowerBounds,
-		RealDistances:  c.RealDistances,
-		LeavesInserted: c.LeavesInserted,
-		LeavesPruned:   c.LeavesPruned,
-		BSFUpdates:     c.BSFUpdates,
-		ScanPlans:      c.ScanPlans,
-	}
-}
-
 // jsonTracePhase is one Figure 13 phase timing in a trace response.
 type jsonTracePhase struct {
 	Name    string  `json:"name"`
@@ -445,16 +422,16 @@ type jsonTracePhase struct {
 // are worker-seconds (phases run on many workers concurrently), so their
 // sum can exceed elapsed_seconds.
 type jsonTrace struct {
-	ElapsedSeconds float64          `json:"elapsed_seconds"`
-	Phases         []jsonTracePhase `json:"phases"`
-	Counters       jsonCounters     `json:"counters"`
+	ElapsedSeconds float64             `json:"elapsed_seconds"`
+	Phases         []jsonTracePhase    `json:"phases"`
+	Counters       messi.QueryCounters `json:"counters"`
 }
 
 func toJSONTrace(tr *messi.Trace) *jsonTrace {
 	out := &jsonTrace{
 		ElapsedSeconds: tr.Elapsed.Seconds(),
 		Phases:         make([]jsonTracePhase, len(tr.Phases)),
-		Counters:       toJSONCounters(tr.Counters),
+		Counters:       tr.Counters,
 	}
 	for i, p := range tr.Phases {
 		out.Phases[i] = jsonTracePhase{Name: p.Name, Seconds: p.Duration.Seconds()}
@@ -468,23 +445,19 @@ type queryResponse struct {
 	// the proven relative error bound for inexact answers that have one
 	// (omitted when exact, or when nothing was proven — mode=approx and
 	// deadline truncations).
-	Exact        bool          `json:"exact"`
-	EpsilonBound *float64      `json:"epsilon_bound,omitempty"`
-	Counters     *jsonCounters `json:"counters,omitempty"`
-	Trace        *jsonTrace    `json:"trace,omitempty"`
+	Exact        bool                 `json:"exact"`
+	EpsilonBound *float64             `json:"epsilon_bound,omitempty"`
+	Counters     *messi.QueryCounters `json:"counters,omitempty"`
+	Trace        *jsonTrace           `json:"trace,omitempty"`
 }
 
 // toQueryResponse converts a library result to the wire form. +Inf (no
 // proven bound) is not representable in JSON and means "omit".
 func toQueryResponse(res messi.Result) queryResponse {
-	resp := queryResponse{Matches: toJSONMatches(res.Matches), Exact: res.Exact}
+	resp := queryResponse{Matches: toJSONMatches(res.Matches), Exact: res.Exact, Counters: res.Counters}
 	if !res.Exact && !math.IsInf(res.EpsilonBound, 1) {
 		eb := res.EpsilonBound
 		resp.EpsilonBound = &eb
-	}
-	if res.Counters != nil {
-		c := toJSONCounters(*res.Counters)
-		resp.Counters = &c
 	}
 	if res.Trace != nil {
 		resp.Trace = toJSONTrace(res.Trace)

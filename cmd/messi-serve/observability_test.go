@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -327,6 +329,142 @@ func TestScanPlansMetric(t *testing.T) {
 			if moved := scrape(t, s)["messi_scan_plans_total"] - before; moved != float64(tc.scans) {
 				t.Fatalf("shards=%d %s: messi_scan_plans_total moved by %v, want %d", shards, tc.name, moved, tc.scans)
 			}
+		}
+	}
+}
+
+// counterKeys are the wire keys of a "counters" object, in order.
+var counterKeys = []string{"nodes_visited", "lower_bounds", "real_distances",
+	"leaves_inserted", "leaves_pruned", "bsf_updates", "scan_plans"}
+
+// objectKeys returns the keys of the JSON object raw, in document order.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s: not a JSON object (%v)", raw, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestCounterWireKeys pins the seven count keys, in order, of both the
+// "counters": true and the "trace": true responses.
+func TestCounterWireKeys(t *testing.T) {
+	s, ix := newObservableServer(t, 0)
+	query, err := ix.Series(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		req   searchRequest
+		field func(map[string]json.RawMessage) json.RawMessage
+	}{
+		{searchRequest{Query: query, Counters: true},
+			func(body map[string]json.RawMessage) json.RawMessage { return body["counters"] }},
+		{searchRequest{Query: query, Trace: true},
+			func(body map[string]json.RawMessage) json.RawMessage {
+				var tr map[string]json.RawMessage
+				if err := json.Unmarshal(body["trace"], &tr); err != nil {
+					t.Fatal(err)
+				}
+				return tr["counters"]
+			}},
+	} {
+		rr := postJSON(t, s, "/v1/search", tc.req)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%+v: status %d, body %s", tc.req, rr.Code, rr.Body)
+		}
+		body := decode[map[string]json.RawMessage](t, rr)
+		if got := objectKeys(t, tc.field(body)); !slices.Equal(got, counterKeys) {
+			t.Fatalf("counters:%v trace:%v: keys %v, want %v", tc.req.Counters, tc.req.Trace, got, counterKeys)
+		}
+	}
+}
+
+// TestCountMetricsMatchQueryCounters: the cumulative messi_*_total
+// counters and the per-query counts are one measurement. Over a mixed
+// batch on a live index with a non-empty delta — tree plan, scan plan,
+// k-NN, DTW and approximate — each of the seven counters moves by exactly
+// the sum of the batch's per-query counts.
+func TestCountMetricsMatchQueryCounters(t *testing.T) {
+	s, ix := newObservableServer(t, 0)
+	flat := messi.RandomWalk(50, 64, 99)
+	var rows [][]float32
+	for i := 0; i < len(flat); i += 64 {
+		rows = append(rows, flat[i:i+64])
+	}
+	if _, err := ix.AppendBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if d := ix.Stats().DeltaSeries; d == 0 {
+		t.Fatal("the delta is empty")
+	}
+	member, err := ix.Series(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ood := make([]float32, 64)
+	for i := range ood {
+		ood[i] = float32(rng.NormFloat64())
+	}
+	before := scrape(t, s)
+	var sum messi.QueryCounters
+	for _, tc := range []struct {
+		name string
+		req  searchRequest
+		scan bool // the request takes the scan plan
+	}{
+		{"tree plan", searchRequest{Query: member}, false},
+		{"scan plan", searchRequest{Query: ood}, true},
+		{"k-NN", searchRequest{Query: member, K: 5}, false},
+		{"DTW", searchRequest{Query: member, DTW: true, Window: 0.1}, false},
+		{"approx", searchRequest{Query: ood, Mode: "approx"}, false},
+	} {
+		tc.req.Counters = true
+		rr := postJSON(t, s, "/v1/search", tc.req)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.name, rr.Code, rr.Body)
+		}
+		c := decode[queryResponse](t, rr).Counters
+		if c == nil || c.RealDistances == 0 {
+			t.Fatalf("%s: counters %+v", tc.name, c)
+		}
+		if scanned := c.ScanPlans == 1; scanned != tc.scan {
+			t.Fatalf("%s: scan_plans %d, want the scan plan %v", tc.name, c.ScanPlans, tc.scan)
+		}
+		sum.NodesVisited += c.NodesVisited
+		sum.LowerBounds += c.LowerBounds
+		sum.RealDistances += c.RealDistances
+		sum.LeavesInserted += c.LeavesInserted
+		sum.LeavesPruned += c.LeavesPruned
+		sum.BSFUpdates += c.BSFUpdates
+		sum.ScanPlans += c.ScanPlans
+	}
+	after := scrape(t, s)
+	for name, want := range map[string]int64{
+		"messi_nodes_visited_total":     sum.NodesVisited,
+		"messi_lower_bound_calcs_total": sum.LowerBounds,
+		"messi_real_dist_calcs_total":   sum.RealDistances,
+		"messi_leaves_inserted_total":   sum.LeavesInserted,
+		"messi_leaves_pruned_total":     sum.LeavesPruned,
+		"messi_bsf_updates_total":       sum.BSFUpdates,
+		"messi_scan_plans_total":        sum.ScanPlans,
+	} {
+		if moved := after[name] - before[name]; moved != float64(want) {
+			t.Errorf("%s moved by %v, the queries counted %d", name, moved, want)
 		}
 	}
 }

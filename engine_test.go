@@ -1,6 +1,8 @@
 package messi
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -174,5 +176,78 @@ func TestNewEngineInheritsIndex(t *testing.T) {
 	}
 	if err := eng.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestCountsIndependentOfWorkers: a query's counts are a property of the
+// query, not of how many workers and queues split it. A member query's
+// approximate search finds the member at distance 0, so every root child
+// is visited once and pruned — on any pool. An OOD query scans: every
+// series is measured once, beside each shard's approximate leaf, and each
+// shard counts one scan plan.
+func TestCountsIndependentOfWorkers(t *testing.T) {
+	ctx := context.Background()
+	data := RandomWalk(3000, 64, 23)
+	ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := ix.Series(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *QueryCounters
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, queues := range []int{1, 2, 4} {
+			eng := ix.NewEngine(&EngineOptions{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+			res, err := eng.Do(ctx, SearchRequest{Query: member, Counters: true})
+			eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best := res.Best(); best.Position != 42 || best.Distance != 0 {
+				t.Fatalf("member query answered %+v", best)
+			}
+			c := *res.Counters
+			if c.NodesVisited != int64(ix.Stats().RootChildren) {
+				t.Fatalf("workers=%d queues=%d: %d nodes visited, want the %d root children",
+					workers, queues, c.NodesVisited, ix.Stats().RootChildren)
+			}
+			if first == nil {
+				first = &c
+			} else if c != *first {
+				t.Fatalf("workers=%d queues=%d: counts %+v, one worker and one queue counted %+v",
+					workers, queues, c, *first)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	ood := make([]float32, 64)
+	for i := range ood {
+		ood[i] = float32(rng.NormFloat64())
+	}
+	for _, shards := range []int{1, 3} {
+		sx, err := BuildFlat(data, 64, &Options{LeafCapacity: 64, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An approximate answer is exactly the approximate leaves' work.
+		approx, err := sx.Do(ctx, SearchRequest{Query: ood, Mode: ModeApprox, Counters: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := sx.Do(ctx, SearchRequest{Query: ood, Counters: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := exact.Counters
+		if c.ScanPlans != int64(shards) {
+			t.Fatalf("shards=%d: %d scan plans, want one per shard", shards, c.ScanPlans)
+		}
+		if want := int64(sx.Len()) + approx.Counters.RealDistances; c.RealDistances != want {
+			t.Fatalf("shards=%d: %d real distances, want %d series plus %d in the approximate leaves",
+				shards, c.RealDistances, sx.Len(), approx.Counters.RealDistances)
+		}
 	}
 }

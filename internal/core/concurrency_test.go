@@ -170,13 +170,15 @@ func TestManyMoreWorkersThanWork(t *testing.T) {
 func TestBSFUpdateCountIsSmall(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 4000, 64, smallOpts())
 	queries, _ := dataset.Queries(dataset.RandomWalk, 10, 64, 205)
-	ctrs := &stats.Counters{}
+	var sum stats.Tally
 	for qi := 0; qi < queries.Count(); qi++ {
-		if _, err := first(runRequest(ix, Request{Query: queries.At(qi), Counters: ctrs}, SearchOptions{})); err != nil {
+		tally, err := tallyOf(ix, Request{Query: queries.At(qi)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		sum.Add(tally)
 	}
-	perQuery := float64(ctrs.Snapshot().BSFUpdates) / float64(queries.Count())
+	perQuery := float64(sum.BSFUpdates) / float64(queries.Count())
 	if perQuery > 40 {
 		t.Errorf("BSF updated %.1f times per query; expected a small number (paper: 10-12)", perQuery)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/dtw"
@@ -280,12 +281,11 @@ func TestSearchCounters(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 4000, 64, smallOpts())
 	queries, _ := dataset.Queries(dataset.RandomWalk, 5, 64, 80)
 	for qi := 0; qi < queries.Count(); qi++ {
-		ctrs := &stats.Counters{}
-		got, err := first(runRequest(ix, Request{Query: queries.At(qi), Counters: ctrs}, SearchOptions{}))
+		res, err := resultWith(ix, Request{Query: queries.At(qi)}, SearchOptions{}, ix.Opts.SearchWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := ctrs.Snapshot()
+		got, snap := res.Matches[0], res.Tally
 		if snap.LowerBoundCalcs == 0 {
 			t.Error("no lower-bound calcs recorded")
 		}
@@ -307,17 +307,22 @@ func TestSearchCounters(t *testing.T) {
 func TestSearchBreakdownSumsToSomething(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 3000, 64, smallOpts())
 	queries, _ := dataset.Queries(dataset.RandomWalk, 3, 64, 81)
-	bd := &stats.Breakdown{}
+	var sum stats.Tally
 	for qi := 0; qi < queries.Count(); qi++ {
-		if _, err := first(runRequest(ix, Request{Query: queries.At(qi), Breakdown: bd}, SearchOptions{})); err != nil {
+		tally, err := tallyOf(ix, Request{Query: queries.At(qi), Trace: true})
+		if err != nil {
 			t.Fatal(err)
 		}
+		sum.Add(tally)
 	}
-	if bd.Total() <= 0 {
-		t.Error("breakdown recorded nothing")
+	if sum.Phases[stats.PhaseInit] <= 0 {
+		t.Error("initialization phase empty")
 	}
-	if bd.Get(stats.PhaseTreePass) <= 0 {
+	if sum.Phases[stats.PhaseTreePass] <= 0 {
 		t.Error("tree pass phase empty")
+	}
+	if untraced, err := tallyOf(ix, Request{Query: queries.At(0)}); err != nil || untraced.Phases != [stats.NumPhases]time.Duration{} {
+		t.Errorf("untraced query timed its phases: %v (err %v)", untraced.Phases, err)
 	}
 }
 

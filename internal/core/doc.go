@@ -64,6 +64,9 @@
 //   - Per-worker leaf-scan scratch (lower bounds, surviving entries, the
 //     sink of the gather-ahead loads) is borrowed from a pool for one
 //     drain phase and never shared between workers.
-//   - Operation counters (stats.Counters) are atomic adds; a nil counter
-//     set disables collection at zero cost.
+//   - Each worker counts its work into a stats.Tally of its own with plain
+//     increments and adds it to the query's total in the QoS state once per
+//     unit of work (a run's preparation, an insert or drain phase, a delta
+//     chunk's scan); the total comes back as Result.Tally. Nothing shared
+//     is written per node, per leaf or per pop to count or to time.
 package core

@@ -16,7 +16,6 @@ import (
 	"repro/internal/paa"
 	"repro/internal/pqueue"
 	"repro/internal/series"
-	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/vector"
 )
@@ -322,17 +321,15 @@ func checkPlans(t *testing.T) {
 		for qi, q := range tc.tier.queries(ix.Data, 3, 41) {
 			do := func(name string, req Request, wantScan bool) Result {
 				t.Helper()
-				var ctrs stats.Counters
-				req.Query, req.Counters = q, &ctrs
-				qos := req.NewQoS()
-				ms, err := runRequest(ix, req, SearchOptions{QoS: qos})
+				req.Query = q
+				res, err := resultWith(ix, req, SearchOptions{}, ix.Opts.SearchWorkers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if scanned := ctrs.ScanPlans.Load() == 1; scanned != wantScan {
+				if scanned := res.Tally.ScanPlans == 1; scanned != wantScan {
 					t.Fatalf("%s query %d, %s: scanned=%v, want %v", tc.tier.name, qi, name, scanned, wantScan)
 				}
-				return qos.Finish(ms)
+				return res
 			}
 			where := fmt.Sprintf("%s query %d", tc.tier.name, qi)
 
@@ -373,7 +370,8 @@ func (c *offerCounter) Matches() []Match { return nil }
 
 // TestScanPhaseMeasuresEverySeries: the scan plan's workers, claiming blocks
 // concurrently, measure every series exactly once — including the short
-// last block — whatever the worker count.
+// last block — whatever the worker count, and the query's tally counts each
+// measurement once.
 func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 	const count = 2*scanBlock + 37
 	ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())
@@ -386,12 +384,18 @@ func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 		for i := range coll.offers {
 			coll.offers[i].Store(0) // forget the approximate search's leaf
 		}
+		prepared := run.qos.total.RealDistCalcs
 		forcePlan(run, true)
 		drive(run, workers)
 		for pos := range coll.offers {
 			if n := coll.offers[pos].Load(); n != 1 {
 				t.Fatalf("%d workers: series %d measured %d times", workers, pos, n)
 			}
+		}
+		// Every worker's tally reached the query's: one real distance per
+		// series, whatever the worker count.
+		if n := run.qos.Finish(nil).Tally.RealDistCalcs - prepared; n != count {
+			t.Fatalf("%d workers: the scan counted %d real distances, want %d", workers, n, count)
 		}
 	}
 }

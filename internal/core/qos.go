@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -109,13 +110,11 @@ type Request struct {
 	// context.Context's Done channel); like a deadline expiry, the
 	// best-so-far is returned flagged inexact.
 	Cancel <-chan struct{}
-	// Counters, when non-nil, accumulates operation counts.
-	Counters *stats.Counters
-	// Breakdown, when non-nil, accumulates per-phase wall time (Figure
-	// 13) across every worker of the query — the per-query trace the
-	// serving layer returns inline and logs for slow queries. Adds clock
-	// reads to hot paths; leave nil when not tracing.
-	Breakdown *stats.Breakdown
+	// Trace times the Figure 13 phases into Result.Tally.Phases — the
+	// per-query trace the serving layer returns inline and logs for slow
+	// queries. It costs clock reads around each queue push, each queue
+	// pop and each leaf scan; the operation counts are always taken.
+	Trace bool
 }
 
 // Validate checks the request's own parameters: mode, ε, K, and the one
@@ -195,12 +194,17 @@ type Result struct {
 	// optimal. 0 when Exact; +Inf when nothing was proven (approximate
 	// answers, deadline or cancellation truncation).
 	EpsilonBound float64
+	// Tally is the query's work, summed over every worker and every
+	// member of the fan-out: its operation counts and, under
+	// Request.Trace, its phase times.
+	Tally stats.Tally
 }
 
 // QoS is the quality-of-service state of one query, shared by all its
 // workers and, in a sharded fan-out, by every sibling shard run (like the
 // shared best-so-far). It decides every prune (prunes) and every stop
-// (stop) of the search; all its methods are safe for concurrent use.
+// (stop) of the search, and sums the query's work (add); all its methods
+// are safe for concurrent use.
 type QoS struct {
 	scale    float64         // (1+ε)² lower-bound inflation; 1 = exact
 	mode     Mode            // the request's mode, for Finish
@@ -215,6 +219,9 @@ type QoS struct {
 	// stopped latches the first stop. Only a worker holding claimed work
 	// asks, so it also means that work went unexplored.
 	stopped atomic.Bool
+
+	mu    sync.Mutex
+	total stats.Tally // the query's work, see add
 }
 
 // prunes reports whether a candidate, subtree or queue minimum whose
@@ -264,11 +271,23 @@ func (q *QoS) stop() bool {
 	return true
 }
 
+// add folds one worker's tally into the query's total. A worker calls it
+// once per unit of work — a run's preparation, an insert or drain phase, a
+// delta chunk's scan — never per node, leaf or pop.
+func (q *QoS) add(t stats.Tally) {
+	q.mu.Lock()
+	q.total.Add(t)
+	q.mu.Unlock()
+}
+
 // Finish derives the Result for the completed matches: inexact with no
 // proven bound for an approximate or stopped run, else exact unless an ε
 // witness lies below the worst match (the 1-NN distance, or the k-th best).
+// It carries the query's total tally.
 func (q *QoS) Finish(matches []Match) Result {
-	res := Result{Matches: matches, Exact: true}
+	q.mu.Lock()
+	res := Result{Matches: matches, Exact: true, Tally: q.total}
+	q.mu.Unlock()
 	if q.mode == ModeApprox || q.stopped.Load() {
 		// Nothing proven: the answer is an upper bound only.
 		res.Exact = false

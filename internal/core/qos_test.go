@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -23,11 +25,10 @@ func TestStopAtQueuePop(t *testing.T) {
 		// run prepares the query on the tree plan, runs every worker's
 		// insert phase, closes cancel when early, runs every worker's
 		// drain phase, and closes cancel when not early.
-		run := func(early bool) (Result, stats.Snapshot, stats.Snapshot) {
+		run := func(early bool) (Result, stats.Tally) {
 			t.Helper()
-			var ctrs stats.Counters
 			cancel := make(chan struct{})
-			req := Request{Query: q, Cancel: cancel, Counters: &ctrs}
+			req := Request{Query: q, Cancel: cancel}
 			opt := SearchOptions{Shared: NewCollector(1), QoS: req.NewQoS()}
 			r, err := newRun(ix, req, opt)
 			if err != nil {
@@ -37,7 +38,7 @@ func TestStopAtQueuePop(t *testing.T) {
 			for pid := 0; pid < workers; pid++ {
 				r.InsertPhase(pid)
 			}
-			inserted := ctrs.Snapshot()
+			inserted := opt.QoS.total
 			if early {
 				close(cancel)
 			}
@@ -47,10 +48,11 @@ func TestStopAtQueuePop(t *testing.T) {
 			if !early {
 				close(cancel)
 			}
-			return opt.QoS.Finish(opt.Shared.Matches()), inserted, ctrs.Snapshot()
+			return opt.QoS.Finish(opt.Shared.Matches()), inserted
 		}
 
-		res, inserted, drained := run(true)
+		res, inserted := run(true)
+		drained := res.Tally
 		if inserted.LeavesInserted == 0 {
 			t.Fatalf("query %d: no leaf reached the queues, so no pop was stopped", qi)
 		}
@@ -65,9 +67,38 @@ func TestStopAtQueuePop(t *testing.T) {
 			t.Fatalf("query %d: the drain worked after the stop: %+v, inserted %+v", qi, drained, inserted)
 		}
 
-		res, _, _ = run(false)
+		res, _ = run(false)
 		if !res.Exact || res.EpsilonBound != 0 || len(res.Matches) != 1 || res.Matches[0] != want {
 			t.Fatalf("query %d: cancelled after completion, got %+v, brute force %+v", qi, res, want)
 		}
+	}
+}
+
+// TestQoSAddConcurrent: workers folding their tallies into one query's
+// total at once lose no count and no phase time.
+func TestQoSAddConcurrent(t *testing.T) {
+	const workers, folds = 8, 1000
+	one := stats.Tally{LowerBoundCalcs: 3, RealDistCalcs: 2, BSFUpdates: 1, NodesVisited: 5,
+		LeavesInserted: 4, LeavesPruned: 1, ScanPlans: 1}
+	one.Phases[stats.PhasePQInsert] = time.Microsecond
+	one.Phases[stats.PhaseDistCalc] = 2 * time.Microsecond
+	qos := Request{}.NewQoS()
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < folds; i++ {
+				qos.add(one)
+			}
+		}()
+	}
+	wg.Wait()
+	var want stats.Tally
+	for i := 0; i < workers*folds; i++ {
+		want.Add(one)
+	}
+	if got := qos.Finish(nil).Tally; got != want {
+		t.Fatalf("total %+v, want %+v", got, want)
 	}
 }

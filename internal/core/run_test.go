@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/stats"
+)
 
 // The test driver of a SearchRun, standing where the query engine does in
 // production: newRun prepares a run on a fresh QueryState (and a private
@@ -37,21 +41,30 @@ func drive(run *SearchRun, workers int) {
 // runWith validates, prepares and drives one request on workers
 // goroutines and returns the collector's answer.
 func runWith(ix *Index, req Request, opt SearchOptions, workers int) ([]Match, error) {
+	res, err := resultWith(ix, req, opt, workers)
+	return res.Matches, err
+}
+
+// resultWith is runWith returning the whole Result, the tally included.
+func resultWith(ix *Index, req Request, opt SearchOptions, workers int) (Result, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if err := req.CheckShape(ix.Data.Length); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if opt.Shared == nil {
 		opt.Shared = NewCollector(req.K)
 	}
+	if opt.QoS == nil {
+		opt.QoS = req.NewQoS()
+	}
 	run, err := newRun(ix, req, opt)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	drive(run, workers)
-	return opt.Shared.Matches(), nil
+	return opt.QoS.Finish(opt.Shared.Matches()), nil
 }
 
 // Helpers over runWith, one per request flavour, on the index's own
@@ -59,6 +72,11 @@ func runWith(ix *Index, req Request, opt SearchOptions, workers int) ([]Match, e
 
 func runRequest(ix *Index, req Request, opt SearchOptions) ([]Match, error) {
 	return runWith(ix, req, opt, ix.Opts.SearchWorkers)
+}
+
+func tallyOf(ix *Index, req Request) (stats.Tally, error) {
+	res, err := resultWith(ix, req, SearchOptions{}, ix.Opts.SearchWorkers)
+	return res.Tally, err
 }
 
 func first(ms []Match, err error) (Match, error) {

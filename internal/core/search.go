@@ -304,11 +304,10 @@ type SearchRun struct {
 	claimCtr atomic.Int64 // Fetch&Inc cursor: root subtrees, or scan blocks
 	_        [56]byte
 	opt      SearchOptions
-	ctrs     *stats.Counters  // nil = not counting
-	bd       *stats.Breakdown // nil = not tracing
-	qos      *QoS             // opt.QoS
-	done     bool             // the answer is complete after init (ModeApprox)
-	scan     bool             // the scan plan: InsertPhase scans, DrainPhase is a no-op
+	qos      *QoS // opt.QoS
+	trace    bool // req.Trace: time the phases
+	done     bool // the answer is complete after init (ModeApprox)
+	scan     bool // the scan plan: InsertPhase scans, DrainPhase is a no-op
 }
 
 // NewRun prepares one query on this index — the only place a SearchRun is
@@ -326,7 +325,7 @@ func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*Search
 		return nil, ErrEmptyIndex
 	}
 	r := &SearchRun{ix: ix, bnd: opt.Shared,
-		opt: opt.withDefaults(ix.Opts), ctrs: req.Counters, bd: req.Breakdown, qos: opt.QoS}
+		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, trace: req.Trace}
 	r.init(req, st)
 	return r, nil
 }
@@ -336,8 +335,9 @@ func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*Search
 // completes the run, builds the per-query distance table, chooses the plan
 // and, for the tree plan, sizes st's queue set.
 func (r *SearchRun) init(req Request, st *QueryState) {
+	var t stats.Tally
 	var tInit time.Time
-	if r.bd.Enabled() {
+	if r.trace {
 		tInit = time.Now()
 	}
 	r.kern = newKernel(req)
@@ -351,7 +351,7 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 	if !lazyTable {
 		r.prepareTable(st, qpaa)
 	}
-	found := r.approxSearch(qpaa, qword)
+	found := r.approxSearch(qpaa, qword, &t)
 	// An approximate run whose descent reached no candidate falls back to
 	// the exact search simply by not being done.
 	r.done = req.Mode == ModeApprox && found
@@ -361,15 +361,16 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 		}
 		r.scan = r.scanPays()
 		if r.scan {
-			r.ctrs.AddScanPlan()
+			t.ScanPlans++
 		} else {
 			st.queues.Resize(r.opt.Queues, 64)
 			r.queues = &st.queues
 		}
 	}
-	if r.bd.Enabled() {
-		r.bd.Add(stats.PhaseInit, time.Since(tInit))
+	if r.trace {
+		t.Phases[stats.PhaseInit] = time.Since(tInit)
 	}
+	r.qos.add(t)
 }
 
 // prepareTable readies st's distance table as the run's and fills it from
@@ -435,14 +436,13 @@ func (r *SearchRun) InsertPhase(pid int) {
 		r.scanPhase()
 		return
 	}
-	ctrs, bd := r.ctrs, r.bd
 	cursor := pid % r.opt.Queues // round-robin insertion cursor (line 2)
 
+	var t stats.Tally
 	var tStart time.Time
-	if bd.Enabled() {
+	if r.trace {
 		tStart = time.Now()
 	}
-	var insertTime time.Duration
 	for {
 		i := int(r.claimCtr.Add(1) - 1)
 		if i >= len(r.ix.activeRoots) {
@@ -452,12 +452,12 @@ func (r *SearchRun) InsertPhase(pid int) {
 			break
 		}
 		root := r.ix.Tree.Root(int(r.ix.activeRoots[i]))
-		r.traverse(root, &cursor, &insertTime, ctrs, bd)
+		r.traverse(root, &cursor, &t)
 	}
-	if bd.Enabled() {
-		bd.Add(stats.PhaseTreePass, time.Since(tStart)-insertTime)
-		bd.Add(stats.PhasePQInsert, insertTime)
+	if r.trace {
+		t.Phases[stats.PhaseTreePass] = time.Since(tStart) - t.Phases[stats.PhasePQInsert]
 	}
+	r.qos.add(t)
 }
 
 // scanBlock is how many positions a scan-plan worker claims at a time: 512
@@ -470,8 +470,9 @@ const scanBlock = 1024
 // against the run's bound — the shard's flat data read as a stream, where
 // the tree plan would gather the same series in leaf order.
 func (r *SearchRun) scanPhase() {
+	var t stats.Tally
 	var tStart time.Time
-	if r.bd.Enabled() {
+	if r.trace {
 		tStart = time.Now()
 	}
 	n := r.ix.Data.Count()
@@ -486,11 +487,12 @@ func (r *SearchRun) scanPhase() {
 		if err := fpScanLeaf.Hit(); err != nil {
 			panic(err)
 		}
-		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, r.bnd, r.opt.Start, r.ctrs)
+		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, r.bnd, r.opt.Start, &t)
 	}
-	if r.bd.Enabled() {
-		r.bd.Add(stats.PhaseDistCalc, time.Since(tStart))
+	if r.trace {
+		t.Phases[stats.PhaseDistCalc] = time.Since(tStart)
 	}
+	r.qos.add(t)
 }
 
 // DrainPhase is the queue-processing half of Algorithm 6 (lines 8-13):
@@ -500,34 +502,30 @@ func (r *SearchRun) DrainPhase(pid int) {
 	if r.done || r.scan {
 		return
 	}
-	ctrs, bd := r.ctrs, r.bd
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
 
+	var t stats.Tally
 	// The next queue to work on is chosen starting from a randomized
 	// position — the load-balancing scheme the paper settled on ("workers
 	// use randomization to choose the priority queues they will work on").
 	rnd := uint64(pid)*0x9E3779B97F4A7C15 + 0x1234567
-	q := pid % r.opt.Queues
-	for {
-		r.processQueue(r.queues.Queue(q), scratch, ctrs, bd)
+	for q := pid % r.opt.Queues; q >= 0; {
+		r.processQueue(r.queues.Queue(q), scratch, &t)
 		rnd = rnd*6364136223846793005 + 1442695040888963407 // LCG step
 		q = r.queues.NextUnfinished(int(rnd>>33) % r.opt.Queues)
-		if q < 0 {
-			return
-		}
 	}
+	r.qos.add(t)
 }
 
 // traverse is Algorithm 7: prune subtrees whose lower bound exceeds the
 // BSF; push surviving leaves into the queues round-robin. Node bounds are
-// one table lookup per segment against the run's distance table.
-func (r *SearchRun) traverse(node *tree.Node, cursor *int, insertTime *time.Duration,
-	ctrs *stats.Counters, bd *stats.Breakdown) {
-
-	ctrs.AddNodesVisited(1)
+// one table lookup per segment against the run's distance table. The
+// worker's tally t takes the counts and, under a trace, the push times.
+func (r *SearchRun) traverse(node *tree.Node, cursor *int, t *stats.Tally) {
+	t.NodesVisited++
+	t.LowerBoundCalcs++
 	dist := r.table.MinDistPrefix(node.Symbols, node.Bits)
-	ctrs.AddLowerBound(1)
 	if r.qos.prunes(dist, r.bnd.Load()) {
 		return
 	}
@@ -535,37 +533,35 @@ func (r *SearchRun) traverse(node *tree.Node, cursor *int, insertTime *time.Dura
 		if node.LeafLen() == 0 {
 			return
 		}
-		if bd.Enabled() {
+		if r.trace {
 			t0 := time.Now()
 			r.queues.PushRoundRobin(cursor, dist, node)
-			*insertTime += time.Since(t0)
+			t.Phases[stats.PhasePQInsert] += time.Since(t0)
 		} else {
 			r.queues.PushRoundRobin(cursor, dist, node)
 		}
-		ctrs.AddLeavesInserted(1)
+		t.LeavesInserted++
 		return
 	}
-	r.traverse(node.Left, cursor, insertTime, ctrs, bd)
-	r.traverse(node.Right, cursor, insertTime, ctrs, bd)
+	r.traverse(node.Left, cursor, t)
+	r.traverse(node.Right, cursor, t)
 }
 
 // processQueue is Algorithm 8: repeatedly DeleteMin; once the popped bound
 // is no better than the BSF (or the queue is empty, or the QoS state stops
 // the run), mark the queue finished and return.
-func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScratch,
-	ctrs *stats.Counters, bd *stats.Breakdown) {
-
+func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScratch, t *stats.Tally) {
 	for {
 		if q.Finished() {
 			return
 		}
 		var t0 time.Time
-		if bd.Enabled() {
+		if r.trace {
 			t0 = time.Now()
 		}
 		item, ok := q.PopMin()
-		if bd.Enabled() {
-			bd.Add(stats.PhasePQRemove, time.Since(t0))
+		if r.trace {
+			t.Phases[stats.PhasePQRemove] += time.Since(t0)
 		}
 		if !ok || r.qos.stop() {
 			q.MarkFinished()
@@ -576,16 +572,16 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 			// abandon the whole queue (Algorithm 8 lines 8-10). Under
 			// ε-inflation the popped minimum bounds every remaining item,
 			// so it is the single witness for the whole queue.
-			ctrs.AddLeavesPruned(1)
+			t.LeavesPruned++
 			q.MarkFinished()
 			return
 		}
-		if bd.Enabled() {
+		if r.trace {
 			t0 = time.Now()
 		}
-		r.scanLeaf(item.Value, scratch)
-		if bd.Enabled() {
-			bd.Add(stats.PhaseDistCalc, time.Since(t0))
+		r.scanLeaf(item.Value, scratch, t)
+		if r.trace {
+			t.Phases[stats.PhaseDistCalc] += time.Since(t0)
 		}
 	}
 }
@@ -597,7 +593,7 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 // tight table-load-and-add column loops — no per-entry word gather, no
 // branches), the surviving entries are compacted, and only those reach the
 // refine stage.
-func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
+func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, t *stats.Tally) {
 	// Worker-panic tests poison one leaf scan here to prove the engine
 	// confines the blast radius to a single query. Disarmed, this is
 	// one atomic load per leaf — invisible next to the scan itself.
@@ -609,7 +605,7 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 	}
 	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
 	cand := scratch.filter(lbs, r.table.Scale(), r.bnd.Load(), r.qos)
-	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.opt.Start, r.qos, r.ctrs)
+	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
 }
 
 // refine is the single real-distance candidate loop behind every search
@@ -620,9 +616,10 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch) {
 // approximate search, which has none) skips the re-check. The bound is
 // cached locally and refreshed per batch and after every improvement
 // instead of loading the shared atomic per candidate — a stale (larger)
-// threshold only admits extra candidates, never wrongly prunes.
+// threshold only admits extra candidates, never wrongly prunes. The counts
+// go to the worker's tally t.
 func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
-	scratch *leafScratch, coll Collector, start int64, qos *QoS, ctrs *stats.Counters) {
+	scratch *leafScratch, coll Collector, start int64, qos *QoS, t *stats.Tally) {
 
 	lbCount, realCount := int64(len(lbs)), int64(0)
 	for len(cand) > 0 {
@@ -650,14 +647,14 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 			realCount += nReal
 			if d < limit {
 				if coll.Update(d, start+int64(pos)) {
-					ctrs.AddBSFUpdate()
+					t.BSFUpdates++
 				}
 				limit = coll.Load()
 			}
 		}
 	}
-	ctrs.AddLowerBound(lbCount)
-	ctrs.AddRealDist(realCount)
+	t.LowerBoundCalcs += lbCount
+	t.RealDistCalcs += realCount
 }
 
 // Scan is the position-order counterpart of refine: it measures every
@@ -665,16 +662,19 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 // offering series i as position start+i. There are no summaries to filter
 // on and nothing for ε to inflate, so the collection is searched exactly
 // whatever the request's mode — which a live index's delta, small by
-// construction, affords. The request must have passed Validate and
-// CheckShape.
-func Scan(req Request, data *series.Collection, start int64, coll Collector) {
-	scanRange(data, 0, data.Count(), newKernel(req), coll, start, req.Counters)
+// construction, affords. The scan's counts join the query's tally in
+// opt.QoS. The request must have passed Validate and CheckShape.
+func Scan(req Request, data *series.Collection, opt SearchOptions) {
+	var t stats.Tally
+	scanRange(data, 0, data.Count(), newKernel(req), opt.Shared, opt.Start, &t)
+	opt.QoS.add(t)
 }
 
 // scanRange measures data's series [lo,hi) in position order against coll,
-// offering series i as position start+i. The bound is read before every
-// candidate: another run sharing it may have tightened it meanwhile.
-func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector, start int64, ctrs *stats.Counters) {
+// offering series i as position start+i, and counts into the worker's
+// tally t. The bound is read before every candidate: another run sharing it
+// may have tightened it meanwhile.
+func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector, start int64, t *stats.Tally) {
 	var lbCount, realCount int64
 	for i := lo; i < hi; i++ {
 		limit := coll.Load()
@@ -682,11 +682,11 @@ func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector,
 		lbCount += nLB
 		realCount += nReal
 		if d < limit && coll.Update(d, start+int64(i)) {
-			ctrs.AddBSFUpdate()
+			t.BSFUpdates++
 		}
 	}
-	ctrs.AddLowerBound(lbCount)
-	ctrs.AddRealDist(realCount)
+	t.LowerBoundCalcs += lbCount
+	t.RealDistCalcs += realCount
 }
 
 // approxSearch seeds the bound (Figure 4(a)): take the best real distances
@@ -695,23 +695,21 @@ func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector,
 // progressive-search citation observes this initial answer is usually very
 // close to the exact one. It reports whether the descent reached any
 // candidate at all.
-func (r *SearchRun) approxSearch(qpaa []float64, qword []uint8) bool {
-	leaf := r.ix.approxLeaf(qpaa, qword, r.table, r.ctrs)
+func (r *SearchRun) approxSearch(qpaa []float64, qword []uint8, t *stats.Tally) bool {
+	leaf := r.ix.approxLeaf(qpaa, qword, r.table, t)
 	if leaf == nil || leaf.LeafLen() == 0 {
 		return false
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
-	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, r.qos, r.ctrs)
+	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
 	return true
 }
 
 // approxLeaf descends to the leaf matching the query's iSAX word. A nil
 // tab (an approximate Euclidean run) makes the scalar kernel serve the rare
 // empty-subtree fallback; every other run passes its already-built table.
-func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable,
-	ctrs *stats.Counters) *tree.Node {
-
+func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable, t *stats.Tally) *tree.Node {
 	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
 	if root == nil {
 		// The query's own subtree is empty: fall back to the root child
@@ -725,7 +723,7 @@ func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable,
 			} else {
 				d = ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)
 			}
-			ctrs.AddLowerBound(1)
+			t.LowerBoundCalcs++
 			if d < best {
 				best = d
 				root = r

@@ -259,7 +259,7 @@ func BenchmarkLeafScan(b *testing.B) {
 // refreshed after every improvement. A nil lbs is the approximate search's
 // form (every entry measured).
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
-	kern kernel, bnd Collector, qos *QoS, ctrs *stats.Counters) {
+	kern kernel, bnd Collector, qos *QoS, t *stats.Tally) {
 
 	limit := bnd.Load()
 	lbCount, realCount := int64(len(lbs)), int64(0)
@@ -282,13 +282,13 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 		realCount += nReal
 		if d < limit {
 			if bnd.Update(d, int64(pos)) {
-				ctrs.AddBSFUpdate()
+				t.BSFUpdates++
 			}
 			limit = bnd.Load()
 		}
 	}
-	ctrs.AddLowerBound(lbCount)
-	ctrs.AddRealDist(realCount)
+	t.LowerBoundCalcs += lbCount
+	t.RealDistCalcs += realCount
 }
 
 // syntheticLeaf builds a leaf holding exactly the given series, with their
@@ -356,9 +356,8 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 					seeds = []Match{{Position: count + 5, Dist: vector.SquaredEuclidean(ix.Data.At(qi), q)}}
 				}
 				// The restructured path, through the run's own entry points.
-				var gotCtrs stats.Counters
 				req := Request{Query: q, K: fl.k, DTW: fl.dtw, Window: window,
-					Mode: ModeEpsilon, Epsilon: fl.eps, Counters: &gotCtrs}
+					Mode: ModeEpsilon, Epsilon: fl.eps}
 				gotQoS := req.NewQoS()
 				coll := NewCollector(fl.k)
 				for _, s := range seeds {
@@ -369,15 +368,16 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				var scratch leafScratch
+				gotTally := gotQoS.total // the preparation's
 				for _, leaf := range leaves {
-					run.scanLeaf(leaf, &scratch)
+					run.scanLeaf(leaf, &scratch, &gotTally)
 				}
 				got := coll.Matches()
 
 				// The reference: the same steps with the plain loop.
-				var wantCtrs stats.Counters
+				var wantTally stats.Tally
 				if run.scan {
-					wantCtrs.AddScanPlan() // the same preparation chose the scan
+					wantTally.ScanPlans++ // the same preparation chose the scan
 				}
 				wantQoS := req.NewQoS()
 				kern := newKernel(req)
@@ -392,12 +392,12 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, s := range seeds {
 					bnd.Update(s.Dist, int64(s.Position))
 				}
-				first := ix.approxLeaf(qpaa, ix.Schema.WordFromPAA(qpaa, nil), tab, &wantCtrs)
-				refinePlain(ix, first, nil, 0, 1, kern, bnd, nil, &wantCtrs)
+				first := ix.approxLeaf(qpaa, ix.Schema.WordFromPAA(qpaa, nil), tab, &wantTally)
+				refinePlain(ix, first, nil, 0, 1, kern, bnd, nil, &wantTally)
 				var refScratch leafScratch
 				for _, leaf := range leaves {
 					lbs := refScratch.accumulate(leaf, tab, w)
-					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.scale, kern, bnd, wantQoS, &wantCtrs)
+					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.scale, kern, bnd, wantQoS, &wantTally)
 				}
 				want := top.Matches()
 				if fl.k == 1 {
@@ -414,8 +414,8 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 						t.Fatalf("%s: match %d = %+v, plain loop %+v", name, i, got[i], want[i])
 					}
 				}
-				if g, p := gotCtrs.Snapshot(), wantCtrs.Snapshot(); g != p {
-					t.Fatalf("%s: counters %+v, plain loop %+v", name, g, p)
+				if gotTally != wantTally {
+					t.Fatalf("%s: counters %+v, plain loop %+v", name, gotTally, wantTally)
 				}
 				gotRes, wantRes := gotQoS.Finish(got), wantQoS.Finish(want)
 				if gotRes.Exact != wantRes.Exact || gotRes.EpsilonBound != wantRes.EpsilonBound {

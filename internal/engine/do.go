@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/series"
 	"repro/internal/shard"
-	"repro/internal/stats"
 )
 
 // View is what one query searches: an immutable index generation plus the
@@ -66,15 +65,9 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	// With metrics on, every query contributes its operation counts to the
-	// cumulative pruning-efficiency counters, whether or not the caller
-	// asked for a per-query trace.
 	var start time.Time
 	if e.met != nil {
 		start = time.Now()
-		if req.Counters == nil {
-			req.Counters = &stats.Counters{}
-		}
 	}
 
 	// Overload degradation: with the admission gate full, an exact request
@@ -115,7 +108,7 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	}
 	if e.met != nil {
 		e.met.recordOutcome(mode, time.Since(start), res.Exact)
-		e.met.recordCounters(req.Counters.Snapshot())
+		e.met.recordTally(res.Tally)
 	}
 	return res, nil
 }
@@ -224,8 +217,9 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 		member := func(int) {
 			e.unit(rec, func() {
 				if i >= S {
-					chunk := v.Delta[i-S]
-					core.Scan(req, chunk.Data, int64(chunk.Start), opt.Shared)
+					chunk, o := v.Delta[i-S], opt
+					o.Start = int64(chunk.Start)
+					core.Scan(req, chunk.Data, o)
 				} else if st != nil {
 					o := opt
 					o.Start = int64(v.Base.Start(i))

@@ -9,8 +9,8 @@ import (
 )
 
 // engMetrics holds the engine's registered instruments. A nil *engMetrics
-// (metrics disabled) makes every record method a no-op, mirroring the
-// nil-safety of stats.Counters — the query hot path pays one nil check.
+// (metrics disabled) makes every record method a no-op, so a query pays one
+// nil check.
 type engMetrics struct {
 	queueDepth *metrics.Gauge     // queries waiting for admission right now
 	admitWait  *metrics.Histogram // time spent waiting for an admission slot
@@ -25,8 +25,8 @@ type engMetrics struct {
 	fanout   *metrics.Counter      // queries fanned out across a sharded generation
 	panics   *metrics.Counter      // query panics recovered on pool workers
 
-	// Cumulative rollups of the per-query stats.Counters — the fleet view
-	// of Figure 17's pruning-efficiency measurements.
+	// Cumulative rollups of the per-query counts of core.Result.Tally —
+	// the fleet view of Figure 17's pruning-efficiency measurements.
 	lowerBounds *metrics.Counter
 	realDists   *metrics.Counter
 	nodes       *metrics.Counter
@@ -136,17 +136,17 @@ func (m *engMetrics) recordOutcome(mode core.Mode, dur time.Duration, exact bool
 	}
 }
 
-// recordCounters rolls one query's operation counts into the cumulative
+// recordTally rolls one query's operation counts into the cumulative
 // pruning counters.
-func (m *engMetrics) recordCounters(s stats.Snapshot) {
+func (m *engMetrics) recordTally(t stats.Tally) {
 	if m == nil {
 		return
 	}
-	m.lowerBounds.Add(s.LowerBoundCalcs)
-	m.realDists.Add(s.RealDistCalcs)
-	m.nodes.Add(s.NodesVisited)
-	m.leavesIns.Add(s.LeavesInserted)
-	m.leavesPrune.Add(s.LeavesPruned)
-	m.bsfUpdates.Add(s.BSFUpdates)
-	m.scanPlans.Add(s.ScanPlans)
+	m.lowerBounds.Add(t.LowerBoundCalcs)
+	m.realDists.Add(t.RealDistCalcs)
+	m.nodes.Add(t.NodesVisited)
+	m.leavesIns.Add(t.LeavesInserted)
+	m.leavesPrune.Add(t.LeavesPruned)
+	m.bsfUpdates.Add(t.BSFUpdates)
+	m.scanPlans.Add(t.ScanPlans)
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/scan"
 	"repro/internal/series"
 	"repro/internal/shard"
-	"repro/internal/stats"
 )
 
 // sub returns series [lo,hi) of data as a collection sharing its storage.
@@ -232,13 +231,12 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 					name := fmt.Sprintf("S=%d, %s, query %d of the %d-scan set", S, vc.name, qi, qc.scans)
 					do := func(req core.Request, scans int64) core.Result {
 						t.Helper()
-						var ctrs stats.Counters
-						req.Query, req.Counters = q, &ctrs
+						req.Query = q
 						res, err := e.Do(vc.view, req)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := ctrs.ScanPlans.Load(); got != scans {
+						if got := res.Tally.ScanPlans; got != scans {
 							t.Fatalf("%s, %+v: %d scan plans, want %d", name, req, got, scans)
 						}
 						return res

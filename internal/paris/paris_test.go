@@ -125,13 +125,13 @@ func TestSIMSSISDMatchesBruteForce(t *testing.T) {
 
 func TestSIMSComputesLowerBoundForEverySeries(t *testing.T) {
 	ix := buildParis(t, dataset.RandomWalk, 2000, 64)
-	ctrs := &stats.Counters{}
-	if _, err := ix.Search(ix.Data.At(3), SearchOptions{Counters: ctrs}); err != nil {
+	var tally stats.Tally
+	if _, err := ix.Search(ix.Data.At(3), SearchOptions{Tally: &tally}); err != nil {
 		t.Fatal(err)
 	}
 	// The defining SIMS behaviour (Figure 17a): a lower-bound computation
 	// for every series in the collection.
-	if got := ctrs.Snapshot().LowerBoundCalcs; got < 2000 {
+	if got := tally.LowerBoundCalcs; got < 2000 {
 		t.Errorf("SIMS lower-bound calcs = %d, want >= 2000", got)
 	}
 }
@@ -160,19 +160,17 @@ func TestTSDoesFewerLowerBoundsThanSIMS(t *testing.T) {
 	ix := buildParis(t, dataset.RandomWalk, 4000, 64)
 	q, _ := dataset.Queries(dataset.RandomWalk, 1, 64, 58)
 	query := q.At(0)
-	simsCtrs := &stats.Counters{}
-	if _, err := ix.Search(query, SearchOptions{Counters: simsCtrs}); err != nil {
+	var sims, ts stats.Tally
+	if _, err := ix.Search(query, SearchOptions{Tally: &sims}); err != nil {
 		t.Fatal(err)
 	}
-	tsCtrs := &stats.Counters{}
-	if _, err := ix.SearchTS(query, SearchOptions{Counters: tsCtrs}); err != nil {
+	if _, err := ix.SearchTS(query, SearchOptions{Tally: &ts}); err != nil {
 		t.Fatal(err)
 	}
 	// ParIS-TS prunes during lower-bound computation; SIMS cannot
 	// (it sweeps the whole SAX array).
-	if tsCtrs.Snapshot().LowerBoundCalcs >= simsCtrs.Snapshot().LowerBoundCalcs {
-		t.Errorf("TS lower bounds (%d) should be below SIMS (%d)",
-			tsCtrs.Snapshot().LowerBoundCalcs, simsCtrs.Snapshot().LowerBoundCalcs)
+	if ts.LowerBoundCalcs >= sims.LowerBoundCalcs {
+		t.Errorf("TS lower bounds (%d) should be below SIMS (%d)", ts.LowerBoundCalcs, sims.LowerBoundCalcs)
 	}
 }
 
@@ -236,22 +234,22 @@ func TestFig17ShapeHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parisCtrs, messiCtrs := &stats.Counters{}, &stats.Counters{}
+		var p, m stats.Tally
 		messiView, err := shard.FromCores([]*core.Index{messiIx})
 		if err != nil {
 			t.Fatal(err)
 		}
 		messi := engine.NewUnpooled(messiIx.Opts, engine.Options{})
 		for qi := 0; qi < queries.Count(); qi++ {
-			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Counters: parisCtrs}); err != nil {
+			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Tally: &p}); err != nil {
 				t.Fatal(err)
 			}
-			req := core.Request{Query: queries.At(qi), Counters: messiCtrs}
-			if _, err := messi.Do(engine.View{Base: messiView}, req); err != nil {
+			res, err := messi.Do(engine.View{Base: messiView}, core.Request{Query: queries.At(qi)})
+			if err != nil {
 				t.Fatal(err)
 			}
+			m.Add(res.Tally)
 		}
-		p, m := parisCtrs.Snapshot(), messiCtrs.Snapshot()
 		if m.LowerBoundCalcs >= p.LowerBoundCalcs {
 			t.Errorf("%s: MESSI lower bounds (%d) not below ParIS (%d)", kind, m.LowerBoundCalcs, p.LowerBoundCalcs)
 		}

@@ -20,11 +20,11 @@ const (
 	KernelSISD               // naive per-element kernels with per-element branches
 )
 
-// SearchOptions configures a SIMS query.
+// SearchOptions configures a SIMS or ParIS-TS query.
 type SearchOptions struct {
-	Workers  int    // lower-bound / real-distance workers
-	Kernel   Kernel // SIMD (default) or SISD
-	Counters *stats.Counters
+	Workers int          // lower-bound / real-distance workers
+	Kernel  Kernel       // SIMD (default) or SISD
+	Tally   *stats.Tally // when non-nil, takes the query's operation counts
 }
 
 // Search answers an exact 1-NN query with the SIMS strategy (§II of the
@@ -53,11 +53,11 @@ func (ix *Index) Search(query []float32, opt SearchOptions) (core.Match, error) 
 	if workers > n {
 		workers = n
 	}
-	ctrs := opt.Counters
 
 	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
 	bsf := stats.NewBSF()
-	ix.approxSearch(query, qpaa, bsf, opt.Kernel, ctrs)
+	var t stats.Tally
+	ix.approxSearch(query, qpaa, bsf, opt.Kernel, &t)
 
 	// Stage 2: full SAX-array lower-bound sweep against the fixed
 	// approximate BSF. Per-worker candidate lists avoid contention and
@@ -72,30 +72,27 @@ func (ix *Index) Search(query []float32, opt SearchOptions) (core.Match, error) 
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			cands := make([]int32, 0, (hi-lo)/16+1)
-			var lbCount int64
 			if opt.Kernel == KernelSISD {
 				// The pre-SIMD scalar lower-bound kernel: this stage
 				// touches every series, so the kernel choice dominates
 				// the Figure 18 SISD-vs-SIMD gap.
 				for i := lo; i < hi; i++ {
-					lbCount++
 					if ix.Schema.MinDistPAAWordNaive(qpaa, ix.Word(i)) < approxBound {
 						cands = append(cands, int32(i))
 					}
 				}
 			} else {
 				for i := lo; i < hi; i++ {
-					lbCount++
 					if ix.Schema.MinDistPAAWord(qpaa, ix.Word(i)) < approxBound {
 						cands = append(cands, int32(i))
 					}
 				}
 			}
-			ctrs.AddLowerBound(lbCount)
 			localCands[w] = cands
 		}(w)
 	}
 	wg.Wait()
+	t.LowerBoundCalcs += int64(n) // every series is bounded
 	total := 0
 	for _, c := range localCands {
 		total += len(c)
@@ -111,27 +108,30 @@ func (ix *Index) Search(query []float32, opt SearchOptions) (core.Match, error) 
 		if cw > len(candidates) {
 			cw = len(candidates)
 		}
+		updates := make([]int64, cw) // BSF improvements, per worker
 		for w := 0; w < cw; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				lo := w * len(candidates) / cw
 				hi := (w + 1) * len(candidates) / cw
-				var realCount int64
 				for _, pos := range candidates[lo:hi] {
 					limit := bsf.Load()
 					d := ix.realDist(query, int(pos), limit, opt.Kernel)
-					realCount++
-					if d < limit {
-						if bsf.Update(d, int64(pos)) {
-							ctrs.AddBSFUpdate()
-						}
+					if d < limit && bsf.Update(d, int64(pos)) {
+						updates[w]++
 					}
 				}
-				ctrs.AddRealDist(realCount)
 			}(w)
 		}
 		wg.Wait()
+		t.RealDistCalcs += int64(len(candidates)) // every candidate is measured
+		for _, u := range updates {
+			t.BSFUpdates += u
+		}
+	}
+	if opt.Tally != nil {
+		opt.Tally.Add(t)
 	}
 
 	d, pos := bsf.Best()
@@ -146,8 +146,8 @@ func (ix *Index) realDist(query []float32, pos int, limit float64, k Kernel) flo
 }
 
 // approxSearch descends to the query's leaf and seeds the BSF, exactly as
-// MESSI does (ParIS uses the tree only for this step).
-func (ix *Index) approxSearch(query []float32, qpaa []float64, bsf *stats.BSF, k Kernel, ctrs *stats.Counters) {
+// MESSI does (ParIS uses the tree only for this step), counting into t.
+func (ix *Index) approxSearch(query []float32, qpaa []float64, bsf *stats.BSF, k Kernel, t *stats.Tally) {
 	qword := ix.Schema.WordFromPAA(qpaa, nil)
 	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
 	if root == nil {
@@ -155,7 +155,7 @@ func (ix *Index) approxSearch(query []float32, qpaa []float64, bsf *stats.BSF, k
 		for _, slot := range ix.activeRoots {
 			r := ix.Tree.Root(int(slot))
 			d := ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)
-			ctrs.AddLowerBound(1)
+			t.LowerBoundCalcs++
 			if d < best {
 				best = d
 				root = r
@@ -169,11 +169,9 @@ func (ix *Index) approxSearch(query []float32, qpaa []float64, bsf *stats.BSF, k
 	for i := 0; i < leaf.LeafLen(); i++ {
 		pos := leaf.Positions[i]
 		d := ix.realDist(query, int(pos), bsf.Load(), k)
-		ctrs.AddRealDist(1)
-		if d < bsf.Load() {
-			if bsf.Update(d, int64(pos)) {
-				ctrs.AddBSFUpdate()
-			}
+		t.RealDistCalcs++
+		if d < bsf.Load() && bsf.Update(d, int64(pos)) {
+			t.BSFUpdates++
 		}
 	}
 }

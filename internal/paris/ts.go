@@ -35,18 +35,18 @@ func (ix *Index) SearchTS(query []float32, opt SearchOptions) (core.Match, error
 	if workers <= 0 {
 		workers = ix.Opts.SearchWorkers
 	}
-	ctrs := opt.Counters
 
 	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
 	bsf := stats.NewBSF()
-	ix.approxSearch(query, qpaa, bsf, opt.Kernel, ctrs)
+	var t stats.Tally
+	ix.approxSearch(query, qpaa, bsf, opt.Kernel, &t)
 
 	q := pqueue.New[*tree.Node](256)
 	// Seed: all non-prunable root children.
 	for _, slot := range ix.activeRoots {
 		r := ix.Tree.Root(int(slot))
 		d := ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)
-		ctrs.AddLowerBound(1)
+		t.LowerBoundCalcs++
 		if d < bsf.Load() {
 			q.Push(d, r)
 		}
@@ -56,23 +56,33 @@ func (ix *Index) SearchTS(query []float32, opt SearchOptions) (core.Match, error
 	// a popped node (they may still push children); a worker only
 	// terminates when the queue is empty AND no peer is active.
 	var active atomic.Int64
+	tallies := make([]stats.Tally, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			ix.tsWorker(q, &active, query, qpaa, bsf, opt.Kernel, ctrs)
-		}()
+			tallies[w] = ix.tsWorker(q, &active, query, qpaa, bsf, opt.Kernel)
+		}(w)
 	}
 	wg.Wait()
+	if opt.Tally != nil {
+		for _, wt := range tallies {
+			t.Add(wt)
+		}
+		opt.Tally.Add(t)
+	}
 
 	d, pos := bsf.Best()
 	return core.Match{Position: int(pos), Dist: d}, nil
 }
 
+// tsWorker drains the shared queue until no worker holds work, and returns
+// its tally.
 func (ix *Index) tsWorker(q *pqueue.Queue[*tree.Node], active *atomic.Int64,
-	query []float32, qpaa []float64, bsf *stats.BSF, k Kernel, ctrs *stats.Counters) {
+	query []float32, qpaa []float64, bsf *stats.BSF, k Kernel) stats.Tally {
 
+	var t stats.Tally
 	wordBuf := make([]uint8, ix.Schema.Segments) // per-worker word gather scratch
 	for {
 		item, ok := q.PopMin()
@@ -86,31 +96,31 @@ func (ix *Index) tsWorker(q *pqueue.Queue[*tree.Node], active *atomic.Int64,
 			// before decrementing active, so an empty queue here is
 			// conclusive).
 			if item, ok = q.PopMin(); !ok {
-				return
+				return t
 			}
 		}
 		active.Add(1)
-		ix.tsProcess(item, q, query, qpaa, wordBuf, bsf, k, ctrs)
+		ix.tsProcess(item, q, query, qpaa, wordBuf, bsf, k, &t)
 		active.Add(-1)
 	}
 }
 
 func (ix *Index) tsProcess(item pqueue.Item[*tree.Node], q *pqueue.Queue[*tree.Node],
-	query []float32, qpaa []float64, wordBuf []uint8, bsf *stats.BSF, k Kernel, ctrs *stats.Counters) {
+	query []float32, qpaa []float64, wordBuf []uint8, bsf *stats.BSF, k Kernel, t *stats.Tally) {
 
 	node := item.Value
 	if item.Priority >= bsf.Load() {
 		// Stale bound: drop the node. (Unlike MESSI, the single shared
 		// queue cannot be abandoned wholesale — concurrent producers may
 		// still insert better nodes — so draining continues.)
-		ctrs.AddLeavesPruned(1)
+		t.LeavesPruned++
 		return
 	}
 	if !node.IsLeaf() {
 		for _, child := range []*tree.Node{node.Left, node.Right} {
-			ctrs.AddNodesVisited(1)
+			t.NodesVisited++
+			t.LowerBoundCalcs++
 			d := ix.Schema.MinDistPAAPrefix(qpaa, child.Symbols, child.Bits)
-			ctrs.AddLowerBound(1)
 			if d < bsf.Load() {
 				q.Push(d, child)
 			}
@@ -122,9 +132,8 @@ func (ix *Index) tsProcess(item pqueue.Item[*tree.Node], q *pqueue.Queue[*tree.N
 	// kernel (that gap is what the ablation measures), so it gathers each
 	// word into the worker's scratch buffer.
 	w := ix.Schema.Segments
-	var lbCount, realCount int64
+	t.LowerBoundCalcs += int64(node.LeafLen())
 	for i := 0; i < node.LeafLen(); i++ {
-		lbCount++
 		lb := ix.Schema.MinDistPAAWord(qpaa, node.Word(i, w, wordBuf))
 		limit := bsf.Load()
 		if lb >= limit {
@@ -132,13 +141,9 @@ func (ix *Index) tsProcess(item pqueue.Item[*tree.Node], q *pqueue.Queue[*tree.N
 		}
 		pos := node.Positions[i]
 		d := ix.realDist(query, int(pos), limit, k)
-		realCount++
-		if d < limit {
-			if bsf.Update(d, int64(pos)) {
-				ctrs.AddBSFUpdate()
-			}
+		t.RealDistCalcs++
+		if d < limit && bsf.Update(d, int64(pos)) {
+			t.BSFUpdates++
 		}
 	}
-	ctrs.AddLowerBound(lbCount)
-	ctrs.AddRealDist(realCount)
 }

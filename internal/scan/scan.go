@@ -39,9 +39,9 @@ func validate(data *series.Collection, query []float32) error {
 
 // Search1NN is UCR Suite-P under squared Euclidean distance: workers scan
 // static partitions with thread-local best-so-far values and merge once at
-// the end.
-func Search1NN(data *series.Collection, query []float32, workers int, ctrs *stats.Counters) (core.Match, error) {
-	return Search1NNBounded(data, query, workers, math.Inf(1), ctrs)
+// the end. A non-nil tally takes the scan's counts.
+func Search1NN(data *series.Collection, query []float32, workers int, tally *stats.Tally) (core.Match, error) {
+	return Search1NNBounded(data, query, workers, math.Inf(1), tally)
 }
 
 // Search1NNBounded is Search1NN with an externally known squared-distance
@@ -50,7 +50,7 @@ func Search1NN(data *series.Collection, query []float32, workers int, ctrs *stat
 // delta blocks) carries its running best into each scan — the same
 // bound-seeding the tree search gets from its seeds. When no
 // candidate beats the bound the result has Position -1 and Dist == bound.
-func Search1NNBounded(data *series.Collection, query []float32, workers int, bound float64, ctrs *stats.Counters) (core.Match, error) {
+func Search1NNBounded(data *series.Collection, query []float32, workers int, bound float64, tally *stats.Tally) (core.Match, error) {
 	if err := validate(data, query); err != nil {
 		return core.Match{}, err
 	}
@@ -70,19 +70,19 @@ func Search1NNBounded(data *series.Collection, query []float32, workers int, bou
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			best := core.Match{Position: -1, Dist: bound}
-			var count int64
 			for i := lo; i < hi; i++ {
 				d := vector.SquaredEuclideanEarlyAbandon(data.At(i), query, best.Dist)
-				count++
 				if d < best.Dist {
 					best = core.Match{Position: i, Dist: d}
 				}
 			}
-			ctrs.AddRealDist(count)
 			locals[w] = best
 		}(w)
 	}
 	wg.Wait()
+	if tally != nil {
+		tally.RealDistCalcs += int64(n) // every series is measured
+	}
 	best := locals[0]
 	for _, m := range locals[1:] {
 		if m.Dist < best.Dist {
@@ -151,7 +151,7 @@ func (h *kheap) offer(m core.Match) {
 // distance against its own k-th best), and the per-worker sets are merged
 // once at the end. It returns at most k matches in ascending distance
 // order (ties broken by position).
-func SearchKNN(data *series.Collection, query []float32, k, workers int, ctrs *stats.Counters) ([]core.Match, error) {
+func SearchKNN(data *series.Collection, query []float32, k, workers int, tally *stats.Tally) ([]core.Match, error) {
 	if err := validate(data, query); err != nil {
 		return nil, err
 	}
@@ -174,24 +174,24 @@ func SearchKNN(data *series.Collection, query []float32, k, workers int, ctrs *s
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			h := &kheap{k: k}
-			var count int64
 			// The k-th-best limit only moves on offer: cache it locally
 			// and refresh after insertions instead of recomputing the
 			// heap root twice per candidate.
 			lim := h.limit()
 			for i := lo; i < hi; i++ {
 				d := vector.SquaredEuclideanEarlyAbandon(data.At(i), query, lim)
-				count++
 				if d < lim {
 					h.offer(core.Match{Position: i, Dist: d})
 					lim = h.limit()
 				}
 			}
-			ctrs.AddRealDist(count)
 			locals[w] = h
 		}(w)
 	}
 	wg.Wait()
+	if tally != nil {
+		tally.RealDistCalcs += int64(n) // every series is measured
+	}
 	var all []core.Match
 	for _, h := range locals {
 		all = append(all, h.heap...)
@@ -213,14 +213,14 @@ func SearchKNN(data *series.Collection, query []float32, k, workers int, ctrs *s
 // LB_Keogh cascade (dtw.Cascade: envelope lower bound, then the cDTW that
 // abandons on its row minimum plus the bound of the columns not yet
 // reached) against its thread-local best.
-func SearchDTW(data *series.Collection, query []float32, window, workers int, ctrs *stats.Counters) (core.Match, error) {
-	return SearchDTWBounded(data, query, window, workers, math.Inf(1), ctrs)
+func SearchDTW(data *series.Collection, query []float32, window, workers int, tally *stats.Tally) (core.Match, error) {
+	return SearchDTWBounded(data, query, window, workers, math.Inf(1), tally)
 }
 
 // SearchDTWBounded is SearchDTW with an externally known squared-distance
 // pruning bound (see Search1NNBounded): the LB_Keogh cascade and the DTW
 // early abandon start from bound instead of +Inf.
-func SearchDTWBounded(data *series.Collection, query []float32, window, workers int, bound float64, ctrs *stats.Counters) (core.Match, error) {
+func SearchDTWBounded(data *series.Collection, query []float32, window, workers int, bound float64, tally *stats.Tally) (core.Match, error) {
 	if err := validate(data, query); err != nil {
 		return core.Match{}, err
 	}
@@ -236,6 +236,7 @@ func SearchDTWBounded(data *series.Collection, query []float32, window, workers 
 	}
 	upper, lower := dtw.Envelope(query, window)
 	locals := make([]core.Match, workers)
+	ran := make([]int64, workers) // full DTW computations, per worker
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -244,9 +245,8 @@ func SearchDTWBounded(data *series.Collection, query []float32, window, workers 
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			best := core.Match{Position: -1, Dist: bound}
-			var lbCount, realCount int64
+			var realCount int64
 			for i := lo; i < hi; i++ {
-				lbCount++
 				d, ran := dtw.Cascade(query, data.At(i), lower, upper, window, best.Dist)
 				if ran {
 					realCount++
@@ -255,12 +255,17 @@ func SearchDTWBounded(data *series.Collection, query []float32, window, workers 
 					best = core.Match{Position: i, Dist: d}
 				}
 			}
-			ctrs.AddLowerBound(lbCount)
-			ctrs.AddRealDist(realCount)
+			ran[w] = realCount
 			locals[w] = best
 		}(w)
 	}
 	wg.Wait()
+	if tally != nil {
+		tally.LowerBoundCalcs += int64(n) // one LB_Keogh per series
+		for _, r := range ran {
+			tally.RealDistCalcs += r
+		}
+	}
 	best := locals[0]
 	for _, m := range locals[1:] {
 		if m.Dist < best.Dist {

@@ -99,13 +99,13 @@ func TestSearch1NNMatchesBruteForce(t *testing.T) {
 
 func TestSearch1NNCountsEverySeries(t *testing.T) {
 	data := genData(t, 500, 64)
-	ctrs := &stats.Counters{}
-	if _, err := Search1NN(data, data.At(0), 4, ctrs); err != nil {
+	var tally stats.Tally
+	if _, err := Search1NN(data, data.At(0), 4, &tally); err != nil {
 		t.Fatal(err)
 	}
 	// UCR Suite-P performs no pruning: one real-distance computation per
 	// series (early abandoning shortens them but every series is touched).
-	if got := ctrs.Snapshot().RealDistCalcs; got != 500 {
+	if got := tally.RealDistCalcs; got != 500 {
 		t.Errorf("real dist calcs = %d, want 500", got)
 	}
 }
@@ -167,12 +167,11 @@ func TestSearchDTWMatchesBruteForce(t *testing.T) {
 
 func TestSearchDTWLBKeoghPrunes(t *testing.T) {
 	data := genData(t, 600, 64)
-	ctrs := &stats.Counters{}
+	var snap stats.Tally
 	window := dtw.WindowSize(64, 0.1)
-	if _, err := SearchDTW(data, data.At(7), window, 1, ctrs); err != nil {
+	if _, err := SearchDTW(data, data.At(7), window, 1, &snap); err != nil {
 		t.Fatal(err)
 	}
-	snap := ctrs.Snapshot()
 	if snap.LowerBoundCalcs != 600 {
 		t.Errorf("LB calcs = %d, want 600 (one LB_Keogh per series)", snap.LowerBoundCalcs)
 	}

@@ -1,11 +1,8 @@
 // Package stats provides the instrumentation used to reproduce the paper's
-// measurement figures: atomic operation counters (Figure 17's lower-bound
-// and real-distance calculation counts), per-worker phase timers (Figure
-// 13's query-time breakdown), and the atomic best-so-far (BSF) cell shared
-// by all search workers.
-//
-// All instrumentation is optional: every method is nil-receiver safe, so
-// hot paths pass nil collectors when not measuring.
+// measurement figures — the Tally of a query's operation counts (Figure
+// 17's lower-bound and real-distance calculation counts) and phase times
+// (Figure 13's query-time breakdown) — and the atomic best-so-far (BSF)
+// cell shared by all search workers.
 package stats
 
 import (
@@ -14,104 +11,37 @@ import (
 	"time"
 )
 
-// Counters accumulates operation counts across all workers of one query or
-// one build. All fields are atomic; Add* methods are safe for concurrent
-// use and are no-ops on a nil receiver.
-type Counters struct {
-	LowerBoundCalcs atomic.Int64 // MINDIST computations (per-series and per-node)
-	RealDistCalcs   atomic.Int64 // raw-series distance computations
-	BSFUpdates      atomic.Int64 // successful best-so-far improvements
-	NodesVisited    atomic.Int64 // tree nodes touched during traversal
-	LeavesInserted  atomic.Int64 // leaves pushed into priority queues
-	LeavesPruned    atomic.Int64 // leaves discarded on pop (stale bound)
-	ScanPlans       atomic.Int64 // runs that scanned in position order instead of using the tree
+// Tally is the work of one query, or of one worker's share of it: the
+// operation counts and, when the query is traced, the wall time per phase.
+// It is a plain value. Each worker counts into a tally of its own and adds
+// it to the query's total once per unit of work, so counting shares
+// nothing between workers while they search.
+type Tally struct {
+	LowerBoundCalcs int64 // MINDIST computations (per-series and per-node)
+	RealDistCalcs   int64 // raw-series distance computations
+	BSFUpdates      int64 // successful best-so-far improvements
+	NodesVisited    int64 // tree nodes touched during traversal
+	LeavesInserted  int64 // leaves pushed into priority queues
+	LeavesPruned    int64 // leaves discarded on pop (stale bound)
+	ScanPlans       int64 // runs that scanned in position order instead of using the tree
+
+	// Phases holds the wall time of each Figure 13 phase, summed over
+	// workers; all zero unless the query is traced.
+	Phases [NumPhases]time.Duration
 }
 
-// AddLowerBound adds n lower-bound distance calculations.
-func (c *Counters) AddLowerBound(n int64) {
-	if c != nil {
-		c.LowerBoundCalcs.Add(n)
+// Add accumulates o into t.
+func (t *Tally) Add(o Tally) {
+	t.LowerBoundCalcs += o.LowerBoundCalcs
+	t.RealDistCalcs += o.RealDistCalcs
+	t.BSFUpdates += o.BSFUpdates
+	t.NodesVisited += o.NodesVisited
+	t.LeavesInserted += o.LeavesInserted
+	t.LeavesPruned += o.LeavesPruned
+	t.ScanPlans += o.ScanPlans
+	for p, d := range o.Phases {
+		t.Phases[p] += d
 	}
-}
-
-// AddRealDist adds n real distance calculations.
-func (c *Counters) AddRealDist(n int64) {
-	if c != nil {
-		c.RealDistCalcs.Add(n)
-	}
-}
-
-// AddBSFUpdate records a successful best-so-far improvement.
-func (c *Counters) AddBSFUpdate() {
-	if c != nil {
-		c.BSFUpdates.Add(1)
-	}
-}
-
-// AddNodesVisited adds n visited tree nodes.
-func (c *Counters) AddNodesVisited(n int64) {
-	if c != nil {
-		c.NodesVisited.Add(n)
-	}
-}
-
-// AddLeavesInserted adds n queue insertions.
-func (c *Counters) AddLeavesInserted(n int64) {
-	if c != nil {
-		c.LeavesInserted.Add(n)
-	}
-}
-
-// AddLeavesPruned adds n stale-leaf prunes.
-func (c *Counters) AddLeavesPruned(n int64) {
-	if c != nil {
-		c.LeavesPruned.Add(n)
-	}
-}
-
-// AddScanPlan records a run that chose the position-order scan.
-func (c *Counters) AddScanPlan() {
-	if c != nil {
-		c.ScanPlans.Add(1)
-	}
-}
-
-// Snapshot is a plain-value copy of the counters.
-type Snapshot struct {
-	LowerBoundCalcs int64
-	RealDistCalcs   int64
-	BSFUpdates      int64
-	NodesVisited    int64
-	LeavesInserted  int64
-	LeavesPruned    int64
-	ScanPlans       int64
-}
-
-// Snapshot returns the current values; zero Snapshot on nil receiver.
-func (c *Counters) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
-	}
-	return Snapshot{
-		LowerBoundCalcs: c.LowerBoundCalcs.Load(),
-		RealDistCalcs:   c.RealDistCalcs.Load(),
-		BSFUpdates:      c.BSFUpdates.Load(),
-		NodesVisited:    c.NodesVisited.Load(),
-		LeavesInserted:  c.LeavesInserted.Load(),
-		LeavesPruned:    c.LeavesPruned.Load(),
-		ScanPlans:       c.ScanPlans.Load(),
-	}
-}
-
-// Add accumulates another snapshot into s.
-func (s *Snapshot) Add(o Snapshot) {
-	s.LowerBoundCalcs += o.LowerBoundCalcs
-	s.RealDistCalcs += o.RealDistCalcs
-	s.BSFUpdates += o.BSFUpdates
-	s.NodesVisited += o.NodesVisited
-	s.LeavesInserted += o.LeavesInserted
-	s.LeavesPruned += o.LeavesPruned
-	s.ScanPlans += o.ScanPlans
 }
 
 // BSF is the shared best-so-far distance cell (squared distance plus the
@@ -216,41 +146,4 @@ func (p Phase) String() string {
 	default:
 		return "Unknown"
 	}
-}
-
-// Breakdown accumulates wall time per phase. One Breakdown is shared by
-// all workers of a query (atomic adds); a nil Breakdown disables timing
-// entirely (the hot paths skip the clock reads).
-type Breakdown struct {
-	nanos [NumPhases]atomic.Int64
-}
-
-// Enabled reports whether timing is active (non-nil receiver).
-func (b *Breakdown) Enabled() bool { return b != nil }
-
-// Add records d against phase p; no-op on nil receiver.
-func (b *Breakdown) Add(p Phase, d time.Duration) {
-	if b != nil {
-		b.nanos[p].Add(int64(d))
-	}
-}
-
-// Get returns the accumulated duration of phase p.
-func (b *Breakdown) Get(p Phase) time.Duration {
-	if b == nil {
-		return 0
-	}
-	return time.Duration(b.nanos[p].Load())
-}
-
-// Total returns the sum over all phases.
-func (b *Breakdown) Total() time.Duration {
-	if b == nil {
-		return 0
-	}
-	var t time.Duration
-	for p := Phase(0); p < NumPhases; p++ {
-		t += b.Get(p)
-	}
-	return t
 }

@@ -8,63 +8,19 @@ import (
 	"time"
 )
 
-func TestCountersNilSafe(t *testing.T) {
-	var c *Counters
-	c.AddLowerBound(5)
-	c.AddRealDist(3)
-	c.AddBSFUpdate()
-	c.AddNodesVisited(1)
-	c.AddLeavesInserted(1)
-	c.AddLeavesPruned(1)
-	c.AddScanPlan()
-	if s := c.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("nil counters snapshot = %+v, want zero", s)
-	}
-}
-
-func TestCountersAccumulate(t *testing.T) {
-	c := &Counters{}
-	c.AddLowerBound(5)
-	c.AddLowerBound(2)
-	c.AddRealDist(3)
-	c.AddBSFUpdate()
-	c.AddNodesVisited(4)
-	c.AddLeavesInserted(6)
-	c.AddLeavesPruned(7)
-	c.AddScanPlan()
-	s := c.Snapshot()
-	want := Snapshot{LowerBoundCalcs: 7, RealDistCalcs: 3, BSFUpdates: 1,
-		NodesVisited: 4, LeavesInserted: 6, LeavesPruned: 7, ScanPlans: 1}
-	if s != want {
-		t.Errorf("snapshot = %+v, want %+v", s, want)
-	}
-}
-
-func TestSnapshotAdd(t *testing.T) {
-	a := Snapshot{LowerBoundCalcs: 1, RealDistCalcs: 2}
-	a.Add(Snapshot{LowerBoundCalcs: 10, BSFUpdates: 3, ScanPlans: 2})
-	if a.LowerBoundCalcs != 11 || a.RealDistCalcs != 2 || a.BSFUpdates != 3 || a.ScanPlans != 2 {
-		t.Errorf("Add result %+v", a)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := &Counters{}
-	var wg sync.WaitGroup
-	const workers = 8
-	const per = 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.AddLowerBound(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Snapshot().LowerBoundCalcs; got != workers*per {
-		t.Errorf("LowerBoundCalcs = %d, want %d", got, workers*per)
+func TestTallyAdd(t *testing.T) {
+	a := Tally{LowerBoundCalcs: 1, RealDistCalcs: 2, NodesVisited: 4}
+	a.Phases[PhaseTreePass] = 2 * time.Millisecond
+	o := Tally{LowerBoundCalcs: 10, BSFUpdates: 3, LeavesInserted: 6, LeavesPruned: 7, ScanPlans: 2}
+	o.Phases[PhaseTreePass] = 3 * time.Millisecond
+	o.Phases[PhaseDistCalc] = 5 * time.Millisecond
+	a.Add(o)
+	want := Tally{LowerBoundCalcs: 11, RealDistCalcs: 2, BSFUpdates: 3, NodesVisited: 4,
+		LeavesInserted: 6, LeavesPruned: 7, ScanPlans: 2}
+	want.Phases[PhaseTreePass] = 5 * time.Millisecond
+	want.Phases[PhaseDistCalc] = 5 * time.Millisecond
+	if a != want {
+		t.Errorf("Add result %+v, want %+v", a, want)
 	}
 }
 
@@ -157,50 +113,5 @@ func TestPhaseString(t *testing.T) {
 		if p.String() != s {
 			t.Errorf("Phase(%d).String() = %q, want %q", p, p.String(), s)
 		}
-	}
-}
-
-func TestBreakdownNilSafe(t *testing.T) {
-	var b *Breakdown
-	if b.Enabled() {
-		t.Error("nil breakdown should be disabled")
-	}
-	b.Add(PhaseInit, time.Second) // must not panic
-	if b.Get(PhaseInit) != 0 || b.Total() != 0 {
-		t.Error("nil breakdown should read zero")
-	}
-}
-
-func TestBreakdownAccumulates(t *testing.T) {
-	b := &Breakdown{}
-	if !b.Enabled() {
-		t.Error("non-nil breakdown should be enabled")
-	}
-	b.Add(PhaseTreePass, 2*time.Millisecond)
-	b.Add(PhaseTreePass, 3*time.Millisecond)
-	b.Add(PhaseDistCalc, 5*time.Millisecond)
-	if got := b.Get(PhaseTreePass); got != 5*time.Millisecond {
-		t.Errorf("tree pass = %v", got)
-	}
-	if got := b.Total(); got != 10*time.Millisecond {
-		t.Errorf("total = %v", got)
-	}
-}
-
-func TestBreakdownConcurrent(t *testing.T) {
-	b := &Breakdown{}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				b.Add(PhasePQInsert, time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := b.Get(PhasePQInsert); got != 800*time.Microsecond {
-		t.Errorf("concurrent accumulate = %v, want 800µs", got)
 	}
 }

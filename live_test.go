@@ -337,7 +337,7 @@ func (o oracle) Do(_ context.Context, req SearchRequest) (Result, error) {
 	} else {
 		ms, err = scan.SearchKNN(o.data, req.Query, max(req.K, 1), 1, nil)
 	}
-	return publicResult(core.Result{Matches: ms, Exact: true}, collectors{}), err
+	return publicResult(core.Result{Matches: ms, Exact: true}), err
 }
 
 func bruteForce(t *testing.T, rows [][]float32) oracle {

@@ -115,27 +115,30 @@ type SearchRequest struct {
 	// Zero means no budget (the context's deadline, if any, still
 	// applies in ModeDeadline); a negative one fails with ErrBadDeadline.
 	Deadline time.Duration
-	// Counters, when true, collects per-query operation counts into
-	// Result.Counters (a small amount of atomic-counter overhead).
+	// Counters, when true, returns the query's operation counts in
+	// Result.Counters. Every query is counted — each worker tallies its
+	// own work with plain increments — so asking costs nothing.
 	Counters bool
 	// Trace, when true, collects a full per-query execution trace into
 	// Result.Trace: the per-phase wall-time breakdown of Figure 13
 	// accumulated across every worker of the query, the operation
 	// counts of QueryCounters, and the query's wall-clock latency.
-	// Costs two clock reads per worker phase transition plus the
-	// Counters overhead; off (the default) costs nothing.
+	// Costs clock reads around each queue push, each queue pop and each
+	// leaf scan; off (the default) reads no clock.
 	Trace bool
 }
 
-// QueryCounters are per-query operation counts (see SearchRequest.Counters).
+// QueryCounters are per-query operation counts (see SearchRequest.Counters),
+// summed over every worker and shard of the query. The JSON keys are the
+// wire form of messi-serve's "counters" objects.
 type QueryCounters struct {
-	NodesVisited   int64 // index tree nodes considered
-	LowerBounds    int64 // summary lower-bound computations
-	RealDistances  int64 // full distance computations
-	LeavesInserted int64 // leaves pushed into priority queues
-	LeavesPruned   int64 // queue abandonments on a popped minimum
-	BSFUpdates     int64 // improvements to the pruning bound
-	ScanPlans      int64 // shard runs that scanned in position order: their bounds were predicted not to prune
+	NodesVisited   int64 `json:"nodes_visited"`   // index tree nodes considered
+	LowerBounds    int64 `json:"lower_bounds"`    // summary lower-bound computations
+	RealDistances  int64 `json:"real_distances"`  // full distance computations
+	LeavesInserted int64 `json:"leaves_inserted"` // leaves pushed into priority queues
+	LeavesPruned   int64 `json:"leaves_pruned"`   // queue abandonments on a popped minimum
+	BSFUpdates     int64 `json:"bsf_updates"`     // improvements to the pruning bound
+	ScanPlans      int64 `json:"scan_plans"`      // shard runs that scanned in position order: their bounds were predicted not to prune
 }
 
 // TracePhase is one phase timing in a query trace, labeled with the
@@ -154,8 +157,8 @@ type Trace struct {
 	// Elapsed is the query's wall-clock latency as observed by Do,
 	// including admission-gate waiting on a LiveIndex.
 	Elapsed time.Duration
-	// Counters are the query's operation counts (always collected when
-	// tracing, regardless of SearchRequest.Counters).
+	// Counters are the query's operation counts (returned with a trace
+	// whether or not SearchRequest.Counters is set).
 	Counters QueryCounters
 }
 
@@ -192,21 +195,12 @@ func (r Result) Best() Match {
 	return r.Matches[0]
 }
 
-// collectors carries the per-query measurement state do attaches to a
-// request, so publicResult can roll it into the Result.
-type collectors struct {
-	ctrs         *stats.Counters  // non-nil when counting or tracing
-	wantCounters bool             // fill Result.Counters
-	bd           *stats.Breakdown // non-nil when tracing
-	start        time.Time        // Do entry time when tracing
-}
-
 // do is the one request path under every frontend's Do: it checks the
 // deadline budget and the window fraction, converts the window to points, applies z-normalization when
 // the index uses it, resolves the effective absolute deadline from the
-// request budget and the context, attaches the counter/trace collectors
-// the request asked for, hands the core request to the backend's own Do —
-// which validates it — and converts the answer to the public shape.
+// request budget and the context, hands the core request to the backend's
+// own Do — which validates it — and converts the answer to the public
+// shape, with the counts and the trace the request asked for.
 func do(ctx context.Context, req SearchRequest, seriesLen int, normalize bool,
 	backend func(core.Request) (core.Result, error)) (Result, error) {
 
@@ -238,35 +232,38 @@ func do(ctx context.Context, req SearchRequest, seriesLen int, normalize bool,
 			deadline = d
 		}
 	}
-	col := collectors{wantCounters: req.Counters}
-	if req.Counters || req.Trace {
-		col.ctrs = &stats.Counters{}
-	}
+	var start time.Time
 	if req.Trace {
-		col.bd = &stats.Breakdown{}
-		col.start = time.Now()
+		start = time.Now()
 	}
 	res, err := backend(core.Request{
-		Query:     query,
-		K:         req.K,
-		DTW:       req.DTW,
-		Window:    window,
-		Mode:      core.Mode(req.Mode),
-		Epsilon:   req.Epsilon,
-		Deadline:  deadline,
-		Cancel:    ctx.Done(),
-		Counters:  col.ctrs,
-		Breakdown: col.bd,
+		Query:    query,
+		K:        req.K,
+		DTW:      req.DTW,
+		Window:   window,
+		Mode:     core.Mode(req.Mode),
+		Epsilon:  req.Epsilon,
+		Deadline: deadline,
+		Cancel:   ctx.Done(),
+		Trace:    req.Trace,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return publicResult(res, col), nil
+	out := publicResult(res)
+	if req.Counters {
+		c := counters(res.Tally)
+		out.Counters = &c
+	}
+	if req.Trace {
+		out.Trace = trace(res.Tally, time.Since(start))
+	}
+	return out, nil
 }
 
-// publicResult converts a core result (squared distances) into the public
-// shape (true distances, counters snapshot, trace).
-func publicResult(res core.Result, col collectors) Result {
+// publicResult converts a core result's answer (squared distances) into
+// the public shape (true distances).
+func publicResult(res core.Result) Result {
 	out := Result{
 		Matches:      make([]Match, 0, len(res.Matches)),
 		Exact:        res.Exact,
@@ -275,35 +272,29 @@ func publicResult(res core.Result, col collectors) Result {
 	for _, m := range res.Matches {
 		out.Matches = append(out.Matches, Match{Position: m.Position, Distance: math.Sqrt(m.Dist)})
 	}
-	var qc QueryCounters
-	if col.ctrs != nil {
-		s := col.ctrs.Snapshot()
-		qc = QueryCounters{
-			NodesVisited:   s.NodesVisited,
-			LowerBounds:    s.LowerBoundCalcs,
-			RealDistances:  s.RealDistCalcs,
-			LeavesInserted: s.LeavesInserted,
-			LeavesPruned:   s.LeavesPruned,
-			BSFUpdates:     s.BSFUpdates,
-			ScanPlans:      s.ScanPlans,
-		}
-		if col.wantCounters {
-			c := qc
-			out.Counters = &c
-		}
-	}
-	if col.bd != nil {
-		tr := &Trace{
-			Phases:   make([]TracePhase, 0, int(stats.NumPhases)),
-			Elapsed:  time.Since(col.start),
-			Counters: qc,
-		}
-		for p := stats.Phase(0); p < stats.NumPhases; p++ {
-			tr.Phases = append(tr.Phases, TracePhase{Name: p.String(), Duration: col.bd.Get(p)})
-		}
-		out.Trace = tr
-	}
 	return out
+}
+
+// counters is the public form of a query's operation counts.
+func counters(t stats.Tally) QueryCounters {
+	return QueryCounters{
+		NodesVisited:   t.NodesVisited,
+		LowerBounds:    t.LowerBoundCalcs,
+		RealDistances:  t.RealDistCalcs,
+		LeavesInserted: t.LeavesInserted,
+		LeavesPruned:   t.LeavesPruned,
+		BSFUpdates:     t.BSFUpdates,
+		ScanPlans:      t.ScanPlans,
+	}
+}
+
+// trace is the public form of a traced query's tally.
+func trace(t stats.Tally, elapsed time.Duration) *Trace {
+	tr := &Trace{Phases: make([]TracePhase, 0, len(t.Phases)), Elapsed: elapsed, Counters: counters(t)}
+	for p, d := range t.Phases {
+		tr.Phases = append(tr.Phases, TracePhase{Name: stats.Phase(p).String(), Duration: d})
+	}
+	return tr
 }
 
 // Do serves one query on the index across the whole quality spectrum,
