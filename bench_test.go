@@ -105,8 +105,9 @@ func buildMESSI(b *testing.B, data *series.Collection, opts core.Options) *shard
 	return ix
 }
 
-// messiDo answers queries on ix through the query engine without a pool —
-// root Index.Do's path — with workers units per phase and queues priority
+// messiDo answers queries on ix through the query engine without an
+// admission gate — root Index.Do's path — with workers worker goroutines
+// per query and queues priority
 // queues (zero: the index's SearchWorkers and QueueCount). Build it outside
 // the timed loop.
 func messiDo(ix *shard.Index, workers, queues int) func(core.Request) error {
@@ -120,7 +121,7 @@ func messiDo(ix *shard.Index, workers, queues int) func(core.Request) error {
 // messiRun is messiDo returning the result, for the figures that read its
 // tally.
 func messiRun(ix *shard.Index, workers, queues int) func(core.Request) (core.Result, error) {
-	e := engine.NewUnpooled(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+	e := engine.NewUngated(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
 	v := engine.View{Base: ix}
 	return func(req core.Request) (core.Result, error) { return e.Do(v, req) }
 }
@@ -505,12 +506,15 @@ func BenchmarkFig19DTW(b *testing.B) {
 // `clients` goroutines each issue 1-NN queries as fast as they are
 // answered. Modes:
 //
-//   - spawn-per-query: the engine without a pool (root Index.Do's path),
-//     starting Ns goroutines per phase of every query;
-//   - pooled-exclusive: the persistent engine with default scheduling
-//     (each query owns the whole worker pool, queries queue for admission);
-//   - pooled-shared: the engine splitting the pool across `clients`
-//     concurrently admitted queries.
+//   - spawn-per-query: the engine without an admission gate (root
+//     Index.Do's path), every query admitted at once with Ns workers;
+//   - pooled-exclusive: the gated engine with default scheduling (each
+//     query takes the whole worker budget, queries queue for admission);
+//   - pooled-shared: the gated engine splitting the budget across
+//     `clients` concurrently admitted queries.
+//
+// Every mode starts its workers per query (Algorithm 6); the "pooled"
+// names are kept so results stay comparable across history.
 func BenchmarkEngineThroughput(b *testing.B) {
 	data := benchCollection(b, dataset.RandomWalk, benchSeries)
 	queries := benchQueriesFor(b, dataset.RandomWalk)

@@ -3,8 +3,8 @@
 // sustained-multi-query serving scenario, as opposed to messi-query's
 // one-shot exploratory runs. There is one backend, a messi.LiveIndex: a
 // static index is a live one that never receives an append, so every
-// query, with or without -live, takes the same path through the same pool
-// and admission gate.
+// query, with or without -live, takes the same path through the same
+// admission gate and starts its own worker goroutines.
 //
 // Usage:
 //
@@ -96,7 +96,7 @@
 // refused; every API endpoint returns 503 until the index is ready.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
-// connections, drains in-flight requests, then closes the engine pool.
+// connections, drains in-flight requests, then closes the index.
 package main
 
 import (
@@ -143,10 +143,10 @@ func run(args []string) error {
 		snapPath  = fs.String("snapshot", "", "index snapshot directory: booted from when present, default target of POST /v1/snapshot")
 		addr      = fs.String("addr", ":8080", "listen address")
 		leafCap   = fs.Int("leaf", 0, "leaf capacity (default 2000)")
-		pool      = fs.Int("pool", 0, "engine pool workers (default: search workers)")
-		perQuery  = fs.Int("per-query", 0, "worker units per query (default: whole pool)")
+		pool      = fs.Int("pool", 0, "query-parallelism budget: default of -per-query and numerator of -admit's default (default: search workers)")
+		perQuery  = fs.Int("per-query", 0, "worker goroutines per query (default and max: -pool)")
 		queues    = fs.Int("queues", 0, "priority queues per query (default 24)")
-		admit     = fs.Int("admit", 0, "max concurrently executing queries (default pool/per-query)")
+		admit     = fs.Int("admit", 0, "max concurrently executing queries (default: -pool / -per-query, at least 1)")
 		degrade   = fs.Float64("degrade-epsilon", 0, "overload policy: serve exact queries arriving at a full admission gate as ε-bounded with this ε (0 disables)")
 		normalize = fs.Bool("normalize", false, "z-normalize data and queries")
 		liveMode  = fs.Bool("live", false, "serve a mutable live index accepting appends on POST /v1/series")
@@ -359,12 +359,6 @@ func boot(dataPath, snapPath string, opts *messi.Options, lopts *messi.LiveOptio
 	return ix, fmt.Sprintf("indexed %s in %v", dataPath, time.Since(start).Round(time.Millisecond)), nil
 }
 
-// jsonMatch is the wire form of one answer.
-type jsonMatch struct {
-	Position int     `json:"position"`
-	Distance float64 `json:"distance"`
-}
-
 // searchRequest is the wire form of a quality-spectrum query, shared by
 // /v1/search, /v1/knn, /v1/query and /v1/dtw.
 type searchRequest struct {
@@ -440,7 +434,7 @@ func toJSONTrace(tr *messi.Trace) *jsonTrace {
 }
 
 type queryResponse struct {
-	Matches []jsonMatch `json:"matches"`
+	Matches []messi.Match `json:"matches"`
 	// Exact reports whether the answer is provably exact; EpsilonBound is
 	// the proven relative error bound for inexact answers that have one
 	// (omitted when exact, or when nothing was proven — mode=approx and
@@ -454,7 +448,7 @@ type queryResponse struct {
 // toQueryResponse converts a library result to the wire form. +Inf (no
 // proven bound) is not representable in JSON and means "omit".
 func toQueryResponse(res messi.Result) queryResponse {
-	resp := queryResponse{Matches: toJSONMatches(res.Matches), Exact: res.Exact, Counters: res.Counters}
+	resp := queryResponse{Matches: res.Matches, Exact: res.Exact, Counters: res.Counters}
 	if !res.Exact && !math.IsInf(res.EpsilonBound, 1) {
 		eb := res.EpsilonBound
 		resp.EpsilonBound = &eb
@@ -470,7 +464,7 @@ type batchRequest struct {
 }
 
 type batchResponse struct {
-	Results [][]jsonMatch `json:"results"`
+	Results [][]messi.Match `json:"results"`
 }
 
 type appendRequest struct {
@@ -884,14 +878,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// A fixed submitter fleet over Do: as many queries in flight as the
 	// admission gate admits, under the request's context — once the client
 	// is gone the remaining queries are not started.
-	resp := batchResponse{Results: make([][]jsonMatch, len(req.Queries))}
+	resp := batchResponse{Results: make([][]messi.Match, len(req.Queries))}
 	err := engine.ForEach(len(req.Queries), ix.EngineOptions().MaxConcurrent, func(i int) error {
 		if err := r.Context().Err(); err != nil {
 			return err
 		}
 		res, err := ix.Do(r.Context(), messi.SearchRequest{Query: req.Queries[i]})
 		if err == nil {
-			resp.Results[i] = toJSONMatches(res.Matches)
+			resp.Results[i] = res.Matches
 		}
 		return err
 	})
@@ -959,14 +953,6 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, appendResponse{FirstPosition: first, Count: len(req.Series)})
-}
-
-func toJSONMatches(ms []messi.Match) []jsonMatch {
-	out := make([]jsonMatch, len(ms))
-	for i, m := range ms {
-		out[i] = jsonMatch{Position: m.Position, Distance: m.Distance}
-	}
-	return out
 }
 
 // readJSON decodes the request body, writing a 400 and reporting false on

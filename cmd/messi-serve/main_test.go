@@ -970,3 +970,70 @@ func TestDTWEndpointModes(t *testing.T) {
 		t.Fatalf("approx dtw matches: %+v", resp.Matches)
 	}
 }
+
+// TestMatchWireKeys pins the wire form of an answer on /v1/search and
+// /v1/query/batch: every match is an object with exactly the keys
+// "position" and "distance", and a list with no match encodes as [],
+// never null.
+func TestMatchWireKeys(t *testing.T) {
+	h, ix := newTestHandler(t)
+	q, err := ix.Series(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatches := func(where string, raw json.RawMessage, want int) {
+		t.Helper()
+		var ms []map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &ms); err != nil {
+			t.Fatalf("%s: decoding %s: %v", where, raw, err)
+		}
+		if len(ms) != want {
+			t.Fatalf("%s: %d matches, want %d: %s", where, len(ms), want, raw)
+		}
+		for _, m := range ms {
+			_, hasPos := m["position"]
+			_, hasDist := m["distance"]
+			if len(m) != 2 || !hasPos || !hasDist {
+				t.Fatalf("%s: match keys %s, want exactly position and distance", where, raw)
+			}
+		}
+	}
+
+	rr := postJSON(t, h, "/v1/search", searchRequest{Query: q, K: 3})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("search: status %d, body %s", rr.Code, rr.Body)
+	}
+	search := decode[struct {
+		Matches json.RawMessage `json:"matches"`
+	}](t, rr)
+	checkMatches("/v1/search", search.Matches, 3)
+
+	rr = postJSON(t, h, "/v1/query/batch", batchRequest{Queries: [][]float32{q, q}})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", rr.Code, rr.Body)
+	}
+	batch := decode[struct {
+		Results []json.RawMessage `json:"results"`
+	}](t, rr)
+	if len(batch.Results) != 2 {
+		t.Fatalf("batch: %d results, want 2", len(batch.Results))
+	}
+	for _, raw := range batch.Results {
+		checkMatches("/v1/query/batch", raw, 1)
+	}
+
+	// The library never returns a nil Matches, so an answer with no match
+	// is an empty list on the wire.
+	for where, v := range map[string]any{
+		"/v1/search":      toQueryResponse(messi.Result{Matches: []messi.Match{}}),
+		"/v1/query/batch": batchResponse{Results: [][]messi.Match{{}}},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(body), "null") || !strings.Contains(string(body), "[]") {
+			t.Fatalf("%s: empty answer encodes as %s, want an empty list", where, body)
+		}
+	}
+}

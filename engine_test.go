@@ -4,12 +4,14 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestEngineMatchesSearch: the pooled engine must agree exactly with the
+// TestEngineMatchesSearch: the gated engine must agree exactly with the
 // one-shot Search/SearchKNN on the same inputs, including under the
 // Normalize option (the engine normalizes queries the same way).
 func TestEngineMatchesSearch(t *testing.T) {
@@ -158,7 +160,7 @@ func sample(t *testing.T, r *Metrics, name string) string {
 }
 
 // TestNewEngineInheritsIndex: the live index NewEngine returns takes its
-// pool and queue defaults from the index's options, holds the index as its
+// worker and queue defaults from the index's options, holds the index as its
 // one generation with an empty delta, and has nothing to persist on Close.
 func TestNewEngineInheritsIndex(t *testing.T) {
 	ix, err := BuildFlat(RandomWalk(300, 64, 37), 64,
@@ -182,7 +184,7 @@ func TestNewEngineInheritsIndex(t *testing.T) {
 // TestCountsIndependentOfWorkers: a query's counts are a property of the
 // query, not of how many workers and queues split it. A member query's
 // approximate search finds the member at distance 0, so every root child
-// is visited once and pruned — on any pool. An OOD query scans: every
+// is visited once and pruned — with any number of workers. An OOD query scans: every
 // series is measured once, beside each shard's approximate leaf, and each
 // shard counts one scan plan.
 func TestCountsIndependentOfWorkers(t *testing.T) {
@@ -249,5 +251,93 @@ func TestCountsIndependentOfWorkers(t *testing.T) {
 			t.Fatalf("shards=%d: %d real distances, want %d series plus %d in the approximate leaves",
 				shards, c.RealDistances, sx.Len(), approx.Counters.RealDistances)
 		}
+	}
+}
+
+// TestServedIndexHoldsNoGoroutines: a served index starts its query workers
+// per query, so neither Index.NewEngine nor a live index holds a goroutine
+// between queries, and every goroutine a query starts is gone once the
+// queries return — over the tree plan, the scan plan, k-NN, DTW and a
+// deadline, on a static generation and on one with a delta beside it.
+func TestServedIndexHoldsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settle := func(when string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the indexes existed", when, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	data := RandomWalk(2000, 64, 61)
+	ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 8})
+	lix, err := BuildLiveFlat(data, 64, &Options{LeafCapacity: 64, SearchWorkers: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lix.Append(RandomWalk(1, 64, 63)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(62))
+	ood := make([]float32, 64)
+	for i := range ood {
+		ood[i] = float32(rng.NormFloat64())
+	}
+	settle("after building the indexes")
+
+	member, err := ix.Series(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []SearchRequest{
+		{Query: member, Counters: true},
+		{Query: ood, Counters: true},
+		{Query: member, K: 5},
+		{Query: member, DTW: true, Window: 0.1},
+		{Query: ood, Mode: ModeDeadline, Deadline: time.Millisecond},
+		{Query: ood, Mode: ModeApprox},
+		{Query: member, Mode: ModeEpsilon, Epsilon: 0.5},
+		{Query: ood, DTW: true, Window: 0.05},
+	}
+	type served interface {
+		Do(context.Context, SearchRequest) (Result, error)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(reqs))
+	for _, x := range []served{eng, lix} {
+		for i, req := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := x.Do(context.Background(), req)
+				switch {
+				case err != nil:
+					errs <- err
+				case i == 0 && res.Counters.ScanPlans != 0:
+					t.Errorf("member query scanned: %+v", *res.Counters)
+				case i == 1 && res.Counters.ScanPlans == 0:
+					t.Errorf("out-of-distribution query took the tree plan: %+v", *res.Counters)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	settle("after the queries returned")
+
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // fpScanLeaf is the failpoint inside the distance stage — hit once per
 // leaf scan on the tree plan and once per claimed block on the scan plan,
 // the deepest point of query execution on either, where a panic exercises
-// the whole recovery chain (pool worker → per-query recorder →
+// the whole recovery chain (worker goroutine → per-query recorder →
 // ErrQueryPanicked). An Error spec panics too: neither stage has an error
 // return, and the engine's recovery is exactly what turns worker failures
 // into typed per-query errors.

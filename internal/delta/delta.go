@@ -11,7 +11,7 @@
 //
 // The buffer deliberately has no index structure: the live index answers
 // queries over it by an exact position-order scan of its chunks (core.Scan,
-// on the engine's pool), which is fast at delta scale. When the delta grows
+// one engine work unit per chunk), which is fast at delta scale. When the delta grows
 // past the rebuild threshold its contents are merged into the next
 // immutable generation and the buffer is discarded.
 package delta

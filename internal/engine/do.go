@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -160,8 +159,8 @@ func (e *Engine) admitQoS(req core.Request) (bool, error) {
 // preparation did not already complete goes through its phases (execute).
 // The collector's contents are the fused answer, in global positions. The
 // first failure — a unit panic, recovered where it happened — fails this
-// query alone; the remaining phases are skipped, since the answer is
-// discarded anyway.
+// query alone; no drain starts after it, since the answer is discarded
+// anyway.
 func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	if v.Base == nil {
 		// Delta chunks are scanned exactly in every mode, so with nothing
@@ -214,7 +213,7 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 			st = e.states.Get().(*core.QueryState)
 			sts = append(sts, st)
 		}
-		member := func(int) {
+		member := func() {
 			e.unit(rec, func() {
 				if i >= S {
 					chunk, o := v.Delta[i-S], opt
@@ -234,9 +233,9 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 			wg.Done()
 		}
 		if i < members-1 {
-			e.submit(member, i)
+			go member()
 		} else {
-			member(0)
+			member()
 		}
 	}
 	wg.Wait()
@@ -250,44 +249,35 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 	return pending, sts
 }
 
-// execute runs the phases of the pending runs: QueryWorkers insert units
-// per query, split evenly across the runs (⌈QueryWorkers/len(runs)⌉ each),
-// and for each run as many drain units once its last insert unit has
-// returned — Algorithm 6's all-inserted barrier, per run, awaited here and
-// never inside a pool goroutine. A run that finishes its tree pass early
-// drains while the others still traverse, so the bounds it finds prune
-// their traversals. After a failure no further drain starts.
+// execute is Algorithm 6, per pending run: each run gets
+// ⌈QueryWorkers/len(runs)⌉ worker goroutines — QueryWorkers per query,
+// split evenly across the runs — and each worker runs its insert unit,
+// meets the run's all-inserted barrier, then runs its drain unit. A run
+// that finishes its tree pass early drains while the others still
+// traverse, so the bounds it finds prune their traversals. A worker whose
+// query has already failed skips its drain, since the answer is discarded
+// anyway. unit recovers every panic, so each worker always reaches its
+// barrier and its done signal.
 func (e *Engine) execute(runs []*core.SearchRun, rec *panicBox) {
 	per := (e.opts.QueryWorkers + len(runs) - 1) / len(runs)
-	inserted := make(chan *core.SearchRun, len(runs))
-	left := make([]atomic.Int32, len(runs)) // insert units still running, per run
-	for r, run := range runs {
-		n := &left[r]
-		n.Store(int32(per))
-		for i := 0; i < per; i++ {
-			e.submit(func(pid int) {
+	var done sync.WaitGroup
+	done.Add(per * len(runs))
+	for _, run := range runs {
+		var inserted sync.WaitGroup
+		inserted.Add(per)
+		for pid := 0; pid < per; pid++ {
+			go func() {
 				e.unit(rec, func() { run.InsertPhase(pid) })
-				if n.Add(-1) == 0 {
-					inserted <- run
+				inserted.Done()
+				inserted.Wait()
+				if rec.load() == nil {
+					e.unit(rec, func() { run.DrainPhase(pid) })
 				}
-			}, i)
+				done.Done()
+			}()
 		}
 	}
-	var drained sync.WaitGroup
-	for range runs {
-		run := <-inserted
-		if rec.load() != nil {
-			continue
-		}
-		drained.Add(per)
-		for i := 0; i < per; i++ {
-			e.submit(func(pid int) {
-				e.unit(rec, func() { run.DrainPhase(pid) })
-				drained.Done()
-			}, i)
-		}
-	}
-	drained.Wait()
+	done.Wait()
 }
 
 // unit executes one unit of query work — a member's preparation or one

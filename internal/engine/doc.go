@@ -1,23 +1,16 @@
 // Package engine is the query executor of a MESSI index: every query, on
-// every frontend, runs through an Engine. New starts a long-lived pool of
-// worker goroutines and an admission gate that answer many queries over
-// the index's lifetime, amortizing goroutine starts and the
-// priority-queue/PAA-buffer allocations across them. NewUnpooled returns
-// the same engine without a pool or a gate — each unit of query work runs
-// on a goroutine started for it — for an owner that is never closed, the
-// static root Index.
+// every frontend, runs through an Engine. New returns one behind an
+// admission gate that bounds how many queries execute at once;
+// NewUngated returns the same engine without the gate, for an owner that
+// is never closed, the static root Index. Neither holds a goroutine
+// between queries: each query starts its own workers, as the paper (and
+// its VLDBJ journal extension) evaluates it with Ns freshly spawned
+// workers per query, and the per-query scratch comes from a sync.Pool.
 //
-// The paper (and its VLDBJ journal extension) evaluates one query at a
-// time with Ns freshly spawned workers; a serving system instead sees a
-// sustained stream of concurrent queries. The engine keeps the paper's
-// algorithm intact — each query still runs Algorithm 6's two phases
-// against its own bound and queue set — and executes the phases as units
-// of work, on the shared pool or on goroutines of their own.
-//
-// The engine owns the pool and the gate, not an index. Do takes the View
-// to search — an immutable generation (a shard group, possibly absent)
-// plus the contiguous chunks of series appended since — so a static index
-// is a view with an empty delta, and a live index publishes a rebuilt
+// The engine owns the gate, not an index. Do takes the View to search —
+// an immutable generation (a shard group, possibly absent) plus the
+// contiguous chunks of series appended since — so a static index is a
+// view with an empty delta, and a live index publishes a rebuilt
 // generation by storing its own view pointer, nothing else. Do is the only
 // query method and run the only execution path, for every distance
 // (Euclidean, DTW), answer shape (1-NN, k-NN) and quality mode:
@@ -26,26 +19,27 @@
 //     CheckShape against the view) before anything else, so a malformed
 //     request fails with its sentinel without waiting for a slot.
 //   - admission: at most MaxConcurrent queries execute at once (no gate
-//     without a pool).
-//   - execution: every member of the fan-out is prepared in one stage —
-//     one run per shard (core.Index.NewRun, offset by the shard's Start —
-//     an approximate request is complete at that point) and one exact
+//     on NewUngated's engine).
+//   - preparation: every member of the fan-out is prepared in one stage,
+//     one goroutine per member with the caller taking the last — one run
+//     per shard (core.Index.NewRun, offset by the shard's Start — an
+//     approximate request is complete at that point) and one exact
 //     position-order scan per delta chunk (core.Scan, offset by the
-//     chunk's Start), all into one shared
-//     collector and one QoS state — then the insert units and, as soon as
-//     a run's last insert unit returns (its all-inserted barrier), that
-//     run's drain units: QueryWorkers units per phase in total, split
-//     evenly across the runs.
-//   - pool goroutines never block on query-level barriers (the caller
-//     does), so any mix of in-flight queries is deadlock-free: one query
-//     may own every pool worker, or K queries interleave their units.
+//     chunk's Start), all into one shared collector and one QoS state.
+//   - execution: Algorithm 6, per run. Each run still pending gets
+//     ⌈QueryWorkers/runs⌉ worker goroutines; each inserts its claimed
+//     root subtrees into the queues, waits at the run's all-inserted
+//     barrier (a sync.WaitGroup), then drains the queues. A run whose tree
+//     pass ends early drains while the others still traverse, tightening
+//     the shared bound they prune with.
 //   - per-query scratch (PAA buffer, iSAX word buffer, distance table,
 //     queue set) comes from a sync.Pool of core.QueryState and is returned
 //     after each query.
-//   - every unit of query work — shard preparation and delta scans
-//     included, pooled or not — recovers its own panics: the query fails
-//     alone with ErrQueryPanicked, its scratch states are dropped instead
-//     of returned, and the engine keeps serving.
+//   - every unit of query work — a member's preparation, a worker's insert
+//     or drain phase — recovers its own panics, so each worker always
+//     reaches its barrier and the query fails alone with
+//     ErrQueryPanicked; its scratch states are dropped instead of
+//     returned, and the engine keeps serving.
 //
 // # Contracts
 //
@@ -58,6 +52,6 @@
 // executing runs in epsilon mode, trading a proven small error for
 // latency.
 //
-// Results are identical with and without a pool: the pool changes who
-// executes the phases, never what they compute.
+// Results are identical with and without the gate: admission changes when
+// a query starts, never what it computes.
 package engine

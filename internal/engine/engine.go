@@ -18,34 +18,35 @@ var ErrClosed = errors.New("engine: closed")
 
 // ErrQueryPanicked is returned (wrapped) by a query whose execution
 // panicked in one of its units of work. The panic is confined to that one
-// query: the unit recovers, the stack goes to slog and the
-// messi_query_panics_total counter, and the engine keeps serving every
-// other query.
+// query: the unit recovers on the goroutine where it ran, the stack goes
+// to slog and the messi_query_panics_total counter, and the engine keeps
+// serving every other query.
 var ErrQueryPanicked = errors.New("engine: query panicked")
 
-// fpUnit fires inside a dispatched query work unit, where the
-// worker-panic tests inject a poisoned task to prove one bad query
-// cannot take the pool down.
+// fpUnit fires inside a query work unit, where the worker-panic tests
+// inject a poisoned unit to prove one bad query fails alone.
 var fpUnit = fault.Register("engine.unit")
 
 // Options configures an Engine. Zero fields inherit from the options of
 // the indexes it will search (which themselves default to the paper's
 // values).
 type Options struct {
-	// PoolWorkers is the number of long-lived worker goroutines shared
-	// by all queries. Default: the index's SearchWorkers (Ns).
+	// PoolWorkers is the query-parallelism budget the other defaults are
+	// carved from: QueryWorkers defaults to it, and MaxConcurrent to how
+	// many queries of QueryWorkers workers it holds. No goroutine outlives
+	// a query; each query starts its own workers. Default: the index's
+	// SearchWorkers (Ns).
 	PoolWorkers int
-	// QueryWorkers is the number of work units each query dispatches per
-	// phase in total, split evenly across its shards — the per-query
-	// parallelism. Default: PoolWorkers (a lone query owns the whole
-	// pool).
+	// QueryWorkers is the per-query parallelism: the number of worker
+	// goroutines each query starts, split evenly across its shards — Ns
+	// of Algorithm 6. Default and upper bound: PoolWorkers.
 	QueryWorkers int
 	// Queues is the number of priority queues per query (Nq). Default:
 	// the index's QueueCount.
 	Queues int
 	// MaxConcurrent is the number of queries allowed to execute
 	// concurrently; further queries wait for admission. Default:
-	// max(1, PoolWorkers/QueryWorkers), the pool's saturation point.
+	// max(1, PoolWorkers/QueryWorkers), the queries that fit the budget.
 	MaxConcurrent int
 	// DegradeEpsilon, when positive, makes the admission gate trade
 	// answer quality for latency under overload: an exact Do request
@@ -56,11 +57,12 @@ type Options struct {
 	// the result honestly reports Exact=false plus the ε actually
 	// proven. Zero (the default) never degrades.
 	DegradeEpsilon float64
-	// Metrics, when non-nil, receives the engine's production telemetry:
-	// admission-gate pressure, per-mode latency histograms, answer
-	// exactness outcomes, and cumulative pruning counters. Nil (the
-	// default) disables every measurement — the hot path pays a single
-	// nil check, preserving benchmark numbers.
+	// Metrics, when non-nil, receives the engine's serving telemetry:
+	// admission-gate pressure (queue depth, wait time, admitted/degraded/
+	// deadline-expired/cancelled counts), per-mode latency histograms,
+	// answer exactness outcomes, and cumulative pruning counters. Nil
+	// (the default) disables every measurement — the hot path pays a
+	// single nil check, preserving benchmark numbers.
 	Metrics *metrics.Registry
 }
 
@@ -83,81 +85,40 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 	return o
 }
 
-// task is one unit of query work; pid is the index of the pool goroutine
-// executing it, or, without a pool, the unit's index among its run's.
-type task func(pid int)
-
-// Engine is a persistent query engine: the worker pool, the admission gate
-// and the per-query scratch that every query of one index — whatever
-// generation of it — runs through. It owns no index: each Do names the View
-// to search, so a caller that rebuilds its index publishes the new
-// generation in one place (its own view pointer), and a query runs from
-// start to finish against the view it was handed. It is safe for concurrent
-// use by multiple goroutines. Close it when done to release the pool.
+// Engine is a persistent query engine: the admission gate and the
+// per-query scratch that every query of one index — whatever generation
+// of it — runs through. It owns no index: each Do names the View to
+// search, so a caller that rebuilds its index publishes the new generation
+// in one place (its own view pointer), and a query runs from start to
+// finish against the view it was handed. It holds no goroutine between
+// queries. It is safe for concurrent use by multiple goroutines.
 type Engine struct {
 	opts   Options
 	met    *engMetrics   // nil when Options.Metrics is nil
-	tasks  chan task     // nil without a pool (NewUnpooled)
-	admit  chan struct{} // nil without a gate (NewUnpooled)
+	admit  chan struct{} // nil without a gate (NewUngated)
 	states sync.Pool
-	wg     sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed vs. in-flight queries
 	closed bool
 }
 
-// New starts an engine for indexes built with ixOpts, which (after their own
-// defaults) supply the defaults of opts' zero fields.
+// New returns an engine for indexes built with ixOpts, which (after their
+// own defaults) supply the defaults of opts' zero fields: NewUngated's
+// engine behind an admission gate of MaxConcurrent slots.
 func New(ixOpts core.Options, opts Options) *Engine {
-	e := NewUnpooled(ixOpts, opts)
-	e.tasks = make(chan task, 4*e.opts.PoolWorkers)
+	e := NewUngated(ixOpts, opts)
 	e.admit = make(chan struct{}, e.opts.MaxConcurrent)
-	e.wg.Add(e.opts.PoolWorkers)
-	for pid := 0; pid < e.opts.PoolWorkers; pid++ {
-		go func(pid int) {
-			defer e.wg.Done()
-			for t := range e.tasks {
-				e.runTask(t, pid)
-			}
-		}(pid)
-	}
 	return e
 }
 
-// NewUnpooled returns an engine with no pool and no admission gate: each
-// unit of query work runs on a goroutine started for it, and every query
-// is admitted at once. It holds no goroutine between queries, so an owner
-// that is never closed — a static index — can keep one for its lifetime.
-// Validation, execution, panic isolation and the scratch pool are New's.
-func NewUnpooled(ixOpts core.Options, opts Options) *Engine {
+// NewUngated returns an engine with no admission gate: every query is
+// admitted at once. Validation, execution, panic isolation and the scratch
+// pool are New's.
+func NewUngated(ixOpts core.Options, opts Options) *Engine {
 	opts = opts.withDefaults(core.FillDefaults(ixOpts))
 	e := &Engine{opts: opts, met: newEngMetrics(opts.Metrics, opts)}
 	e.states.New = func() any { return core.NewQueryState() }
 	return e
-}
-
-// submit starts one unit of query work: on the pool, or without one on a
-// goroutine of its own, as unit pid.
-func (e *Engine) submit(t task, pid int) {
-	if e.tasks == nil {
-		go t(pid)
-		return
-	}
-	e.tasks <- t
-}
-
-// runTask executes one task with a backstop recover: every query task
-// carries its own per-query recovery, so a panic reaching here means a
-// task escaped it — log and count it rather than killing the process
-// (a panicking worker goroutine would otherwise strand every query
-// whose units it still owed).
-func (e *Engine) runTask(t task, pid int) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicErr(r)
-		}
-	}()
-	t(pid)
 }
 
 // panicErr converts a recovered panic value into an ErrQueryPanicked
@@ -205,19 +166,10 @@ func (b *panicBox) load() error {
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Close waits for in-flight queries to finish, stops the pool, and
-// releases its goroutines. Queries submitted after Close return
-// ErrClosed. Close is idempotent.
+// Close waits for in-flight queries to finish. Queries submitted after
+// Close return ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
 	e.closed = true
-	if e.tasks != nil {
-		close(e.tasks)
-	}
 	e.mu.Unlock()
-	e.wg.Wait()
 }

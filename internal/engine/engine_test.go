@@ -107,7 +107,7 @@ func first(res core.Result, err error) (core.Match, error) {
 	return res.Matches[0], nil
 }
 
-// TestSearchMatchesCore: the pooled engine must return exactly the answer
+// TestSearchMatchesCore: the gated engine must return exactly the answer
 // of a brute-force scan of the same series.
 func TestSearchMatchesCore(t *testing.T) {
 	ix, qs := testIndex(t)
@@ -171,7 +171,7 @@ func TestConcurrentQueriers(t *testing.T) {
 	}
 
 	// A deliberately over-subscribed configuration: more concurrent
-	// queriers than admission slots, fewer pool workers than queriers.
+	// queriers than admission slots, a smaller worker budget than queriers.
 	e := serve(ix, Options{PoolWorkers: 6, QueryWorkers: 3, MaxConcurrent: 4})
 	defer e.Close()
 
@@ -265,7 +265,7 @@ func TestClose(t *testing.T) {
 }
 
 // TestOptionDefaults: zero options inherit from the index; QueryWorkers
-// is clamped to the pool size.
+// is clamped to the PoolWorkers budget.
 func TestOptionDefaults(t *testing.T) {
 	ix, _ := testIndex(t)
 	e := serve(ix, Options{})
@@ -296,7 +296,7 @@ func TestOptionDefaults(t *testing.T) {
 }
 
 // TestShardedEngineMatchesSingle: a sharded generation answered through
-// the pool must return exactly the single-index answers — the fan-out
+// the engine must return exactly the single-index answers — the fan-out
 // (one shared collector, per-shard work units) is invisible in the
 // results.
 func TestShardedEngineMatchesSingle(t *testing.T) {

@@ -23,7 +23,7 @@ type engMetrics struct {
 	exact    *metrics.Counter      // answers proven exact
 	inexact  *metrics.Counter      // answers returned without an exactness proof
 	fanout   *metrics.Counter      // queries fanned out across a sharded generation
-	panics   *metrics.Counter      // query panics recovered on pool workers
+	panics   *metrics.Counter      // query panics recovered on worker goroutines
 
 	// Cumulative rollups of the per-query counts of core.Result.Tally —
 	// the fleet view of Figure 17's pruning-efficiency measurements.
@@ -63,7 +63,7 @@ func newEngMetrics(r *metrics.Registry, opts Options) *engMetrics {
 		fanout: r.Counter("messi_shard_fanout_queries_total",
 			"Queries fanned out across a sharded generation with a shared best-so-far."),
 		panics: r.Counter("messi_query_panics_total",
-			"Query panics recovered on pool workers (each failed only its own query)."),
+			"Query panics recovered on query worker goroutines (each failed only its own query)."),
 		lowerBounds: r.Counter("messi_lower_bound_calcs_total",
 			"Cumulative summary lower-bound computations across all queries."),
 		realDists: r.Counter("messi_real_dist_calcs_total",
@@ -85,7 +85,7 @@ func newEngMetrics(r *metrics.Registry, opts Options) *engMetrics {
 			metrics.L("mode", mode.String()))
 	}
 	r.Gauge("messi_engine_pool_workers",
-		"Long-lived worker goroutines shared by all queries.").Set(float64(opts.PoolWorkers))
+		"Query-parallelism budget: worker goroutines per query default to it, and the admission gate's capacity to how many such queries it holds.").Set(float64(opts.PoolWorkers))
 	r.Gauge("messi_engine_max_concurrent",
 		"Admission gate capacity: queries allowed to execute concurrently.").Set(float64(opts.MaxConcurrent))
 	r.Gauge("messi_engine_degrade_epsilon",

@@ -18,9 +18,9 @@ import (
 )
 
 // TestWorkerPanicFailsOnlyThatQuery is the panic-isolation contract: a
-// query that panics on a pool worker fails with ErrQueryPanicked while
-// every concurrent query on the same engine completes with the exact
-// answer, and the pool keeps serving afterwards. The panic is injected
+// query that panics on one of its workers fails with ErrQueryPanicked
+// while every concurrent query on the same engine completes with the exact
+// answer, and the engine keeps serving afterwards. The panic is injected
 // through the engine.unit failpoint (one-shot, so exactly one query is
 // poisoned regardless of scheduling).
 func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
@@ -99,11 +99,11 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 				t.Fatalf("%d concurrent queries completed exactly, want %d", correct, qs.Count()-1)
 			}
 			if got := reg.Counter("messi_query_panics_total",
-				"Query panics recovered on pool workers (each failed only its own query).").Value(); got != 1 {
+				"Query panics recovered on query worker goroutines (each failed only its own query).").Value(); got != 1 {
 				t.Fatalf("messi_query_panics_total = %d, want 1", got)
 			}
 
-			// The pool survived: the same engine keeps answering exactly.
+			// The engine survived: it keeps answering exactly.
 			for i := 0; i < qs.Count(); i++ {
 				got, err := pool1(e, qs.At(i))
 				if err != nil {
@@ -119,14 +119,14 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 
 // TestQueryPanicIsolated walks every request flavour over one- and
 // two-shard generations, alone and with a delta beside them, and over a
-// delta with no generation at all — there is one pooled path, so each must
+// delta with no generation at all — there is one execution path, so each must
 // be isolated the same way. First the panic is injected at the deepest
 // point, inside core's leaf scan (an Error spec: scanLeaf has no error
 // return and panics with the injected error, which panicErr keeps matchable
 // through the sentinel); then inside a unit of query work, which a delta
 // chunk's scan is like any other. Either way the query fails alone with
 // ErrQueryPanicked, its QueryStates never return to the pool, and the next
-// query on the same pool is answered exactly. Each case runs twice: with
+// query on the same engine is answered exactly. Each case runs twice: with
 // random-walk queries and with OOD queries, which the shards scan instead of
 // using their trees — the leaf-scan point must be isolated on both plans.
 func TestQueryPanicIsolated(t *testing.T) {
@@ -223,7 +223,7 @@ func TestQueryPanicIsolated(t *testing.T) {
 						}
 						poisoned := fresh.Load()
 
-						// Disarmed (one-shot): the same pool answers the next
+						// Disarmed (one-shot): the same engine answers the next
 						// query exactly, on states it did not get back.
 						req.Query, req.Mode = pl.next, core.ModeExact
 						want := brute(t, vw.want, req)

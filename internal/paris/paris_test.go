@@ -239,7 +239,7 @@ func TestFig17ShapeHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		messi := engine.NewUnpooled(messiIx.Opts, engine.Options{})
+		messi := engine.NewUngated(messiIx.Opts, engine.Options{})
 		for qi := 0; qi < queries.Count(); qi++ {
 			if _, err := parisIx.Search(queries.At(qi), SearchOptions{Tally: &p}); err != nil {
 				t.Fatal(err)

@@ -63,7 +63,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.NewUnpooled(loaded.Opts(), engine.Options{})
+	e := engine.NewUngated(loaded.Opts(), engine.Options{})
 	for qi := 0; qi < 20; qi++ {
 		req := core.Request{Query: x.At(qi * 17)}
 		got, err := e.Do(engine.View{Base: loaded}, req)
@@ -179,8 +179,8 @@ func TestManifestV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 one-member manifest: %v", err)
 	}
-	want := engine.NewUnpooled(x.Opts(), engine.Options{})
-	got := engine.NewUnpooled(loaded.Opts(), engine.Options{})
+	want := engine.NewUngated(x.Opts(), engine.Options{})
+	got := engine.NewUngated(loaded.Opts(), engine.Options{})
 	for qi := 0; qi < 10; qi++ {
 		q := make([]float32, x.SeriesLen())
 		for i := range q {

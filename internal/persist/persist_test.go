@@ -381,7 +381,7 @@ func TestZeroSeriesHeaderRejected(t *testing.T) {
 // engine.
 func search(t testing.TB, ix *core.Index, req core.Request) []core.Match {
 	t.Helper()
-	e := engine.NewUnpooled(ix.Opts, engine.Options{PoolWorkers: 4, Queues: 2})
+	e := engine.NewUngated(ix.Opts, engine.Options{PoolWorkers: 4, Queues: 2})
 	x, err := shard.FromCores([]*core.Index{ix})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func testOpts() core.Options {
 // Helpers over the engine's Do, one per request flavour.
 
 func do(x *shard.Index, req core.Request) (core.Result, error) {
-	return engine.NewUnpooled(x.Opts(), engine.Options{}).Do(engine.View{Base: x}, req)
+	return engine.NewUngated(x.Opts(), engine.Options{}).Do(engine.View{Base: x}, req)
 }
 
 func matches(t testing.TB, x *shard.Index, req core.Request) []core.Match {

@@ -29,7 +29,7 @@ import (
 // view (generation + frozen delta + active delta) and hands it to the
 // persistent engine (internal/engine), which searches the generation's
 // shards and the delta's chunks as members of one fan-out: the chunks are
-// scanned exactly, in position order, on the same pool and into the same
+// scanned exactly, in position order, in the same fan-out and into the same
 // collector as the tree search, so what the delta holds both participates
 // in the result and tightens tree pruning, and the other way round.
 //
@@ -92,39 +92,12 @@ var (
 	errEmpty = fmt.Errorf("live: index contains no series: %w", core.ErrEmptyIndex)
 )
 
-// EngineOptions configures the worker pool and admission gate a LiveIndex
-// serves every query on (LiveOptions.Engine, Index.NewEngine). Zero fields
-// inherit from the index options.
-type EngineOptions struct {
-	// PoolWorkers is the number of long-lived worker goroutines shared by
-	// all queries. Default: the index's SearchWorkers.
-	PoolWorkers int
-	// QueryWorkers is the per-query parallelism: how many pool work units
-	// each query dispatches per phase, in total across its shards.
-	// Default: PoolWorkers.
-	QueryWorkers int
-	// Queues is the number of priority queues per query. Default: the
-	// index's QueueCount.
-	Queues int
-	// MaxConcurrent bounds how many queries execute concurrently; further
-	// queries wait for admission. Default: PoolWorkers/QueryWorkers
-	// (at least 1).
-	MaxConcurrent int
-	// DegradeEpsilon, when positive, is the overload policy of the
-	// admission gate: an exact-mode Do request arriving while
-	// MaxConcurrent queries are already executing is served as an
-	// ε-bounded query with this ε instead of stacking queueing latency
-	// on top of exact-search latency. Requests that chose their mode
-	// explicitly are never rewritten, and the Result reports the bound
-	// actually proven. Zero (the default) never degrades.
-	DegradeEpsilon float64
-	// Metrics, when non-nil, receives the engine's serving telemetry:
-	// admission-gate pressure (queue depth, wait time, admitted/degraded/
-	// deadline-expired/cancelled counts), per-mode latency histograms,
-	// answer exactness outcomes, and cumulative pruning counters. Nil
-	// (the default) disables all measurement.
-	Metrics *Metrics
-}
+// EngineOptions configures the query engine a LiveIndex serves every
+// query on (LiveOptions.Engine, Index.NewEngine): the per-query
+// parallelism, the admission gate and the overload policy. Zero fields
+// inherit from the index options. (It is an alias for the internal engine
+// options; the field docs live there.)
+type EngineOptions = engine.Options
 
 // LiveOptions configures streaming ingestion for a LiveIndex. The zero
 // value (or a nil *LiveOptions) selects the defaults.
@@ -132,8 +105,8 @@ type LiveOptions struct {
 	// RebuildThreshold is the number of buffered (delta) series that
 	// triggers a background generation rebuild. Default 100000.
 	RebuildThreshold int
-	// Engine configures the worker pool and admission gate that answer
-	// every query, tree search and delta scan alike.
+	// Engine configures the query parallelism and admission gate that
+	// answer every query, tree search and delta scan alike.
 	Engine EngineOptions
 	// SnapshotPath, when non-empty, makes the live index persist its
 	// immutable generation there (atomically) after every successful
@@ -143,7 +116,7 @@ type LiveOptions struct {
 	SnapshotPath string
 	// Metrics, when non-nil, receives the live index's telemetry (delta
 	// occupancy, rebuild counts and durations, generation number) and is
-	// inherited by the query pool unless Engine.Metrics is set
+	// inherited by the query engine unless Engine.Metrics is set
 	// separately. Nil disables measurement.
 	Metrics *Metrics
 	// WALDir, when non-empty, enables a write-ahead log in that
@@ -287,11 +260,11 @@ func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOp
 	return openLive(seriesLen, base, normalize, coreOpts, opts.shards(), lopts)
 }
 
-// NewEngine serves the index on a worker pool behind an admission gate: a
-// LiveIndex whose first generation is the index itself, with no WAL, no
-// snapshot path and no live metrics. Its answers are Index.Do's; pool and
-// queue defaults come from the index's options. opts may be nil for the
-// defaults. Close it when done.
+// NewEngine serves the index behind an admission gate: a LiveIndex whose
+// first generation is the index itself, with no WAL, no snapshot path and
+// no live metrics. Its answers are Index.Do's; worker and queue defaults
+// come from the index's options. opts may be nil for the defaults. Close
+// it when done.
 //
 //	eng := ix.NewEngine(nil)
 //	defer eng.Close()
@@ -356,7 +329,7 @@ func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Op
 	ix.cond = sync.NewCond(&ix.mu)
 	v.active = ix.newDelta()
 	ix.view.Store(v)
-	engOpts := engine.Options(lopts.Engine)
+	engOpts := lopts.Engine
 	if engOpts.Metrics == nil {
 		engOpts.Metrics = lopts.Metrics
 	}
@@ -725,10 +698,10 @@ func (ix *LiveIndex) saveBase(path string) error {
 	return nil
 }
 
-// Close stops background rebuilds (waiting for an in-flight one) and the
-// query pool, then closes the WAL (when one is configured). Appends,
-// flushes and queries after Close fail; a second Close does nothing and
-// returns nil. With LiveOptions.SnapshotPath set, Close first writes the
+// Close stops background rebuilds (waiting for an in-flight one), waits
+// for in-flight queries, then closes the WAL (when one is configured).
+// Appends, flushes and queries after Close fail; a second Close does
+// nothing and returns nil. With LiveOptions.SnapshotPath set, Close first writes the
 // current generation there unless Save, Flush or an earlier write already
 // did (series still in the delta are not included — call Flush first for
 // a complete one); a snapshot failure is returned AND logged, and counts
@@ -797,7 +770,7 @@ func (ix *LiveIndex) SeriesLen() int { return ix.seriesLen }
 
 // EngineOptions returns the effective (defaulted) options of the
 // embedded query engine — the admission-gate configuration in force.
-func (ix *LiveIndex) EngineOptions() EngineOptions { return EngineOptions(ix.eng.Options()) }
+func (ix *LiveIndex) EngineOptions() EngineOptions { return ix.eng.Options() }
 
 // LiveStats describes a live index's current shape.
 type LiveStats struct {

@@ -835,7 +835,7 @@ func TestShardedLifecycle(t *testing.T) {
 	t.Run("loaded-post-flush", func(t *testing.T) { check(t, all) })
 }
 
-// TestLiveQueryPanicIsolated: the delta is searched on the engine's pool,
+// TestLiveQueryPanicIsolated: the delta is searched by the engine's workers,
 // inside its panic isolation. A unit of query work that panics — for an
 // index with no generation that can only be a delta chunk's scan — fails
 // that one query with ErrQueryPanicked; the process lives, and the next

@@ -16,8 +16,8 @@
 // Do is the one query method of Index and LiveIndex; the request
 // selects k-NN (K), constrained DTW (DTW, Window) and the quality mode
 // (approximate, ε-bounded, deadline-bounded). The index is immutable after
-// Build and safe for concurrent queries; Index.NewEngine serves it on a
-// worker pool behind an admission gate, as a LiveIndex.
+// Build and safe for concurrent queries; Index.NewEngine serves it behind
+// an admission gate, as a LiveIndex.
 //
 // # Distances
 //
@@ -108,14 +108,15 @@ func (o *Options) toCore() (core.Options, bool, error) {
 	}, o.Normalize, nil
 }
 
-// Match is one query answer.
+// Match is one query answer. Its JSON form, messi-serve's wire format, is
+// {"position": .., "distance": ..}.
 type Match struct {
 	// Position is the index of the matching series in the build data
 	// (its row for Build, its offset/length for BuildFlat).
-	Position int
+	Position int `json:"position"`
 	// Distance is the true distance between query and match (Euclidean,
 	// or constrained DTW for a DTW request).
-	Distance float64
+	Distance float64 `json:"distance"`
 }
 
 // Index is an immutable MESSI index over a series collection — a group
@@ -123,12 +124,12 @@ type Match struct {
 type Index struct {
 	inner     *shard.Index
 	normalize bool
-	eng       *engine.Engine // pool-less: an Index holds no goroutines and is never closed
+	eng       *engine.Engine // ungated: an Index holds no goroutines and is never closed
 }
 
 // newIndex wraps a built or loaded shard group.
 func newIndex(inner *shard.Index, normalize bool) *Index {
-	return &Index{inner: inner, normalize: normalize, eng: engine.NewUnpooled(inner.Opts(), engine.Options{})}
+	return &Index{inner: inner, normalize: normalize, eng: engine.NewUngated(inner.Opts(), engine.Options{})}
 }
 
 // Build indexes a slice of equal-length series (each row is copied into

@@ -40,10 +40,10 @@ var (
 	// time.Duration.
 	ErrBadDeadline = errors.New("messi: invalid deadline")
 	// ErrQueryPanicked reports a query that panicked, on any frontend's
-	// Do. The panic is recovered in the unit of work where it happened,
-	// fails only the offending query, and leaves the index (and its pool,
-	// if any) serving; the wrapped error carries the panic value and the
-	// stack is logged via slog.
+	// Do. The panic is recovered on the worker goroutine where it
+	// happened, fails only the offending query, and leaves the index
+	// serving; the wrapped error carries the panic value and the stack is
+	// logged via slog.
 	ErrQueryPanicked = engine.ErrQueryPanicked
 )
 
@@ -298,9 +298,10 @@ func trace(t stats.Tally, elapsed time.Duration) *Trace {
 }
 
 // Do serves one query on the index across the whole quality spectrum,
-// through the same engine as LiveIndex.Do but without a pool or an
-// admission gate: each unit of the query's work runs on a goroutine
-// started for it, SearchWorkers of them per phase across all shards. A
+// through the same engine as LiveIndex.Do but without an admission gate:
+// the query starts SearchWorkers worker goroutines across all shards, each
+// inserting into the queues, waiting at its shard's barrier and draining
+// (Algorithm 6), and none outlives the query. A
 // context cancellation stops the search at its next claim of work — a root
 // subtree, a scan block or a queue pop — and returns the best answer so
 // far flagged Exact=false. A query that panics fails alone with
@@ -312,8 +313,8 @@ func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 }
 
 // Do serves one query over the union of the immutable generation and the
-// delta buffer (see Index.Do), on the index's worker pool and under its
-// admission gate. The delta is always answered exactly; the quality mode
+// delta buffer (see Index.Do), on worker goroutines started for it and
+// under the index's admission gate. The delta is always answered exactly; the quality mode
 // governs the tree search beside it. With EngineOptions.DegradeEpsilon
 // set, an exact request arriving under overload is degraded to an
 // ε-bounded one instead of paying queueing latency (the Result reports
