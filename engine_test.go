@@ -305,12 +305,9 @@ func TestServedIndexHoldsNoGoroutines(t *testing.T) {
 		{Query: member, Mode: ModeEpsilon, Epsilon: 0.5},
 		{Query: ood, DTW: true, Window: 0.05},
 	}
-	type served interface {
-		Do(context.Context, SearchRequest) (Result, error)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*len(reqs))
-	for _, x := range []served{eng, lix} {
+	for _, x := range []*LiveIndex{eng, lix} {
 		for i, req := range reqs {
 			wg.Add(1)
 			go func() {
