@@ -67,12 +67,13 @@ type Index struct {
 	Tree   *tree.Tree
 	Opts   Options
 
-	// activeRoots lists the non-empty root slots. Search workers claim
-	// entries of this list via Fetch&Inc instead of sweeping all 2^w
-	// slots (Algorithm 6 sweeps the full fanout; restricting the sweep
-	// to non-empty subtrees is behaviour-preserving — empty slots are
-	// skipped either way — and keeps the Fetch&Inc count proportional
-	// to the data).
+	// activeRoots lists the non-empty root slots, ascending. Search
+	// workers claim blocks of this list via Fetch&Inc and bound each
+	// entry by its key alone (isax.DistTable.RootBound) instead of
+	// sweeping all 2^w slots node by node (Algorithm 6 sweeps the full
+	// fanout; restricting the sweep to non-empty subtrees is
+	// behaviour-preserving — empty slots are skipped either way — and
+	// keeps the Fetch&Inc count proportional to the data).
 	activeRoots []int32
 
 	// sample holds the full-cardinality iSAX words of sampleSize evenly

@@ -26,8 +26,8 @@ import (
 // against the best-so-far, so a search terminates as soon as the priority
 // queues' minima prove the BSF is within (1+ε) of optimal. Deadline-
 // bounded search checks a clock (and the caller's cancellation signal) at
-// every claim — a root subtree, a scan block or a queue pop — and returns
-// the best-so-far flagged inexact.
+// every claim — a block of root subtrees, a scan block or a queue pop —
+// and returns the best-so-far flagged inexact.
 
 // Typed sentinel errors for request validation, so API layers can
 // errors.Is instead of string-matching.
@@ -62,9 +62,9 @@ const (
 	// of optimal. ε = 0 is bitwise identical to ModeExact.
 	ModeEpsilon
 	// ModeDeadline runs the exact algorithm but checks the request
-	// deadline (and cancellation) at every claim of work — a root
-	// subtree, a 1 024-series scan block or a queue pop — returning the
-	// best-so-far flagged inexact when time runs out. A zero
+	// deadline (and cancellation) at every claim of work — a block of
+	// root subtrees, a 1 024-series scan block or a queue pop — returning
+	// the best-so-far flagged inexact when time runs out. A zero
 	// deadline never expires — equivalent to ModeExact.
 	ModeDeadline
 )
@@ -252,8 +252,9 @@ func (q *QoS) witness(lb float64) {
 }
 
 // stop reports whether the worker asking should drop the work it has just
-// claimed (a root subtree, a scan block or a popped leaf): the deadline
-// passed or the request was cancelled. The answer is then no longer exact.
+// claimed (a block of root subtrees, a scan block or a popped leaf): the
+// deadline passed or the request was cancelled. The answer is then no
+// longer exact.
 // Once it fires it stays latched, so the clock is read at most until the
 // first expiry.
 func (q *QoS) stop() bool {

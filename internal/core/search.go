@@ -275,11 +275,13 @@ func NewQueryState() *QueryState { return &QueryState{} }
 // operate on. It decomposes Algorithm 6 into two phases, which the query
 // engine (internal/engine) dispatches as units of work:
 //
-//	InsertPhase — the tree pass or the scan. On the tree plan: claim root
-//	              subtrees via Fetch&Inc, prune, push non-prunable leaves
-//	              into the queues (lines 1-6). On the scan plan: claim
-//	              blocks of positions via Fetch&Inc and measure every
-//	              series of each in position order.
+//	InsertPhase — the tree pass or the scan. On the tree plan: claim
+//	              blocks of root subtrees via Fetch&Inc, prune each root
+//	              by its key from the distance table's root level, walk
+//	              the survivors, push non-prunable leaves into the queues
+//	              (lines 1-6). On the scan plan: claim blocks of positions
+//	              via Fetch&Inc and measure every series of each in
+//	              position order.
 //	DrainPhase  — after every InsertPhase call has returned (the
 //	              all-inserted barrier of line 7), drain queues until all
 //	              are finished (lines 8-13); nothing on the scan plan.
@@ -301,7 +303,7 @@ type SearchRun struct {
 	// line of its own (sharing one cost the serve-easy benchmark ~10 % of
 	// its p50 on a 2-core Xeon).
 	_        [64]byte
-	claimCtr atomic.Int64 // Fetch&Inc cursor: root subtrees, or scan blocks
+	claimCtr atomic.Int64 // Fetch&Inc cursor: root blocks, or scan blocks
 	_        [56]byte
 	opt      SearchOptions
 	qos      *QoS // opt.QoS
@@ -423,11 +425,17 @@ func (r *SearchRun) sampledShare() float64 {
 // run are no-ops.
 func (r *SearchRun) Done() bool { return r.done }
 
-// InsertPhase is the tree-traversal half of Algorithm 6: claim root
-// subtrees via Fetch&Inc and push non-prunable leaves into the queues — or,
-// on the scan plan, the whole search (see scanPhase). Every participating
-// worker must call it exactly once, and all calls must return before the
-// first DrainPhase call starts.
+// rootBlock is how many activeRoots entries a tree-pass worker claims per
+// Fetch&Inc: one claim, and one stop check, per 256 root bounds.
+const rootBlock = 256
+
+// InsertPhase is the tree-traversal half of Algorithm 6: claim blocks of
+// root subtrees via Fetch&Inc, sweep each block's root bounds from the
+// distance table's root level (RootBound, by root key: no node is read),
+// and hand the survivors to insert, which pushes a leaf and walks an
+// internal node's children with traverse — or, on the scan plan, the whole
+// search (see scanPhase). Every participating worker must call it exactly
+// once, and all calls must return before the first DrainPhase call starts.
 func (r *SearchRun) InsertPhase(pid int) {
 	if r.done {
 		return
@@ -443,16 +451,21 @@ func (r *SearchRun) InsertPhase(pid int) {
 	if r.trace {
 		tStart = time.Now()
 	}
+	roots := r.ix.activeRoots
 	for {
-		i := int(r.claimCtr.Add(1) - 1)
-		if i >= len(r.ix.activeRoots) {
+		lo := int(r.claimCtr.Add(1)-1) * rootBlock
+		if lo >= len(roots) || r.qos.stop() {
 			break
 		}
-		if r.qos.stop() {
-			break
+		block := roots[lo:min(lo+rootBlock, len(roots))]
+		t.NodesVisited += int64(len(block))
+		t.LowerBoundCalcs += int64(len(block))
+		for _, key := range block {
+			dist := r.table.RootBound(int(key))
+			if !r.qos.prunes(dist, r.bnd.Load()) {
+				r.insert(r.ix.Tree.Root(int(key)), dist, &cursor, &t)
+			}
 		}
-		root := r.ix.Tree.Root(int(r.ix.activeRoots[i]))
-		r.traverse(root, &cursor, &t)
 	}
 	if r.trace {
 		t.Phases[stats.PhaseTreePass] = time.Since(tStart) - t.Phases[stats.PhasePQInsert]
@@ -518,17 +531,22 @@ func (r *SearchRun) DrainPhase(pid int) {
 	r.qos.add(t)
 }
 
-// traverse is Algorithm 7: prune subtrees whose lower bound exceeds the
-// BSF; push surviving leaves into the queues round-robin. Node bounds are
-// one table lookup per segment against the run's distance table. The
-// worker's tally t takes the counts and, under a trace, the push times.
+// traverse is Algorithm 7 below the root: prune a subtree whose lower
+// bound exceeds the BSF, else insert it. Node bounds are one table lookup
+// per segment against the run's distance table. The worker's tally t takes
+// the counts and, under a trace, the push times.
 func (r *SearchRun) traverse(node *tree.Node, cursor *int, t *stats.Tally) {
 	t.NodesVisited++
 	t.LowerBoundCalcs++
 	dist := r.table.MinDistPrefix(node.Symbols, node.Bits)
-	if r.qos.prunes(dist, r.bnd.Load()) {
-		return
+	if !r.qos.prunes(dist, r.bnd.Load()) {
+		r.insert(node, dist, cursor, t)
 	}
+}
+
+// insert takes a node whose bound dist survived: a non-empty leaf is pushed
+// into the queues round-robin, an internal node's children are traversed.
+func (r *SearchRun) insert(node *tree.Node, dist float64, cursor *int, t *stats.Tally) {
 	if node.IsLeaf() {
 		if node.LeafLen() == 0 {
 			return
@@ -713,21 +731,23 @@ func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable, 
 	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
 	if root == nil {
 		// The query's own subtree is empty: fall back to the root child
-		// with the smallest lower bound.
-		best := math.Inf(1)
-		for _, slot := range ix.activeRoots {
-			r := ix.Tree.Root(int(slot))
+		// with the smallest lower bound, dereferencing only the winner.
+		best, slot := math.Inf(1), -1
+		for _, key := range ix.activeRoots {
 			var d float64
 			if tab != nil {
-				d = tab.MinDistPrefix(r.Symbols, r.Bits)
+				d = tab.RootBound(int(key))
 			} else {
+				r := ix.Tree.Root(int(key))
 				d = ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)
 			}
 			t.LowerBoundCalcs++
 			if d < best {
-				best = d
-				root = r
+				best, slot = d, int(key)
 			}
+		}
+		if slot >= 0 {
+			root = ix.Tree.Root(slot)
 		}
 	}
 	if root == nil {

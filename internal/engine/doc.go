@@ -28,10 +28,10 @@
 //     chunk's Start), all into one shared collector and one QoS state.
 //   - execution: Algorithm 6, per run. Each run still pending gets
 //     ⌈QueryWorkers/runs⌉ worker goroutines; each inserts its claimed
-//     root subtrees into the queues, waits at the run's all-inserted
-//     barrier (a sync.WaitGroup), then drains the queues. A run whose tree
-//     pass ends early drains while the others still traverse, tightening
-//     the shared bound they prune with.
+//     blocks of root subtrees into the queues, waits at the run's
+//     all-inserted barrier (a sync.WaitGroup), then drains the queues. A
+//     run whose tree pass ends early drains while the others still
+//     traverse, tightening the shared bound they prune with.
 //   - per-query scratch (PAA buffer, iSAX word buffer, distance table,
 //     queue set) comes from a sync.Pool of core.QueryState and is returned
 //     after each query.

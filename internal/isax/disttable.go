@@ -23,10 +23,14 @@ package isax
 // (MinDistPAAWord, MinDistPAAPrefix and the envelope variants) — the
 // property the equivalence fuzz test pins down.
 //
+// A root level serves the root children, whose bits are all 1: for each
+// h-bit root-key prefix (h = min(w, 8)) the partial sum of its first h
+// one-bit cells, so a root bound is one load plus w − h adds (RootBound).
+//
 // Memory: one flat allocation of w × (2^(CardBits+1) − 2) float64 cells
-// (64 KiB at the paper's w=16, CardBits=8), reused across queries via
-// Build. A DistTable is owned by one query at a time; concurrent readers
-// are safe once built.
+// (64 KiB at the paper's w=16, CardBits=8) and 2^h root sums (2 KiB),
+// reused across queries via Build. A DistTable is owned by one query at a
+// time; concurrent readers are safe once built.
 type DistTable struct {
 	schema *Schema
 	cells  []float64
@@ -34,6 +38,10 @@ type DistTable struct {
 	// holds Segments × 2^b cells, segment-major (segment s's row starts
 	// at levelOff[b] + s<<b).
 	levelOff [MaxCardBits + 1]int
+	// root[k] is the sum, in segment order, of the one-bit cells of the
+	// h-bit root-key prefix k; rootShift = w − h drops the other bits.
+	root      []float64
+	rootShift int
 }
 
 // NewDistTable allocates an empty distance table for this schema. Call
@@ -46,6 +54,8 @@ func (s *Schema) NewDistTable() *DistTable {
 		off += s.Segments << b
 	}
 	t.cells = make([]float64, off)
+	h := min(s.Segments, 8)
+	t.root, t.rootShift = make([]float64, 1<<h), s.Segments-h
 	return t
 }
 
@@ -106,6 +116,16 @@ func (t *DistTable) build(upper, lower []float64) {
 			coarse[i] = a
 		}
 	}
+	// Double the root level one segment at a time, from the top index
+	// down so each prefix's sum is read before its slot is overwritten.
+	one := t.cells[t.levelOff[1]:]
+	t.root[0] = 0
+	for seg, n := 0, 1; n < len(t.root); seg, n = seg+1, 2*n {
+		for k := n - 1; k >= 0; k-- {
+			v := t.root[k]
+			t.root[2*k], t.root[2*k+1] = v+one[2*seg], v+one[2*seg+1]
+		}
+	}
 }
 
 // MinDistWord returns the squared lower bound against a full-precision
@@ -139,6 +159,20 @@ func (t *DistTable) MinDistPrefix(symbols, bits []uint8) float64 {
 		sum += t.cells[t.levelOff[b]+(i<<b)+int(symbols[i])]
 	}
 	return sum * s.ratio
+}
+
+// RootBound returns the squared lower bound against the root child of
+// w-bit root key key (Schema.RootIndex: segment 0 is the high bit), whose
+// bits are all 1: the root level's partial sum, then the remaining
+// segments' one-bit cells in segment order — bitwise identical to
+// MinDistPrefix on that child's symbols and bits.
+func (t *DistTable) RootBound(key int) float64 {
+	w := t.schema.Segments
+	sum := t.root[key>>t.rootShift]
+	for i := w - t.rootShift; i < w; i++ {
+		sum += t.cells[2*i+key>>(w-1-i)&1] // level 1 starts at cells[0]
+	}
+	return sum * t.schema.ratio
 }
 
 // Row returns segment seg's full-cardinality cell row (2^CardBits

@@ -8,26 +8,29 @@ import (
 // FuzzDistTableEquivalence checks that the per-query distance table
 // returns exactly the scalar kernels' values — full-precision words
 // against MinDistPAAWordNaive (and MinDistPAAWord), and random
-// variable-cardinality prefixes against MinDistPAAPrefix — across
-// arbitrary PAA vectors, words, cardinalities, and prefix bit budgets.
+// variable-cardinality prefixes against MinDistPAAPrefix, root children
+// against MinDistPAAPrefix and MinDistEnvelopePrefix — across arbitrary
+// PAA vectors, words, segment counts, cardinalities, and prefix bit
+// budgets.
 func FuzzDistTableEquivalence(f *testing.F) {
-	f.Add(float64(0), float64(0), uint8(0), uint8(255), uint8(8), uint8(3))
-	f.Add(float64(3.7), float64(-2.2), uint8(17), uint8(200), uint8(5), uint8(0))
-	f.Add(float64(-0.4), float64(9.9), uint8(128), uint8(1), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, a, b float64, symA, symB, cardBits, prefixBits uint8) {
+	f.Add(float64(0), float64(0), uint8(0), uint8(255), uint8(8), uint8(3), uint8(15))
+	f.Add(float64(3.7), float64(-2.2), uint8(17), uint8(200), uint8(5), uint8(0), uint8(8))
+	f.Add(float64(-0.4), float64(9.9), uint8(128), uint8(1), uint8(1), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, a, b float64, symA, symB, cardBits, prefixBits, segs uint8) {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
 			t.Skip()
 		}
 		cb := int(cardBits)%MaxCardBits + 1 // [1, MaxCardBits]
-		s, err := NewSchema(32, 16, cb)
+		w := int(segs)%MaxSegments + 1      // [1, MaxSegments]
+		s, err := NewSchema(2*w, w, cb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mask := uint8(s.Cardinality() - 1)
-		paa := make([]float64, 16)
-		word := make([]uint8, 16)
-		symbols := make([]uint8, 16)
-		bits := make([]uint8, 16)
+		paa := make([]float64, w)
+		word := make([]uint8, w)
+		symbols := make([]uint8, w)
+		bits := make([]uint8, w)
 		for i := range paa {
 			if i%2 == 0 {
 				paa[i], word[i] = a, symA&mask
@@ -51,6 +54,20 @@ func FuzzDistTableEquivalence(f *testing.F) {
 		}
 		if got, want := tab.MinDistPrefix(symbols, bits), s.MinDistPAAPrefix(paa, symbols, bits); got != want {
 			t.Fatalf("prefix table %v != scalar %v (cardBits %d, bits %v)", got, want, cb, bits)
+		}
+		key := (int(symA)<<8 | int(symB)) & (s.RootFanout() - 1)
+		rootSyms, rootBits := rootPrefix(w, key)
+		if got, want := tab.RootBound(key), s.MinDistPAAPrefix(paa, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("RootBound(%#x) %v != scalar %v (w %d)", key, got, want, w)
+		}
+		// The envelope [min(a,b), max(a,b)] on every segment.
+		uMax, lMin := make([]float64, w), make([]float64, w)
+		for i := range uMax {
+			uMax[i], lMin[i] = max(a, b), min(a, b)
+		}
+		tab.BuildEnvelope(uMax, lMin)
+		if got, want := tab.RootBound(key), s.MinDistEnvelopePrefix(uMax, lMin, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("envelope RootBound(%#x) %v != scalar %v (w %d)", key, got, want, w)
 		}
 	})
 }

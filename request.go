@@ -65,10 +65,10 @@ const (
 	// (1+ε) of optimal. Epsilon = 0 is identical to ModeExact.
 	ModeEpsilon = Mode(core.ModeEpsilon)
 	// ModeDeadline runs the exact algorithm but stops at its next claim
-	// of work — a root subtree, a 1 024-series scan block or a queue pop —
-	// once the request's Deadline (or the context's) passes, returning the
-	// best answer found so far flagged Exact=false. With no deadline at
-	// all it is identical to ModeExact.
+	// of work — a block of root subtrees, a 1 024-series scan block or a
+	// queue pop — once the request's Deadline (or the context's) passes,
+	// returning the best answer found so far flagged Exact=false. With no
+	// deadline at all it is identical to ModeExact.
 	ModeDeadline = Mode(core.ModeDeadline)
 )
 
