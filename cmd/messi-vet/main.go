@@ -7,19 +7,15 @@
 //	faultsite   failpoints named, registered eagerly, matrix-covered
 //	metricname  messi_* snake_case metrics, one kind per name
 //
-// It runs two ways:
-//
-// Standalone (the CI lint job's whole-program pass — required for the
-// cross-package Finish rules like crash-matrix coverage):
+// It runs one way, as a whole-program pass over the matched packages,
+// their in-package test files and their external _test packages, so
+// the cross-package Finish rules (crash-matrix coverage, one kind per
+// metric name) see every failpoint and every registration:
 //
 //	go run ./cmd/messi-vet ./...
 //
-// As a vet tool (unit-at-a-time, sharing go vet's build cache and
-// export data; Finish rules are skipped because no single unit sees
-// the whole program):
-//
-//	go build -o /tmp/messi-vet ./cmd/messi-vet
-//	go vet -vettool=/tmp/messi-vet ./...
+// With no pattern it checks ./.... Each finding is printed to stderr
+// as `file:line:col: [analyzer] message`; -list names the analyzers.
 //
 // Diagnostics can be suppressed with a reviewed
 // `//messi-vet:ignore <analyzer> <reason>` comment on the flagged line
@@ -29,246 +25,64 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/analyze"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("messi-vet", flag.ExitOnError)
-	var (
-		vFlag     = fs.String("V", "", "print version and exit (-V=full, for the go command's tool protocol)")
-		flagsFlag = fs.Bool("flags", false, "print a JSON description of supported flags and exit (go vet protocol)")
-		testsFlag = fs.Bool("tests", true, "standalone mode: also analyze test files and _test packages")
-		listFlag  = fs.Bool("list", false, "list the analyzers and exit")
-	)
+// run is the whole command: it parses args, writes -list to stdout and
+// findings and failures to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("messi-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listFlag := fs.Bool("list", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: messi-vet [flags] [package patterns]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: messi-vet [flags] [package patterns]\n\nAnalyzers:\n")
 		for _, a := range analyze.Analyzers() {
-			fmt.Fprintf(fs.Output(), "  %-11s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-11s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(fs.Output(), "\nFlags:\n")
+		fmt.Fprintf(stderr, "\nFlags:\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
-
-	switch {
-	case *vFlag != "":
-		// go vet's tool-identification protocol: the output keys its
-		// action cache, so it must change whenever the binary does.
-		return printVersion()
-	case *flagsFlag:
-		// go vet queries pass-through flags; messi-vet accepts none.
-		fmt.Println("[]")
-		return 0
-	case *listFlag:
+	if *listFlag {
 		for _, a := range analyze.Analyzers() {
-			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitCheck(rest[0])
-	}
-	return standalone(fs.Args(), *testsFlag)
-}
-
-// printVersion implements -V=full: name, a fixed tag, and a content
-// hash of the executable so rebuilding the tool invalidates go vet's
-// cached results.
-func printVersion() int {
-	name := filepath.Base(os.Args[0])
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil)[:16])
-	return 0
-}
-
-// standalone loads whole packages (tests included) and runs every
-// analyzer, Finish rules included.
-func standalone(patterns []string, tests bool) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, fset, err := analyze.Load(analyze.LoadConfig{Tests: tests}, patterns...)
+	pkgs, fset, err := analyze.Load(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "messi-vet:", err)
+		fmt.Fprintln(stderr, "messi-vet:", err)
 		return 2
 	}
 	diags, err := analyze.Run(fset, pkgs, analyze.Analyzers())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "messi-vet:", err)
+		fmt.Fprintln(stderr, "messi-vet:", err)
 		return 2
 	}
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+		fmt.Fprintf(stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the JSON configuration the go command hands a vettool
-// for one compilation unit (see x/tools' unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitCheck analyzes one compilation unit described by a go vet .cfg
-// file. Dependencies are type-checked from the export data the go
-// command already built (falling back to source if that fails), so a
-// vettool run shares go vet's incremental cost profile. Whole-program
-// Finish rules are skipped: no unit sees the full package graph.
-func unitCheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "messi-vet:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "messi-vet: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, fn := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "messi-vet:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-
-	// Import paths of test variants look like "path [path.test]" (and
-	// external test packages like "path_test [path.test]"); analyzers
-	// key exemptions on the base path.
-	path := cfg.ImportPath
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
-
-	check := func(imp types.Importer) (*types.Package, *types.Info, error) {
-		info := analyze.NewTypesInfo()
-		conf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-		tpkg, err := conf.Check(path, fset, files, info)
-		return tpkg, info, err
-	}
-	lookup := func(p string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[p]; ok {
-			p = canon
-		}
-		file, ok := cfg.PackageFile[p]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", p)
-		}
-		return os.Open(file)
-	}
-	tpkg, info, err := check(importer.ForCompiler(fset, cfg.Compiler, lookup))
-	if err != nil {
-		// Export data can be unreadable when the toolchain and this
-		// binary disagree; source is slower but always available.
-		tpkg, info, err = check(analyze.NewImporter(fset))
-	}
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg)
-		}
-		fmt.Fprintf(os.Stderr, "messi-vet: type-checking %s: %v\n", path, err)
-		return 2
-	}
-
-	pkg := &analyze.Package{
-		Path:  path,
-		Dir:   cfg.Dir,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	// Strip Finish hooks: whole-program rules need the full package
-	// graph, which unit mode never sees. The standalone CI pass runs
-	// them.
-	var unitAnalyzers []*analyze.Analyzer
-	for _, a := range analyze.Analyzers() {
-		ua := *a
-		ua.Finish = nil
-		unitAnalyzers = append(unitAnalyzers, &ua)
-	}
-	diags, err := analyze.Run(fset, []*analyze.Package{pkg}, unitAnalyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "messi-vet:", err)
-		return 2
-	}
-	if code := writeVetx(cfg); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// writeVetx writes the (empty) facts file the go command expects a
-// vettool to produce; messi-vet exchanges no facts between units.
-func writeVetx(cfg vetConfig) int {
-	if cfg.VetxOutput == "" {
-		return 0
-	}
-	if err := os.WriteFile(cfg.VetxOutput, []byte("messi-vet\n"), 0o666); err != nil {
-		fmt.Fprintln(os.Stderr, "messi-vet:", err)
-		return 2
 	}
 	return 0
 }

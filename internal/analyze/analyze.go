@@ -12,15 +12,14 @@
 //
 // The API mirrors go/analysis deliberately: if the x/tools module ever
 // becomes available to this build, each Analyzer ports mechanically.
-// Two extensions exist because this driver is whole-program rather than
-// unit-at-a-time:
+// Two extensions exist because the one driver, cmd/messi-vet, is
+// whole-program rather than unit-at-a-time:
 //
 //   - Analyzer.Finish runs once after every package's Run completed and
 //     sees all per-package results, enabling cross-package rules (is a
 //     failpoint's package linked into the crash matrix? is a metric name
-//     always registered with one kind?). Finish does not run under
-//     `go vet -vettool` unit mode, where packages are checked in
-//     isolation; cmd/messi-vet's standalone mode covers it.
+//     always registered with one kind?). Every messi-vet run runs it,
+//     over the packages Load returned, test files included.
 //
 //   - Diagnostics can be suppressed with a `//messi-vet:ignore <name>
 //     <reason>` comment on the flagged line or the line directly above
@@ -85,9 +84,9 @@ type Suite struct {
 	Results []PassResult
 
 	// Graph maps a package path to the paths it imports (module-local
-	// and standard library alike; test-only imports included when the
-	// loader ran with Tests). Test variants are merged into their base
-	// path's edge list.
+	// and standard library alike, test-only imports included). An
+	// external test package's edges are merged into its base path's
+	// list.
 	Graph map[string][]string
 
 	report func(Diagnostic)

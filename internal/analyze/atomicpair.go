@@ -103,7 +103,7 @@ func isFloatFromBits(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func runAtomicPair(pass *Pass) (any, error) {
-	exempt := basePath(pass.Path) == statsPath
+	exempt := pass.Path == statsPath
 	info := pass.TypesInfo
 
 	// Pre-pass: idents assigned from math.Float*bits (bit patterns

@@ -54,7 +54,7 @@ func runFaultSite(pass *Pass) (any, error) {
 		registers: map[string]token.Pos{},
 		arms:      map[string]token.Pos{},
 	}
-	if basePath(pass.Path) == faultPath {
+	if pass.Path == faultPath {
 		// The framework itself registers nothing and its tests Arm
 		// synthetic names; exempt it.
 		return facts, nil
@@ -143,7 +143,7 @@ func finishFaultSite(s *Suite) {
 		for name, pos := range facts.registers {
 			covered := false
 			for _, m := range matrixPkgs {
-				if s.Reaches(basePath(m), basePath(r.Path)) || basePath(m) == basePath(r.Path) {
+				if s.Reaches(m, r.Path) {
 					covered = true
 					break
 				}

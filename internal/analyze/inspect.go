@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // Preorder calls f for every node in every file, in source order.
@@ -122,11 +121,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// basePath strips a synthetic test-variant suffix from a package path,
-// so exemptions keyed on "repro/internal/stats" also cover its external
-// test package.
-func basePath(path string) string {
-	return strings.TrimSuffix(path, "_test")
 }

@@ -18,7 +18,8 @@ import (
 )
 
 // A Package is one loaded, parsed and type-checked package ready for
-// analysis. Test variants produce an extra Package with the same Path.
+// analysis. An external _test package is an extra Package with the same
+// Path as the package it tests.
 type Package struct {
 	Path    string // import path (test variants keep the base path)
 	Name    string
@@ -27,18 +28,6 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	Imports []string
-}
-
-// LoadConfig configures Load.
-type LoadConfig struct {
-	// Dir is the directory to resolve patterns from (the module root
-	// for ./... sweeps). Empty means the current directory.
-	Dir string
-	// Tests additionally loads each package's test variant (in-package
-	// _test.go files compiled together with the package) and external
-	// _test packages. The fault-coverage rule needs them: Arm calls
-	// live in tests.
-	Tests bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
@@ -56,16 +45,19 @@ type listedPackage struct {
 }
 
 // Load resolves patterns with `go list`, parses every matched package
-// and type-checks it against dependencies resolved from source. It
-// returns the packages in list order (test variants directly after
-// their base package).
+// together with its in-package _test.go files, plus its external _test
+// package as a second Package, and type-checks them against
+// dependencies resolved from source. The faultsite Finish rules need
+// the test files: every fault.Arm call and the crash matrix's
+// fault.Names() call live in tests. Load returns the packages in list
+// order (external test packages directly after their base package).
 //
 // Dependency type-checking uses the standard library's source importer,
 // which shells out to the go command for module-aware path resolution;
 // Load therefore must run with the process inside the module (any
 // subdirectory works).
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, *token.FileSet, error) {
-	listed, err := goList(cfg.Dir, patterns)
+func Load(patterns ...string) ([]*Package, *token.FileSet, error) {
+	listed, err := goList(patterns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,7 +74,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, *token.FileSet, error
 		}
 		files := lp.GoFiles
 		imports := lp.Imports
-		if cfg.Tests && len(lp.TestGoFiles) > 0 {
+		if len(lp.TestGoFiles) > 0 {
 			files = append(append([]string{}, files...), lp.TestGoFiles...)
 			imports = mergeUnique(append([]string{}, imports...), lp.TestImports)
 		}
@@ -91,7 +83,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, *token.FileSet, error
 			return nil, nil, err
 		}
 		pkgs = append(pkgs, pkg)
-		if cfg.Tests && len(lp.XTestGoFiles) > 0 {
+		if len(lp.XTestGoFiles) > 0 {
 			xt, err := checkFiles(fset, imp, lp.Dir, lp.ImportPath, lp.Name+"_test", lp.XTestGoFiles, lp.XTestImports)
 			if err != nil {
 				return nil, nil, err
@@ -102,10 +94,9 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, *token.FileSet, error
 	return pkgs, fset, nil
 }
 
-func goList(dir string, patterns []string) ([]listedPackage, error) {
+func goList(patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -135,7 +126,7 @@ func checkFiles(fset *token.FileSet, imp types.Importer, dir, path, name string,
 		}
 		files = append(files, f)
 	}
-	info := NewTypesInfo()
+	info := newTypesInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
@@ -189,10 +180,9 @@ func LoadDir(fset *token.FileSet, imp types.Importer, dir, path string, imports 
 	return checkFiles(fset, imp, dir, path, "", names, imports)
 }
 
-// NewTypesInfo allocates the types.Info maps the analyzers rely on.
-// cmd/messi-vet's unit-checker mode shares it so both loading paths
-// feed passes identically.
-func NewTypesInfo() *types.Info {
+// newTypesInfo allocates the types.Info maps the analyzers rely on, for
+// checkFiles, which both Load and LoadDir go through.
+func newTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

@@ -52,7 +52,7 @@ type metricNameFacts struct {
 func runMetricName(pass *Pass) (any, error) {
 	info := pass.TypesInfo
 	facts := &metricNameFacts{uses: map[string][]metricUse{}}
-	exempt := basePath(pass.Path) == metricsPath
+	exempt := pass.Path == metricsPath
 
 	Preorder(pass.Files, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)

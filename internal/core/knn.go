@@ -44,8 +44,8 @@ func (t *topK) Update(dist float64, pos int64) bool {
 		return false
 	}
 	// Reject duplicates of the same position: the approximate-search leaf
-	// is rescanned during queue processing, and a caller's seeds may name
-	// series the collection also holds.
+	// is scanned again by the exact pass (the queue drain, or the
+	// position-order scan).
 	for _, m := range t.heap {
 		if m.Position == int(pos) {
 			return false
