@@ -1,19 +1,21 @@
 // Package delta provides the write-side buffer of the live index: a
-// concurrent, append-only store of equal-length data series that supports
-// consistent point-in-time snapshots while appends continue.
+// concurrent, append-only store of equal-length data series whose contents
+// can be handed out as immutable chunks while appends continue.
 //
 // Storage is block-based: series are copied into fixed-capacity flat
 // blocks, and a new block is allocated when the current one fills. Blocks
-// are never moved or resized once allocated, so a snapshot taken at count
-// n can read series [0, n) without synchronizing with later appends — the
-// only shared mutable state is the block list and the published count,
-// both captured under the buffer's mutex when the snapshot is taken.
+// are never moved or resized once allocated, and an append only writes
+// past the series already handed out, so a chunk list returned by Chunks
+// stays valid and unchanged while appends continue. Each full block is
+// wrapped as a collection once, when it fills, so handing out the chunks
+// costs the same whatever the buffer holds.
 //
-// The buffer deliberately has no index structure: the live index answers
-// queries over it by an exact position-order scan of its chunks (core.Scan,
-// one engine work unit per chunk), which is fast at delta scale. When the delta grows
-// past the rebuild threshold its contents are merged into the next
-// immutable generation and the buffer is discarded.
+// The buffer deliberately has no index structure: the live index publishes
+// its chunks in the view every query reads, and answers queries over them
+// by an exact position-order scan (core.Scan, one engine work unit per
+// chunk), which is fast at delta scale. When the delta grows past the
+// rebuild threshold its chunks are merged into the next immutable
+// generation and the buffer is discarded.
 package delta
 
 import (
@@ -32,9 +34,11 @@ type Buffer struct {
 	length   int // points per series
 	blockCap int // series per block
 
-	mu     sync.Mutex
-	blocks [][]float32 // each block is flat row-major storage
-	count  int         // complete, published series
+	mu    sync.Mutex
+	full  []*series.Collection // the filled blocks, in order; append-only
+	block *series.Collection   // the block being filled, nil when none
+	n     int                  // series stored in block
+	tail  *series.Collection   // block's first n series, nil when n == 0
 }
 
 // New returns an empty buffer for series of the given length. blockSeries
@@ -44,13 +48,6 @@ func New(seriesLen, blockSeries int) *Buffer {
 		blockSeries = DefaultBlockSeries
 	}
 	return &Buffer{length: seriesLen, blockCap: blockSeries}
-}
-
-// Len reports the number of series currently stored.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.count
 }
 
 // AppendBatch copies a batch of series atomically (one lock acquisition,
@@ -64,71 +61,45 @@ func (b *Buffer) AppendBatch(rows [][]float32) (int, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	first := b.count
+	first := len(b.full)*b.blockCap + b.n
 	for _, r := range rows {
-		within := b.count % b.blockCap
-		if within == 0 {
-			b.blocks = append(b.blocks, make([]float32, b.blockCap*b.length))
+		if b.block == nil {
+			// Fails only for a non-positive series length, and then on a
+			// batch's first row: nothing has been appended.
+			block, err := series.NewEmptyCollection(b.blockCap, b.length)
+			if err != nil {
+				return 0, err
+			}
+			b.block = block
 		}
-		copy(b.blocks[len(b.blocks)-1][within*b.length:], r)
-		b.count++
+		copy(b.block.At(b.n), r)
+		b.n++
+		if b.n == b.blockCap {
+			b.full = append(b.full, b.block)
+			b.block, b.n = nil, 0
+		}
+	}
+	b.tail = nil
+	if b.n > 0 {
+		tail, err := series.NewCollection(b.block.Data[:b.n*b.length], b.length)
+		if err != nil {
+			return 0, err
+		}
+		b.tail = tail
 	}
 	return first, nil
 }
 
-// Snapshot captures a consistent point-in-time view of the buffer. The
-// snapshot remains valid (and immutable) while appends continue: blocks
-// are append-only and the snapshot only exposes series below its count.
-func (b *Buffer) Snapshot() *Snapshot {
+// Chunks returns the buffer's series as collections in position order —
+// one per occupied block, of blockSeries series each but the last — so a
+// query scans delta data without copying it. The list and its collections
+// are immutable: later appends do not change them.
+func (b *Buffer) Chunks() []*series.Collection {
 	b.mu.Lock()
-	count := b.count
-	blocks := make([][]float32, len(b.blocks))
-	copy(blocks, b.blocks)
-	b.mu.Unlock()
-	return &Snapshot{blocks: blocks, count: count, length: b.length, blockCap: b.blockCap}
-}
-
-// Snapshot is an immutable view of a Buffer at some count. It is safe for
-// concurrent use by any number of readers.
-type Snapshot struct {
-	blocks   [][]float32
-	count    int
-	length   int
-	blockCap int
-}
-
-// Len reports the number of series in the snapshot.
-func (s *Snapshot) Len() int { return s.count }
-
-// At returns series i as a view into block storage (no copy). The caller
-// must not modify it.
-func (s *Snapshot) At(i int) []float32 {
-	block := s.blocks[i/s.blockCap]
-	within := i % s.blockCap
-	return block[within*s.length : (within+1)*s.length : (within+1)*s.length]
-}
-
-// Collections exposes the snapshot as contiguous series.Collection chunks
-// (one per occupied block, in order), so collection-based algorithms — a
-// query's position-order scans — run over delta data without copying.
-// Chunk c starts at series c*blockCap of the snapshot.
-func (s *Snapshot) Collections() ([]*series.Collection, error) {
-	var cols []*series.Collection
-	remaining := s.count
-	for _, block := range s.blocks {
-		if remaining <= 0 {
-			break
-		}
-		n := remaining
-		if n > s.blockCap {
-			n = s.blockCap
-		}
-		col, err := series.NewCollection(block[:n*s.length], s.length)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, col)
-		remaining -= n
+	defer b.mu.Unlock()
+	chunks := b.full[:len(b.full):len(b.full)]
+	if b.tail != nil {
+		chunks = append(chunks, b.tail)
 	}
-	return cols, nil
+	return chunks
 }

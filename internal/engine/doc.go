@@ -11,7 +11,8 @@
 // an immutable generation (a shard group, possibly absent) plus the
 // contiguous chunks of series appended since — so a static index is a
 // view with an empty delta, and a live index publishes a rebuilt
-// generation by storing its own view pointer, nothing else. Do is the only
+// generation, or the chunks an append added, by storing its own view
+// pointer, nothing else. Do is the only
 // query method and run the only execution path, for every distance
 // (Euclidean, DTW), answer shape (1-NN, k-NN) and quality mode:
 //

@@ -93,7 +93,7 @@ const (
 	// SyncAlways fsyncs after every record: an acked append survives
 	// an immediate power loss. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.SyncEvery):
+	// SyncInterval fsyncs on a background timer (every syncEvery):
 	// an acked append survives a process kill, and up to one interval
 	// of acks may be lost on power failure.
 	SyncInterval
@@ -125,10 +125,10 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the durability policy for Append.
 	Sync SyncPolicy
-	// SyncEvery is the flush cadence under SyncInterval. Default
-	// 100ms.
-	SyncEvery time.Duration
 }
+
+// syncEvery is the flush cadence under SyncInterval.
+const syncEvery = 100 * time.Millisecond
 
 func (o *Options) withDefaults() Options {
 	v := Options{}
@@ -137,9 +137,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if v.SegmentBytes <= 0 {
 		v.SegmentBytes = 64 << 20
-	}
-	if v.SyncEvery <= 0 {
-		v.SyncEvery = 100 * time.Millisecond
 	}
 	return v
 }
@@ -667,7 +664,7 @@ func (l *Log) syncActive() error {
 
 func (l *Log) syncLoop() {
 	defer l.syncWG.Done()
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -685,21 +682,13 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Close syncs and closes the active segment. The first background
-// sync failure (SyncInterval), if any, is surfaced here.
+// Close syncs and closes the active segment, then stops the background
+// sync (SyncInterval), whose first failure, if any, is surfaced here. Only
+// the first Close does this; the others return ErrClosed.
 func (l *Log) Close() error {
-	if l.stopSync != nil {
-		l.mu.Lock()
-		stopped := l.closed
-		l.mu.Unlock()
-		if !stopped {
-			close(l.stopSync)
-			l.syncWG.Wait()
-		}
-	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return ErrClosed
 	}
 	l.closed = true
@@ -714,6 +703,12 @@ func (l *Log) Close() error {
 			err = fmt.Errorf("wal: %w", cerr)
 		}
 		l.f = nil
+	}
+	l.mu.Unlock()
+	if l.stopSync != nil {
+		// Latched closed, the sync goroutine touches nothing more.
+		close(l.stopSync)
+		l.syncWG.Wait()
 	}
 	return err
 }

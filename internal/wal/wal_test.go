@@ -5,8 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -361,7 +362,7 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			l, err := Open(dir, 4, &Options{Sync: pol, SyncEvery: time.Millisecond})
+			l, err := Open(dir, 4, &Options{Sync: pol})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,6 +388,40 @@ func TestSyncPolicies(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bogus policy must be rejected")
+	}
+}
+
+// TestConcurrentClose: concurrent Closes of an interval-synced log stop
+// its sync goroutine once — one returns nil, the others ErrClosed.
+func TestConcurrentClose(t *testing.T) {
+	root := t.TempDir()
+	for i := 0; i < 200; i++ {
+		l, err := Open(filepath.Join(root, strconv.Itoa(i)), 4, &Options{Sync: SyncInterval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, 4)
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				errs[g] = l.Close()
+			}(g)
+		}
+		wg.Wait()
+		closed := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				closed++
+			case !errors.Is(err, ErrClosed):
+				t.Fatalf("log %d: Close = %v, want nil or ErrClosed", i, err)
+			}
+		}
+		if closed != 1 {
+			t.Fatalf("log %d: %d Closes returned nil, want 1", i, closed)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,21 +25,23 @@ import (
 )
 
 // This file is the live index: a mutable MESSI index layered over the
-// immutable core. Freshly appended series land in a concurrent delta
-// buffer (internal/delta), while the bulk of the data lives in an
-// immutable generation — a shard group of core indexes. A query loads ONE
-// view (generation + frozen delta + active delta) and hands it to the
-// persistent engine (internal/engine), which searches the generation's
-// shards and the delta's chunks as members of one fan-out: the chunks are
-// scanned exactly, in position order, in the same fan-out and into the same
-// collector as the tree search, so what the delta holds both participates
-// in the result and tightens tree pruning, and the other way round.
+// immutable core. Freshly appended series land in a delta buffer
+// (internal/delta), while the bulk of the data lives in an immutable
+// generation — a shard group of core indexes. Both are published in ONE
+// immutable view: the generation plus the delta's chunks. A query loads
+// the view and hands it to the persistent engine (internal/engine), which
+// searches the generation's shards and the delta's chunks as members of
+// one fan-out: the chunks are scanned exactly, in position order, in the
+// same fan-out and into the same collector as the tree search, so what the
+// delta holds both participates in the result and tightens tree pruning,
+// and the other way round. A query reads nothing but the view: no lock, no
+// buffer.
 //
 // When the active delta reaches LiveOptions.RebuildThreshold, a background
 // rebuild merges it with the current generation into a new one using the
 // paper's parallel construction, then publishes it with one pointer store.
 // In-flight queries finish on the view they loaded; appends arriving
-// during the rebuild go to a fresh active delta and become part of the
+// during the rebuild go to a fresh active buffer and become part of the
 // next generation. Neither queries nor appends ever block on a rebuild. A
 // rebuild first collects the generation its predecessor retired (one
 // runtime.GC), so memory stays at about two generations whatever the
@@ -55,19 +59,28 @@ import (
 // it reaches the delta, truncates the log's covered prefix after every
 // snapshot it writes, and closes it.
 //
-// # Generation swap rules
+// # View publication rules
 //
 //   - The view pointer is the single source of truth and the only place a
-//     generation is published (the engine holds none). A query loads it
-//     once and uses that consistent (generation, frozen delta, active
-//     delta) triple for its whole execution; it never re-loads mid-query.
-//   - Only the rebuild goroutine swaps in a generation, and only after it
-//     is fully built, so readers observe either the old complete view or
-//     the new complete view — never a partial one.
+//     generation or a delta chunk is published (the engine holds none). A
+//     query loads it once and uses that consistent (generation, delta
+//     chunks) pair for its whole execution; it never re-loads mid-query.
+//   - Every view is stored under mu. An append journals, writes the active
+//     buffer, then stores a view whose delta is the frozen chunks plus the
+//     buffer's chunks — before it returns, so an acked series is visible
+//     to the next query, and a refused journal write publishes nothing.
+//   - A published chunk never changes: the buffer only writes past the
+//     series it has handed out, and each publication copies the frozen
+//     prefix into a new slice (copy-on-write, as rcupublish checks).
+//   - A freeze marks the view's delta chunks frozen and starts a fresh
+//     active buffer. Only the rebuild goroutine swaps in a generation, and
+//     only after it is fully built, keeping the chunks past the frozen
+//     ones (their Starts are global), so readers observe either the old
+//     complete view or the new complete view — never a partial one.
 //   - At most one rebuild runs at a time; a threshold crossing during an
 //     active rebuild marks it pending rather than starting a second.
-//   - The frozen delta stays queryable until the swap lands; the series
-//     it holds are in exactly one of {frozen delta, new generation} from
+//   - The frozen chunks stay queryable until the swap lands; the series
+//     they hold are in exactly one of {frozen chunks, new generation} from
 //     any reader's perspective, so answers neither miss nor duplicate a
 //     series.
 
@@ -84,13 +97,8 @@ const (
 	rebuildRetryMax  = 10 * time.Second
 )
 
-var (
-	// errClosed fails appends and flushes on a closed live index.
-	errClosed = errors.New("live: index closed")
-	// errEmpty fails queries against a live index holding no series; it
-	// wraps core.ErrEmptyIndex so errors.Is treats the two uniformly.
-	errEmpty = fmt.Errorf("live: index contains no series: %w", core.ErrEmptyIndex)
-)
+// errClosed fails appends and flushes on a closed live index.
+var errClosed = errors.New("live: index closed")
 
 // EngineOptions configures the query engine a LiveIndex serves every
 // query on (LiveOptions.Engine, Index.NewEngine): the per-query
@@ -160,6 +168,7 @@ type LiveIndex struct {
 	blockSeries int          // delta block size, set only by tests; 0 selects delta.DefaultBlockSeries
 	eng         *engine.Engine
 	view        atomic.Pointer[view]
+	active      *delta.Buffer // receives appends; touched only under mu
 
 	snapshotPath string   // LiveOptions.SnapshotPath; "" disables
 	wal          *wal.Log // nil without LiveOptions.WALDir
@@ -181,28 +190,31 @@ type LiveIndex struct {
 }
 
 // view is one immutable configuration of the index: the current
-// generation, the frozen delta being merged by an in-flight (or failed)
-// rebuild, and the active delta receiving appends. Queries load the whole
-// view with one atomic read; the three position ranges are [0, baseLen),
-// [baseLen, activeStart()) and [activeStart(), activeStart()+active.Len()).
+// generation and the delta's series as chunks, with global Starts, in
+// position order. The leading frozen chunks are what a pending, in-flight
+// or failed rebuild is merging; the rest are the active buffer's as of the
+// last append. Queries load the whole view with one atomic read; the
+// position ranges are [0, baseLen), [baseLen, end(frozen)) and
+// [end(frozen), total()).
 type view struct {
-	base    *shard.Index    // nil before the first generation exists
-	baseLen int             // series in base (0 when base == nil)
-	gen     int64           // generations built so far (base is the gen-th)
-	frozen  *delta.Snapshot // nil unless a rebuild is pending or in flight
-	active  *delta.Buffer
+	base    *shard.Index   // nil before the first generation exists
+	baseLen int            // series in base (0 when base == nil)
+	gen     int64          // generations built so far (base is the gen-th)
+	delta   []engine.Chunk // never written once published
+	frozen  int            // leading delta chunks a rebuild is merging; 0 when none
 }
 
-// frozenLen reports the frozen snapshot's size (0 when none).
-func (v *view) frozenLen() int {
-	if v.frozen == nil {
-		return 0
+// end returns the global position just past the first n delta chunks.
+func (v *view) end(n int) int {
+	if n == 0 {
+		return v.baseLen
 	}
-	return v.frozen.Len()
+	c := v.delta[n-1]
+	return c.Start + c.Data.Count()
 }
 
-// activeStart is the global position of the active delta's first series.
-func (v *view) activeStart() int { return v.baseLen + v.frozenLen() }
+// total reports the number of series the view holds.
+func (v *view) total() int { return v.end(len(v.delta)) }
 
 // NewLive creates an empty live index for series of the given length.
 // Both option structs may be nil for the defaults.
@@ -327,7 +339,7 @@ func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Op
 		ix.threshold = defaultRebuildThreshold
 	}
 	ix.cond = sync.NewCond(&ix.mu)
-	v.active = ix.newDelta()
+	ix.active = ix.newDelta()
 	ix.view.Store(v)
 	engOpts := lopts.Engine
 	if engOpts.Metrics == nil {
@@ -365,7 +377,7 @@ func (ix *LiveIndex) register(r *metrics.Registry) {
 	r.GaugeFunc("messi_live_delta_series",
 		"Series buffered in the delta (frozen plus active), answered by exact scan.", func() float64 {
 			v := ix.view.Load()
-			return float64(v.frozenLen() + v.active.Len())
+			return float64(v.total() - v.baseLen)
 		})
 	r.GaugeFunc("messi_live_base_series",
 		"Series in the current immutable generation.", func() float64 {
@@ -381,7 +393,8 @@ func (ix *LiveIndex) register(r *metrics.Registry) {
 func (ix *LiveIndex) newDelta() *delta.Buffer { return delta.New(ix.seriesLen, ix.blockSeries) }
 
 // openWAL opens the write-ahead log lopts names, if any, and replays its
-// uncovered tail into the active delta. Positions below the generation
+// uncovered tail into the active buffer, publishing it as the view's
+// delta. Positions below the generation
 // (covered by the loaded snapshot) are skipped; the rest must form a
 // contiguous run starting exactly at the generation's length, or recovery
 // refuses — a gap means the snapshot predates the log's truncation point
@@ -403,8 +416,9 @@ func (ix *LiveIndex) openWAL(lopts *LiveOptions) (err error) {
 			w.Close()
 		}
 	}()
-	v := ix.view.Load()
-	base := int64(v.baseLen)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	base := int64(ix.view.Load().baseLen)
 	if s := w.Start(); s > base {
 		return fmt.Errorf("live: wal starts at position %d but the loaded snapshot covers only %d series (snapshot older than the wal's truncation point)", s, base)
 	}
@@ -420,7 +434,7 @@ func (ix *LiveIndex) openWAL(lopts *LiveOptions) (err error) {
 				return fmt.Errorf("live: wal replay gap: got position %d, want %d", pos, expect)
 			}
 			expect++
-			_, err := v.active.AppendBatch([][]float32{s})
+			_, err := ix.active.AppendBatch([][]float32{s})
 			return err
 		})
 	}
@@ -428,10 +442,9 @@ func (ix *LiveIndex) openWAL(lopts *LiveOptions) (err error) {
 		return err
 	}
 	ix.wal = w
+	ix.publishLocked()
 	// The replayed tail may already exceed the rebuild threshold.
-	ix.mu.Lock()
 	ix.maybeRebuildLocked()
-	ix.mu.Unlock()
 	return nil
 }
 
@@ -444,12 +457,13 @@ func (ix *LiveIndex) Append(s []float32) (int, error) {
 }
 
 // AppendBatch adds a batch of series (copied) atomically, returning the
-// position of the first; the batch occupies contiguous positions. With a
-// WAL the batch is journaled as one record before it reaches the delta,
-// so an ack implies the batch is recoverable and replay preserves its
-// atomicity; a refused journal write fails the batch with the delta
-// untouched. One non-finite value anywhere fails the whole batch with
-// ErrNonFinite, before the WAL sees it.
+// position of the first; the batch occupies contiguous positions and is
+// published to queries before AppendBatch returns. With a WAL the batch is
+// journaled as one record before it reaches the delta, so an ack implies
+// the batch is recoverable and replay preserves its atomicity; a refused
+// journal write fails the batch with the delta untouched. One non-finite
+// value anywhere fails the whole batch with ErrNonFinite, before the WAL
+// sees it.
 func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 	if ix.normalize {
 		normalized := make([][]float32, len(rows))
@@ -471,58 +485,81 @@ func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 	if ix.closed {
 		return 0, errClosed
 	}
-	v := ix.view.Load()
-	first := v.activeStart() + v.active.Len()
+	first := ix.view.Load().total()
 	if ix.wal != nil && len(rows) > 0 {
 		if err := ix.wal.Append(int64(first), rows); err != nil {
 			return 0, fmt.Errorf("live: wal append: %w", err)
 		}
 	}
-	if _, err := v.active.AppendBatch(rows); err != nil {
+	if _, err := ix.active.AppendBatch(rows); err != nil {
 		return 0, err
 	}
+	ix.publishLocked()
 	ix.maybeRebuildLocked()
 	return first, nil
 }
 
-// maybeRebuildLocked launches a background rebuild when the active delta
-// has reached the threshold (or a failed rebuild left a frozen snapshot
-// behind) and none is in flight. After a failure only the backoff timer
-// relaunches: retrying on every append would run a failing O(n) merge in
-// a hot loop. Caller holds mu.
+// publishLocked stores a view whose delta is the frozen chunks plus the
+// active buffer's: the one place appended series become searchable. The
+// frozen prefix is capped, so the new view's delta is always a fresh
+// slice. Caller holds mu.
+func (ix *LiveIndex) publishLocked() {
+	v := ix.view.Load()
+	cols := ix.active.Chunks()
+	d := slices.Grow(v.delta[:v.frozen:v.frozen], len(cols))
+	start := v.end(v.frozen)
+	for _, col := range cols {
+		d = append(d, engine.Chunk{Data: col, Start: start})
+		start += col.Count()
+	}
+	ix.view.Store(&view{base: v.base, baseLen: v.baseLen, gen: v.gen, delta: d, frozen: v.frozen})
+}
+
+// rebuildDueLocked reports whether the view holds frozen chunks (a failed
+// rebuild left them behind) or an active delta at the threshold. Caller
+// holds mu.
+func (ix *LiveIndex) rebuildDueLocked() bool {
+	v := ix.view.Load()
+	return v.frozen > 0 || v.total()-v.end(v.frozen) >= ix.threshold
+}
+
+// maybeRebuildLocked launches a background rebuild when one is due and
+// none is in flight. After a failure only the backoff timer relaunches:
+// retrying on every append would run a failing O(n) merge in a hot loop.
+// Caller holds mu.
 func (ix *LiveIndex) maybeRebuildLocked() {
 	if ix.rebuilding || ix.closed || ix.rebuildErr != nil {
 		return
 	}
-	if v := ix.view.Load(); v.frozen != nil || v.active.Len() >= ix.threshold {
+	if ix.rebuildDueLocked() {
 		ix.startRebuildLocked()
 	}
 }
 
-// startRebuildLocked freezes the active delta (unless a frozen snapshot
-// is already pending from a failed attempt) and launches the background
-// merge. Caller holds mu with !rebuilding && !closed. It is a no-op when
-// there is nothing to merge.
+// startRebuildLocked freezes the view's delta chunks and starts a fresh
+// active buffer (unless frozen chunks are already pending from a failed
+// attempt), then launches the background merge. Caller holds mu with
+// !rebuilding && !closed. It is a no-op when there is nothing to merge.
 func (ix *LiveIndex) startRebuildLocked() {
 	v := ix.view.Load()
-	if v.frozen == nil {
-		frozen := v.active.Snapshot()
-		if frozen.Len() == 0 {
+	if v.frozen == 0 {
+		if len(v.delta) == 0 {
 			return
 		}
-		v = &view{base: v.base, baseLen: v.baseLen, gen: v.gen, frozen: frozen, active: ix.newDelta()}
+		v = &view{base: v.base, baseLen: v.baseLen, gen: v.gen, delta: v.delta, frozen: len(v.delta)}
 		ix.view.Store(v)
+		ix.active = ix.newDelta()
 	}
 	ix.rebuilding = true
 	go ix.rebuild(v)
 }
 
-// rebuild merges the view's generation and frozen delta into a new
+// rebuild merges the view's generation and frozen chunks into a new
 // generation and publishes it. It runs in its own goroutine; queries and
-// appends proceed meanwhile against the frozen view.
+// appends proceed meanwhile against views holding the frozen chunks.
 func (ix *LiveIndex) rebuild(v *view) {
 	start := time.Now()
-	total := v.baseLen + v.frozen.Len()
+	total := v.end(v.frozen)
 	next, err := ix.merge(v, total)
 	ix.rebuildDur.Observe(time.Since(start))
 	if err != nil {
@@ -533,16 +570,18 @@ func (ix *LiveIndex) rebuild(v *view) {
 
 	ix.mu.Lock()
 	if err != nil {
-		// The frozen snapshot stays in the view, searchable, until the
+		// The frozen chunks stay in the view, searchable, until the
 		// backoff timer armed here retries the merge.
 		ix.rebuildErr = err
 		ix.scheduleRetryLocked()
 	} else {
 		// One pointer store publishes the generation: a query searches the
 		// view it loaded, old or new, and in both every series is in
-		// exactly one of {generation, frozen delta, active delta}.
-		cur := ix.view.Load() // only a rebuild stores the view after a freeze, and only one runs
-		ix.view.Store(&view{base: next, baseLen: total, gen: cur.gen + 1, active: cur.active})
+		// exactly one of {generation, delta chunks}. Appends since the
+		// freeze kept v.frozen, and only one rebuild runs. The chunks past
+		// the frozen ones are cloned, so the merged ones become garbage.
+		cur := ix.view.Load()
+		ix.view.Store(&view{base: next, baseLen: total, gen: cur.gen + 1, delta: slices.Clone(cur.delta[cur.frozen:])})
 		ix.rebuildErr = nil
 		ix.retryAttempt = 0
 		if ix.retryTimer != nil {
@@ -559,7 +598,7 @@ func (ix *LiveIndex) rebuild(v *view) {
 
 // merge builds the next generation over every position in order — the
 // current generation's shards, each a contiguous range, then the frozen
-// delta — copied into one allocation and partitioned by shard.Build, whose
+// chunks — copied into one allocation and partitioned by shard.Build, whose
 // per-shard builds run concurrently. A panicking merge (a bug, or an
 // injected fault) degrades into an ordinary rebuild failure, never kills
 // the process.
@@ -585,8 +624,8 @@ func (ix *LiveIndex) merge(v *view, total int) (next *shard.Index, err error) {
 			flat = append(flat, old.Data.Data...)
 		}
 	}
-	for j := 0; j < v.frozen.Len(); j++ {
-		flat = append(flat, v.frozen.At(j)...)
+	for _, c := range v.delta[:v.frozen] {
+		flat = append(flat, c.Data.Data...)
 	}
 	col, err := series.NewCollection(flat, ix.seriesLen)
 	if err != nil {
@@ -622,7 +661,7 @@ func (ix *LiveIndex) retryRebuild() {
 	if ix.closed || ix.rebuilding {
 		return
 	}
-	if v := ix.view.Load(); v.frozen != nil || v.active.Len() >= ix.threshold {
+	if ix.rebuildDueLocked() {
 		ix.rebuildRetries.Inc()
 		ix.startRebuildLocked()
 	}
@@ -749,21 +788,16 @@ func (ix *LiveIndex) Series(position int) ([]float32, error) {
 		return nil, fmt.Errorf("live: negative position %d", position)
 	case position < v.baseLen:
 		return v.base.At(position), nil
-	case position < v.activeStart():
-		return v.frozen.At(position - v.baseLen), nil
+	case position < v.total():
+		// The chunk holding position is the last one starting at or before it.
+		c := v.delta[sort.Search(len(v.delta), func(i int) bool { return v.delta[i].Start > position })-1]
+		return c.Data.At(position - c.Start), nil
 	}
-	snap := v.active.Snapshot()
-	if i := position - v.activeStart(); i < snap.Len() {
-		return snap.At(i), nil
-	}
-	return nil, fmt.Errorf("live: position %d out of range [0,%d)", position, v.activeStart()+snap.Len())
+	return nil, fmt.Errorf("live: position %d out of range [0,%d)", position, v.total())
 }
 
 // Len reports the number of searchable series.
-func (ix *LiveIndex) Len() int {
-	v := ix.view.Load()
-	return v.activeStart() + v.active.Len()
-}
+func (ix *LiveIndex) Len() int { return ix.view.Load().total() }
 
 // SeriesLen reports the length (points) of each indexed series.
 func (ix *LiveIndex) SeriesLen() int { return ix.seriesLen }
@@ -792,7 +826,7 @@ func (ix *LiveIndex) Stats() LiveStats {
 	ix.mu.Unlock()
 	st := LiveStats{
 		BaseSeries:  v.baseLen,
-		DeltaSeries: v.frozenLen() + v.active.Len(),
+		DeltaSeries: v.total() - v.baseLen,
 		Generation:  v.gen,
 		Rebuilding:  rebuilding,
 		Shards:      ix.shards,
@@ -809,31 +843,9 @@ func (ix *LiveIndex) Stats() LiveStats {
 // generation's shards and the delta's chunks as members of one fan-out.
 // The delta is always scanned exactly — it is small by construction, so
 // even approximate and deadline requests afford it — and with no
-// generation yet that scan IS the whole search.
+// generation yet that scan IS the whole search. An empty view fails with
+// core.ErrEmptyIndex.
 func (ix *LiveIndex) search(req core.Request) (core.Result, error) {
 	v := ix.view.Load()
-	var chunks []engine.Chunk
-	add := func(snap *delta.Snapshot, start int) error {
-		cols, err := snap.Collections()
-		if err != nil {
-			return err
-		}
-		for _, col := range cols {
-			chunks = append(chunks, engine.Chunk{Data: col, Start: start})
-			start += col.Count()
-		}
-		return nil
-	}
-	if v.frozen != nil {
-		if err := add(v.frozen, v.baseLen); err != nil {
-			return core.Result{}, err
-		}
-	}
-	if err := add(v.active.Snapshot(), v.activeStart()); err != nil {
-		return core.Result{}, err
-	}
-	if v.base == nil && len(chunks) == 0 {
-		return core.Result{}, errEmpty
-	}
-	return ix.eng.Do(engine.View{Base: v.base, Delta: chunks}, req)
+	return ix.eng.Do(engine.View{Base: v.base, Delta: v.delta}, req)
 }

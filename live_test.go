@@ -315,9 +315,10 @@ func smallLive(t *testing.T, length int, rows [][]float32, opts *Options, lopts 
 // smallBlocks gives a fresh index's empty delta 64-series blocks, so a few
 // hundred appends span several delta chunks.
 func smallBlocks(ix *LiveIndex) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	ix.blockSeries = 64
-	v := ix.view.Load()
-	ix.view.Store(&view{base: v.base, baseLen: v.baseLen, gen: v.gen, active: ix.newDelta()})
+	ix.active = ix.newDelta()
 }
 
 // threshold returns LiveOptions with the given rebuild threshold.
@@ -476,8 +477,8 @@ func TestEmptyStart(t *testing.T) {
 	const length = 32
 	ix := smallLive(t, length, nil, smallOpts(1), threshold(1_000_000))
 
-	if _, err := nn1(ix, make([]float32, length)); !errors.Is(err, errEmpty) {
-		t.Fatalf("empty search error = %v, want errEmpty", err)
+	if _, err := nn1(ix, make([]float32, length)); !errors.Is(err, core.ErrEmptyIndex) {
+		t.Fatalf("empty search error = %v, want core.ErrEmptyIndex", err)
 	}
 	rows := walk(50, length, 3)
 	if _, err := ix.AppendBatch(rows); err != nil {
@@ -607,6 +608,40 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 	if st := ix.Stats(); st.Series != 600 || st.DeltaSeries != 0 {
 		t.Fatalf("final stats %+v", st)
 	}
+}
+
+// TestAckedAppendVisibleToNextQuery: a series is searchable the moment
+// Append returns. Three appenders append distinct rows one at a time while
+// rebuilds come and go (threshold 40), and each queries its row right
+// after the ack: the answer must be that position, at distance 0, exact.
+func TestAckedAppendVisibleToNextQuery(t *testing.T) {
+	const length = 32
+	ix := smallLive(t, length, walk(200, length, 11), smallOpts(1), threshold(40))
+	rows := walk(300, length, 12)
+	var wg sync.WaitGroup
+	for a := 0; a < 3; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := a; i < len(rows); i += 3 {
+				pos, err := ix.Append(rows[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := ix.Do(context.Background(), SearchRequest{Query: rows[i]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m := res.Best(); m.Position != pos || m.Distance != 0 || !res.Exact {
+					t.Errorf("row %d acked at position %d: query answered %+v, exact %v", i, pos, m, res.Exact)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
 }
 
 // TestClose: operations after Close fail cleanly and Close is idempotent.
