@@ -56,9 +56,9 @@
 // immediately, and a background rebuild merges them into the next index
 // generation once the delta buffer crosses -rebuild-threshold. That is all
 // -live switches: whether /v1/series is served (404 without it), whether
-// -wal is allowed, whether the -snapshot directory is rewritten automatically
-// on flush and shutdown, and whether /v1/stats reports "live": true with
-// the generation and delta fields.
+// -wal is allowed, whether the server saves to the -snapshot directory
+// when it exits, and whether /v1/stats reports "live": true with the
+// generation and delta fields.
 //
 // With -wal DIR (live mode only) every acked append is journaled to a
 // write-ahead log in DIR before it becomes searchable, and a restart
@@ -67,8 +67,8 @@
 // -wal-sync selects the durability policy ("always" fsyncs per append
 // and survives power loss; "interval" batches fsyncs; "none" relies on
 // the OS page cache) and -wal-segment the rotation size. Snapshots
-// written on flush, shutdown, or POST /v1/snapshot truncate the log's
-// covered prefix, keeping replay time bounded.
+// written on exit or by POST /v1/snapshot truncate the log's covered
+// prefix, keeping replay time bounded.
 //
 // With -shards the index is partitioned across S independent shards built
 // concurrently and queried by a fan-out with a shared pruning bound;
@@ -88,8 +88,9 @@
 // and the same path is the default target of POST /v1/snapshot — so a
 // serve → snapshot → restart cycle needs no other coordination. A bare
 // single-file snapshot from before snapshots were directories fails boot
-// with a "regenerate" error. In live mode the snapshot is also rewritten
-// automatically on flush and shutdown.
+// with a "regenerate" error. In live mode the server also saves there
+// whenever it exits — on a signal or a failed listener — so the series
+// appended since the last snapshot survive the restart.
 //
 // The listener opens before the index is built or loaded, so health
 // probes get an honest 503 during a long boot instead of a connection
@@ -182,11 +183,10 @@ func run(args []string) error {
 		defer stopPprof()
 	}
 
-	// One registry for the whole process: the engine, the live index, the
-	// snapshot layer, and the HTTP layer all record into it, and
-	// GET /metrics serves it.
+	// One registry for the whole process: the index (its engine, rebuilds
+	// and snapshots) and the HTTP layer record into it, and GET /metrics
+	// serves it.
 	reg := messi.NewMetrics()
-	messi.EnableSnapshotMetrics(reg)
 
 	opts := &messi.Options{LeafCapacity: *leafCap, Normalize: *normalize, Shards: *shards}
 	engOpts := messi.EngineOptions{
@@ -228,26 +228,17 @@ func run(args []string) error {
 	lopts := &messi.LiveOptions{
 		RebuildThreshold: *threshold,
 		Engine:           engOpts,
-		Metrics:          reg,
 		WALDir:           *walDir,
 		WALSync:          *walSync,
 		WALSegmentBytes:  *walSeg,
-	}
-	if *liveMode {
-		lopts.SnapshotPath = *snapPath
 	}
 	ix, source, err := boot(*dataPath, *snapPath, opts, lopts)
 	if err != nil {
 		srv.Close()
 		return err
 	}
-	defer func() {
-		// A failed close-time snapshot (or WAL close) is a durability
-		// gap worth a log line even on the way out.
-		if err := ix.Close(); err != nil {
-			slog.Error("index close failed", "err", err)
-		}
-	}()
+	// Deferred, so a failed listener and a signal both save and close.
+	defer closeIndex(ix, *liveMode, *snapPath)
 	warnShardMismatch(*shards, ix.Stats().Shards)
 	logReady(ix, source, *liveMode, *threshold, *walDir)
 	s.install(ix)
@@ -266,18 +257,26 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	if *liveMode && *snapPath != "" {
-		// A graceful shutdown must not lose series still sitting in the
-		// delta: Close alone snapshots only the already-merged generation,
-		// so drain the delta first.
-		if err := ix.Save(*snapPath); err != nil {
-			slog.Error("shutdown snapshot failed", "path", *snapPath, "err", err)
+	return <-errc
+}
+
+// closeIndex is the server's one exit for the index. In live mode with a
+// snapshot path it first saves there, so the series appended since the
+// last snapshot, the delta included, survive the restart; then it closes
+// the index. A failure of either is a durability gap worth a log line even
+// on the way out.
+func closeIndex(ix *messi.LiveIndex, live bool, snapPath string) {
+	if live && snapPath != "" {
+		if err := ix.Save(snapPath); err != nil {
+			slog.Error("shutdown snapshot failed", "path", snapPath, "err", err)
 		} else {
-			slog.Info("shutdown snapshot saved", "path", *snapPath,
+			slog.Info("shutdown snapshot saved", "path", snapPath,
 				"series", ix.Len(), "gen", ix.Stats().Generation)
 		}
 	}
-	return <-errc
+	if err := ix.Close(); err != nil {
+		slog.Error("index close failed", "err", err)
+	}
 }
 
 // logReady writes the boot's "index ready" line. distance_kernel names the

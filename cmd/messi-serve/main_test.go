@@ -634,6 +634,57 @@ func TestLiveSnapshotEndpoint(t *testing.T) {
 	}
 }
 
+// TestExitSavesLiveIndex: the server's exit saves a live index to its
+// -snapshot path before closing it, so every appended series, the ones
+// still in the delta included, is back after a restart. A static index
+// is closed without a save.
+func TestExitSavesLiveIndex(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.snap")
+	opts := &messi.Options{LeafCapacity: 64, SearchWorkers: 4}
+	lix, err := messi.BuildLiveFlat(messi.RandomWalk(800, 64, 12), 64, opts, &messi.LiveOptions{RebuildThreshold: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	appended := messi.RandomWalk(30, 64, 13)
+	for i := range 30 {
+		if _, err := lix.Append(appended[i*64 : (i+1)*64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeIndex(lix, true, path)
+	if _, err := lix.Append(appended[:64]); err == nil {
+		t.Fatal("the index accepted an append after closeIndex")
+	}
+
+	booted, err := messi.LoadLive(path, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer booted.Close()
+	if booted.Len() != 830 {
+		t.Fatalf("restored %d series, want 830", booted.Len())
+	}
+	for i := range 30 {
+		q := appended[i*64 : (i+1)*64]
+		if m := exactDo(t, booted, messi.SearchRequest{Query: q}).Best(); m.Position != 800+i || m.Distance != 0 {
+			t.Fatalf("appended series %d restored as %+v, want position %d at distance 0", i, m, 800+i)
+		}
+	}
+
+	static, err := messi.BuildLiveFlat(messi.RandomWalk(100, 64, 14), 64, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeIndex(static, false, filepath.Join(dir, "static.snap"))
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("closing a static index left %v (err %v), want only the live snapshot", entries, err)
+	}
+}
+
 func TestPprofListener(t *testing.T) {
 	addr, stop, err := startPprof("127.0.0.1:0")
 	if err != nil {

@@ -23,7 +23,7 @@ func newObservableServer(t *testing.T, slowQuery time.Duration) (*server, *messi
 	t.Helper()
 	reg := messi.NewMetrics()
 	ix, err := messi.BuildLiveFlat(messi.RandomWalk(1200, 64, 17), 64, &messi.Options{LeafCapacity: 64},
-		&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 4}, Metrics: reg})
+		&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 4, Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestScanPlansMetric(t *testing.T) {
 		reg := messi.NewMetrics()
 		ix, err := messi.BuildLiveFlat(messi.RandomWalk(3000, 64, 17), 64,
 			&messi.Options{LeafCapacity: 64, Shards: shards},
-			&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 2}, Metrics: reg})
+			&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 2, Metrics: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}

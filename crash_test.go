@@ -146,9 +146,9 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	}
 
 	// Crash: abandon the instance. Close releases goroutines and file
-	// handles but does not flush the delta or write a snapshot (no
-	// SnapshotPath configured), so on-disk state is exactly what a kill
-	// at this instant would leave: the last snapshot, plus the WAL tail.
+	// handles but does not flush the delta or write a snapshot, so
+	// on-disk state is exactly what a kill at this instant would leave:
+	// the last snapshot, plus the WAL tail.
 	fault.DisarmAll()
 	ix.Close()
 

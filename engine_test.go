@@ -121,13 +121,13 @@ func TestEngineShardsGauge(t *testing.T) {
 	t.Run("live", func(t *testing.T) {
 		const length = 32
 		one := NewMetrics()
-		smallLive(t, length, walk(40, length, 41), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, Metrics: one})
+		smallLive(t, length, walk(40, length, 41), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, Engine: EngineOptions{Metrics: one}})
 		if got := sample(t, one, "messi_engine_shards"); got != "1" {
 			t.Errorf("unsharded generation: messi_engine_shards = %s, want 1", got)
 		}
 
 		four := NewMetrics()
-		ix4 := smallLive(t, length, nil, smallOpts(4), &LiveOptions{RebuildThreshold: 1 << 30, Metrics: four})
+		ix4 := smallLive(t, length, nil, smallOpts(4), &LiveOptions{RebuildThreshold: 1 << 30, Engine: EngineOptions{Metrics: four}})
 		if got := sample(t, four, "messi_engine_shards"); got != "0" {
 			t.Errorf("no generation yet: messi_engine_shards = %s, want 0", got)
 		}

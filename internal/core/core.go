@@ -108,8 +108,5 @@ type Match struct {
 	Dist     float64
 }
 
-// ActiveRoots returns the slots of non-empty root subtrees (read-only).
-func (ix *Index) ActiveRoots() []int32 { return ix.activeRoots }
-
 // Stats returns tree shape statistics.
 func (ix *Index) Stats() tree.Stats { return ix.Tree.Stats() }

@@ -111,8 +111,8 @@ func TestBuildConservesSeries(t *testing.T) {
 	if err := ix.Tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.ActiveRoots()) != st.RootChildren {
-		t.Errorf("activeRoots %d != root children %d", len(ix.ActiveRoots()), st.RootChildren)
+	if len(ix.activeRoots) != st.RootChildren {
+		t.Errorf("activeRoots %d != root children %d", len(ix.activeRoots), st.RootChildren)
 	}
 }
 

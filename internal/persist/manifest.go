@@ -190,15 +190,15 @@ func saveToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// dirSaves serializes writeDir calls per target directory (keyed by
-// cleaned path): without it, two in-process saves — a Flush
-// auto-snapshot racing a POST /v1/snapshot — could sweep each other's
+// dirSaves serializes WriteDir calls per target directory (keyed by
+// cleaned path): without it, two in-process saves — a shutdown save
+// racing a POST /v1/snapshot — could sweep each other's
 // in-flight member files and leave a manifest naming deleted files.
 // Concurrent saves into one directory from SEPARATE processes remain the
 // caller's responsibility, as with any shared file target.
 var dirSaves sync.Map // map[string]*sync.Mutex
 
-// writeDir persists an index as a snapshot directory: one member file
+// WriteDir persists an index as a snapshot directory: one member file
 // per non-empty shard (written concurrently, each atomically via
 // writeFile, under fresh per-save names) plus the checksummed manifest,
 // written last. Because member files are never overwritten in place,
@@ -207,7 +207,7 @@ var dirSaves sync.Map // map[string]*sync.Mutex
 // intact files; the moment the rename lands, the new snapshot is
 // complete and the superseded member files are swept (best-effort).
 // In-process saves to the same directory are serialized.
-func writeDir(dir string, x *shard.Index, normalize bool) error {
+func WriteDir(dir string, x *shard.Index, normalize bool) error {
 	if x == nil || x.Len() == 0 {
 		return fmt.Errorf("persist: cannot snapshot an empty index")
 	}
@@ -337,7 +337,7 @@ func sweepStaleShards(dir string, live []string) {
 	}
 }
 
-// readDir loads a snapshot directory written by writeDir: the manifest
+// ReadDir loads a snapshot directory written by WriteDir: the manifest
 // is parsed and validated, the member files are loaded in parallel (each
 // through readFile, mmap fast path included), and the shards are
 // reassembled with full cross-shard validation. The returned bool is the
@@ -348,7 +348,7 @@ func sweepStaleShards(dir string, live []string) {
 // the superseded files). A vanished member file therefore means "the
 // manifest we read was superseded": re-read the manifest and retry
 // rather than failing a snapshot that was valid when observed.
-func readDir(dir string) (*shard.Index, bool, error) {
+func ReadDir(dir string) (*shard.Index, bool, error) {
 	if err := checkDir(dir); err != nil {
 		return nil, false, err
 	}
@@ -459,4 +459,20 @@ func Present(path string) bool {
 	}
 	_, err = os.Stat(filepath.Join(path, ManifestName))
 	return !errors.Is(err, fs.ErrNotExist)
+}
+
+// Size reports the on-disk size of a snapshot directory: the summed
+// sizes of the files inside it (0 when dir cannot be listed).
+func Size(dir string) int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	var total int64
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && !e.IsDir() {
+			total += info.Size()
+		}
+	}
+	return total
 }

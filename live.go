@@ -3,7 +3,6 @@ package messi
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"slices"
 	"sort"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/isax"
 	"repro/internal/metrics"
-	"repro/internal/persist"
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -57,7 +55,7 @@ import (
 // The index owns its durability: it opens the write-ahead log, replays
 // its uncovered tail into the delta at boot, journals every append before
 // it reaches the delta, truncates the log's covered prefix after every
-// snapshot it writes, and closes it.
+// Save, and closes it. Save is the only way it writes a snapshot.
 //
 // # View publication rules
 //
@@ -114,26 +112,18 @@ type LiveOptions struct {
 	// triggers a background generation rebuild. Default 100000.
 	RebuildThreshold int
 	// Engine configures the query parallelism and admission gate that
-	// answer every query, tree search and delta scan alike.
+	// answer every query, tree search and delta scan alike. Its Metrics
+	// registry is the index's one registry: besides the engine's, it
+	// receives the live index's telemetry (delta occupancy, rebuild counts
+	// and durations, generation number) and that of Save and LoadLive.
 	Engine EngineOptions
-	// SnapshotPath, when non-empty, makes the live index persist its
-	// immutable generation there (atomically) after every successful
-	// Flush, and on Close — so a restarted server can boot from the
-	// snapshot via LoadLive instead of rebuilding. A generation already
-	// written there, and still there, is not written again.
-	SnapshotPath string
-	// Metrics, when non-nil, receives the live index's telemetry (delta
-	// occupancy, rebuild counts and durations, generation number) and is
-	// inherited by the query engine unless Engine.Metrics is set
-	// separately. Nil disables measurement.
-	Metrics *Metrics
 	// WALDir, when non-empty, enables a write-ahead log in that
 	// directory: every acked Append/AppendBatch is journaled before it
 	// becomes searchable, and a restarted process replays the log tail
 	// on boot (via NewLive/LoadLive with the same WALDir) so acked
 	// series survive a crash even when they never made it into a
-	// snapshot. Snapshots written by Flush, Save, or Close truncate the
-	// log's covered prefix. Empty (the default) disables journaling.
+	// snapshot. A Save truncates the log's covered prefix. Empty (the
+	// default) disables journaling.
 	WALDir string
 	// WALSync selects the WAL durability policy: "always" (fsync every
 	// append — an acked append survives power loss; the default),
@@ -169,13 +159,13 @@ type LiveIndex struct {
 	eng         *engine.Engine
 	view        atomic.Pointer[view]
 	active      *delta.Buffer // receives appends; touched only under mu
+	wal         *wal.Log      // nil without LiveOptions.WALDir
 
-	snapshotPath string   // LiveOptions.SnapshotPath; "" disables
-	wal          *wal.Log // nil without LiveOptions.WALDir
-
-	// Rebuild telemetry (nil instruments without LiveOptions.Metrics).
+	// Rebuild and snapshot telemetry (nil instruments without
+	// LiveOptions.Engine.Metrics).
 	rebuilds, rebuildFailures, rebuildRetries *metrics.Counter
 	rebuildDur                                *metrics.Histogram
+	snap                                      snapshotMetrics
 
 	mu           sync.Mutex // serializes appends and view transitions
 	cond         *sync.Cond // broadcast when a rebuild finishes
@@ -186,7 +176,6 @@ type LiveIndex struct {
 	retryTimer   *time.Timer // pending rebuild retry, nil when none
 
 	saveMu sync.Mutex // serializes snapshot writes
-	saved  int64      // generation last written to snapshotPath (under saveMu)
 }
 
 // view is one immutable configuration of the index: the current
@@ -273,10 +262,9 @@ func newLive(seriesLen int, col *series.Collection, opts *Options, lopts *LiveOp
 }
 
 // NewEngine serves the index behind an admission gate: a LiveIndex whose
-// first generation is the index itself, with no WAL, no snapshot path and
-// no live metrics. Its answers are Index.Do's; worker and queue defaults
-// come from the index's options. opts may be nil for the defaults. Close
-// it when done.
+// first generation is the index itself, with no WAL. Its answers are
+// Index.Do's; worker and queue defaults come from the index's options.
+// opts may be nil for the defaults. Close it when done.
 //
 //	eng := ix.NewEngine(nil)
 //	defer eng.Close()
@@ -328,12 +316,11 @@ func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Op
 		return nil, fmt.Errorf("live: shard count %d out of range [1,%d]", shards, shard.MaxShards)
 	}
 	ix := &LiveIndex{
-		seriesLen:    seriesLen,
-		normalize:    normalize,
-		coreOpts:     coreOpts,
-		shards:       shards,
-		threshold:    lopts.RebuildThreshold,
-		snapshotPath: lopts.SnapshotPath,
+		seriesLen: seriesLen,
+		normalize: normalize,
+		coreOpts:  coreOpts,
+		shards:    shards,
+		threshold: lopts.RebuildThreshold,
 	}
 	if ix.threshold <= 0 {
 		ix.threshold = defaultRebuildThreshold
@@ -341,31 +328,9 @@ func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Op
 	ix.cond = sync.NewCond(&ix.mu)
 	ix.active = ix.newDelta()
 	ix.view.Store(v)
-	engOpts := lopts.Engine
-	if engOpts.Metrics == nil {
-		engOpts.Metrics = lopts.Metrics
-	}
-	ix.eng = engine.New(coreOpts, engOpts)
-	engine.RegisterShards(engOpts.Metrics, func() int {
-		if base := ix.view.Load().base; base != nil {
-			return base.NumShards()
-		}
-		return 0
-	})
-	ix.register(lopts.Metrics)
-	// A live index must not come up silently missing acked appends.
-	if err := ix.openWAL(lopts); err != nil {
-		ix.eng.Close()
-		return nil, err
-	}
-	return ix, nil
-}
-
-// register installs the live index's telemetry on r (nil disables it).
-func (ix *LiveIndex) register(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
+	r := lopts.Engine.Metrics
+	ix.eng = engine.New(coreOpts, lopts.Engine)
+	// A rebuild that openWAL starts reads the counters and the histogram.
 	ix.rebuilds = r.Counter("messi_live_rebuilds_total",
 		"Completed background generation rebuilds.")
 	ix.rebuildFailures = r.Counter("messi_live_rebuild_failures_total",
@@ -374,6 +339,27 @@ func (ix *LiveIndex) register(r *metrics.Registry) {
 		"Background rebuilds relaunched by the bounded-backoff retry after a failure.")
 	ix.rebuildDur = r.Histogram("messi_live_rebuild_seconds",
 		"Wall time of background generation rebuilds (merge plus swap).")
+	ix.snap = newSnapshotMetrics(r)
+	// A live index must not come up silently missing acked appends.
+	if err := ix.openWAL(lopts); err != nil {
+		ix.eng.Close()
+		return nil, err
+	}
+	// The gauge funcs go in only now: the registry keeps the first
+	// function under a name, so a refused boot's would outlive it.
+	ix.registerGauges(r)
+	return ix, nil
+}
+
+// registerGauges installs the gauges read from the index's view on r (nil
+// disables them).
+func (ix *LiveIndex) registerGauges(r *metrics.Registry) {
+	engine.RegisterShards(r, func() int {
+		if base := ix.view.Load().base; base != nil {
+			return base.NumShards()
+		}
+		return 0
+	})
 	r.GaugeFunc("messi_live_delta_series",
 		"Series buffered in the delta (frozen plus active), answered by exact scan.", func() float64 {
 			v := ix.view.Load()
@@ -667,11 +653,12 @@ func (ix *LiveIndex) retryRebuild() {
 	}
 }
 
-// flush merges every series appended before it was called into the
-// generation: it waits for an in-flight rebuild and starts another until
-// the generation covers the index's length at entry, or a rebuild fails.
-// Appends arriving meanwhile do not hold it up.
-func (ix *LiveIndex) flush() error {
+// Flush synchronously merges every series appended before the call into
+// the immutable generation, while later appends proceed; afterwards
+// (absent concurrent appends) the delta is empty. It waits for an
+// in-flight rebuild and starts another until the generation covers the
+// index's length at entry, or a rebuild fails. It writes no snapshot.
+func (ix *LiveIndex) Flush() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	target := ix.Len()
@@ -691,63 +678,12 @@ func (ix *LiveIndex) flush() error {
 	}
 }
 
-// Flush synchronously merges every series appended before the call into
-// the immutable generation, while later appends proceed; afterwards
-// (absent concurrent appends) the delta is empty. With
-// LiveOptions.SnapshotPath set, the merged generation is then persisted
-// there unless it already is; a snapshot write failure is returned (the
-// in-memory merge itself has already succeeded).
-func (ix *LiveIndex) Flush() error {
-	if err := ix.flush(); err != nil {
-		return err
-	}
-	if ix.snapshotPath != "" && ix.view.Load().base != nil {
-		return ix.saveBase(ix.snapshotPath)
-	}
-	return nil
-}
-
-// saveBase persists the current generation as-is (no flush) as a
-// snapshot directory. At SnapshotPath a generation is written at most
-// once: one already written there, whose manifest is still in place, is
-// not rewritten. With a WAL, a successful write truncates the log's
-// covered prefix — every journaled position below the saved generation's
-// length is now durable in the snapshot, so replay never needs it again.
-func (ix *LiveIndex) saveBase(path string) error {
-	ix.saveMu.Lock()
-	defer ix.saveMu.Unlock()
-	v := ix.view.Load()
-	if v.base == nil {
-		return ErrNoGeneration
-	}
-	if path == ix.snapshotPath && v.gen == ix.saved && persist.Present(path) {
-		return nil
-	}
-	if err := persist.WriteDir(path, v.base, ix.normalize); err != nil {
-		return err
-	}
-	if path == ix.snapshotPath {
-		ix.saved = v.gen
-	}
-	if ix.wal != nil {
-		if err := ix.wal.Truncate(int64(v.baseLen)); err != nil && !errors.Is(err, wal.ErrClosed) {
-			return fmt.Errorf("messi: wal truncate after snapshot: %w", err)
-		}
-	}
-	return nil
-}
-
 // Close stops background rebuilds (waiting for an in-flight one), waits
 // for in-flight queries, then closes the WAL (when one is configured).
 // Appends, flushes and queries after Close fail; a second Close does
-// nothing and returns nil. With LiveOptions.SnapshotPath set, Close first writes the
-// current generation there unless Save, Flush or an earlier write already
-// did (series still in the delta are not included — call Flush first for
-// a complete one); a snapshot failure is returned AND logged, and counts
-// against messi_snapshot_save_failures_total when snapshot metrics are
-// installed, so an operator sees the durability gap either way. With a
-// WAL the gap is bounded anyway: journaled appends replay on the next
-// boot even when the Close-time snapshot never landed.
+// nothing and returns nil. Close writes no snapshot: call Save first to
+// keep the series appended since the last one (with a WAL they replay on
+// the next boot anyway).
 func (ix *LiveIndex) Close() error {
 	ix.mu.Lock()
 	if ix.closed {
@@ -764,19 +700,12 @@ func (ix *LiveIndex) Close() error {
 	}
 	ix.mu.Unlock()
 	ix.eng.Close()
-	var err error
-	if ix.snapshotPath != "" && ix.view.Load().base != nil {
-		if serr := ix.saveBase(ix.snapshotPath); serr != nil {
-			err = fmt.Errorf("messi: close-time snapshot: %w", serr)
-			slog.Warn("live index close-time snapshot failed", "path", ix.snapshotPath, "err", serr)
-		}
-	}
 	if ix.wal != nil {
-		if werr := ix.wal.Close(); werr != nil && !errors.Is(werr, wal.ErrClosed) && err == nil {
-			err = fmt.Errorf("messi: wal close: %w", werr)
+		if err := ix.wal.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
+			return fmt.Errorf("messi: wal close: %w", err)
 		}
 	}
-	return err
+	return nil
 }
 
 // Series returns (a view of) the series at the given stable position.

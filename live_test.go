@@ -943,7 +943,7 @@ func TestLiveQueryPanicIsolated(t *testing.T) {
 func TestRejectedBeforeTheGate(t *testing.T) {
 	const length = 32
 	reg := NewMetrics()
-	ix := smallLive(t, length, walk(50, length, 31), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, Metrics: reg})
+	ix := smallLive(t, length, walk(50, length, 31), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, Engine: EngineOptions{Metrics: reg}})
 	if _, err := ix.AppendBatch(walk(20, length, 32)); err != nil {
 		t.Fatal(err)
 	}

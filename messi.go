@@ -180,7 +180,7 @@ func buildCollection(col *series.Collection, opts *Options) (*Index, error) {
 
 // Series returns (a view of) the indexed series at the given position.
 // Callers must not modify it. An out-of-range position is reported as an
-// error, matching LiveIndex.Series (earlier versions panicked).
+// error, matching LiveIndex.Series.
 func (ix *Index) Series(position int) ([]float32, error) {
 	if position < 0 || position >= ix.inner.Len() {
 		return nil, fmt.Errorf("messi: position %d out of range [0,%d)", position, ix.inner.Len())

@@ -4,16 +4,15 @@ import (
 	"io"
 
 	"repro/internal/metrics"
-	"repro/internal/persist"
 )
 
 // Metrics is a production metrics registry: atomic counters, gauges, and
 // lock-free log2-bucketed latency histograms with Prometheus text-format
-// exposition. Attach one to EngineOptions.Metrics or LiveOptions.Metrics
-// to collect serving telemetry — admission-gate pressure, per-mode query
-// latency histograms, cumulative pruning counters, rebuild and snapshot
-// activity — and serve it with WriteText (messi-serve exposes it on
-// GET /metrics).
+// exposition. Attach one to EngineOptions.Metrics (for a live index,
+// LiveOptions.Engine.Metrics: its one registry) to collect serving
+// telemetry — admission-gate pressure, per-mode query latency histograms,
+// cumulative pruning counters, rebuild and snapshot activity — and serve
+// it with WriteText (messi-serve exposes it on GET /metrics).
 //
 // A nil *Metrics disables all measurement everywhere it is accepted: the
 // hot paths pay a single nil check, so library users and benchmarks that
@@ -27,11 +26,6 @@ type MetricLabel = metrics.Label
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
-
-// EnableSnapshotMetrics installs snapshot save/load telemetry (durations
-// and bytes) on r, process-wide: the persist layer is package-level, so
-// unlike engine/live metrics this hook is global. Passing nil uninstalls.
-func EnableSnapshotMetrics(r *Metrics) { persist.SetMetrics(r) }
 
 // WriteRuntimeMetrics writes a small set of Go runtime metrics (the
 // conventional go_* names) in Prometheus text format — append it to a

@@ -2,8 +2,12 @@ package messi
 
 import (
 	"errors"
+	"fmt"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/persist"
+	"repro/internal/wal"
 )
 
 // This file is the public face of the snapshot subsystem
@@ -21,6 +25,10 @@ import (
 // cardinality, leaf capacity), the shard count and the normalization
 // flag; runtime tuning (worker counts, queue counts) is not persisted and
 // takes the usual defaults on load.
+//
+// A live index records its Save and LoadLive in the six messi_snapshot_*
+// instruments of its registry (LiveOptions.Engine.Metrics); Index.Save
+// and Load record nothing.
 
 // ErrNoGeneration is returned when saving a LiveIndex that has no
 // immutable generation to snapshot (nothing was ever indexed).
@@ -62,15 +70,22 @@ func Load(path string) (*Index, error) {
 // becomes the first immutable generation and appends accumulate on top,
 // exactly as if the original index had kept running. Structural options
 // are taken from the snapshot; opts supplies runtime tuning and lopts the
-// live-index behaviour (including SnapshotPath for automatic
-// re-snapshots on Flush and Close).
+// live-index behaviour. The load, failed or not, is recorded on
+// lopts.Engine.Metrics.
 // The snapshot's shard count carries over: later generations are cut
 // into as many contiguous position ranges.
 // With LiveOptions.WALDir set, the log tail beyond the snapshot is
 // replayed into the delta before LoadLive returns, so a crashed server
 // restarts with every acked append searchable again.
 func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error) {
+	var r *Metrics
+	if lopts != nil {
+		r = lopts.Engine.Metrics
+	}
+	m := newSnapshotMetrics(r)
+	start := time.Now()
 	base, normalize, err := persist.ReadDir(path)
+	observe(m.loadSeconds, m.loadBytes, m.loadFailures, path, start, err)
 	if err != nil {
 		return nil, err
 	}
@@ -81,13 +96,71 @@ func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error
 	return openLive(base.SeriesLen(), base, normalize, coreOpts, base.NumShards(), lopts)
 }
 
-// Save snapshots the live index to path: it first merges every series
-// appended before the call into the immutable generation, as Flush does,
-// then writes that generation atomically. Appends arriving meanwhile do
-// not hold it up; the snapshot holds those the merge happened to cover.
+// Save snapshots the live index to path, the only way it writes one: it
+// first merges every series appended before the call into the immutable
+// generation, as Flush does, then writes that generation atomically.
+// Appends arriving meanwhile do not hold it up; the snapshot holds those
+// the merge happened to cover. With a WAL, a successful write truncates
+// the log's covered prefix — every journaled position below the saved
+// generation's length is now durable in the snapshot, so replay never
+// needs it again.
 func (ix *LiveIndex) Save(path string) error {
-	if err := ix.flush(); err != nil {
+	if err := ix.Flush(); err != nil {
 		return err
 	}
-	return ix.saveBase(path)
+	ix.saveMu.Lock()
+	defer ix.saveMu.Unlock()
+	v := ix.view.Load()
+	if v.base == nil {
+		return ErrNoGeneration
+	}
+	start := time.Now()
+	err := persist.WriteDir(path, v.base, ix.normalize)
+	observe(ix.snap.saveSeconds, ix.snap.saveBytes, ix.snap.saveFailures, path, start, err)
+	if err != nil {
+		return err
+	}
+	if ix.wal != nil {
+		if err := ix.wal.Truncate(int64(v.baseLen)); err != nil && !errors.Is(err, wal.ErrClosed) {
+			return fmt.Errorf("messi: wal truncate after snapshot: %w", err)
+		}
+	}
+	return nil
+}
+
+// snapshotMetrics is a live index's snapshot I/O telemetry: save and load
+// wall time, bytes written and read, and failures.
+type snapshotMetrics struct {
+	saveSeconds, loadSeconds                         *metrics.Histogram
+	saveBytes, loadBytes, saveFailures, loadFailures *metrics.Counter
+}
+
+// newSnapshotMetrics registers the snapshot instruments on r (nil r → nil
+// instruments, recording nothing).
+func newSnapshotMetrics(r *Metrics) snapshotMetrics {
+	return snapshotMetrics{
+		saveSeconds: r.Histogram("messi_snapshot_save_seconds",
+			"Wall time of snapshot directory saves."),
+		loadSeconds: r.Histogram("messi_snapshot_load_seconds",
+			"Wall time of snapshot directory loads."),
+		saveBytes: r.Counter("messi_snapshot_save_bytes_total",
+			"Cumulative bytes written by successful snapshot saves."),
+		loadBytes: r.Counter("messi_snapshot_load_bytes_total",
+			"Cumulative bytes read by successful snapshot loads."),
+		saveFailures: r.Counter("messi_snapshot_save_failures_total",
+			"Snapshot saves that returned an error."),
+		loadFailures: r.Counter("messi_snapshot_load_failures_total",
+			"Snapshot loads that returned an error."),
+	}
+}
+
+// observe records one snapshot save or load of dir that began at start:
+// a failure, or the wall time and the directory's size.
+func observe(dur *metrics.Histogram, bytes, failures *metrics.Counter, dir string, start time.Time, err error) {
+	if err != nil {
+		failures.Inc()
+		return
+	}
+	dur.Observe(time.Since(start))
+	bytes.Add(persist.Size(dir))
 }

@@ -284,16 +284,39 @@ func TestLiveSaveLoad(t *testing.T) {
 	}
 }
 
-// TestLiveAutoSnapshot: with SnapshotPath set, Flush persists the merged
-// generation and Close writes a best-effort snapshot.
-func TestLiveAutoSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "auto.snap")
-	data := RandomWalk(600, 32, 41)
-	lix, err := BuildLiveFlat(data, 32, &Options{LeafCapacity: 32, SearchWorkers: 2},
-		&LiveOptions{RebuildThreshold: 1 << 30, SnapshotPath: path})
+// dirFiles reads every file of the snapshot directory at path by name.
+func dirFiles(t *testing.T, path string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(path, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
+// TestLiveAutoSnapshot: Save is the only snapshot writer. A Flush that
+// merges series appended after a Save, and the Close after it, leave the
+// directory Save wrote as it was and write nothing beside it, so LoadLive
+// restores the saved series only.
+func TestLiveAutoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "auto.snap")
+	lix, err := BuildLiveFlat(RandomWalk(600, 32, 41), 32, &Options{LeafCapacity: 32, SearchWorkers: 2}, threshold(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved := dirFiles(t, path)
 	novel := make([]float32, 32)
 	for i := range novel {
 		novel[i] = -300 - float32(i)
@@ -304,34 +327,36 @@ func TestLiveAutoSnapshot(t *testing.T) {
 	if err := lix.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if st := lix.Stats(); st.Generation != 2 || st.BaseSeries != 601 {
+		t.Fatalf("post-flush stats %+v", st)
+	}
+	for _, step := range []string{"Flush", "Close"} {
+		if step == "Close" {
+			if err := lix.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := dirFiles(t, path); !reflect.DeepEqual(got, saved) {
+			t.Fatalf("%s rewrote the snapshot Save wrote", step)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("after %s the directory holds %v (err %v), want only the saved snapshot", step, entries, err)
+		}
+	}
 	loaded, err := LoadLive(path, nil, nil)
 	if err != nil {
-		t.Fatalf("flush did not leave a loadable snapshot: %v", err)
-	}
-	if loaded.Len() != 601 {
-		t.Fatalf("flush snapshot has %d series, want 601", loaded.Len())
-	}
-	loaded.Close()
-
-	// Close writes the current generation unless the path still holds
-	// it; remove the flush-time directory to observe the write.
-	if err := os.RemoveAll(path); err != nil {
 		t.Fatal(err)
 	}
-	lix.Close()
-	reloaded, err := Load(path)
-	if err != nil {
-		t.Fatalf("Close did not write a loadable snapshot: %v", err)
-	}
-	if reloaded.Len() != 601 {
-		t.Fatalf("close snapshot has %d series, want 601", reloaded.Len())
+	defer loaded.Close()
+	if loaded.Len() != 600 {
+		t.Fatalf("snapshot holds %d series, want the 600 Save wrote", loaded.Len())
 	}
 }
 
-// TestCloseWritesAGenerationOnce: Close does not rewrite a generation
-// Save already wrote to SnapshotPath — the MANIFEST stays byte-identical,
-// through a second Close too — but still writes one a background rebuild
-// built after the last write.
+// TestCloseWritesAGenerationOnce: a generation reaches disk once, by Save.
+// The MANIFEST Save wrote stays byte-identical across Close, through a
+// second Close too, and also when a background rebuild built a newer
+// generation after the Save.
 func TestCloseWritesAGenerationOnce(t *testing.T) {
 	manifest := func(path string) []byte {
 		t.Helper()
@@ -345,7 +370,7 @@ func TestCloseWritesAGenerationOnce(t *testing.T) {
 	opts := &Options{LeafCapacity: 32, SearchWorkers: 2}
 
 	path := filepath.Join(t.TempDir(), "snap")
-	lix, err := BuildLiveFlat(data, 32, opts, &LiveOptions{RebuildThreshold: 1 << 30, SnapshotPath: path})
+	lix, err := BuildLiveFlat(data, 32, opts, threshold(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +391,7 @@ func TestCloseWritesAGenerationOnce(t *testing.T) {
 	}
 
 	path = filepath.Join(t.TempDir(), "snap")
-	lix, err = BuildLiveFlat(data, 32, opts, &LiveOptions{RebuildThreshold: 50, SnapshotPath: path})
+	lix, err = BuildLiveFlat(data, 32, opts, threshold(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +407,18 @@ func TestCloseWritesAGenerationOnce(t *testing.T) {
 	if err := lix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(manifest(path), saved) {
-		t.Fatal("Close did not write the generation a background rebuild built after Save")
+	if st := lix.Stats(); st.Generation != 2 || st.BaseSeries != 400 {
+		t.Fatalf("the background rebuild did not land before Close returned: %+v", st)
+	}
+	if !bytes.Equal(manifest(path), saved) {
+		t.Fatal("Close wrote the generation a background rebuild built after Save")
 	}
 	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 400 {
-		t.Fatalf("close-time snapshot holds %d series, want 400", loaded.Len())
+	if loaded.Len() != 300 {
+		t.Fatalf("snapshot holds %d series, want the 300 Save wrote", loaded.Len())
 	}
 }
 
@@ -451,49 +479,99 @@ func TestLoadRejectsBareSnapshotFile(t *testing.T) {
 	check("LoadLive", err)
 }
 
-// TestSnapshotMetrics: one Save and one Load are observed once each,
-// whatever the shard count, and both byte counters report the snapshot
-// directory's on-disk size. A save failing at the manifest and a load of
-// a corrupt manifest each count exactly one failure.
+// TestRefusedBootInstallsNoGauges: a LoadLive that the WAL refuses (the
+// log starts past the snapshot) leaves no gauge behind on its registry,
+// so the next index opened on that registry exposes its own view.
+func TestRefusedBootInstallsNoGauges(t *testing.T) {
+	const length = 32
+	dir := t.TempDir()
+	old, cur, walDir := filepath.Join(dir, "old.snap"), filepath.Join(dir, "cur.snap"), filepath.Join(dir, "wal")
+	lix, err := BuildLive(walk(350, length, 61), smallOpts(1), &LiveOptions{RebuildThreshold: 1 << 30, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Save(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lix.AppendBatch(walk(50, length, 62)); err != nil {
+		t.Fatal(err)
+	}
+	// This save covers the whole log; the next append starts it at 400.
+	if err := lix.Save(cur); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lix.AppendBatch(walk(1, length, 63)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewMetrics()
+	lopts := &LiveOptions{RebuildThreshold: 1 << 30, WALDir: walDir, Engine: EngineOptions{Metrics: reg}}
+	if refused, err := LoadLive(old, nil, lopts); err == nil {
+		refused.Close()
+		t.Fatal("LoadLive accepted a wal that starts past its snapshot")
+	}
+	ix, err := LoadLive(cur, nil, lopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for name, want := range map[string]string{
+		"messi_live_base_series":  "400",
+		"messi_live_delta_series": "1",
+		"messi_live_generation":   "1",
+		"messi_engine_shards":     "1",
+	} {
+		if got := sample(t, reg, name); got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestSnapshotMetrics: a live index records its snapshot I/O on its own
+// registry. One Save is observed once on the saving index's registry and
+// one LoadLive once on the registry its options name, whatever the shard
+// count, and both byte counters report the snapshot directory's on-disk
+// size. A save failing at the manifest and a load of a corrupt manifest
+// each count exactly one failure.
 func TestSnapshotMetrics(t *testing.T) {
-	t.Cleanup(func() {
-		EnableSnapshotMetrics(nil)
-		fault.DisarmAll()
-	})
+	t.Cleanup(fault.DisarmAll)
 	data := RandomWalk(1000, 64, 51)
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			reg := NewMetrics()
-			EnableSnapshotMetrics(reg)
-			saveSeconds := reg.Histogram("messi_snapshot_save_seconds", "")
-			loadSeconds := reg.Histogram("messi_snapshot_load_seconds", "")
-			saveBytes := reg.Counter("messi_snapshot_save_bytes_total", "")
-			loadBytes := reg.Counter("messi_snapshot_load_bytes_total", "")
-			saveFailures := reg.Counter("messi_snapshot_save_failures_total", "")
-			loadFailures := reg.Counter("messi_snapshot_load_failures_total", "")
+			saveReg, loadReg := NewMetrics(), NewMetrics()
+			saveOpts := &LiveOptions{RebuildThreshold: 1 << 30, Engine: EngineOptions{Metrics: saveReg}}
+			loadOpts := &LiveOptions{RebuildThreshold: 1 << 30, Engine: EngineOptions{Metrics: loadReg}}
+			saveSeconds := saveReg.Histogram("messi_snapshot_save_seconds", "")
+			saveBytes := saveReg.Counter("messi_snapshot_save_bytes_total", "")
+			saveFailures := saveReg.Counter("messi_snapshot_save_failures_total", "")
+			loadSeconds := loadReg.Histogram("messi_snapshot_load_seconds", "")
+			loadBytes := loadReg.Counter("messi_snapshot_load_bytes_total", "")
+			loadFailures := loadReg.Counter("messi_snapshot_load_failures_total", "")
 
-			ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64, Shards: shards})
+			lix, err := BuildLiveFlat(data, 64, &Options{LeafCapacity: 64, Shards: shards}, saveOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer lix.Close()
 			dir := filepath.Join(t.TempDir(), "ix.snap")
-			if err := ix.Save(dir); err != nil {
+			if err := lix.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(dir); err != nil {
-				t.Fatal(err)
-			}
-			entries, err := os.ReadDir(dir)
+			loaded, err := LoadLive(dir, nil, loadOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var size int64
-			for _, e := range entries {
-				fi, err := e.Info()
-				if err != nil {
-					t.Fatal(err)
-				}
-				size += fi.Size()
+			loaded.Close()
+			size := persist.Size(dir)
+			var sum int64
+			for _, b := range dirFiles(t, dir) {
+				sum += int64(len(b))
+			}
+			if size != sum || size == 0 {
+				t.Fatalf("persist.Size %d, files hold %d bytes", size, sum)
 			}
 			if n, m := saveSeconds.Count(), loadSeconds.Count(); n != 1 || m != 1 {
 				t.Errorf("save/load observed %d/%d times, want 1/1", n, m)
@@ -501,11 +579,14 @@ func TestSnapshotMetrics(t *testing.T) {
 			if sb, lb := saveBytes.Value(), loadBytes.Value(); sb != size || lb != size {
 				t.Errorf("save/load bytes %d/%d, want the directory's %d", sb, lb, size)
 			}
+			if n, m := saveReg.Histogram("messi_snapshot_load_seconds", "").Count(), loadReg.Histogram("messi_snapshot_save_seconds", "").Count(); n != 0 || m != 0 {
+				t.Errorf("the saving registry observed %d loads and the loading one %d saves, want 0/0", n, m)
+			}
 
 			if err := fault.Arm("persist.manifest.write", fault.Spec{Action: fault.Error}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.Save(dir); !errors.Is(err, fault.ErrInjected) {
+			if err := lix.Save(dir); !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("save with the manifest failpoint armed: %v", err)
 			}
 			fault.DisarmAll()
@@ -515,8 +596,9 @@ func TestSnapshotMetrics(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, persist.ManifestName), []byte("not a manifest"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(dir); err == nil {
-				t.Fatal("Load accepted a corrupt manifest")
+			if loaded, err := LoadLive(dir, nil, loadOpts); err == nil {
+				loaded.Close()
+				t.Fatal("LoadLive accepted a corrupt manifest")
 			}
 			if f := loadFailures.Value(); f != 1 {
 				t.Errorf("load failures %d after one failed load, want 1", f)
