@@ -120,6 +120,7 @@ import (
 	"time"
 
 	messi "repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/persist"
@@ -281,10 +282,12 @@ func closeIndex(ix *messi.LiveIndex, live bool, snapPath string) {
 
 // logReady writes the boot's "index ready" line. distance_kernel names the
 // Euclidean kernel in use ("avx" or "go"), which sets the speed of every
-// scan.
+// scan, and leaf_filter the leaf scans' lower-bound filter ("avx512vbmi" or
+// "go").
 func logReady(ix *messi.LiveIndex, source string, live bool, threshold int, walDir string) {
 	slog.Info("index ready", "source", source, "series", ix.Len(), "series_len", ix.SeriesLen(),
-		"live", live, "rebuild_threshold", threshold, "wal", walDir, "distance_kernel", vector.Kernel())
+		"live", live, "rebuild_threshold", threshold, "wal", walDir, "distance_kernel", vector.Kernel(),
+		"leaf_filter", core.LeafFilter())
 }
 
 // warnShardMismatch logs when the -shards flag disagrees with the served

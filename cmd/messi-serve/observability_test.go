@@ -470,8 +470,9 @@ func TestCountMetricsMatchQueryCounters(t *testing.T) {
 }
 
 // TestReadyLogNamesKernel: the boot's "index ready" line names the
-// Euclidean distance kernel in use, so a slow scan on a CPU without AVX is
-// explained from the log.
+// Euclidean distance kernel and the leaf filter in use, so a slow scan on a
+// CPU without AVX (or a slow leaf scan without AVX-512 VBMI) is explained
+// from the log.
 func TestReadyLogNamesKernel(t *testing.T) {
 	_, ix := newObservableServer(t, 0)
 	var buf bytes.Buffer
@@ -483,6 +484,9 @@ func TestReadyLogNamesKernel(t *testing.T) {
 	logged := buf.String()
 	if !strings.Contains(logged, "index ready") || !regexp.MustCompile(`distance_kernel=(avx|go)\b`).MatchString(logged) {
 		t.Fatalf("ready log %q lacks distance_kernel=avx|go", logged)
+	}
+	if !regexp.MustCompile(`leaf_filter=(avx512vbmi|go)\b`).MatchString(logged) {
+		t.Fatalf("ready log %q lacks leaf_filter=avx512vbmi|go", logged)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,18 +137,22 @@ func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int
 
 // The Euclidean crossover is measured (BenchmarkPlanCrossover: 500 k × 128
 // series of each dataset family, 10 queries per tier — noise at 10, 3, 0
-// and −3 dB, and OOD — 2 workers, two runs). The tree gathers candidates in
-// leaf order and the scan streams them: OOD queries (shares ≥ 0.975) cost
-// 41–70 ms on the tree and 25–33 ms scanned, 10 dB queries (shares ≤ 0.134)
-// 2–14 ms on the tree and 16–33 ms scanned, and between them the per-query
-// ratio is noisy (tree/scan 0.58–1.89 at shares 0.3–0.7). Scanning the
-// queries whose share exceeds t gives sweep means at t = 0.3/0.5/0.6 of:
-// random walks 17.1–17.2/17.3–17.6/17.3–17.4 ms (tree alone 23.0),
-// seismic-like 18.2–18.4/18.9–19.0/19.8–20.2 ms (26.6–27.0), SALD-like
-// 10.4–11.1/10.2–10.9/10.2–10.9 ms (13.9–14.8). From 0.3 to 0.5 every family
-// is at most 4.0 % above its best; at 0.6 seismic-like is 8–11 % above. The
-// constant is the largest of those, which keeps the most queries — all of
-// the sweep's 10 dB and 3 dB ones — on the tree.
+// and −3 dB, and OOD — 2 workers, two runs, with the VBMI leaf filter).
+// The tree gathers candidates in leaf order and the scan streams them: OOD
+// queries (shares ≥ 0.975) cost 52–154 ms on the tree and 21–40 ms
+// scanned, 10 dB queries (shares ≤ 0.134) 1–16 ms on the tree and 18–37 ms
+// scanned, and between them the per-query ratio is noisy. Scanning the
+// queries whose share exceeds t gives sweep means at t = 0.2/0.3/0.5 of:
+// random walks 20.2–20.3/21.0–21.1/23.9–24.2 ms (tree alone 37.6–38.8),
+// seismic-like 23.3–23.5/24.0–24.3/27.0–27.1 ms (47.7–48.4), SALD-like
+// 11.4–13.0/11.0–12.6/10.9–12.6 ms (18.2–22.4). At 0.3 every family is at
+// most 4.2 % above its best, at 0.5 random walks and seismic-like are
+// 15–19 % above; the parent commit's rows of the same hour read the same
+// (0.3 at most 4.6 % above, 0.5 up to 19 %), so the filter did not move
+// the fit. The constant stays 0.5 all the same: member k-NN queries, whose
+// 5th-nearest bound after the approximate search leaves shares of up to
+// 0.49 on a small index, must keep the tree (TestRefineMatchesPlainLoop's
+// plan rows), and 0.5 is the best grid point that allows it.
 func (euclidean) crossover() float64 { return 0.5 }
 
 // The refine stage walks a leaf's surviving candidates in batches of
@@ -177,15 +182,38 @@ const (
 )
 
 // leafScratch is the per-worker scratch of a leaf scan: the whole leaf's
-// lower-bound accumulators, the entries that survive them, and the sink
-// of the refine stage's gather-ahead loads (per worker, never shared, so
-// concurrent scans do not race on it). Workers borrow one from scratchPool
-// for the duration of a drain phase.
+// lower-bound accumulators, the entries that survive them, the sink of the
+// refine stage's gather-ahead loads and the quantized pre-filter's table
+// and mask (per worker, never shared, so concurrent scans do not race on
+// it). Workers borrow one from scratchPool for the duration of a drain
+// phase.
 type leafScratch struct {
 	lb   []float64
 	cand []int32
 	sink uint32
+
+	// qtab holds the run's distance-table rows quantized for qlimit, each
+	// padded to 256 cells (see quantized); qlimit is 0 while it holds none.
+	qtab   [isax.MaxSegments * 256]uint8
+	qlimit float64
+	mask   []uint64
 }
+
+// The quantized pre-filter: a cell c becomes min(255, ⌊c/Δ⌋) with
+// Δ = (limit/Scale())/quantT·(1+quantSlack), so an entry whose saturated
+// sum of quantized cells reaches quantT has a cell sum of at least
+// quantT·Δ — its float64 bound is ≥ limit even after the rounding of every
+// operation on the way (w + 5 of them, each within 2⁻⁵³), and it is pruned
+// without a witness, as the exact filter would prune it. A worker
+// quantizes once per drain phase, at its first leaf with a finite bound:
+// the bound only falls, so the table stays sound, and re-quantizing below
+// 0.9 or 0.7 of its limit did not pay (500 k random walks, 2 workers, 40
+// queries per tier, mean ms, never / 0.9 / 0.7: 10 dB 3.52 / 3.37 / 3.67,
+// 3 dB 18.7 / 19.0 / 18.3, 0 dB 29.3 / 30.0 / 28.9).
+const (
+	quantT     = 250
+	quantSlack = 1e-9
+)
 
 // bounds returns the accumulator slice sized for an n-entry leaf.
 func (s *leafScratch) bounds(n int) []float64 {
@@ -234,15 +262,58 @@ func (s *leafScratch) all(n int) []int32 {
 	return cand
 }
 
-// filter is the first stage of a leaf scan: it scales the accumulate sums
-// in lbs into lower bounds, in place, and compacts the entries whose bound
-// survives limit into the scratch's candidate list, in entry order. refine
-// re-checks every survivor against the bound as it stands by then. An entry
-// dropped here under ε-inflation is recorded as a witness even if a tighter,
-// later bound would have pruned it without inflation; such a witness is no
-// smaller than the final answer, and Finish ignores those.
-func (s *leafScratch) filter(lbs []float64, scale, limit float64, qos *QoS) []int32 {
-	cand := s.candidates(len(lbs))
+// filter is the first stage of a leaf scan: it leaves in lbs the lower
+// bound of every entry it could not rule out by its quantized sum, and
+// compacts the entries whose bound survives limit into the scratch's
+// candidate list, in entry order. With VBMI and a finite, positive limit
+// the kernel's mask picks the entries that get a float64 bound, summed
+// column by column as accumulate sums it; otherwise every entry gets one,
+// and so does a leaf more than two-thirds unmasked, where the mask saves
+// less than it costs (BenchmarkLeafFilter, 2 000 entries at w = 16,
+// pre-filter / exact: 2.7 / 33 µs with 2 % of the entries passing, 16 / 44
+// at 25 %, 22–30 / 46–55 at 50 %). refine re-checks every survivor against
+// the bound as it stands by then. An entry dropped here under ε-inflation
+// is recorded as a witness even if a tighter, later bound would have
+// pruned it without inflation; such a witness is no smaller than the final
+// answer, and Finish ignores those.
+func (s *leafScratch) filter(leaf *tree.Node, tab *isax.DistTable, limit float64, qos *QoS) ([]float64, []int32) {
+	w, n, scale := tab.Schema().Segments, leaf.LeafLen(), tab.Scale()
+	lbs, cand := s.bounds(n), s.candidates(n)
+	if useVBMI && s.quantized(tab, limit) {
+		words := (n + 63) / 64
+		if cap(s.mask) < words {
+			s.mask = make([]uint64, words)
+		}
+		mask := s.mask[:words]
+		leafMaskVBMI(&leaf.Words[0], leaf.Stride, n, w, &s.qtab[0], quantT, &mask[0])
+		for b, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				cand = append(cand, int32(b*64+bits.TrailingZeros64(m)))
+			}
+		}
+		if 3*len(cand) <= 2*n {
+			row, col := tab.Row(0), leaf.Col(0)
+			for _, e := range cand {
+				lbs[e] = row[col[e]]
+			}
+			for seg := 1; seg < w; seg++ {
+				row, col = tab.Row(seg), leaf.Col(seg)
+				for _, e := range cand {
+					lbs[e] += row[col[e]]
+				}
+			}
+			kept := cand[:0]
+			for _, e := range cand {
+				lbs[e] *= scale
+				if !qos.prunes(lbs[e], limit) {
+					kept = append(kept, e)
+				}
+			}
+			return lbs, kept
+		}
+		cand = cand[:0]
+	}
+	s.accumulate(leaf, tab, w)
 	for e, sum := range lbs {
 		lb := sum * scale
 		lbs[e] = lb
@@ -250,7 +321,42 @@ func (s *leafScratch) filter(lbs []float64, scale, limit float64, qos *QoS) []in
 			cand = append(cand, int32(e))
 		}
 	}
-	return cand
+	return lbs, cand
+}
+
+// quantized reports whether the scratch's quantized table serves limit,
+// quantizing the run's table if it holds none. A limit of 0, +Inf or NaN
+// cannot be quantized.
+func (s *leafScratch) quantized(tab *isax.DistTable, limit float64) bool {
+	if s.qlimit > 0 && limit <= s.qlimit {
+		return true
+	}
+	s.qlimit = 0
+	delta := limit / tab.Scale() / quantT * (1 + quantSlack)
+	if !(delta > 0) || math.IsInf(delta, 1) {
+		return false
+	}
+	for seg := range tab.Schema().Segments {
+		q := s.qtab[seg*256:]
+		for sym, c := range tab.Row(seg) {
+			if v := c / delta; v < 255 {
+				q[sym] = uint8(v)
+			} else {
+				q[sym] = 255
+			}
+		}
+	}
+	s.qlimit = limit
+	return true
+}
+
+// LeafFilter names the leaf scans' lower-bound filter in use: "avx512vbmi"
+// (the quantized pre-filter) or "go" (the exact filter alone).
+func LeafFilter() string {
+	if useVBMI {
+		return "avx512vbmi"
+	}
+	return "go"
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
@@ -517,6 +623,7 @@ func (r *SearchRun) DrainPhase(pid int) {
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
+	scratch.qlimit = 0 // its table was another run's
 
 	var t stats.Tally
 	// The next queue to work on is chosen starting from a randomized
@@ -606,11 +713,11 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 
 // scanLeaf is Algorithm 9 (CalculateRealDistance), restructured around
 // the segment-major leaf layout into filter → gather-ahead → refine: the
-// whole leaf's lower bounds are accumulated into the worker's scratch
-// buffer by streaming each symbol column against its distance-table row (w
-// tight table-load-and-add column loops — no per-entry word gather, no
-// branches), the surviving entries are compacted, and only those reach the
-// refine stage.
+// whole leaf's lower bounds come from streaming each symbol column against
+// its distance-table row — first the quantized rows, 64 entries per VBMI
+// instruction, then the float64 rows for what that pass could not rule out
+// (see filter) — the surviving entries are compacted, and only those reach
+// the refine stage.
 func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, t *stats.Tally) {
 	// Worker-panic tests poison one leaf scan here to prove the engine
 	// confines the blast radius to a single query. Disarmed, this is
@@ -621,8 +728,7 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, t *stats.Tal
 	if leaf.LeafLen() == 0 {
 		return
 	}
-	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
-	cand := scratch.filter(lbs, r.table.Scale(), r.bnd.Load(), r.qos)
+	lbs, cand := scratch.filter(leaf, r.table, r.bnd.Load(), r.qos)
 	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
 }
 

@@ -36,8 +36,3 @@ func SlidingWindows(stream []float32, window, step int, normalize bool) (*series
 	}
 	return c, nil
 }
-
-// WindowStart maps a subsequence position (as returned by index queries
-// over a SlidingWindows collection) back to its offset in the original
-// stream.
-func WindowStart(position, step int) int { return position * step }

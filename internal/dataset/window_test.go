@@ -85,3 +85,8 @@ func TestSlidingWindowsNormalize(t *testing.T) {
 		t.Error("SlidingWindows mutated the input stream")
 	}
 }
+
+// WindowStart maps a subsequence position (as returned by index queries
+// over a SlidingWindows collection) back to its offset in the original
+// stream.
+func WindowStart(position, step int) int { return position * step }

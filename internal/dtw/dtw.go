@@ -251,8 +251,3 @@ func (s *scratch) band(a, b []float32, r int, limit float64, prefix []float64) f
 	}
 	return math.Float64frombits(prev[n])
 }
-
-// DistanceExact is Distance with no early abandoning.
-func DistanceExact(a, b []float32, r int) float64 {
-	return Distance(a, b, r, math.Inf(1))
-}

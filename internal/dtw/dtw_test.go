@@ -510,3 +510,8 @@ func BenchmarkEnvelope256(b *testing.B) {
 		Envelope(x, 26)
 	}
 }
+
+// DistanceExact is Distance with no early abandoning.
+func DistanceExact(a, b []float32, r int) float64 {
+	return Distance(a, b, r, math.Inf(1))
+}

@@ -23,6 +23,12 @@ package isax
 // (MinDistPAAWord, MinDistPAAPrefix and the envelope variants) — the
 // property the equivalence fuzz test pins down.
 //
+// The paper's lower-bound SIMD is one step further: on CPUs with AVX-512
+// VBMI a leaf scan (internal/core) quantizes the full-cardinality rows
+// (Row) to a byte per cell once per drain phase, sums a leaf's columns 64
+// entries at a time with VPERMI2B lookups, and only the entries that sum
+// cannot rule out get the float64 bound from these cells.
+//
 // A root level serves the root children, whose bits are all 1: for each
 // h-bit root-key prefix (h = min(w, 8)) the partial sum of its first h
 // one-bit cells, so a root bound is one load plus w − h adds (RootBound).
@@ -146,7 +152,7 @@ func (t *DistTable) MinDistWord(word []uint8) float64 {
 // MinDistPrefix returns the squared lower bound against a
 // variable-cardinality prefix (per-segment symbols + bits): one load
 // from level bits[i] per segment. Segments with zero bits contribute
-// nothing. Bitwise identical to Schema.MinDistPAAPrefix (or
+// nothing. Bitwise identical to Schema.MinDistPAAPrefix (or the tests'
 // MinDistEnvelopePrefix).
 func (t *DistTable) MinDistPrefix(symbols, bits []uint8) float64 {
 	s := t.schema

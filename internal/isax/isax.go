@@ -104,9 +104,6 @@ func (s *Schema) Cardinality() int { return 1 << s.CardBits }
 // children are addressed by the top bit of each segment's symbol.
 func (s *Schema) RootFanout() int { return 1 << s.Segments }
 
-// Breakpoints returns the full-cardinality breakpoint table (read-only).
-func (s *Schema) Breakpoints() []float64 { return s.breakpoints }
-
 // Symbol quantizes a single PAA value to a full-precision symbol.
 func (s *Schema) Symbol(v float64) uint8 {
 	// SearchFloat64s returns the number of breakpoints < v (for values
@@ -245,51 +242,4 @@ func (s *Schema) MinDistEnvelopeWord(uMax, lMin []float64, word []uint8) float64
 		}
 	}
 	return sum * s.ratio
-}
-
-// MinDistEnvelopePrefix is MinDistEnvelopeWord for variable-cardinality
-// node prefixes.
-func (s *Schema) MinDistEnvelopePrefix(uMax, lMin []float64, symbols, bits []uint8) float64 {
-	var sum float64
-	cardBits := uint(s.CardBits)
-	for i := 0; i < s.Segments; i++ {
-		b := uint(bits[i])
-		if b == 0 {
-			continue
-		}
-		shift := cardBits - b
-		first := int(symbols[i]) << shift
-		last := first + (1 << shift) - 1
-		if lo := s.regionLower[first]; uMax[i] < lo {
-			d := lo - uMax[i]
-			sum += d * d
-		} else if hi := s.regionUpper[last]; lMin[i] > hi {
-			d := lMin[i] - hi
-			sum += d * d
-		}
-	}
-	return sum * s.ratio
-}
-
-// MatchesPrefix reports whether a full-precision word falls under a
-// variable-cardinality prefix (i.e. each symbol's b-bit prefix equals the
-// prefix symbol). Used by tree invariant checks.
-func (s *Schema) MatchesPrefix(word, symbols, bits []uint8) bool {
-	for i := 0; i < s.Segments; i++ {
-		b := bits[i]
-		if b == 0 {
-			continue
-		}
-		if s.SymbolAtBits(word[i], b) != symbols[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FormatWord renders a word in the paper's subscripted style, e.g.
-// "10(8) 00(8) ..." is abbreviated to decimal symbols: "[134 7 ...]".
-// Intended for debugging and error messages only.
-func (s *Schema) FormatWord(word []uint8) string {
-	return fmt.Sprint(word[:s.Segments])
 }

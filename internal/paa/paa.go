@@ -10,8 +10,6 @@
 // max/min rather than mean to remain a lower bound).
 package paa
 
-import "fmt"
-
 // Transform writes the w-segment PAA of s into dst and returns dst.
 // If dst is nil or too short a new slice is allocated. len(s) must be a
 // positive multiple of w; Split handles the general case at API boundaries.
@@ -71,20 +69,4 @@ func SegmentMin(s []float32, w int, dst []float64) []float64 {
 		dst[i] = float64(m)
 	}
 	return dst
-}
-
-// CheckDivisible validates that a series length is usable with w segments.
-// The paper pads series when necessary; we surface an error instead and let
-// callers choose lengths (all built-in generators use multiples of w).
-func CheckDivisible(length, w int) error {
-	if w <= 0 {
-		return fmt.Errorf("paa: non-positive segment count %d", w)
-	}
-	if length <= 0 {
-		return fmt.Errorf("paa: non-positive series length %d", length)
-	}
-	if length%w != 0 {
-		return fmt.Errorf("paa: series length %d is not a multiple of segment count %d", length, w)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package paa
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,4 +133,20 @@ func TestCheckDivisible(t *testing.T) {
 	if err := CheckDivisible(256, -4); err == nil {
 		t.Error("negative segments should fail")
 	}
+}
+
+// CheckDivisible validates that a series length is usable with w segments.
+// The paper pads series when necessary; we surface an error instead and let
+// callers choose lengths (all built-in generators use multiples of w).
+func CheckDivisible(length, w int) error {
+	if w <= 0 {
+		return fmt.Errorf("paa: non-positive segment count %d", w)
+	}
+	if length <= 0 {
+		return fmt.Errorf("paa: non-positive series length %d", length)
+	}
+	if length%w != 0 {
+		return fmt.Errorf("paa: series length %d is not a multiple of segment count %d", length, w)
+	}
+	return nil
 }

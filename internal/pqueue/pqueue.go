@@ -67,17 +67,6 @@ func (q *Queue[T]) PopMin() (item Item[T], ok bool) {
 	return item, true
 }
 
-// PeekMin returns the minimum priority without removing it; ok is false
-// when the queue is empty.
-func (q *Queue[T]) PeekMin() (priority float64, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].Priority, true
-}
-
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
@@ -197,15 +186,6 @@ func (s *Set[T]) NextUnfinished(start int) int {
 		}
 	}
 	return -1
-}
-
-// TotalLen reports the total number of queued items across the set.
-func (s *Set[T]) TotalLen() int {
-	total := 0
-	for _, q := range s.queues {
-		total += q.Len()
-	}
-	return total
 }
 
 // Reset resets every queue in the set.

@@ -344,3 +344,23 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 	}
 }
+
+// PeekMin returns the minimum priority without removing it; ok is false
+// when the queue is empty.
+func (q *Queue[T]) PeekMin() (priority float64, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 {
+		return 0, false
+	}
+	return q.items[0].Priority, true
+}
+
+// TotalLen reports the total number of queued items across the set.
+func (s *Set[T]) TotalLen() int {
+	total := 0
+	for _, q := range s.queues {
+		total += q.Len()
+	}
+	return total
+}

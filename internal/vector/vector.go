@@ -94,21 +94,6 @@ func addTail(a, b []float32, sum float64) float64 {
 	return sum
 }
 
-// ScalarSquaredEuclidean is the deliberately naive SISD version of
-// SquaredEuclidean used by the ParIS-SISD ablation.
-func ScalarSquaredEuclidean(a, b []float32) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		d := float64(a[i]) - float64(b[i])
-		sum += d * d
-	}
-	return sum
-}
-
 // ScalarSquaredEuclideanEarlyAbandon is the naive SISD early-abandoning
 // kernel: it checks the threshold after every element, which is exactly the
 // per-element conditional branch the paper's SIMD lower-bound kernels

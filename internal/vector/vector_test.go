@@ -423,3 +423,18 @@ func BenchmarkScanRoofline(b *testing.B) {
 		}
 	}
 }
+
+// ScalarSquaredEuclidean is the deliberately naive SISD version of
+// SquaredEuclidean used by the ParIS-SISD ablation.
+func ScalarSquaredEuclidean(a, b []float32) float64 {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	var sum float64
+	for i := 0; i < n; i++ {
+		d := float64(a[i]) - float64(b[i])
+		sum += d * d
+	}
+	return sum
+}
