@@ -15,6 +15,8 @@ import (
 	"time"
 
 	messi "repro"
+	"repro/internal/isax"
+	"repro/internal/paa"
 )
 
 // newObservableServer builds a server the way run() does: one registry
@@ -287,19 +289,26 @@ func TestStatsServerFields(t *testing.T) {
 	}
 }
 
-// TestScanPlansMetric: an OOD query — white noise, which no lower bound
-// prunes — makes every non-empty shard scan instead of using its tree, so
-// it moves messi_scan_plans_total and its "scan_plans" counter by the shard
-// count; a member query keeps the trees and moves neither.
+// TestScanPlansMetric: an adversarial query — a member with every other
+// point negated, whose segment means, the PAA summary the index prunes
+// with, collapse toward zero, so no lower bound prunes — makes every
+// non-empty shard scan instead of using its tree, so it moves
+// messi_scan_plans_total and its "scan_plans" counter by the shard count; a
+// member query keeps the trees and moves neither. (White noise is not
+// enough: on this 3 000-series collection it leaves the plan a sampled
+// share of 0.49, under the 0.5 crossover.)
 func TestScanPlansMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ood := make([]float32, 64)
-	for i := range ood {
-		ood[i] = float32(rng.NormFloat64())
+	data := messi.RandomWalk(3000, 64, 17)
+	adversarial := make([]float32, 64)
+	for i, v := range data[42*64 : 43*64] {
+		if i%2 == 1 {
+			v = -v
+		}
+		adversarial[i] = v
 	}
 	for _, shards := range []int{1, 3} {
 		reg := messi.NewMetrics()
-		ix, err := messi.BuildLiveFlat(messi.RandomWalk(3000, 64, 17), 64,
+		ix, err := messi.BuildLiveFlat(data, 64,
 			&messi.Options{LeafCapacity: 64, Shards: shards},
 			&messi.LiveOptions{Engine: messi.EngineOptions{PoolWorkers: 2, Metrics: reg}})
 		if err != nil {
@@ -316,7 +325,7 @@ func TestScanPlansMetric(t *testing.T) {
 			name  string
 			query []float32
 			scans int64
-		}{{"member", member, 0}, {"ood", ood, int64(shards)}} {
+		}{{"member", member, 0}, {"adversarial", adversarial, int64(shards)}} {
 			before := scrape(t, s)["messi_scan_plans_total"]
 			rr := postJSON(t, s, "/v1/search", searchRequest{Query: tc.query, Counters: true})
 			if rr.Code != http.StatusOK {
@@ -324,13 +333,35 @@ func TestScanPlansMetric(t *testing.T) {
 			}
 			resp := decode[queryResponse](t, rr)
 			if resp.Counters == nil || resp.Counters.ScanPlans != tc.scans {
-				t.Fatalf("shards=%d %s: counters %+v, want scan_plans %d", shards, tc.name, resp.Counters, tc.scans)
+				t.Fatalf("shards=%d %s: counters %+v, want scan_plans %d; %.3f of the collection has a lower bound under the answer's distance",
+					shards, tc.name, resp.Counters, tc.scans, boundShare(t, data, tc.query, resp.Matches[0].Distance))
 			}
 			if moved := scrape(t, s)["messi_scan_plans_total"] - before; moved != float64(tc.scans) {
 				t.Fatalf("shards=%d %s: messi_scan_plans_total moved by %v, want %d", shards, tc.name, moved, tc.scans)
 			}
 		}
 	}
+}
+
+// boundShare is the share of the 64-point series in data whose
+// full-cardinality iSAX lower bound, at the default 16 segments, is below
+// the distance dist from query: what the plan's sample would leave if the
+// seed had found the answer, and so a floor under the share it samples.
+func boundShare(t *testing.T, data, query []float32, dist float64) float64 {
+	t.Helper()
+	schema, err := isax.NewSchema(64, 16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qpaa := paa.Transform(query, 16, nil)
+	n, survivors := len(data)/64, 0
+	for i := 0; i < n; i++ {
+		word := schema.WordFromPAA(paa.Transform(data[i*64:(i+1)*64], 16, nil), nil)
+		if schema.MinDistPAAWord(qpaa, word) < dist*dist {
+			survivors++
+		}
+	}
+	return float64(survivors) / float64(n)
 }
 
 // counterKeys are the wire keys of a "counters" object, in order.

@@ -29,8 +29,10 @@ func (bt BuildTiming) Total() time.Duration { return bt.Summarize + bt.TreeBuild
 // collection is retained by the index (not copied) and must not be
 // modified afterwards.
 //
-// The tree is the one a sequential insert of every series in position
-// order builds, whatever the worker count and schedule.
+// The root is keyed on the first k segments, k the smallest value ≤ w at
+// which n series fit LeafCapacity·2^k (see rootBits), and the tree is the
+// one a sequential insert of every series in position order under such a
+// root builds, whatever the worker count and schedule.
 func Build(data *series.Collection, opts Options) (*Index, error) {
 	return BuildTimed(data, opts, nil)
 }
@@ -45,15 +47,16 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 	if err != nil {
 		return nil, err
 	}
-	tr, err := tree.New(schema, opts.LeafCapacity)
+	nw := opts.IndexWorkers
+	n := data.Count()
+	w := schema.Segments
+	k := rootBits(n, opts.LeafCapacity, w)
+	tr, err := tree.NewRooted(schema, opts.LeafCapacity, k)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{Data: data, Schema: schema, Tree: tr, Opts: opts}
 
-	nw := opts.IndexWorkers
-	n := data.Count()
-	w := schema.Segments
 	// The flat <iSAX word, position> layout of ParIS+: series j's word is
 	// words[j*w:(j+1)*w] and its root subtree keys[j] (a uint16 holds every
 	// slot, as isax.MaxSegments is 16). No worker owns any of it.
@@ -71,9 +74,9 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 	// separately.
 	start := time.Now()
 	var chunkCtr atomic.Int64
-	parallel(nw, func(int) { summarizeWorker(ix, words, keys, &chunkCtr) })
+	parallel(nw, func(int) { summarizeWorker(ix, words, keys, w-k, &chunkCtr) })
 	ix.fillSample(func(pos int, dst []uint8) { copy(dst, words[pos*w:(pos+1)*w]) })
-	perm := partitionByRoot(keys, nw)
+	perm, scratch := partitionByRoot(keys, k, nw)
 	summarizeDone := time.Now()
 
 	// Each active root's positions are the run perm[bounds[r]:bounds[r+1]].
@@ -86,9 +89,22 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 	}
 	bounds = append(bounds, n)
 
-	// Phase 2 — TreeConstruction (Algorithm 4): workers claim whole root
-	// subtrees via Fetch&Inc; each subtree is built by exactly one worker,
-	// so inserts need no synchronization.
+	// Phase 2 — TreeConstruction (Algorithm 4): the words are gathered
+	// into perm's order, so each root's are one stretch of cols, then
+	// workers claim whole root subtrees via Fetch&Inc; each subtree is
+	// built by exactly one worker, in its own stretches of perm and cols,
+	// with the same stretches of scratch and of words (no longer read) as
+	// room to partition, so the build needs no synchronization. It is one
+	// pass per subtree (tree.BuildRoot) rather than Algorithm 4's insert
+	// per series: the same tree, without growing leaf columns or copying
+	// them at splits, and cols becomes every leaf's columns.
+	cols := make([]uint8, n*w)
+	parallel(nw, func(t int) {
+		lo, hi := t*n/nw, (t+1)*n/nw
+		for i, pos := range perm[lo:hi] {
+			copy(cols[(lo+i)*w:], words[int(pos)*w:int(pos)*w+w])
+		}
+	})
 	var rootCtr atomic.Int64
 	parallel(nw, func(int) {
 		for {
@@ -96,10 +112,8 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 			if r >= len(ix.activeRoots) {
 				return
 			}
-			root := tr.EnsureRoot(int(ix.activeRoots[r]))
-			for _, pos := range perm[bounds[r]:bounds[r+1]] {
-				tr.Insert(root, words[int(pos)*w:(int(pos)+1)*w], pos)
-			}
+			lo, hi := bounds[r], bounds[r+1]
+			tr.BuildRoot(int(ix.activeRoots[r]), cols[lo*w:hi*w], perm[lo:hi], words[lo*w:hi*w], scratch[lo:hi])
 		}
 	})
 
@@ -123,9 +137,22 @@ func parallel(workers int, fn func(t int)) {
 	wg.Wait()
 }
 
+// rootBits is the root key width for n series at a leaf capacity: the
+// smallest k ≤ w with n ≤ capacity·2^k, so a root child holds about a
+// leaf's worth. MESSI keys its root on all w segments for 100 M+ series;
+// at the defaults k reaches w only above 65.5 M.
+func rootBits(n, capacity, w int) int {
+	k := 0
+	for k < w && (n-1)>>k >= capacity {
+		k++
+	}
+	return k
+}
+
 // summarizeWorker is one phase-1 worker: it converts raw series to iSAX
-// words chunk by chunk.
-func summarizeWorker(ix *Index, words []uint8, keys []uint16, chunkCtr *atomic.Int64) {
+// words chunk by chunk; a root key is the top bits of RootIndex, keyShift
+// = w − k of them dropped.
+func summarizeWorker(ix *Index, words []uint8, keys []uint16, keyShift int, chunkCtr *atomic.Int64) {
 	data := ix.Data
 	schema := ix.Schema
 	w := schema.Segments
@@ -142,19 +169,21 @@ func summarizeWorker(ix *Index, words []uint8, keys []uint16, chunkCtr *atomic.I
 		for j := lo; j < hi; j++ {
 			paa.Transform(data.At(j), w, paaBuf)
 			word := schema.WordFromPAA(paaBuf, words[j*w:(j+1)*w])
-			keys[j] = uint16(schema.RootIndex(word))
+			keys[j] = uint16(schema.RootIndex(word) >> keyShift)
 		}
 	}
 }
 
-// partitionByRoot returns the positions 0…len(keys)-1 grouped by root key
-// in ascending key order, each group in ascending position order: a stable
-// parallel LSD radix sort in two 8-bit passes. In each pass every worker
-// counts the keys of its own static, contiguous range of the permutation;
-// offsets are assigned in (bucket, worker) order, so the scatter keeps the
-// previous order within a bucket. Scratch is two int32 permutations and
-// one 256-entry histogram per worker.
-func partitionByRoot(keys []uint16, workers int) []int32 {
+// partitionByRoot returns the positions 0…len(keys)-1 grouped by k-bit root
+// key in ascending key order, each group in ascending position order: a
+// stable parallel LSD radix sort in ⌈k/8⌉ 8-bit passes. In each pass every
+// worker counts the keys of its own static, contiguous range of the
+// permutation; offsets are assigned in (bucket, worker) order, so the
+// scatter keeps the previous order within a bucket. Scratch is two int32
+// permutations and one 256-entry histogram per worker; the second
+// permutation is returned too, as n positions of scratch for the tree
+// phase.
+func partitionByRoot(keys []uint16, k, workers int) (perm, scratch []int32) {
 	n := len(keys)
 	src, dst := make([]int32, n), make([]int32, n)
 	for i := range src {
@@ -162,7 +191,7 @@ func partitionByRoot(keys []uint16, workers int) []int32 {
 	}
 	hist := make([][256]int, workers)
 	rangeOf := func(t int) (int, int) { return t * n / workers, (t + 1) * n / workers }
-	for shift := uint(0); shift < 16; shift += 8 {
+	for shift := 0; shift < k; shift += 8 {
 		parallel(workers, func(t int) {
 			h := &hist[t]
 			*h = [256]int{}
@@ -190,5 +219,5 @@ func partitionByRoot(keys []uint16, workers int) []int32 {
 		})
 		src, dst = dst, src
 	}
-	return src
+	return src, dst
 }

@@ -69,8 +69,8 @@ type Index struct {
 
 	// activeRoots lists the non-empty root slots, ascending. Search
 	// workers claim blocks of this list via Fetch&Inc and bound each
-	// entry by its key alone (isax.DistTable.RootBound) instead of
-	// sweeping all 2^w slots node by node (Algorithm 6 sweeps the full
+	// entry by its k-bit key alone (isax.DistTable.RootBound) instead of
+	// sweeping all 2^k slots node by node (Algorithm 6 sweeps the full
 	// fanout; restricting the sweep to non-empty subtrees is
 	// behaviour-preserving — empty slots are skipped either way — and
 	// keeps the Fetch&Inc count proportional to the data).

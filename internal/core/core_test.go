@@ -131,7 +131,8 @@ func TestBuildDeterministicTreeShape(t *testing.T) {
 
 // TestBuildIsPositionOrder pins the build's determinism: whatever the
 // worker count and schedule, the tree is the one a sequential insert of
-// every series in position order builds.
+// every series in position order builds under a root keyed on the index's
+// k segments.
 func TestBuildIsPositionOrder(t *testing.T) {
 	data, err := dataset.Generate(dataset.RandomWalk, 20000, 64, 11)
 	if err != nil {
@@ -142,7 +143,11 @@ func TestBuildIsPositionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := tree.New(schema, opts.LeafCapacity)
+	k := rootBits(data.Count(), opts.LeafCapacity, schema.Segments)
+	if k != 10 {
+		t.Fatalf("20 000 series at leaf capacity 32 key the root on %d segments, want 10", k)
+	}
+	ref, err := tree.NewRooted(schema, opts.LeafCapacity, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +155,7 @@ func TestBuildIsPositionOrder(t *testing.T) {
 	for j := 0; j < data.Count(); j++ {
 		paa.Transform(data.At(j), schema.Segments, paaBuf)
 		word := schema.WordFromPAA(paaBuf, nil)
-		ref.Insert(ref.EnsureRoot(schema.RootIndex(word)), word, int32(j))
+		ref.Insert(ref.EnsureRoot(ref.RootKey(word)), word, int32(j))
 	}
 	want, err := ref.AppendBinary(nil)
 	if err != nil {
@@ -164,6 +169,9 @@ func TestBuildIsPositionOrder(t *testing.T) {
 		}
 		if got, err := ix.Tree.AppendBinary(nil); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("IndexWorkers=%d: tree differs from the position-order insert", workers)
+		}
+		if err := ix.Tree.CheckInvariants(); err != nil {
+			t.Errorf("IndexWorkers=%d: %v", workers, err)
 		}
 	}
 }

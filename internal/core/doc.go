@@ -21,7 +21,10 @@
 // # Contracts
 //
 // Build is deterministic: the tree is the one a sequential insert of the
-// series in position order builds, at every IndexWorkers and ChunkSize.
+// series in position order builds, at every IndexWorkers and ChunkSize,
+// under a root keyed on the first k segments — k the smallest value ≤ w
+// at which the series fit LeafCapacity·2^k, so MESSI's 2^w-child root
+// only at the paper's scale. A loaded index keeps the k it was built at.
 // An *Index is immutable once Build returns: any number of runs may be in
 // flight on it at once, and nothing in the package mutates the
 // tree, the series block, or the iSAX summaries after construction. Build

@@ -45,11 +45,10 @@ func (k *warped) dist(candidate []float32, limit float64) (float64, int64, int64
 // A DTW run never scans. DTW's cost is arithmetic — LB_Keogh, then the
 // warping distance, paid per surviving candidate on either plan — not the
 // leaf-order gather the scan avoids. On 25 000 × 128 random walks under a
-// 10 % window (BenchmarkPlanCrossover, the serve-dtw shape) the sweep's mean
-// falls by 7–9 % from the tree alone to the scan alone (37.1 → 34.5,
-// 41.8 → 38.4, 34.9 → 31.9 and 35.5 → 32.9 ms in four runs), and it falls
-// monotonically as the threshold drops, while single queries go either way
-// (tree/scan 0.82–1.62 in a fifth run, 13 of 50 below 1) with no trend in
-// the share: the scan is slightly ahead at every share rather than past a
+// 10 % window (BenchmarkPlanCrossover, the serve-dtw shape) the sweep's
+// mean falls by 4–6 % from the tree alone to the scan alone (44.3 → 42.5
+// and 36.3 → 34.1 ms in two runs), while single queries go either way
+// (tree/scan 0.64–1.35, 13 and 16 of 50 below 1) with no trend in the
+// share: the scan is slightly ahead at every share rather than past a
 // crossover, so there is no threshold to set.
 func (*warped) crossover() float64 { return 2 }

@@ -137,22 +137,22 @@ func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int
 
 // The Euclidean crossover is measured (BenchmarkPlanCrossover: 500 k × 128
 // series of each dataset family, 10 queries per tier — noise at 10, 3, 0
-// and −3 dB, and OOD — 2 workers, two runs, with the VBMI leaf filter).
-// The tree gathers candidates in leaf order and the scan streams them: OOD
-// queries (shares ≥ 0.975) cost 52–154 ms on the tree and 21–40 ms
-// scanned, 10 dB queries (shares ≤ 0.134) 1–16 ms on the tree and 18–37 ms
-// scanned, and between them the per-query ratio is noisy. Scanning the
-// queries whose share exceeds t gives sweep means at t = 0.2/0.3/0.5 of:
-// random walks 20.2–20.3/21.0–21.1/23.9–24.2 ms (tree alone 37.6–38.8),
-// seismic-like 23.3–23.5/24.0–24.3/27.0–27.1 ms (47.7–48.4), SALD-like
-// 11.4–13.0/11.0–12.6/10.9–12.6 ms (18.2–22.4). At 0.3 every family is at
-// most 4.2 % above its best, at 0.5 random walks and seismic-like are
-// 15–19 % above; the parent commit's rows of the same hour read the same
-// (0.3 at most 4.6 % above, 0.5 up to 19 %), so the filter did not move
-// the fit. The constant stays 0.5 all the same: member k-NN queries, whose
-// 5th-nearest bound after the approximate search leaves shares of up to
-// 0.49 on a small index, must keep the tree (TestRefineMatchesPlainLoop's
-// plan rows), and 0.5 is the best grid point that allows it.
+// and −3 dB, and OOD — 2 workers, two runs, on the root sized to the
+// collection). The tree gathers candidates in leaf order and the scan
+// streams them: OOD queries (shares ≥ 0.94) cost 44–62 ms on the tree and
+// 24–31 ms scanned, 10 dB queries 0.4–4.5 ms on the tree and 16–26 ms
+// scanned, and the tree wins nearly every noise query up to a share of
+// 0.5; only some −3 dB queries, at shares of 0.43–0.76, go either way
+// (tree/scan 0.72–1.34). Scanning the queries whose share exceeds t gives
+// sweep means at t = 0.3/0.4/0.5/0.6 of: random walks 13.4–13.5/11.9–12.0/
+// 11.9–12.0/11.9–12.0 ms (tree alone 16.7–16.9, scan alone 23.6–23.9),
+// seismic-like 15.3–16.2/14.8–15.7/14.1–15.0/13.8–14.7 ms (19.5–20.8,
+// 24.1–25.0), SALD-like 9.0–10.4/8.9–10.2/8.9–10.2/8.9–10.2 ms (12.1–15.0,
+// 21.2–24.1). At 0.5 every family is at most 2.7 % above its best grid
+// point (0.4 on random walks and SALD-like, 0.6 on seismic-like). It
+// could not go lower anyway: member k-NN queries, whose 5th-nearest bound
+// after the approximate search leaves shares of up to 0.49 on a small
+// index, must keep the tree (TestRefineMatchesPlainLoop's plan rows).
 func (euclidean) crossover() float64 { return 0.5 }
 
 // The refine stage walks a leaf's surviving candidates in batches of
@@ -459,7 +459,7 @@ func (r *SearchRun) init(req Request, st *QueryState) {
 	if !lazyTable {
 		r.prepareTable(st, qpaa)
 	}
-	found := r.approxSearch(qpaa, qword, &t)
+	found := r.approxSearch(req, qpaa, qword, &t)
 	// An approximate run whose descent reached no candidate falls back to
 	// the exact search simply by not being done.
 	r.done = req.Mode == ModeApprox && found
@@ -557,7 +557,7 @@ func (r *SearchRun) InsertPhase(pid int) {
 	if r.trace {
 		tStart = time.Now()
 	}
-	roots := r.ix.activeRoots
+	roots, k := r.ix.activeRoots, r.ix.Tree.RootBits()
 	for {
 		lo := int(r.claimCtr.Add(1)-1) * rootBlock
 		if lo >= len(roots) || r.qos.stop() {
@@ -567,7 +567,7 @@ func (r *SearchRun) InsertPhase(pid int) {
 		t.NodesVisited += int64(len(block))
 		t.LowerBoundCalcs += int64(len(block))
 		for _, key := range block {
-			dist := r.table.RootBound(int(key))
+			dist := r.table.RootBound(int(key), k)
 			if !r.qos.prunes(dist, r.bnd.Load()) {
 				r.insert(r.ix.Tree.Root(int(key)), dist, &cursor, &t)
 			}
@@ -813,28 +813,72 @@ func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector,
 	t.RealDistCalcs += realCount
 }
 
-// approxSearch seeds the bound (Figure 4(a)): take the best real distances
-// inside the leaf matching the query's iSAX word — every entry is a
-// candidate, with no lower bounds to filter on. The paper's
-// progressive-search citation observes this initial answer is usually very
-// close to the exact one. It reports whether the descent reached any
-// candidate at all.
-func (r *SearchRun) approxSearch(qpaa []float64, qword []uint8, t *stats.Tally) bool {
+// approxSearch seeds the bound (Figure 4(a)) from the leaf matching the
+// query's iSAX word. The paper's progressive-search citation observes this
+// initial answer is usually very close to the exact one. A ModeApprox run
+// measures the whole leaf, its answer, with no lower bounds to filter on,
+// and so does a k-NN run: its plan reads the kth distance, which a handful
+// of entries bounds loosely (member 5-NN queries on a 2 000-series index
+// had sampled shares of 0.49 from the whole leaf and 0.50–0.64 from its
+// best 8–40 by bound, which would scan them). Every other run only needs a
+// bound to start from, and the leaf it seeds from is searched again by the
+// exact phases, so it measures just the seedSize entries with the smallest
+// full-cardinality bounds, in bound order: one worker does this before the
+// others start, and a leaf of a root sized to the collection holds up to a
+// leaf capacity of entries (a whole one took serve-dtw's preparation from
+// 1.6 to 7–9 ms). It reports whether the descent reached any candidate at
+// all.
+func (r *SearchRun) approxSearch(req Request, qpaa []float64, qword []uint8, t *stats.Tally) bool {
 	leaf := r.ix.approxLeaf(qpaa, qword, r.table, t)
 	if leaf == nil || leaf.LeafLen() == 0 {
 		return false
 	}
 	scratch := scratchPool.Get().(*leafScratch)
 	defer scratchPool.Put(scratch)
-	r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
+	if req.Mode == ModeApprox || req.K > 1 {
+		r.ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
+		return true
+	}
+	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
+	for e := range lbs {
+		lbs[e] *= r.table.Scale()
+	}
+	cand := scratch.nearest(lbs, seedSize)
+	r.ix.refine(leaf, cand, lbs, r.kern, scratch, r.bnd, r.opt.Start, r.qos, t)
 	return true
+}
+
+// seedSize is how many entries of its leaf an exact, ε or deadline 1-NN
+// run's seed measures: one refine batch.
+const seedSize = refineBatch
+
+// nearest returns the m entries with the smallest bounds in lbs, ties to
+// the lower entry, in ascending (bound, entry) order: an insertion into a
+// list of at most m, which an entry no better than the list's last skips.
+func (s *leafScratch) nearest(lbs []float64, m int) []int32 {
+	cand := s.candidates(m)
+	for e, lb := range lbs {
+		i := len(cand)
+		if i < m {
+			cand = append(cand, 0)
+		} else if lb >= lbs[cand[m-1]] {
+			continue
+		} else {
+			i-- // the last entry drops out
+		}
+		for ; i > 0 && lbs[cand[i-1]] > lb; i-- {
+			cand[i] = cand[i-1]
+		}
+		cand[i] = int32(e)
+	}
+	return cand
 }
 
 // approxLeaf descends to the leaf matching the query's iSAX word. A nil
 // tab (an approximate Euclidean run) makes the scalar kernel serve the rare
 // empty-subtree fallback; every other run passes its already-built table.
 func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable, t *stats.Tally) *tree.Node {
-	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
+	root := ix.Tree.Root(ix.Tree.RootKey(qword))
 	if root == nil {
 		// The query's own subtree is empty: fall back to the root child
 		// with the smallest lower bound, dereferencing only the winner.
@@ -842,7 +886,7 @@ func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable, 
 		for _, key := range ix.activeRoots {
 			var d float64
 			if tab != nil {
-				d = tab.RootBound(int(key))
+				d = tab.RootBound(int(key), ix.Tree.RootBits())
 			} else {
 				r := ix.Tree.Root(int(key))
 				d = ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)

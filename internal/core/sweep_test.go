@@ -35,10 +35,13 @@ func refTraverse(r *SearchRun, node *tree.Node, limit float64, c *passCounts, pr
 }
 
 // sweepIndex builds an index whose active roots fill more than four
-// claimed blocks.
+// claimed blocks: a leaf capacity of 4 keys 12 000 series' root on k = 12
+// segments.
 func sweepIndex(t *testing.T) *Index {
 	t.Helper()
-	ix := buildTestIndex(t, dataset.RandomWalk, 12000, 64, smallOpts())
+	opts := smallOpts()
+	opts.LeafCapacity = 4
+	ix := buildTestIndex(t, dataset.RandomWalk, 12000, 64, opts)
 	if n := len(ix.activeRoots); n < 4*rootBlock {
 		t.Fatalf("%d active roots, want at least %d", n, 4*rootBlock)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -392,9 +393,30 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, s := range seeds {
 					bnd.Update(s.Dist, int64(s.Position))
 				}
+				// The seed: a k-NN run measures the query's leaf whole, a 1-NN
+				// run its first refineBatch entries stably sorted by bound, in
+				// that order.
 				first := ix.approxLeaf(qpaa, ix.Schema.WordFromPAA(qpaa, nil), tab, &wantTally)
-				refinePlain(ix, first, nil, 0, 1, kern, bnd, nil, &wantTally)
 				var refScratch leafScratch
+				if fl.k > 1 {
+					refinePlain(ix, first, nil, 0, 1, kern, bnd, nil, &wantTally)
+				} else {
+					firstLbs := refScratch.accumulate(first, tab, w)
+					order := make([]int, first.LeafLen())
+					for e := range order {
+						order[e] = e
+					}
+					sort.SliceStable(order, func(i, j int) bool {
+						return firstLbs[order[i]]*tab.Scale() < firstLbs[order[j]]*tab.Scale()
+					})
+					order = order[:min(len(order), refineBatch)]
+					seedPositions, seedLbs := make([]int32, len(order)), make([]float64, len(order))
+					for i, e := range order {
+						seedPositions[i], seedLbs[i] = first.Positions[e], firstLbs[e]
+					}
+					refinePlain(ix, syntheticLeaf(ix, seedPositions), seedLbs, tab.Scale(), wantQoS.scale, kern, bnd, wantQoS, &wantTally)
+					wantTally.LowerBoundCalcs += int64(first.LeafLen() - len(order)) // the seed bounds the whole leaf
+				}
 				for _, leaf := range leaves {
 					lbs := refScratch.accumulate(leaf, tab, w)
 					refinePlain(ix, leaf, lbs, tab.Scale(), wantQoS.scale, kern, bnd, wantQoS, &wantTally)

@@ -29,12 +29,13 @@ package isax
 // entries at a time with VPERMI2B lookups, and only the entries that sum
 // cannot rule out get the float64 bound from these cells.
 //
-// A root level serves the root children, whose bits are all 1: for each
-// h-bit root-key prefix (h = min(w, 8)) the partial sum of its first h
-// one-bit cells, so a root bound is one load plus w − h adds (RootBound).
+// A root level serves the root children, which carry one bit on each of
+// their first k segments and none on the rest: for every h-bit root-key
+// prefix (h ≤ min(w, 8)) the partial sum of its first h one-bit cells, so
+// a root bound is one load plus k − h adds (RootBound).
 //
 // Memory: one flat allocation of w × (2^(CardBits+1) − 2) float64 cells
-// (64 KiB at the paper's w=16, CardBits=8) and 2^h root sums (2 KiB),
+// (64 KiB at the paper's w=16, CardBits=8) and 2^(h+1) root sums (4 KiB),
 // reused across queries via Build. A DistTable is owned by one query at a
 // time; concurrent readers are safe once built.
 type DistTable struct {
@@ -44,10 +45,10 @@ type DistTable struct {
 	// holds Segments × 2^b cells, segment-major (segment s's row starts
 	// at levelOff[b] + s<<b).
 	levelOff [MaxCardBits + 1]int
-	// root[k] is the sum, in segment order, of the one-bit cells of the
-	// h-bit root-key prefix k; rootShift = w − h drops the other bits.
-	root      []float64
-	rootShift int
+	// root[1<<h + p] is the sum, in segment order, of the one-bit cells of
+	// the h-bit root-key prefix p, for every h ≤ rootLevels = min(w, 8).
+	root       []float64
+	rootLevels int
 }
 
 // NewDistTable allocates an empty distance table for this schema. Call
@@ -61,7 +62,7 @@ func (s *Schema) NewDistTable() *DistTable {
 	}
 	t.cells = make([]float64, off)
 	h := min(s.Segments, 8)
-	t.root, t.rootShift = make([]float64, 1<<h), s.Segments-h
+	t.root, t.rootLevels = make([]float64, 2<<h), h
 	return t
 }
 
@@ -122,14 +123,13 @@ func (t *DistTable) build(upper, lower []float64) {
 			coarse[i] = a
 		}
 	}
-	// Double the root level one segment at a time, from the top index
-	// down so each prefix's sum is read before its slot is overwritten.
+	// Each root level extends the one above by segment h's one-bit cells.
 	one := t.cells[t.levelOff[1]:]
-	t.root[0] = 0
-	for seg, n := 0, 1; n < len(t.root); seg, n = seg+1, 2*n {
-		for k := n - 1; k >= 0; k-- {
-			v := t.root[k]
-			t.root[2*k], t.root[2*k+1] = v+one[2*seg], v+one[2*seg+1]
+	t.root[1] = 0
+	for h := 0; h < t.rootLevels; h++ {
+		for p := 0; p < 1<<h; p++ {
+			v := t.root[1<<h+p]
+			t.root[2<<h+2*p], t.root[2<<h+2*p+1] = v+one[2*h], v+one[2*h+1]
 		}
 	}
 }
@@ -168,15 +168,16 @@ func (t *DistTable) MinDistPrefix(symbols, bits []uint8) float64 {
 }
 
 // RootBound returns the squared lower bound against the root child of
-// w-bit root key key (Schema.RootIndex: segment 0 is the high bit), whose
-// bits are all 1: the root level's partial sum, then the remaining
-// segments' one-bit cells in segment order — bitwise identical to
-// MinDistPrefix on that child's symbols and bits.
-func (t *DistTable) RootBound(key int) float64 {
-	w := t.schema.Segments
-	sum := t.root[key>>t.rootShift]
-	for i := w - t.rootShift; i < w; i++ {
-		sum += t.cells[2*i+key>>(w-1-i)&1] // level 1 starts at cells[0]
+// k-bit root key key (the top bit of segments 0…k−1, segment 0 the high
+// bit), which has one bit on those segments and none on the rest: the root
+// level's partial sum, then the remaining key segments' one-bit cells in
+// segment order — bitwise identical to MinDistPrefix on that child's
+// symbols and bits.
+func (t *DistTable) RootBound(key, k int) float64 {
+	h := min(k, t.rootLevels)
+	sum := t.root[1<<h+key>>(k-h)]
+	for i := h; i < k; i++ {
+		sum += t.cells[2*i+key>>(k-1-i)&1] // level 1 starts at cells[0]
 	}
 	return sum * t.schema.ratio
 }

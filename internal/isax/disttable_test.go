@@ -22,22 +22,22 @@ func randomPrefix(rng *rand.Rand, s *Schema, word []uint8) (symbols, bits []uint
 	return symbols, bits
 }
 
-// rootPrefix returns the symbols and bits of root key key's child as
-// tree.EnsureRoot builds them: one bit per segment, segment 0 the key's
-// high bit.
-func rootPrefix(w, key int) (symbols, bits []uint8) {
+// rootPrefix returns the symbols and bits of k-bit root key key's child as
+// tree.EnsureRoot builds them: one bit on each of the first k segments,
+// segment 0 the key's high bit, and none on the rest.
+func rootPrefix(w, k, key int) (symbols, bits []uint8) {
 	symbols, bits = make([]uint8, w), make([]uint8, w)
-	for i := range bits {
-		symbols[i], bits[i] = uint8(key>>(w-1-i)&1), 1
+	for i := range k {
+		symbols[i], bits[i] = uint8(key>>(k-1-i)&1), 1
 	}
 	return symbols, bits
 }
 
 // TestDistTableMatchesScalarKernels pins the tentpole equivalence: the
 // table-based lower bounds are bitwise identical to the scalar kernels
-// (full words, variable-cardinality prefixes, root children, and the DTW
-// envelope variants) across random schemas and queries, every w from 1 to
-// 16 among them.
+// (full words, variable-cardinality prefixes, root children keyed on any
+// k ≤ w segments, and the DTW envelope variants) across random schemas and
+// queries, every w from 1 to 16 among them.
 func TestDistTableMatchesScalarKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cfgs := []struct{ n, w, bits int }{
@@ -65,8 +65,9 @@ func TestDistTableMatchesScalarKernels(t *testing.T) {
 				word[i] = uint8(rng.Intn(s.Cardinality()))
 			}
 			symbols, bits := randomPrefix(rng, s, word)
-			key := rng.Intn(s.RootFanout())
-			rootSyms, rootBits := rootPrefix(s.Segments, key)
+			k := rng.Intn(s.Segments + 1)
+			key := rng.Intn(1 << k)
+			rootSyms, rootBits := rootPrefix(s.Segments, k, key)
 
 			tab.BuildPAA(paa)
 			if got, want := tab.MinDistWord(word), s.MinDistPAAWord(paa, word); got != want {
@@ -78,8 +79,8 @@ func TestDistTableMatchesScalarKernels(t *testing.T) {
 			if got, want := tab.MinDistPrefix(symbols, bits), s.MinDistPAAPrefix(paa, symbols, bits); got != want {
 				t.Fatalf("%+v: MinDistPrefix = %v, scalar = %v (bits %v)", cfg, got, want, bits)
 			}
-			if got, want := tab.RootBound(key), s.MinDistPAAPrefix(paa, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%+v: RootBound(%#x) = %v, scalar = %v", cfg, key, got, want)
+			if got, want := tab.RootBound(key, k), s.MinDistPAAPrefix(paa, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: RootBound(%#x, %d) = %v, scalar = %v", cfg, key, k, got, want)
 			}
 			// Row + Scale reproduce MinDistWord (the segment-major
 			// leaf-scan decomposition).
@@ -100,8 +101,8 @@ func TestDistTableMatchesScalarKernels(t *testing.T) {
 			if got, want := tab.MinDistPrefix(symbols, bits), s.MinDistEnvelopePrefix(uMax, lMin, symbols, bits); got != want {
 				t.Fatalf("%+v: envelope MinDistPrefix = %v, scalar = %v (bits %v)", cfg, got, want, bits)
 			}
-			if got, want := tab.RootBound(key), s.MinDistEnvelopePrefix(uMax, lMin, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%+v: envelope RootBound(%#x) = %v, scalar = %v", cfg, key, got, want)
+			if got, want := tab.RootBound(key, k), s.MinDistEnvelopePrefix(uMax, lMin, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: envelope RootBound(%#x, %d) = %v, scalar = %v", cfg, key, k, got, want)
 			}
 		}
 	}

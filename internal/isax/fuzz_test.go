@@ -55,10 +55,11 @@ func FuzzDistTableEquivalence(f *testing.F) {
 		if got, want := tab.MinDistPrefix(symbols, bits), s.MinDistPAAPrefix(paa, symbols, bits); got != want {
 			t.Fatalf("prefix table %v != scalar %v (cardBits %d, bits %v)", got, want, cb, bits)
 		}
-		key := (int(symA)<<8 | int(symB)) & (s.RootFanout() - 1)
-		rootSyms, rootBits := rootPrefix(w, key)
-		if got, want := tab.RootBound(key), s.MinDistPAAPrefix(paa, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("RootBound(%#x) %v != scalar %v (w %d)", key, got, want, w)
+		k := int(prefixBits) % (w + 1)
+		key := (int(symA)<<8 | int(symB)) & (1<<k - 1)
+		rootSyms, rootBits := rootPrefix(w, k, key)
+		if got, want := tab.RootBound(key, k), s.MinDistPAAPrefix(paa, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("RootBound(%#x, %d) %v != scalar %v (w %d)", key, k, got, want, w)
 		}
 		// The envelope [min(a,b), max(a,b)] on every segment.
 		uMax, lMin := make([]float64, w), make([]float64, w)
@@ -66,8 +67,8 @@ func FuzzDistTableEquivalence(f *testing.F) {
 			uMax[i], lMin[i] = max(a, b), min(a, b)
 		}
 		tab.BuildEnvelope(uMax, lMin)
-		if got, want := tab.RootBound(key), s.MinDistEnvelopePrefix(uMax, lMin, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("envelope RootBound(%#x) %v != scalar %v (w %d)", key, got, want, w)
+		if got, want := tab.RootBound(key, k), s.MinDistEnvelopePrefix(uMax, lMin, rootSyms, rootBits); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("envelope RootBound(%#x, %d) %v != scalar %v (w %d)", key, k, got, want, w)
 		}
 	})
 }

@@ -23,8 +23,9 @@ import (
 )
 
 // MaxSegments bounds the number of PAA segments (w). Root subtrees are
-// addressed by one bit per segment, so the root fanout is 2^w; 16 matches
-// the paper and keeps the fanout addressable by a dense array.
+// addressed by one bit on each of at most w segments, so the root fanout
+// is at most 2^w; 16 matches the paper and keeps the fanout addressable by
+// a dense array and a root key by a uint16.
 const MaxSegments = 16
 
 // MaxCardBits bounds the per-symbol bit width; 8 bits (alphabet cardinality
@@ -100,8 +101,9 @@ func NewSchema(seriesLen, segments, cardBits int) (*Schema, error) {
 // Cardinality returns the full alphabet cardinality (1 << CardBits).
 func (s *Schema) Cardinality() int { return 1 << s.CardBits }
 
-// RootFanout returns the number of root subtrees, 2^Segments: the root
-// children are addressed by the top bit of each segment's symbol.
+// RootFanout returns the number of root subtrees of MESSI's tree,
+// 2^Segments: the root children are addressed by the top bit of each
+// segment's symbol (a tree keyed on fewer segments has fewer).
 func (s *Schema) RootFanout() int { return 1 << s.Segments }
 
 // Symbol quantizes a single PAA value to a full-precision symbol.
@@ -131,7 +133,8 @@ func (s *Schema) SymbolAtBits(sym uint8, b uint8) uint8 {
 }
 
 // RootIndex maps a full-precision word to its root subtree slot: the top
-// bit of each segment's symbol, packed with segment 0 as the high bit.
+// bit of each segment's symbol, packed with segment 0 as the high bit. A
+// root keyed on the first k segments takes its top k bits.
 func (s *Schema) RootIndex(word []uint8) int {
 	top := uint(s.CardBits - 1)
 	idx := 0

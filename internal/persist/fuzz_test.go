@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/paa"
+	"repro/internal/tree"
 )
 
 // FuzzParseHeader drives arbitrary bytes through the snapshot header
@@ -70,12 +72,28 @@ func FuzzRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := write(&buf, ix, false); err != nil {
+	// Build keys this member's root on k = 3 of the 16 segments (64 series,
+	// leaf 8); the same series inserted under MESSI's root (k = w) seed the
+	// other shape.
+	if k := ix.Tree.RootBits(); k != 3 {
+		f.Fatalf("64 series at leaf 8 key the root on %d segments, want 3", k)
+	}
+	messi, err := tree.New(ix.Schema, 8)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:HeaderSize])
+	for i := 0; i < col.Count(); i++ {
+		word := ix.Schema.WordFromPAA(paa.Transform(col.At(i), ix.Schema.Segments, nil), nil)
+		messi.Insert(messi.EnsureRoot(messi.RootKey(word)), word, int32(i))
+	}
+	for _, member := range []*core.Index{ix, core.Restore(col, messi, core.Options{})} {
+		var buf bytes.Buffer
+		if err := write(&buf, member, false); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:HeaderSize])
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = bytes.Clone(b)

@@ -100,11 +100,11 @@ func (t *Tree) AppendBinary(b []byte) ([]byte, error) {
 // root subtrees follow one another with slots ascending, so no node is
 // shared or left over. Every node must pass the per-node invariants of
 // CheckInvariants, and every position in [0, entries) must appear in
-// exactly one leaf.
+// exactly one leaf. The root's key width k is read from the root
+// summaries, so a section loads with the k it was built at.
 func Decode(schema *isax.Schema, leafCapacity, entries int, b []byte) (*Tree, error) {
-	t, err := New(schema, leafCapacity)
-	if err != nil {
-		return nil, err
+	if schema == nil {
+		return nil, fmt.Errorf("tree: nil schema")
 	}
 	w := schema.Segments
 	if len(b) < 8 {
@@ -113,9 +113,25 @@ func Decode(schema *isax.Schema, leafCapacity, entries int, b []byte) (*Tree, er
 	roots, count := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
 	// Every node takes at least 2w+5 bytes and every root 8, so the counts
 	// cannot make the slabs below outgrow the section.
-	if uint64(roots) > uint64(t.RootCount()) || uint64(roots) > uint64(count) ||
-		8+8*uint64(roots)+uint64(count)*uint64(2*w+5) > uint64(len(b)) {
+	if uint64(roots) > uint64(count) || 8+8*uint64(roots)+uint64(count)*uint64(2*w+5) > uint64(len(b)) {
 		return nil, fmt.Errorf("tree: %d roots and %d nodes cannot fit a %d-byte section", roots, count, len(b))
+	}
+	// The root key width is not stored: it is the number of leading
+	// one-bit segments of the first root's summary, and checkNode holds
+	// every root to it.
+	k := w
+	if roots > 0 {
+		k = 0
+		for _, bits := range b[8+8*int(roots)+1+w:][:w] {
+			if bits != 1 {
+				break
+			}
+			k++
+		}
+	}
+	t, err := NewRooted(schema, leafCapacity, k)
+	if err != nil {
+		return nil, err
 	}
 	d := decoder{
 		t:         t,
@@ -183,7 +199,7 @@ func (d *decoder) expect(idx uint32, what string) error {
 // node decodes the next node and its subtree. parent is nil for the root
 // child at slot; right says which child of parent it is. Each child adds
 // one bit to its parent's summary (checkNode), so the recursion is at
-// most w·(CardBits−1)+1 deep.
+// most w·CardBits−k+1 deep.
 func (d *decoder) node(parent *Node, slot int, right bool) (*Node, error) {
 	w := d.t.Schema.Segments
 	n := &d.nodes[d.next]

@@ -7,22 +7,24 @@ package tree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// buildRandomTree inserts n realistic words into a fresh tree.
-func buildRandomTree(t *testing.T, n, leafCap int) *Tree {
+// buildRandomTree inserts n realistic words into a fresh tree whose root
+// is keyed on the first k segments.
+func buildRandomTree(t *testing.T, n, leafCap, k int) *Tree {
 	t.Helper()
 	s := newSchema(t)
-	tr, err := New(s, leafCap)
+	tr, err := NewRooted(s, leafCap, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
 		word := wordFromRandomSeries(rng, s)
-		tr.Insert(tr.EnsureRoot(s.RootIndex(word)), word, int32(i))
+		tr.Insert(tr.EnsureRoot(tr.RootKey(word)), word, int32(i))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -39,12 +41,25 @@ func encode(t *testing.T, tr *Tree) []byte {
 	return b
 }
 
+// TestFlattenRoundTrip: a tree decodes to itself and re-encodes to the
+// same bytes at every root key width — a single root (k = 0), two, the
+// 128 of 250 000 series at the default leaf, and MESSI's 2^w — and loads
+// with the k it was built at, which the section does not store.
 func TestFlattenRoundTrip(t *testing.T) {
-	tr := buildRandomTree(t, 3000, 16)
+	for _, k := range []int{0, 1, 7, 16} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testFlattenRoundTrip(t, k) })
+	}
+}
+
+func testFlattenRoundTrip(t *testing.T, k int) {
+	tr := buildRandomTree(t, 3000, 16, k)
 	b := encode(t, tr)
 	back, err := Decode(tr.Schema, tr.LeafCapacity, 3000, b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if back.RootBits() != k || back.RootCount() != 1<<k {
+		t.Fatalf("decoded root keyed on %d segments with %d slots, want %d", back.RootBits(), back.RootCount(), k)
 	}
 	if err := back.CheckInvariants(); err != nil {
 		t.Fatalf("decoded tree violates invariants: %v", err)
@@ -66,7 +81,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	tr.ForEachLeaf(func(n *Node) {
 		for i := 0; i < n.LeafLen(); i++ {
 			word := n.Word(i, w, nil)
-			leaf := back.DescendToLeaf(back.Root(tr.Schema.RootIndex(word)), word)
+			leaf := back.DescendToLeaf(back.Root(back.RootKey(word)), word)
 			found := false
 			for j, p := range leaf.Positions {
 				if p == n.Positions[i] {
@@ -122,7 +137,7 @@ func nodeOffsets(b []byte, w int) []int {
 // valid tree section must be rejected, never panic or build a broken tree.
 func TestUnflattenRejectsCorruption(t *testing.T) {
 	const entries = 1200
-	tr := buildRandomTree(t, entries, 8)
+	tr := buildRandomTree(t, entries, 8, 16)
 	s, w := tr.Schema, tr.Schema.Segments
 	valid := encode(t, tr)
 	offs := nodeOffsets(valid, w)
@@ -196,6 +211,44 @@ func TestUnflattenRejectsCorruption(t *testing.T) {
 	for _, b := range [][]byte{nil, valid[:7]} {
 		if _, err := Decode(s, tr.LeafCapacity, entries, b); err == nil {
 			t.Errorf("%d-byte section accepted", len(b))
+		}
+	}
+}
+
+// TestDecodeChecksRootKeyWidth: the root key width k is read from the
+// first root's summary, so a section whose roots do not all carry exactly
+// k leading one-bit segments, or whose slot does not fit k bits, is
+// rejected.
+func TestDecodeChecksRootKeyWidth(t *testing.T) {
+	const entries, k = 1200, 7
+	tr := buildRandomTree(t, entries, 8, k)
+	w := tr.Schema.Segments
+	valid := encode(t, tr)
+	if _, err := Decode(tr.Schema, tr.LeafCapacity, entries, valid); err != nil {
+		t.Fatal(err)
+	}
+	offs := nodeOffsets(valid, w)
+	roots := int(binary.LittleEndian.Uint32(valid))
+	if roots < 2 {
+		t.Fatal("test tree needs two roots")
+	}
+	second := offs[binary.LittleEndian.Uint32(valid[20:])] // the second root's node
+	bits := func(node int) int { return node + 1 + w }     // a node's bits, after flags and symbols
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"slot past 2^k", func(b []byte) { binary.LittleEndian.PutUint32(b[8+8*(roots-1):], 1<<k) }},
+		{"a one-bit segment after a zero-bit one", func(b []byte) { b[bits(offs[0])+k+1] = 1 }},
+		{"a two-bit key segment", func(b []byte) { b[bits(offs[0])+1] = 2 }},
+		{"first root keyed on k+1 segments, the others on k", func(b []byte) { b[bits(offs[0])+k] = 1 }},
+		{"second root keyed on k+1 segments", func(b []byte) { b[bits(second)+k] = 1 }},
+		{"second root keyed on k−1 segments", func(b []byte) { b[bits(second)+k-1] = 0 }},
+	} {
+		b := bytes.Clone(valid)
+		tc.mutate(b)
+		if _, err := Decode(tr.Schema, tr.LeafCapacity, entries, b); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

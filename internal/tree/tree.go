@@ -1,12 +1,17 @@
 // Package tree implements the iSAX index tree shared by MESSI and the
-// ParIS baselines (Figure 1(d) of the paper): a root with up to 2^w
-// children (one per combination of the segments' top bits), binary internal
-// nodes, and leaves holding <iSAX word, series position> pairs.
+// ParIS baselines (Figure 1(d) of the paper): a root with up to 2^k
+// children (one per combination of the top bits of the first k segments),
+// binary internal nodes, and leaves holding <iSAX word, series position>
+// pairs. A root child carries one bit on each of those k segments and none
+// on the rest. MESSI's tree is k = w; a collection of n series needs only
+// the k at which a root child holds about a leaf's worth (core.Build picks
+// it), and a smaller k means fewer, fuller subtrees.
 //
 // A leaf that exceeds its capacity splits: one segment's cardinality is
-// promoted by one bit — the segment chosen is the one producing the most
-// balanced redistribution (the iSAX2.0 policy cited by the paper) — and the
-// entries are redistributed to the two refined children.
+// promoted by one bit (from zero bits too) — the segment chosen is the one
+// producing the most balanced redistribution (the iSAX2.0 policy cited by
+// the paper) — and the entries are redistributed to the two refined
+// children.
 //
 // The tree itself is not internally synchronized. MESSI's construction
 // guarantees each root subtree is owned by exactly one worker at a time, so
@@ -107,45 +112,71 @@ func (n *Node) grow(w int) {
 type Tree struct {
 	Schema       *isax.Schema
 	LeafCapacity int
+	rootBits     int     // k: root children are keyed on segments 0…k−1
 	roots        []*Node // one slot per root subtree; nil when empty
 }
 
-// New creates an empty tree. leafCapacity must be positive.
+// New creates an empty tree with MESSI's root, keyed on every segment.
+// leafCapacity must be positive.
 func New(schema *isax.Schema, leafCapacity int) (*Tree, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("tree: nil schema")
+	}
+	return NewRooted(schema, leafCapacity, schema.Segments)
+}
+
+// NewRooted creates an empty tree whose root is keyed on the top bit of
+// the first rootBits segments (0 ≤ rootBits ≤ w). leafCapacity must be
+// positive.
+func NewRooted(schema *isax.Schema, leafCapacity, rootBits int) (*Tree, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("tree: nil schema")
 	}
 	if leafCapacity <= 0 {
 		return nil, fmt.Errorf("tree: non-positive leaf capacity %d", leafCapacity)
 	}
+	if rootBits < 0 || rootBits > schema.Segments {
+		return nil, fmt.Errorf("tree: root keyed on %d of %d segments", rootBits, schema.Segments)
+	}
 	return &Tree{
 		Schema:       schema,
 		LeafCapacity: leafCapacity,
-		roots:        make([]*Node, schema.RootFanout()),
+		rootBits:     rootBits,
+		roots:        make([]*Node, 1<<rootBits),
 	}, nil
 }
 
 // Root returns the root child at slot l (nil when empty).
 func (t *Tree) Root(l int) *Node { return t.roots[l] }
 
-// RootCount returns the number of root slots (the fanout).
+// RootCount returns the number of root slots (the fanout), 2^RootBits.
 func (t *Tree) RootCount() int { return len(t.roots) }
 
+// RootBits returns k, the number of leading segments the root is keyed on.
+func (t *Tree) RootBits() int { return t.rootBits }
+
+// RootKey maps a full-precision word to its root slot: the top bit of each
+// of the first k segments, segment 0 the high bit.
+func (t *Tree) RootKey(word []uint8) int {
+	return t.Schema.RootIndex(word) >> (t.Schema.Segments - t.rootBits)
+}
+
 // EnsureRoot returns the root child for slot l, creating it (as an empty
-// leaf whose per-segment summaries are the top bit of each symbol) on first
-// use. Callers must guarantee exclusive access to slot l while building.
+// leaf whose per-segment summaries are the top bit of each of the first k
+// symbols, and no bits of the rest) on first use. Callers must guarantee
+// exclusive access to slot l while building.
 func (t *Tree) EnsureRoot(l int) *Node {
 	if n := t.roots[l]; n != nil {
 		return n
 	}
-	w := t.Schema.Segments
+	w, k := t.Schema.Segments, t.rootBits
 	n := &Node{
 		Symbols: make([]uint8, w),
 		Bits:    make([]uint8, w),
 	}
-	for i := 0; i < w; i++ {
+	for i := 0; i < k; i++ {
 		n.Bits[i] = 1
-		n.Symbols[i] = uint8(l>>(w-1-i)) & 1
+		n.Symbols[i] = uint8(l>>(k-1-i)) & 1
 	}
 	t.roots[l] = n
 	return n
@@ -153,7 +184,7 @@ func (t *Tree) EnsureRoot(l int) *Node {
 
 // Insert adds a <word, position> entry under the given root child,
 // splitting full leaves on the way (Algorithm 4, lines 7-11). The word
-// must belong to that root subtree (callers route via Schema.RootIndex).
+// must belong to that root subtree (callers route via RootKey).
 func (t *Tree) Insert(root *Node, word []uint8, pos int32) {
 	w := t.Schema.Segments
 	n := root
@@ -199,61 +230,27 @@ func (t *Tree) childFor(n *Node, word []uint8) *Node {
 // entries. If every segment is already at full cardinality the node is
 // marked unsplittable and remains a leaf.
 func (t *Tree) split(n *Node) {
-	w := t.Schema.Segments
-	cardBits := uint8(t.Schema.CardBits)
-	count := len(n.Positions)
-
-	bestSeg := -1
-	bestImbalance := count + 1
+	w, shifts, count := t.Schema.Segments, t.nextBits(n), len(n.Positions)
+	var ones [isax.MaxSegments]int
 	for seg := 0; seg < w; seg++ {
-		if n.Bits[seg] >= cardBits {
-			continue
-		}
-		shift := cardBits - (n.Bits[seg] + 1)
-		ones := 0
 		for _, sym := range n.Col(seg) {
-			ones += int((sym >> shift) & 1)
-		}
-		imbalance := count - 2*ones
-		if imbalance < 0 {
-			imbalance = -imbalance
-		}
-		if imbalance < bestImbalance {
-			bestImbalance = imbalance
-			bestSeg = seg
+			ones[seg] += int(sym>>shifts[seg]) & 1
 		}
 	}
-	if bestSeg < 0 {
+	seg := t.splitSegment(n, count, &ones)
+	if seg < 0 {
 		n.unsplittable = true
 		return
 	}
-
-	seg := bestSeg
-	childBits := n.Bits[seg] + 1
-	shift := cardBits - childBits
-	splitCol := n.Col(seg)
-	ones := 0
-	for _, sym := range splitCol {
-		ones += int((sym >> shift) & 1)
-	}
-	makeChild := func(bit uint8, size int) *Node {
-		c := &Node{
-			Symbols:   make([]uint8, w),
-			Bits:      make([]uint8, w),
-			Positions: make([]int32, 0, size),
-			Size:      size,
-		}
-		copy(c.Symbols, n.Symbols)
-		copy(c.Bits, n.Bits)
-		c.Bits[seg] = childBits
-		c.Symbols[seg] = n.Symbols[seg]<<1 | bit
+	shift, splitCol := shifts[seg], n.Col(seg)
+	alloc := func(c *Node, size int) *Node {
+		c.Size, c.Positions = size, make([]int32, 0, size)
 		if size > 0 {
-			c.Words = make([]uint8, w*size)
-			c.Stride = size
+			c.Words, c.Stride = make([]uint8, w*size), size
 		}
 		return c
 	}
-	left, right := makeChild(0, count-ones), makeChild(1, ones)
+	left, right := alloc(t.child(n, seg, 0), count-ones[seg]), alloc(t.child(n, seg, 1), ones[seg])
 	// Redistribute column by column: the split column routes each entry,
 	// so every destination column is filled with one sequential pass over
 	// the matching source column.
@@ -277,9 +274,114 @@ func (t *Tree) split(n *Node) {
 			left.Positions = append(left.Positions, pos)
 		}
 	}
-	n.SplitSegment = seg
-	n.Left, n.Right = left, right
 	n.Words, n.Positions, n.Stride = nil, nil, 0
+}
+
+// nextBits returns, per segment, the shift that exposes the bit by which
+// a split of n on that segment would refine it. Past full cardinality the
+// shift wraps, so the bit reads 0; splitSegment skips such segments.
+func (t *Tree) nextBits(n *Node) (shifts [isax.MaxSegments]uint8) {
+	for seg := range t.Schema.Segments {
+		shifts[seg] = uint8(t.Schema.CardBits) - n.Bits[seg] - 1
+	}
+	return shifts
+}
+
+// splitSegment chooses the segment a full node of count entries splits
+// on, given how many entries have a 1 as each segment's next bit: the most
+// balanced one, the lowest on a tie, or −1 when every segment is at full
+// cardinality.
+func (t *Tree) splitSegment(n *Node, count int, ones *[isax.MaxSegments]int) int {
+	best, bestImbalance := -1, count+1
+	for seg := 0; seg < t.Schema.Segments; seg++ {
+		if n.Bits[seg] >= uint8(t.Schema.CardBits) {
+			continue
+		}
+		imbalance := count - 2*ones[seg]
+		if imbalance < 0 {
+			imbalance = -imbalance
+		}
+		if imbalance < bestImbalance {
+			best, bestImbalance = seg, imbalance
+		}
+	}
+	return best
+}
+
+// child splits n on seg and returns its new, empty left (bit 0) or right
+// (bit 1) child, whose summary is n's with seg refined by that bit.
+func (t *Tree) child(n *Node, seg int, bit uint8) *Node {
+	w := t.Schema.Segments
+	c := &Node{Symbols: make([]uint8, w), Bits: make([]uint8, w)}
+	copy(c.Symbols, n.Symbols)
+	copy(c.Bits, n.Bits)
+	c.Bits[seg]++
+	c.Symbols[seg] = n.Symbols[seg]<<1 | bit
+	n.SplitSegment = seg
+	if bit == 0 {
+		n.Left = c
+	} else {
+		n.Right = c
+	}
+	return c
+}
+
+// BuildRoot builds root slot l's subtree in one pass: the subtree Insert
+// builds when fed the slot's series in run order, node for node. run holds
+// their positions, and words their full-precision words, entry-major in
+// the same order (entry i's is words[i·w:(i+1)·w]). Both are partitioned
+// in place, so each leaf owns one stretch of them: its Positions alias its
+// stretch of run (capped at its length), and its stretch of words is
+// rewritten into its segment-major columns (Stride = entries). scratch and
+// wordScratch need room for len(run) positions and words.
+//
+// A node of more than LeafCapacity entries splits on the segment its first
+// LeafCapacity entries balance best — those it held when Insert split it —
+// and its stretch is partitioned stably by that segment's next bit, so each
+// child's entries keep the order Insert fed them in.
+func (t *Tree) BuildRoot(l int, words []uint8, run []int32, wordScratch []uint8, scratch []int32) {
+	t.bulk(t.EnsureRoot(l), words, run, wordScratch, scratch)
+}
+
+func (t *Tree) bulk(n *Node, words []uint8, run []int32, wordScratch []uint8, scratch []int32) {
+	w, m := t.Schema.Segments, len(run)
+	n.Size = m
+	if m > t.LeafCapacity {
+		shift := t.nextBits(n)
+		var ones [isax.MaxSegments]int
+		for i := range t.LeafCapacity {
+			for seg, sym := range words[i*w : i*w+w] {
+				ones[seg] += int(sym>>shift[seg]) & 1
+			}
+		}
+		if seg := t.splitSegment(n, t.LeafCapacity, &ones); seg >= 0 {
+			zeros, high := 0, 0
+			for i, p := range run {
+				if word := words[i*w : i*w+w]; word[seg]>>shift[seg]&1 == 0 {
+					copy(words[zeros*w:], word)
+					run[zeros] = p
+					zeros++
+				} else {
+					copy(wordScratch[high*w:], word)
+					scratch[high] = p
+					high++
+				}
+			}
+			copy(words[zeros*w:], wordScratch[:high*w])
+			copy(run[zeros:], scratch[:high])
+			t.bulk(t.child(n, seg, 0), words[:zeros*w], run[:zeros], wordScratch, scratch)
+			t.bulk(t.child(n, seg, 1), words[zeros*w:], run[zeros:], wordScratch, scratch)
+			return
+		}
+		n.unsplittable = true
+	}
+	copy(wordScratch, words[:m*w])
+	for i := range m {
+		for s, sym := range wordScratch[i*w : i*w+w] {
+			words[s*m+i] = sym
+		}
+	}
+	n.Positions, n.Words, n.Stride = run[:m:m], words[:m*w:m*w], m
 }
 
 // DescendToLeaf follows a word's bits from a root child down to the leaf
@@ -392,18 +494,19 @@ func (t *Tree) CheckInvariants() error {
 
 // checkNode validates the invariants of n that need only n and its
 // parent, which Decode checks for every node it reads: a root child's
-// summary (parent nil) is the one-bit prefix of its slot; a child's is
-// its parent's with the split segment refined by one bit, 0 for the left
-// child and 1 for the right, to at most CardBits bits (so depth is
-// bounded by w·(CardBits−1)+1); a split segment is in [0,w); and a
-// leaf's storage is shaped by its stride, within capacity unless
-// unsplittable, with every word under the leaf's summary.
+// summary (parent nil) is the one-bit prefix of its slot on the first k
+// segments and no bits on the rest; a child's is its parent's with the
+// split segment refined by one bit, 0 for the left child and 1 for the
+// right, to at most CardBits bits (so depth is bounded by
+// w·CardBits−k+1); a split segment is in [0,w); and a leaf's storage is
+// shaped by its stride, within capacity unless unsplittable, with every
+// word under the leaf's summary.
 func (t *Tree) checkNode(n, parent *Node, slot int, right bool) error {
-	w, card := t.Schema.Segments, uint8(t.Schema.CardBits)
+	w, card, k := t.Schema.Segments, uint8(t.Schema.CardBits), t.rootBits
 	var sym, bits [isax.MaxSegments]uint8
 	if parent == nil {
-		for s := 0; s < w; s++ {
-			sym[s], bits[s] = uint8(slot>>(w-1-s))&1, 1
+		for s := 0; s < k; s++ {
+			sym[s], bits[s] = uint8(slot>>(k-1-s))&1, 1
 		}
 	} else {
 		copy(sym[:], parent.Symbols)
@@ -418,6 +521,10 @@ func (t *Tree) checkNode(n, parent *Node, slot int, right bool) error {
 		}
 	}
 	if !bytes.Equal(n.Symbols, sym[:w]) || !bytes.Equal(n.Bits, bits[:w]) {
+		if parent == nil {
+			return fmt.Errorf("tree: root %d has summary %v at bits %v, not its %d-bit key's",
+				slot, n.Symbols, n.Bits, k)
+		}
 		return fmt.Errorf("tree: node under root %d has summary %v at bits %v, not its parent's refined by one bit",
 			slot, n.Symbols, n.Bits)
 	}

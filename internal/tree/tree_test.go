@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -462,5 +464,60 @@ func TestSegmentMajorLeafLayout(t *testing.T) {
 	})
 	if seen != len(inserted) {
 		t.Fatalf("leaves hold %d entries, inserted %d", seen, len(inserted))
+	}
+}
+
+// TestBuildRootMatchesInsert: BuildRoot, fed each root's positions in
+// order, builds the tree a sequential Insert of every word builds, byte for
+// byte, at every root key width and leaf capacity — duplicates included,
+// which split to full cardinality and leave unsplittable leaves — with
+// exactly sized leaf columns and positions aliasing the run's.
+func TestBuildRootMatchesInsert(t *testing.T) {
+	s := newSchema(t)
+	w := s.Segments
+	rng := rand.New(rand.NewSource(5))
+	var words []uint8
+	for i := 0; i < 2500; i++ {
+		word := wordFromRandomSeries(rng, s)
+		if i%50 == 49 {
+			word = words[:w] // the first word again, 49 times over
+		}
+		words = append(words, word...)
+	}
+	n := len(words) / w
+	for _, k := range []int{0, 1, 7, w} {
+		for _, leafCap := range []int{1, 4, 16, 2000} {
+			ref, err := NewRooted(s, leafCap, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bulk, _ := NewRooted(s, leafCap, k)
+			runs, runWords := make([][]int32, ref.RootCount()), make([][]uint8, ref.RootCount())
+			for i := 0; i < n; i++ {
+				word := words[i*w : (i+1)*w]
+				l := ref.RootKey(word)
+				ref.Insert(ref.EnsureRoot(l), word, int32(i))
+				runs[l], runWords[l] = append(runs[l], int32(i)), append(runWords[l], word...)
+			}
+			for l, run := range runs {
+				if len(run) > 0 {
+					bulk.BuildRoot(l, runWords[l], run, make([]uint8, len(run)*w), make([]int32, len(run)))
+				}
+			}
+			name := fmt.Sprintf("k=%d, capacity %d", k, leafCap)
+			if err := bulk.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, _ := ref.AppendBinary(nil)
+			if got, _ := bulk.AppendBinary(nil); !bytes.Equal(got, want) {
+				t.Fatalf("%s: BuildRoot's tree differs from Insert's", name)
+			}
+			bulk.ForEachLeaf(func(leaf *Node) {
+				if leaf.Stride != leaf.LeafLen() || cap(leaf.Positions) != leaf.LeafLen() {
+					t.Fatalf("%s: leaf of %d entries has stride %d, positions capacity %d",
+						name, leaf.LeafLen(), leaf.Stride, cap(leaf.Positions))
+				}
+			})
+		}
 	}
 }
