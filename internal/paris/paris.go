@@ -5,13 +5,21 @@
 // exact search parallelized on top of the ParIS index).
 //
 // The construction pipeline deliberately keeps the two ParIS behaviours
-// that MESSI redesigns (§I, §III-A of the MESSI paper):
+// that MESSI redesigns (§I, §III-A of the MESSI paper), both in its first
+// phase, bulk loading:
 //
 //  1. receive buffers are shared per root subtree and protected by locks
 //     (MESSI: per-worker lock-free parts), and
 //  2. the raw array is split statically into one chunk per bulk-loading
 //     worker (MESSI: many small chunks claimed via Fetch&Inc), which costs
 //     load balance.
+//
+// Its second phase, index construction, builds each root subtree from its
+// buffered positions in one pass (tree.BuildRoot at k = w, as ParIS+
+// builds a subtree from its buffer), with the partition MESSI's build
+// uses; so a build comparison against MESSI measures the phase MESSI
+// changed. With one worker each buffer is in position order, and the tree
+// is the one inserting every series in order builds.
 //
 // ParIS also materializes the global SAX array (one iSAX word per series):
 // SIMS scans that entire array at query time, which is why ParIS performs
@@ -109,14 +117,20 @@ func Build(data *series.Collection, opts Options) (*Index, error) {
 	wg.Wait()
 
 	// Phase 2 — index construction: workers claim root subtrees via
-	// Fetch&Inc and insert the buffered positions, reading words from the
-	// SAX array.
+	// Fetch&Inc and build each from its buffered positions in one pass,
+	// their words gathered from the SAX array into the root's stretch of
+	// one slab (offsets are prefix sums of the buffer lengths).
+	offsets := make([]int, len(recv.bufs)+1)
+	for l := range recv.bufs {
+		offsets[l+1] = offsets[l] + len(recv.bufs[l].positions)
+	}
+	slab := make([]uint8, len(ix.SAX))
 	var subtreeCtr atomic.Int64
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			constructionWorker(ix, recv, &subtreeCtr)
+			constructionWorker(ix, recv, offsets, slab, &subtreeCtr)
 		}()
 	}
 	wg.Wait()
@@ -141,23 +155,30 @@ func bulkLoadWorker(ix *Index, recv *lockedBuffers, lo, hi int) {
 	}
 }
 
-func constructionWorker(ix *Index, recv *lockedBuffers, subtreeCtr *atomic.Int64) {
-	schema := ix.Schema
-	w := schema.Segments
-	fanout := schema.RootFanout()
+// constructionWorker builds the root subtrees it claims with
+// tree.BuildRoot: the root's leaves keep its buffer's positions (aliased)
+// and its stretch of slab; the scratch is the worker's own, reused.
+func constructionWorker(ix *Index, recv *lockedBuffers, offsets []int, slab []uint8, subtreeCtr *atomic.Int64) {
+	w := ix.Schema.Segments
+	var wordScratch []uint8
+	var scratch []int32
 	for {
 		l := int(subtreeCtr.Add(1) - 1)
-		if l >= fanout {
+		if l >= len(recv.bufs) {
 			return
 		}
 		positions := recv.bufs[l].positions
 		if len(positions) == 0 {
 			continue
 		}
-		root := ix.Tree.EnsureRoot(l)
-		for _, pos := range positions {
-			ix.Tree.Insert(root, ix.SAX[int(pos)*w:(int(pos)+1)*w], pos)
+		words := slab[offsets[l]*w : offsets[l+1]*w]
+		for i, pos := range positions {
+			copy(words[i*w:], ix.Word(int(pos)))
 		}
+		if len(positions) > len(scratch) {
+			wordScratch, scratch = make([]uint8, len(words)), make([]int32, len(positions))
+		}
+		ix.Tree.BuildRoot(l, words, positions, wordScratch, scratch)
 	}
 }
 

@@ -1,6 +1,8 @@
 package paris
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/tree"
 	"repro/internal/vector"
 )
 
@@ -305,5 +308,69 @@ func TestLockedBuffersConcurrent(t *testing.T) {
 	}
 	if len(seen) != workers*per {
 		t.Fatalf("lost entries: %d distinct, want %d", len(seen), workers*per)
+	}
+}
+
+// TestOneWorkerBuildMatchesInsert: with one index worker every buffer
+// holds its root's positions in position order, so the tree phase
+// (tree.BuildRoot per root) builds, byte for byte, the tree that inserting
+// every series in position order builds — on all three families, at a
+// small and a large leaf capacity.
+func TestOneWorkerBuildMatchesInsert(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.RandomWalk, dataset.SeismicLike, dataset.SALDLike} {
+		data, err := dataset.Generate(kind, 3000, 64, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leafCap := range []int{4, 500} {
+			name := fmt.Sprintf("%v, capacity %d", kind, leafCap)
+			ix, err := Build(data, Options{LeafCapacity: leafCap, IndexWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := tree.New(ix.Schema, leafCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < data.Count(); i++ {
+				word := ix.Word(i)
+				ref.Insert(ref.EnsureRoot(ix.Schema.RootIndex(word)), word, int32(i))
+			}
+			want, _ := ref.AppendBinary(nil)
+			if got, _ := ix.Tree.AppendBinary(nil); !bytes.Equal(got, want) {
+				t.Errorf("%s: ParIS tree differs from inserting every series in position order", name)
+			}
+		}
+	}
+}
+
+// TestParallelBuildHoldsEveryPositionOnce: with several index workers the
+// buffers fill in an order that varies run to run, and so does the tree;
+// it must still be a valid tree holding every position in exactly one
+// leaf.
+func TestParallelBuildHoldsEveryPositionOnce(t *testing.T) {
+	data, err := dataset.Generate(dataset.RandomWalk, 5000, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		ix, err := Build(data, Options{LeafCapacity: 16, IndexWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Tree.CheckInvariants(); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		seen := make([]int, data.Count())
+		ix.Tree.ForEachLeaf(func(n *tree.Node) {
+			for _, p := range n.Positions {
+				seen[p]++
+			}
+		})
+		for p, c := range seen {
+			if c != 1 {
+				t.Fatalf("%d workers: position %d is in %d leaves", workers, p, c)
+			}
+		}
 	}
 }

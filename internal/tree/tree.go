@@ -7,11 +7,13 @@
 // the k at which a root child holds about a leaf's worth (core.Build picks
 // it), and a smaller k means fewer, fuller subtrees.
 //
-// A leaf that exceeds its capacity splits: one segment's cardinality is
-// promoted by one bit (from zero bits too) — the segment chosen is the one
-// producing the most balanced redistribution (the iSAX2.0 policy cited by
-// the paper) — and the entries are redistributed to the two refined
-// children.
+// A node of more entries than a leaf's capacity splits: one segment's
+// cardinality is promoted by one bit (from zero bits too) — the segment on
+// which its first LeafCapacity entries balance best (the iSAX2.0 policy
+// cited by the paper) — and its entries are partitioned stably between
+// the two refined children. One routine does this: BuildRoot runs it over
+// a root's whole run, and Insert over a full leaf's entries with the new
+// one last, which builds the subtree a chain of splits would.
 //
 // The tree itself is not internally synchronized. MESSI's construction
 // guarantees each root subtree is owned by exactly one worker at a time, so
@@ -46,7 +48,7 @@ type Node struct {
 	Left, Right  *Node
 
 	Words     []uint8 // leaf entries: segment-major columns, see type comment
-	Stride    int     // allocated column length (≥ LeafLen; 0 for empty leaves)
+	Stride    int     // column length: LeafLen, more only in a leaf Insert appended to
 	Positions []int32 // leaf entries: series positions
 	Size      int     // series under this node (leaf: len(Positions))
 
@@ -182,35 +184,30 @@ func (t *Tree) EnsureRoot(l int) *Node {
 	return n
 }
 
-// Insert adds a <word, position> entry under the given root child,
-// splitting full leaves on the way (Algorithm 4, lines 7-11). The word
-// must belong to that root subtree (callers route via RootKey).
+// Insert adds a <word, position> entry under the given root child
+// (Algorithm 4, lines 7-11). The word must belong to that root subtree
+// (callers route via RootKey). A full leaf is rebuilt by BuildRoot's
+// partition from its entries with the new one last: the subtree the chain
+// of splits "while targetLeaf is full" builds, node for node.
 func (t *Tree) Insert(root *Node, word []uint8, pos int32) {
-	w := t.Schema.Segments
-	n := root
-	for {
+	w, n := t.Schema.Segments, root
+	for ; !n.IsLeaf(); n = t.childFor(n, word) {
 		n.Size++
-		if !n.IsLeaf() {
-			n = t.childFor(n, word)
-			continue
-		}
-		if len(n.Positions) < t.LeafCapacity || n.unsplittable {
-			n.appendEntry(word, pos, w)
-			return
-		}
-		// Full leaf: split it, then continue the descent into the
-		// appropriate new child ("while targetLeaf is full").
-		n.Size-- // split bookkeeping recounts the node itself
-		t.split(n)
-		if n.unsplittable {
-			// Split was impossible; store here after all.
-			n.Size++
-			n.appendEntry(word, pos, w)
-			return
-		}
-		n.Size++
-		n = t.childFor(n, word)
 	}
+	if len(n.Positions) < t.LeafCapacity || n.unsplittable {
+		n.Size++
+		n.appendEntry(word, pos, w)
+		return
+	}
+	m := len(n.Positions) + 1
+	words := make([]uint8, 2*m*w)
+	for i := range m - 1 {
+		n.Word(i, w, words[i*w:])
+	}
+	copy(words[(m-1)*w:], word)
+	run := append(n.Positions, pos)
+	n.Words, n.Positions, n.Stride = nil, nil, 0
+	t.bulk(n, words[:m*w], run, words[m*w:], make([]int32, m))
 }
 
 // childFor routes a word below an internal node: the next bit of the split
@@ -223,58 +220,6 @@ func (t *Tree) childFor(n *Node, word []uint8) *Node {
 		return n.Left
 	}
 	return n.Right
-}
-
-// split promotes one segment of a full leaf by one bit, chooses the most
-// balanced segment, creates the two refined children and redistributes the
-// entries. If every segment is already at full cardinality the node is
-// marked unsplittable and remains a leaf.
-func (t *Tree) split(n *Node) {
-	w, shifts, count := t.Schema.Segments, t.nextBits(n), len(n.Positions)
-	var ones [isax.MaxSegments]int
-	for seg := 0; seg < w; seg++ {
-		for _, sym := range n.Col(seg) {
-			ones[seg] += int(sym>>shifts[seg]) & 1
-		}
-	}
-	seg := t.splitSegment(n, count, &ones)
-	if seg < 0 {
-		n.unsplittable = true
-		return
-	}
-	shift, splitCol := shifts[seg], n.Col(seg)
-	alloc := func(c *Node, size int) *Node {
-		c.Size, c.Positions = size, make([]int32, 0, size)
-		if size > 0 {
-			c.Words, c.Stride = make([]uint8, w*size), size
-		}
-		return c
-	}
-	left, right := alloc(t.child(n, seg, 0), count-ones[seg]), alloc(t.child(n, seg, 1), ones[seg])
-	// Redistribute column by column: the split column routes each entry,
-	// so every destination column is filled with one sequential pass over
-	// the matching source column.
-	for s := 0; s < w; s++ {
-		src := n.Col(s)
-		li, ri := 0, 0
-		for i, sym := range src {
-			if (splitCol[i]>>shift)&1 == 1 {
-				right.Words[s*right.Stride+ri] = sym
-				ri++
-			} else {
-				left.Words[s*left.Stride+li] = sym
-				li++
-			}
-		}
-	}
-	for i, pos := range n.Positions {
-		if (splitCol[i]>>shift)&1 == 1 {
-			right.Positions = append(right.Positions, pos)
-		} else {
-			left.Positions = append(left.Positions, pos)
-		}
-	}
-	n.Words, n.Positions, n.Stride = nil, nil, 0
 }
 
 // nextBits returns, per segment, the shift that exposes the bit by which

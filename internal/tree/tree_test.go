@@ -468,8 +468,8 @@ func TestSegmentMajorLeafLayout(t *testing.T) {
 }
 
 // TestBuildRootMatchesInsert: BuildRoot, fed each root's positions in
-// order, builds the tree a sequential Insert of every word builds, byte for
-// byte, at every root key width and leaf capacity — duplicates included,
+// order, builds the tree a sequential insertRef of every word builds, byte
+// for byte, at every root key width and leaf capacity — duplicates included,
 // which split to full cardinality and leave unsplittable leaves — with
 // exactly sized leaf columns and positions aliasing the run's.
 func TestBuildRootMatchesInsert(t *testing.T) {
@@ -496,7 +496,7 @@ func TestBuildRootMatchesInsert(t *testing.T) {
 			for i := 0; i < n; i++ {
 				word := words[i*w : (i+1)*w]
 				l := ref.RootKey(word)
-				ref.Insert(ref.EnsureRoot(l), word, int32(i))
+				ref.insertRef(ref.EnsureRoot(l), word, int32(i))
 				runs[l], runWords[l] = append(runs[l], int32(i)), append(runWords[l], word...)
 			}
 			for l, run := range runs {
