@@ -40,12 +40,16 @@ import (
 // paper's parallel construction, then publishes it with one pointer store.
 // In-flight queries finish on the view they loaded; appends arriving
 // during the rebuild go to a fresh active buffer and become part of the
-// next generation. Neither queries nor appends ever block on a rebuild. A
-// rebuild first collects the generation its predecessor retired (one
-// runtime.GC), so memory stays at about two generations whatever the
-// pacer's cycles would have left. A failed rebuild keeps its frozen delta
-// searchable and is retried after rebuildRetryBase, doubling per
-// consecutive failure up to rebuildRetryMax.
+// next generation. Neither queries nor appends ever block on a rebuild.
+// Generations share one series array while it has room: a rebuild appends
+// the frozen chunks past the current generation's series, where none of
+// its readers look, and copies everything only into a new array a quarter
+// larger than needed. Before it builds the index, a rebuild collects what
+// its predecessor retired (one runtime.GC), so memory stays at the series
+// array and two generations' indexes whatever the pacer's cycles would
+// have left. A failed rebuild keeps its frozen delta searchable and is
+// retried after rebuildRetryBase, doubling per consecutive failure up to
+// rebuildRetryMax; a retry rewrites the same series in the same place.
 //
 // Positions are stable across rebuilds: series are numbered in append
 // order (the initial collection first), and the merge preserves that
@@ -160,6 +164,10 @@ type LiveIndex struct {
 	view        atomic.Pointer[view]
 	active      *delta.Buffer // receives appends; touched only under mu
 	wal         *wal.Log      // nil without LiveOptions.WALDir
+	// store holds the series of the generation the last rebuild built, in
+	// position order (nil until one has); its spare capacity is where the
+	// next rebuild appends. Only rebuilds, which run one at a time, touch it.
+	store []float32
 
 	// Rebuild and snapshot telemetry (nil instruments without
 	// LiveOptions.Engine.Metrics).
@@ -584,40 +592,51 @@ func (ix *LiveIndex) rebuild(v *view) {
 
 // merge builds the next generation over every position in order — the
 // current generation's shards, each a contiguous range, then the frozen
-// chunks — copied into one allocation and partitioned by shard.Build, whose
-// per-shard builds run concurrently. A panicking merge (a bug, or an
-// injected fault) degrades into an ordinary rebuild failure, never kills
-// the process.
+// chunks — in one array partitioned by shard.Build, whose per-shard builds
+// run concurrently. The array is the current generation's own (ix.store)
+// when it has room: the frozen chunks go into its spare capacity, which no
+// reader of that generation reads, and nothing is copied. Otherwise every
+// series is copied into a new array with a quarter to spare, so a rebuild
+// allocates a generation's series only once per quarter of growth. A
+// panicking merge (a bug, or an injected fault) degrades into an ordinary
+// rebuild failure, never kills the process.
 func (ix *LiveIndex) merge(v *view, total int) (next *shard.Index, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			next, err = nil, fmt.Errorf("live: rebuild panicked: %v", r)
 		}
 	}()
-	if err := fpRebuild.Hit(); err != nil {
-		return nil, err
-	}
-	// Collect the generation the previous rebuild retired before allocating
-	// the next one. A generation is by far the heap's largest object and a
-	// rebuild allocates a whole one, so the pacer, left alone, runs about
-	// one cycle per rebuild, and how many retired generations sit beside
-	// the live one at the peak depends only on where those cycles happen to
-	// fall. Here the last one retired has long lost its readers.
-	runtime.GC()
-	flat := make([]float32, 0, total*ix.seriesLen)
-	for s := 0; v.base != nil && s < v.base.NumShards(); s++ {
-		if old := v.base.Shard(s); old != nil {
-			flat = append(flat, old.Data.Data...)
+	L, flat := ix.seriesLen, ix.store
+	if len(flat) != v.baseLen*L || cap(flat) < total*L {
+		flat = make([]float32, 0, total*L+total*L/4)
+		for s := 0; v.base != nil && s < v.base.NumShards(); s++ {
+			if old := v.base.Shard(s); old != nil {
+				flat = append(flat, old.Data.Data...)
+			}
 		}
 	}
 	for _, c := range v.delta[:v.frozen] {
 		flat = append(flat, c.Data.Data...)
 	}
-	col, err := series.NewCollection(flat, ix.seriesLen)
+	if err := fpRebuild.Hit(); err != nil {
+		return nil, err
+	}
+	// Collect what the previous rebuild retired before building the next
+	// generation's index, so the peak never holds more than the live
+	// generation's index beside the one being built, wherever the pacer's
+	// cycles fall. Here the last one retired has long lost its readers.
+	// Not before the copy: a grown array placed in pages a collection has
+	// just freed is zeroed whole, its spare quarter made resident or not
+	// by where the allocator puts it.
+	runtime.GC()
+	col, err := series.NewCollection(flat, L)
 	if err != nil {
 		return nil, err
 	}
-	return shard.Build(col, ix.shards, ix.coreOpts)
+	if next, err = shard.Build(col, ix.shards, ix.coreOpts); err == nil {
+		ix.store = flat
+	}
+	return next, err
 }
 
 // scheduleRetryLocked arms the backoff timer after a rebuild failure:

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dtw"
@@ -530,6 +532,103 @@ func TestAutomaticRebuild(t *testing.T) {
 	}
 	if st := ix.Stats(); st.Series != 600 || st.DeltaSeries != 0 {
 		t.Fatalf("final stats %+v", st)
+	}
+}
+
+// TestRebuildAppendsInPlace: a rebuild appends the frozen chunks past the
+// current generation's series in their shared array and copies them only
+// into a new array, a quarter larger, when that one is full; a rebuild
+// that fails after writing there is retried over the same place. Every
+// position keeps its series and every answer is the brute-force one.
+func TestRebuildAppendsInPlace(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
+	const length = 32
+	rows := walk(200, length, 5)
+	queries := walk(8, length, 77)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ix := smallLive(t, length, rows[:100], smallOpts(shards), threshold(1_000_000))
+			check := func() {
+				t.Helper()
+				n := ix.Len()
+				for i := 0; i < n; i++ {
+					got, err := ix.Series(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, rows[i]) {
+						t.Fatalf("series %d differs from what was appended", i)
+					}
+				}
+				oracle := bruteForce(t, rows[:n])
+				for qi, q := range queries {
+					got, err := nn1(ix, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := nn1(oracle, q); got != want {
+						t.Fatalf("query %d over %d series: live %+v, brute force %+v", qi, n, got, want)
+					}
+				}
+			}
+			appendTo := func(n int) {
+				t.Helper()
+				if _, err := ix.AppendBatch(rows[ix.Len():n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			array := func() *float32 { return unsafe.SliceData(ix.store) }
+
+			// The boot generation has no room: the first rebuild copies.
+			appendTo(120)
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if c := cap(ix.store) / length; c != 150 {
+				t.Fatalf("after the first rebuild the array holds %d series, want 150", c)
+			}
+			grown := array()
+			check()
+
+			appendTo(140)
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if array() != grown {
+				t.Fatal("a rebuild within the array's capacity copied the series")
+			}
+			check()
+
+			// Fail once after the frozen chunks are written in place: they
+			// stay searchable, and the timed retry writes them again.
+			if err := fault.Arm("live.rebuild", fault.Spec{Action: fault.Error}); err != nil {
+				t.Fatal(err)
+			}
+			appendTo(150)
+			if err := ix.Flush(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("flush with an armed rebuild = %v, want the injected error", err)
+			}
+			check()
+			for deadline := time.Now().Add(5 * time.Second); ix.Stats().BaseSeries < 150; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the retry never published: %+v", ix.Stats())
+				}
+			}
+			if array() != grown {
+				t.Fatal("the retried rebuild copied the series")
+			}
+			check()
+
+			// One more series than the array holds: a new array.
+			appendTo(151)
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if array() == grown {
+				t.Fatal("a full array was appended past its capacity")
+			}
+			check()
+		})
 	}
 }
 
