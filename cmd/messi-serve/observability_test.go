@@ -292,7 +292,7 @@ func TestStatsServerFields(t *testing.T) {
 // TestScanPlansMetric: an adversarial query — a member with every other
 // point negated, whose segment means, the PAA summary the index prunes
 // with, collapse toward zero, so no lower bound prunes — makes every
-// non-empty shard scan instead of using its tree, so it moves
+// shard scan instead of using its tree, so it moves
 // messi_scan_plans_total and its "scan_plans" counter by the shard count; a
 // member query keeps the trees and moves neither. (White noise is not
 // enough: on this 3 000-series collection it leaves the plan a sampled

@@ -42,7 +42,7 @@
 // the only validation; their failures are the sentinel errors ErrBadK,
 // ErrBadWindow, ErrWrongLength, ErrBadEpsilon, and ErrNonFinite, so callers
 // can map them to API responses without string matching. NewRun itself
-// trusts a checked request.
+// trusts a checked request and cannot fail: no Index is empty.
 //
 // # Concurrency invariants
 //

@@ -126,16 +126,9 @@ func BenchmarkPlanCrossover(b *testing.B) {
 				tier              string
 				share, tree, scan float64 // ms
 			}
-			prepare := func(req Request) *SearchRun {
-				run, err := newRun(ix, req, SearchOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return run
-			}
 			timed := func(req Request, scan bool) float64 {
 				start := time.Now()
-				run := prepare(req)
+				run := newRun(ix, req, SearchOptions{})
 				forcePlan(run, scan)
 				drive(run, 2)
 				return float64(time.Since(start).Nanoseconds()) / 1e6
@@ -147,7 +140,7 @@ func BenchmarkPlanCrossover(b *testing.B) {
 				for ti, qt := range tiers {
 					for _, q := range qt.queries(data, perTier, int64(100+ti)) {
 						req := Request{Query: q, DTW: fam.dtw, Window: dtw.WindowSize(length, 0.1)}
-						r := row{tier: qt.name, share: prepare(req).sampledShare(),
+						r := row{tier: qt.name, share: newRun(ix, req, SearchOptions{}).sampledShare(),
 							tree: math.Inf(1), scan: math.Inf(1)}
 						for rep := 0; rep < 2; rep++ {
 							r.tree = min(r.tree, timed(req, false))
@@ -230,10 +223,7 @@ func TestSampledShareTracksEntryShare(t *testing.T) {
 	for _, qt := range []queryTier{memberTier, nearDupTier, noisyTier(10), oodTier, adversarialTier} {
 		for qi, q := range qt.queries(ix.Data, 4, 5) {
 			for _, req := range []Request{{Query: q}, {Query: q, Mode: ModeEpsilon, Epsilon: 0.05}} {
-				run, err := newRun(ix, req, SearchOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				run := newRun(ix, req, SearchOptions{})
 				limit, survivors := run.bnd.Load(), 0
 				for i := 0; i < len(words); i += w {
 					if run.table.MinDistWord(words[i:i+w])*run.qos.scale < limit {
@@ -266,10 +256,7 @@ func TestRestoreKeepsPlanSample(t *testing.T) {
 			for qi, q := range qt.queries(ix.Data, 3, 9) {
 				var plans [2]bool
 				for i, x := range []*Index{ix, rx} {
-					run, err := newRun(x, Request{Query: q}, SearchOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
+					run := newRun(x, Request{Query: q}, SearchOptions{})
 					plans[i] = run.scan
 				}
 				if plans[0] != plans[1] {
@@ -377,10 +364,7 @@ func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())
 	for _, workers := range []int{1, 3, 8} {
 		coll := &offerCounter{offers: make([]atomic.Int32, count)}
-		run, err := newRun(ix, Request{Query: ix.Data.At(5)}, SearchOptions{Shared: coll})
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := newRun(ix, Request{Query: ix.Data.At(5)}, SearchOptions{Shared: coll})
 		for i := range coll.offers {
 			coll.offers[i].Store(0) // forget the approximate search's leaf
 		}

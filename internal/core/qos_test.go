@@ -30,10 +30,7 @@ func TestStopAtQueuePop(t *testing.T) {
 			cancel := make(chan struct{})
 			req := Request{Query: q, Cancel: cancel}
 			opt := SearchOptions{Shared: NewCollector(1), QoS: req.NewQoS()}
-			r, err := newRun(ix, req, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newRun(ix, req, opt)
 			forcePlan(r, false)
 			for pid := 0; pid < workers; pid++ {
 				r.InsertPhase(pid)

@@ -12,7 +12,7 @@ import (
 // executes its phases on goroutines of its own, with the all-inserted
 // barrier between them.
 
-func newRun(ix *Index, req Request, opt SearchOptions) (*SearchRun, error) {
+func newRun(ix *Index, req Request, opt SearchOptions) *SearchRun {
 	if opt.Shared == nil {
 		opt.Shared = NewCollector(req.K)
 	}
@@ -59,10 +59,7 @@ func resultWith(ix *Index, req Request, opt SearchOptions, workers int) (Result,
 	if opt.QoS == nil {
 		opt.QoS = req.NewQoS()
 	}
-	run, err := newRun(ix, req, opt)
-	if err != nil {
-		return Result{}, err
-	}
+	run := newRun(ix, req, opt)
 	drive(run, workers)
 	return opt.QoS.Finish(opt.Shared.Matches()), nil
 }

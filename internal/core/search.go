@@ -427,15 +427,13 @@ type SearchRun struct {
 // then runs the two phases. st is the run's scratch, borrowed for its
 // lifetime. The request must have passed Validate and CheckShape, and the
 // query must already be z-normalized if the indexed data is (the public
-// API layer handles both).
-func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*SearchRun, error) {
-	if ix.Data.Count() == 0 {
-		return nil, ErrEmptyIndex
-	}
+// API layer handles both). The index is never empty: Build refuses an
+// empty collection, and Restore requires a non-empty one.
+func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) *SearchRun {
 	r := &SearchRun{ix: ix, bnd: opt.Shared,
 		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, trace: req.Trace}
 	r.init(req, st)
-	return r, nil
+	return r
 }
 
 // init builds the kernel, computes the query summaries into st's buffers,
@@ -901,7 +899,7 @@ func (ix *Index) approxLeaf(qpaa []float64, qword []uint8, tab *isax.DistTable, 
 		}
 	}
 	if root == nil {
-		return nil // empty tree; NewRun rules this out
+		return nil // empty tree; Build and Restore rule this out
 	}
 	return ix.Tree.DescendToLeaf(root, qword)
 }

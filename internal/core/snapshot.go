@@ -10,7 +10,9 @@ import (
 // decoded over it (tree.Decode validates a loaded one), skipping the
 // construction pipeline: no splits, and PAA transforms and quantization
 // only for the sampleSize series of the plan sample, not for the whole
-// collection as Build does. The tree fixes opts' shape fields.
+// collection as Build does. The tree fixes opts' shape fields. data must
+// hold at least one series, as Build's does: a snapshot member's header
+// declares a non-zero count before its tree is decoded.
 func Restore(data *series.Collection, tr *tree.Tree, opts Options) *Index {
 	opts.Segments, opts.CardBits, opts.LeafCapacity = tr.Schema.Segments, tr.Schema.CardBits, tr.LeafCapacity
 	ix := &Index{Data: data, Schema: tr.Schema, Tree: tr, Opts: opts.withDefaults()}

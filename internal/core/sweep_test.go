@@ -60,10 +60,7 @@ func TestRootSweepCountsMatchReference(t *testing.T) {
 		for _, req := range []Request{{Query: q}, {Query: q, DTW: true, Window: window}} {
 			for _, workers := range []int{1, 2, 4, 8} {
 				opt := SearchOptions{Shared: NewCollector(1), QoS: req.NewQoS()}
-				run, err := newRun(ix, req, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
+				run := newRun(ix, req, opt)
 				forcePlan(run, false)
 				var want passCounts
 				prunedHere := 0
@@ -116,10 +113,7 @@ func TestRootSweepStopsBeforeFirstClaim(t *testing.T) {
 		{Query: q, Cancel: cancelled},
 	} {
 		opt := SearchOptions{Shared: NewCollector(1), QoS: req.NewQoS()}
-		run, err := newRun(ix, req, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := newRun(ix, req, opt)
 		forcePlan(run, false)
 		drive(run, 4)
 		res := opt.QoS.Finish(opt.Shared.Matches())

@@ -364,10 +364,7 @@ func TestRefineMatchesPlainLoop(t *testing.T) {
 				for _, s := range seeds {
 					coll.Update(s.Dist, int64(s.Position))
 				}
-				run, err := newRun(ix, req, SearchOptions{Queues: 1, QoS: gotQoS, Shared: coll})
-				if err != nil {
-					t.Fatal(err)
-				}
+				run := newRun(ix, req, SearchOptions{Queues: 1, QoS: gotQoS, Shared: coll})
 				var scratch leafScratch
 				gotTally := gotQoS.total // the preparation's
 				for _, leaf := range leaves {

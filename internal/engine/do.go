@@ -173,7 +173,7 @@ func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	}
 	rec := &panicBox{}
 	runs, sts := e.prepare(v, req, opt, rec)
-	if rec.load() == nil && len(runs) > 0 {
+	if len(runs) > 0 {
 		e.execute(runs, rec)
 	}
 	if err := rec.load(); err != nil {
@@ -189,45 +189,38 @@ func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 }
 
 // prepare runs the first stage of every member of the fan-out as units of
-// work: per non-empty shard, the run's preparation on a borrowed
-// QueryState — the query's PAA/table build plus the bound-seeding
-// approximate search — and per delta chunk its whole exact scan, which has
-// no later stage. It returns the runs that still have phases to execute
-// plus every borrowed state. Fanned out, a query's setup latency does not
-// grow linearly with the member count; the shards go first, since an
-// approximate answer is cheap and lets the chunk scans abandon early; and
-// the caller takes the last member itself instead of idling at the
-// barrier, which for a static view of one shard means no hop at all.
-// Everything lands in the shared collector concurrently, each member
-// tightening the others exactly as the drain phases do.
+// work: per shard, the run's preparation on a borrowed QueryState — the
+// query's PAA/table build plus the bound-seeding approximate search — and
+// per delta chunk its whole exact scan, which has no later stage. It
+// returns the runs that still have phases to execute (none once a member
+// has failed) plus every borrowed state. Fanned out, a query's setup
+// latency does not grow linearly with the member count; the shards go
+// first, since an approximate answer is cheap and lets the chunk scans
+// abandon early; and the caller takes the last member itself instead of
+// idling at the barrier, which for a static view of one shard means no hop
+// at all. Everything lands in the shared collector concurrently, each
+// member tightening the others exactly as the drain phases do.
 func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *panicBox) ([]*core.SearchRun, []*core.QueryState) {
 	S := v.shards()
 	runs := make([]*core.SearchRun, S)
-	sts := make([]*core.QueryState, 0, S)
-	members := S + len(v.Delta) // an empty shard is a member with nothing to do
+	sts := make([]*core.QueryState, S)
+	members := S + len(v.Delta)
 	var wg sync.WaitGroup
 	wg.Add(members)
 	for i := 0; i < members; i++ {
-		var st *core.QueryState
-		if i < S && v.Base.Shard(i) != nil {
-			st = e.states.Get().(*core.QueryState)
-			sts = append(sts, st)
+		if i < S {
+			sts[i] = e.states.Get().(*core.QueryState)
 		}
 		member := func() {
 			e.unit(rec, func() {
-				if i >= S {
-					chunk, o := v.Delta[i-S], opt
+				o := opt
+				if i < S {
+					o.Start = int64(v.Base.Start(i))
+					runs[i] = v.Base.Shard(i).NewRun(req, sts[i], o)
+				} else {
+					chunk := v.Delta[i-S]
 					o.Start = int64(chunk.Start)
 					core.Scan(req, chunk.Data, o)
-				} else if st != nil {
-					o := opt
-					o.Start = int64(v.Base.Start(i))
-					run, err := v.Base.Shard(i).NewRun(req, st, o)
-					if err != nil {
-						rec.note(err)
-						return
-					}
-					runs[i] = run
 				}
 			})
 			wg.Done()
@@ -239,10 +232,13 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 		}
 	}
 	wg.Wait()
+	if rec.load() != nil {
+		return nil, sts // a failed member's run was never made
+	}
 
 	pending := runs[:0]
 	for _, run := range runs {
-		if run != nil && !run.Done() {
+		if !run.Done() {
 			pending = append(pending, run)
 		}
 	}

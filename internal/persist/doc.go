@@ -61,9 +61,11 @@
 // # Contracts
 //
 // A snapshot is always a directory: one member file in the layout above
-// per non-empty shard, plus a checksummed MANIFEST listing the members in
-// position order (each a contiguous range), so a load cannot mix files
-// from different snapshots. An unsharded index is a directory of one
+// per shard (every shard holds at least one series), plus a checksummed
+// MANIFEST listing the members in position order (each a contiguous
+// range), so a load cannot mix files from different snapshots. A manifest
+// from before that invariant may end in empty names, one per empty shard;
+// it loads as the partition of its named members. An unsharded index is a directory of one
 // member. WriteDir and ReadDir are the only save and load. A version 1
 // manifest of several members (round-robin shards) fails with ErrVersion
 // and must be regenerated; one of a single member still loads.

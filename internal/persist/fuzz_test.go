@@ -94,6 +94,8 @@ func FuzzRead(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:HeaderSize])
 	}
+	// A manifest where a member belongs must fail typed, not panic.
+	f.Add(emptyShardsManifest(f))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = bytes.Clone(b)
@@ -147,6 +149,7 @@ func FuzzParseManifest(f *testing.F) {
 	corrupted := bytes.Clone(valid)
 	corrupted[len(corrupted)/2] ^= 0xff
 	f.Add(corrupted)
+	f.Add(emptyShardsManifest(f))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := ParseManifest(b)
@@ -163,4 +166,13 @@ func FuzzParseManifest(f *testing.F) {
 			t.Fatalf("accepted manifest fails to re-encode: %v", err)
 		}
 	})
+}
+
+// emptyShardsManifest encodes withEmptyShards over three member names.
+func emptyShardsManifest(f *testing.F) []byte {
+	enc, err := EncodeManifest(withEmptyShards([]string{"shard-0000.snap", "shard-0001.snap", "shard-0002.snap"}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return enc
 }

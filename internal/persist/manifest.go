@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -42,10 +43,13 @@ var fpManifest = fault.Register("persist.manifest.write")
 //
 // Each member file is self-describing and individually checksummed, so
 // the manifest only records the partition: the shard count, the
-// collection shape, and the per-shard file names in position order (empty
-// for shards whose range is empty). Shard s covers a contiguous range of
-// positions that starts where shard s-1's ends, so the member sizes alone
-// place every series. Members are written and loaded in parallel;
+// collection shape, and the per-shard file names in position order. Every
+// shard holds at least one series, so every shard has a file; a manifest
+// written when a collection of fewer series than shards left empty shards
+// ends in one empty name per empty shard, and loads as the same partition
+// without them. Shard s covers a contiguous range of positions that
+// starts where shard s-1's ends, so the member sizes alone place every
+// series. Members are written and loaded in parallel;
 // cross-shard consistency (the partition's sizes, matching schema and
 // normalize flags) is validated on load.
 
@@ -158,7 +162,12 @@ func (m Manifest) validate() error {
 	seen := make(map[string]struct{}, len(m.Files))
 	for s, name := range m.Files {
 		if name == "" {
-			continue // empty range
+			// Snapshots written while a shard could be empty name no file
+			// for it; such shards only ever trailed the named ones.
+			continue
+		}
+		if s > 0 && m.Files[s-1] == "" {
+			return fmt.Errorf("%w: manifest names a file for shard %d after an unnamed shard", ErrCorrupt, s)
 		}
 		if name != filepath.Base(name) || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
 			return fmt.Errorf("%w: manifest shard %d file name %q escapes the snapshot directory", ErrCorrupt, s, name)
@@ -199,15 +208,16 @@ func saveToken() (string, error) {
 var dirSaves sync.Map // map[string]*sync.Mutex
 
 // WriteDir persists an index as a snapshot directory: one member file
-// per non-empty shard (written concurrently, each atomically via
-// writeFile, under fresh per-save names) plus the checksummed manifest,
-// written last. Because member files are never overwritten in place,
-// re-saving over an existing snapshot directory is crash-safe: a crash
-// before the manifest rename leaves the previous manifest naming its
-// intact files; the moment the rename lands, the new snapshot is
-// complete and the superseded member files are swept (best-effort).
-// In-process saves to the same directory are serialized.
-func WriteDir(dir string, x *shard.Index, normalize bool) error {
+// per shard (written concurrently, each atomically via writeFile, under
+// fresh per-save names) plus the checksummed manifest, written last.
+// Because member files are never overwritten in place, re-saving over an
+// existing snapshot directory is crash-safe: a crash before the manifest
+// rename leaves the previous manifest naming its intact files; the moment
+// the rename lands, the new snapshot is complete and the superseded member
+// files are swept (best-effort). A save that fails removes the member
+// files it wrote, so it never leaves a dataset's copy behind. In-process
+// saves to the same directory are serialized.
+func WriteDir(dir string, x *shard.Index, normalize bool) (err error) {
 	if x == nil || x.Len() == 0 {
 		return fmt.Errorf("persist: cannot snapshot an empty index")
 	}
@@ -230,45 +240,45 @@ func WriteDir(dir string, x *shard.Index, normalize bool) error {
 		SeriesCount: x.Len(),
 		Files:       make([]string, S),
 	}
+	defer func() {
+		if err != nil {
+			// Nothing references this save's member files: remove them.
+			// Best-effort — a leftover costs disk space until the next
+			// successful save sweeps it.
+			for _, name := range m.Files {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}()
 	errs := make([]error, S)
 	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		sh := x.Shard(s)
-		if sh == nil {
-			continue
-		}
+	wg.Add(S)
+	for s := range S {
 		m.Files[s] = shardFileName(s, token)
-		wg.Add(1)
-		go func(s int, sh *core.Index) {
+		go func() {
 			defer wg.Done()
-			errs[s] = writeFile(filepath.Join(dir, shardFileName(s, token)), sh, normalize)
-		}(s, sh)
+			errs[s] = writeFile(filepath.Join(dir, m.Files[s]), x.Shard(s), normalize)
+		}()
 	}
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
-			// Abort: remove this save's already-written shard files so
-			// a failed save never leaves strays for the next sweep.
-			removeSaveFiles(dir, m.Files)
 			return fmt.Errorf("persist: shard %d: %w", s, err)
 		}
 	}
 	if err := fpManifest.Hit(); err != nil {
-		removeSaveFiles(dir, m.Files)
 		return fmt.Errorf("persist: write manifest: %w", err)
 	}
-
 	enc, err := EncodeManifest(m)
 	if err != nil {
-		removeSaveFiles(dir, m.Files)
 		return err
 	}
 	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
 	if err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return fmt.Errorf("persist: write manifest: %w", err)
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(enc); err == nil {
+	if _, err = tmp.Write(enc); err == nil {
 		err = tmp.Sync()
 	}
 	if err == nil {
@@ -282,22 +292,10 @@ func WriteDir(dir string, x *shard.Index, normalize bool) error {
 	}
 	if err != nil {
 		os.Remove(name)
-		removeSaveFiles(dir, m.Files)
 		return fmt.Errorf("persist: write manifest: %w", err)
 	}
 	sweepStaleShards(dir, m.Files)
 	return nil
-}
-
-// removeSaveFiles deletes the shard files of an aborted save
-// (best-effort): the save failed, so nothing references them, and
-// leaving them would accumulate one dataset copy per failed save.
-func removeSaveFiles(dir string, files []string) {
-	for _, name := range files {
-		if name != "" {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
 }
 
 // sweepStaleShards removes member files not named by the
@@ -308,9 +306,7 @@ func removeSaveFiles(dir string, files []string) {
 func sweepStaleShards(dir string, live []string) {
 	keep := make(map[string]struct{}, len(live))
 	for _, name := range live {
-		if name != "" {
-			keep[name] = struct{}{}
-		}
+		keep[name] = struct{}{}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -399,19 +395,22 @@ func readDirOnce(dir string) (*shard.Index, bool, error) {
 		return nil, false, fmt.Errorf("%w (manifest in %s)", err, dir)
 	}
 
-	cores := make([]*core.Index, m.Shards)
-	norms := make([]bool, m.Shards)
-	errs := make([]error, m.Shards)
+	// A trailing run of unnamed shards is what a collection of fewer
+	// series than shards used to leave: the same partition without them.
+	files := m.Files
+	if i := slices.Index(files, ""); i >= 0 {
+		files = files[:i]
+	}
+	cores := make([]*core.Index, len(files))
+	norms := make([]bool, len(files))
+	errs := make([]error, len(files))
 	var wg sync.WaitGroup
-	for s, name := range m.Files {
-		if name == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, name string) {
+	wg.Add(len(files))
+	for s, name := range files {
+		go func() {
 			defer wg.Done()
 			cores[s], norms[s], errs[s] = readFile(filepath.Join(dir, name))
-		}(s, name)
+		}()
 	}
 	wg.Wait()
 	for s, err := range errs {
@@ -428,20 +427,12 @@ func readDirOnce(dir string) (*shard.Index, bool, error) {
 		return nil, false, fmt.Errorf("%w: manifest declares %d series × %d points, shards hold %d × %d",
 			ErrCorrupt, m.SeriesCount, m.SeriesLen, x.Len(), x.SeriesLen())
 	}
-	normalize := false
-	for s, c := range cores {
-		if c == nil {
-			continue
-		}
-		normalize = norms[s]
-		break
-	}
-	for s, c := range cores {
-		if c != nil && norms[s] != normalize {
+	for s := range norms {
+		if norms[s] != norms[0] {
 			return nil, false, fmt.Errorf("%w: shard %d normalize flag differs from its siblings", ErrCorrupt, s)
 		}
 	}
-	return x, normalize, nil
+	return x, norms[0], nil
 }
 
 // Present reports whether path holds something ReadDir should load:

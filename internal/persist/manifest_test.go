@@ -3,11 +3,13 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -179,12 +181,19 @@ func TestManifestV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 one-member manifest: %v", err)
 	}
+	sameAnswers(t, x, loaded)
+}
+
+// sameAnswers checks that loaded answers 1-NN, 5-NN and DTW queries near
+// x's series bitwise as x does.
+func sameAnswers(t *testing.T, x, loaded *shard.Index) {
+	t.Helper()
 	want := engine.NewUngated(x.Opts(), engine.Options{})
 	got := engine.NewUngated(loaded.Opts(), engine.Options{})
 	for qi := 0; qi < 10; qi++ {
 		q := make([]float32, x.SeriesLen())
 		for i := range q {
-			q[i] = x.At(qi * 25)[i] + float32(i%3)
+			q[i] = x.At(qi * 25 % x.Len())[i] + float32(i%3)
 		}
 		for _, req := range []core.Request{{Query: q}, {Query: q, K: 5}, {Query: q, DTW: true, Window: 3}} {
 			a, err := want.Do(engine.View{Base: x}, req)
@@ -238,20 +247,82 @@ func TestPresent(t *testing.T) {
 	}
 }
 
-// TestShardedDirWithEmptyShards: count < shards leaves empty file entries
-// that round-trip cleanly.
-func TestShardedDirWithEmptyShards(t *testing.T) {
+// withEmptyShards is the manifest a save of 3 series at 8 shards wrote
+// while a shard could be empty: one empty name per empty shard, trailing
+// the three named ones.
+func withEmptyShards(files []string) Manifest {
+	return Manifest{Version: ManifestVersion, Shards: 8, SeriesLen: 32, SeriesCount: 3,
+		Files: append(slices.Clone(files), "", "", "", "", "")}
+}
+
+// TestManifestWithEmptyShardsLoads: a snapshot whose manifest ends in
+// empty names loads as the partition of its named members, answering as
+// the index that wrote it does; an empty name anywhere but the tail is
+// corrupt.
+func TestManifestWithEmptyShardsLoads(t *testing.T) {
 	x := buildSharded(t, 3, 8)
+	if x.NumShards() != 3 {
+		t.Fatalf("3 series at 8 shards built %d shards, want 3", x.NumShards())
+	}
 	dir := filepath.Join(t.TempDir(), "tiny.snapdir")
 	if err := WriteDir(dir, x, false); err != nil {
 		t.Fatal(err)
 	}
+	mpath := filepath.Join(dir, ManifestName)
+	raw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ParseManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards != 3 || len(m.Files) != 3 || slices.Contains(m.Files, "") {
+		t.Fatalf("save of 3 series wrote manifest %+v, want 3 named members", m)
+	}
+	writeManifest := func(m Manifest) {
+		t.Helper()
+		enc, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeManifest(withEmptyShards(m.Files))
 	loaded, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 3 || loaded.NumShards() != 8 {
-		t.Fatalf("loaded %d series across %d shards", loaded.Len(), loaded.NumShards())
+	if loaded.Len() != 3 || loaded.NumShards() != 3 {
+		t.Fatalf("loaded %d series across %d shards, want 3 across 3", loaded.Len(), loaded.NumShards())
+	}
+	sameAnswers(t, x, loaded)
+
+	a, b, c := m.Files[0], m.Files[1], m.Files[2]
+	for _, files := range [][]string{
+		{"", a, b, c, "", "", "", ""},
+		{a, "", b, c, "", "", "", ""},
+		{a, b, "", "", "", "", "", c},
+	} {
+		bad := withEmptyShards(nil)
+		bad.Files = files
+		if _, err := EncodeManifest(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("files %q: encoded with %v, want ErrCorrupt", files, err)
+		}
+		// Sealed by hand, past EncodeManifest's own check.
+		payload, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, sealManifest(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadDir(dir); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("files %q: ReadDir = %v, want ErrCorrupt", files, err)
+		}
 	}
 }
 
@@ -372,12 +443,6 @@ func TestShardedResave(t *testing.T) {
 
 // TestParseManifestRejects covers decoder validation beyond the checksum.
 func TestParseManifestRejects(t *testing.T) {
-	encode := func(payload []byte) []byte {
-		out := append([]byte(ManifestMagic), 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
-		out = append(out, payload...)
-		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	}
 	cases := []struct {
 		name    string
 		payload string
@@ -391,10 +456,19 @@ func TestParseManifestRejects(t *testing.T) {
 		{"absurd count", `{"version":2,"shards":1,"series_len":32,"series_count":99999999999,"files":["a"]}`, ErrCorrupt},
 	}
 	for _, tc := range cases {
-		if _, err := ParseManifest(encode([]byte(tc.payload))); !errors.Is(err, tc.want) {
+		if _, err := ParseManifest(sealManifest([]byte(tc.payload))); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
+}
+
+// sealManifest frames a manifest payload as EncodeManifest does, without
+// validating it.
+func sealManifest(payload []byte) []byte {
+	out := append([]byte(ManifestMagic), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 }
 
 // TestConcurrentShardedSaves: racing saves into one directory are

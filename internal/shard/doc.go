@@ -4,14 +4,16 @@
 //
 // Each shard covers one contiguous range of positions: shard s holds
 // [Start(s), Start(s)+n_s), where the first n%S shards hold ⌈n/S⌉ series
-// and the rest ⌊n/S⌋. A shard's local position i is global position
-// Start(s)+i — the same rule a live index's delta chunks follow — so the
-// mapping is one offset per shard, and a static build indexes subslices of
-// the caller's storage without copying it.
+// and the rest ⌊n/S⌋. A collection of fewer series than the shard count
+// asked for gets one shard per series, so every shard holds at least one
+// series and no caller handles an empty one. A shard's local position i
+// is global position Start(s)+i — the same rule a live index's delta
+// chunks follow — so the mapping is one offset per shard, and a static
+// build indexes subslices of the caller's storage without copying it.
 //
 // The package holds no query code. A shard group is what the query engine
-// (internal/engine) searches as the base of a view: one run per non-empty
-// shard, built through core.Index.NewRun with the shard's Start as the
+// (internal/engine) searches as the base of a view: one run per shard,
+// built through core.Index.NewRun with the shard's Start as the
 // position offset, all threading one shared collector (the 1-NN
 // best-so-far or the k-NN top-k, holding global positions) and one QoS
 // state (core.SearchOptions.Shared/Start/QoS). A tight bound found in shard

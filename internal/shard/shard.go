@@ -19,7 +19,7 @@ const MaxShards = 256
 // contiguous position ranges of one logical collection. It is immutable
 // after Build and safe for concurrent queries.
 type Index struct {
-	shards []*core.Index // shards[s] is nil when its range is empty (fewer series than shards)
+	shards []*core.Index // every shard holds at least one series
 	starts []int         // starts[s]: global position of shard s's first series
 	count  int           // total series across all shards
 	length int           // points per series
@@ -45,12 +45,13 @@ func newIndex(shards []*core.Index, count, length int, opts core.Options) *Index
 	return x
 }
 
-// Build partitions the collection into S contiguous ranges and builds them
-// concurrently, each with the paper's two-phase parallel pipeline. Nothing
-// is copied: shard s indexes a capped subslice of the caller's storage, so
-// it can never grow into its neighbour, and like core.Build the collection
-// must not be modified afterwards. Construction workers are divided across
-// shards so total build parallelism matches the unsharded build.
+// Build partitions the collection into min(S, n) contiguous ranges, so no
+// shard is empty, and builds them concurrently, each with the paper's
+// two-phase parallel pipeline. Nothing is copied: shard s indexes a capped
+// subslice of the caller's storage, so it can never grow into its
+// neighbour, and like core.Build the collection must not be modified
+// afterwards. Construction workers are divided across shards so total
+// build parallelism matches the unsharded build.
 func Build(data *series.Collection, shards int, opts core.Options) (*Index, error) {
 	if data == nil || data.Count() == 0 {
 		return nil, fmt.Errorf("shard: cannot build an index over an empty collection")
@@ -58,27 +59,26 @@ func Build(data *series.Collection, shards int, opts core.Options) (*Index, erro
 	if shards < 1 || shards > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", shards, MaxShards)
 	}
+	n, L := data.Count(), data.Length
+	shards = min(shards, n)
 	opts = core.FillDefaults(opts)
 	perShard := opts
 	perShard.IndexWorkers = (opts.IndexWorkers + shards - 1) / shards
 
-	n, L := data.Count(), data.Length
 	cores := make([]*core.Index, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
+	wg.Add(shards)
 	for s, lo := 0, 0; s < shards; s++ {
 		hi := lo + sliceLen(n, s, shards)
-		if hi > lo {
-			wg.Add(1)
-			go func(s int, flat []float32) {
-				defer wg.Done()
-				col, err := series.NewCollection(flat, L)
-				if err == nil {
-					cores[s], err = core.Build(col, perShard)
-				}
-				errs[s] = err
-			}(s, data.Data[lo*L:hi*L:hi*L])
-		}
+		go func(s int, flat []float32) {
+			defer wg.Done()
+			col, err := series.NewCollection(flat, L)
+			if err == nil {
+				cores[s], err = core.Build(col, perShard)
+			}
+			errs[s] = err
+		}(s, data.Data[lo*L:hi*L:hi*L])
 		lo = hi
 	}
 	wg.Wait()
@@ -91,54 +91,41 @@ func Build(data *series.Collection, shards int, opts core.Options) (*Index, erro
 }
 
 // FromCores assembles an Index from per-shard core indexes (a parallel
-// snapshot load). cores[s] must hold exactly shard s's contiguous range —
-// nil entries are allowed only where that range is empty — and every shard
-// must agree on series length and structural options.
+// snapshot load). cores[s] must be non-nil and hold exactly shard s's
+// contiguous range, and every shard must agree on series length and
+// structural options.
 func FromCores(cores []*core.Index) (*Index, error) {
 	S := len(cores)
 	if S < 1 || S > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", S, MaxShards)
 	}
 	count := 0
-	length := -1
-	var opts core.Options
 	for s, c := range cores {
 		if c == nil {
-			continue
+			return nil, fmt.Errorf("shard: shard %d is missing", s)
 		}
-		if length == -1 {
-			length = c.Data.Length
-			opts = c.Opts
+		if c.Data.Length != cores[0].Data.Length {
+			return nil, fmt.Errorf("shard: shard %d has series length %d, shard 0 has %d", s, c.Data.Length, cores[0].Data.Length)
 		}
-		if c.Data.Length != length {
-			return nil, fmt.Errorf("shard: shard %d has series length %d, shard 0 has %d", s, c.Data.Length, length)
-		}
-		if c.Opts.Segments != opts.Segments || c.Opts.CardBits != opts.CardBits || c.Opts.LeafCapacity != opts.LeafCapacity {
+		o, o0 := c.Opts, cores[0].Opts
+		if o.Segments != o0.Segments || o.CardBits != o0.CardBits || o.LeafCapacity != o0.LeafCapacity {
 			return nil, fmt.Errorf("shard: shard %d was built with different structural options", s)
 		}
 		count += c.Data.Count()
 	}
-	if count == 0 {
-		return nil, fmt.Errorf("shard: all %d shards are empty", S)
-	}
 	for s, c := range cores {
-		want := sliceLen(count, s, S)
-		got := 0
-		if c != nil {
-			got = c.Data.Count()
-		}
-		if got != want {
+		if want := sliceLen(count, s, S); c.Data.Count() != want {
 			return nil, fmt.Errorf("shard: shard %d holds %d series, the partition of %d over %d shards requires %d",
-				s, got, count, S, want)
+				s, c.Data.Count(), count, S, want)
 		}
 	}
-	return newIndex(cores, count, length, opts), nil
+	return newIndex(cores, count, cores[0].Data.Length, cores[0].Opts), nil
 }
 
 // NumShards reports the shard count S.
 func (x *Index) NumShards() int { return len(x.shards) }
 
-// Shard returns shard s's core index (nil when that slice is empty).
+// Shard returns shard s's core index.
 func (x *Index) Shard(s int) *core.Index { return x.shards[s] }
 
 // Start returns the global position of shard s's first series.
@@ -164,9 +151,6 @@ func (x *Index) At(pos int) []float32 {
 func (x *Index) Stats() tree.Stats {
 	var agg tree.Stats
 	for _, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
 		st := sh.Stats()
 		agg.Series += st.Series
 		agg.RootChildren += st.RootChildren
@@ -182,14 +166,11 @@ func (x *Index) Stats() tree.Stats {
 	return agg
 }
 
-// ShardStats returns each shard's own tree statistics (zero value for
-// empty shards).
+// ShardStats returns each shard's own tree statistics.
 func (x *Index) ShardStats() []tree.Stats {
 	out := make([]tree.Stats, len(x.shards))
 	for s, sh := range x.shards {
-		if sh != nil {
-			out[s] = sh.Stats()
-		}
+		out[s] = sh.Stats()
 	}
 	return out
 }

@@ -220,16 +220,21 @@ func TestAtMapping(t *testing.T) {
 	}
 }
 
-// TestFewerSeriesThanShards: shards beyond the series count stay nil and
-// queries still work.
+// TestFewerSeriesThanShards: a collection of fewer series than shards
+// gets one shard per series, and queries still work.
 func TestFewerSeriesThanShards(t *testing.T) {
 	data := testData(t, 3)
 	x, err := shard.Build(data, 8, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Shard(5) != nil {
-		t.Fatal("shard beyond the series count is non-nil")
+	if x.NumShards() != 3 {
+		t.Fatalf("3 series at 8 shards built %d shards, want 3", x.NumShards())
+	}
+	for s := 0; s < 3; s++ {
+		if x.Start(s) != s || x.Shard(s).Data.Count() != 1 {
+			t.Fatalf("shard %d starts at %d with %d series, want %d and 1", s, x.Start(s), x.Shard(s).Data.Count(), s)
+		}
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(2))
@@ -243,35 +248,44 @@ func TestFewerSeriesThanShards(t *testing.T) {
 	}
 }
 
-// TestFromCoresValidation: mismatched partitions are rejected.
+// TestFromCoresValidation: mismatched partitions are rejected, and so is a
+// nil member at any position.
 func TestFromCoresValidation(t *testing.T) {
 	data := testData(t, 100)
-	x, err := shard.Build(data, 2, testOpts())
+	x, err := shard.Build(data, 3, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.FromCores([]*core.Index{x.Shard(0), x.Shard(1)}); err != nil {
+	a, b, c := x.Shard(0), x.Shard(1), x.Shard(2)
+	if _, err := shard.FromCores([]*core.Index{a, b, c}); err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
-	// Swapped shards break the partition's counts only when uneven;
-	// a missing shard always does.
-	if _, err := shard.FromCores([]*core.Index{x.Shard(0), nil}); err == nil {
-		t.Fatal("partition with a missing shard accepted")
+	// 100 over 3 is 34/33/33: the larger shard out of place breaks the
+	// partition's counts.
+	if _, err := shard.FromCores([]*core.Index{b, a, c}); err == nil {
+		t.Fatal("out-of-order partition accepted")
 	}
-	if _, err := shard.FromCores([]*core.Index{nil, nil}); err == nil {
-		t.Fatal("all-empty partition accepted")
+	for s := 0; s < 3; s++ {
+		cores := []*core.Index{a, b, c}
+		cores[s] = nil
+		if _, err := shard.FromCores(cores); err == nil {
+			t.Fatalf("partition with shard %d nil accepted", s)
+		}
+	}
+	if _, err := shard.FromCores([]*core.Index{a, b, c, nil}); err == nil {
+		t.Fatal("partition with a trailing nil shard accepted")
+	}
+	if _, err := shard.FromCores([]*core.Index{nil}); err == nil {
+		t.Fatal("one nil shard accepted")
 	}
 	if _, err := shard.FromCores(nil); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 	// One shard takes the general path: a whole collection is its own
-	// range, and a nil one is an empty partition.
-	one, err := shard.FromCores([]*core.Index{x.Shard(0)})
-	if err != nil || one.NumShards() != 1 || one.Len() != x.Shard(0).Data.Count() {
+	// range.
+	one, err := shard.FromCores([]*core.Index{a})
+	if err != nil || one.NumShards() != 1 || one.Len() != a.Data.Count() {
 		t.Fatalf("one-shard partition: %v", err)
-	}
-	if _, err := shard.FromCores([]*core.Index{nil}); err == nil {
-		t.Fatal("one nil shard accepted")
 	}
 }
 

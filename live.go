@@ -294,9 +294,11 @@ func (ix *Index) NewEngine(opts *EngineOptions) *LiveIndex {
 // openLive is the one constructor of a LiveIndex. base, when non-nil, is
 // an already-built generation — fresh from shard.Build or loaded from a
 // snapshot — published as generation 1 and retained without copying. Its
-// structural options (segments, cardinality, leaf capacity) and its shard
-// count override coreOpts and shards, so later generations keep its
-// shape; runtime options (workers, queues) come from coreOpts. A nil base
+// structural options (segments, cardinality, leaf capacity) override
+// coreOpts, so later generations keep its shape; runtime options
+// (workers, queues) come from coreOpts. shards is the count every rebuild
+// asks for: a base of fewer series has fewer shards, and the index grows
+// into the count at its first rebuild past that many series. A nil base
 // starts with no generation: the index answers from the delta alone until
 // the first rebuild. With LiveOptions.WALDir set, the log is opened and
 // its uncovered tail replayed into the delta before openLive returns.
@@ -306,12 +308,11 @@ func openLive(seriesLen int, base *shard.Index, normalize bool, coreOpts core.Op
 	}
 	v := &view{}
 	if base != nil {
-		if base.Len() == 0 || base.SeriesLen() != seriesLen {
-			return nil, fmt.Errorf("live: base holds %d series of length %d, want a non-empty one of length %d", base.Len(), base.SeriesLen(), seriesLen)
+		if base.SeriesLen() != seriesLen {
+			return nil, fmt.Errorf("live: base holds series of length %d, want %d", base.SeriesLen(), seriesLen)
 		}
 		bo := base.Opts()
 		coreOpts.Segments, coreOpts.CardBits, coreOpts.LeafCapacity = bo.Segments, bo.CardBits, bo.LeafCapacity
-		shards = base.NumShards()
 		v.base, v.baseLen, v.gen = base, base.Len(), 1
 	}
 	coreOpts = core.FillDefaults(coreOpts)
@@ -610,9 +611,7 @@ func (ix *LiveIndex) merge(v *view, total int) (next *shard.Index, err error) {
 	if len(flat) != v.baseLen*L || cap(flat) < total*L {
 		flat = make([]float32, 0, total*L+total*L/4)
 		for s := 0; v.base != nil && s < v.base.NumShards(); s++ {
-			if old := v.base.Shard(s); old != nil {
-				flat = append(flat, old.Data.Data...)
-			}
+			flat = append(flat, v.base.Shard(s).Data.Data...)
 		}
 	}
 	for _, c := range v.delta[:v.frozen] {
@@ -761,9 +760,9 @@ type LiveStats struct {
 	DeltaSeries int     // series buffered in the delta
 	Generation  int64   // immutable generations built so far
 	Rebuilding  bool    // a background rebuild is in flight
-	Shards      int     // index shards per generation (1 = unsharded)
+	Shards      int     // shards every rebuild asks for (1 = unsharded)
 	Index       Stats   // current generation's tree shape, aggregated over shards
-	PerShard    []Stats // per-shard tree shapes (nil when unsharded)
+	PerShard    []Stats // per-shard tree shapes of the generation (nil with one shard); fewer than Shards while it holds fewer series
 }
 
 // Stats returns a point-in-time snapshot of the index shape.

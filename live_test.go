@@ -969,6 +969,63 @@ func TestShardedLifecycle(t *testing.T) {
 	t.Run("loaded-post-flush", func(t *testing.T) { check(t, all) })
 }
 
+// TestSmallLiveGrowsIntoShardCount: a live index seeded with fewer series
+// than its shard count has one shard per series, keeps asking for the
+// count, and builds every shard at its first rebuild past it; answers
+// match brute force at every step.
+func TestSmallLiveGrowsIntoShardCount(t *testing.T) {
+	const length = 64
+	all := walk(6, length, 4)
+	queries := append(walk(5, length, 404), all...)
+	ix := smallLive(t, length, all[:3], smallOpts(4), threshold(1_000_000))
+
+	check := func(rows [][]float32, shards int) {
+		t.Helper()
+		st := ix.Stats()
+		if st.Series != len(rows) || st.Shards != 4 || len(st.PerShard) != shards {
+			t.Fatalf("%d series: Series %d, Shards %d, %d per-shard entries, want %d, 4, %d",
+				len(rows), st.Series, st.Shards, len(st.PerShard), len(rows), shards)
+		}
+		oracle := bruteForce(t, rows)
+		for qi, q := range queries {
+			got, err := nn1(ix, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := nn1(oracle, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%d series, query %d: live %+v, brute force %+v", len(rows), qi, got, want)
+			}
+			gotK, err := knn(ix, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantK, err := knn(oracle, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotK, wantK) {
+				t.Fatalf("%d series, query %d: live 5-NN %+v, brute force %+v", len(rows), qi, gotK, wantK)
+			}
+		}
+	}
+
+	check(all[:3], 3)
+	for n := 4; n <= len(all); n++ {
+		if _, err := ix.Append(all[n-1]); err != nil {
+			t.Fatal(err)
+		}
+		check(all[:n], 3) // the generation is still the seed's
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(all, 4)
+}
+
 // TestLiveQueryPanicIsolated: the delta is searched by the engine's workers,
 // inside its panic isolation. A unit of query work that panics — for an
 // index with no generation that can only be a delta chunk's scan — fails

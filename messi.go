@@ -73,8 +73,9 @@ type Options struct {
 	// Shards partitions the collection across this many independent index
 	// shards, built concurrently and queried by a fan-out that threads one
 	// shared pruning bound — answers are identical to an unsharded index.
-	// Each shard covers a contiguous range of positions. 0 or 1 builds a
-	// single tree. Default 1.
+	// Each shard covers a contiguous range of positions, and every shard
+	// holds at least one series: a collection of fewer series than Shards
+	// gets one shard per series. 0 or 1 builds a single tree. Default 1.
 	Shards int
 }
 
@@ -194,7 +195,8 @@ func (ix *Index) Len() int { return ix.inner.Len() }
 // SeriesLen reports the length (points) of each indexed series.
 func (ix *Index) SeriesLen() int { return ix.inner.SeriesLen() }
 
-// Shards reports the number of index shards (1 = unsharded).
+// Shards reports the number of index shards built (1 = unsharded):
+// Options.Shards, or the series count when that is smaller.
 func (ix *Index) Shards() int { return ix.inner.NumShards() }
 
 // Stats describes the shape of the built index tree.
