@@ -121,7 +121,7 @@ func messiDo(ix *shard.Index, workers, queues int) func(core.Request) error {
 // messiRun is messiDo returning the result, for the figures that read its
 // tally.
 func messiRun(ix *shard.Index, workers, queues int) func(core.Request) (core.Result, error) {
-	e := engine.NewUngated(ix.Opts(), engine.Options{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+	e := engine.NewUngated(ix.Opts(), engine.Options{PoolWorkers: workers, Queues: queues})
 	v := engine.View{Base: ix}
 	return func(req core.Request) (core.Result, error) { return e.Do(v, req) }
 }
@@ -508,10 +508,9 @@ func BenchmarkFig19DTW(b *testing.B) {
 //
 //   - spawn-per-query: the engine without an admission gate (root
 //     Index.Do's path), every query admitted at once with Ns workers;
-//   - pooled-exclusive: the gated engine with default scheduling (each
-//     query takes the whole worker budget, queries queue for admission);
-//   - pooled-shared: the gated engine splitting the budget across
-//     `clients` concurrently admitted queries.
+//   - pooled-exclusive: the gated engine, which sizes each query from
+//     its plan: a tree-plan query takes one worker token and borrows the
+//     idle ones, a scan-plan query waits for them all.
 //
 // Every mode starts its workers per query (Algorithm 6); the "pooled"
 // names are kept so results stay comparable across history.
@@ -551,18 +550,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("clients=%d/pooled-exclusive", clients), func(b *testing.B) {
 			eng := engine.New(ix.Opts(), engine.Options{})
-			defer eng.Close()
-			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Do(engine.View{Base: ix}, core.Request{Query: q})
-				return err
-			})
-		})
-		b.Run(fmt.Sprintf("clients=%d/pooled-shared", clients), func(b *testing.B) {
-			perQuery := ix.Opts().SearchWorkers / clients
-			if perQuery < 1 {
-				perQuery = 1
-			}
-			eng := engine.New(ix.Opts(), engine.Options{QueryWorkers: perQuery, MaxConcurrent: clients})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
 				_, err := eng.Do(engine.View{Base: ix}, core.Request{Query: q})

@@ -4,7 +4,8 @@
 // one-shot exploratory runs. There is one backend, a messi.LiveIndex: a
 // static index is a live one that never receives an append, so every
 // query, with or without -live, takes the same path through the same
-// admission gate and starts its own worker goroutines.
+// admission gate, which hands out -pool worker tokens and sizes each query
+// from its prepared plan, and starts its own worker goroutines.
 //
 // Usage:
 //
@@ -145,11 +146,9 @@ func run(args []string) error {
 		snapPath  = fs.String("snapshot", "", "index snapshot directory: booted from when present, default target of POST /v1/snapshot")
 		addr      = fs.String("addr", ":8080", "listen address")
 		leafCap   = fs.Int("leaf", 0, "leaf capacity (default 2000)")
-		pool      = fs.Int("pool", 0, "query-parallelism budget: default of -per-query and numerator of -admit's default (default: search workers)")
-		perQuery  = fs.Int("per-query", 0, "worker goroutines per query (default and max: -pool)")
+		pool      = fs.Int("pool", 0, "worker budget: the admission gate's worker tokens; a narrow tree-plan query takes one per shard and borrows idle ones, any other query takes all (default: search workers)")
 		queues    = fs.Int("queues", 0, "priority queues per query (default 24)")
-		admit     = fs.Int("admit", 0, "max concurrently executing queries (default: -pool / -per-query, at least 1)")
-		degrade   = fs.Float64("degrade-epsilon", 0, "overload policy: serve exact queries arriving at a full admission gate as ε-bounded with this ε (0 disables)")
+		degrade   = fs.Float64("degrade-epsilon", 0, "overload policy: serve exact queries arriving while no worker token is free as ε-bounded with this ε (0 disables)")
 		normalize = fs.Bool("normalize", false, "z-normalize data and queries")
 		liveMode  = fs.Bool("live", false, "serve a mutable live index accepting appends on POST /v1/series")
 		shards    = fs.Int("shards", 0, "partition the index across this many shards (default 1)")
@@ -192,9 +191,7 @@ func run(args []string) error {
 	opts := &messi.Options{LeafCapacity: *leafCap, Normalize: *normalize, Shards: *shards}
 	engOpts := messi.EngineOptions{
 		PoolWorkers:    *pool,
-		QueryWorkers:   *perQuery,
 		Queues:         *queues,
-		MaxConcurrent:  *admit,
 		DegradeEpsilon: *degrade,
 		Metrics:        reg,
 	}
@@ -492,9 +489,7 @@ type snapshotResponse struct {
 // reported by /v1/stats so operators can see the limits in force.
 type admissionConfig struct {
 	PoolWorkers    int     `json:"pool_workers"`
-	QueryWorkers   int     `json:"query_workers"`
 	Queues         int     `json:"queues"`
-	MaxConcurrent  int     `json:"max_concurrent"`
 	DegradeEpsilon float64 `json:"degrade_epsilon,omitempty"`
 }
 
@@ -771,9 +766,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	eo := ix.EngineOptions()
 	resp.Admission = &admissionConfig{
 		PoolWorkers:    eo.PoolWorkers,
-		QueryWorkers:   eo.QueryWorkers,
 		Queues:         eo.Queues,
-		MaxConcurrent:  eo.MaxConcurrent,
 		DegradeEpsilon: eo.DegradeEpsilon,
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -878,10 +871,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A fixed submitter fleet over Do: as many queries in flight as the
-	// admission gate admits, under the request's context — once the client
+	// gate has worker tokens, under the request's context — once the client
 	// is gone the remaining queries are not started.
 	resp := batchResponse{Results: make([][]messi.Match, len(req.Queries))}
-	err := engine.ForEach(len(req.Queries), ix.EngineOptions().MaxConcurrent, func(i int) error {
+	err := engine.ForEach(len(req.Queries), ix.EngineOptions().PoolWorkers, func(i int) error {
 		if err := r.Context().Err(); err != nil {
 			return err
 		}

@@ -284,8 +284,8 @@ func TestStatsServerFields(t *testing.T) {
 	if st.Admission.PoolWorkers != 4 {
 		t.Errorf("admission pool_workers = %d, want 4", st.Admission.PoolWorkers)
 	}
-	if st.Admission.MaxConcurrent < 1 {
-		t.Errorf("admission max_concurrent = %d, want >= 1", st.Admission.MaxConcurrent)
+	if st.Admission.Queues < 1 {
+		t.Errorf("admission queues = %d, want >= 1", st.Admission.Queues)
 	}
 }
 
@@ -366,7 +366,7 @@ func boundShare(t *testing.T, data, query []float32, dist float64) float64 {
 
 // counterKeys are the wire keys of a "counters" object, in order.
 var counterKeys = []string{"nodes_visited", "lower_bounds", "real_distances",
-	"leaves_inserted", "leaves_pruned", "bsf_updates", "scan_plans"}
+	"leaves_inserted", "leaves_pruned", "bsf_updates", "scan_plans", "workers", "yields"}
 
 // objectKeys returns the keys of the JSON object raw, in document order.
 func objectKeys(t *testing.T, raw json.RawMessage) []string {
@@ -390,7 +390,7 @@ func objectKeys(t *testing.T, raw json.RawMessage) []string {
 	return keys
 }
 
-// TestCounterWireKeys pins the seven count keys, in order, of both the
+// TestCounterWireKeys pins the nine count keys, in order, of both the
 // "counters": true and the "trace": true responses.
 func TestCounterWireKeys(t *testing.T) {
 	s, ix := newObservableServer(t, 0)

@@ -63,7 +63,7 @@ func TestEngineConcurrentQueriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 6, QueryWorkers: 3, MaxConcurrent: 4})
+	eng := ix.NewEngine(&EngineOptions{PoolWorkers: 4})
 	defer eng.Close()
 
 	flat := RandomWalk(8, 64, 909)
@@ -169,8 +169,8 @@ func TestNewEngineInheritsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := ix.NewEngine(nil)
-	if o := eng.EngineOptions(); o.PoolWorkers != 3 || o.QueryWorkers != 3 || o.Queues != 5 {
-		t.Errorf("defaults %+v, want PoolWorkers=QueryWorkers=3 and Queues=5 from the index", o)
+	if o := eng.EngineOptions(); o.PoolWorkers != 3 || o.Queues != 5 {
+		t.Errorf("defaults %+v, want PoolWorkers=3 and Queues=5 from the index", o)
 	}
 	want := LiveStats{Series: 300, BaseSeries: 300, Generation: 1, Shards: 2, Index: ix.Stats(), PerShard: ix.ShardStats()}
 	if got := eng.Stats(); !reflect.DeepEqual(got, want) {
@@ -184,7 +184,8 @@ func TestNewEngineInheritsIndex(t *testing.T) {
 // TestCountsIndependentOfWorkers: a query's counts are a property of the
 // query, not of how many workers and queues split it. A member query's
 // approximate search finds the member at distance 0, so every root child
-// is visited once and pruned — with any number of workers. An OOD query scans: every
+// is visited once and pruned — with any number of workers, of which the
+// query reports it ran on all (Workers). An OOD query scans: every
 // series is measured once, beside each shard's approximate leaf, and each
 // shard counts one scan plan.
 func TestCountsIndependentOfWorkers(t *testing.T) {
@@ -201,7 +202,7 @@ func TestCountsIndependentOfWorkers(t *testing.T) {
 	var first *QueryCounters
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, queues := range []int{1, 2, 4} {
-			eng := ix.NewEngine(&EngineOptions{PoolWorkers: workers, QueryWorkers: workers, Queues: queues})
+			eng := ix.NewEngine(&EngineOptions{PoolWorkers: workers, Queues: queues})
 			res, err := eng.Do(ctx, SearchRequest{Query: member, Counters: true})
 			eng.Close()
 			if err != nil {
@@ -211,6 +212,13 @@ func TestCountsIndependentOfWorkers(t *testing.T) {
 				t.Fatalf("member query answered %+v", best)
 			}
 			c := *res.Counters
+			// The width is the one count that is the workers' own: a lone
+			// tree-plan query runs on every worker, yielding none.
+			if c.Workers != int64(workers) || c.Yields != 0 {
+				t.Fatalf("workers=%d queues=%d: %d workers, %d yields, want %d and 0",
+					workers, queues, c.Workers, c.Yields, workers)
+			}
+			c.Workers = 0
 			if c.NodesVisited != int64(ix.Stats().RootChildren) {
 				t.Fatalf("workers=%d queues=%d: %d nodes visited, want the %d root children",
 					workers, queues, c.NodesVisited, ix.Stats().RootChildren)

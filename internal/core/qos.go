@@ -272,6 +272,13 @@ func (q *QoS) stop() bool {
 	return true
 }
 
+// Expire latches the stop for the whole query, as a deadline that passes
+// does at a worker's next claim: the work not yet done is dropped and
+// Finish reports the answer inexact. The engine calls it for a query whose
+// deadline passed while it waited for workers, which then answers with
+// what its preparation found.
+func (q *QoS) Expire() { q.stopped.Store(true) }
+
 // add folds one worker's tally into the query's total. A worker calls it
 // once per unit of work — a run's preparation, an insert or drain phase, a
 // delta chunk's scan — never per node, leaf or pop.

@@ -40,7 +40,7 @@ func TestStopAtQueuePop(t *testing.T) {
 				close(cancel)
 			}
 			for pid := 0; pid < workers; pid++ {
-				r.DrainPhase(pid)
+				r.DrainPhase(pid, nil)
 			}
 			if !early {
 				close(cancel)

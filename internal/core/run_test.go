@@ -32,7 +32,7 @@ func drive(run *SearchRun, workers int) {
 			run.InsertPhase(pid)
 			inserted.Done()
 			inserted.Wait()
-			run.DrainPhase(pid)
+			run.DrainPhase(pid, nil)
 		}(pid)
 	}
 	wg.Wait()

@@ -155,6 +155,31 @@ func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int
 // index, must keep the tree (TestRefineMatchesPlainLoop's plan rows).
 func (euclidean) crossover() float64 { return 0.5 }
 
+// narrowShare is the sampled share up to which a tree-plan run is narrow
+// (see SearchRun.Narrow). A run that samples none, a DTW run, counts as
+// sharing 1, so it is never narrow: its cost is the per-candidate arithmetic
+// a second worker halves. The Euclidean share is measured (500 k × 128
+// series of each dataset family, 10 queries per noise tier at 10, 3 and 0
+// dB, the tree-plan ones kept). Each query was timed whole on 1 worker (T1)
+// and on 2 (T2), and under two-client contention: two copies side by side on
+// one worker each (narrow), or taking turns through a two-worker gate after
+// preparing outside it (wide), mean of 8 each, best of two. Two queries
+// meeting once would favour narrow while T1 < 1.5·T2, and most break that:
+// T1/T2 reads 0.97–1.94 (median 1.37) on random walks at shares up to 0.1
+// and 1.27–2.83 (1.92) above, 0.94–2.48 (1.32) and 1.46–2.28 (1.90) on
+// seismic-like, 1.48–2.03 on SALD-like (shares 0.057–0.266). Measured,
+// narrow/wide reads 0.66–1.02 (median 0.89) and 0.70–1.30 (1.06) on random
+// walks, 0.55–1.28 (0.74) and 0.80–1.17 (1.04) on seismic-like, 0.94–1.13
+// (1.01–1.04) on SALD-like: the turns overlap one query's preparation with
+// the other's search. Narrowing the queries whose share is at most t gives
+// contended means at t = 0/0.02/0.05/0.1/0.2/0.5 of: random walks 3.39/
+// 3.36/3.36/3.36/3.46/3.50 ms, seismic-like 3.90/3.86/3.87/3.84/3.84/4.01,
+// SALD-like 3.05 up to 0.05, then 3.06/3.08/3.13. At 0.1 every family is
+// within 0.4 % of its best point, and by 0.2 random walks are 3 % above it.
+// A server's HTTP work, which also runs off the gate, only favours narrow
+// more.
+const narrowShare = 0.1
+
 // The refine stage walks a leaf's surviving candidates in batches of
 // refineBatch: it first issues one load per cache line (lineFloats
 // float32s) of every candidate in the batch, so the batch's cache and TLB
@@ -404,6 +429,7 @@ type SearchRun struct {
 	table  *isax.DistTable // per-query MINDIST table; nil until prepareTable
 	bnd    Collector       // opt.Shared
 	queues *pqueue.Set[*tree.Node]
+	share  float64 // the sampled share the plan read; 1 where it read none
 	// claimCtr is written by every worker at every claim, while the fields
 	// around it are read at every node; the padding keeps it on a cache
 	// line of its own (sharing one cost the serve-easy benchmark ~10 % of
@@ -430,7 +456,7 @@ type SearchRun struct {
 // API layer handles both). The index is never empty: Build refuses an
 // empty collection, and Restore requires a non-empty one.
 func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) *SearchRun {
-	r := &SearchRun{ix: ix, bnd: opt.Shared,
+	r := &SearchRun{ix: ix, bnd: opt.Shared, share: 1,
 		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, trace: req.Trace}
 	r.init(req, st)
 	return r
@@ -492,16 +518,18 @@ func (r *SearchRun) prepareTable(st *QueryState, qpaa []float64) {
 	r.kern.prepare(r.table, qpaa)
 }
 
-// scanPays chooses the plan: the scan when the sampled share exceeds the
-// kernel's crossover. A k-NN collector that the approximate search could not
-// fill bounds nothing yet — every word would survive +Inf — so its run
+// scanPays chooses the plan: the scan when the sampled share, which it
+// records in r.share (left at 1 where it samples none), exceeds the
+// kernel's crossover. A k-NN collector that the approximate search could
+// not fill bounds nothing yet — every word would survive +Inf — so its run
 // keeps the tree, which fills the collector from the nearest leaves.
 func (r *SearchRun) scanPays() bool {
 	crossover := r.kern.crossover()
 	if crossover >= 1 || math.IsInf(r.bnd.Load(), 1) {
 		return false
 	}
-	return r.sampledShare() > crossover
+	r.share = r.sampledShare()
+	return r.share > crossover
 }
 
 // sampledShare is the plan's predictor: the share of the index's sampled
@@ -529,6 +557,14 @@ func (r *SearchRun) sampledShare() float64 {
 // run are no-ops.
 func (r *SearchRun) Done() bool { return r.done }
 
+// Narrow reports whether a pending run can be started on one worker and
+// lent more only while nobody else wants them: the plan kept the tree,
+// whose queues a helper can leave at any pop, and its sampled share is at
+// most narrowShare, so one worker costs it less than waiting for two. A
+// scan-plan run, a DTW run or one with more to search wants every worker
+// from the start.
+func (r *SearchRun) Narrow() bool { return !r.scan && r.share <= narrowShare }
+
 // rootBlock is how many activeRoots entries a tree-pass worker claims per
 // Fetch&Inc: one claim, and one stop check, per 256 root bounds.
 const rootBlock = 256
@@ -550,7 +586,7 @@ func (r *SearchRun) InsertPhase(pid int) {
 	}
 	cursor := pid % r.opt.Queues // round-robin insertion cursor (line 2)
 
-	var t stats.Tally
+	t := stats.Tally{Workers: 1} // every worker inserts once
 	var tStart time.Time
 	if r.trace {
 		tStart = time.Now()
@@ -587,7 +623,7 @@ const scanBlock = 1024
 // against the run's bound — the shard's flat data read as a stream, where
 // the tree plan would gather the same series in leaf order.
 func (r *SearchRun) scanPhase() {
-	var t stats.Tally
+	t := stats.Tally{Workers: 1} // every worker inserts once
 	var tStart time.Time
 	if r.trace {
 		tStart = time.Now()
@@ -614,8 +650,11 @@ func (r *SearchRun) scanPhase() {
 
 // DrainPhase is the queue-processing half of Algorithm 6 (lines 8-13):
 // drain queues until every queue is finished. A scan-plan run has no
-// queues.
-func (r *SearchRun) DrainPhase(pid int) {
+// queues. A helper worker passes leave, asked before every pop: once it
+// reports true the worker returns without popping, so no popped leaf is
+// dropped, and counts one Yields; the workers that pass nil drain what it
+// left behind.
+func (r *SearchRun) DrainPhase(pid int, leave func() bool) {
 	if r.done || r.scan {
 		return
 	}
@@ -628,8 +667,8 @@ func (r *SearchRun) DrainPhase(pid int) {
 	// position — the load-balancing scheme the paper settled on ("workers
 	// use randomization to choose the priority queues they will work on").
 	rnd := uint64(pid)*0x9E3779B97F4A7C15 + 0x1234567
-	for q := pid % r.opt.Queues; q >= 0; {
-		r.processQueue(r.queues.Queue(q), scratch, &t)
+	for q := pid % r.opt.Queues; q >= 0 && t.Yields == 0; {
+		r.processQueue(r.queues.Queue(q), scratch, leave, &t)
 		rnd = rnd*6364136223846793005 + 1442695040888963407 // LCG step
 		q = r.queues.NextUnfinished(int(rnd>>33) % r.opt.Queues)
 	}
@@ -672,10 +711,16 @@ func (r *SearchRun) insert(node *tree.Node, dist float64, cursor *int, t *stats.
 
 // processQueue is Algorithm 8: repeatedly DeleteMin; once the popped bound
 // is no better than the BSF (or the queue is empty, or the QoS state stops
-// the run), mark the queue finished and return.
-func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScratch, t *stats.Tally) {
+// the run), mark the queue finished and return. A non-nil leave that
+// reports true before a pop counts a yield and returns at once, the queue
+// unfinished.
+func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScratch, leave func() bool, t *stats.Tally) {
 	for {
 		if q.Finished() {
+			return
+		}
+		if leave != nil && leave() {
+			t.Yields++
 			return
 		}
 		var t0 time.Time

@@ -7,11 +7,11 @@ import (
 )
 
 // ForEach runs fn(i) for every i in [0,n) on up to workers goroutines that
-// claim indexes via Fetch&Inc — the submitter fleet of a query batch: the
-// admission gate caps useful parallelism at MaxConcurrent anyway, and a
-// fixed fleet keeps one huge batch from allocating one goroutine per
-// query. Every index runs even when some fail; the error returned is the
-// lowest failing index's.
+// claim indexes via Fetch&Inc — the submitter fleet of a query batch, sized
+// by the gate's PoolWorkers tokens: no more queries than tokens can run at
+// once anyway, and a fixed fleet keeps one huge batch from allocating one
+// goroutine per query. Every index runs even when some fail; the error
+// returned is the lowest failing index's.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n

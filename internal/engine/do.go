@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -51,9 +50,10 @@ func (v View) check(req core.Request) error {
 // Do serves one quality-of-service request over the view — the engine's
 // only query method, and the one place a request is validated, admitted
 // and executed: the request is checked first, so a malformed one is
-// rejected without queueing; then the admission gate and the
-// overload-degradation policy (Options.DegradeEpsilon), when the engine
-// has a gate; then execution, whatever the distance, answer shape or mode.
+// rejected without queueing; then the overload-degradation policy
+// (Options.DegradeEpsilon), when the engine has a gate; then preparation,
+// admission at the width the prepared plans need, and execution, whatever
+// the distance, answer shape or mode.
 func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -69,13 +69,13 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 		start = time.Now()
 	}
 
-	// Overload degradation: with the admission gate full, an exact request
-	// would pay queueing latency on top of exact-search latency. When the
-	// engine is configured to degrade, rewrite it to an ε-bounded request
-	// instead — it still waits for admission, but runs far cheaper once
-	// admitted, and the result honestly reports what was proven. Requests
-	// that chose their mode explicitly are never rewritten.
-	if req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && e.admit != nil && len(e.admit) == cap(e.admit) {
+	// Overload degradation: with no worker free, an exact request would pay
+	// queueing latency on top of exact-search latency. When the engine is
+	// configured to degrade, rewrite it to an ε-bounded request instead —
+	// it still waits for admission, but runs far cheaper once admitted,
+	// and the result honestly reports what was proven. Requests that chose
+	// their mode explicitly are never rewritten.
+	if req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && e.gate != nil && e.gate.exhausted() {
 		req.Mode = core.ModeEpsilon
 		req.Epsilon = e.opts.DegradeEpsilon
 		if e.met != nil {
@@ -83,23 +83,6 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 		}
 	}
 	mode := req.Mode
-
-	if e.admit != nil {
-		admitted, err := e.admitQoS(req)
-		if err != nil {
-			return core.Result{}, err
-		}
-		if admitted {
-			defer func() { <-e.admit }()
-		} else {
-			// The deadline expired while waiting for admission. The
-			// contract is best-so-far within the budget, so bypass the gate
-			// for the cheap approximate step only (one leaf scan per shard
-			// — bounded work even under overload) and report it as what it
-			// is: an inexact answer.
-			req.Mode = core.ModeApprox
-		}
-	}
 
 	res, err := e.run(v, req)
 	if err != nil {
@@ -112,55 +95,32 @@ func (e *Engine) Do(v View, req core.Request) (core.Result, error) {
 	return res, nil
 }
 
-// admitQoS waits for an admission slot, honoring the request's
-// cancellation signal and deadline. It reports whether a slot was taken
-// (false only when a deadline expired while waiting); cancellation is an
-// error, matching context semantics. Release by receiving from e.admit.
-func (e *Engine) admitQoS(req core.Request) (bool, error) {
+// admit waits at the gate, if the engine has one, for a query's tokens,
+// honoring the request's cancellation signal and, in ModeDeadline, its
+// deadline. It reports whether it holds them (false only when the deadline
+// passed while it waited); cancellation is an error, matching context
+// semantics. A query that needs no token is admitted at once.
+func (e *Engine) admit(tokens int, req core.Request) (bool, error) {
+	if e.gate == nil {
+		return true, nil
+	}
 	waitStart := e.met.waitStart()
-	defer e.met.waitEnd(waitStart)
-	// A free slot is taken before anything else is looked at: a select
-	// picks at random among its ready cases, so a request cancelled or
-	// expired before it arrived would otherwise be refused by an idle gate
-	// half the time.
-	select {
-	case e.admit <- struct{}{}:
-	default:
-		var timerC <-chan time.Time
-		if req.Mode == core.ModeDeadline && !req.Deadline.IsZero() {
-			t := time.NewTimer(time.Until(req.Deadline))
-			defer t.Stop()
-			timerC = t.C
-		}
-		// A nil req.Cancel or timerC never fires in the select.
-		select {
-		case e.admit <- struct{}{}:
-		case <-req.Cancel:
-			if e.met != nil {
-				e.met.cancelled.Inc()
-			}
-			return false, context.Canceled
-		case <-timerC:
-			if e.met != nil {
-				e.met.expired.Inc()
-			}
-			return false, nil
-		}
-	}
-	if e.met != nil {
-		e.met.admitted.Inc()
-	}
-	return true, nil
+	ok, err := e.gate.acquire(tokens, req)
+	e.met.waitEnd(waitStart, ok, err)
+	return ok, err
 }
 
 // run executes one request against the view: every member of the fan-out
 // — one run per shard, one scan per delta chunk — is prepared by prepare,
-// into one shared collector and one QoS state, then every run the
-// preparation did not already complete goes through its phases (execute).
-// The collector's contents are the fused answer, in global positions. The
-// first failure — a unit panic, recovered where it happened — fails this
-// query alone; no drain starts after it, since the answer is discarded
-// anyway.
+// into one shared collector and one QoS state, before the gate; then the
+// query is admitted at the width its pending runs' plans ask for — one
+// token per run when every run is narrow, every token otherwise, none
+// without a pending run — and the runs go through their phases (execute).
+// One whose deadline passes at the gate answers with what preparation
+// found, flagged inexact. The collector's contents are the fused answer,
+// in global positions. The first failure — a unit panic, recovered where
+// it happened — fails this query alone; no drain starts after it, since
+// the answer is discarded anyway.
 func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	if v.Base == nil {
 		// Delta chunks are scanned exactly in every mode, so with nothing
@@ -173,8 +133,21 @@ func (e *Engine) run(v View, req core.Request) (core.Result, error) {
 	}
 	rec := &panicBox{}
 	runs, sts := e.prepare(v, req, opt, rec)
-	if len(runs) > 0 {
-		e.execute(runs, rec)
+	tokens, narrow := e.opts.PoolWorkers, e.gate != nil
+	for _, run := range runs {
+		narrow = narrow && run.Narrow()
+	}
+	if narrow {
+		tokens = min(len(runs), tokens)
+	}
+	admitted, err := e.admit(tokens, req)
+	if err != nil {
+		return core.Result{}, err // its states are left to the garbage collector
+	}
+	if !admitted {
+		opt.QoS.Expire()
+	} else if len(runs) > 0 {
+		e.execute(runs, tokens, narrow, rec)
 	}
 	if err := rec.load(); err != nil {
 		// Any of the fanned-out states may be the one a panicking unit
@@ -245,35 +218,55 @@ func (e *Engine) prepare(v View, req core.Request, opt core.SearchOptions, rec *
 	return pending, sts
 }
 
-// execute is Algorithm 6, per pending run: each run gets
-// ⌈QueryWorkers/len(runs)⌉ worker goroutines — QueryWorkers per query,
-// split evenly across the runs — and each worker runs its insert unit,
-// meets the run's all-inserted barrier, then runs its drain unit. A run
-// that finishes its tree pass early drains while the others still
-// traverse, so the bounds it finds prune their traversals. A worker whose
-// query has already failed skips its drain, since the answer is discarded
-// anyway. unit recovers every panic, so each worker always reaches its
-// barrier and its done signal.
-func (e *Engine) execute(runs []*core.SearchRun, rec *panicBox) {
-	per := (e.opts.QueryWorkers + len(runs) - 1) / len(runs)
+// execute is Algorithm 6, per pending run, on the workers the query's
+// tokens pay for: a wide query's split evenly across its runs,
+// ⌈tokens/len(runs)⌉ each; a narrow query's one per run, plus one helper
+// per token it can borrow, dealt to the runs in turn. A run that finishes
+// its tree pass early drains while the others still traverse, so the
+// bounds it finds prune their traversals. It returns the query's tokens to
+// the gate.
+func (e *Engine) execute(runs []*core.SearchRun, tokens int, narrow bool, rec *panicBox) {
+	per, helpers := (tokens+len(runs)-1)/len(runs), 0
+	if narrow {
+		per, helpers = 1, e.gate.borrow(e.opts.PoolWorkers-tokens)
+	}
 	var done sync.WaitGroup
-	done.Add(per * len(runs))
-	for _, run := range runs {
-		var inserted sync.WaitGroup
-		inserted.Add(per)
-		for pid := 0; pid < per; pid++ {
-			go func() {
-				e.unit(rec, func() { run.InsertPhase(pid) })
-				inserted.Done()
-				inserted.Wait()
-				if rec.load() == nil {
-					e.unit(rec, func() { run.DrainPhase(pid) })
-				}
-				done.Done()
-			}()
+	for i, run := range runs {
+		n := per + (helpers-i+len(runs)-1)/len(runs) // its share of the helpers
+		done.Add(n)
+		inserted := new(sync.WaitGroup)
+		inserted.Add(n)
+		for pid := 0; pid < n; pid++ {
+			go e.work(run, pid, pid >= per, inserted, &done, rec)
 		}
 	}
 	done.Wait()
+	if e.gate != nil {
+		e.gate.release(tokens)
+	}
+}
+
+// work is one worker of a run: its insert unit, the run's all-inserted
+// barrier, then its drain unit, skipped once the query has failed since
+// the answer is discarded anyway. A helper drains only until a query
+// waits at the gate, then gives its token back; the run's own workers
+// drain to the end. unit recovers every panic, so each worker always
+// reaches its barrier, its release and its done signal.
+func (e *Engine) work(run *core.SearchRun, pid int, helper bool, inserted, done *sync.WaitGroup, rec *panicBox) {
+	e.unit(rec, func() { run.InsertPhase(pid) })
+	inserted.Done()
+	inserted.Wait()
+	if rec.load() == nil {
+		var leave func() bool
+		if helper {
+			leave = e.gate.waiting
+		}
+		e.unit(rec, func() { run.DrainPhase(pid, leave) })
+	}
+	if helper {
+		e.gate.release(1)
+	}
+	done.Done()
 }
 
 // unit executes one unit of query work — a member's preparation or one

@@ -10,19 +10,22 @@ import (
 	"repro/internal/core"
 )
 
-// fillGate saturates the admission gate directly (same-package access) so
-// the overload branches of Do run deterministically instead of depending
-// on racing real queries. The returned func releases the held slots.
+// fillGate takes every worker token of the gate directly (same-package
+// access) so the overload branches of Do run deterministically instead of
+// depending on racing real queries. The returned func gives them back.
 func fillGate(e *Engine) func() {
-	n := cap(e.admit)
-	for i := 0; i < n; i++ {
-		e.admit <- struct{}{}
+	n := e.opts.PoolWorkers
+	if ok, err := e.gate.acquire(n, core.Request{}); !ok || err != nil {
+		panic("fillGate: the gate is not idle")
 	}
-	return func() {
-		for i := 0; i < n; i++ {
-			<-e.admit
-		}
-	}
+	return func() { e.gate.release(n) }
+}
+
+// freeTokens reports how many worker tokens the gate has free.
+func freeTokens(e *Engine) int {
+	e.gate.mu.Lock()
+	defer e.gate.mu.Unlock()
+	return e.gate.free
 }
 
 // TestDegradeEpsilonRewritesUnderOverload: with the gate provably full
@@ -32,7 +35,7 @@ func fillGate(e *Engine) func() {
 func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 	ix, qs := testIndex(t)
 	const eps = 4.0
-	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1, DegradeEpsilon: eps})
+	e := serve(ix, Options{PoolWorkers: 4, DegradeEpsilon: eps})
 	defer e.Close()
 
 	release := fillGate(e.Engine)
@@ -52,7 +55,7 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 		<-started
 	}
 	// Every goroutine is past Do's entry; give them time to observe the
-	// full gate and block in admitQoS, then let them through one by one.
+	// full gate and queue in admit, then let them through.
 	time.Sleep(50 * time.Millisecond)
 	release()
 	for i := 0; i < nq; i++ {
@@ -87,11 +90,12 @@ func TestDegradeEpsilonRewritesUnderOverload(t *testing.T) {
 	}
 }
 
-// TestDegradeEpsilonIdleStaysExact: the rewrite requires a full gate — an
-// idle engine with DegradeEpsilon configured still answers exactly.
+// TestDegradeEpsilonIdleStaysExact: the rewrite requires a gate with no
+// free token — an idle engine with DegradeEpsilon configured still
+// answers exactly.
 func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 2, DegradeEpsilon: 0.5})
+	e := serve(ix, Options{PoolWorkers: 4, DegradeEpsilon: 0.5})
 	defer e.Close()
 	for i := 0; i < 4; i++ {
 		res, err := e.do(core.Request{Query: qs.At(i)})
@@ -109,21 +113,24 @@ func TestDegradeEpsilonIdleStaysExact(t *testing.T) {
 }
 
 // TestDeadlineExpiryDuringAdmission: a deadline request stuck behind a
-// full gate past its deadline bypasses the gate with a single bounded
-// approximate step and reports the answer as inexact.
+// full gate past its deadline answers with what its preparation found —
+// the seeded answer, no second descent: its real distances are exactly
+// the seed's — reports it as inexact, and leaves every token free.
 func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
+	e := serve(ix, Options{PoolWorkers: 4})
 	defer e.Close()
 
+	// The seed's work: the preparation of the same request, alone.
+	req := core.Request{Query: qs.At(0), Mode: core.ModeDeadline}
+	opt := core.SearchOptions{Shared: core.NewCollector(1), QoS: req.NewQoS()}
+	ix.Shard(0).NewRun(req, core.NewQueryState(), opt)
+	seed := opt.QoS.Finish(opt.Shared.Matches())
+
 	release := fillGate(e.Engine)
-	defer release()
 	start := time.Now()
-	res, err := e.do(core.Request{
-		Query:    qs.At(0),
-		Mode:     core.ModeDeadline,
-		Deadline: time.Now().Add(30 * time.Millisecond),
-	})
+	req.Deadline = time.Now().Add(30 * time.Millisecond)
+	res, err := e.do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +140,23 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 	if res.Exact || !math.IsInf(res.EpsilonBound, 1) {
 		t.Fatalf("deadline-expired admission must report an unproven answer, got %+v", res)
 	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("deadline-expired admission returned %d matches, want the approximate best", len(res.Matches))
+	if len(res.Matches) != 1 || res.Matches[0] != seed.Matches[0] {
+		t.Fatalf("deadline-expired admission answered %+v, want the seed's %+v", res.Matches, seed.Matches)
+	}
+	if got, want := res.Tally.RealDistCalcs, seed.Tally.RealDistCalcs; got != want || res.Tally.Workers != 0 {
+		t.Fatalf("deadline-expired admission: %d real distances on %d workers, want the seed's %d on none",
+			got, res.Tally.Workers, want)
 	}
 	want, err := brute1(ix, qs.At(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Matches[0].Dist < want.Dist-1e-9 {
-		t.Fatalf("approximate fallback %v better than exact %v", res.Matches[0].Dist, want.Dist)
+		t.Fatalf("seeded answer %v better than exact %v", res.Matches[0].Dist, want.Dist)
+	}
+	release()
+	if free := freeTokens(e.Engine); free != 4 {
+		t.Fatalf("%d tokens free after the expired wait, want 4", free)
 	}
 }
 
@@ -149,15 +164,18 @@ func TestDeadlineExpiryDuringAdmission(t *testing.T) {
 // returns context.Canceled without running any search.
 func TestCancelDuringAdmission(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
+	e := serve(ix, Options{PoolWorkers: 4})
 	defer e.Close()
 
 	release := fillGate(e.Engine)
-	defer release()
 	canceled := make(chan struct{})
 	close(canceled)
 	_, err := e.do(core.Request{Query: qs.At(0), Cancel: canceled})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled admission returned %v, want context.Canceled", err)
+	}
+	release()
+	if free := freeTokens(e.Engine); free != 4 {
+		t.Fatalf("%d tokens free after the cancelled wait, want 4", free)
 	}
 }

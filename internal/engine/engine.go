@@ -31,31 +31,26 @@ var fpUnit = fault.Register("engine.unit")
 // the indexes it will search (which themselves default to the paper's
 // values).
 type Options struct {
-	// PoolWorkers is the query-parallelism budget the other defaults are
-	// carved from: QueryWorkers defaults to it, and MaxConcurrent to how
-	// many queries of QueryWorkers workers it holds. No goroutine outlives
-	// a query; each query starts its own workers. Default: the index's
-	// SearchWorkers (Ns).
+	// PoolWorkers is the engine's worker budget — Ns of Algorithm 6 — and
+	// its admission gate's worker tokens. A narrow query, whose runs all
+	// keep the tree with little to search (core.SearchRun.Narrow), waits
+	// for one token per run and borrows the others while no query waits,
+	// one helper worker per token, each given back at its next queue pop
+	// once a query does wait; any other query waits for all of them. No
+	// goroutine outlives a query; each query starts its own workers.
+	// Default: the index's SearchWorkers.
 	PoolWorkers int
-	// QueryWorkers is the per-query parallelism: the number of worker
-	// goroutines each query starts, split evenly across its shards — Ns
-	// of Algorithm 6. Default and upper bound: PoolWorkers.
-	QueryWorkers int
 	// Queues is the number of priority queues per query (Nq). Default:
 	// the index's QueueCount.
 	Queues int
-	// MaxConcurrent is the number of queries allowed to execute
-	// concurrently; further queries wait for admission. Default:
-	// max(1, PoolWorkers/QueryWorkers), the queries that fit the budget.
-	MaxConcurrent int
 	// DegradeEpsilon, when positive, makes the admission gate trade
 	// answer quality for latency under overload: an exact Do request
-	// arriving while MaxConcurrent queries are already executing is
-	// degraded to an ε-bounded one with this ε instead of paying full
-	// queueing plus full exact-search latency. Requests that ask for a
-	// specific mode (approximate, ε, deadline) are never rewritten, and
-	// the result honestly reports Exact=false plus the ε actually
-	// proven. Zero (the default) never degrades.
+	// arriving while no worker token is free is degraded to an ε-bounded
+	// one with this ε instead of paying full queueing plus full
+	// exact-search latency. Requests that ask for a specific mode
+	// (approximate, ε, deadline) are never rewritten, and the result
+	// honestly reports Exact=false plus the ε actually proven. Zero (the
+	// default) never degrades.
 	DegradeEpsilon float64
 	// Metrics, when non-nil, receives the engine's serving telemetry:
 	// admission-gate pressure (queue depth, wait time, admitted/degraded/
@@ -70,17 +65,8 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 	if o.PoolWorkers <= 0 {
 		o.PoolWorkers = ixOpts.SearchWorkers
 	}
-	if o.QueryWorkers <= 0 || o.QueryWorkers > o.PoolWorkers {
-		o.QueryWorkers = o.PoolWorkers
-	}
 	if o.Queues <= 0 {
 		o.Queues = ixOpts.QueueCount
-	}
-	if o.MaxConcurrent <= 0 {
-		o.MaxConcurrent = o.PoolWorkers / o.QueryWorkers
-		if o.MaxConcurrent < 1 {
-			o.MaxConcurrent = 1
-		}
 	}
 	return o
 }
@@ -94,8 +80,8 @@ func (o Options) withDefaults(ixOpts core.Options) Options {
 // queries. It is safe for concurrent use by multiple goroutines.
 type Engine struct {
 	opts   Options
-	met    *engMetrics   // nil when Options.Metrics is nil
-	admit  chan struct{} // nil without a gate (NewUngated)
+	met    *engMetrics // nil when Options.Metrics is nil
+	gate   *gate       // nil without a gate (NewUngated)
 	states sync.Pool
 
 	mu     sync.RWMutex // guards closed vs. in-flight queries
@@ -104,16 +90,16 @@ type Engine struct {
 
 // New returns an engine for indexes built with ixOpts, which (after their
 // own defaults) supply the defaults of opts' zero fields: NewUngated's
-// engine behind an admission gate of MaxConcurrent slots.
+// engine behind an admission gate of PoolWorkers worker tokens.
 func New(ixOpts core.Options, opts Options) *Engine {
 	e := NewUngated(ixOpts, opts)
-	e.admit = make(chan struct{}, e.opts.MaxConcurrent)
+	e.gate = &gate{free: e.opts.PoolWorkers}
 	return e
 }
 
 // NewUngated returns an engine with no admission gate: every query is
-// admitted at once. Validation, execution, panic isolation and the scratch
-// pool are New's.
+// admitted at once and runs on PoolWorkers workers, with no helpers.
+// Validation, execution, panic isolation and the scratch pool are New's.
 func NewUngated(ixOpts core.Options, opts Options) *Engine {
 	opts = opts.withDefaults(core.FillDefaults(ixOpts))
 	e := &Engine{opts: opts, met: newEngMetrics(opts.Metrics, opts)}

@@ -171,8 +171,8 @@ func TestConcurrentQueriers(t *testing.T) {
 	}
 
 	// A deliberately over-subscribed configuration: more concurrent
-	// queriers than admission slots, a smaller worker budget than queriers.
-	e := serve(ix, Options{PoolWorkers: 6, QueryWorkers: 3, MaxConcurrent: 4})
+	// queriers than worker tokens.
+	e := serve(ix, Options{PoolWorkers: 4})
 	defer e.Close()
 
 	const queriers = 10
@@ -208,12 +208,12 @@ func TestConcurrentQueriers(t *testing.T) {
 // surfaces an error without corrupting the others.
 func TestBatch(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := serve(ix, Options{PoolWorkers: 8, QueryWorkers: 2})
+	e := serve(ix, Options{PoolWorkers: 2})
 	defer e.Close()
 
 	batch := func(queries [][]float32) ([]core.Match, error) {
 		out := make([]core.Match, len(queries))
-		err := ForEach(len(queries), e.Options().MaxConcurrent, func(i int) (err error) {
+		err := ForEach(len(queries), e.Options().PoolWorkers, func(i int) (err error) {
 			out[i], err = pool1(e, queries[i])
 			return err
 		})
@@ -264,8 +264,8 @@ func TestClose(t *testing.T) {
 	}
 }
 
-// TestOptionDefaults: zero options inherit from the index; QueryWorkers
-// is clamped to the PoolWorkers budget.
+// TestOptionDefaults: zero options inherit from the index, and the gate
+// holds PoolWorkers worker tokens.
 func TestOptionDefaults(t *testing.T) {
 	ix, _ := testIndex(t)
 	e := serve(ix, Options{})
@@ -274,21 +274,18 @@ func TestOptionDefaults(t *testing.T) {
 	if o.PoolWorkers != ix.Opts().SearchWorkers {
 		t.Errorf("PoolWorkers = %d, want index default %d", o.PoolWorkers, ix.Opts().SearchWorkers)
 	}
-	if o.QueryWorkers != o.PoolWorkers {
-		t.Errorf("QueryWorkers = %d, want PoolWorkers %d", o.QueryWorkers, o.PoolWorkers)
+	if free := freeTokens(e.Engine); free != o.PoolWorkers {
+		t.Errorf("the gate holds %d tokens, want PoolWorkers %d", free, o.PoolWorkers)
 	}
 	if o.Queues != ix.Opts().QueueCount {
 		t.Errorf("Queues = %d, want index default %d", o.Queues, ix.Opts().QueueCount)
 	}
-	if o.MaxConcurrent != 1 {
-		t.Errorf("MaxConcurrent = %d, want 1", o.MaxConcurrent)
-	}
 
-	e2 := serve(ix, Options{PoolWorkers: 12, QueryWorkers: 99, Queues: 3})
+	e2 := serve(ix, Options{PoolWorkers: 12, Queues: 3})
 	defer e2.Close()
 	o2 := e2.Options()
-	if o2.QueryWorkers != 12 {
-		t.Errorf("QueryWorkers = %d, want clamp to PoolWorkers 12", o2.QueryWorkers)
+	if free := freeTokens(e2.Engine); o2.PoolWorkers != 12 || free != 12 {
+		t.Errorf("PoolWorkers = %d with a gate of %d tokens, want 12 and 12", o2.PoolWorkers, free)
 	}
 	if o2.Queues != 3 {
 		t.Errorf("Queues = %d, want 3", o2.Queues)
@@ -305,7 +302,7 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := serve(sx, Options{PoolWorkers: 8, QueryWorkers: 2})
+	e := serve(sx, Options{PoolWorkers: 2})
 	defer e.Close()
 	for i := 0; i < qs.Count(); i++ {
 		q := qs.At(i)

@@ -85,9 +85,7 @@ func newEngMetrics(r *metrics.Registry, opts Options) *engMetrics {
 			metrics.L("mode", mode.String()))
 	}
 	r.Gauge("messi_engine_pool_workers",
-		"Query-parallelism budget: worker goroutines per query default to it, and the admission gate's capacity to how many such queries it holds.").Set(float64(opts.PoolWorkers))
-	r.Gauge("messi_engine_max_concurrent",
-		"Admission gate capacity: queries allowed to execute concurrently.").Set(float64(opts.MaxConcurrent))
+		"Worker budget: the admission gate's worker tokens, all of which a wide query holds.").Set(float64(opts.PoolWorkers))
 	r.Gauge("messi_engine_degrade_epsilon",
 		"Overload policy epsilon (0 = never degrade).").Set(opts.DegradeEpsilon)
 	return m
@@ -112,13 +110,22 @@ func (m *engMetrics) waitStart() time.Time {
 	return time.Now()
 }
 
-// waitEnd marks a query leaving the admission queue, whatever the outcome.
-func (m *engMetrics) waitEnd(start time.Time) {
+// waitEnd marks a query leaving the admission queue and counts how it
+// left: admitted (ok), cancelled (err) or expired.
+func (m *engMetrics) waitEnd(start time.Time, ok bool, err error) {
 	if m == nil {
 		return
 	}
 	m.queueDepth.Dec()
 	m.admitWait.Observe(time.Since(start))
+	switch {
+	case err != nil:
+		m.cancelled.Inc()
+	case !ok:
+		m.expired.Inc()
+	default:
+		m.admitted.Inc()
+	}
 }
 
 // recordOutcome rolls one answered query into the cumulative view.

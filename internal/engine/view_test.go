@@ -280,7 +280,7 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 // with its typed sentinel, while a well-formed one waits for the slot.
 func TestValidateThenAdmit(t *testing.T) {
 	ix, qs := testIndex(t)
-	e := serve(ix, Options{PoolWorkers: 4, MaxConcurrent: 1})
+	e := serve(ix, Options{PoolWorkers: 4})
 	defer e.Close()
 	release := fillGate(e.Engine)
 	released := false

@@ -118,19 +118,13 @@ func Build(data *series.Collection, opts Options) (*Index, error) {
 
 	// Phase 2 — index construction: workers claim root subtrees via
 	// Fetch&Inc and build each from its buffered positions in one pass,
-	// their words gathered from the SAX array into the root's stretch of
-	// one slab (offsets are prefix sums of the buffer lengths).
-	offsets := make([]int, len(recv.bufs)+1)
-	for l := range recv.bufs {
-		offsets[l+1] = offsets[l] + len(recv.bufs[l].positions)
-	}
-	slab := make([]uint8, len(ix.SAX))
+	// their words gathered from the SAX array into the worker's arena.
 	var subtreeCtr atomic.Int64
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			constructionWorker(ix, recv, offsets, slab, &subtreeCtr)
+			constructionWorker(ix, recv, &subtreeCtr)
 		}()
 	}
 	wg.Wait()
@@ -155,12 +149,18 @@ func bulkLoadWorker(ix *Index, recv *lockedBuffers, lo, hi int) {
 	}
 }
 
+// arenaBytes is the size of the arenas a construction worker carves its
+// roots' words from; a root that does not fit in what is left of one gets
+// a fresh arena of max(arenaBytes, its words).
+const arenaBytes = 64 << 10
+
 // constructionWorker builds the root subtrees it claims with
 // tree.BuildRoot: the root's leaves keep its buffer's positions (aliased)
-// and its stretch of slab; the scratch is the worker's own, reused.
-func constructionWorker(ix *Index, recv *lockedBuffers, offsets []int, slab []uint8, subtreeCtr *atomic.Int64) {
+// and its stretch of the worker's arena; the scratch is the worker's own,
+// reused.
+func constructionWorker(ix *Index, recv *lockedBuffers, subtreeCtr *atomic.Int64) {
 	w := ix.Schema.Segments
-	var wordScratch []uint8
+	var arena, wordScratch []uint8
 	var scratch []int32
 	for {
 		l := int(subtreeCtr.Add(1) - 1)
@@ -171,7 +171,12 @@ func constructionWorker(ix *Index, recv *lockedBuffers, offsets []int, slab []ui
 		if len(positions) == 0 {
 			continue
 		}
-		words := slab[offsets[l]*w : offsets[l+1]*w]
+		n := len(positions) * w
+		if len(arena) < n {
+			arena = make([]uint8, max(arenaBytes, n))
+		}
+		words := arena[:n:n]
+		arena = arena[n:]
 		for i, pos := range positions {
 			copy(words[i*w:], ix.Word(int(pos)))
 		}

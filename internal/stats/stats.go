@@ -24,6 +24,8 @@ type Tally struct {
 	LeavesInserted  int64 // leaves pushed into priority queues
 	LeavesPruned    int64 // leaves discarded on pop (stale bound)
 	ScanPlans       int64 // runs that scanned in position order instead of using the tree
+	Workers         int64 // worker goroutines the query's phases ran on (insert phases), helpers included
+	Yields          int64 // helpers that left the drain for a query waiting for a worker
 
 	// Phases holds the wall time of each Figure 13 phase, summed over
 	// workers; all zero unless the query is traced.
@@ -39,6 +41,8 @@ func (t *Tally) Add(o Tally) {
 	t.LeavesInserted += o.LeavesInserted
 	t.LeavesPruned += o.LeavesPruned
 	t.ScanPlans += o.ScanPlans
+	t.Workers += o.Workers
+	t.Yields += o.Yields
 	for p, d := range o.Phases {
 		t.Phases[p] += d
 	}

@@ -103,8 +103,8 @@ const (
 var errClosed = errors.New("live: index closed")
 
 // EngineOptions configures the query engine a LiveIndex serves every
-// query on (LiveOptions.Engine, Index.NewEngine): the per-query
-// parallelism, the admission gate and the overload policy. Zero fields
+// query on (LiveOptions.Engine, Index.NewEngine): the worker budget its
+// admission gate hands out as tokens, and the overload policy. Zero fields
 // inherit from the index options. (It is an alias for the internal engine
 // options; the field docs live there.)
 type EngineOptions = engine.Options

@@ -1026,6 +1026,59 @@ func TestSmallLiveGrowsIntoShardCount(t *testing.T) {
 	check(all, 4)
 }
 
+// TestSmallSnapshotGrowsIntoShardCount: a live index saved while it held
+// fewer series than Options.Shards loads asking for Options.Shards, not
+// for the snapshot's member count, and grows into them at its first
+// rebuild past them — as the same rows booted with BuildLive do.
+func TestSmallSnapshotGrowsIntoShardCount(t *testing.T) {
+	const length = 64
+	all := walk(10, length, 5)
+	queries := append(walk(5, length, 505), all...)
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := smallLive(t, length, all[:3], smallOpts(8), threshold(1_000_000)).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := LoadLive(dir, smallOpts(8), threshold(1_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+
+	check := func(n, members int) {
+		t.Helper()
+		st := ix.Stats()
+		if st.Series != n || st.Shards != 8 || len(st.PerShard) != members {
+			t.Fatalf("%d series: Series %d, Shards %d, %d per-shard entries, want %d, 8, %d",
+				n, st.Series, st.Shards, len(st.PerShard), n, members)
+		}
+		oracle := bruteForce(t, all[:n])
+		for qi, q := range queries {
+			got, err := nn1(ix, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := nn1(oracle, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%d series, query %d: loaded %+v, brute force %+v", n, qi, got, want)
+			}
+		}
+	}
+	check(3, 3)
+	for n := 4; n <= len(all); n++ {
+		if _, err := ix.Append(all[n-1]); err != nil {
+			t.Fatal(err)
+		}
+		check(n, 3) // the generation is still the snapshot's
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(len(all), 8)
+}
+
 // TestLiveQueryPanicIsolated: the delta is searched by the engine's workers,
 // inside its panic isolation. A unit of query work that panics — for an
 // index with no generation that can only be a delta chunk's scan — fails

@@ -521,7 +521,7 @@ func TestDegradeEpsilonKeepsGuarantee(t *testing.T) {
 	}
 	const eps = 0.5
 	for _, degrade := range []float64{0, eps} {
-		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2, MaxConcurrent: 1, DegradeEpsilon: degrade})
+		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2, DegradeEpsilon: degrade})
 		results := make([]Result, 16)
 		errs := make([]error, 16)
 		done := make(chan int)

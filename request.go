@@ -139,6 +139,8 @@ type QueryCounters struct {
 	LeavesPruned   int64 `json:"leaves_pruned"`   // queue abandonments on a popped minimum
 	BSFUpdates     int64 `json:"bsf_updates"`     // improvements to the pruning bound
 	ScanPlans      int64 `json:"scan_plans"`      // shard runs that scanned in position order: their bounds were predicted not to prune
+	Workers        int64 `json:"workers"`         // worker goroutines the query's search phases ran on, helpers included (0: none needed)
+	Yields         int64 `json:"yields"`          // helpers that gave their worker back to a query waiting for one
 }
 
 // TracePhase is one phase timing in a query trace, labeled with the
@@ -285,6 +287,8 @@ func counters(t stats.Tally) QueryCounters {
 		LeavesPruned:   t.LeavesPruned,
 		BSFUpdates:     t.BSFUpdates,
 		ScanPlans:      t.ScanPlans,
+		Workers:        t.Workers,
+		Yields:         t.Yields,
 	}
 }
 

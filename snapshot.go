@@ -73,7 +73,10 @@ func Load(path string) (*Index, error) {
 // live-index behaviour. The load, failed or not, is recorded on
 // lopts.Engine.Metrics.
 // The snapshot's shard count carries over: later generations are cut
-// into as many contiguous position ranges.
+// into as many contiguous position ranges — unless opts asks for more
+// shards than the snapshot holds series, which makes it a snapshot cut
+// before the collection could fill them: later generations then grow
+// into opts.Shards, as the same data booted from a dataset would.
 // With LiveOptions.WALDir set, the log tail beyond the snapshot is
 // replayed into the delta before LoadLive returns, so a crashed server
 // restarts with every acked append searchable again.
@@ -93,7 +96,11 @@ func LoadLive(path string, opts *Options, lopts *LiveOptions) (*LiveIndex, error
 	if err != nil {
 		return nil, err
 	}
-	return openLive(base.SeriesLen(), base, normalize, coreOpts, base.NumShards(), lopts)
+	shards := base.NumShards()
+	if opts != nil && base.Len() < opts.Shards { // members ≤ series < opts.Shards
+		shards = opts.Shards
+	}
+	return openLive(base.SeriesLen(), base, normalize, coreOpts, shards, lopts)
 }
 
 // Save snapshots the live index to path, the only way it writes one: it
