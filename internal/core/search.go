@@ -217,6 +217,11 @@ type leafScratch struct {
 	cand []int32
 	sink uint32
 
+	// dtw queues the warped kernel's candidates that LB_Keogh did not
+	// rule out for one batch of DPs, and pend holds their positions.
+	dtw  dtw.Batch
+	pend [dtw.Lanes]int32
+
 	// qtab holds the run's distance-table rows quantized for qlimit, each
 	// padded to 256 cells (see quantized); qlimit is 0 while it holds none.
 	qtab   [isax.MaxSegments * 256]uint8
@@ -784,10 +789,13 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, t *stats.Tal
 // cached locally and refreshed per batch and after every improvement
 // instead of loading the shared atomic per candidate — a stale (larger)
 // threshold only admits extra candidates, never wrongly prunes. The counts
-// go to the worker's tally t.
+// go to the worker's tally t. The warped kernel takes each candidate's
+// LB_Keogh bound in this order but runs the DPs of the survivors in
+// batches (see offer), the last one at the leaf's end.
 func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
 	scratch *leafScratch, coll Collector, start int64, qos *QoS, t *stats.Tally) {
 
+	warp, _ := kern.(*warped)
 	lbCount, realCount := int64(len(lbs)), int64(0)
 	for len(cand) > 0 {
 		batch := cand
@@ -809,6 +817,11 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 				continue
 			}
 			pos := leaf.Positions[e]
+			if warp != nil {
+				lbCount++
+				limit = scratch.offer(warp, ix.Data.At(int(pos)), pos, limit, coll, start, t)
+				continue
+			}
 			d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
 			lbCount += nLB
 			realCount += nReal
@@ -819,6 +832,9 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 				limit = coll.Load()
 			}
 		}
+	}
+	if warp != nil && scratch.dtw.Len() > 0 {
+		scratch.runDTW(warp, coll.Load(), coll, start, t)
 	}
 	t.LowerBoundCalcs += lbCount
 	t.RealDistCalcs += realCount

@@ -258,12 +258,34 @@ func BenchmarkLeafScan(b *testing.B) {
 // reference: no compaction, no gather-ahead — every entry's lower bound is
 // checked, in entry order, against a bound cached per 64-entry block and
 // refreshed after every improvement. A nil lbs is the approximate search's
-// form (every entry measured).
+// form (every entry measured). DTW candidates go through dtw.Cascade in
+// refine's batches: Cascade's LB_Keogh test queues a candidate, and the
+// queue runs against the bound as it then stands once it holds dtw.Lanes
+// candidates, and at the leaf's end.
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
 	kern kernel, bnd Collector, qos *QoS, t *stats.Tally) {
 
 	limit := bnd.Load()
 	lbCount, realCount := int64(len(lbs)), int64(0)
+	offer := func(d float64, pos int32) {
+		if d < limit {
+			if bnd.Update(d, int64(pos)) {
+				t.BSFUpdates++
+			}
+			limit = bnd.Load()
+		}
+	}
+	warp, _ := kern.(*warped)
+	var queued []int32
+	runQueued := func() {
+		batchLimit := limit
+		for _, pos := range queued {
+			d, _ := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, batchLimit)
+			realCount++
+			offer(d, pos)
+		}
+		queued = queued[:0]
+	}
 	for e, pos := range leaf.Positions {
 		if e > 0 && e%64 == 0 {
 			limit = bnd.Load()
@@ -278,15 +300,22 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 				continue
 			}
 		}
+		if warp != nil {
+			lbCount++
+			if _, ran := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, limit); ran {
+				if queued = append(queued, pos); len(queued) == dtw.Lanes {
+					runQueued()
+				}
+			}
+			continue
+		}
 		d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
 		lbCount += nLB
 		realCount += nReal
-		if d < limit {
-			if bnd.Update(d, int64(pos)) {
-				t.BSFUpdates++
-			}
-			limit = bnd.Load()
-		}
+		offer(d, pos)
+	}
+	if len(queued) > 0 {
+		runQueued()
 	}
 	t.LowerBoundCalcs += lbCount
 	t.RealDistCalcs += realCount

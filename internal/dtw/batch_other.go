@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package dtw
+
+// useAVX512 is false off amd64: Run takes the candidates lane by lane.
+var useAVX512 = false
+
+func bandLanes(q *float32, n, r int, x *[Lanes]*float32, prefix *[Lanes]*float64, lanes uint64, limit float64, room *float64, d *[Lanes]float64) {
+	panic("dtw: bandLanes called without AVX-512")
+}

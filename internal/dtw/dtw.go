@@ -14,7 +14,10 @@
 // columns it has not reached yet reaches the limit. The DP computes two
 // rows per pass over the columns, so two left-neighbour chains run side by
 // side, and takes its minima over the cells' bit patterns on the integer
-// ports; both keep the result bitwise equal to the plain DP's.
+// ports; both keep the result bitwise equal to the plain DP's. Batch splits
+// Cascade at the LB_Keogh test, so that the DPs of eight candidates of one
+// query run together, one per lane of an AVX-512 register, each bitwise
+// Cascade's.
 //
 // As everywhere in this repository, distances are SQUARED: Distance returns
 // the sum of squared point costs along the optimal warping path, which for

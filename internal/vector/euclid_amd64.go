@@ -1,9 +1,11 @@
 package vector
 
+import "repro/internal/cpu"
+
 // useAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and XCR0
-// has the SSE and AVX state bits (1 and 2).
-var useAVX = cpuid1ECX()&(3<<27) == 3<<27 && xgetbv0()&6 == 6
+// registers. It is a variable so that a test can clear it to run the
+// fallback.
+var useAVX = cpu.AVX
 
 // eaBlocks runs earlyAbandonGo's block loop over blocks 16-element blocks
 // of a and b with AVX, returning the running sum after the last block or
@@ -11,12 +13,6 @@ var useAVX = cpuid1ECX()&(3<<27) == 3<<27 && xgetbv0()&6 == 6
 //
 //go:noescape
 func eaBlocks(a, b *float32, blocks int, limit float64) float64
-
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
-
-// xgetbv0 returns the low word of XCR0; callers first check OSXSAVE.
-func xgetbv0() uint32
 
 // SquaredEuclideanEarlyAbandon returns the squared Euclidean distance
 // between a and b, abandoning the computation as soon as the running sum

@@ -62,18 +62,3 @@ ret:
 	VMOVSD X6, ret+32(FP)
 	VZEROUPPER
 	RET
-
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	MOVL  CX, ret+0(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL   CX, CX
-	XGETBV
-	MOVL   AX, ret+0(FP)
-	RET
