@@ -7,7 +7,10 @@
 // (Euclidean, or LB_Keogh→DTW), a Collector (the 1-NN BSF or a top-k set)
 // and a QoS state, with one candidate loop (refine) behind every flavour
 // and its position-order counterpart (scanRange) for series held outside a
-// tree (Scan) and for runs that plan to scan. A run chooses its plan in
+// tree (Scan) and for runs that plan to scan. Both loops measure through
+// one contract: the kernel's measure per candidate and flush at the end,
+// so the DTW kernel batches its DPs (dtw.Batch) on either loop and neither
+// loop knows the flavour. A run chooses its plan in
 // preparation, from a sample of the index's iSAX words: a query whose lower
 // bounds cannot prune scans its index's series in position order instead of
 // passing them through the tree and the queues, with the same kernel and
@@ -64,12 +67,17 @@
 //     lives in the QueryState a run is built on and is confined to that
 //     run; the sync.Pool reuse in internal/engine relies on queries never
 //     retaining scratch past return.
-//   - Per-worker leaf-scan scratch (lower bounds, surviving entries, the
-//     sink of the gather-ahead loads) is borrowed from a pool for one
-//     drain phase and never shared between workers.
+//   - Per-worker scratch (lower bounds, surviving entries, the sink of
+//     the gather-ahead loads, the DTW kernel's pending batch) is borrowed
+//     from a pool for one drain or scan phase, seed or Scan, and never
+//     shared between workers; every candidate loop flushes its batch
+//     before it returns.
 //   - Each worker counts its work into a stats.Tally of its own with plain
 //     increments and adds it to the query's total in the QoS state once per
 //     unit of work (a run's preparation, an insert or drain phase, a delta
-//     chunk's scan); the total comes back as Result.Tally. Nothing shared
-//     is written per node, per leaf or per pop to count or to time.
+//     chunk's scan); the total comes back as Result.Tally. A kernel counts
+//     into the worker's scratch, which each candidate loop folds into the
+//     tally before it returns, so no tally escapes to the heap through the
+//     kernel interface. Nothing shared is written per node, per leaf or
+//     per pop to count or to time.
 package core

@@ -4,7 +4,6 @@ import (
 	"repro/internal/dtw"
 	"repro/internal/isax"
 	"repro/internal/paa"
-	"repro/internal/stats"
 )
 
 // Per §IV ("MESSI with DTW"): "no changes are required in the index
@@ -15,17 +14,19 @@ import (
 // per-segment bounds and the node summary — served from the same per-query
 // distance table as the Euclidean path, built from the envelope summary
 // instead of the PAA — and per-series filtering cascades that bound, then
-// LB_Keogh on the raw series, then the DTW itself, whose DPs refine runs
-// eight candidates at a time (dtw.Batch). An approximate DTW answer is the
-// seeding descent alone: warping alignment keeps the query's natural leaf
-// a good candidate, and its distance is an upper bound on the exact
+// LB_Keogh on the raw series, then the DTW itself, whose DPs run eight
+// candidates at a time (dtw.Batch) through the kernel's measure and flush,
+// in refine and in a position-order scan alike. An approximate DTW answer
+// is the seeding descent alone: warping alignment keeps the query's natural
+// leaf a good candidate, and its distance is an upper bound on the exact
 // constrained-DTW distance.
 
 // warped is the DTW kernel: the query, its warping window and its
 // LB_Keogh envelope (newKernel builds it). The distance table is built from
 // the envelope's per-segment summary (max of the upper envelope, min of the
-// lower). refine measures a leaf's candidates through the worker's
-// dtw.Batch (offer); a position-order scan, dist, through dtw.Cascade.
+// lower). It measures candidates through the worker's dtw.Batch, on the
+// tree and on a scan alike: measure takes each LB_Keogh bound in turn and
+// queues the survivors, and the DPs run eight at a time.
 type warped struct {
 	query        []float32
 	window       int
@@ -37,24 +38,14 @@ func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
 	tab.BuildEnvelope(paa.SegmentMax(k.upper, w, nil), paa.SegmentMin(k.lower, w, nil))
 }
 
-func (k *warped) dist(candidate []float32, limit float64) (float64, int64, int64) {
-	d, ran := dtw.Cascade(k.query, candidate, k.lower, k.upper, k.window, limit)
-	if !ran {
-		return d, 1, 0
-	}
-	return d, 1, 1
-}
-
-// offer is the warped kernel's half of refine: it takes candidate x's
-// LB_Keogh bound against limit and queues x, at position pos, for the DP
-// unless the bound rules it out, and runs the DPs once dtw.Lanes are
-// queued. It returns the limit as it stands after. Every DP of a batch
-// runs against the limit read when the batch runs, so a bound that falls
-// within it lets a few candidates reach the DP that one candidate at a
-// time would have abandoned, and the answers are the same.
-func (s *leafScratch) offer(k *warped, x []float32, pos int32, limit float64,
-	coll Collector, start int64, t *stats.Tally) float64 {
-
+// measure takes candidate x's LB_Keogh bound against limit and queues x, at
+// position pos, for the DP unless the bound rules it out, and runs the DPs
+// once dtw.Lanes are queued. Every DP of a batch runs against the limit
+// read when the batch runs, so a bound that falls within it lets a few
+// candidates reach the DP that one candidate at a time would have
+// abandoned, and the answers are the same.
+func (k *warped) measure(s *leafScratch, x []float32, pos int32, limit float64, coll Collector, start int64) float64 {
+	s.n.LowerBoundCalcs++
 	if !s.dtw.Add(x, k.lower, k.upper, limit) {
 		return limit
 	}
@@ -62,18 +53,18 @@ func (s *leafScratch) offer(k *warped, x []float32, pos int32, limit float64,
 	if s.dtw.Len() < dtw.Lanes {
 		return limit
 	}
-	return s.runDTW(k, limit, coll, start, t)
+	return k.flush(s, limit, coll, start)
 }
 
-// runDTW runs the queued DPs against limit and offers each result below
-// the bound, in queue order, to coll. It returns the bound after.
-func (s *leafScratch) runDTW(k *warped, limit float64, coll Collector, start int64, t *stats.Tally) float64 {
+// flush runs the queued DPs against limit and offers each result below the
+// bound, in queue order, to coll. It returns the bound after.
+func (k *warped) flush(s *leafScratch, limit float64, coll Collector, start int64) float64 {
 	d := s.dtw.Run(k.query, k.window, limit)
-	t.RealDistCalcs += int64(len(d))
+	s.n.RealDistCalcs += int64(len(d))
 	for l, dl := range d {
 		if dl < limit {
 			if coll.Update(dl, start+int64(s.pend[l])) {
-				t.BSFUpdates++
+				s.n.BSFUpdates++
 			}
 			limit = coll.Load()
 		}
@@ -82,11 +73,13 @@ func (s *leafScratch) runDTW(k *warped, limit float64, coll Collector, start int
 }
 
 // A DTW run never scans. Its cost is arithmetic — LB_Keogh, then the
-// warping distance, paid per surviving candidate — and only the tree's
-// refine runs the DPs eight at a time; a scan measures its candidates one
-// by one through dtw.Cascade. On 25 000 × 128 random walks under a 10 %
-// window (BenchmarkPlanCrossover, the serve-dtw shape; every query's share
-// is 0.30–1) the tree alone takes 5.75 and 5.81 ms per query in two runs
-// and the scan alone 19.60 and 19.83, and every single query is faster on
-// the tree (tree/scan 0.20–0.56): there is no crossover.
+// warping distance, paid per surviving candidate — and both plans run the
+// DPs eight at a time. On 25 000 × 128 random walks under a 10 % window
+// (BenchmarkPlanCrossover, the serve-dtw shape; every query's share is
+// 0.30–1) the tree alone takes 5.98 and 5.76 ms per query in two runs and
+// the scan alone 5.98 and 5.76. Up to a share of 0.77 the tree wins every
+// query but one (tree/scan 0.65–1.04); from 0.91 up single queries go
+// either way (0.88–1.13) and every OOD query is faster scanned (1.05–1.12).
+// The sweep's best grid point, t = 0.8, saves 2.2–2.4 % against the tree
+// alone (5.85 and 5.62 ms), a lever ROADMAP keeps for a change of its own.
 func (*warped) crossover() float64 { return 2 }

@@ -292,7 +292,8 @@ func kernelKNN(data *series.Collection, q []float32, k int) []Match {
 // tree, OOD and adversarial ones the scan — asserted through ScanPlans —
 // and either way 1-NN and k-NN answers equal brute force's bitwise, an ε
 // answer lies within 1+ε of it, a run cancelled before it starts returns
-// the best-so-far flagged inexact, and DTW never scans.
+// the best-so-far flagged inexact, and DTW never scans — but a DTW run
+// forced onto the scan answers as brute force does too.
 func checkPlans(t *testing.T) {
 	const count, length, k, eps = 2000, 64, 5, 0.05
 	opts := smallOpts()
@@ -340,6 +341,13 @@ func checkPlans(t *testing.T) {
 			if res := do("DTW", Request{DTW: true, Window: window}, false); !res.Exact || res.Matches[0] != wantD {
 				t.Fatalf("%s: DTW %+v, brute force %+v", where, res, wantD)
 			}
+			// The DTW scan the plan never chooses measures the same answer.
+			run := newRun(ix, Request{Query: q, DTW: true, Window: window}, SearchOptions{})
+			forcePlan(run, true)
+			drive(run, ix.Opts.SearchWorkers)
+			if res := run.qos.Finish(run.bnd.Matches()); !res.Exact || res.Matches[0] != wantD {
+				t.Fatalf("%s: forced DTW scan %+v, brute force %+v", where, res, wantD)
+			}
 		}
 	}
 }
@@ -358,28 +366,35 @@ func (c *offerCounter) Matches() []Match { return nil }
 // TestScanPhaseMeasuresEverySeries: the scan plan's workers, claiming blocks
 // concurrently, measure every series exactly once — including the short
 // last block — whatever the worker count, and the query's tally counts each
-// measurement once.
+// measurement once. The DTW kernel's batches of dtw.Lanes end mid-batch at
+// the last block's end, so a block whose queued DPs were not flushed shows
+// as unmeasured series.
 func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 	const count = 2*scanBlock + 37
 	ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())
-	for _, workers := range []int{1, 3, 8} {
-		coll := &offerCounter{offers: make([]atomic.Int32, count)}
-		run := newRun(ix, Request{Query: ix.Data.At(5)}, SearchOptions{Shared: coll})
-		for i := range coll.offers {
-			coll.offers[i].Store(0) // forget the approximate search's leaf
-		}
-		prepared := run.qos.total.RealDistCalcs
-		forcePlan(run, true)
-		drive(run, workers)
-		for pos := range coll.offers {
-			if n := coll.offers[pos].Load(); n != 1 {
-				t.Fatalf("%d workers: series %d measured %d times", workers, pos, n)
+	for _, req := range []Request{
+		{Query: ix.Data.At(5)},
+		{Query: ix.Data.At(5), DTW: true, Window: dtw.WindowSize(64, 0.1)},
+	} {
+		for _, workers := range []int{1, 3, 8} {
+			coll := &offerCounter{offers: make([]atomic.Int32, count)}
+			run := newRun(ix, req, SearchOptions{Shared: coll})
+			for i := range coll.offers {
+				coll.offers[i].Store(0) // forget the approximate search's leaf
 			}
-		}
-		// Every worker's tally reached the query's: one real distance per
-		// series, whatever the worker count.
-		if n := run.qos.Finish(nil).Tally.RealDistCalcs - prepared; n != count {
-			t.Fatalf("%d workers: the scan counted %d real distances, want %d", workers, n, count)
+			prepared := run.qos.total.RealDistCalcs
+			forcePlan(run, true)
+			drive(run, workers)
+			for pos := range coll.offers {
+				if n := coll.offers[pos].Load(); n != 1 {
+					t.Fatalf("DTW %v, %d workers: series %d measured %d times", req.DTW, workers, pos, n)
+				}
+			}
+			// Every worker's tally reached the query's: one real distance per
+			// series, whatever the worker count.
+			if n := run.qos.Finish(nil).Tally.RealDistCalcs - prepared; n != count {
+				t.Fatalf("DTW %v, %d workers: the scan counted %d real distances, want %d", req.DTW, workers, n, count)
+			}
 		}
 	}
 }

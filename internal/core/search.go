@@ -102,15 +102,21 @@ func (n nearest) Matches() []Match {
 // Euclidean and DTW searches are one algorithm with swapped bounds ("Fast
 // Data Series Indexing for In-Memory Data", PAPERS.md): which query summary
 // fills the per-query MINDIST table, and how a raw candidate is measured.
+// Both candidate loops, refine and scanRange, call measure per candidate
+// and flush once at their end, and know nothing else of the flavour.
 type kernel interface {
 	// prepare fills tab from the summary this flavour prunes with (the
 	// query's PAA, or its LB_Keogh envelope).
 	prepare(tab *isax.DistTable, qpaa []float64)
-	// dist measures one raw candidate against the pruning limit. It
-	// returns the squared distance (any value ≥ limit once the candidate
-	// is ruled out) and how many raw-series lower bounds and real
-	// distances that took.
-	dist(candidate []float32, limit float64) (d float64, lowerBounds, realDists int64)
+	// measure takes raw candidate x, at local position pos, against the
+	// pruning limit: a squared distance below limit is offered to coll as
+	// start+pos. The kernel may hold x in the worker's scratch s until a
+	// later measure or flush. It counts into s.n and returns the limit as
+	// it stands after.
+	measure(s *leafScratch, x []float32, pos int32, limit float64, coll Collector, start int64) float64
+	// flush measures, against limit, whatever measure still holds, and
+	// returns the limit after.
+	flush(s *leafScratch, limit float64, coll Collector, start int64) float64
 	// crossover is the sampled share (see SearchRun.sampledShare) above
 	// which a position-order scan beats the tree; 1 or more means never.
 	crossover() float64
@@ -122,18 +128,30 @@ func newKernel(req Request) kernel {
 		upper, lower := dtw.Envelope(req.Query, req.Window)
 		return &warped{query: req.Query, window: req.Window, upper: upper, lower: lower}
 	}
-	return euclidean(req.Query)
+	return &euclidean{query: req.Query}
 }
 
 // euclidean is the paper's default kernel: the early-abandoning squared
-// Euclidean distance to the query it wraps.
-type euclidean []float32
+// Euclidean distance to the query. Its methods take a pointer, as warped's
+// do: a value receiver would send every candidate through a wrapper that
+// copies measure's arguments (a forced scan of 20 000 × 128 series on one
+// worker, in cache: 626–629 µs per query against 590–611).
+type euclidean struct{ query []float32 }
 
-func (q euclidean) prepare(tab *isax.DistTable, qpaa []float64) { tab.BuildPAA(qpaa) }
+func (*euclidean) prepare(tab *isax.DistTable, qpaa []float64) { tab.BuildPAA(qpaa) }
 
-func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int64) {
-	return vector.SquaredEuclideanEarlyAbandon(candidate, q, limit), 0, 1
+func (k *euclidean) measure(s *leafScratch, x []float32, pos int32, limit float64, coll Collector, start int64) float64 {
+	s.n.RealDistCalcs++
+	if d := vector.SquaredEuclideanEarlyAbandon(x, k.query, limit); d < limit {
+		if coll.Update(d, start+int64(pos)) {
+			s.n.BSFUpdates++
+		}
+		limit = coll.Load()
+	}
+	return limit
 }
+
+func (*euclidean) flush(_ *leafScratch, limit float64, _ Collector, _ int64) float64 { return limit }
 
 // The Euclidean crossover is measured (BenchmarkPlanCrossover: 500 k × 128
 // series of each dataset family, 10 queries per tier — noise at 10, 3, 0
@@ -153,7 +171,7 @@ func (q euclidean) dist(candidate []float32, limit float64) (float64, int64, int
 // could not go lower anyway: member k-NN queries, whose 5th-nearest bound
 // after the approximate search leaves shares of up to 0.49 on a small
 // index, must keep the tree (TestRefineMatchesPlainLoop's plan rows).
-func (euclidean) crossover() float64 { return 0.5 }
+func (*euclidean) crossover() float64 { return 0.5 }
 
 // narrowShare is the sampled share up to which a tree-plan run is narrow
 // (see SearchRun.Narrow). A run that samples none, a DTW run, counts as
@@ -210,17 +228,24 @@ const (
 // lower-bound accumulators, the entries that survive them, the sink of the
 // refine stage's gather-ahead loads and the quantized pre-filter's table
 // and mask (per worker, never shared, so concurrent scans do not race on
-// it). Workers borrow one from scratchPool for the duration of a drain
-// phase.
+// it), and the DTW kernel's pending batch. Workers borrow one from
+// scratchPool for the duration of a drain or scan phase, a seed or a Scan.
 type leafScratch struct {
 	lb   []float64
 	cand []int32
 	sink uint32
 
 	// dtw queues the warped kernel's candidates that LB_Keogh did not
-	// rule out for one batch of DPs, and pend holds their positions.
+	// rule out for one batch of DPs, and pend holds their positions; both
+	// are empty again once a candidate loop flushes.
 	dtw  dtw.Batch
 	pend [dtw.Lanes]int32
+
+	// n holds what the kernel counted until the candidate loop folds it
+	// into the worker's tally (see fold). A tally pointer handed to the
+	// kernel's interface methods would move every worker's tally to the
+	// heap; the scratch is there already.
+	n stats.Tally
 
 	// qtab holds the run's distance-table rows quantized for qlimit, each
 	// padded to 256 cells (see quantized); qlimit is 0 while it holds none.
@@ -244,6 +269,12 @@ const (
 	quantT     = 250
 	quantSlack = 1e-9
 )
+
+// fold adds the kernel's counts to the worker's tally t and zeroes them.
+func (s *leafScratch) fold(t *stats.Tally) {
+	t.Add(s.n)
+	s.n = stats.Tally{}
+}
 
 // bounds returns the accumulator slice sized for an n-entry leaf.
 func (s *leafScratch) bounds(n int) []float64 {
@@ -628,6 +659,8 @@ const scanBlock = 1024
 // against the run's bound — the shard's flat data read as a stream, where
 // the tree plan would gather the same series in leaf order.
 func (r *SearchRun) scanPhase() {
+	scratch := scratchPool.Get().(*leafScratch)
+	defer scratchPool.Put(scratch)
 	t := stats.Tally{Workers: 1} // every worker inserts once
 	var tStart time.Time
 	if r.trace {
@@ -645,7 +678,7 @@ func (r *SearchRun) scanPhase() {
 		if err := fpScanLeaf.Hit(); err != nil {
 			panic(err)
 		}
-		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, r.bnd, r.opt.Start, &t)
+		scanRange(r.ix.Data, lo, min(lo+scanBlock, n), r.kern, scratch, r.bnd, r.opt.Start, &t)
 	}
 	if r.trace {
 		t.Phases[stats.PhaseDistCalc] = time.Since(tStart)
@@ -789,14 +822,12 @@ func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, t *stats.Tal
 // cached locally and refreshed per batch and after every improvement
 // instead of loading the shared atomic per candidate — a stale (larger)
 // threshold only admits extra candidates, never wrongly prunes. The counts
-// go to the worker's tally t. The warped kernel takes each candidate's
-// LB_Keogh bound in this order but runs the DPs of the survivors in
-// batches (see offer), the last one at the leaf's end.
+// go to the worker's tally t. The kernel measures the candidates in this
+// order, and whatever it still holds at the leaf's end it flushes.
 func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kernel,
 	scratch *leafScratch, coll Collector, start int64, qos *QoS, t *stats.Tally) {
 
-	warp, _ := kern.(*warped)
-	lbCount, realCount := int64(len(lbs)), int64(0)
+	t.LowerBoundCalcs += int64(len(lbs))
 	for len(cand) > 0 {
 		batch := cand
 		if len(batch) > refineBatch {
@@ -817,27 +848,11 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 				continue
 			}
 			pos := leaf.Positions[e]
-			if warp != nil {
-				lbCount++
-				limit = scratch.offer(warp, ix.Data.At(int(pos)), pos, limit, coll, start, t)
-				continue
-			}
-			d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
-			lbCount += nLB
-			realCount += nReal
-			if d < limit {
-				if coll.Update(d, start+int64(pos)) {
-					t.BSFUpdates++
-				}
-				limit = coll.Load()
-			}
+			limit = kern.measure(scratch, ix.Data.At(int(pos)), pos, limit, coll, start)
 		}
 	}
-	if warp != nil && scratch.dtw.Len() > 0 {
-		scratch.runDTW(warp, coll.Load(), coll, start, t)
-	}
-	t.LowerBoundCalcs += lbCount
-	t.RealDistCalcs += realCount
+	kern.flush(scratch, coll.Load(), coll, start)
+	scratch.fold(t)
 }
 
 // Scan is the position-order counterpart of refine: it measures every
@@ -848,8 +863,10 @@ func (ix *Index) refine(leaf *tree.Node, cand []int32, lbs []float64, kern kerne
 // construction, affords. The scan's counts join the query's tally in
 // opt.QoS. The request must have passed Validate and CheckShape.
 func Scan(req Request, data *series.Collection, opt SearchOptions) {
+	scratch := scratchPool.Get().(*leafScratch)
+	defer scratchPool.Put(scratch)
 	var t stats.Tally
-	scanRange(data, 0, data.Count(), newKernel(req), opt.Shared, opt.Start, &t)
+	scanRange(data, 0, data.Count(), newKernel(req), scratch, opt.Shared, opt.Start, &t)
 	opt.QoS.add(t)
 }
 
@@ -857,19 +874,14 @@ func Scan(req Request, data *series.Collection, opt SearchOptions) {
 // offering series i as position start+i, and counts into the worker's
 // tally t. The bound is read before every candidate: another run sharing it
 // may have tightened it meanwhile.
-func scanRange(data *series.Collection, lo, hi int, kern kernel, coll Collector, start int64, t *stats.Tally) {
-	var lbCount, realCount int64
+func scanRange(data *series.Collection, lo, hi int, kern kernel, scratch *leafScratch,
+	coll Collector, start int64, t *stats.Tally) {
+
 	for i := lo; i < hi; i++ {
-		limit := coll.Load()
-		d, nLB, nReal := kern.dist(data.At(i), limit)
-		lbCount += nLB
-		realCount += nReal
-		if d < limit && coll.Update(d, start+int64(i)) {
-			t.BSFUpdates++
-		}
+		kern.measure(scratch, data.At(i), int32(i), coll.Load(), coll, start)
 	}
-	t.LowerBoundCalcs += lbCount
-	t.RealDistCalcs += realCount
+	kern.flush(scratch, coll.Load(), coll, start)
+	scratch.fold(t)
 }
 
 // approxSearch seeds the bound (Figure 4(a)) from the leaf matching the

@@ -258,10 +258,11 @@ func BenchmarkLeafScan(b *testing.B) {
 // reference: no compaction, no gather-ahead — every entry's lower bound is
 // checked, in entry order, against a bound cached per 64-entry block and
 // refreshed after every improvement. A nil lbs is the approximate search's
-// form (every entry measured). DTW candidates go through dtw.Cascade in
-// refine's batches: Cascade's LB_Keogh test queues a candidate, and the
-// queue runs against the bound as it then stands once it holds dtw.Lanes
-// candidates, and at the leaf's end.
+// form (every entry measured). It measures without the kernel's methods:
+// Euclidean candidates through vector.SquaredEuclideanEarlyAbandon, DTW
+// candidates through dtw.Cascade in refine's batches — Cascade's LB_Keogh
+// test queues a candidate, and the queue runs against the bound as it then
+// stands once it holds dtw.Lanes candidates, and at the leaf's end.
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
 	kern kernel, bnd Collector, qos *QoS, t *stats.Tally) {
 
@@ -275,6 +276,7 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 			limit = bnd.Load()
 		}
 	}
+	ed, _ := kern.(*euclidean)
 	warp, _ := kern.(*warped)
 	var queued []int32
 	runQueued := func() {
@@ -309,10 +311,8 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 			}
 			continue
 		}
-		d, nLB, nReal := kern.dist(ix.Data.At(int(pos)), limit)
-		lbCount += nLB
-		realCount += nReal
-		offer(d, pos)
+		realCount++
+		offer(vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), ed.query, limit), pos)
 	}
 	if len(queued) > 0 {
 		runQueued()
@@ -538,7 +538,8 @@ func BenchmarkRefineOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kern := euclidean(query.At(0))
+	kern := &euclidean{query: query.At(0)}
+	var tally stats.Tally
 	perSeries := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/count, "ns/series")
 	}
@@ -547,8 +548,7 @@ func BenchmarkRefineOrder(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			for pos := 0; pos < count; pos++ {
-				d, _, _ := kern.dist(data.At(pos), math.Inf(1))
-				sink += d
+				sink += vector.SquaredEuclideanEarlyAbandon(data.At(pos), kern.query, math.Inf(1))
 			}
 		}
 		perSeries(b)
@@ -557,7 +557,7 @@ func BenchmarkRefineOrder(b *testing.B) {
 	b.Run("leaf-order-plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, leaf := range leaves {
-				refinePlain(ix, leaf, nil, 0, 1, kern, unboundedBound{}, nil, nil)
+				refinePlain(ix, leaf, nil, 0, 1, kern, unboundedBound{}, nil, &tally)
 			}
 		}
 		perSeries(b)
@@ -566,7 +566,7 @@ func BenchmarkRefineOrder(b *testing.B) {
 		var scratch leafScratch
 		for i := 0; i < b.N; i++ {
 			for _, leaf := range leaves {
-				ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, &scratch, unboundedBound{}, 0, nil, nil)
+				ix.refine(leaf, scratch.all(leaf.LeafLen()), nil, kern, &scratch, unboundedBound{}, 0, nil, &tally)
 			}
 		}
 		perSeries(b)

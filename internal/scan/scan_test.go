@@ -192,3 +192,45 @@ func TestSearchDTWValidation(t *testing.T) {
 		t.Error("wrong-length query accepted")
 	}
 }
+
+// TestCoreScanDTWMatchesSearchDTW: core.Scan, the loop that measures a live
+// index's delta chunks, runs its DTW DPs in batches of dtw.Lanes. Over
+// chunks of 1, 7, 8 and 9 series sharing one collector — short of a batch,
+// exactly one, and one past it — it answers as SearchDTW does, bitwise, and
+// takes one LB_Keogh bound per series.
+func TestCoreScanDTWMatchesSearchDTW(t *testing.T) {
+	const length = 64
+	chunks := []int{1, 7, 8, 9}
+	data := genData(t, 25, length)
+	queries, _ := dataset.Queries(dataset.RandomWalk, 6, length, 35)
+	window := dtw.WindowSize(length, 0.1)
+	for qi := 0; qi <= queries.Count(); qi++ {
+		q := data.At(11) // a member, at distance 0
+		if qi < queries.Count() {
+			q = queries.At(qi)
+		}
+		want, err := SearchDTW(data, q, window, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := core.Request{Query: q, DTW: true, Window: window}
+		opt := core.SearchOptions{Shared: core.NewCollector(1), QoS: req.NewQoS()}
+		lo := 0
+		for _, n := range chunks {
+			chunk, err := series.NewCollection(data.Data[lo*length:(lo+n)*length], length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Start = int64(lo)
+			core.Scan(req, chunk, opt)
+			lo += n
+		}
+		res := opt.QoS.Finish(opt.Shared.Matches())
+		if len(res.Matches) != 1 || res.Matches[0] != want {
+			t.Fatalf("query %d: core.Scan %+v, SearchDTW %+v", qi, res.Matches, want)
+		}
+		if res.Tally.LowerBoundCalcs != int64(data.Count()) {
+			t.Fatalf("query %d: %d LB_Keogh bounds over %d series", qi, res.Tally.LowerBoundCalcs, data.Count())
+		}
+	}
+}

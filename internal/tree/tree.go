@@ -200,14 +200,16 @@ func (t *Tree) Insert(root *Node, word []uint8, pos int32) {
 		return
 	}
 	m := len(n.Positions) + 1
-	words := make([]uint8, 2*m*w)
+	words := make([]uint8, m*w)
 	for i := range m - 1 {
 		n.Word(i, w, words[i*w:])
 	}
 	copy(words[(m-1)*w:], word)
 	run := append(n.Positions, pos)
 	n.Words, n.Positions, n.Stride = nil, nil, 0
-	t.bulk(n, words[:m*w], run, words[m*w:], make([]int32, m))
+	// The leaves keep words; the scratch is allocated apart, so it dies
+	// with the split.
+	t.bulk(n, words, run, make([]uint8, m*w), make([]int32, m))
 }
 
 // childFor routes a word below an internal node: the next bit of the split
