@@ -9,8 +9,8 @@
 // and its position-order counterpart (scanRange) for series held outside a
 // tree (Scan) and for runs that plan to scan. Both loops measure through
 // one contract: the kernel's measure per candidate and flush at the end,
-// so the DTW kernel batches its DPs (dtw.Batch) on either loop and neither
-// loop knows the flavour. A run chooses its plan in
+// so the DTW kernel batches its bounds and DPs (dtw.Batch) on either loop
+// and neither loop knows the flavour. A run chooses its plan in
 // preparation, from a sample of the index's iSAX words: a query whose lower
 // bounds cannot prune scans its index's series in position order instead of
 // passing them through the tree and the queues, with the same kernel and

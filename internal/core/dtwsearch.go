@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dtw"
 	"repro/internal/isax"
 	"repro/internal/paa"
 )
@@ -14,9 +13,10 @@ import (
 // per-segment bounds and the node summary — served from the same per-query
 // distance table as the Euclidean path, built from the envelope summary
 // instead of the PAA — and per-series filtering cascades that bound, then
-// LB_Keogh on the raw series, then the DTW itself, whose DPs run eight
-// candidates at a time (dtw.Batch) through the kernel's measure and flush,
-// in refine and in a position-order scan alike. An approximate DTW answer
+// LB_Keogh on the raw series, then the DTW itself. The LB_Keogh bounds and
+// the DPs each run eight candidates at a time (dtw.Batch) through the
+// kernel's measure and flush, in refine and in a position-order scan
+// alike. An approximate DTW answer
 // is the seeding descent alone: warping alignment keeps the query's natural
 // leaf a good candidate, and its distance is an upper bound on the exact
 // constrained-DTW distance.
@@ -25,8 +25,9 @@ import (
 // LB_Keogh envelope (newKernel builds it). The distance table is built from
 // the envelope's per-segment summary (max of the upper envelope, min of the
 // lower). It measures candidates through the worker's dtw.Batch, on the
-// tree and on a scan alike: measure takes each LB_Keogh bound in turn and
-// queues the survivors, and the DPs run eight at a time.
+// tree and on a scan alike: measure holds each candidate until eight are
+// pending, their LB_Keogh bounds run in one pass, and the survivors' DPs
+// run eight at a time.
 type warped struct {
 	query        []float32
 	window       int
@@ -38,32 +39,45 @@ func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
 	tab.BuildEnvelope(paa.SegmentMax(k.upper, w, nil), paa.SegmentMin(k.lower, w, nil))
 }
 
-// measure takes candidate x's LB_Keogh bound against limit and queues x, at
-// position pos, for the DP unless the bound rules it out, and runs the DPs
-// once dtw.Lanes are queued. Every DP of a batch runs against the limit
-// read when the batch runs, so a bound that falls within it lets a few
-// candidates reach the DP that one candidate at a time would have
-// abandoned, and the answers are the same.
+// measure holds candidate x, at position pos, in the batch's pending stage,
+// and once dtw.Lanes are pending, drains them against limit. Every bound of
+// a pass, and every DP of a run, is taken against the limit read when the
+// pass or the run starts, so a bound that falls within one lets a few
+// candidates through that one candidate at a time would have stopped, and
+// the answers are the same.
 func (k *warped) measure(s *leafScratch, x []float32, pos int32, limit float64, coll Collector, start int64) float64 {
 	s.n.LowerBoundCalcs++
-	if !s.dtw.Add(x, k.lower, k.upper, limit) {
+	if !s.dtw.Add(x, pos) {
 		return limit
 	}
-	s.pend[s.dtw.Len()-1] = pos
-	if s.dtw.Len() < dtw.Lanes {
-		return limit
-	}
-	return k.flush(s, limit, coll, start)
+	return k.drain(s, limit, coll, start)
 }
 
-// flush runs the queued DPs against limit and offers each result below the
-// bound, in queue order, to coll. It returns the bound after.
+// drain takes the pending candidates' LB_Keogh bounds against limit in one
+// pass and moves the survivors into the DP queue, running it each time it
+// fills. It returns the bound after.
+func (k *warped) drain(s *leafScratch, limit float64, coll Collector, start int64) float64 {
+	s.dtw.Bound(k.lower, k.upper, limit)
+	for s.dtw.Fill() {
+		limit = k.run(s, limit, coll, start)
+	}
+	return limit
+}
+
+// flush drains the pending candidates and runs the DP queue's last,
+// partial batch.
 func (k *warped) flush(s *leafScratch, limit float64, coll Collector, start int64) float64 {
-	d := s.dtw.Run(k.query, k.window, limit)
+	return k.run(s, k.drain(s, limit, coll, start), coll, start)
+}
+
+// run runs the queued DPs against limit and offers each result below the
+// bound, in queue order, to coll. It returns the bound after.
+func (k *warped) run(s *leafScratch, limit float64, coll Collector, start int64) float64 {
+	d, pos := s.dtw.Run(k.query, k.window, limit)
 	s.n.RealDistCalcs += int64(len(d))
 	for l, dl := range d {
 		if dl < limit {
-			if coll.Update(dl, start+int64(s.pend[l])) {
+			if coll.Update(dl, start+int64(pos[l])) {
 				s.n.BSFUpdates++
 			}
 			limit = coll.Load()
@@ -73,13 +87,13 @@ func (k *warped) flush(s *leafScratch, limit float64, coll Collector, start int6
 }
 
 // A DTW run never scans. Its cost is arithmetic — LB_Keogh, then the
-// warping distance, paid per surviving candidate — and both plans run the
-// DPs eight at a time. On 25 000 × 128 random walks under a 10 % window
-// (BenchmarkPlanCrossover, the serve-dtw shape; every query's share is
-// 0.30–1) the tree alone takes 5.98 and 5.76 ms per query in two runs and
-// the scan alone 5.98 and 5.76. Up to a share of 0.77 the tree wins every
-// query but one (tree/scan 0.65–1.04); from 0.91 up single queries go
-// either way (0.88–1.13) and every OOD query is faster scanned (1.05–1.12).
-// The sweep's best grid point, t = 0.8, saves 2.2–2.4 % against the tree
-// alone (5.85 and 5.62 ms), a lever ROADMAP keeps for a change of its own.
+// warping distance, paid per surviving candidate — and both plans take
+// the bounds and run the DPs eight at a time. On 25 000 × 128 random walks
+// under a 10 % window (BenchmarkPlanCrossover, the serve-dtw shape; every
+// query's share is 0.30–1) the tree alone takes 3.66 ms per query in each
+// of two runs and the scan alone 3.71. Up to a share of 0.77 the tree wins
+// every query (tree/scan 0.65–0.99); from 0.91 up single queries go either
+// way (0.77–1.12) and every OOD query is faster scanned (1.02–1.13). The
+// sweep's best grid point, t = 0.8, saves 0.4–0.7 % against the tree
+// alone (3.64 and 3.63 ms), a lever ROADMAP keeps for a change of its own.
 func (*warped) crossover() float64 { return 2 }

@@ -235,11 +235,10 @@ type leafScratch struct {
 	cand []int32
 	sink uint32
 
-	// dtw queues the warped kernel's candidates that LB_Keogh did not
-	// rule out for one batch of DPs, and pend holds their positions; both
-	// are empty again once a candidate loop flushes.
-	dtw  dtw.Batch
-	pend [dtw.Lanes]int32
+	// dtw holds the warped kernel's candidates, with their positions,
+	// until their LB_Keogh pass and their DPs run; it is empty again once
+	// a candidate loop flushes.
+	dtw dtw.Batch
 
 	// n holds what the kernel counted until the candidate loop folds it
 	// into the worker's tally (see fold). A tally pointer handed to the

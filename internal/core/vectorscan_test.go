@@ -260,9 +260,11 @@ func BenchmarkLeafScan(b *testing.B) {
 // refreshed after every improvement. A nil lbs is the approximate search's
 // form (every entry measured). It measures without the kernel's methods:
 // Euclidean candidates through vector.SquaredEuclideanEarlyAbandon, DTW
-// candidates through dtw.Cascade in refine's batches — Cascade's LB_Keogh
-// test queues a candidate, and the queue runs against the bound as it then
-// stands once it holds dtw.Lanes candidates, and at the leaf's end.
+// candidates through dtw.Cascade in the batch's passes — candidates wait
+// until dtw.Lanes are pending, or the leaf ends, and then take Cascade's
+// LB_Keogh test against the bound read then; the survivors queue, in
+// order, and the queue runs against the bound as it then stands each time
+// it holds dtw.Lanes candidates, and at the leaf's end.
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
 	kern kernel, bnd Collector, qos *QoS, t *stats.Tally) {
 
@@ -278,7 +280,7 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 	}
 	ed, _ := kern.(*euclidean)
 	warp, _ := kern.(*warped)
-	var queued []int32
+	var pending, queued []int32
 	runQueued := func() {
 		batchLimit := limit
 		for _, pos := range queued {
@@ -287,6 +289,17 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 			offer(d, pos)
 		}
 		queued = queued[:0]
+	}
+	boundPending := func() {
+		passLimit := limit
+		for _, pos := range pending {
+			if _, ran := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, passLimit); ran {
+				if queued = append(queued, pos); len(queued) == dtw.Lanes {
+					runQueued()
+				}
+			}
+		}
+		pending = pending[:0]
 	}
 	for e, pos := range leaf.Positions {
 		if e > 0 && e%64 == 0 {
@@ -304,19 +317,16 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 		}
 		if warp != nil {
 			lbCount++
-			if _, ran := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, limit); ran {
-				if queued = append(queued, pos); len(queued) == dtw.Lanes {
-					runQueued()
-				}
+			if pending = append(pending, pos); len(pending) == dtw.Lanes {
+				boundPending()
 			}
 			continue
 		}
 		realCount++
 		offer(vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), ed.query, limit), pos)
 	}
-	if len(queued) > 0 {
-		runQueued()
-	}
+	boundPending()
+	runQueued()
 	t.LowerBoundCalcs += lbCount
 	t.RealDistCalcs += realCount
 }

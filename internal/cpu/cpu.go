@@ -10,7 +10,7 @@ package cpu
 var AVX bool
 
 // AVX512F reports AVX-512 F with the opmask and ZMM state saved by the
-// OS: the DTW batch kernel (internal/dtw).
+// OS: the DTW batch kernels (internal/dtw).
 var AVX512F bool
 
 // AVX512VBMI reports AVX-512 F, BW and VBMI with the same OS support as

@@ -11,7 +11,8 @@
 // cost is (a-x)·(a-x) rounded, then added to the min (no FMA). After each
 // pair of rows, the lanes still running whose row minimum plus their
 // LB_Keogh suffix reaches limit leave that bound and stop; the kernel
-// returns once every reported lane has stopped.
+// returns once every reported lane has stopped. The prefix sums are lane
+// strided, as lbLanes writes them: lane l's column j at prefix[l] + 64·j.
 //
 // Registers: SI q, R8 n, R9 r, DI the transposed points, R10 the previous
 // row, R11 the current one, R12 the row i; BX walks column offsets (64
@@ -53,8 +54,9 @@ transpose:
 	JNZ        transpose
 	MOVQ       n+8(FP), R8
 
-	// The LB_Keogh totals, prefix[l][n-1].
-	LEAQ       -8(R8*8), AX
+	// The LB_Keogh totals, lane l's prefix at column n-1.
+	LEAQ       -1(R8), AX
+	SHLQ       $6, AX
 	KXNORW     K2, K2, K2
 	VGATHERQPD (AX)(Z30*1), K2, Z29
 
@@ -168,7 +170,6 @@ check:
 	// its row minimum plus prefix[n-1] - prefix[hi].
 	VMOVDQU64  Z31, (R11)(R13*1)
 	VMOVDQU64  Z31, 128(R11)(CX*1)
-	SHRQ       $3, CX
 	KXNORW     K2, K2, K2
 	VGATHERQPD (CX)(Z30*1), K2, Z11
 	VSUBPD     Z11, Z29, Z11
@@ -223,5 +224,66 @@ even:
 done:
 	MOVQ      d+64(FP), AX
 	VMOVUPD   Z27, (AX)
+	VZEROUPPER
+	RET
+
+// func lbLanes(x *[Lanes]*float32, lower, upper *float32, n int, limit float64, prefix *float64) uint64
+//
+// EnvelopePrefixEarlyAbandon (internal/vector) with one candidate per
+// float64 lane of a ZMM register. Column j of the candidates is gathered
+// and widened, as bandLanes gathers it; its term max(x-hi, lo-x, 0)² is
+// computed in float64 (the subtractions exact as the scalar ones, the max
+// picking the scalar branch's difference, or 0, since lo ≤ hi), added to
+// the lanes' sums, and the sums are stored at prefix + 64·j. Every 8
+// columns, once each lane's sum reaches limit, the kernel stops: a term is
+// never negative, so a lane that reaches limit stays there, and a lane
+// that does not is never stopped. It returns a mask of the lanes whose
+// sum stayed below limit.
+//
+// Registers: SI lower, DX upper, DI the current column's sums, CX the
+// column's offset in the float32 arrays, R8 the columns left; Z0 the
+// sums, Z26 the candidates' addresses, Z28 limit, Z30 zero.
+TEXT ·lbLanes(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), AX
+	VMOVDQU64    (AX), Z26
+	MOVQ         lower+8(FP), SI
+	MOVQ         upper+16(FP), DX
+	MOVQ         n+24(FP), R8
+	VBROADCASTSD limit+32(FP), Z28
+	MOVQ         prefix+40(FP), DI
+	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z30, Z30, Z30
+	XORQ         CX, CX
+
+	PCALIGN $32
+column:
+	KXNORW       K2, K2, K2
+	VGATHERQPS   (CX)(Z26*1), K2, Y5
+	VCVTPS2PD    Y5, Z5
+	VCVTSS2SD    (SI)(CX*1), X1, X1
+	VBROADCASTSD X1, Z1
+	VCVTSS2SD    (DX)(CX*1), X2, X2
+	VBROADCASTSD X2, Z2
+	VSUBPD       Z2, Z5, Z3 // x - hi
+	VSUBPD       Z5, Z1, Z4 // lo - x
+	VMAXPD       Z4, Z3, Z3
+	VMAXPD       Z30, Z3, Z3
+	VMULPD       Z3, Z3, Z3
+	VADDPD       Z3, Z0, Z0
+	VMOVUPD      Z0, (DI)
+	ADDQ         $64, DI
+	ADDQ         $4, CX
+	DECQ         R8
+	JZ           verdict
+	TESTQ        $31, CX
+	JNZ          column
+	VCMPPD       $0x11, Z28, Z0, K3 // sum < limit
+	KORTESTW     K3, K3
+	JNZ          column
+
+verdict:
+	VCMPPD    $0x11, Z28, Z0, K3
+	KMOVW     K3, AX
+	MOVQ      AX, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -14,10 +14,11 @@
 // columns it has not reached yet reaches the limit. The DP computes two
 // rows per pass over the columns, so two left-neighbour chains run side by
 // side, and takes its minima over the cells' bit patterns on the integer
-// ports; both keep the result bitwise equal to the plain DP's. Batch splits
-// Cascade at the LB_Keogh test, so that the DPs of eight candidates of one
-// query run together, one per lane of an AVX-512 register, each bitwise
-// Cascade's.
+// ports; both keep the result bitwise equal to the plain DP's. Batch runs
+// Cascade in two stages of eight candidates of one query, one per lane of
+// an AVX-512 register: first their LB_Keogh bounds, each lane's prefix
+// sums bitwise vector.EnvelopePrefixEarlyAbandon's, then the survivors'
+// DPs, each lane bitwise Cascade's.
 //
 // As everywhere in this repository, distances are SQUARED: Distance returns
 // the sum of squared point costs along the optimal warping path, which for

@@ -9,6 +9,10 @@
 //     reports "avx"). The unrolled Go loop it replaces, earlyAbandonGo, is
 //     its bitwise reference and its fallback elsewhere ("go"): both add
 //     the same terms in the same order, so no answer depends on the CPU;
+//   - EnvelopePrefixEarlyAbandon, LB_Keogh with its prefix sums, is the
+//     kernel of dtw.Cascade and of the DTW batch's fallback; the batch's
+//     AVX-512 pass (internal/dtw) computes it eight candidates at a time,
+//     bitwise, and the Go loop is its reference;
 //   - the other default kernels are unrolled Go loops with independent
 //     accumulators, which keep the floating-point dependency chains short;
 //   - the Scalar* kernels are deliberately naive one-element-at-a-time
