@@ -10,7 +10,10 @@
 // tree (Scan) and for runs that plan to scan. Both loops measure through
 // one contract: the kernel's measure per candidate and flush at the end,
 // so the DTW kernel batches its bounds and DPs (dtw.Batch) on either loop
-// and neither loop knows the flavour. A run chooses its plan in
+// and neither loop knows the flavour. The DTW DPs run in lanes that stay
+// in flight from one measure to the next and refill from the queue as
+// they stop; measure offers each result as its lane finishes, and only
+// flush runs the lanes dry. A run chooses its plan in
 // preparation, from a sample of the index's iSAX words: a query whose lower
 // bounds cannot prune scans its index's series in position order instead of
 // passing them through the tree and the queues, with the same kernel and

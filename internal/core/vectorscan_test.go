@@ -260,11 +260,12 @@ func BenchmarkLeafScan(b *testing.B) {
 // refreshed after every improvement. A nil lbs is the approximate search's
 // form (every entry measured). It measures without the kernel's methods:
 // Euclidean candidates through vector.SquaredEuclideanEarlyAbandon, DTW
-// candidates through dtw.Cascade in the batch's passes — candidates wait
-// until dtw.Lanes are pending, or the leaf ends, and then take Cascade's
-// LB_Keogh test against the bound read then; the survivors queue, in
-// order, and the queue runs against the bound as it then stands each time
-// it holds dtw.Lanes candidates, and at the leaf's end.
+// candidates through dtw.Cascade's LB_Keogh test and the DP lanes'
+// schedule (dtwLanes) — candidates wait until dtw.Lanes are pending, or
+// the leaf ends, and then take Cascade's LB_Keogh test against the bound
+// read then; the survivors queue, in order, and the lanes run until one
+// finishes below the bound, which is then offered, or, unless the leaf
+// has ended, until a lane is free with the queue empty.
 func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float64,
 	kern kernel, bnd Collector, qos *QoS, t *stats.Tally) {
 
@@ -280,26 +281,29 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 	}
 	ed, _ := kern.(*euclidean)
 	warp, _ := kern.(*warped)
-	var pending, queued []int32
-	runQueued := func() {
-		batchLimit := limit
-		for _, pos := range queued {
-			d, _ := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, batchLimit)
-			realCount++
-			offer(d, pos)
+	var pending []int32
+	var lanes dtwLanes
+	runLanes := func(drain bool) {
+		for {
+			ds, ps := lanes.run(ix, warp, limit, drain)
+			if len(ds) == 0 {
+				return
+			}
+			for i, d := range ds {
+				offer(d, ps[i])
+			}
 		}
-		queued = queued[:0]
 	}
-	boundPending := func() {
+	boundPending := func(drain bool) {
 		passLimit := limit
 		for _, pos := range pending {
 			if _, ran := dtw.Cascade(warp.query, ix.Data.At(int(pos)), warp.lower, warp.upper, warp.window, passLimit); ran {
-				if queued = append(queued, pos); len(queued) == dtw.Lanes {
-					runQueued()
-				}
+				lanes.queue = append(lanes.queue, pos)
+				realCount++
 			}
 		}
 		pending = pending[:0]
+		runLanes(drain)
 	}
 	for e, pos := range leaf.Positions {
 		if e > 0 && e%64 == 0 {
@@ -318,17 +322,129 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 		if warp != nil {
 			lbCount++
 			if pending = append(pending, pos); len(pending) == dtw.Lanes {
-				boundPending()
+				boundPending(false)
 			}
 			continue
 		}
 		realCount++
 		offer(vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), ed.query, limit), pos)
 	}
-	boundPending()
-	runQueued()
+	if warp != nil {
+		boundPending(true)
+	}
 	t.LowerBoundCalcs += lbCount
 	t.RealDistCalcs += realCount
+}
+
+// dtwSlack is internal/dtw's slack: a DP stops once a bound reaches the
+// limit times this.
+const dtwSlack = 1 + 1e-9
+
+// dtwLanes replays the DTW kernel's DP lanes on plain DPs: dtw.Lanes lanes
+// take the queued candidates in order; a call first hands the queue to the
+// free lanes, then runs row pairs while every lane is busy (or, draining,
+// while any is). After a pair, a lane whose last row is done stops, and is
+// returned when its distance is below limit; any other lane stops once
+// its row pair's bound, the row minimum plus the LB_Keogh of the columns
+// beyond its band, reaches limit·dtwSlack. The stopped lanes take the next
+// queued candidates in lane order, and a call returns after a pair that
+// returns a lane.
+type dtwLanes struct {
+	queue  []int32
+	pos    [dtw.Lanes]int32
+	m      [dtw.Lanes]int // row pairs done
+	act    uint64
+	traces map[int32]dtwTrace
+}
+
+type dtwTrace struct {
+	bounds []float64
+	d      float64
+}
+
+func (ls *dtwLanes) refill(stop uint64) {
+	for l := 0; l < dtw.Lanes; l++ {
+		if stop&(1<<l) == 0 {
+			continue
+		}
+		if len(ls.queue) == 0 {
+			ls.act &^= 1 << l
+			continue
+		}
+		ls.pos[l], ls.m[l], ls.queue = ls.queue[0], 0, ls.queue[1:]
+		ls.act |= 1 << l
+	}
+}
+
+func (ls *dtwLanes) run(ix *Index, k *warped, limit float64, drain bool) (ds []float64, ps []int32) {
+	const all = 1<<dtw.Lanes - 1
+	ls.refill(all &^ ls.act)
+	for ls.act != 0 && (drain || ls.act == all) {
+		var stop uint64
+		for l := 0; l < dtw.Lanes; l++ {
+			if ls.act&(1<<l) == 0 {
+				continue
+			}
+			tr, ok := ls.traces[ls.pos[l]]
+			if !ok {
+				if ls.traces == nil {
+					ls.traces = map[int32]dtwTrace{}
+				}
+				tr.bounds, tr.d = pairBounds(k, ix.Data.At(int(ls.pos[l])))
+				ls.traces[ls.pos[l]] = tr
+			}
+			bounds, d := tr.bounds, tr.d
+			switch {
+			case ls.m[l] == len(bounds):
+				stop |= 1 << l
+				if d < limit {
+					ds, ps = append(ds, d), append(ps, ls.pos[l])
+				}
+			case bounds[ls.m[l]] >= limit*dtwSlack:
+				stop |= 1 << l
+			default:
+				ls.m[l]++
+			}
+		}
+		ls.refill(stop)
+		if len(ds) > 0 {
+			return ds, ps
+		}
+	}
+	return nil, nil
+}
+
+// pairBounds runs the plain DP of x against k's query: it returns the
+// bound of each row pair but the last (row 2m+1's minimum plus the LB_Keogh
+// of the columns beyond its band) and the distance.
+func pairBounds(k *warped, x []float32) ([]float64, float64) {
+	q, r, n := k.query, k.window, len(k.query)
+	inf := math.Inf(1)
+	prev, cur := make([]float64, n+1), make([]float64, n+1) // column j at j+1
+	for j := range prev {
+		prev[j] = inf
+	}
+	prev[0] = 0
+	mins := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := range cur {
+			cur[j] = inf
+		}
+		mins[i] = inf
+		for j := max(i-r, 0); j <= min(i+r, n-1); j++ {
+			d := float64(q[i]) - float64(x[j])
+			cur[j+1] = min(prev[j+1], prev[j], cur[j]) + d*d
+			mins[i] = min(mins[i], cur[j+1])
+		}
+		prev, cur = cur, prev
+	}
+	p := make([]float64, n)
+	vector.EnvelopePrefixEarlyAbandon(x, k.lower, k.upper, p, inf)
+	bounds := make([]float64, (n-1)/2)
+	for m := range bounds {
+		bounds[m] = mins[2*m+1] + (p[n-1] - p[min(2*m+1+r, n-1)])
+	}
+	return bounds, prev[n]
 }
 
 // syntheticLeaf builds a leaf holding exactly the given series, with their

@@ -6,17 +6,17 @@ import "repro/internal/cpu"
 // opmask and ZMM state. Tests clear it to run the fallback.
 var useAVX512 = cpu.AVX512F
 
-// bandLanes runs Cascade's DP for the Lanes candidates at x against q (n
-// points, band radius r), lane l bounding its unreached columns with the
-// LB_Keogh prefix sums at prefix[l], lane strided as lbLanes writes them.
-// Lanes whose bit is clear in lanes are computed but not reported. Each
-// reported lane stops at the first tested row whose bound reaches limit,
-// which the caller has already widened by slack, and leaves that bound in
-// d; the others leave their DTW distance. room holds Lanes·(n + 2·(n+2))
-// float64s.
+// bandLanes runs the lanes of s on its queued candidates against q, as
+// Batch.Run and Batch.Flush (drain) describe: each lane does Cascade's DP
+// a row pair at a time, stops once its row minimum plus its LB_Keogh
+// suffix reaches slacked (limit widened by slack) or its last row is done,
+// and a stopped lane takes the next queued candidate. It returns a mask of
+// the lanes whose DP finished below limit at the row pair it stopped at;
+// their distances and ids are in s.d and s.rid. s's geometry and room
+// must have been laid out for q (Batch.layout).
 //
 //go:noescape
-func bandLanes(q *float32, n, r int, x *[Lanes]*float32, prefix *[Lanes]*float64, lanes uint64, limit float64, room *float64, d *[Lanes]float64)
+func bandLanes(s *lanes, q *float32, limit, slacked float64, drain bool) uint64
 
 // lbLanes takes the LB_Keogh prefix sums of the Lanes candidates at x (n
 // points each, n > 0) under the envelope lower ≤ upper, as

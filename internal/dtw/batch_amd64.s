@@ -1,229 +1,434 @@
 #include "textflag.h"
+#include "go_asm.h"
 
-// func bandLanes(q *float32, n, r int, x *[Lanes]*float32, prefix *[Lanes]*float64, lanes uint64, limit float64, room *float64, d *[Lanes]float64)
+#define INF $0x7FF0000000000000
+
+// BOTH(A, B) computes, for column c (AX = 64·c, the column at
+// (BX)(AX*1)), row i's cell c into B, from row i-1's cells c+1 and c (its
+// up and diagonal neighbours) and A, its left one: min(up, diag, A) +
+// (a1-x)². It stores B over row i-1's cell c, which no later column reads,
+// then computes row i+1's cell c-1, min(B, A, left2) + (a2-x)², whose chain
+// waits only on left2 and B. Alternating A and B saves a move.
+#define BOTH(A, B) \
+	VMOVUPD   (BX)(AX*1), Z5; \
+	VSUBPD    Z5, Z0, Z6; \
+	VMULPD    Z6, Z6, Z6; \
+	VSUBPD    Z5, Z1, Z7; \
+	VMULPD    Z7, Z7, Z7; \
+	VMOVDQU64 128(R10)(AX*1), B; \
+	VPMINUQ   64(R10)(AX*1), B, B; \
+	VPMINUQ   A, B, B; \
+	VADDPD    Z6, B, B; \
+	VMOVDQU64 B, 64(R10)(AX*1); \
+	VPMINUQ   B, A, Z10; \
+	VPMINUQ   Z10, Z3, Z10; \
+	VADDPD    Z7, Z10, Z3; \
+	VMOVDQU64 Z3, (R11)(AX*1); \
+	VPMINUQ   Z3, Z4, Z4
+
+// COLUMNS gathers ring columns AX and AX+1 of every lane in flight into
+// Z19 and Z20: lane l's points AX - start[l] and the next, widened, or
+// +Inf outside [0, n). It clobbers BX.
+#define COLUMNS \
+	VPBROADCASTQ AX, Z9; \
+	VPSUBQ       Z28, Z9, Z9; \
+	VPCMPUQ      $1, Z26, Z9, K1, K2; \
+	VPCMPUQ      $1, Z25, Z9, K1, K5; \
+	VPSLLQ       $2, Z9, Z9; \
+	VPADDQ       Z27, Z9, Z9; \
+	VMOVAPS      Y14, Y7; \
+	VMOVAPS      Y14, Y8; \
+	XORQ         BX, BX; \
+	VGATHERQPS   (BX)(Z9*1), K2, Y7; \
+	VGATHERQPS   4(BX)(Z9*1), K5, Y8; \
+	VCVTPS2PD    Y7, Z19; \
+	VCVTPS2PD    Y8, Z20
+
+// func bandLanes(s *lanes, q *float32, limit, slacked float64, drain bool) uint64
 //
-// Cascade's band DP (see band) with one candidate per float64 lane of a
-// ZMM register. The candidates are first gathered column by column into
-// room, as float64s, so column j of every lane is one 64-byte load. The
-// DP rows follow at room + 64·n, n+2 cells of 64 bytes each (column j at
-// cell j+1, +Inf guards on either side of the band). Cells are held as
-// bit patterns, as band holds them, so the 3-way min is VPMINUQ; the
-// cost is (a-x)·(a-x) rounded, then added to the min (no FMA). After each
-// pair of rows, the lanes still running whose row minimum plus their
-// LB_Keogh suffix reaches limit leave that bound and stop; the kernel
-// returns once every reported lane has stopped. The prefix sums are lane
-// strided, as lbLanes writes them: lane l's column j at prefix[l] + 64·j.
+// Cascade's band DP (see pair) with one candidate per float64 lane of a
+// ZMM register, each lane at its own row. Cells are held in band
+// coordinates: row i's cell k is column j = i - r + k, so row i-1's cells
+// k+1 and k are cell k's up and diagonal neighbours and row i's cell k-1
+// its left one, whatever row a lane is at; each row is 2r+1 cells of 64
+// bytes, with +Inf guards on either side. Cells are held as bit patterns,
+// as pair holds them, so the 3-way min is VPMINUQ; the cost is (a-x)·(a-x)
+// rounded, then added to the min (no FMA).
 //
-// Registers: SI q, R8 n, R9 r, DI the transposed points, R10 the previous
-// row, R11 the current one, R12 the row i; BX walks column offsets (64
-// bytes a column), DX and CX hold the last column offsets of rows i and
-// i+1, R13 the first of row i+1. Z0/Z1 hold rows i and i+1's query
-// points, Z2/Z3 their left neighbours, Z4 row i+1's minimum; Z26 the
-// candidates' addresses, Z27 the results, Z28 limit, Z29 the LB_Keogh
-// totals, Z30 the prefix arrays' addresses, Z31 +Inf; K1 the lanes still
-// running.
-TEXT ·bandLanes(SB), NOSPLIT, $0-72
-	MOVQ         q+0(FP), SI
-	MOVQ         n+8(FP), R8
-	MOVQ         r+16(FP), R9
-	MOVQ         x+24(FP), AX
-	VMOVDQU64    (AX), Z26
-	MOVQ         prefix+32(FP), AX
-	VMOVDQU64    (AX), Z30
-	MOVQ         lanes+40(FP), AX
-	KMOVW        AX, K1
-	VBROADCASTSD limit+48(FP), Z28
-	MOVQ         room+56(FP), DI
-	MOVQ         $0x7FF0000000000000, AX
+// A lane entering at step T reads its column j at ring column T+j, so at
+// step t every lane reads ring columns t-r … t+r+1 for its row pair. A
+// pair gathers columns t+r+2 and t+r+3 of every lane in flight for the
+// next pair, and stores them once its cells are done; an entering lane
+// writes its columns -1 … r+1 itself (+Inf outside [0, n)). When the
+// ring runs out, its last 2r+2 columns move to its start and every entry
+// step with them. Row i's cells are stored over row i-1's as they are
+// computed, so an odd n's distance (row n-1's cell r) is there after its
+// last pair.
+//
+// After each pair, a lane whose last row is done stops, and is reported
+// when its distance is below limit; any other lane stops once its row
+// minimum plus its LB_Keogh suffix, read at its own pair, reaches slacked.
+// The stopped lanes take the queued candidates, in lane order, at the next
+// step; an entering lane copies its suffix sums (total minus the prefix at
+// each pair's last column) from the slab and writes its row -1. The kernel
+// returns once a pair reports a lane, or when no lane is in flight, or,
+// unless drain, when a lane is free. It returns the reported lanes.
+//
+// Registers: DI s, SI q, R8 n, R9 r, R10 the previous row, R11 the
+// current one, R12 the step t, R13 the ring; AX, BX, CX and DX scratch.
+// Z0/Z1 hold each lane's query point of rows i and i+1, Z2/Z3 their left
+// neighbours, Z4 row i+1's minimum, Z11 the suffix sums, Z16/Z17 the next
+// pair's query points, Z19/Z20 its new columns; Z14 float32 +Inf, Z21 the
+// suffix sums' lane offsets, Z22 2, Z23 1, Z24 n-2, Z25 n-1, Z26 n, Z27
+// the candidates' addresses, Z28 the entry steps, Z29 slacked, Z30 limit,
+// Z31 +Inf. K1 holds the lanes in flight, K3 those finishing, K4 the
+// others, K5 those abandoning (and an entering lane's bit), K6 the lanes
+// reported, K7 the lanes stopped.
+TEXT ·bandLanes(SB), NOSPLIT, $0-48
+	MOVQ         s+0(FP), DI
+	MOVQ         q+8(FP), SI
+	VBROADCASTSD limit+16(FP), Z30
+	VBROADCASTSD slacked+24(FP), Z29
+	MOVQ         lanes_n(DI), R8
+	MOVQ         lanes_r(DI), R9
+	MOVQ         lanes_t(DI), R12
+	MOVQ         lanes_ring(DI), R13
+	MOVQ         lanes_prev(DI), R10
+	MOVQ         lanes_cur(DI), R11
+	MOVQ         INF, AX
 	VPBROADCASTQ AX, Z31
-	VMOVDQA64    Z31, Z27
+	MOVL         $0x7F800000, AX
+	MOVQ         AX, X14
+	VPBROADCASTD X14, Y14
+	VPBROADCASTQ R8, Z26
+	LEAQ         -1(R8), AX
+	VPBROADCASTQ AX, Z25
+	LEAQ         -2(R8), AX
+	VPBROADCASTQ AX, Z24
+	MOVQ         $2, AX
+	VPBROADCASTQ AX, Z22
+	MOVQ         $1, AX
+	VPBROADCASTQ AX, Z23
+	VMOVDQU64    lanes_sufOff(DI), Z21
+	MOVQ         $0, lanes_entered(DI)
+	KXORW        K6, K6, K6
 
-	// Transpose: column j of every candidate, widened, at DI + 64·j.
-	XORQ CX, CX
-	MOVQ DI, R11
+	// The free lanes take the queued candidates.
+	MOVQ  lanes_act(DI), AX
+	NOTQ  AX
+	ANDQ  $0xFF, AX
+	KMOVW AX, K7
+	JMP   refill
 
-	PCALIGN $32
-transpose:
-	KXNORW     K2, K2, K2
-	VGATHERQPS (CX)(Z26*1), K2, Y5
-	VCVTPS2PD  Y5, Z5
-	VMOVUPD    Z5, (R11)
-	ADDQ       $4, CX
-	ADDQ       $64, R11
-	DECQ       R8
-	JNZ        transpose
-	MOVQ       n+8(FP), R8
-
-	// The LB_Keogh totals, lane l's prefix at column n-1.
-	LEAQ       -1(R8), AX
-	SHLQ       $6, AX
-	KXNORW     K2, K2, K2
-	VGATHERQPD (AX)(Z30*1), K2, Z29
-
-	// Row -1: 0 on cell (0,0)'s diagonal, +Inf on columns 0…r.
-	MOVQ      R11, R10
-	VPXORQ    Z5, Z5, Z5
-	VMOVDQU64 Z5, (R10)
-	LEAQ      64(R10), AX
-	LEAQ      1(R9), CX
-
-rowinit:
-	VMOVDQU64 Z31, (AX)
-	ADDQ      $64, AX
-	DECQ      CX
-	JNZ       rowinit
-	LEAQ      2(R8), R11
-	SHLQ      $6, R11
-	ADDQ      R10, R11
-
-	XORQ R12, R12
+top:
+	MOVQ  lanes_act(DI), AX
+	TESTQ AX, AX
+	JZ    ret
+	CMPQ  AX, $0xFF
+	JEQ   pair
+	CMPB  drain+32(FP), $0
+	JEQ   ret
 
 pair:
-	LEAQ 1(R12), AX
-	CMPQ AX, R8
-	JGE  last
+	KMOVW AX, K1
 
-	VCVTSS2SD    (SI)(R12*4), X0, X0
-	VBROADCASTSD X0, Z0
-	VCVTSS2SD    4(SI)(R12*4), X1, X1
-	VBROADCASTSD X1, Z1
-	VMOVDQA64    Z31, Z2
-	VMOVDQA64    Z31, Z3
-	VMOVDQA64    Z31, Z4
+	// Out of ring: move columns t-r … t+r+1 to its start.
+	LEAQ 3(R12)(R9*1), AX
+	CMPQ AX, lanes_size(DI)
+	JLT  columns
+	MOVQ R12, AX
+	SUBQ R9, AX
+	MOVQ AX, BX
+	SHLQ $6, BX
+	ADDQ R13, BX
+	MOVQ R13, CX
+	LEAQ 2(R9)(R9*1), DX
 
-	// BX = max(i-r, 0), R13 = max(i+1-r, 0), DX = min(i+r, n-1),
-	// CX = min(i+1+r, n-1), all times 64.
-	XORQ    AX, AX
-	MOVQ    R12, BX
-	SUBQ    R9, BX
-	CMPQ    BX, AX
-	CMOVQLT AX, BX
-	SHLQ    $6, BX
-	LEAQ    1(R12), R13
-	SUBQ    R9, R13
-	CMPQ    R13, AX
-	CMOVQLT AX, R13
-	SHLQ    $6, R13
-	LEAQ    -1(R8), AX
-	LEAQ    (R12)(R9*1), DX
-	CMPQ    DX, AX
-	CMOVQGT AX, DX
-	SHLQ    $6, DX
-	LEAQ    1(R12)(R9*1), CX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	SHLQ    $6, CX
+rebase:
+	VMOVDQU64 (BX), Z9
+	VMOVDQU64 Z9, (CX)
+	ADDQ      $64, BX
+	ADDQ      $64, CX
+	DECQ      DX
+	JNZ       rebase
 
-	// Row i alone: the column before row i+1's band, if there is one.
-	CMPQ      BX, R13
-	JGE       both
-	VMOVUPD   (DI)(BX*1), Z5
+rebased:
+	SUBQ         AX, R12
+	VPBROADCASTQ AX, Z9
+	VMOVDQU64    lanes_start(DI), Z10
+	VPSUBQ       Z9, Z10, Z10
+	VMOVDQU64    Z10, lanes_start(DI)
+
+columns:
+	VMOVDQU64 lanes_start(DI), Z28
+	VMOVDQU64 lanes_x(DI), Z27
+
+	// Each lane's query points of rows i = t - start and i+1, gathered by
+	// the last pair or written on entry.
+	MOVQ    lanes_qrow(DI), DX
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+
+	// Gathers whose results wait for the loop's end: each running lane's
+	// suffix sum of pair i/2 (the lanes with i >= n-2 finish instead),
+	// the query points of rows i+2 and i+3 (clamped to n-1: a free lane's
+	// row is stale) and the next pair's ring columns.
+	VPBROADCASTQ R12, Z9
+	VPSUBQ       Z28, Z9, Z9
+	VPCMPQ       $5, Z24, Z9, K1, K3
+	KANDNW       K1, K3, K4
+	VPSLLQ       $2, Z9, Z10
+	VPADDQ       Z21, Z10, Z10
+	MOVQ         lanes_suf(DI), DX
+	KMOVW        K4, K2
+	VGATHERQPD   (DX)(Z10*1), K2, Z11
+	VPADDQ       Z22, Z9, Z9
+	VPMINUQ      Z25, Z9, Z10
+	KXNORW       K2, K2, K2
+	VGATHERQPS   (SI)(Z10*4), K2, Y12
+	VCVTPS2PD    Y12, Z16
+	VPADDQ       Z23, Z9, Z10
+	VPMINUQ      Z25, Z10, Z10
+	KXNORW       K2, K2, K2
+	VGATHERQPS   (SI)(Z10*4), K2, Y12
+	VCVTPS2PD    Y12, Z17
+	LEAQ         2(R12)(R9*1), AX
+	COLUMNS
+
+	// Column 0: row i's cell 0 alone (its left neighbour is a guard).
+	MOVQ      R12, BX
+	SUBQ      R9, BX
+	SHLQ      $6, BX
+	ADDQ      R13, BX
+	VMOVUPD   (BX), Z5
 	VSUBPD    Z5, Z0, Z6
 	VMULPD    Z6, Z6, Z6
-	VMOVDQU64 64(R10)(BX*1), Z9
-	VPMINUQ   (R10)(BX*1), Z9, Z9
-	VPMINUQ   Z2, Z9, Z9
-	VADDPD    Z6, Z9, Z2
-	ADDQ      $64, BX
+	VMOVDQU64 128(R10), Z2
+	VPMINUQ   64(R10), Z2, Z2
+	VADDPD    Z6, Z2, Z2
+	VMOVDQU64 Z2, 64(R10)
+	VMOVDQA64 Z31, Z3
+	VMOVDQA64 Z31, Z4
+	MOVQ      $64, AX
+	MOVQ      R9, CX
+	SHLQ      $7, CX
+	CMPQ      AX, CX
+	JGT       right
 
-both:
-	CMPQ BX, DX
-	JGT  tail
-
-	// Both rows: c = min(up, diag, left1) + (a1-x)², then row i+1's cell
-	// min(c, left1, left2) + (a2-x)², whose chain waits only on left2 and c.
+	// Columns 1 … 2r, two at a time.
 	PCALIGN $32
-bothloop:
-	VMOVUPD   (DI)(BX*1), Z5
-	VSUBPD    Z5, Z0, Z6
-	VMULPD    Z6, Z6, Z6
-	VSUBPD    Z5, Z1, Z7
-	VMULPD    Z7, Z7, Z7
-	VMOVDQU64 64(R10)(BX*1), Z9
-	VPMINUQ   (R10)(BX*1), Z9, Z9
-	VPMINUQ   Z2, Z9, Z9
-	VADDPD    Z6, Z9, Z9
-	VPMINUQ   Z9, Z2, Z10
-	VPMINUQ   Z10, Z3, Z10
-	VADDPD    Z7, Z10, Z3
-	VMOVDQA64 Z9, Z2
-	VMOVDQU64 Z3, 64(R11)(BX*1)
-	VPMINUQ   Z3, Z4, Z4
-	ADDQ      $64, BX
-	CMPQ      BX, DX
-	JLE       bothloop
+both:
+	BOTH(Z2, Z8)
+	ADDQ $64, AX
+	BOTH(Z8, Z2)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JLE  both
 
-tail:
-	// Row i+1 alone: the column after row i's band, if there is one.
-	CMPQ      BX, CX
-	JGT       check
-	VMOVUPD   (DI)(BX*1), Z5
+right:
+	// Column 2r+1: row i+1's cell 2r alone (its up neighbour is a guard).
+	VMOVUPD   (BX)(AX*1), Z5
 	VSUBPD    Z5, Z1, Z7
 	VMULPD    Z7, Z7, Z7
 	VPMINUQ   Z2, Z3, Z10
 	VADDPD    Z7, Z10, Z3
-	VMOVDQU64 Z3, 64(R11)(BX*1)
+	VMOVDQU64 Z3, (R11)(AX*1)
 	VPMINUQ   Z3, Z4, Z4
 
-check:
-	// The guards of row i+1's band, then each running lane's bound:
-	// its row minimum plus prefix[n-1] - prefix[hi].
-	VMOVDQU64  Z31, (R11)(R13*1)
-	VMOVDQU64  Z31, 128(R11)(CX*1)
-	KXNORW     K2, K2, K2
-	VGATHERQPD (CX)(Z30*1), K2, Z11
-	VSUBPD     Z11, Z29, Z11
-	VADDPD     Z11, Z4, Z11
-	VCMPPD     $0x1D, Z28, Z11, K1, K3 // running and bound >= limit
-	VMOVAPD    Z11, K3, Z27
-	KANDNW     K1, K3, K1
-	KORTESTW   K1, K1
-	JZ         done
-	XCHGQ      R10, R11
-	ADDQ       $2, R12
-	JMP        pair
+	// The next pair's columns and query points, stored only now: a store
+	// waiting on its gather would hold up the loads above. Then each
+	// running lane's bound, its row minimum plus its suffix sum.
+	LEAQ    2(R12)(R9*1), AX
+	SHLQ    $6, AX
+	VMOVUPD Z19, (R13)(AX*1)
+	VMOVUPD Z20, 64(R13)(AX*1)
+	MOVQ    lanes_qrow(DI), DX
+	VMOVUPD Z16, (DX)
+	VMOVUPD Z17, 64(DX)
+	VADDPD  Z11, Z4, Z11
+	VCMPPD  $0x1D, Z29, Z11, K4, K5 // running on and bound >= slacked
+	KORW    K5, K3, K7
 
-last:
-	CMPQ R12, R8
-	JGE  even
+	// A finished lane's distance: cell r (column i+1) of row i+1, or of
+	// row i, stored in place of row i-1, for an odd n.
+	MOVQ  R9, DX
+	SHLQ  $6, DX
+	LEAQ  64(R11)(DX*1), AX
+	TESTQ $1, R8
+	JZ    finished
+	LEAQ  64(R10)(DX*1), AX
 
-	// n is odd: the last row alone.
-	VCVTSS2SD    (SI)(R12*4), X0, X0
-	VBROADCASTSD X0, Z0
-	VMOVDQA64    Z31, Z2
-	XORQ         AX, AX
-	MOVQ         R12, BX
-	SUBQ         R9, BX
-	CMPQ         BX, AX
-	CMOVQLT      AX, BX
-	SHLQ         $6, BX
+finished:
+	VMOVUPD  (AX), Z12
+	VCMPPD   $0x11, Z30, Z12, K3, K6 // finished and distance < limit
+	KORTESTW K6, K6
+	JZ       next
+	VMOVUPD  Z12, K6, lanes_d(DI)
+	VMOVDQU  lanes_id(DI), Y13
+	VMOVDQU  Y13, lanes_rid(DI)
+
+next:
+	XCHGQ R10, R11
+	ADDQ  $2, R12
+
+refill:
+	// Lane CX (the lowest stopped) takes slot DX (the first queued).
+	KMOVW K7, AX
+	TESTQ AX, AX
+	JZ    refilled
+	BSFQ  AX, CX
+	BTRQ  CX, AX
+	KMOVW AX, K7
+	MOVQ  lanes_queue(DI), DX
+	TESTQ DX, DX
+	JZ    idle
+	BSFQ  DX, BX
+	BTRQ  BX, DX
+	MOVQ  DX, lanes_queue(DI)
+	MOVQ  BX, DX
+	MOVQ  lanes_act(DI), AX
+	BTSQ  CX, AX
+	MOVQ  AX, lanes_act(DI)
+	MOVQ  lanes_entered(DI), AX
+	BTSQ  CX, AX
+	MOVQ  AX, lanes_entered(DI)
+	MOVQ  R12, lanes_start(DI)(CX*8)
+	MOVB  DL, lanes_took(DI)(CX*1)
+	MOVL  lanes_pid(DI)(DX*4), AX
+	MOVL  AX, lanes_id(DI)(CX*4)
+	LEAQ  (DX)(DX*2), AX
+	MOVQ  lanes_px(DI)(AX*8), AX
+	MOVQ  AX, lanes_x(DI)(CX*8)
+
+	// Its query points of rows 0 and 1 (0 again when n = 1).
+	MOVQ      lanes_qrow(DI), AX
+	VCVTSS2SD (SI), X14, X13
+	VMOVSD    X13, (AX)(CX*8)
+	CMPQ      R8, $1
+	JEQ       one
+	VCVTSS2SD 4(SI), X14, X13
+
+one:
+	VMOVSD X13, 64(AX)(CX*8)
+
+	// Its suffix sums: total - prefix[min(1+r+2m, n-1)], eight pairs m a
+	// gather.
+	MOVQ         lanes_stride(DI), AX
+	TESTQ        AX, AX
+	JZ           ringcols
+	MOVQ         lanes_slab(DI), BX
+	LEAQ         (BX)(DX*8), BX
 	LEAQ         -1(R8), DX
 	SHLQ         $6, DX
+	VPBROADCASTQ DX, Z16
+	VBROADCASTSD (BX)(DX*1), Z17
+	VMOVDQU64    lanes_hiOff(DI), Z18
+	MOVQ         $1024, DX
+	VPBROADCASTQ DX, Z19
+	MOVQ         AX, DX
+	SHRQ         $3, DX
+	IMULQ        CX, AX
+	SHLQ         $3, AX
+	ADDQ         lanes_suf(DI), AX
 
-	PCALIGN $32
-lastloop:
-	VMOVUPD   (DI)(BX*1), Z5
-	VSUBPD    Z5, Z0, Z6
-	VMULPD    Z6, Z6, Z6
-	VMOVDQU64 64(R10)(BX*1), Z9
-	VPMINUQ   (R10)(BX*1), Z9, Z9
-	VPMINUQ   Z2, Z9, Z9
-	VADDPD    Z6, Z9, Z2
-	ADDQ      $64, BX
-	CMPQ      BX, DX
-	JLE       lastloop
-	VMOVAPD   Z2, K1, Z27
-	JMP       done
+suffix:
+	VPMINUQ    Z16, Z18, Z20
+	KXNORW     K2, K2, K2
+	VGATHERQPD (BX)(Z20*1), K2, Z13
+	VSUBPD     Z13, Z17, Z13
+	VMOVUPD    Z13, (AX)
+	ADDQ       $64, AX
+	VPADDQ     Z19, Z18, Z18
+	DECQ       DX
+	JNZ        suffix
 
-even:
-	// The last pair's row i+1 is row n-1; its last cell is the distance.
-	MOVQ    R8, AX
-	SHLQ    $6, AX
-	VMOVUPD (R10)(AX*1), K1, Z27
+ringcols:
+	// Its ring columns t-1 (+Inf, when r > 0) and t … t+r+1 (points
+	// 0 … r+1, +Inf from n on). Columns left of -1 keep what they hold:
+	// every cell left of column -1 has +Inf neighbours only, and every
+	// cell of it costs +Inf, so their cells are +Inf whatever the points.
+	MOVQ  R12, AX
+	SHLQ  $6, AX
+	ADDQ  R13, AX
+	LEAQ  (AX)(CX*8), AX
+	TESTQ R9, R9
+	JZ    points
+	MOVQ  INF, BX
+	MOVQ  BX, -64(AX)
 
-done:
-	MOVQ      d+64(FP), AX
-	VMOVUPD   Z27, (AX)
+points:
+	MOVQ  lanes_x(DI)(CX*8), BX
+	LEAQ  2(R9), DX
+	CMPQ  DX, R8
+	CMOVQGT R8, DX
+
+ringpts:
+	VCVTSS2SD (BX), X14, X13
+	VMOVSD    X13, (AX)
+	ADDQ      $4, BX
+	ADDQ      $64, AX
+	DECQ      DX
+	JNZ       ringpts
+	LEAQ      1(R9), DX
+	CMPQ      DX, R8
+	JLT       startrow
+	MOVQ      INF, BX
+	MOVQ      BX, (AX)
+
+startrow:
+	// Its row -1: 0 on cell (0,0)'s diagonal (cell r), +Inf elsewhere,
+	// blended into whole lines: the next pair loads them whole, and a
+	// load cannot take its bytes from narrower stores still in flight.
+	MOVQ  $1, BX
+	SHLQ  CX, BX
+	KMOVW BX, K2
+	LEAQ  64(R10), AX
+	MOVQ  R9, DX
+	TESTQ DX, DX
+	JZ    diagonal
+
+rowleft:
+	VMOVDQU64 (AX), Z13
+	VMOVDQA64 Z31, K2, Z13
+	VMOVDQU64 Z13, (AX)
+	ADDQ      $64, AX
+	DECQ      DX
+	JNZ       rowleft
+
+diagonal:
+	VMOVDQU64 (AX), Z13
+	VPXORQ    Z13, Z13, K2, Z13
+	VMOVDQU64 Z13, (AX)
+	ADDQ      $64, AX
+	MOVQ      R9, DX
+	TESTQ     DX, DX
+	JZ        refill
+
+rowright:
+	VMOVDQU64 (AX), Z13
+	VMOVDQA64 Z31, K2, Z13
+	VMOVDQU64 Z13, (AX)
+	ADDQ      $64, AX
+	DECQ      DX
+	JNZ       rowright
+	JMP       refill
+
+idle:
+	// No candidate left: lane CX and the other stopped lanes go free.
+	BTSQ CX, AX
+	NOTQ AX
+	ANDQ AX, lanes_act(DI)
+
+refilled:
+	KORTESTW K6, K6
+	JZ       top
+
+ret:
+	MOVQ      R12, lanes_t(DI)
+	MOVQ      R10, lanes_prev(DI)
+	MOVQ      R11, lanes_cur(DI)
+	KMOVW     K6, AX
+	MOVQ      AX, ret+40(FP)
 	VZEROUPPER
 	RET
 

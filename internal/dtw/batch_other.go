@@ -6,7 +6,7 @@ package dtw
 // lane.
 var useAVX512 = false
 
-func bandLanes(q *float32, n, r int, x *[Lanes]*float32, prefix *[Lanes]*float64, lanes uint64, limit float64, room *float64, d *[Lanes]float64) {
+func bandLanes(s *lanes, q *float32, limit, slacked float64, drain bool) uint64 {
 	panic("dtw: bandLanes called without AVX-512")
 }
 

@@ -3,6 +3,7 @@ package dtw
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -35,6 +36,7 @@ type stageCase struct {
 	r       int
 	xs      [][]float32
 	memo    map[[2]uint64]cascadeResult
+	traces  map[int]trace
 }
 
 type cascadeResult struct {
@@ -44,7 +46,7 @@ type cascadeResult struct {
 
 func newStageCase(q []float32, xs [][]float32, r int) *stageCase {
 	u, l := Envelope(q, r)
-	return &stageCase{q: q, u: u, l: l, r: r, xs: xs, memo: map[[2]uint64]cascadeResult{}}
+	return &stageCase{q: q, u: u, l: l, r: r, xs: xs, memo: map[[2]uint64]cascadeResult{}, traces: map[int]trace{}}
 }
 
 func (c *stageCase) cascade(k int, limit float64) (float64, bool) {
@@ -64,54 +66,208 @@ func (c *stageCase) prefix(k int) []float64 {
 	return p
 }
 
-// slabPrefix reads lane l's prefix sum at column j of slab s in the layout
+// slabPrefix reads pending slot l's prefix sum at column j in the layout
 // the arm writes.
-func (b *Batch) slabPrefix(s, l, j, n int) float64 {
+func (b *Batch) slabPrefix(l, j, n int) float64 {
 	if useAVX512 {
-		return b.slabs[s][j*Lanes+l]
+		return b.slab[j*Lanes+l]
 	}
-	return b.slabs[s][l*n+j]
+	return b.slab[l*n+j]
+}
+
+// trace returns what Cascade tests candidate k's DP against, from the
+// reference DP: one bound per row pair before its last (row 2m+1's
+// minimum plus the LB_Keogh of the columns beyond its band), and its
+// distance.
+func (c *stageCase) trace(k int) ([]float64, float64) {
+	if t, ok := c.traces[k]; ok {
+		return t.bounds, t.d
+	}
+	q, x, r, n := c.q, c.xs[k], c.r, len(c.q)
+	inf := math.Inf(1)
+	prev, cur := make([]float64, n+1), make([]float64, n+1) // column j at j+1
+	for j := range prev {
+		prev[j] = inf
+	}
+	prev[0] = 0
+	mins := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := range cur {
+			cur[j] = inf
+		}
+		mins[i] = inf
+		for j := max(i-r, 0); j <= min(i+r, n-1); j++ {
+			d := float64(q[i]) - float64(x[j])
+			cur[j+1] = min(prev[j+1], prev[j], cur[j]) + d*d
+			mins[i] = min(mins[i], cur[j+1])
+		}
+		prev, cur = cur, prev
+	}
+	p := c.prefix(k)
+	bounds := make([]float64, (n-1)/2)
+	for m := range bounds {
+		bounds[m] = mins[2*m+1] + (p[n-1] - p[min(2*m+1+r, n-1)])
+	}
+	c.traces[k] = trace{bounds, prev[n]}
+	return bounds, prev[n]
+}
+
+type trace struct {
+	bounds []float64
+	d      float64
+}
+
+// laneModel replays the lanes' schedule on the candidates' traces: each
+// call enters the free lanes, then runs row pairs while every lane is busy
+// (or, draining, while any is); after a pair, a lane whose last pair is
+// done stops and is reported below the limit, any other stops once its
+// pair's bound reaches the widened limit, and the stopped lanes take the
+// queued candidates in lane order. A call returns after a pair that
+// reports. It is the reference the batch's calls are held to, on both
+// arms.
+type laneModel struct {
+	c     *stageCase
+	queue []int
+	k, m  [Lanes]int
+	act   uint64
+	cov   *coverage
+}
+
+func (mo *laneModel) refill(stop uint64) {
+	for l := 0; l < Lanes; l++ {
+		if stop&(1<<l) == 0 {
+			continue
+		}
+		if len(mo.queue) == 0 {
+			mo.act &^= 1 << l
+			continue
+		}
+		mo.k[l], mo.m[l], mo.queue = mo.queue[0], 0, mo.queue[1:]
+		mo.act |= 1 << l
+	}
+}
+
+func (mo *laneModel) run(limit float64, drain bool) (ds []float64, ks []int) {
+	mo.refill((1<<Lanes - 1) &^ mo.act)
+	for mo.act != 0 && (drain || mo.act == 1<<Lanes-1) {
+		var stop uint64
+		rows := map[int]bool{}
+		for l := 0; l < Lanes; l++ {
+			if mo.act&(1<<l) == 0 {
+				continue
+			}
+			rows[mo.m[l]] = true
+			bounds, d := mo.c.trace(mo.k[l])
+			switch {
+			case mo.m[l] == len(bounds):
+				stop |= 1 << l
+				if d < limit {
+					ds, ks = append(ds, d), append(ks, mo.k[l])
+				}
+			case bounds[mo.m[l]] >= limit*slack:
+				stop |= 1 << l
+			default:
+				mo.m[l]++
+			}
+		}
+		if len(rows) > 1 {
+			mo.cov.mixedRows = true
+		}
+		mo.refill(stop)
+		if len(ds) > 0 {
+			if mo.act&^stop != 0 {
+				mo.cov.midFlight = true
+			}
+			return ds, ks
+		}
+	}
+	return nil, nil
+}
+
+// coverage records which of the schedule's edges a test reached.
+type coverage struct {
+	mixedRows, midFlight, lowerResume, rebase bool
+	flushWith                                 [Lanes]bool // lanes in flight when a flush began
 }
 
 // checkStage drives the case's candidates through b as the DTW kernel's
-// measure and flush do: Add each, and at Lanes pending and at the end
-// Bound them against the pass's limit (sched[pass], the last entry
-// repeating) and Fill, running the queue each time it fills and once at
-// the end, at min(run, the pass's limit). It reports how the batch departs
-// from Cascade: the DP queue must get exactly the candidates Cascade runs
-// at their pass's limit, in order, each with its scalar prefix sums
-// bitwise; a result must be Cascade's bits where Cascade, run against the
-// run's limit, is below it, and >= that limit otherwise.
-func checkStage(b *Batch, c *stageCase, sched []float64, run float64) error {
-	n := len(c.q)
-	var want []int // what Cascade runs, not yet met in a Run
-	runQueue := func(limit float64, full bool) error {
-		for l := 0; l < b.n; l++ {
-			k, s, lane := int(b.id[l]), int(b.at[l]/Lanes), int(b.at[l]%Lanes)
-			for j, p := range c.prefix(k) {
-				if got := b.slabPrefix(s, lane, j, n); math.Float64bits(got) != math.Float64bits(p) {
-					return fmt.Errorf("candidate %d: prefix %d = %v, scalar %v", k, j, got, p)
+// measure and flush do: Add each; at Lanes pending, Bound them against the
+// pass's limit (sched[pass], the last entry repeating) and Run until a
+// call returns nothing; at the end Bound what is pending and Flush. Each
+// run starts at min(run, the pass's limit); with tighten, every result
+// lowers it, as a 1-NN bound would. It reports how the batch departs from
+// Cascade and from the lanes' schedule: the queue must get exactly the
+// candidates Cascade runs at the pass's limit, each with its scalar
+// prefix sums bitwise; every call must return what laneModel returns, in
+// order, each result Cascade's bits and below the call's limit.
+func checkStage(b *Batch, c *stageCase, sched []float64, run float64, tighten bool, cov *coverage) error {
+	mo := &laneModel{c: c, cov: cov}
+	var pending []int
+	bound := func(limit float64) error {
+		kept := b.Bound(c.l, c.u, limit)
+		var want []int
+		for slot, k := range pending {
+			if _, ran := c.cascade(k, limit); ran {
+				want = append(want, k)
+				if b.queue&(1<<slot) == 0 {
+					return fmt.Errorf("limit %v: candidate %d not queued, Cascade runs it", limit, k)
+				}
+				for j, p := range c.prefix(k) {
+					if got := b.slabPrefix(slot, j, len(c.q)); math.Float64bits(got) != math.Float64bits(p) {
+						return fmt.Errorf("candidate %d: prefix %d = %v, scalar %v", k, j, got, p)
+					}
 				}
 			}
 		}
-		d, id := b.Run(c.q, c.r, limit)
-		if full != (len(d) == Lanes) || len(d) > len(want) {
-			return fmt.Errorf("a run of %d (queue full: %v) with %d left to run", len(d), full, len(want))
+		if kept != len(want) || bits.OnesCount64(b.queue) != kept {
+			return fmt.Errorf("limit %v: %d queued (%d reported), Cascade runs %v", limit, bits.OnesCount64(b.queue), kept, want)
 		}
-		for l, k := range want[:len(d)] {
-			if int(id[l]) != k {
-				return fmt.Errorf("queue slot %d holds candidate %d, Cascade runs %d", l, id[l], k)
-			}
-			ref, _ := c.cascade(k, limit)
-			if ref < limit && math.Float64bits(d[l]) != math.Float64bits(ref) {
-				return fmt.Errorf("limit %v: candidate %d = %v, Cascade %v", limit, k, d[l], ref)
-			}
-			if ref >= limit && d[l] < limit {
-				return fmt.Errorf("limit %v: candidate %d = %v below limit, Cascade %v", limit, k, d[l], ref)
-			}
-		}
-		want = want[len(d):]
+		mo.queue = append(mo.queue, want...)
+		pending = pending[:0]
 		return nil
+	}
+	drain := func(limit float64, flush bool) error {
+		if flush {
+			cov.flushWith[bits.OnesCount64(b.act)] = true
+		}
+		for first := true; ; first = false {
+			t, busy := b.t, b.act
+			var d []float64
+			var id []int32
+			if flush {
+				d, id = b.Flush(c.q, c.r, limit)
+			} else {
+				d, id = b.Run(c.q, c.r, limit)
+			}
+			if useAVX512 && busy&b.act != 0 && b.t < t {
+				cov.rebase = true
+			}
+			wd, wk := mo.run(limit, flush)
+			if len(d) != len(wd) {
+				return fmt.Errorf("limit %v: a call returned %d results, the lanes' schedule %d (%v)", limit, len(d), len(wd), wk)
+			}
+			if len(d) == 0 {
+				if b.queue != 0 || flush && b.act != 0 {
+					return fmt.Errorf("limit %v: a call returned nothing with the queue %b and lanes %b", limit, b.queue, b.act)
+				}
+				return nil
+			}
+			if !first && busy != 0 {
+				cov.lowerResume = cov.lowerResume || tighten
+			}
+			call := limit
+			for i, k := range wk {
+				if int(id[i]) != k || math.Float64bits(d[i]) != math.Float64bits(wd[i]) {
+					return fmt.Errorf("limit %v: result %d is candidate %d at %v, the lanes' schedule %d at %v", limit, i, id[i], d[i], k, wd[i])
+				}
+				if ref := DistanceExact(c.q, c.xs[k], c.r); math.Float64bits(d[i]) != math.Float64bits(ref) || d[i] >= call {
+					return fmt.Errorf("limit %v: candidate %d = %v, Cascade %v", call, k, d[i], ref)
+				}
+				if tighten {
+					limit = min(limit, d[i])
+				}
+			}
+		}
 	}
 	var limit float64
 	for lo, pass := 0, 0; lo < len(c.xs); lo, pass = lo+Lanes, pass+1 {
@@ -121,22 +277,26 @@ func checkStage(b *Batch, c *stageCase, sched []float64, run float64) error {
 			if full := b.Add(c.xs[k], int32(k)); full != (k-lo == Lanes-1) {
 				return fmt.Errorf("Add of pending candidate %d reported full=%v", k-lo+1, full)
 			}
-			if _, ran := c.cascade(k, limit); ran {
-				want = append(want, k)
-			}
+			pending = append(pending, k)
 		}
-		b.Bound(c.l, c.u, limit)
-		for b.Fill() {
-			if err := runQueue(min(run, limit), true); err != nil {
-				return fmt.Errorf("pass %d (limit %v): %w", pass, limit, err)
-			}
+		if hi-lo < Lanes {
+			break // the flush takes the partial pass
+		}
+		if err := bound(limit); err != nil {
+			return fmt.Errorf("pass %d: %w", pass, err)
+		}
+		if err := drain(min(run, limit), false); err != nil {
+			return fmt.Errorf("pass %d: %w", pass, err)
 		}
 	}
-	if err := runQueue(min(run, limit), false); err != nil {
+	if err := bound(limit); err != nil {
 		return fmt.Errorf("flush: %w", err)
 	}
-	if len(want) != 0 {
-		return fmt.Errorf("Cascade runs %v, never queued", want)
+	if err := drain(min(run, limit), true); err != nil {
+		return fmt.Errorf("flush: %w", err)
+	}
+	if b.act != 0 || b.queue != 0 || mo.act != 0 || len(mo.queue) != 0 {
+		return fmt.Errorf("after the flush: lanes %b, queue %b", b.act, b.queue)
 	}
 	return nil
 }
@@ -194,10 +354,9 @@ func keepLeast(c *stageCase, lo int) float64 {
 
 // carrySchedules returns two schedules whose first pass keeps only the
 // first group's least-bound candidates. Under the first, the next two
-// passes keep none, so those survivors wait in the DP queue across two
-// passes that write prefix sums of their own. Under the second, every
-// later pass keeps all, so the queue fills, and runs, in the middle of a
-// pass's survivors.
+// passes keep none, so those survivors wait in their lanes across two
+// passes that rewrite the prefix slab. Under the second, every later pass
+// keeps all, so the lanes run full and refill from a long queue.
 func carrySchedules(c *stageCase) [2][]float64 {
 	few := keepLeast(c, 0)
 	return [2][]float64{{few, 0, 0, math.Inf(1)}, {few, math.Inf(1)}}
@@ -205,21 +364,22 @@ func carrySchedules(c *stageCase) [2][]float64 {
 
 // checkBatchCase draws a case of count candidates and checks it under
 // every pass limit with every run limit at or below it, then under the
-// carrying schedules and a random one.
-func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64) error {
+// carrying schedules and a random one, with the run limit held and
+// tightened by every result.
+func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64, cov *coverage) error {
 	q, xs := batchCase(rng, n, count)
 	c := newStageCase(q, xs, r)
 	lims := batchLimits(rng, c, frac)
-	check := func(sched []float64, run float64) error {
-		if err := checkStage(b, c, sched, run); err != nil {
-			return fmt.Errorf("n=%d r=%d %d candidates, pass limits %v, run limit %v: %w", n, r, count, sched, run, err)
+	check := func(sched []float64, run float64, tighten bool) error {
+		if err := checkStage(b, c, sched, run, tighten, cov); err != nil {
+			return fmt.Errorf("n=%d r=%d %d candidates, pass limits %v, run limit %v, tighten %v: %w", n, r, count, sched, run, tighten, err)
 		}
 		return nil
 	}
 	for _, pass := range lims {
 		for _, run := range lims {
 			if run <= pass {
-				if err := check([]float64{pass}, run); err != nil {
+				if err := check([]float64{pass}, run, false); err != nil {
 					return err
 				}
 			}
@@ -231,9 +391,11 @@ func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64) err
 	}
 	carry := carrySchedules(c)
 	for _, run := range []float64{math.Inf(1), lims[2], lims[rng.Intn(len(lims))]} {
-		for _, sched := range [][]float64{carry[0], carry[1], random} {
-			if err := check(sched, run); err != nil {
-				return err
+		for _, sched := range [][]float64{carry[0], carry[1], random, {math.Inf(1)}} {
+			for _, tighten := range []bool{false, true} {
+				if err := check(sched, run, tighten); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -241,28 +403,33 @@ func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64) err
 }
 
 // TestBatchMatchesCascade checks an empty query, sweeps every band of every
-// short length with 1 to 3·Lanes candidates (full passes and a partial
-// one at the flush), checks the lengths on either side of 128, and draws
-// longer series, odd and even.
+// short length with 1 to 6·Lanes candidates (full passes and a partial
+// one at the flush), checks n ∈ {1, 2, 7, 8, 9, 127, 128, 129} at r = 0,
+// 13 and n-1, and draws longer series, odd and even. It also demands that
+// the cases reached the schedule's edges: lanes at different rows, a DP
+// that finishes below the limit with others in flight and a resume at a
+// lower limit, a flush with 1 to 7 lanes in flight, and, with AVX-512 F, a
+// ring moved back to its start with a DP in flight.
 func TestBatchMatchesCascade(t *testing.T) {
 	arms(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		var b Batch
+		var cov coverage
 		empty := newStageCase(nil, [][]float32{nil, nil}, 0)
-		if err := checkStage(&b, empty, []float64{math.Inf(1)}, math.Inf(1)); err != nil {
+		if err := checkStage(&b, empty, []float64{math.Inf(1)}, math.Inf(1), false, &cov); err != nil {
 			t.Fatal(err)
 		}
 		for n := 1; n <= 24; n++ {
 			for r := 0; r < n; r++ {
-				if err := checkBatchCase(&b, rng, n, r, 1+(n*r+n)%(3*Lanes), 0.5); err != nil {
+				if err := checkBatchCase(&b, rng, n, r, 1+(n*r+n)%(6*Lanes), 0.5, &cov); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		for _, n := range []int{127, 128, 129} {
-			for _, r := range []int{0, 13, n - 1} {
-				for _, count := range []int{Lanes, 2*Lanes + 3, 3 * Lanes} {
-					if err := checkBatchCase(&b, rng, n, r, count, 0.5); err != nil {
+		for _, n := range []int{1, 2, 7, 8, 9, 127, 128, 129} {
+			for _, r := range []int{0, min(13, n-1), n - 1} {
+				for _, count := range []int{Lanes, 2*Lanes + 3, 5 * Lanes} {
+					if err := checkBatchCase(&b, rng, n, r, count, 0.5, &cov); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -274,22 +441,31 @@ func TestBatchMatchesCascade(t *testing.T) {
 		}
 		for trial := 0; trial < trials; trial++ {
 			n := 25 + rng.Intn(276)
-			if err := checkBatchCase(&b, rng, n, rng.Intn(n), 1+rng.Intn(3*Lanes), rng.Float64()); err != nil {
+			if err := checkBatchCase(&b, rng, n, rng.Intn(n), 1+rng.Intn(6*Lanes), rng.Float64(), &cov); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		if !cov.mixedRows || !cov.midFlight || !cov.lowerResume || useAVX512 && !cov.rebase {
+			t.Fatalf("edges not reached: %+v", cov)
+		}
+		for lanes, seen := range cov.flushWith[1:] {
+			if !seen {
+				t.Fatalf("no flush began with %d lanes in flight", lanes+1)
 			}
 		}
 	})
 }
 
-// TestBatchSlabRing keeps the DP queue short of full for as long as it
-// can: fifteen passes that alternate between keeping only their
-// least-bound candidates and keeping none. The first pass's survivor waits
-// in the queue while seven more passes keep one each and seven keep none,
-// so a ring of fewer than Lanes slabs, or one that moves on after a pass
-// that keeps nothing, hands its prefix sums to a later pass.
+// TestBatchSlabRing keeps DPs in flight while later passes rewrite the one
+// prefix slab: fifteen passes that alternate between keeping only their
+// least-bound candidates and keeping none, so the first pass's survivor
+// waits in its lane while seven more passes keep one each and seven keep
+// none. A lane that read its suffix sums from the slab, rather than from
+// the copy it took on entry, would read a later pass's.
 func TestBatchSlabRing(t *testing.T) {
 	arms(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
+		var cov coverage
 		for _, n := range []int{1, 9, 128} {
 			q, xs := batchCase(rng, n, 15*Lanes)
 			c := newStageCase(q, xs, n/10)
@@ -299,7 +475,7 @@ func TestBatchSlabRing(t *testing.T) {
 			}
 			for _, run := range []float64{math.Inf(1), DistanceExact(q, xs[0], c.r)} {
 				var b Batch
-				if err := checkStage(&b, c, sched, run); err != nil {
+				if err := checkStage(&b, c, sched, run, true, &cov); err != nil {
 					t.Fatalf("n=%d run limit %v: %v", n, run, err)
 				}
 			}
@@ -309,9 +485,9 @@ func TestBatchSlabRing(t *testing.T) {
 
 // TestBoundMatchesEnvelopePrefix checks one pass against the scalar prefix
 // directly: at limits on either side of each lane's own bound, whole and
-// at every tested column, a lane is kept exactly when
-// vector.EnvelopePrefixEarlyAbandon's sum stays below the limit, and a kept
-// lane's prefix sums are bitwise the scalar ones.
+// at every tested column, a lane is queued exactly when
+// vector.EnvelopePrefixEarlyAbandon's sum stays below the limit, and a
+// queued lane's prefix sums are bitwise the scalar ones.
 func TestBoundMatchesEnvelopePrefix(t *testing.T) {
 	arms(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
@@ -332,34 +508,26 @@ func TestBoundMatchesEnvelopePrefix(t *testing.T) {
 					for k, x := range xs {
 						b.Add(x, int32(k))
 					}
-					b.Bound(c.l, c.u, limit)
-					pass := b.pass
-					var kept []int
+					queued := b.Bound(c.l, c.u, limit)
+					var kept, got []int
 					for k, x := range xs {
 						scratch := make([]float64, n)
 						if vector.EnvelopePrefixEarlyAbandon(x, c.l, c.u, scratch, limit*slack) < limit*slack {
 							kept = append(kept, k)
 						}
+						if b.queue&(1<<k) != 0 {
+							got = append(got, k)
+						}
+					}
+					if queued != len(got) || !slices.Equal(got, kept) {
+						t.Fatalf("n=%d %d pending, limit %v: queued %v (%d), scalar %v", n, pending, limit, got, queued, kept)
 					}
 					for _, k := range kept {
 						for j, p := range c.prefix(k) {
-							if got := b.slabPrefix(pass, k, j, n); math.Float64bits(got) != math.Float64bits(p) {
+							if got := b.slabPrefix(k, j, n); math.Float64bits(got) != math.Float64bits(p) {
 								t.Fatalf("n=%d limit %v: lane %d prefix %d = %v, scalar %v", n, limit, k, j, got, p)
 							}
 						}
-					}
-					var got []int
-					run := func() {
-						_, id := b.Run(q, c.r, limit)
-						for _, k := range id {
-							got = append(got, int(k))
-						}
-					}
-					for b.Fill() {
-						run()
-					}
-					if run(); !slices.Equal(got, kept) {
-						t.Fatalf("n=%d %d pending, limit %v: kept %v, scalar %v", n, pending, limit, got, kept)
 					}
 				}
 			}
@@ -377,13 +545,19 @@ func FuzzBatchMatchesCascade(f *testing.F) {
 		f.Add(int64(5), nRaw, nRaw, uint8(2*Lanes+4), 0.9)
 		f.Add(int64(6), nRaw, uint16(13), uint8(3*Lanes-1), 0.3)
 	}
+	// Streams: n = 1 and 2 at r = 0, and 6 passes at n = 127, 128, 129.
+	f.Add(int64(7), uint16(0), uint16(0), uint8(6*Lanes-1), 0.2)
+	f.Add(int64(8), uint16(1), uint16(0), uint8(6*Lanes-1), 0.7)
+	for _, nRaw := range []uint16{126, 127, 128} {
+		f.Add(int64(9), nRaw, uint16(13), uint8(6*Lanes-1), 0.1)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, rRaw uint16, countRaw uint8, frac float64) {
 		n := int(nRaw)%300 + 1
 		r := int(rRaw) % n
-		count := int(countRaw)%(3*Lanes) + 1
+		count := int(countRaw)%(6*Lanes) + 1
 		arms(t, func(t *testing.T) {
 			var b Batch
-			if err := checkBatchCase(&b, rand.New(rand.NewSource(seed)), n, r, count, frac); err != nil {
+			if err := checkBatchCase(&b, rand.New(rand.NewSource(seed)), n, r, count, frac, &coverage{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -391,13 +565,16 @@ func FuzzBatchMatchesCascade(f *testing.F) {
 }
 
 // BenchmarkBatch128Band13 runs the serve-dtw shape (128 points, a 10 %
-// window) through a Batch, Lanes candidates a pass, in ns per candidate:
+// window) through a Batch, in ns per candidate:
 //   - full and abandon: the DPs, every candidate queued, at limit +Inf
 //     (beside BenchmarkDistance128Band13) and at
 //     BenchmarkCascade128Band13's limit, the 10th percentile of the walks'
 //     DTW; each includes the candidates' full LB_Keogh pass;
-//   - stage: the whole stage at that limit, as a query runs it (pending,
-//     the bound pass, the survivors' DPs);
+//   - stage: the whole stage at that limit, Lanes candidates a pass, as a
+//     query runs it (pending, the bound pass, the survivors' DPs), with
+//     the lanes in flight from pass to pass;
+//   - stream: the 1 024 walks through the whole stage at that limit, then
+//     one flush;
 //   - lb/lanes and lb/scalar: the bound pass alone, on the assembly path
 //     and with the lane-by-lane fallback forced, unbounded (full) and at
 //     that limit (abandon).
@@ -414,8 +591,22 @@ func BenchmarkBatch128Band13(b *testing.B) {
 	slices.Sort(dists)
 	u, l := Envelope(q, r)
 	inf, cut := math.Inf(1), dists[count/10]
-	perCandidate := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*Lanes), "ns/candidate")
+	perCandidate := func(b *testing.B, per int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*per), "ns/candidate")
+	}
+	// drain runs the queue empty (and, flushing, the lanes) at limit.
+	drain := func(batch *Batch, limit float64, flush bool) {
+		for {
+			run := batch.Run
+			if flush {
+				run = batch.Flush
+			}
+			d, _ := run(q, r, limit)
+			if len(d) == 0 {
+				return
+			}
+			sink += d[0]
+		}
 	}
 	stage := func(name string, pass, run float64) {
 		b.Run(name, func(b *testing.B) {
@@ -427,17 +618,30 @@ func BenchmarkBatch128Band13(b *testing.B) {
 					batch.Add(walks[(i*Lanes+k)%count], int32(k))
 				}
 				batch.Bound(l, u, pass)
-				for batch.Fill() {
-					d, _ := batch.Run(q, r, run)
-					sink += d[0]
-				}
+				drain(&batch, run, false)
 			}
-			perCandidate(b)
+			drain(&batch, run, true)
+			perCandidate(b, Lanes)
 		})
 	}
 	stage("full", inf, inf)
 	stage("abandon", inf, cut)
 	stage("stage", cut, cut)
+	b.Run("stream", func(b *testing.B) {
+		var batch Batch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, w := range walks {
+				if batch.Add(w, int32(k)) {
+					batch.Bound(l, u, cut)
+					drain(&batch, cut, false)
+				}
+			}
+			drain(&batch, cut, true)
+		}
+		perCandidate(b, count)
+	})
 	saved := useAVX512
 	defer func() { useAVX512 = saved }()
 	for _, arm := range []struct {
@@ -461,9 +665,9 @@ func BenchmarkBatch128Band13(b *testing.B) {
 						batch.Add(walks[(i*Lanes+k)%count], int32(k))
 					}
 					batch.Bound(l, u, lim.limit)
-					batch.keep, batch.np = 0, 0 // this arm times the pass alone
+					batch.queue = 0 // this arm times the pass alone
 				}
-				perCandidate(b)
+				perCandidate(b, Lanes)
 			})
 		}
 	}

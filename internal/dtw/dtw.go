@@ -15,10 +15,17 @@
 // rows per pass over the columns, so two left-neighbour chains run side by
 // side, and takes its minima over the cells' bit patterns on the integer
 // ports; both keep the result bitwise equal to the plain DP's. Batch runs
-// Cascade in two stages of eight candidates of one query, one per lane of
-// an AVX-512 register: first their LB_Keogh bounds, each lane's prefix
-// sums bitwise vector.EnvelopePrefixEarlyAbandon's, then the survivors'
-// DPs, each lane bitwise Cascade's.
+// Cascade in two stages, one candidate of one query per lane of an
+// AVX-512 register: first eight candidates' LB_Keogh bounds, each lane's
+// prefix sums bitwise vector.EnvelopePrefixEarlyAbandon's, then the
+// survivors' DPs, each lane bitwise Cascade's. The DP lanes refill: a lane
+// whose DP abandons or finishes takes the next queued candidate at its
+// next row pair, so a pass costs the rows its candidates need, not eight
+// times the longest. To let every lane sit at its own row, the DP cells
+// are held in band coordinates (cell (i, j) at k = j − i + r) and each
+// candidate's points in a column ring at the step it entered; an entering
+// lane copies its LB_Keogh suffix sums, so one prefix slab serves the
+// bound stage.
 //
 // As everywhere in this repository, distances are SQUARED: Distance returns
 // the sum of squared point costs along the optimal warping path, which for
@@ -182,64 +189,24 @@ func cell(up, diag, left uint64, d float64) uint64 {
 	return math.Float64bits(math.Float64frombits(min(up, diag, left)) + d*d)
 }
 
-// band runs the DP over the band alone. Row i covers columns
-// [max(i-r,0), min(i+r,n-1)], and the +Inf cells on either side of it
-// stand for every cell outside, so a cell needs no test: it is the min of
-// its three neighbours plus its cost, with the left neighbour carried in
-// a register. Row -1 is a 0 on cell (0,0)'s diagonal and +Inf elsewhere.
-// Every cell inside the band is reachable, and the guards' +Inf plus a
-// cost stays +Inf.
-//
-// One pass over the columns computes two rows: cell (i+1, j) takes its
-// up and diagonal neighbours from row i's cells j and j-1, still in
-// registers, so the two rows' left-neighbour chains run side by side.
-// Row i's band starts and ends at most one column before row i+1's: that
-// column, when there is one, runs for one row alone. When n is odd, the
-// last row runs alone.
-//
-// The inputs must be finite (the API layers reject NaN and ±Inf): then
-// every cell is +0, a positive sum of squares or +Inf, never NaN or -0,
-// so the integer min picks the value a compare-and-branch min would and
-// the result is bitwise the reference DP's. After each pair of rows, row
-// i+1's minimum is compared with limit; given Cascade's LB_Keogh prefix
-// sums, the bound of the columns beyond row i+1's band, their total minus
-// the prefix up to it, is added first.
+// band runs the DP over the band alone, a pair of rows at a time (see
+// pair). Row -1 is a 0 on cell (0,0)'s diagonal and +Inf elsewhere. After
+// each pair, row i+1's minimum is compared with limit; given Cascade's
+// LB_Keogh prefix sums, the bound of the columns beyond row i+1's band,
+// their total minus the prefix up to it, is added first. When n is odd,
+// the last row runs alone.
 func (s *scratch) band(a, b []float32, r int, limit float64, prefix []float64) float64 {
 	n := len(a)
 	if n == 0 {
 		return 0
 	}
 	prev, cur := s.rows[:n+2], s.rows[n+2:2*n+4]
-	prev[0] = 0
-	for j := 1; j <= min(r, n-1)+1; j++ {
-		prev[j] = inf
-	}
+	startRow(prev, r)
 	i := 0
 	for ; i+1 < n; i += 2 {
-		lo, hi := max(i+1-r, 0), min(i+1+r, n-1)
-		a1, a2 := float64(a[i]), float64(a[i+1])
-		left1, left2, rowMin := inf, inf, inf
-		j := max(i-r, 0)
-		for ; j < lo; j++ { // row i alone
-			left1 = cell(prev[j+1], prev[j], left1, a1-float64(b[j]))
-		}
-		for ; j <= min(i+r, n-1); j++ { // both rows
-			x := float64(b[j])
-			c := cell(prev[j+1], prev[j], left1, a1-x)
-			left2 = cell(c, left1, left2, a2-x)
-			left1 = c
-			cur[j+1] = left2
-			rowMin = min(rowMin, left2)
-		}
-		for ; j <= hi; j++ { // row i+1 alone
-			left2 = cell(inf, left1, left2, a2-float64(b[j]))
-			cur[j+1] = left2
-			rowMin = min(rowMin, left2)
-		}
-		cur[lo], cur[hi+2] = inf, inf
-		bound := math.Float64frombits(rowMin)
+		bound := math.Float64frombits(pair(a, b, r, i, prev, cur))
 		if prefix != nil {
-			bound += prefix[n-1] - prefix[hi]
+			bound += prefix[n-1] - prefix[min(i+1+r, n-1)]
 		}
 		if bound >= limit {
 			return bound
@@ -247,11 +214,71 @@ func (s *scratch) band(a, b []float32, r int, limit float64, prefix []float64) f
 		prev, cur = cur, prev
 	}
 	if i == n-1 { // n is odd: the last row alone
-		ai, left := float64(a[i]), inf
-		for j := max(i-r, 0); j < n; j++ {
-			left = cell(prev[j+1], prev[j], left, ai-float64(b[j]))
-		}
-		return math.Float64frombits(left)
+		return math.Float64frombits(lastRow(a, b, r, prev))
 	}
 	return math.Float64frombits(prev[n])
+}
+
+// startRow sets prev to row -1 of a band of radius r: 0 on cell (0,0)'s
+// diagonal, +Inf on columns 0…r.
+func startRow(prev []uint64, r int) {
+	prev[0] = 0
+	for j := 1; j <= min(r, len(prev)-3)+1; j++ {
+		prev[j] = inf
+	}
+}
+
+// pair computes rows i and i+1 (i+1 < n) of the band DP from row i-1 in
+// prev, writes row i+1 into cur and returns its minimum. Row i covers
+// columns [max(i-r,0), min(i+r,n-1)] (column j at index j+1), and the
+// +Inf cells on either side of it stand for every cell outside, so a cell
+// needs no test: it is the min of its three neighbours plus its cost, with
+// the left neighbour carried in a register. Every cell inside the band is
+// reachable, and the guards' +Inf plus a cost stays +Inf.
+//
+// One pass over the columns computes both rows: cell (i+1, j) takes its up
+// and diagonal neighbours from row i's cells j and j-1, still in
+// registers, so the two rows' left-neighbour chains run side by side. Row
+// i's band starts and ends at most one column before row i+1's: that
+// column, when there is one, runs for one row alone.
+//
+// The inputs must be finite (the API layers reject NaN and ±Inf): then
+// every cell is +0, a positive sum of squares or +Inf, never NaN or -0,
+// so the integer min picks the value a compare-and-branch min would and
+// the result is bitwise the reference DP's.
+func pair(a, b []float32, r, i int, prev, cur []uint64) uint64 {
+	n := len(a)
+	lo, hi := max(i+1-r, 0), min(i+1+r, n-1)
+	a1, a2 := float64(a[i]), float64(a[i+1])
+	left1, left2, rowMin := inf, inf, inf
+	j := max(i-r, 0)
+	for ; j < lo; j++ { // row i alone
+		left1 = cell(prev[j+1], prev[j], left1, a1-float64(b[j]))
+	}
+	for ; j <= min(i+r, n-1); j++ { // both rows
+		x := float64(b[j])
+		c := cell(prev[j+1], prev[j], left1, a1-x)
+		left2 = cell(c, left1, left2, a2-x)
+		left1 = c
+		cur[j+1] = left2
+		rowMin = min(rowMin, left2)
+	}
+	for ; j <= hi; j++ { // row i+1 alone
+		left2 = cell(inf, left1, left2, a2-float64(b[j]))
+		cur[j+1] = left2
+		rowMin = min(rowMin, left2)
+	}
+	cur[lo], cur[hi+2] = inf, inf
+	return rowMin
+}
+
+// lastRow computes row n-1 alone from row n-2 in prev and returns its last
+// cell, the distance.
+func lastRow(a, b []float32, r int, prev []uint64) uint64 {
+	n := len(a)
+	ai, left := float64(a[n-1]), inf
+	for j := max(n-1-r, 0); j < n; j++ {
+		left = cell(prev[j+1], prev[j], left, ai-float64(b[j]))
+	}
+	return left
 }
