@@ -16,7 +16,9 @@ import (
 // LB_Keogh on the raw series, then the DTW itself. The LB_Keogh bounds run
 // eight candidates at a time and the DPs in eight refilling lanes
 // (dtw.Batch), through the kernel's measure and flush, in refine and in a
-// position-order scan alike. An approximate DTW answer
+// position-order scan alike. The plan is the Euclidean one too: the run
+// samples the share of words whose envelope bound survives the seed's
+// bound and scans above the one crossover. An approximate DTW answer
 // is the seeding descent alone: warping alignment keeps the query's natural
 // leaf a good candidate, and its distance is an upper bound on the exact
 // constrained-DTW distance.
@@ -88,18 +90,3 @@ func (k *warped) run(s *leafScratch, limit float64, coll Collector, start int64,
 		limit = coll.Load()
 	}
 }
-
-// A DTW run never scans. Its cost is arithmetic — LB_Keogh, then the
-// warping distance, paid per surviving candidate — and both plans take
-// the bounds eight at a time and run the DPs in eight refilling lanes. On
-// 25 000 × 128 random walks under a 10 % window (BenchmarkPlanCrossover,
-// the serve-dtw shape; every query's share is 0.30–1) the tree alone
-// takes 3.34 and 3.35 ms per query in two runs and the scan alone 3.07
-// and 3.08. Below a share of 0.5 the tree wins every query (tree/scan
-// 0.70–0.86); from 0.5 to 0.9 single queries go either way (0.69–1.08);
-// above 0.9 the scan wins 69 of 70 (0.99–1.22), every OOD query among
-// them (1.08–1.16). The sweep's best grid points, t = 0.6 to 0.9, save
-// 9.6 % against the tree alone (3.02 and 3.03 ms): with the DPs cheaper
-// the tree's per-leaf work shows, a lever ROADMAP keeps for a change of
-// its own.
-func (*warped) crossover() float64 { return 2 }

@@ -82,7 +82,7 @@ func forcePlan(run *SearchRun, scan bool) {
 	}
 }
 
-// BenchmarkPlanCrossover measures what the plan's crossover constants are
+// BenchmarkPlanCrossover measures what the plan's crossover constant is
 // chosen from: per query, the sampled share (sampledShare) against the
 // time of the whole query on the tree plan and on the scan plan, 2 workers,
 // best of two runs each. It sweeps noise queries at 10, 3, 0 and −3 dB plus
@@ -91,8 +91,9 @@ func forcePlan(run *SearchRun, scan bool) {
 // window (serve-dtw's shape). Each family logs its rows sorted by share
 // and the sweep's mean query time when the queries with a share above t
 // scan, for t = 0, 0.1, …, 1 (1 = the tree alone); it reports the t of that
-// grid with the least time ("best-t") and the mean query time of the tree
-// alone, the scan alone, and the plan at the kernel's crossover.
+// grid with the least time ("best-t"), the mean query time of the tree
+// alone, the scan alone and the plan at crossover, and that plan's time
+// over the best grid point's ("planned-over-best").
 func BenchmarkPlanCrossover(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds 256 MB collections")
@@ -183,11 +184,11 @@ func BenchmarkPlanCrossover(b *testing.B) {
 				}
 			}
 			b.Logf("mean ms per query when shares above t scan, t:ms:%s", curve.String())
-			crossover := newKernel(Request{Query: data.At(0), DTW: fam.dtw}).crossover()
 			b.ReportMetric(best, "best-t")
 			b.ReportMetric(mean(1), "tree-ms/query")
 			b.ReportMetric(mean(-1), "scan-ms/query")
 			b.ReportMetric(mean(crossover), "planned-ms/query")
+			b.ReportMetric(mean(crossover)/mean(best), "planned-over-best")
 		})
 	}
 }
@@ -291,9 +292,10 @@ func kernelKNN(data *series.Collection, q []float32, k int) []Match {
 // unfilled one keeps the tree). Member and near-duplicate queries take the
 // tree, OOD and adversarial ones the scan — asserted through ScanPlans —
 // and either way 1-NN and k-NN answers equal brute force's bitwise, an ε
-// answer lies within 1+ε of it, a run cancelled before it starts returns
-// the best-so-far flagged inexact, and DTW never scans — but a DTW run
-// forced onto the scan answers as brute force does too.
+// answer lies within 1+ε of it, and a run cancelled before it starts returns
+// the best-so-far flagged inexact. A DTW run takes the plan its envelope's
+// sampled share picks — the cases must reach both — and answers as brute
+// force does on it and when forced onto the other.
 func checkPlans(t *testing.T) {
 	const count, length, k, eps = 2000, 64, 5, 0.05
 	opts := smallOpts()
@@ -302,6 +304,7 @@ func checkPlans(t *testing.T) {
 	window := dtw.WindowSize(length, 0.1)
 	cancelled := make(chan struct{})
 	close(cancelled)
+	dtwPlans := map[bool]bool{} // the plans DTW runs picked
 	for _, tc := range []struct {
 		tier queryTier
 		scan bool
@@ -337,18 +340,25 @@ func checkPlans(t *testing.T) {
 			if res.Exact || len(res.Matches) != 1 || res.Matches[0].Dist < want1.Dist {
 				t.Fatalf("%s: cancelled run %+v, want the best-so-far flagged inexact", where, res)
 			}
+			// A DTW run takes the plan its own sampled share picks, and the
+			// plan it did not pick measures the same answer.
 			wantD := bruteForceDTW(ix.Data, q, window)
-			if res := do("DTW", Request{DTW: true, Window: window}, false); !res.Exact || res.Matches[0] != wantD {
+			dreq := Request{Query: q, DTW: true, Window: window}
+			planned := newRun(ix, dreq, SearchOptions{}).scan
+			dtwPlans[planned] = true
+			if res := do("DTW", Request{DTW: true, Window: window}, planned); !res.Exact || res.Matches[0] != wantD {
 				t.Fatalf("%s: DTW %+v, brute force %+v", where, res, wantD)
 			}
-			// The DTW scan the plan never chooses measures the same answer.
-			run := newRun(ix, Request{Query: q, DTW: true, Window: window}, SearchOptions{})
-			forcePlan(run, true)
+			run := newRun(ix, dreq, SearchOptions{})
+			forcePlan(run, !planned)
 			drive(run, ix.Opts.SearchWorkers)
 			if res := run.qos.Finish(run.bnd.Matches()); !res.Exact || res.Matches[0] != wantD {
-				t.Fatalf("%s: forced DTW scan %+v, brute force %+v", where, res, wantD)
+				t.Fatalf("%s: DTW forced to scan=%v %+v, brute force %+v", where, !planned, res, wantD)
 			}
 		}
+	}
+	if !dtwPlans[false] || !dtwPlans[true] {
+		t.Fatalf("DTW runs reached scan=%v only, want both plans", dtwPlans[true])
 	}
 }
 

@@ -117,9 +117,6 @@ type kernel interface {
 	// flush measures, against limit, whatever measure still holds, and
 	// returns the limit after.
 	flush(s *leafScratch, limit float64, coll Collector, start int64) float64
-	// crossover is the sampled share (see SearchRun.sampledShare) above
-	// which a position-order scan beats the tree; 1 or more means never.
-	crossover() float64
 }
 
 // newKernel returns the kernel of a checked request.
@@ -153,30 +150,12 @@ func (k *euclidean) measure(s *leafScratch, x []float32, pos int32, limit float6
 
 func (*euclidean) flush(_ *leafScratch, limit float64, _ Collector, _ int64) float64 { return limit }
 
-// The Euclidean crossover is measured (BenchmarkPlanCrossover: 500 k × 128
-// series of each dataset family, 10 queries per tier — noise at 10, 3, 0
-// and −3 dB, and OOD — 2 workers, two runs, on the root sized to the
-// collection). The tree gathers candidates in leaf order and the scan
-// streams them: OOD queries (shares ≥ 0.94) cost 44–62 ms on the tree and
-// 24–31 ms scanned, 10 dB queries 0.4–4.5 ms on the tree and 16–26 ms
-// scanned, and the tree wins nearly every noise query up to a share of
-// 0.5; only some −3 dB queries, at shares of 0.43–0.76, go either way
-// (tree/scan 0.72–1.34). Scanning the queries whose share exceeds t gives
-// sweep means at t = 0.3/0.4/0.5/0.6 of: random walks 13.4–13.5/11.9–12.0/
-// 11.9–12.0/11.9–12.0 ms (tree alone 16.7–16.9, scan alone 23.6–23.9),
-// seismic-like 15.3–16.2/14.8–15.7/14.1–15.0/13.8–14.7 ms (19.5–20.8,
-// 24.1–25.0), SALD-like 9.0–10.4/8.9–10.2/8.9–10.2/8.9–10.2 ms (12.1–15.0,
-// 21.2–24.1). At 0.5 every family is at most 2.7 % above its best grid
-// point (0.4 on random walks and SALD-like, 0.6 on seismic-like). It
-// could not go lower anyway: member k-NN queries, whose 5th-nearest bound
-// after the approximate search leaves shares of up to 0.49 on a small
-// index, must keep the tree (TestRefineMatchesPlainLoop's plan rows).
-func (*euclidean) crossover() float64 { return 0.5 }
-
 // narrowShare is the sampled share up to which a tree-plan run is narrow
-// (see SearchRun.Narrow). A run that samples none, a DTW run, counts as
-// sharing 1, so it is never narrow: its cost is the per-candidate arithmetic
-// a second worker halves. The Euclidean share is measured (500 k × 128
+// (see SearchRun.Narrow). A run that samples none, a k-NN run whose
+// collector the approximate search left unfilled, counts as sharing 1, so
+// it is never narrow. A DTW run is held to the same share, unmeasured
+// there: serve-dtw's queries all share 0.45 or more. The share is measured
+// on Euclidean runs (500 k × 128
 // series of each dataset family, 10 queries per noise tier at 10, 3 and 0
 // dB, the tree-plan ones kept). Each query was timed whole on 1 worker (T1)
 // and on 2 (T2), and under two-client contention: two copies side by side on
@@ -464,7 +443,7 @@ type SearchRun struct {
 	table  *isax.DistTable // per-query MINDIST table; nil until prepareTable
 	bnd    Collector       // opt.Shared
 	queues *pqueue.Set[*tree.Node]
-	share  float64 // the sampled share the plan read; 1 where it read none
+	share  float64 // the sampled share the plan read (the envelope's under DTW); 1 where it read none
 	// claimCtr is written by every worker at every claim, while the fields
 	// around it are read at every node; the padding keeps it on a cache
 	// line of its own (sharing one cost the serve-easy benchmark ~10 % of
@@ -553,14 +532,45 @@ func (r *SearchRun) prepareTable(st *QueryState, qpaa []float64) {
 	r.kern.prepare(r.table, qpaa)
 }
 
+// crossover is the sampled share (see SearchRun.sampledShare) above which
+// a run scans, whatever its kernel: lower-bound tightness decides whether
+// the tree pays ("Data Series Indexing Gone Parallel", PAPERS.md), and a
+// DTW run samples its share against the envelope table, as its leaf filter
+// prunes. It is measured (BenchmarkPlanCrossover, 2 workers, two runs; the
+// queries are noise at 10, 3, 0 and −3 dB plus OOD, 10 per tier). The tree
+// gathers candidates in leaf order and the scan streams them.
+//
+// Euclidean, 500 k × 128 series of each dataset family: OOD queries
+// (shares ≥ 0.94) cost 44–62 ms on the tree and 24–31 ms scanned, 10 dB
+// queries 0.4–4.5 ms on the tree and 16–26 ms scanned, and the tree wins
+// nearly every noise query up to a share of 0.5; only some −3 dB queries,
+// at shares of 0.43–0.76, go either way (tree/scan 0.72–1.34). Scanning
+// the queries whose share exceeds t gives sweep means at t = 0.3/0.4/0.5/
+// 0.6 of: random walks 13.4–13.5/11.9–12.0/11.9–12.0/11.9–12.0 ms (tree
+// alone 16.7–16.9, scan alone 23.6–23.9), seismic-like 15.3–16.2/
+// 14.8–15.7/14.1–15.0/13.8–14.7 ms (19.5–20.8, 24.1–25.0), SALD-like
+// 9.0–10.4/8.9–10.2/8.9–10.2/8.9–10.2 ms (12.1–15.0, 21.2–24.1). At 0.5
+// every family is at most 2.7 % above its best grid point.
+//
+// DTW, 25 000 × 128 random walks under a 10 % window (serve-dtw's shape,
+// shares 0.30–1): up to a share of 0.5 the tree wins nearly every query
+// (tree/scan 0.73–1.03), from 0.5 to 0.9 they go either way (0.72–1.11),
+// and above 0.9 the scan wins all 35, OOD among them (1.02–1.57). Tree
+// alone 5.37/5.48 ms, scan alone 4.93/4.92; the sweep is flat from 0.4 to
+// 0.9, and at 0.5 (4.86/4.87) it is 0.3/0.2 % above its best grid point.
+//
+// It could not go lower anyway: member k-NN queries, whose 5th-nearest
+// bound after the approximate search leaves shares of up to 0.49 on a small
+// index, must keep the tree (TestRefineMatchesPlainLoop's plan rows).
+const crossover = 0.5
+
 // scanPays chooses the plan: the scan when the sampled share, which it
-// records in r.share (left at 1 where it samples none), exceeds the
-// kernel's crossover. A k-NN collector that the approximate search could
-// not fill bounds nothing yet — every word would survive +Inf — so its run
-// keeps the tree, which fills the collector from the nearest leaves.
+// records in r.share (left at 1 where it samples none), exceeds crossover.
+// A k-NN collector that the approximate search could not fill bounds
+// nothing yet — every word would survive +Inf — so its run keeps the tree,
+// which fills the collector from the nearest leaves.
 func (r *SearchRun) scanPays() bool {
-	crossover := r.kern.crossover()
-	if crossover >= 1 || math.IsInf(r.bnd.Load(), 1) {
+	if math.IsInf(r.bnd.Load(), 1) {
 		return false
 	}
 	r.share = r.sampledShare()
@@ -596,8 +606,9 @@ func (r *SearchRun) Done() bool { return r.done }
 // lent more only while nobody else wants them: the plan kept the tree,
 // whose queues a helper can leave at any pop, and its sampled share is at
 // most narrowShare, so one worker costs it less than waiting for two. A
-// scan-plan run, a DTW run or one with more to search wants every worker
-// from the start.
+// scan-plan run or one with more to search wants every worker from the
+// start. A DTW run is narrow or wide by the same rule, on the share of its
+// envelope's bounds.
 func (r *SearchRun) Narrow() bool { return !r.scan && r.share <= narrowShare }
 
 // rootBlock is how many activeRoots entries a tree-pass worker claims per

@@ -131,6 +131,7 @@ type laneModel struct {
 	k, m  [Lanes]int
 	act   uint64
 	cov   *coverage
+	pairs int // lane row pairs run
 }
 
 func (mo *laneModel) refill(stop uint64) {
@@ -150,6 +151,7 @@ func (mo *laneModel) refill(stop uint64) {
 func (mo *laneModel) run(limit float64, drain bool) (ds []float64, ks []int) {
 	mo.refill((1<<Lanes - 1) &^ mo.act)
 	for mo.act != 0 && (drain || mo.act == 1<<Lanes-1) {
+		mo.pairs += bits.OnesCount64(mo.act)
 		var stop uint64
 		rows := map[int]bool{}
 		for l := 0; l < Lanes; l++ {
@@ -182,6 +184,32 @@ func (mo *laneModel) run(limit float64, drain bool) (ds []float64, ks []int) {
 		}
 	}
 	return nil, nil
+}
+
+// rowsPerDP replays a stream of the case's candidates, bounded and run at
+// limit as BenchmarkBatch128Band13's stream arms run them, through the
+// lanes' schedule, and returns the mean rows a queued candidate's DP runs.
+func rowsPerDP(c *stageCase, limit float64) float64 {
+	mo := &laneModel{c: c, cov: &coverage{}}
+	dps := 0
+	drain := func(flush bool) {
+		for {
+			if d, _ := mo.run(limit, flush); len(d) == 0 {
+				return
+			}
+		}
+	}
+	for lo := 0; lo < len(c.xs); lo += Lanes {
+		for k := lo; k < min(lo+Lanes, len(c.xs)); k++ {
+			if _, ran := c.cascade(k, limit); ran {
+				mo.queue = append(mo.queue, k)
+				dps++
+			}
+		}
+		drain(false)
+	}
+	drain(true)
+	return 2 * float64(mo.pairs) / float64(dps)
 }
 
 // coverage records which of the schedule's edges a test reached.
@@ -575,6 +603,12 @@ func FuzzBatchMatchesCascade(f *testing.F) {
 //     the lanes in flight from pass to pass;
 //   - stream: the 1 024 walks through the whole stage at that limit, then
 //     one flush;
+//   - near: the same for 1 024 copies of the query under 3 dB noise, cut at
+//     half their own 10th-percentile DTW, so that, like serve-dtw's, most
+//     candidates get a DP (61 %) and it stops early (41 rows, 43 in
+//     serve-dtw; stream's DPs are few, 17 %, and run 110 rows);
+//   - rows/DP, on stream and near: the mean rows a DP runs, from a
+//     laneModel replay outside the timer;
 //   - lb/lanes and lb/scalar: the bound pass alone, on the assembly path
 //     and with the lane-by-lane fallback forced, unbounded (full) and at
 //     that limit (abandon).
@@ -627,21 +661,44 @@ func BenchmarkBatch128Band13(b *testing.B) {
 	stage("full", inf, inf)
 	stage("abandon", inf, cut)
 	stage("stage", cut, cut)
-	b.Run("stream", func(b *testing.B) {
-		var batch Batch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k, w := range walks {
-				if batch.Add(w, int32(k)) {
-					batch.Bound(l, u, cut)
-					drain(&batch, cut, false)
+	stream := func(name string, xs [][]float32, cut float64) {
+		b.Run(name, func(b *testing.B) {
+			var batch Batch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, x := range xs {
+					if batch.Add(x, int32(k)) {
+						batch.Bound(l, u, cut)
+						drain(&batch, cut, false)
+					}
 				}
+				drain(&batch, cut, true)
 			}
-			drain(&batch, cut, true)
+			perCandidate(b, len(xs))
+			b.StopTimer()
+			b.ReportMetric(rowsPerDP(newStageCase(q, xs, r), cut), "rows/DP")
+		})
+	}
+	stream("stream", walks, cut)
+	// near: 3 dB noisy copies of q. Cut at their 10th-percentile DTW, a
+	// queued copy's DP runs 109 rows, near the full 128; at half that cut
+	// every DP abandons partway, as nearly all of serve-dtw's do.
+	near := make([][]float32, count)
+	var sum, sq float64
+	for _, v := range q {
+		sum, sq = sum+float64(v), sq+float64(v)*float64(v)
+	}
+	sigma := math.Sqrt(sq/n-sum*sum/(n*n)) * math.Pow(10, -3.0/20)
+	for i := range near {
+		near[i] = make([]float32, n)
+		for j, v := range q {
+			near[i][j] = v + float32(rng.NormFloat64()*sigma)
 		}
-		perCandidate(b, count)
-	})
+		dists[i] = DistanceExact(q, near[i], r)
+	}
+	slices.Sort(dists)
+	stream("near", near, dists[count/10]/2)
 	saved := useAVX512
 	defer func() { useAVX512 = saved }()
 	for _, arm := range []struct {

@@ -296,7 +296,13 @@ func TestNarrowAndWideMatchScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		reqs = append(reqs, core.Request{Query: oodQuery(seed)})
 	}
-	reqs = append(reqs, core.Request{Query: qs.At(12), DTW: true, Window: 6})
+	// A DTW run is narrow or wide by its envelope's sampled share.
+	dtwNarrow := core.Request{Query: qs.At(12), DTW: true, Window: 6}
+	dtwWide := core.Request{Query: qs.At(13), DTW: true, Window: 6}
+	if !narrow(ix, dtwNarrow) || narrow(ix, dtwWide) {
+		t.Fatalf("DTW requests narrow=%v and %v, want true and false", narrow(ix, dtwNarrow), narrow(ix, dtwWide))
+	}
+	reqs = append(reqs, dtwNarrow, dtwWide)
 	want := make([]core.Result, len(reqs))
 	narrows := 0
 	for i, req := range reqs {

@@ -192,7 +192,9 @@ func adversarialQuery(member []float32) []float32 {
 // and adversarial ones the scan in every shard — asserted through
 // ScanPlans — with and without a delta beside the generation, and the
 // answers must equal brute force's bitwise either way; ε answers lie within
-// 1+ε, and DTW never scans.
+// 1+ε. Each shard's DTW run takes the plan its own share picks, and the
+// answer is brute force's whatever they pick; over all cases the DTW runs
+// must reach both plans.
 func checkViewPlans(t *testing.T, all *series.Collection) {
 	const baseLen, total, eps = 3000, 3600, 0.05
 	opts := core.Options{Segments: 4, LeafCapacity: 64}
@@ -210,6 +212,7 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 	e := New(opts, Options{PoolWorkers: 4})
 	defer e.Close()
 	window := dtw.WindowSize(testLength, 0.1)
+	var dtwScans, dtwTrees int64 // the shard runs' DTW plans, over every case
 	for _, S := range []int{1, 3} {
 		sx, err := shard.Build(sub(t, all, 0, baseLen), S, opts)
 		if err != nil {
@@ -229,15 +232,19 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 			}{{tree, 0}, {scanned, int64(S)}} {
 				for qi, q := range qc.queries {
 					name := fmt.Sprintf("S=%d, %s, query %d of the %d-scan set", S, vc.name, qi, qc.scans)
-					do := func(req core.Request, scans int64) core.Result {
+					do := func(req core.Request) core.Result {
 						t.Helper()
 						req.Query = q
 						res, err := e.Do(vc.view, req)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := res.Tally.ScanPlans; got != scans {
-							t.Fatalf("%s, %+v: %d scan plans, want %d", name, req, got, scans)
+						got := res.Tally.ScanPlans
+						if req.DTW && (got < 0 || got > int64(S)) {
+							t.Fatalf("%s, %+v: %d scan plans over %d shards", name, req, got, S)
+						}
+						if !req.DTW && got != qc.scans {
+							t.Fatalf("%s, %+v: %d scan plans, want %d", name, req, got, qc.scans)
 						}
 						return res
 					}
@@ -247,7 +254,7 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if res := do(core.Request{K: k}, qc.scans); !res.Exact || !reflect.DeepEqual(res.Matches, want) {
+						if res := do(core.Request{K: k}); !res.Exact || !reflect.DeepEqual(res.Matches, want) {
 							t.Fatalf("%s k=%d: %+v, brute force %+v", name, k, res.Matches, want)
 						}
 					}
@@ -255,23 +262,31 @@ func checkViewPlans(t *testing.T, all *series.Collection) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res := do(core.Request{Mode: core.ModeEpsilon, Epsilon: eps}, qc.scans)
+					res := do(core.Request{Mode: core.ModeEpsilon, Epsilon: eps})
 					if math.Sqrt(res.Matches[0].Dist) > (1+eps)*math.Sqrt(want1.Dist) {
 						t.Fatalf("%s: ε answer %+v beyond (1+ε)·%v", name, res.Matches[0], want1.Dist)
 					}
-					if qi >= 2 {
-						continue // DTW is slow: one query of each tier
+					if qi < 2 {
+						// DTW is slow: one query of each tier, the second,
+						// since the first pair scans in every shard.
+						continue
 					}
 					wantD, err := scan.SearchDTWBounded(data, q, window, 1, math.Inf(1), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res := do(core.Request{DTW: true, Window: window}, 0); !res.Exact || res.Matches[0] != wantD {
+					res = do(core.Request{DTW: true, Window: window})
+					if !res.Exact || res.Matches[0] != wantD {
 						t.Fatalf("%s: DTW %+v, brute force %+v", name, res.Matches, wantD)
 					}
+					dtwScans += res.Tally.ScanPlans
+					dtwTrees += int64(S) - res.Tally.ScanPlans
 				}
 			}
 		}
+	}
+	if dtwScans == 0 || dtwTrees == 0 {
+		t.Fatalf("DTW runs took %d scan plans and %d tree plans, want both", dtwScans, dtwTrees)
 	}
 }
 
