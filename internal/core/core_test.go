@@ -425,6 +425,60 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 	}
 }
 
+// TestDTWWordBoundBelowLBKeogh holds the DTW kernel's word bound, the
+// table prepare builds from the envelope's PAA, below LB_Keogh, and
+// LB_Keogh below the DTW, for every series of the three generator
+// families against their queries, at windows from 0 to a third of the
+// series. Each sums its terms in its own order, so each may round a few
+// ulps above the next (at window 0 all three are the same sum); the
+// kernel's abandon tests allow dtwSlack for that, and so does this one.
+func TestDTWWordBoundBelowLBKeogh(t *testing.T) {
+	const n = 128
+	for _, kind := range []dataset.Kind{dataset.RandomWalk, dataset.SeismicLike, dataset.SALDLike} {
+		ix := buildTestIndex(t, kind, 300, n, smallOpts())
+		queries, err := dataset.Queries(kind, 4, n, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := ix.Schema.Segments
+		tab := ix.Schema.NewDistTable()
+		for qi := 0; qi < queries.Count(); qi++ {
+			q := queries.At(qi)
+			for _, window := range []int{0, 6, 13, 40} {
+				k := newKernel(Request{Query: q, DTW: true, Window: window}).(*warped)
+				k.prepare(tab, nil)
+				for pos := 0; pos < ix.Data.Count(); pos++ {
+					x := ix.Data.At(pos)
+					word := ix.Schema.WordFromPAA(paa.Transform(x, w, nil), nil)
+					bound := tab.MinDistWord(word)
+					lb := dtw.LBKeogh(x, k.lower, k.upper, math.Inf(1))
+					d := dtw.Distance(q, x, window, math.Inf(1))
+					if bound > lb*dtwSlack || lb > d*dtwSlack {
+						t.Fatalf("%s query %d window %d series %d: word bound %v, LB_Keogh %v, DTW %v", kind, qi, window, pos, bound, lb, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDTWSeedFindsMemberAtWindowZero: at window 0 the envelope is the
+// query, so the DTW table is the Euclidean one, and the seed of an exact
+// DTW run of a member query (z-normalized again, so ~0 away) measures its
+// own series among its leaf's best-bound entries. The index is
+// checkPlans' shape at 128 points (4 segments), where the envelope's
+// extremes in place of its means tied many entries of the leaf at 0.
+func TestDTWSeedFindsMemberAtWindowZero(t *testing.T) {
+	opts := smallOpts()
+	opts.Segments, opts.LeafCapacity = 4, 64
+	ix := buildTestIndex(t, dataset.RandomWalk, 3000, 128, opts)
+	for qi, q := range memberTier.queries(ix.Data, 20, 41) {
+		if seed := newRun(ix, Request{Query: q, DTW: true}, SearchOptions{}).bnd.Load(); seed > 1e-9 {
+			t.Fatalf("member query %d: DTW seed at %v, want ~0", qi, seed)
+		}
+	}
+}
+
 func TestSearchDTWValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
 	if _, err := dtwNN(ix, ix.Data.At(0), -1, SearchOptions{}); err == nil {

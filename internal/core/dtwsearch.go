@@ -10,13 +10,13 @@ import (
 // around the query series, and then search the index using this envelope."
 // Concretely, a Request with DTW set runs the same SearchRun with the
 // warped kernel: node pruning uses MINDIST between the envelope's
-// per-segment bounds and the node summary — served from the same per-query
-// distance table as the Euclidean path, built from the envelope summary
-// instead of the PAA — and per-series filtering cascades that bound, then
-// LB_Keogh on the raw series, then the DTW itself. The LB_Keogh bounds run
-// eight candidates at a time and the DPs in eight refilling lanes
-// (dtw.Batch), through the kernel's measure and flush, in refine and in a
-// position-order scan alike. The plan is the Euclidean one too: the run
+// per-segment means and the node summary — served from the same per-query
+// distance table as the Euclidean path, built from the envelope's PAA
+// instead of the query's — and per-series filtering cascades that bound,
+// then LB_Keogh on the raw series, then the DTW itself. The LB_Keogh
+// bounds run eight candidates at a time and the DPs in sixteen refilling
+// float32 lanes (dtw.Batch), through the kernel's measure and flush, in
+// refine and in a position-order scan alike. The plan is the Euclidean one too: the run
 // samples the share of words whose envelope bound survives the seed's
 // bound and scans above the one crossover. An approximate DTW answer
 // is the seeding descent alone: warping alignment keeps the query's natural
@@ -25,11 +25,12 @@ import (
 
 // warped is the DTW kernel: the query, its warping window and its
 // LB_Keogh envelope (newKernel builds it). The distance table is built from
-// the envelope's per-segment summary (max of the upper envelope, min of the
-// lower). It measures candidates through the worker's dtw.Batch, on the
-// tree and on a scan alike: measure holds each candidate until eight are
-// pending, their LB_Keogh bounds run in one pass, and the survivors' DPs
-// run in eight lanes, each taking the next survivor as its DP stops.
+// the envelope's PAA, the segment means of the upper and of the lower
+// envelope (isax.DistTable.BuildEnvelope says why they bound LB_Keogh). It
+// measures candidates through the worker's dtw.Batch, on the tree and on
+// a scan alike: measure holds each candidate until eight are pending,
+// their LB_Keogh bounds run in one pass, and the survivors' DPs run in
+// sixteen lanes, each taking the next survivor as its DP stops.
 type warped struct {
 	query        []float32
 	window       int
@@ -38,7 +39,7 @@ type warped struct {
 
 func (k *warped) prepare(tab *isax.DistTable, _ []float64) {
 	w := tab.Schema().Segments
-	tab.BuildEnvelope(paa.SegmentMax(k.upper, w, nil), paa.SegmentMin(k.lower, w, nil))
+	tab.BuildEnvelope(paa.Transform(k.upper, w, nil), paa.Transform(k.lower, w, nil))
 }
 
 // measure holds candidate x, at position pos, in the batch's pending stage,

@@ -376,9 +376,9 @@ func (c *offerCounter) Matches() []Match { return nil }
 // TestScanPhaseMeasuresEverySeries: the scan plan's workers, claiming blocks
 // concurrently, measure every series exactly once — including the short
 // last block — whatever the worker count, and the query's tally counts each
-// measurement once. The DTW kernel's batches of dtw.Lanes end mid-batch at
-// the last block's end, so a block whose queued DPs were not flushed shows
-// as unmeasured series.
+// measurement once. The DTW kernel's bound passes of dtw.Lanes and its
+// dtw.DPLanes DP lanes end mid-batch at the last block's end, so a block
+// whose queued DPs were not flushed shows as unmeasured series.
 func TestScanPhaseMeasuresEverySeries(t *testing.T) {
 	const count = 2*scanBlock + 37
 	ix := buildTestIndex(t, dataset.RandomWalk, count, 64, smallOpts())

@@ -558,6 +558,9 @@ func (r *SearchRun) prepareTable(st *QueryState, qpaa []float64) {
 // and above 0.9 the scan wins all 35, OOD among them (1.02–1.57). Tree
 // alone 5.37/5.48 ms, scan alone 4.93/4.92; the sweep is flat from 0.4 to
 // 0.9, and at 0.5 (4.86/4.87) it is 0.3/0.2 % above its best grid point.
+// With the DPs in sixteen float32 lanes and the envelope's PAA in the
+// table: tree alone 5.23/4.60 ms, scan alone 4.75/4.02, planned 4.57/3.97,
+// 0.6/0.0 % above the best grid point (t = 0.7/0.5).
 //
 // It could not go lower anyway: member k-NN queries, whose 5th-nearest
 // bound after the approximate search leaves shares of up to 0.49 on a small

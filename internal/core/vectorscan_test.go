@@ -340,30 +340,43 @@ func refinePlain(ix *Index, leaf *tree.Node, lbs []float64, scale, escale float6
 // limit times this.
 const dtwSlack = 1 + 1e-9
 
-// dtwLanes replays the DTW kernel's DP lanes on plain DPs: dtw.Lanes lanes
-// take the queued candidates in order; a call first hands the queue to the
-// free lanes, then runs row pairs while every lane is busy (or, draining,
-// while any is). After a pair, a lane whose last row is done stops, and is
-// returned when its distance is below limit; any other lane stops once
-// its row pair's bound, the row minimum plus the LB_Keogh of the columns
-// beyond its band, reaches limit·dtwSlack. The stopped lanes take the next
-// queued candidates in lane order, and a call returns after a pair that
-// returns a lane.
+// dtwFloor is internal/dtw's floor32: the lower bound a float32 DP cell c
+// of a series of n points gives of the exact cell, c·κ(n) for 2⁻⁸⁰ ≤ c <
+// +Inf, else 0.
+func dtwFloor(c float32, n int) float64 {
+	if c < 0x1p-80 || math.IsInf(float64(c), 1) {
+		return 0
+	}
+	kappa := 1 - (float64(float64(2*n+4)*0x1p-24) + float64(float64(2*n)*0x1p-70) + 0x1p-50)
+	return float64(float64(c) * kappa)
+}
+
+// dtwLanes replays the DTW kernel's DP lanes on plain DPs: dtw.DPLanes
+// lanes take the queued candidates in order; a call first hands the queue
+// to the free lanes, then runs row pairs while every lane is busy (or,
+// draining, while any is). The lanes' DPs are float32. After a pair, a
+// lane whose last row is done stops, and is returned when dtwFloor of its
+// float32 distance is below limit·dtwSlack and its float64 distance is
+// below limit; any other lane stops once its row pair's bound, dtwFloor
+// of the row minimum plus the LB_Keogh of the columns beyond its band,
+// reaches limit·dtwSlack. The stopped lanes take the next queued
+// candidates in lane order, and a call returns after a pair that returns
+// a lane.
 type dtwLanes struct {
 	queue  []int32
-	pos    [dtw.Lanes]int32
-	m      [dtw.Lanes]int // row pairs done
+	pos    [dtw.DPLanes]int32
+	m      [dtw.DPLanes]int // row pairs done
 	act    uint64
 	traces map[int32]dtwTrace
 }
 
 type dtwTrace struct {
 	bounds []float64
-	d      float64
+	fin, d float64
 }
 
 func (ls *dtwLanes) refill(stop uint64) {
-	for l := 0; l < dtw.Lanes; l++ {
+	for l := 0; l < dtw.DPLanes; l++ {
 		if stop&(1<<l) == 0 {
 			continue
 		}
@@ -377,11 +390,11 @@ func (ls *dtwLanes) refill(stop uint64) {
 }
 
 func (ls *dtwLanes) run(ix *Index, k *warped, limit float64, drain bool) (ds []float64, ps []int32) {
-	const all = 1<<dtw.Lanes - 1
+	const all = 1<<dtw.DPLanes - 1
 	ls.refill(all &^ ls.act)
 	for ls.act != 0 && (drain || ls.act == all) {
 		var stop uint64
-		for l := 0; l < dtw.Lanes; l++ {
+		for l := 0; l < dtw.DPLanes; l++ {
 			if ls.act&(1<<l) == 0 {
 				continue
 			}
@@ -390,17 +403,16 @@ func (ls *dtwLanes) run(ix *Index, k *warped, limit float64, drain bool) (ds []f
 				if ls.traces == nil {
 					ls.traces = map[int32]dtwTrace{}
 				}
-				tr.bounds, tr.d = pairBounds(k, ix.Data.At(int(ls.pos[l])))
+				tr = pairBounds(k, ix.Data.At(int(ls.pos[l])))
 				ls.traces[ls.pos[l]] = tr
 			}
-			bounds, d := tr.bounds, tr.d
 			switch {
-			case ls.m[l] == len(bounds):
+			case ls.m[l] == len(tr.bounds):
 				stop |= 1 << l
-				if d < limit {
-					ds, ps = append(ds, d), append(ps, ls.pos[l])
+				if tr.fin < limit*dtwSlack && tr.d < limit {
+					ds, ps = append(ds, tr.d), append(ps, ls.pos[l])
 				}
-			case bounds[ls.m[l]] >= limit*dtwSlack:
+			case tr.bounds[ls.m[l]] >= limit*dtwSlack:
 				stop |= 1 << l
 			default:
 				ls.m[l]++
@@ -414,37 +426,38 @@ func (ls *dtwLanes) run(ix *Index, k *warped, limit float64, drain bool) (ds []f
 	return nil, nil
 }
 
-// pairBounds runs the plain DP of x against k's query: it returns the
-// bound of each row pair but the last (row 2m+1's minimum plus the LB_Keogh
-// of the columns beyond its band) and the distance.
-func pairBounds(k *warped, x []float32) ([]float64, float64) {
+// pairBounds runs the plain float32 DP of x against k's query, as the
+// lanes do: it returns the bound of each row pair but the last (dtwFloor
+// of row 2m+1's minimum plus the LB_Keogh of the columns beyond its band)
+// and of the float32 distance, and the float64 distance, Cascade's.
+func pairBounds(k *warped, x []float32) dtwTrace {
 	q, r, n := k.query, k.window, len(k.query)
-	inf := math.Inf(1)
-	prev, cur := make([]float64, n+1), make([]float64, n+1) // column j at j+1
+	inf := float32(math.Inf(1))
+	prev, cur := make([]float32, n+1), make([]float32, n+1) // column j at j+1
 	for j := range prev {
 		prev[j] = inf
 	}
 	prev[0] = 0
-	mins := make([]float64, n)
+	mins := make([]float32, n)
 	for i := 0; i < n; i++ {
 		for j := range cur {
 			cur[j] = inf
 		}
 		mins[i] = inf
 		for j := max(i-r, 0); j <= min(i+r, n-1); j++ {
-			d := float64(q[i]) - float64(x[j])
-			cur[j+1] = min(prev[j+1], prev[j], cur[j]) + d*d
+			d := q[i] - x[j]
+			cur[j+1] = float32(min(prev[j+1], prev[j], cur[j]) + float32(d*d))
 			mins[i] = min(mins[i], cur[j+1])
 		}
 		prev, cur = cur, prev
 	}
 	p := make([]float64, n)
-	vector.EnvelopePrefixEarlyAbandon(x, k.lower, k.upper, p, inf)
-	bounds := make([]float64, (n-1)/2)
-	for m := range bounds {
-		bounds[m] = mins[2*m+1] + (p[n-1] - p[min(2*m+1+r, n-1)])
+	vector.EnvelopePrefixEarlyAbandon(x, k.lower, k.upper, p, math.Inf(1))
+	tr := dtwTrace{bounds: make([]float64, (n-1)/2), fin: dtwFloor(prev[n], n), d: dtw.Distance(q, x, r, math.Inf(1))}
+	for m := range tr.bounds {
+		tr.bounds[m] = dtwFloor(mins[2*m+1], n) + (p[n-1] - p[min(2*m+1+r, n-1)])
 	}
-	return bounds, prev[n]
+	return tr
 }
 
 // syntheticLeaf builds a leaf holding exactly the given series, with their

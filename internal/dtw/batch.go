@@ -8,9 +8,13 @@ import (
 	"repro/internal/vector"
 )
 
-// Lanes is how many candidates a Batch measures at once: one per float64
+// Lanes is how many candidates a Batch bounds at once: one per float64
 // lane of a 512-bit register.
 const Lanes = 8
+
+// DPLanes is how many candidates' DPs a Batch runs at once: one per
+// float32 lane of a 512-bit register.
+const DPLanes = 16
 
 // ringSlack is how many columns the DP kernel's ring holds beyond the
 // 2r+2 a row pair reads; the kernel moves its window back to the ring's
@@ -18,11 +22,21 @@ const Lanes = 8
 const ringSlack = 64
 
 // Batch is Cascade split into two stages, so that Lanes candidates of one
-// query take their LB_Keogh bounds together and Lanes run their DPs side
-// by side. Add holds a candidate in the pending stage; Bound takes the
-// LB_Keogh prefix sums of every pending candidate against one limit and
-// queues the candidates it did not rule out, in the order Add took them;
-// Run and Flush run the queued DPs in Lanes lanes.
+// query take their LB_Keogh bounds together and DPLanes run their DPs
+// side by side. Add holds a candidate in the pending stage; Bound takes
+// the LB_Keogh prefix sums of every pending candidate against one limit
+// and queues the candidates it did not rule out, in the order Add took
+// them; Run and Flush run the queued DPs in DPLanes lanes.
+//
+// The lanes run the DP in float32, and a float32 cell is no exact cell:
+// floor32 turns it into a lower bound of the exact one. A lane abandons
+// once that bound of its row minimum plus its LB_Keogh suffix reaches the
+// widened limit, which Cascade's float64 DP, at the same limit, would
+// also reach by the end; a lane whose DP finishes with a bound below the
+// widened limit runs its DP again in float64 (Distance, bitwise
+// Cascade's), and is a result when that distance is below the limit. So
+// the results are exactly the candidates Cascade finds below the limit,
+// with Cascade's distances.
 //
 // The lanes refill: a lane whose DP abandons or finishes takes the next
 // queued candidate at its next row pair, so a DP costs the rows it needs,
@@ -35,32 +49,31 @@ const ringSlack = 64
 // and the next Add may follow.
 //
 // With AVX-512 F both stages run in assembly, one candidate per lane, each
-// lane doing Cascade's operations in Cascade's order. The DP cells are held
-// in band coordinates (cell (i, j) at k = j − i + r), so every lane's
-// neighbours are the same 64-byte lines whatever row it is at, and each
-// candidate's points are written into a shared column ring at the step at
-// which it entered its lane. Without AVX-512 F, Bound takes the candidates
-// lane by lane through vector.EnvelopePrefixEarlyAbandon and each lane
-// runs Cascade's DP a row pair at a time, in the same schedule. Either way
-// the queue gets exactly the candidates Cascade would run at Bound's
-// limit, every lane stops at the row pair where Cascade, at the limits it
-// was run against, would, and a result below the limit is bitwise
-// Cascade's. A Batch is one worker's: it is not safe for concurrent use.
-// The zero value is ready.
+// lane doing the float32 DP's operations in its order. The DP cells are
+// held in band coordinates (cell (i, j) at k = j − i + r), so every
+// lane's neighbours are the same 64-byte lines whatever row it is at, and
+// each candidate's points are written into a shared column ring at the
+// step at which it entered its lane. Without AVX-512 F, Bound takes the
+// candidates lane by lane through vector.EnvelopePrefixEarlyAbandon and
+// each lane runs the float32 DP a row pair at a time (pair32), in the same
+// schedule. Either way the queue gets exactly the candidates Cascade would
+// run at Bound's limit and both arms stop every lane at the same row
+// pair. A Batch is one worker's: it is not safe for concurrent use. The
+// zero value is ready.
 type Batch struct {
 	lanes
 	np int // candidates in the pending stage
 
 	// room holds, with AVX-512 F, the column ring, the two DP rows, the
 	// query points of the next row pair and each lane's LB_Keogh suffix
-	// sums; held keeps every candidate in flight referenced.
-	room []float64
-	held [Lanes][]float32
+	// sums; held[l] is the candidate of lane l.
+	room []uint64
+	held [DPLanes][]float32
 
-	fb [Lanes]laneDP // without AVX-512 F: each lane's DP
+	fb [DPLanes]laneDP // without AVX-512 F: each lane's DP
 
-	out   [Lanes]float64
-	outID [Lanes]int32
+	out   [DPLanes]float64
+	outID [DPLanes]int32
 }
 
 // lanes is what the DP kernel reads and writes; the assembly reaches its
@@ -76,26 +89,26 @@ type lanes struct {
 
 	// The geometry, fixed while a lane is in flight: the query's length,
 	// the band radius, each lane's suffix sums (one per abandon test of a
-	// DP, (n-1)/2, padded to stride, a multiple of Lanes) and the ring's
-	// size in columns. sufOff[l] is lane l's suffix sums' byte offset,
-	// hiOff[u] the byte offset of prefix column 1+r+2u.
+	// DP, (n-1)/2, padded to stride, a multiple of Lanes), the ring's size
+	// in columns and floor32's factor for n. sufIdx[l] is lane l's suffix
+	// sums' offset in 4-byte units, hiOff[u] the byte offset of prefix
+	// column 1+r+2u.
 	n, r, stride, size int
-	sufOff, hiOff      [Lanes]int64
+	kappa              float64
+	sufIdx             [DPLanes]int32
+	hiOff              [Lanes]int64
 
 	// The lanes: the step of the next row pair, the lanes in flight, the
 	// lanes that took a candidate during the last call and the pending
 	// slot each took last; each lane's entry step, candidate address and
-	// id; and, for the lanes the last call reported, their results and
-	// ids.
+	// id.
 	t       int
 	act     uint64
 	entered uint64
-	took    [Lanes]uint8
-	start   [Lanes]int64
-	x       [Lanes]uintptr
-	id      [Lanes]int32
-	rid     [Lanes]int32
-	d       [Lanes]float64
+	took    [DPLanes]uint8
+	start   [DPLanes]int32
+	x       [DPLanes]uintptr
+	id      [DPLanes]int32
 
 	// Addresses in room: the ring (column p of every lane at ring+64·p),
 	// the previous and current rows (2r+3 lines, cell k at line k+1, +Inf
@@ -104,12 +117,11 @@ type lanes struct {
 	ring, prev, cur, qrow, suf uintptr
 }
 
-// laneDP is one lane's DP without AVX-512 F: its candidate, the candidate's
-// LB_Keogh prefix sums, its two DP rows and its next row.
+// laneDP is one lane's DP without AVX-512 F: its candidate's LB_Keogh
+// prefix sums, its two float32 DP rows and its next row.
 type laneDP struct {
-	x         []float32
 	pre       []float64
-	prev, cur []uint64
+	prev, cur []uint32
 	i         int
 }
 
@@ -194,21 +206,31 @@ func (b *Batch) run(q []float32, r int, limit float64, drain bool) ([]float64, [
 	// r outside [0, n) is a caller's bug; the clamp keeps the kernel's
 	// writes inside room.
 	b.layout(n, min(max(r, 0), n-1))
-	var rep uint64
-	if useAVX512 {
-		rep = bandLanes(&b.lanes, &q[0], limit, limit*slack, drain)
-		for e := b.entered; e != 0; e &= e - 1 {
-			l := bits.TrailingZeros64(e)
-			b.held[l] = b.px[b.took[l]]
-		}
-	} else {
-		rep = b.runLanes(q, limit, limit*slack, drain)
-	}
 	k := 0
-	for ; rep != 0; rep &= rep - 1 {
-		l := bits.TrailingZeros64(rep)
-		b.out[k], b.outID[k] = b.d[l], b.rid[l]
-		k++
+	for k == 0 {
+		var rep uint64
+		if useAVX512 {
+			rep = bandLanes(&b.lanes, &q[0], limit*slack, drain)
+			for e := b.entered; e != 0; e &= e - 1 {
+				l := bits.TrailingZeros64(e)
+				b.held[l] = b.px[b.took[l]]
+			}
+		} else {
+			rep = b.runLanes(q, limit*slack, drain)
+		}
+		if rep == 0 {
+			break
+		}
+		// The reported lanes' float32 distances bound theirs from below;
+		// each runs again in float64, and the next call goes on when
+		// none is below limit.
+		for ; rep != 0; rep &= rep - 1 {
+			l := bits.TrailingZeros64(rep)
+			if d := Distance(q, b.held[l], b.r, math.Inf(1)); d < limit {
+				b.out[k], b.outID[k] = d, b.id[l]
+				k++
+			}
+		}
 	}
 	if b.act == 0 && b.queue == 0 {
 		clear(b.px[:]) // drop the references to the candidates
@@ -229,76 +251,79 @@ func (b *Batch) layout(n, r int) {
 	b.n, b.r = n, r
 	b.stride = ((n-1)/2 + Lanes - 1) / Lanes * Lanes
 	b.size = 2*r + 2 + ringSlack
+	b.kappa = kappa(n)
 	b.t = r // a row pair reads the ring from column t-r on
-	for l := range b.sufOff {
-		b.sufOff[l] = int64(8 * l * b.stride)
-		b.hiOff[l] = int64(64 * (1 + r + 2*l))
+	for l := range b.sufIdx {
+		b.sufIdx[l] = int32(2 * l * b.stride)
+	}
+	for u := range b.hiOff {
+		b.hiOff[u] = int64(64 * (1 + r + 2*u))
 	}
 	if !useAVX512 {
 		for l := range b.fb {
 			f := &b.fb[l]
-			rows := make([]uint64, 2*(n+2))
+			rows := make([]uint32, 2*(n+2))
 			f.prev, f.cur, f.pre = rows[:n+2], rows[n+2:], make([]float64, n)
 		}
 		return
 	}
-	// The room in 64-byte lines: the ring, two rows, the query points,
-	// the suffix sums; one more line to align it to 64 bytes.
+	// The room in 64-byte lines of 8 words: the ring, two rows, the query
+	// points, the suffix sums (two lines per pair of every lane); one
+	// more line to align it to 64 bytes.
 	row := 2*r + 3
-	lines := b.size + 2*row + 2 + b.stride
-	if len(b.room) < Lanes*(lines+1) {
-		b.room = make([]float64, Lanes*(lines+1))
+	lines := b.size + 2*row + 2 + 2*b.stride
+	if len(b.room) < 8*(lines+1) {
+		b.room = make([]uint64, 8*(lines+1))
 	}
 	o := int(-uintptr(unsafe.Pointer(&b.room[0]))&63) / 8
-	at := func(line int) uintptr { return uintptr(unsafe.Pointer(&b.room[o+Lanes*line])) }
+	at := func(line int) uintptr { return uintptr(unsafe.Pointer(&b.room[o+8*line])) }
 	prev, cur := b.size, b.size+row
 	b.ring, b.prev, b.cur = at(0), at(prev), at(cur)
 	b.qrow, b.suf = at(cur+row), at(cur+row+2)
 	for _, guard := range []int{prev, prev + row - 1, cur, cur + row - 1} {
-		for l := range Lanes {
-			b.room[o+Lanes*guard+l] = math.Float64frombits(inf)
+		for w := range 8 {
+			b.room[o+8*guard+w] = uint64(inf32)<<32 | uint64(inf32)
 		}
 	}
 }
 
-// runLanes is bandLanes without AVX-512 F: each lane runs Cascade's DP a
-// row pair at a time, in bandLanes' schedule (see refill).
-func (b *Batch) runLanes(q []float32, limit, slacked float64, drain bool) uint64 {
+// runLanes is bandLanes without AVX-512 F: each lane runs the float32 DP
+// a row pair at a time, in bandLanes' schedule (see refill).
+func (b *Batch) runLanes(q []float32, slacked float64, drain bool) uint64 {
+	const all = 1<<DPLanes - 1
 	n, r := b.n, b.r
-	b.refill((1<<Lanes - 1) &^ b.act)
-	for b.act != 0 && (drain || b.act == 1<<Lanes-1) {
+	b.refill(all &^ b.act)
+	for b.act != 0 && (drain || b.act == all) {
 		var stop, rep uint64
 		for a := b.act; a != 0; a &= a - 1 {
 			l := bits.TrailingZeros64(a)
-			f := &b.fb[l]
-			var d uint64
+			f, x := &b.fb[l], b.held[l]
+			var d uint32
 			switch {
 			case f.i == n-1: // n is odd: the last row alone
-				d = lastRow(q, f.x, r, f.prev)
+				d = lastRow32(q, x, r, f.prev)
 			case f.i+2 == n: // n is even: the last row pair
-				pair(q, f.x, r, f.i, f.prev, f.cur)
+				pair32(q, x, r, f.i, f.prev, f.cur)
 				d = f.cur[n]
 			default:
-				rowMin := pair(q, f.x, r, f.i, f.prev, f.cur)
+				rowMin := pair32(q, x, r, f.i, f.prev, f.cur)
 				f.prev, f.cur = f.cur, f.prev
-				bound := math.Float64frombits(rowMin)
-				bound += f.pre[n-1] - f.pre[min(f.i+1+r, n-1)]
-				if bound >= slacked {
+				if floor32(rowMin, b.kappa)+(f.pre[n-1]-f.pre[min(f.i+1+r, n-1)]) >= slacked {
 					stop |= 1 << l
 				}
 				f.i += 2
 				continue
 			}
 			stop |= 1 << l
-			if dl := math.Float64frombits(d); dl < limit {
+			if floor32(d, b.kappa) < slacked {
 				rep |= 1 << l
-				b.d[l], b.rid[l] = dl, b.id[l]
 			}
 		}
-		b.refill(stop)
-		if rep != 0 {
+		if rep != 0 { // the stopped lanes refill at the next call
+			b.act &^= stop
 			return rep
 		}
+		b.refill(stop)
 	}
 	return 0
 }
@@ -315,10 +340,104 @@ func (b *Batch) refill(stop uint64) {
 		l, src := bits.TrailingZeros64(stop), bits.TrailingZeros64(b.queue)
 		b.queue &= b.queue - 1
 		b.act |= 1 << l
-		b.id[l] = b.pid[src]
+		b.id[l], b.held[l] = b.pid[src], b.px[src]
 		f := &b.fb[l]
-		f.x, f.i = b.px[src], 0
+		f.i = 0
 		copy(f.pre, b.slab[src*n:(src+1)*n])
-		startRow(f.prev, b.r)
+		startRow32(f.prev, b.r)
 	}
+}
+
+// inf32 is the bit pattern of float32 +Inf, the guard cell of the lanes'
+// rows; least32 is that of 2^-80, the least cell floor32 reads.
+const (
+	inf32   uint32 = 0x7F80_0000
+	least32 uint32 = 0x1780_0000
+)
+
+// kappa returns floor32's factor for series of n points, 1 − (2n+4)·2⁻²⁴
+// − 2n·2⁻⁷⁰ − 2⁻⁵⁰ (see floor32), with no FMA on any GOARCH.
+func kappa(n int) float64 {
+	return 1 - (float64(float64(2*n+4)*0x1p-24) + float64(float64(2*n)*0x1p-70) + 0x1p-50)
+}
+
+// floor32 returns a lower bound of the exact cell (the DP of the real
+// numbers) whose float32 DP cell has bit pattern c, given kappa(n): c·κ
+// when 2⁻⁸⁰ ≤ c < +Inf, else 0.
+//
+// The proof. Let u = 2⁻²⁴ and Ω the largest float32. A float32 cell is
+// fl(m + fl(fl(a−x)²)), m the least of its neighbours; every term is
+// non-negative, and rounding to nearest and min are monotone. A finite
+// rounded sum or difference is within a factor (1+u) of the exact one
+// (exact when subnormal); a finite rounded square is within (1+u), plus
+// at most 2⁻¹⁵⁰ when it underflows. So a finite cost is at most (1+u)²
+// times its exact value plus 2⁻¹⁵⁰, and each cell's addition multiplies
+// by at most (1+u) more. By induction over the anti-diagonals, along the
+// exact DP's best path to a cell (p ≤ 2n−1 cells), min(c, Ω) ≤ ρ(n)·(E +
+// 2n·2⁻¹⁵⁰), with E the exact cell and ρ(n) = (1+u)^(2n+4): a cell that
+// is +Inf overflowed, so its exact sum is above Ω/ρ already. For a
+// finite row minimum the same holds against the exact row minimum, and
+// so E ≥ c/ρ − 2n·2⁻¹⁵⁰. Since 1/ρ ≥ 1 − (2n+4)u, and 2n·2⁻¹⁵⁰ ≤
+// c·2n·2⁻⁷⁰ for c ≥ 2⁻⁸⁰, E ≥ c·(1 − (2n+4)u − 2n·2⁻⁷⁰); the last 2⁻⁵⁰ of
+// κ covers the rounding of κ itself. Below 2⁻⁸⁰ and at +Inf the bound is
+// 0, which holds for every cell: a lane never abandons on such a row
+// minimum, and a lane finishing with such a distance always runs again
+// in float64. The product, and its sum with a float64 suffix, round a
+// few ulps, as Cascade's own bounds do; slack covers them.
+func floor32(c uint32, kappa float64) float64 {
+	if c-least32 >= inf32-least32 {
+		return 0
+	}
+	return float64(float64(math.Float32frombits(c)) * kappa)
+}
+
+// cell32 is cell in float32: the conversions round the square and the
+// sum to float32, so no GOARCH fuses them into an FMA or keeps them wider.
+func cell32(up, diag, left uint32, d float32) uint32 {
+	return math.Float32bits(float32(math.Float32frombits(min(up, diag, left)) + float32(d*d)))
+}
+
+// startRow32 is startRow in float32 cells.
+func startRow32(prev []uint32, r int) {
+	prev[0] = 0
+	for j := 1; j <= min(r, len(prev)-3)+1; j++ {
+		prev[j] = inf32
+	}
+}
+
+// pair32 is pair in float32 cells: the lanes' DP.
+func pair32(a, b []float32, r, i int, prev, cur []uint32) uint32 {
+	n := len(a)
+	lo, hi := max(i+1-r, 0), min(i+1+r, n-1)
+	a1, a2 := a[i], a[i+1]
+	left1, left2, rowMin := inf32, inf32, inf32
+	j := max(i-r, 0)
+	for ; j < lo; j++ { // row i alone
+		left1 = cell32(prev[j+1], prev[j], left1, a1-b[j])
+	}
+	for ; j <= min(i+r, n-1); j++ { // both rows
+		x := b[j]
+		c := cell32(prev[j+1], prev[j], left1, a1-x)
+		left2 = cell32(c, left1, left2, a2-x)
+		left1 = c
+		cur[j+1] = left2
+		rowMin = min(rowMin, left2)
+	}
+	for ; j <= hi; j++ { // row i+1 alone
+		left2 = cell32(inf32, left1, left2, a2-b[j])
+		cur[j+1] = left2
+		rowMin = min(rowMin, left2)
+	}
+	cur[lo], cur[hi+2] = inf32, inf32
+	return rowMin
+}
+
+// lastRow32 is lastRow in float32 cells.
+func lastRow32(a, b []float32, r int, prev []uint32) uint32 {
+	n := len(a)
+	ai, left := a[n-1], inf32
+	for j := max(n-1-r, 0); j < n; j++ {
+		left = cell32(prev[j+1], prev[j], left, ai-b[j])
+	}
+	return left
 }

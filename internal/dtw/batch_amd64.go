@@ -7,16 +7,18 @@ import "repro/internal/cpu"
 var useAVX512 = cpu.AVX512F
 
 // bandLanes runs the lanes of s on its queued candidates against q, as
-// Batch.Run and Batch.Flush (drain) describe: each lane does Cascade's DP
-// a row pair at a time, stops once its row minimum plus its LB_Keogh
-// suffix reaches slacked (limit widened by slack) or its last row is done,
-// and a stopped lane takes the next queued candidate. It returns a mask of
-// the lanes whose DP finished below limit at the row pair it stopped at;
-// their distances and ids are in s.d and s.rid. s's geometry and room
-// must have been laid out for q (Batch.layout).
+// Batch.Run and Batch.Flush (drain) describe: each lane does the float32
+// DP (pair32) a row pair at a time, stops once floor32 of its row minimum
+// plus its LB_Keogh suffix reaches slacked (the limit widened by slack)
+// or its last row is done, and a stopped lane takes the next queued
+// candidate. After a pair at which a lane finishes with floor32 of its
+// distance below slacked, it returns a mask of those lanes, whose ids and
+// candidates are still in s; the lanes stopped at that pair are free, to
+// take candidates at the next call. s's geometry and room must have been
+// laid out for q (Batch.layout).
 //
 //go:noescape
-func bandLanes(s *lanes, q *float32, limit, slacked float64, drain bool) uint64
+func bandLanes(s *lanes, q *float32, slacked float64, drain bool) uint64
 
 // lbLanes takes the LB_Keogh prefix sums of the Lanes candidates at x (n
 // points each, n > 0) under the envelope lower ≤ upper, as

@@ -6,7 +6,7 @@ package dtw
 // lane.
 var useAVX512 = false
 
-func bandLanes(s *lanes, q *float32, limit, slacked float64, drain bool) uint64 {
+func bandLanes(s *lanes, q *float32, slacked float64, drain bool) uint64 {
 	panic("dtw: bandLanes called without AVX-512")
 }
 

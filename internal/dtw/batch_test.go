@@ -75,67 +75,74 @@ func (b *Batch) slabPrefix(l, j, n int) float64 {
 	return b.slab[l*n+j]
 }
 
-// trace returns what Cascade tests candidate k's DP against, from the
-// reference DP: one bound per row pair before its last (row 2m+1's
-// minimum plus the LB_Keogh of the columns beyond its band), and its
-// distance.
-func (c *stageCase) trace(k int) ([]float64, float64) {
+// trace returns what the lanes test candidate k's DP against, from a
+// plain float32 DP: one bound per row pair before its last (floor32 of row
+// 2m+1's minimum plus the LB_Keogh of the columns beyond its band), the
+// bound of its float32 distance, and its distance, from the reference DP.
+func (c *stageCase) trace(k int) trace {
 	if t, ok := c.traces[k]; ok {
-		return t.bounds, t.d
+		return t
 	}
 	q, x, r, n := c.q, c.xs[k], c.r, len(c.q)
-	inf := math.Inf(1)
-	prev, cur := make([]float64, n+1), make([]float64, n+1) // column j at j+1
+	inf := float32(math.Inf(1))
+	prev, cur := make([]float32, n+1), make([]float32, n+1) // column j at j+1
 	for j := range prev {
 		prev[j] = inf
 	}
 	prev[0] = 0
-	mins := make([]float64, n)
+	mins := make([]float32, n)
 	for i := 0; i < n; i++ {
 		for j := range cur {
 			cur[j] = inf
 		}
 		mins[i] = inf
 		for j := max(i-r, 0); j <= min(i+r, n-1); j++ {
-			d := float64(q[i]) - float64(x[j])
-			cur[j+1] = min(prev[j+1], prev[j], cur[j]) + d*d
+			d := q[i] - x[j]
+			cur[j+1] = float32(min(prev[j+1], prev[j], cur[j]) + float32(d*d))
 			mins[i] = min(mins[i], cur[j+1])
 		}
 		prev, cur = cur, prev
 	}
 	p := c.prefix(k)
-	bounds := make([]float64, (n-1)/2)
-	for m := range bounds {
-		bounds[m] = mins[2*m+1] + (p[n-1] - p[min(2*m+1+r, n-1)])
+	t := trace{bounds: make([]float64, (n-1)/2), d: DistanceExact(q, x, r)}
+	kap := kappa(n)
+	for m := range t.bounds {
+		t.bounds[m] = floor32(math.Float32bits(mins[2*m+1]), kap) + (p[n-1] - p[min(2*m+1+r, n-1)])
 	}
-	c.traces[k] = trace{bounds, prev[n]}
-	return bounds, prev[n]
+	if n > 0 {
+		t.fin = floor32(math.Float32bits(prev[n]), kap)
+	}
+	c.traces[k] = t
+	return t
 }
 
 type trace struct {
 	bounds []float64
-	d      float64
+	fin, d float64
 }
 
 // laneModel replays the lanes' schedule on the candidates' traces: each
 // call enters the free lanes, then runs row pairs while every lane is busy
 // (or, draining, while any is); after a pair, a lane whose last pair is
-// done stops and is reported below the limit, any other stops once its
-// pair's bound reaches the widened limit, and the stopped lanes take the
-// queued candidates in lane order. A call returns after a pair that
-// reports. It is the reference the batch's calls are held to, on both
-// arms.
+// done stops, and runs again in float64 when its float32 bound is below
+// the widened limit, to be reported below the limit; any other lane stops
+// once its pair's bound reaches the widened limit, and the stopped lanes
+// take the queued candidates in lane order. A call returns after a pair
+// that reports. It is the reference the batch's calls are held to, on
+// both arms.
 type laneModel struct {
-	c     *stageCase
-	queue []int
-	k, m  [Lanes]int
-	act   uint64
-	cov   *coverage
-	pairs int // lane row pairs run
+	c          *stageCase
+	queue      []int
+	k, m       [DPLanes]int
+	act        uint64
+	cov        *coverage
+	pairs      int // lane row pairs run
+	steps      int // row pairs run, every lane together
+	recomputes int // float64 DPs of finishing lanes
 }
 
 func (mo *laneModel) refill(stop uint64) {
-	for l := 0; l < Lanes; l++ {
+	for l := 0; l < DPLanes; l++ {
 		if stop&(1<<l) == 0 {
 			continue
 		}
@@ -149,24 +156,31 @@ func (mo *laneModel) refill(stop uint64) {
 }
 
 func (mo *laneModel) run(limit float64, drain bool) (ds []float64, ks []int) {
-	mo.refill((1<<Lanes - 1) &^ mo.act)
-	for mo.act != 0 && (drain || mo.act == 1<<Lanes-1) {
+	const all = 1<<DPLanes - 1
+	mo.refill(all &^ mo.act)
+	for mo.act != 0 && (drain || mo.act == all) {
 		mo.pairs += bits.OnesCount64(mo.act)
+		mo.steps++
 		var stop uint64
 		rows := map[int]bool{}
-		for l := 0; l < Lanes; l++ {
+		for l := 0; l < DPLanes; l++ {
 			if mo.act&(1<<l) == 0 {
 				continue
 			}
 			rows[mo.m[l]] = true
-			bounds, d := mo.c.trace(mo.k[l])
+			t := mo.c.trace(mo.k[l])
 			switch {
-			case mo.m[l] == len(bounds):
+			case mo.m[l] == len(t.bounds):
 				stop |= 1 << l
-				if d < limit {
-					ds, ks = append(ds, d), append(ks, mo.k[l])
+				if t.fin < limit*slack {
+					mo.recomputes++
+					if t.d < limit {
+						ds, ks = append(ds, t.d), append(ks, mo.k[l])
+					} else {
+						mo.cov.recomputeAbove = true
+					}
 				}
-			case bounds[mo.m[l]] >= limit*slack:
+			case t.bounds[mo.m[l]] >= limit*slack:
 				stop |= 1 << l
 			default:
 				mo.m[l]++
@@ -186,10 +200,10 @@ func (mo *laneModel) run(limit float64, drain bool) (ds []float64, ks []int) {
 	return nil, nil
 }
 
-// rowsPerDP replays a stream of the case's candidates, bounded and run at
-// limit as BenchmarkBatch128Band13's stream arms run them, through the
-// lanes' schedule, and returns the mean rows a queued candidate's DP runs.
-func rowsPerDP(c *stageCase, limit float64) float64 {
+// replay runs a stream of the case's candidates, bounded and run at limit
+// as BenchmarkBatch128Band13's stream arms run them, through the lanes'
+// schedule, and returns the model after and how many DPs it queued.
+func replay(c *stageCase, limit float64) (*laneModel, int) {
 	mo := &laneModel{c: c, cov: &coverage{}}
 	dps := 0
 	drain := func(flush bool) {
@@ -209,13 +223,14 @@ func rowsPerDP(c *stageCase, limit float64) float64 {
 		drain(false)
 	}
 	drain(true)
-	return 2 * float64(mo.pairs) / float64(dps)
+	return mo, dps
 }
 
 // coverage records which of the schedule's edges a test reached.
 type coverage struct {
 	mixedRows, midFlight, lowerResume, rebase bool
-	flushWith                                 [Lanes]bool // lanes in flight when a flush began
+	recomputeAbove                            bool          // a float64 DP landed at or above the limit
+	flushWith                                 [DPLanes]bool // lanes in flight when a flush began
 }
 
 // checkStage drives the case's candidates through b as the DTW kernel's
@@ -227,10 +242,12 @@ type coverage struct {
 // Cascade and from the lanes' schedule: the queue must get exactly the
 // candidates Cascade runs at the pass's limit, each with its scalar
 // prefix sums bitwise; every call must return what laneModel returns, in
-// order, each result Cascade's bits and below the call's limit.
+// order, each result Cascade's bits and below the call's limit; and, at
+// one limit throughout, the results must be exactly the queued candidates
+// whose Cascade distance is below it.
 func checkStage(b *Batch, c *stageCase, sched []float64, run float64, tighten bool, cov *coverage) error {
 	mo := &laneModel{c: c, cov: cov}
-	var pending []int
+	var pending, queued, found []int
 	bound := func(limit float64) error {
 		kept := b.Bound(c.l, c.u, limit)
 		var want []int
@@ -251,6 +268,7 @@ func checkStage(b *Batch, c *stageCase, sched []float64, run float64, tighten bo
 			return fmt.Errorf("limit %v: %d queued (%d reported), Cascade runs %v", limit, bits.OnesCount64(b.queue), kept, want)
 		}
 		mo.queue = append(mo.queue, want...)
+		queued = append(queued, want...)
 		pending = pending[:0]
 		return nil
 	}
@@ -288,9 +306,10 @@ func checkStage(b *Batch, c *stageCase, sched []float64, run float64, tighten bo
 				if int(id[i]) != k || math.Float64bits(d[i]) != math.Float64bits(wd[i]) {
 					return fmt.Errorf("limit %v: result %d is candidate %d at %v, the lanes' schedule %d at %v", limit, i, id[i], d[i], k, wd[i])
 				}
-				if ref := DistanceExact(c.q, c.xs[k], c.r); math.Float64bits(d[i]) != math.Float64bits(ref) || d[i] >= call {
+				if ref := c.trace(k).d; math.Float64bits(d[i]) != math.Float64bits(ref) || d[i] >= call {
 					return fmt.Errorf("limit %v: candidate %d = %v, Cascade %v", call, k, d[i], ref)
 				}
+				found = append(found, k)
 				if tighten {
 					limit = min(limit, d[i])
 				}
@@ -326,18 +345,40 @@ func checkStage(b *Batch, c *stageCase, sched []float64, run float64, tighten bo
 	if b.act != 0 || b.queue != 0 || mo.act != 0 || len(mo.queue) != 0 {
 		return fmt.Errorf("after the flush: lanes %b, queue %b", b.act, b.queue)
 	}
+	if len(sched) == 1 && !tighten {
+		limit = min(run, sched[0])
+		var want []int
+		for _, k := range queued {
+			if c.trace(k).d < limit {
+				want = append(want, k)
+			}
+		}
+		slices.Sort(want)
+		slices.Sort(found)
+		if !slices.Equal(found, want) {
+			return fmt.Errorf("limit %v: results %v, Cascade finds %v", limit, found, want)
+		}
+	}
 	return nil
 }
 
 // batchCase draws a query and count candidates of n points, one in four a
-// copy of an earlier one.
-func batchCase(rng *rand.Rand, n, count int) (q []float32, xs [][]float32) {
-	q = randWalk(rng, n)
+// copy of an earlier one, each a random walk times 2^e: e below -100
+// reaches the float32 subnormals, above 50 float32 overflow in the DP.
+func batchCase(rng *rand.Rand, n, count, e int) (q []float32, xs [][]float32) {
+	walk := func() []float32 {
+		w := randWalk(rng, n)
+		for i, v := range w {
+			w[i] = float32(math.Ldexp(float64(v), e))
+		}
+		return w
+	}
+	q = walk()
 	for k := 0; k < count; k++ {
 		if k > 0 && rng.Intn(4) == 0 {
 			xs = append(xs, xs[rng.Intn(k)])
 		} else {
-			xs = append(xs, randWalk(rng, n))
+			xs = append(xs, walk())
 		}
 	}
 	return q, xs
@@ -390,12 +431,14 @@ func carrySchedules(c *stageCase) [2][]float64 {
 	return [2][]float64{{few, 0, 0, math.Inf(1)}, {few, math.Inf(1)}}
 }
 
-// checkBatchCase draws a case of count candidates and checks it under
-// every pass limit with every run limit at or below it, then under the
-// carrying schedules and a random one, with the run limit held and
-// tightened by every result.
-func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64, cov *coverage) error {
-	q, xs := batchCase(rng, n, count)
+// checkBatchCase draws a case of count candidates, scaled by 2^e, and
+// checks it under every pass limit with every run limit at or below it,
+// then under the carrying schedules and a random one, with the run limit
+// held and tightened by every result, and then at a run limit one ulp
+// above each candidate's distance, where a float32 distance may round
+// above the limit while the candidate is a result.
+func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64, e int, cov *coverage) error {
+	q, xs := batchCase(rng, n, count, e)
 	c := newStageCase(q, xs, r)
 	lims := batchLimits(rng, c, frac)
 	check := func(sched []float64, run float64, tighten bool) error {
@@ -427,17 +470,24 @@ func checkBatchCase(b *Batch, rng *rand.Rand, n, r, count int, frac float64, cov
 			}
 		}
 	}
+	for k := range xs {
+		if err := check([]float64{math.Inf(1)}, math.Nextafter(c.trace(k).d, math.Inf(1)), false); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // TestBatchMatchesCascade checks an empty query, sweeps every band of every
 // short length with 1 to 6·Lanes candidates (full passes and a partial
 // one at the flush), checks n ∈ {1, 2, 7, 8, 9, 127, 128, 129} at r = 0,
-// 13 and n-1, and draws longer series, odd and even. It also demands that
+// 13 and n-1, then walks scaled into float32's subnormals and past its
+// overflow, and draws longer series, odd and even. It also demands that
 // the cases reached the schedule's edges: lanes at different rows, a DP
 // that finishes below the limit with others in flight and a resume at a
-// lower limit, a flush with 1 to 7 lanes in flight, and, with AVX-512 F, a
-// ring moved back to its start with a DP in flight.
+// lower limit, a float64 rerun that lands at or above the limit, a flush
+// with 1 to DPLanes-1 lanes in flight, and, with AVX-512 F, a ring moved
+// back to its start with a DP in flight.
 func TestBatchMatchesCascade(t *testing.T) {
 	arms(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
@@ -449,7 +499,7 @@ func TestBatchMatchesCascade(t *testing.T) {
 		}
 		for n := 1; n <= 24; n++ {
 			for r := 0; r < n; r++ {
-				if err := checkBatchCase(&b, rng, n, r, 1+(n*r+n)%(6*Lanes), 0.5, &cov); err != nil {
+				if err := checkBatchCase(&b, rng, n, r, 1+(n*r+n)%(6*Lanes), 0.5, 0, &cov); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -457,8 +507,17 @@ func TestBatchMatchesCascade(t *testing.T) {
 		for _, n := range []int{1, 2, 7, 8, 9, 127, 128, 129} {
 			for _, r := range []int{0, min(13, n-1), n - 1} {
 				for _, count := range []int{Lanes, 2*Lanes + 3, 5 * Lanes} {
-					if err := checkBatchCase(&b, rng, n, r, count, 0.5, &cov); err != nil {
+					if err := checkBatchCase(&b, rng, n, r, count, 0.5, 0, &cov); err != nil {
 						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, e := range []int{-130, -110, -75, 55, 70} {
+			for _, n := range []int{9, 40, 128} {
+				for _, r := range []int{0, n / 10, n - 1} {
+					if err := checkBatchCase(&b, rng, n, r, 3*Lanes, 0.5, e, &cov); err != nil {
+						t.Fatalf("scale 2^%d: %v", e, err)
 					}
 				}
 			}
@@ -469,11 +528,11 @@ func TestBatchMatchesCascade(t *testing.T) {
 		}
 		for trial := 0; trial < trials; trial++ {
 			n := 25 + rng.Intn(276)
-			if err := checkBatchCase(&b, rng, n, rng.Intn(n), 1+rng.Intn(6*Lanes), rng.Float64(), &cov); err != nil {
+			if err := checkBatchCase(&b, rng, n, rng.Intn(n), 1+rng.Intn(6*Lanes), rng.Float64(), 0, &cov); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
-		if !cov.mixedRows || !cov.midFlight || !cov.lowerResume || useAVX512 && !cov.rebase {
+		if !cov.mixedRows || !cov.midFlight || !cov.lowerResume || !cov.recomputeAbove || useAVX512 && !cov.rebase {
 			t.Fatalf("edges not reached: %+v", cov)
 		}
 		for lanes, seen := range cov.flushWith[1:] {
@@ -495,7 +554,7 @@ func TestBatchSlabRing(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		var cov coverage
 		for _, n := range []int{1, 9, 128} {
-			q, xs := batchCase(rng, n, 15*Lanes)
+			q, xs := batchCase(rng, n, 15*Lanes, 0)
 			c := newStageCase(q, xs, n/10)
 			sched := make([]float64, 15)
 			for pass := 0; pass < len(sched); pass += 2 {
@@ -521,7 +580,7 @@ func TestBoundMatchesEnvelopePrefix(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		for _, n := range []int{1, 7, 8, 9, 16, 17, 127, 128, 129} {
 			for _, pending := range []int{1, Lanes - 1, Lanes} {
-				q, xs := batchCase(rng, n, pending)
+				q, xs := batchCase(rng, n, pending, 0)
 				c := newStageCase(q, xs, rng.Intn(n))
 				lims := []float64{0, math.Inf(1)}
 				for k := range xs {
@@ -563,29 +622,38 @@ func TestBoundMatchesEnvelopePrefix(t *testing.T) {
 	})
 }
 
+// FuzzBatchMatchesCascade checks cases of every shape, each walk scaled by
+// 2^e for e = eRaw mod 201 − 130 (eRaw 130: unscaled), from float32's
+// subnormals to past its overflow.
 func FuzzBatchMatchesCascade(f *testing.F) {
-	f.Add(int64(1), uint16(127), uint16(13), uint8(7), 0.5)
-	f.Add(int64(2), uint16(128), uint16(13), uint8(19), 0.9)
+	const unscaled = uint8(130)
+	f.Add(int64(1), uint16(127), uint16(13), uint8(7), 0.5, unscaled)
+	f.Add(int64(2), uint16(128), uint16(13), uint8(19), 0.9, unscaled)
 	// n = 1, 7, 8, 9, 127, 128 and 129 at r = 0 and r = n-1: one lane,
 	// two passes and a partial one, three full passes.
 	for _, nRaw := range []uint16{0, 6, 7, 8, 126, 127, 128} {
-		f.Add(int64(4), nRaw, uint16(0), uint8(0), 0.9)
-		f.Add(int64(5), nRaw, nRaw, uint8(2*Lanes+4), 0.9)
-		f.Add(int64(6), nRaw, uint16(13), uint8(3*Lanes-1), 0.3)
+		f.Add(int64(4), nRaw, uint16(0), uint8(0), 0.9, unscaled)
+		f.Add(int64(5), nRaw, nRaw, uint8(2*Lanes+4), 0.9, unscaled)
+		f.Add(int64(6), nRaw, uint16(13), uint8(3*Lanes-1), 0.3, unscaled)
 	}
 	// Streams: n = 1 and 2 at r = 0, and 6 passes at n = 127, 128, 129.
-	f.Add(int64(7), uint16(0), uint16(0), uint8(6*Lanes-1), 0.2)
-	f.Add(int64(8), uint16(1), uint16(0), uint8(6*Lanes-1), 0.7)
+	f.Add(int64(7), uint16(0), uint16(0), uint8(6*Lanes-1), 0.2, unscaled)
+	f.Add(int64(8), uint16(1), uint16(0), uint8(6*Lanes-1), 0.7, unscaled)
 	for _, nRaw := range []uint16{126, 127, 128} {
-		f.Add(int64(9), nRaw, uint16(13), uint8(6*Lanes-1), 0.1)
+		f.Add(int64(9), nRaw, uint16(13), uint8(6*Lanes-1), 0.1, unscaled)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, rRaw uint16, countRaw uint8, frac float64) {
+	// Scaled by 2^-130, 2^-76, 2^60 and 2^70.
+	for _, eRaw := range []uint8{0, 54, 190, 200} {
+		f.Add(int64(10), uint16(127), uint16(13), uint8(3*Lanes-1), 0.5, eRaw)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, rRaw uint16, countRaw uint8, frac float64, eRaw uint8) {
 		n := int(nRaw)%300 + 1
 		r := int(rRaw) % n
 		count := int(countRaw)%(6*Lanes) + 1
+		e := int(eRaw)%201 - 130
 		arms(t, func(t *testing.T) {
 			var b Batch
-			if err := checkBatchCase(&b, rand.New(rand.NewSource(seed)), n, r, count, frac, &coverage{}); err != nil {
+			if err := checkBatchCase(&b, rand.New(rand.NewSource(seed)), n, r, count, frac, e, &coverage{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -607,11 +675,17 @@ func FuzzBatchMatchesCascade(f *testing.F) {
 //     half their own 10th-percentile DTW, so that, like serve-dtw's, most
 //     candidates get a DP (61 %) and it stops early (41 rows, 43 in
 //     serve-dtw; stream's DPs are few, 17 %, and run 110 rows);
-//   - rows/DP, on stream and near: the mean rows a DP runs, from a
-//     laneModel replay outside the timer;
+//   - rows/DP, lane-util and recomputes/1k, on stream and near, from a
+//     laneModel replay outside the timer: the mean rows a DP runs, the
+//     lane row pairs run over DPLanes times the row pairs run, and the
+//     float64 reruns of finishing lanes per 1 000 candidates;
 //   - lb/lanes and lb/scalar: the bound pass alone, on the assembly path
 //     and with the lane-by-lane fallback forced, unbounded (full) and at
 //     that limit (abandon).
+//
+// full, abandon, stage and stream hold their limit fixed, so every
+// candidate below it is a result and pays its float64 rerun, as a 1-NN
+// search, whose bound falls with each result, does not; near has none.
 func BenchmarkBatch128Band13(b *testing.B) {
 	const n, r, count = 128, 13, 1024
 	rng := rand.New(rand.NewSource(11))
@@ -677,7 +751,10 @@ func BenchmarkBatch128Band13(b *testing.B) {
 			}
 			perCandidate(b, len(xs))
 			b.StopTimer()
-			b.ReportMetric(rowsPerDP(newStageCase(q, xs, r), cut), "rows/DP")
+			mo, dps := replay(newStageCase(q, xs, r), cut)
+			b.ReportMetric(2*float64(mo.pairs)/float64(dps), "rows/DP")
+			b.ReportMetric(float64(mo.pairs)/float64(DPLanes*mo.steps), "lane-util")
+			b.ReportMetric(1000*float64(mo.recomputes)/float64(len(xs)), "recomputes/1k")
 		})
 	}
 	stream("stream", walks, cut)

@@ -14,15 +14,21 @@
 // columns it has not reached yet reaches the limit. The DP computes two
 // rows per pass over the columns, so two left-neighbour chains run side by
 // side, and takes its minima over the cells' bit patterns on the integer
-// ports; both keep the result bitwise equal to the plain DP's. Batch runs
-// Cascade in two stages, one candidate of one query per lane of an
-// AVX-512 register: first eight candidates' LB_Keogh bounds, each lane's
-// prefix sums bitwise vector.EnvelopePrefixEarlyAbandon's, then the
-// survivors' DPs, each lane bitwise Cascade's. The DP lanes refill: a lane
-// whose DP abandons or finishes takes the next queued candidate at its
-// next row pair, so a pass costs the rows its candidates need, not eight
-// times the longest. To let every lane sit at its own row, the DP cells
-// are held in band coordinates (cell (i, j) at k = j − i + r) and each
+// ports; both keep the result bitwise equal to the plain DP's, and no
+// GOARCH fuses a square and a sum into an FMA. Batch runs Cascade in two
+// stages, one candidate of one query per lane of an AVX-512 register:
+// first eight candidates' LB_Keogh bounds in float64, each lane's prefix
+// sums bitwise vector.EnvelopePrefixEarlyAbandon's, then the survivors'
+// DPs, sixteen at a time in float32. A float32 DP bounds the exact one
+// from below once its cells are shrunk by a factor that covers their
+// rounding (floor32), so a lane abandons only a candidate whose distance
+// Cascade finds at or above the limit; a lane that finishes near or below
+// the limit runs its DP again in float64, so every result is bitwise
+// Cascade's. The DP lanes refill: a lane whose DP
+// abandons or finishes takes the next queued candidate at its next row
+// pair, so a pass costs the rows its candidates need, not sixteen times
+// the longest. To let every lane sit at its own row, the DP cells are
+// held in band coordinates (cell (i, j) at k = j − i + r) and each
 // candidate's points in a column ring at the step it entered; an entering
 // lane copies its LB_Keogh suffix sums, so one prefix slab serves the
 // bound stage.
@@ -77,7 +83,7 @@ func WindowSize(n int, fraction float64) int {
 	if fraction < 0 {
 		return 0
 	}
-	r := int(math.Floor(fraction*float64(n) + 0.5))
+	r := int(math.Floor(float64(fraction*float64(n)) + 0.5))
 	if r > n-1 {
 		r = n - 1
 	}
@@ -184,9 +190,10 @@ const inf uint64 = 0x7FF0_0000_0000_0000
 // The neighbours are the bit patterns of +0, of positive finite sums of
 // squares or of +Inf, which order as unsigned integers exactly as they do
 // as floats, so the min runs on the integer ports (CMP/CMOV), beside the
-// floating-point work of the cost.
+// floating-point work of the cost. The conversion rounds the square
+// before the sum, so no GOARCH fuses the two into an FMA.
 func cell(up, diag, left uint64, d float64) uint64 {
-	return math.Float64bits(math.Float64frombits(min(up, diag, left)) + d*d)
+	return math.Float64bits(math.Float64frombits(min(up, diag, left)) + float64(d*d))
 }
 
 // band runs the DP over the band alone, a pair of rows at a time (see

@@ -82,8 +82,9 @@ func (t *DistTable) Scale() float64 { return t.schema.ratio }
 func (t *DistTable) BuildPAA(paa []float64) { t.build(paa, paa) }
 
 // BuildEnvelope fills the table for a DTW query from its LB_Keogh
-// envelope summary (per-segment max of the upper envelope and min of the
-// lower), exactly as MinDistEnvelopeWord computes its excursions.
+// envelope summary, exactly as MinDistEnvelopeWord computes its
+// excursions. The summary may be the segment means of the upper and the
+// lower envelope (their PAA, the tightest) or their segment max and min.
 // Callers must pass a real envelope summary (lMin[i] ≤ uMax[i] for all
 // i); the hierarchical levels assume the two bounds bracket a common
 // value, which every LB_Keogh envelope satisfies.

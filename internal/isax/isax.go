@@ -228,10 +228,19 @@ func (s *Schema) MinDistPAAPrefix(paa []float64, symbols, bits []uint8) float64 
 }
 
 // MinDistEnvelopeWord returns the squared lower bound between a query's
-// LB_Keogh envelope (summarized per segment by the maximum of the upper
-// envelope, uMax, and the minimum of the lower envelope, lMin) and a
+// LB_Keogh envelope, summarized per segment by uMax and lMin, and a
 // full-precision word. Used for DTW query answering: it lower-bounds
 // LB_Keogh(query, candidate), which lower-bounds cDTW(query, candidate).
+//
+// The summary may be the segment means of the upper and the lower
+// envelope (Zhu & Shasha, SIGMOD 2003). A segment's LB_Keogh terms are
+// f(x_j, L_j, U_j) = max(0, x_j−U_j, L_j−x_j)², and f is jointly convex
+// (the square of a non-negative maximum of affine functions), so by
+// Jensen their sum over the segment's m points is at least m·f(x̄, L̄, Ū),
+// the means' term; the word bounds x̄ to its symbol's region, and the
+// least f over that region is the excursion computed here, times the
+// schema's ratio m. The segment max of U and min of L bound it too, less
+// tightly, since f falls as U rises or L falls.
 func (s *Schema) MinDistEnvelopeWord(uMax, lMin []float64, word []uint8) float64 {
 	var sum float64
 	for i := 0; i < s.Segments; i++ {

@@ -4,10 +4,10 @@
 // of its points. PAA is the intermediate representation between raw series
 // and their iSAX summaries (Figure 1 of the paper).
 //
-// The package also computes per-segment minima/maxima, which the DTW lower
-// bound needs to summarize the LB_Keogh envelope conservatively (the iSAX
-// regions bound a segment's *mean*, so the envelope must be reduced with
-// max/min rather than mean to remain a lower bound).
+// The package also computes per-segment minima/maxima. Either summary of
+// the LB_Keogh envelope, its means or its extremes, lower-bounds LB_Keogh
+// against an iSAX word (isax.Schema.MinDistEnvelopeWord says why); the
+// DTW search uses the means, the tighter.
 package paa
 
 // Transform writes the w-segment PAA of s into dst and returns dst.

@@ -194,7 +194,7 @@ func TestSearchDTWValidation(t *testing.T) {
 }
 
 // TestCoreScanDTWMatchesSearchDTW: core.Scan, the loop that measures a live
-// index's delta chunks, runs its DTW DPs in batches of dtw.Lanes. Over
+// index's delta chunks, takes its DTW bounds in passes of dtw.Lanes. Over
 // chunks of 1, 7, 8 and 9 series sharing one collector — short of a batch,
 // exactly one, and one past it — it answers as SearchDTW does, bitwise, and
 // takes one LB_Keogh bound per series.
